@@ -7,10 +7,11 @@ namespace shotgun
 {
 
 TagePredictor::TagePredictor(const TageParams &params, std::uint64_t seed)
-    : params_(params), lfsr_(seed | 1)
+    : params_(params), ageCountdown_(params.uResetPeriod), lfsr_(seed | 1)
 {
     fatal_if(params_.historyLengths.size() != params_.tagBits.size(),
              "TAGE: historyLengths and tagBits must have equal size");
+    fatal_if(params_.uResetPeriod == 0, "TAGE: uResetPeriod must be > 0");
     fatal_if(params_.historyLengths.empty(), "TAGE: no tagged tables");
     fatal_if(params_.historyLengths.size() > 16,
              "TAGE: at most 16 tagged tables supported");
@@ -80,9 +81,17 @@ TagePredictor::baseUpdate(Addr pc, bool taken)
 bool
 TagePredictor::predict(Addr pc)
 {
-    ctx_ = PredictContext{};
+    // Only the scalars need resetting: indices/tags of every table in
+    // use are overwritten below, and slots past numTables() are never
+    // read.
     ctx_.valid = true;
     ctx_.pc = pc;
+    ctx_.provider = -1;
+    ctx_.alt = -1;
+    ctx_.providerPred = false;
+    ctx_.altPred = false;
+    ctx_.finalPred = false;
+    ctx_.providerWeak = false;
 
     for (std::size_t t = 0; t < tables_.size(); ++t) {
         ctx_.indices[t] = tableIndex(t, pc);
@@ -130,7 +139,6 @@ TagePredictor::update(Addr pc, bool taken)
     panic_if(!ctx_.valid || ctx_.pc != pc,
              "TAGE update() without matching predict()");
     ctx_.valid = false;
-    ++updates_;
 
     const bool mispredicted = (ctx_.finalPred != taken);
 
@@ -219,8 +227,11 @@ TagePredictor::update(Addr pc, bool taken)
         (void)free_count;
     }
 
-    if (updates_ % params_.uResetPeriod == 0)
+    // Age every uResetPeriod-th update.
+    if (--ageCountdown_ == 0) {
+        ageCountdown_ = params_.uResetPeriod;
         ageUsefulness();
+    }
 
     pushHistory(taken);
 }
@@ -244,6 +255,16 @@ TagePredictor::ageUsefulness()
         for (TageEntry &e : table.entries)
             e.u >>= 1;
     }
+}
+
+std::size_t
+TagePredictor::footprintBytes() const
+{
+    std::size_t bytes = base_.size() * sizeof(base_[0]) +
+                        tables_.size() * sizeof(Table);
+    for (const Table &table : tables_)
+        bytes += table.entries.size() * sizeof(TageEntry);
+    return bytes;
 }
 
 std::uint64_t

@@ -57,6 +57,9 @@ class TagePredictor : public DirectionPredictor
     /** Number of tagged tables. */
     std::size_t numTables() const { return tables_.size(); }
 
+    /** Heap bytes of the base and tagged tables (checkpoint accounting). */
+    std::size_t footprintBytes() const;
+
   private:
     static constexpr std::size_t kHistBuf = 1024;
 
@@ -134,7 +137,7 @@ class TagePredictor : public DirectionPredictor
     std::uint8_t ghist_[kHistBuf] = {};
     std::size_t histPtr_ = 0;
     std::int8_t useAltOnNa_ = 0; ///< 4-bit signed [-8, 7].
-    std::uint64_t updates_ = 0;
+    std::uint64_t ageCountdown_ = 0; ///< Updates until the next aging.
     std::uint64_t lfsr_;         ///< Allocation randomizer.
     PredictContext ctx_;
 };

@@ -6,11 +6,17 @@
  * caches); the set index is key modulo the number of sets, and the
  * full key acts as the tag, so the model never suffers false aliasing
  * (matching the paper's full-length tag storage accounting).
+ *
+ * Keys, valid bits, LRU stamps and values live in separate arrays, so
+ * a probe scans only the dense key array of its set. Power-of-two set
+ * counts index with a mask; other counts (the storage-budget
+ * ablations, e.g. 301 sets) keep the modulo. Both give key % sets.
  */
 
 #ifndef SHOTGUN_BTB_ASSOC_TABLE_HH
 #define SHOTGUN_BTB_ASSOC_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +30,11 @@ class SetAssocTable
 {
   public:
     SetAssocTable(std::size_t sets, std::size_t ways)
-        : sets_(sets), ways_(ways), lines_(sets * ways)
+        : sets_(sets), ways_(ways),
+          setMask_((sets & (sets - 1)) == 0 ? sets - 1 : 0),
+          powerOfTwoSets_((sets & (sets - 1)) == 0),
+          keys_(sets * ways), lru_(sets * ways), valid_(sets * ways),
+          values_(sets * ways)
     {
         fatal_if(sets == 0 || ways == 0,
                  "SetAssocTable needs sets > 0 and ways > 0");
@@ -32,32 +42,40 @@ class SetAssocTable
 
     std::size_t sets() const { return sets_; }
     std::size_t ways() const { return ways_; }
-    std::size_t capacity() const { return lines_.size(); }
+    std::size_t capacity() const { return keys_.size(); }
+
+    /** Heap bytes of the line arrays (checkpoint accounting). */
+    std::size_t
+    footprintBytes() const
+    {
+        return capacity() * (sizeof(std::uint64_t) * 2 +
+                             sizeof(std::uint8_t) + sizeof(Value));
+    }
 
     /** Probe without updating recency. */
     Value *
     find(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        return line ? &line->value : nullptr;
+        const std::size_t line = lineOf(key);
+        return line == kNoLine ? nullptr : &values_[line];
     }
 
     const Value *
     find(std::uint64_t key) const
     {
-        const Line *line =
-            const_cast<SetAssocTable *>(this)->findLine(key);
-        return line ? &line->value : nullptr;
+        const std::size_t line = lineOf(key);
+        return line == kNoLine ? nullptr : &values_[line];
     }
 
     /** Probe and mark most-recently-used on hit. */
     Value *
     touch(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        if (line)
-            line->lru = ++clock_;
-        return line ? &line->value : nullptr;
+        const std::size_t line = lineOf(key);
+        if (line == kNoLine)
+            return nullptr;
+        lru_[line] = ++clock_;
+        return &values_[line];
     }
 
     /**
@@ -72,36 +90,37 @@ class SetAssocTable
            std::uint64_t *evicted_key = nullptr,
            Value *evicted = nullptr)
     {
-        Line *line = findLine(key);
-        if (line) {
-            line->value = value;
-            line->lru = ++clock_;
+        const std::size_t line = lineOf(key);
+        if (line != kNoLine) {
+            values_[line] = value;
+            lru_[line] = ++clock_;
             return false;
         }
 
-        const std::size_t base = (key % sets_) * ways_;
-        Line *victim = &lines_[base];
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Line &candidate = lines_[base + w];
-            if (!candidate.valid) {
-                victim = &candidate;
+        // Victim: the first invalid way, else the least recently used
+        // (the first of equals).
+        const std::size_t base = setOf(key) * ways_;
+        std::size_t victim = base;
+        for (std::size_t i = base; i < base + ways_; ++i) {
+            if (!valid_[i]) {
+                victim = i;
                 break;
             }
-            if (candidate.lru < victim->lru)
-                victim = &candidate;
+            if (lru_[i] < lru_[victim])
+                victim = i;
         }
 
-        const bool evicting = victim->valid;
+        const bool evicting = valid_[victim] != 0;
         if (evicting) {
             if (evicted_key)
-                *evicted_key = victim->key;
+                *evicted_key = keys_[victim];
             if (evicted)
-                *evicted = victim->value;
+                *evicted = values_[victim];
         }
-        victim->key = key;
-        victim->value = value;
-        victim->valid = true;
-        victim->lru = ++clock_;
+        keys_[victim] = key;
+        values_[victim] = value;
+        valid_[victim] = 1;
+        lru_[victim] = ++clock_;
         return evicting;
     }
 
@@ -109,10 +128,10 @@ class SetAssocTable
     bool
     erase(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        if (!line)
+        const std::size_t line = lineOf(key);
+        if (line == kNoLine)
             return false;
-        line->valid = false;
+        valid_[line] = 0;
         return true;
     }
 
@@ -120,8 +139,7 @@ class SetAssocTable
     void
     clear()
     {
-        for (auto &line : lines_)
-            line.valid = false;
+        std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
         clock_ = 0;
     }
 
@@ -130,8 +148,8 @@ class SetAssocTable
     occupancy() const
     {
         std::size_t count = 0;
-        for (const auto &line : lines_)
-            count += line.valid;
+        for (const std::uint8_t valid : valid_)
+            count += valid;
         return count;
     }
 
@@ -140,36 +158,42 @@ class SetAssocTable
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &line : lines_) {
-            if (line.valid)
-                fn(line.key, line.value);
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (valid_[i])
+                fn(keys_[i], values_[i]);
         }
     }
 
   private:
-    struct Line
-    {
-        std::uint64_t key = 0;
-        std::uint64_t lru = 0;
-        Value value{};
-        bool valid = false;
-    };
+    static constexpr std::size_t kNoLine = ~std::size_t(0);
 
-    Line *
-    findLine(std::uint64_t key)
+    std::size_t
+    setOf(std::uint64_t key) const
     {
-        const std::size_t base = (key % sets_) * ways_;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Line &line = lines_[base + w];
-            if (line.valid && line.key == key)
-                return &line;
+        return powerOfTwoSets_ ? static_cast<std::size_t>(key & setMask_)
+                               : static_cast<std::size_t>(key % sets_);
+    }
+
+    /** Line holding `key`, or kNoLine. */
+    std::size_t
+    lineOf(std::uint64_t key) const
+    {
+        const std::size_t base = setOf(key) * ways_;
+        for (std::size_t i = base; i < base + ways_; ++i) {
+            if (keys_[i] == key && valid_[i])
+                return i;
         }
-        return nullptr;
+        return kNoLine;
     }
 
     std::size_t sets_;
     std::size_t ways_;
-    std::vector<Line> lines_;
+    std::uint64_t setMask_ = 0;
+    bool powerOfTwoSets_ = false;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> lru_;
+    std::vector<std::uint8_t> valid_;
+    std::vector<Value> values_;
     std::uint64_t clock_ = 0;
 };
 

@@ -50,6 +50,14 @@ class Cache
 
     std::size_t numBlocks() const { return table_.capacity(); }
     std::size_t occupancy() const { return table_.occupancy(); }
+
+    /** Heap bytes of the line arrays and victim table. */
+    std::size_t
+    footprintBytes() const
+    {
+        return table_.footprintBytes() +
+               pollutionVictims_.size() * sizeof(Addr);
+    }
     const std::string &name() const { return params_.name; }
 
     std::uint64_t accesses() const { return accesses_.value(); }

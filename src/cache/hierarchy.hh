@@ -10,8 +10,6 @@
 #ifndef SHOTGUN_CACHE_HIERARCHY_HH
 #define SHOTGUN_CACHE_HIERARCHY_HH
 
-#include <functional>
-
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "common/stats.hh"
@@ -76,9 +74,9 @@ class InstrHierarchy
     Cycle probeForFill(Addr block_number, Cycle now);
 
     /** Complete all fills due at `now`; fn(block, wasPrefetch). */
+    template <typename Fn>
     void
-    drainFills(Cycle now,
-               const std::function<void(Addr, bool)> &fn = nullptr)
+    drainFills(Cycle now, Fn &&fn)
     {
         mshrs_.drain(now, [&](const MSHRFile::Entry &entry) {
             // A prefetch that a demand fetch piggybacked on was late
@@ -87,9 +85,24 @@ class InstrHierarchy
                 ++lateUseful_;
             l1i_.fill(entry.block, entry.isPrefetch &&
                                        !entry.demandWaiting);
-            if (fn)
-                fn(entry.block, entry.isPrefetch);
+            fn(entry.block, entry.isPrefetch);
         });
+    }
+
+    void
+    drainFills(Cycle now)
+    {
+        drainFills(now, [](Addr, bool) {});
+    }
+
+    /** Cycle of the next fill drainFills() will complete; kNever if none. */
+    Cycle nextFillAt() const { return mshrs_.nextReadyAt(); }
+
+    /** Heap bytes of the L1-I and LLC arrays (checkpoint accounting). */
+    std::size_t
+    footprintBytes() const
+    {
+        return l1i_.footprintBytes() + llc_.footprintBytes();
     }
 
     /**

@@ -1,5 +1,7 @@
 #include "cache/mshr.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace shotgun
@@ -9,37 +11,39 @@ MSHRFile::MSHRFile(std::size_t entries)
     : capacity_(entries)
 {
     fatal_if(entries == 0, "MSHR file needs at least one entry");
-}
-
-MSHRFile::Entry *
-MSHRFile::find(Addr block_number)
-{
-    auto it = entries_.find(block_number);
-    return it == entries_.end() ? nullptr : &it->second;
+    fatal_if(entries > kMaxEntries, "MSHR file holds at most %zu entries",
+             kMaxEntries);
 }
 
 MSHRFile::Entry *
 MSHRFile::allocate(Addr block_number, Cycle ready_at, bool is_prefetch)
 {
-    if (entries_.size() >= capacity_)
+    if (count_ >= capacity_)
         return nullptr;
-    panic_if(entries_.count(block_number),
+    panic_if(find(block_number) != nullptr,
              "MSHR double allocation for block");
-    Entry entry;
+    Entry &entry = entries_[count_++];
+    entry = Entry{};
     entry.block = block_number;
     entry.readyAt = ready_at;
     entry.isPrefetch = is_prefetch;
-    auto [it, inserted] = entries_.emplace(block_number, entry);
-    heap_.emplace(ready_at, block_number);
-    return &it->second;
+    earliest_ = std::min(earliest_, ready_at);
+    return &entry;
+}
+
+void
+MSHRFile::updateEarliest()
+{
+    earliest_ = kNever;
+    for (std::size_t i = 0; i < count_; ++i)
+        earliest_ = std::min(earliest_, entries_[i].readyAt);
 }
 
 void
 MSHRFile::clear()
 {
-    entries_.clear();
-    while (!heap_.empty())
-        heap_.pop();
+    count_ = 0;
+    earliest_ = kNever;
 }
 
 } // namespace shotgun

@@ -5,15 +5,17 @@
  * in-flight prefetches of the same block (that is what makes a late
  * prefetch still partially useful -- the "in-flight prefetches"
  * effect the paper's stall-cycle metric captures).
+ *
+ * The file is a flat array of at most kMaxEntries entries with a
+ * cached earliest completion time, so the per-cycle drain of a file
+ * with nothing due is one comparison.
  */
 
 #ifndef SHOTGUN_CACHE_MSHR_HH
 #define SHOTGUN_CACHE_MSHR_HH
 
+#include <array>
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -31,10 +33,24 @@ class MSHRFile
         bool demandWaiting = false;
     };
 
-    explicit MSHRFile(std::size_t entries = 64);
+    /** Largest supported file (Table 3's 64-entry prefetch buffer). */
+    static constexpr std::size_t kMaxEntries = 64;
 
-    /** In-flight entry for the block, or nullptr. */
-    Entry *find(Addr block_number);
+    explicit MSHRFile(std::size_t entries = kMaxEntries);
+
+    /**
+     * In-flight entry for the block, or nullptr. The pointer is valid
+     * until the next drain().
+     */
+    Entry *
+    find(Addr block_number)
+    {
+        for (std::size_t i = 0; i < count_; ++i) {
+            if (entries_[i].block == block_number)
+                return &entries_[i];
+        }
+        return nullptr;
+    }
 
     /**
      * Allocate an entry.
@@ -43,41 +59,47 @@ class MSHRFile
      */
     Entry *allocate(Addr block_number, Cycle ready_at, bool is_prefetch);
 
+    /** Completion time of the earliest in-flight fill; kNever if none. */
+    Cycle nextReadyAt() const { return earliest_; }
+
     /**
      * Complete every entry with readyAt <= now, invoking
-     * fn(const Entry&) for each, in readiness order.
+     * fn(const Entry&) for each in (readyAt, block) order. An entry
+     * allocated by fn joins the same drain if it is already due.
      */
     template <typename Fn>
     void
     drain(Cycle now, Fn &&fn)
     {
-        while (!heap_.empty() && heap_.top().first <= now) {
-            const Addr block = heap_.top().second;
-            heap_.pop();
-            auto it = entries_.find(block);
-            // Stale heap nodes (re-allocated blocks) are skipped.
-            if (it == entries_.end() || it->second.readyAt > now)
-                continue;
-            Entry entry = it->second;
-            entries_.erase(it);
+        while (earliest_ <= now) {
+            std::size_t pick = 0;
+            for (std::size_t i = 1; i < count_; ++i) {
+                const Entry &e = entries_[i];
+                const Entry &best = entries_[pick];
+                if (e.readyAt < best.readyAt ||
+                    (e.readyAt == best.readyAt && e.block < best.block))
+                    pick = i;
+            }
+            const Entry entry = entries_[pick];
+            entries_[pick] = entries_[--count_];
+            updateEarliest();
             fn(entry);
         }
     }
 
-    bool full() const { return entries_.size() >= capacity_; }
-    std::size_t inFlight() const { return entries_.size(); }
+    bool full() const { return count_ >= capacity_; }
+    std::size_t inFlight() const { return count_; }
     std::size_t capacity() const { return capacity_; }
 
     void clear();
 
   private:
-    using HeapItem = std::pair<Cycle, Addr>;
+    void updateEarliest();
 
     std::size_t capacity_;
-    std::unordered_map<Addr, Entry> entries_;
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        heap_;
+    std::size_t count_ = 0;
+    Cycle earliest_ = kNever;
+    std::array<Entry, kMaxEntries> entries_{};
 };
 
 } // namespace shotgun

@@ -12,12 +12,10 @@ const std::vector<BTBEntry> &
 Predecoder::decodeBlock(Addr block_number)
 {
     ++decoded_;
-    program_.blockBranches(block_number, scratch_);
     result_.clear();
-    result_.reserve(scratch_.size());
-    for (const StaticBBInfo &info : scratch_) {
-        result_.emplace_back(info);
-        if (isBranch(info.type))
+    for (const std::uint32_t idx : program_.blockBBs(block_number)) {
+        result_.emplace_back(program_.staticInfo(idx));
+        if (isBranch(result_.back().type))
             ++extracted_;
     }
     return result_;

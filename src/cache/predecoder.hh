@@ -59,7 +59,6 @@ class Predecoder
   private:
     const Program &program_;
     unsigned decodeCycles_;
-    std::vector<StaticBBInfo> scratch_;
     std::vector<BTBEntry> result_;
     Counter decoded_;
     Counter extracted_;

@@ -106,6 +106,30 @@ class Rng
     }
 
     /**
+     * Integer form of chance(p) for a probability drawn many times:
+     * draw(threshold(p)) consumes the same next() and returns the same
+     * outcome as chance(p). uniform() is u * 2^-53 for the integer
+     * u = next() >> 11, so u * 2^-53 < p exactly when u < ceil(p * 2^53)
+     * (the product is exact for every p in (0, 1)).
+     */
+    static std::uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0)) // Zero, negative and NaN never succeed.
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** Bernoulli draw against a threshold(p). */
+    bool
+    draw(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
+    /**
      * The full engine state, for checkpointing (generator state
      * capture in windowed simulation). restoreState(state()) resumes
      * the exact same draw sequence.

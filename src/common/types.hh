@@ -20,6 +20,9 @@ using Addr = std::uint64_t;
 /** Simulation time in core clock cycles. */
 using Cycle = std::uint64_t;
 
+/** A cycle no event is ever scheduled for ("no wakeup pending"). */
+constexpr Cycle kNever = ~Cycle(0);
+
 /** Number of meaningful virtual-address bits (Sec 5.1 of the paper). */
 constexpr unsigned kVirtualAddrBits = 48;
 

@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 namespace shotgun
 {
 
@@ -10,7 +12,10 @@ Core::Core(const Program &program, TraceSource &source,
     : program_(program), source_(&source), params_(core_params),
       mem_(hierarchy_params), ras_(core_params.rasEntries),
       predecoder_(program, core_params.predecodeCycles),
-      ftq_(core_params.ftqEntries), dataRng_(core_params.dataSeed)
+      ftq_(core_params.ftqEntries), dataRng_(core_params.dataSeed),
+      loadThreshold_(Rng::threshold(core_params.loadFrac)),
+      l1dMissThreshold_(Rng::threshold(core_params.l1dMissRate)),
+      llcDataMissThreshold_(Rng::threshold(core_params.llcDataMissFrac))
 {
     SchemeContext ctx;
     ctx.tage = &tage_;
@@ -44,7 +49,9 @@ Core::Core(const Core &other, TraceSource *source)
       deliveredThisCycle_(other.deliveredThisCycle_),
       retireCredit_(other.retireCredit_),
       fetchStallOnPrefetch_(other.fetchStallOnPrefetch_),
-      dataRng_(other.dataRng_),
+      dataRng_(other.dataRng_), loadThreshold_(other.loadThreshold_),
+      l1dMissThreshold_(other.l1dMissThreshold_),
+      llcDataMissThreshold_(other.llcDataMissThreshold_),
       cyclesSinceReset_(other.cyclesSinceReset_),
       retiredSinceReset_(other.retiredSinceReset_),
       stalls_(other.stalls_), btbMisses_(other.btbMisses_),
@@ -65,11 +72,13 @@ Core::Core(const Core &other, TraceSource *source)
 std::size_t
 Core::approxStateBytes() const
 {
-    // Accounting estimate only (see the header comment): the fixed
-    // constant stands in for the TAGE tables, L1-I/LLC arrays, and
-    // NoC state, which dominate and do not vary with the scheme.
-    return sizeof(Core) + scheme_->storageBits() / 8 +
-           backendQ_.size() * sizeof(BackendItem) + (1u << 21);
+    // The object itself (MSHR file and fixed state inline) plus every
+    // heap table: the LLC and L1-I line arrays, TAGE, the FTQ, the
+    // backend queue, and the scheme's metadata via storageBits().
+    return sizeof(Core) + mem_.footprintBytes() + tage_.footprintBytes() +
+           ftq_.capacity() * sizeof(FTQEntry) +
+           backendQ_.size() * sizeof(BackendItem) +
+           scheme_->storageBits() / 8;
 }
 
 void
@@ -86,8 +95,81 @@ Core::runUntilRetired(std::uint64_t target)
         // again; stop instead of spinning (the caller reports it).
         if (sourceExhausted_ && ftq_.empty() && backendQ_.empty())
             break;
+        skipIdleCycles();
         step();
     }
+}
+
+void
+Core::skipIdleCycles()
+{
+    // A cycle is idle when no unit can act: fetch is stalled or has
+    // nothing to fetch or nowhere to put it; the backend is
+    // data-stalled or empty; the BPU is stalled, waiting on a
+    // redirect, or facing a full FTQ.
+    if (fetchStallUntil_ <= now_ && !ftq_.empty() &&
+        backendInstrs_ < params_.backendEntries)
+        return;
+    const bool data_stalled = dataStallUntil_ > now_;
+    if (!data_stalled && !backendQ_.empty())
+        return;
+    const bool bpu_blocked = bpuWaitingRedirect_ || bpuStallUntil_ > now_;
+    if (!bpu_blocked && !ftq_.full())
+        return;
+
+    // Nothing changes before the next fill, scheme wakeup or stall
+    // deadline. Every deadline still in the future bounds the span,
+    // the BPU's even while it waits on a redirect, so each predicate
+    // the stall accounting reads holds for the whole span.
+    Cycle wake = std::min(mem_.nextFillAt(), scheme_->nextWakeup(now_));
+    for (const Cycle deadline :
+         {bpuStallUntil_, fetchStallUntil_, dataStallUntil_}) {
+        if (deadline > now_)
+            wake = std::min(wake, deadline);
+    }
+    if (wake <= now_ || wake == kNever)
+        return;
+
+    // Reproduce what step() would do over [now_, wake).
+    const Cycle span = wake - now_;
+    deliveredThisCycle_ = 0;
+    if (!bpu_blocked)
+        bpuStallKind_ = BpuStallKind::None;
+    if (!data_stalled)
+        replayRetireCredit(span);
+    accountStarvation(span);
+    if (params_.uarchProbes)
+        attributeCycle(span);
+    now_ = wake;
+    cyclesSinceReset_ += span;
+}
+
+void
+Core::replayRetireCredit(Cycle cycles)
+{
+    // backendStep's credit recurrence with nothing to retire. It
+    // depends on the credit alone, so once two steps return to the
+    // start value (3 x 0.5 alternates 0.5 and 0), the parity of the
+    // count decides the end value.
+    const auto earn = [this](double credit) {
+        earnRetireBudget(credit);
+        return credit;
+    };
+    const double c0 = retireCredit_;
+    const double c1 = earn(c0);
+    if (cycles == 1) {
+        retireCredit_ = c1;
+        return;
+    }
+    const double c2 = earn(c1);
+    if (c2 == c0) {
+        retireCredit_ = cycles % 2 == 0 ? c0 : c1;
+        return;
+    }
+    double credit = c2;
+    for (Cycle i = 2; i < cycles; ++i)
+        credit = earn(credit);
+    retireCredit_ = credit;
 }
 
 Core::StatsSnapshot
@@ -158,9 +240,9 @@ Core::step()
     bpuStep();
     fetchStep();
     backendStep();
-    accountStarvation();
+    accountStarvation(1);
     if (params_.uarchProbes)
-        attributeCycle();
+        attributeCycle(1);
 
     ++now_;
     ++cyclesSinceReset_;
@@ -296,25 +378,19 @@ Core::backendStep()
     if (dataStallUntil_ > now_)
         return;
 
-    // Issue-efficiency model: the backend earns fractional retire
-    // credit each cycle (capped so stalls cannot bank a burst).
-    retireCredit_ += params_.retireWidth * params_.issueEfficiency;
-    retireCredit_ = std::min(retireCredit_,
-                             static_cast<double>(params_.retireWidth));
-    unsigned budget = static_cast<unsigned>(retireCredit_);
-    retireCredit_ -= budget;
+    unsigned budget = earnRetireBudget(retireCredit_);
     while (budget > 0 && !backendQ_.empty()) {
         BackendItem &item = backendQ_.front();
         const unsigned n = std::min<unsigned>(budget, item.remaining);
         for (unsigned i = 0; i < n; ++i) {
             // Data-side model: per-instruction load/miss draws.
-            if (!dataRng_.chance(params_.loadFrac))
+            if (!dataRng_.draw(loadThreshold_))
                 continue;
-            if (!dataRng_.chance(params_.l1dMissRate))
+            if (!dataRng_.draw(l1dMissThreshold_))
                 continue;
             mem_.mesh().noteRequest(now_);
             const Cycle latency =
-                dataRng_.chance(params_.llcDataMissFrac)
+                dataRng_.draw(llcDataMissThreshold_)
                     ? mem_.mesh().memoryLatency(now_)
                     : mem_.mesh().llcLatency(now_);
             l1dFill_.sample(static_cast<double>(latency));
@@ -336,8 +412,20 @@ Core::backendStep()
     }
 }
 
+unsigned
+Core::earnRetireBudget(double &credit) const
+{
+    // Issue-efficiency model: the backend earns fractional retire
+    // credit each cycle (capped so stalls cannot bank a burst).
+    credit = std::min(credit + params_.retireWidth * params_.issueEfficiency,
+                      static_cast<double>(params_.retireWidth));
+    const unsigned budget = static_cast<unsigned>(credit);
+    credit -= budget;
+    return budget;
+}
+
 void
-Core::accountStarvation()
+Core::accountStarvation(Cycle cycles)
 {
     if (deliveredThisCycle_ > 0 || backendInstrs_ > 0)
         return; // The backend had work; no front-end starvation.
@@ -347,36 +435,36 @@ Core::accountStarvation()
     if (fetchStallUntil_ > now_) {
         switch (fetchStallKind_) {
           case BpuStallKind::Misfetch:
-            ++stalls_.misfetch;
+            stalls_.misfetch += cycles;
             return;
           case BpuStallKind::Mispredict:
-            ++stalls_.mispredict;
+            stalls_.mispredict += cycles;
             return;
           default:
-            ++stalls_.icache;
+            stalls_.icache += cycles;
             return;
         }
     }
     if (ftq_.empty() && bpuStallUntil_ > now_) {
         switch (bpuStallKind_) {
           case BpuStallKind::Resolve:
-            ++stalls_.btbResolve;
+            stalls_.btbResolve += cycles;
             return;
           case BpuStallKind::Misfetch:
-            ++stalls_.misfetch;
+            stalls_.misfetch += cycles;
             return;
           case BpuStallKind::Mispredict:
-            ++stalls_.mispredict;
+            stalls_.mispredict += cycles;
             return;
           default:
             break;
         }
     }
-    ++stalls_.other;
+    stalls_.other += cycles;
 }
 
 void
-Core::attributeCycle()
+Core::attributeCycle(Cycle cycles)
 {
     // Cycle-exact taxonomy (probes only): every cycle is either
     // active (fetch delivered instructions) or charged to exactly one
@@ -384,53 +472,53 @@ Core::attributeCycle()
     // fetchStep. The conservation invariant
     // stallTotal() + activeCycles == cycles holds by construction.
     if (deliveredThisCycle_ > 0) {
-        ++uarch_.activeCycles;
+        uarch_.activeCycles += cycles;
         return;
     }
     if (backendInstrs_ >= params_.backendEntries) {
-        ++uarch_.stallBackendPressure;
+        uarch_.stallBackendPressure += cycles;
         return;
     }
     if (fetchStallUntil_ > now_) {
         switch (fetchStallKind_) {
           case BpuStallKind::Misfetch:
           case BpuStallKind::Mispredict:
-            ++uarch_.stallRedirect;
+            uarch_.stallRedirect += cycles;
             return;
           default:
             if (fetchStallOnPrefetch_)
-                ++uarch_.stallPrefetchInFlight;
+                uarch_.stallPrefetchInFlight += cycles;
             else
-                ++uarch_.stallICacheMiss;
+                uarch_.stallICacheMiss += cycles;
             return;
         }
     }
     if (ftq_.empty()) {
         if (bpuWaitingRedirect_) {
-            ++uarch_.stallRedirect;
+            uarch_.stallRedirect += cycles;
             return;
         }
         if (bpuStallUntil_ > now_) {
             switch (bpuStallKind_) {
               case BpuStallKind::Resolve:
-                ++uarch_.stallBTBMiss;
+                uarch_.stallBTBMiss += cycles;
                 return;
               case BpuStallKind::Misfetch:
               case BpuStallKind::Mispredict:
-                ++uarch_.stallRedirect;
+                uarch_.stallRedirect += cycles;
                 return;
               default:
-                ++uarch_.stallICacheMiss;
+                uarch_.stallICacheMiss += cycles;
                 return;
             }
         }
-        ++uarch_.stallFTQEmpty;
+        uarch_.stallFTQEmpty += cycles;
         return;
     }
     // FTQ non-empty, fetch unblocked, backend has room, yet nothing
     // was delivered: the BPU failed to keep the head entry fetchable
     // this cycle -- an instruction-supply gap like an empty FTQ.
-    ++uarch_.stallFTQEmpty;
+    uarch_.stallFTQEmpty += cycles;
 }
 
 double

@@ -56,10 +56,10 @@ class Core
     Core(const Core &other, TraceSource *source);
 
     /**
-     * Rough in-memory footprint, for checkpoint-cache LRU accounting
-     * (not an exact measurement): the object itself, the scheme's
-     * metadata via storageBits(), and a constant standing in for the
-     * TAGE/cache/NoC tables of the default parameters.
+     * In-memory footprint, for checkpoint-cache LRU accounting: the
+     * object itself plus the real sizes of its heap tables (LLC and
+     * L1-I line arrays, TAGE, FTQ, backend queue) and the scheme's
+     * metadata via storageBits(). Small heap pieces are left out.
      */
     std::size_t approxStateBytes() const;
 
@@ -213,8 +213,22 @@ class Core
     void bpuStep();
     void fetchStep();
     void backendStep();
-    void accountStarvation();
-    void attributeCycle();
+
+    /**
+     * Jump over a span of idle cycles -- no unit can act, no fill is
+     * due and the scheme sleeps -- leaving every piece of state as
+     * step() would have left it after each of them (see "Core loop"
+     * in src/README.md). A no-op unless the current cycle is idle.
+     */
+    void skipIdleCycles();
+    void replayRetireCredit(Cycle cycles);
+
+    /** One cycle of retire credit: updates `credit`, returns the budget. */
+    unsigned earnRetireBudget(double &credit) const;
+
+    /** Charge `cycles` consecutive cycles with this cycle's cause. */
+    void accountStarvation(Cycle cycles);
+    void attributeCycle(Cycle cycles);
 
     const Program &program_;
     TraceSource *source_; ///< Null only for a parked checkpoint clone.
@@ -269,6 +283,11 @@ class Core
     bool fetchStallOnPrefetch_ = false;
 
     Rng dataRng_;
+
+    /** Rng::threshold() of the three data-side probabilities. */
+    std::uint64_t loadThreshold_ = 0;
+    std::uint64_t l1dMissThreshold_ = 0;
+    std::uint64_t llcDataMissThreshold_ = 0;
 
     // Measurement state.
     Cycle cyclesSinceReset_ = 0;

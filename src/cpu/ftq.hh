@@ -10,7 +10,7 @@
 #ifndef SHOTGUN_CPU_FTQ_HH
 #define SHOTGUN_CPU_FTQ_HH
 
-#include <deque>
+#include <vector>
 
 #include "common/logging.hh"
 #include "trace/instruction.hh"
@@ -27,35 +27,53 @@ struct FTQEntry
     bool blockReady = false;   ///< Current block verified in L1-I.
 };
 
+/** A fixed-capacity ring buffer of FTQ entries. */
 class FTQ
 {
   public:
-    explicit FTQ(std::size_t entries) : capacity_(entries)
+    explicit FTQ(std::size_t entries) : slots_(entries)
     {
         fatal_if(entries == 0, "FTQ needs at least one entry");
     }
 
-    bool full() const { return queue_.size() >= capacity_; }
-    bool empty() const { return queue_.empty(); }
-    std::size_t size() const { return queue_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    bool full() const { return size_ >= slots_.size(); }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return slots_.size(); }
 
     void
     push(const BBRecord &record)
     {
         panic_if(full(), "FTQ overflow");
-        FTQEntry entry;
-        entry.record = record;
-        queue_.push_back(entry);
+        std::size_t tail = head_ + size_;
+        if (tail >= slots_.size())
+            tail -= slots_.size();
+        slots_[tail] = FTQEntry{};
+        slots_[tail].record = record;
+        ++size_;
     }
 
-    FTQEntry &front() { return queue_.front(); }
-    void pop() { queue_.pop_front(); }
-    void clear() { queue_.clear(); }
+    FTQEntry &front() { return slots_[head_]; }
+
+    void
+    pop()
+    {
+        if (++head_ == slots_.size())
+            head_ = 0;
+        --size_;
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
 
   private:
-    std::size_t capacity_;
-    std::deque<FTQEntry> queue_;
+    std::vector<FTQEntry> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace shotgun

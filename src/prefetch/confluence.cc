@@ -120,6 +120,23 @@ ConfluenceScheme::tick(Cycle now)
     }
 }
 
+Cycle
+ConfluenceScheme::nextWakeup(Cycle now) const
+{
+    // Mirrors tick()'s guards. Once the replay has caught up with the
+    // lookahead window or the recorded history, only a demand block,
+    // a miss or a retirement (none of which happens in an idle cycle)
+    // can give tick() work again.
+    if (!streamActive_)
+        return kNever;
+    if (now < metadataReadyAt_)
+        return metadataReadyAt_;
+    const bool can_issue =
+        params_.issuePerCycle > 0 && issuePos_ < writePos_ &&
+        issuePos_ < consumePos_ + params_.lookaheadBlocks;
+    return can_issue ? now : kNever;
+}
+
 void
 ConfluenceScheme::onFill(Addr block_number, bool was_prefetch, Cycle now)
 {

@@ -63,6 +63,7 @@ class ConfluenceScheme : public Scheme
     void onDemandBlock(Addr block_number, Cycle now) override;
     void onRetire(const BBRecord &record) override;
     void tick(Cycle now) override;
+    Cycle nextWakeup(Cycle now) const override;
 
     std::uint64_t storageBits() const override;
 

@@ -99,6 +99,19 @@ class Scheme
     /** Once-per-cycle hook (stream engines). */
     virtual void tick(Cycle now) { (void)now; }
 
+    /**
+     * The first cycle >= now at which tick() could change state, given
+     * that no other hook runs before then; kNever if tick() is a no-op
+     * until another hook fires. The core skips idle cycles up to this
+     * bound, so a scheme overriding tick() must override this too.
+     */
+    virtual Cycle
+    nextWakeup(Cycle now) const
+    {
+        (void)now;
+        return kNever;
+    }
+
     /** Ideal front end: L1-I accesses never miss. */
     virtual bool idealICache() const { return false; }
 

@@ -270,17 +270,26 @@ Program::finalizeAddresses(Rng &rng)
     for (std::size_t i = order.size(); i > 1; --i)
         std::swap(order[i - 1], order[rng.below(i)]);
 
+    // Each code area is laid out in increasing address order, and the
+    // whole application area lies below the OS area, so the app
+    // functions then the OS functions, each in layout order, are the
+    // functions sorted by entry address.
     constexpr Addr kFuncAlign = 32;
     Addr app_cursor = kAppCodeBase;
     Addr os_cursor = kOsCodeBase;
+    std::vector<std::uint32_t> os_by_entry;
     for (const std::uint32_t f : order) {
         Function &fn = funcs_[f];
         Addr &cursor = fn.isOs ? os_cursor : app_cursor;
+        (fn.isOs ? os_by_entry : funcByEntry_).push_back(f);
         fn.entry = cursor;
         cursor += fn.sizeBytes;
         cursor = (cursor + kFuncAlign - 1) & ~(kFuncAlign - 1);
         codeBytes_ += fn.sizeBytes;
     }
+    fatal_if(app_cursor > kOsCodeBase,
+             "Program '%s': application code overlaps the OS area",
+             params_.name.c_str());
 
     // Resolve basic-block start addresses and branch targets.
     for (const Function &fn : funcs_) {
@@ -308,23 +317,59 @@ Program::finalizeAddresses(Rng &rng)
             ++staticBranches_;
     }
 
-    // Address-sorted indices for the predecoder oracle.
-    funcByEntry_.resize(funcs_.size());
-    std::iota(funcByEntry_.begin(), funcByEntry_.end(), 0u);
-    std::sort(funcByEntry_.begin(), funcByEntry_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return funcs_[a].entry < funcs_[b].entry;
-              });
+    // Address-sorted indices for the predecoder oracle, in one walk
+    // over the functions in entry order: a function's basic blocks
+    // are contiguous and ascending, and functions do not overlap.
+    funcByEntry_.insert(funcByEntry_.end(), os_by_entry.begin(),
+                        os_by_entry.end());
     funcEntries_.reserve(funcs_.size());
-    for (const std::uint32_t f : funcByEntry_)
-        funcEntries_.push_back(funcs_[f].entry);
+    bbsByAddr_.reserve(bbs_.size());
+    std::size_t app_bbs = 0;
+    for (const std::uint32_t f : funcByEntry_) {
+        const Function &fn = funcs_[f];
+        funcEntries_.push_back(fn.entry);
+        for (std::uint32_t b = 0; b < fn.numBBs; ++b)
+            bbsByAddr_.push_back(fn.firstBB + b);
+        if (!fn.isOs)
+            app_bbs = bbsByAddr_.size();
+    }
+    buildBlockIndex(appIndex_, kAppCodeBase, app_cursor, 0, app_bbs);
+    buildBlockIndex(osIndex_, kOsCodeBase, os_cursor, app_bbs,
+                    bbsByAddr_.size());
+}
 
-    bbsByAddr_.resize(bbs_.size());
-    std::iota(bbsByAddr_.begin(), bbsByAddr_.end(), 0u);
-    std::sort(bbsByAddr_.begin(), bbsByAddr_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return bbs_[a].startAddr < bbs_[b].startAddr;
-              });
+void
+Program::buildBlockIndex(BlockIndex &index, Addr base, Addr end,
+                         std::size_t first_pos, std::size_t end_pos)
+{
+    index.firstBlock = blockNumber(base);
+    const std::size_t blocks =
+        end > base ? blockNumber(end - 1) - index.firstBlock + 1 : 0;
+    index.firstBB.resize(blocks + 1);
+    std::size_t pos = first_pos;
+    for (std::size_t b = 0; b <= blocks; ++b) {
+        while (pos < end_pos &&
+               blockNumber(bbs_[bbsByAddr_[pos]].startAddr) <
+                   index.firstBlock + b) {
+            ++pos;
+        }
+        index.firstBB[b] = static_cast<std::uint32_t>(pos);
+    }
+}
+
+Program::BBSpan
+Program::blockBBs(Addr block_number) const
+{
+    for (const BlockIndex *index : {&appIndex_, &osIndex_}) {
+        // Unsigned: a block below the area wraps past blocks() too.
+        const Addr b = block_number - index->firstBlock;
+        if (b < index->blocks()) {
+            const std::uint32_t *sorted = bbsByAddr_.data();
+            return BBSpan{sorted + index->firstBB[b],
+                          sorted + index->firstBB[b + 1]};
+        }
+    }
+    return BBSpan{};
 }
 
 void
@@ -332,20 +377,8 @@ Program::blockBranches(Addr block_number,
                        std::vector<StaticBBInfo> &out) const
 {
     out.clear();
-    const Addr lo = blockToAddr(block_number);
-    const Addr hi = lo + kBlockBytes;
-    auto it = std::lower_bound(
-        bbsByAddr_.begin(), bbsByAddr_.end(), lo,
-        [this](std::uint32_t idx, Addr addr) {
-            return bbs_[idx].startAddr < addr;
-        });
-    for (; it != bbsByAddr_.end(); ++it) {
-        const StaticBB &bb = bbs_[*it];
-        if (bb.startAddr >= hi)
-            break;
-        out.push_back(StaticBBInfo{bb.startAddr, bb.targetAddr,
-                                   bb.numInstrs, bb.type});
-    }
+    for (const std::uint32_t idx : blockBBs(block_number))
+        out.push_back(staticInfo(idx));
 }
 
 bool
@@ -354,23 +387,18 @@ Program::staticBBAt(Addr addr, StaticBBInfo &out) const
     const std::uint32_t idx = bbIndexAt(addr);
     if (idx == UINT32_MAX)
         return false;
-    const StaticBB &bb = bbs_[idx];
-    out = StaticBBInfo{bb.startAddr, bb.targetAddr, bb.numInstrs,
-                       bb.type};
+    out = staticInfo(idx);
     return true;
 }
 
 std::uint32_t
 Program::bbIndexAt(Addr addr) const
 {
-    auto it = std::lower_bound(
-        bbsByAddr_.begin(), bbsByAddr_.end(), addr,
-        [this](std::uint32_t idx, Addr a) {
-            return bbs_[idx].startAddr < a;
-        });
-    if (it == bbsByAddr_.end() || bbs_[*it].startAddr != addr)
-        return UINT32_MAX;
-    return *it;
+    for (const std::uint32_t idx : blockBBs(blockNumber(addr))) {
+        if (bbs_[idx].startAddr == addr)
+            return idx;
+    }
+    return UINT32_MAX;
 }
 
 std::uint32_t

@@ -202,14 +202,37 @@ class Program
         return topLevel_;
     }
 
+    /** Global basic-block indices, a view into the immutable image. */
+    struct BBSpan
+    {
+        const std::uint32_t *first = nullptr;
+        const std::uint32_t *last = nullptr;
+
+        const std::uint32_t *begin() const { return first; }
+        const std::uint32_t *end() const { return last; }
+        bool empty() const { return first == last; }
+    };
+
     /**
      * Predecoder oracle: the basic blocks whose first instruction
      * lies inside the given cache block, in address order. This is
      * what a hardware predecoder recovers by scanning the block's
-     * instruction bytes.
+     * instruction bytes. O(1): one dense-index read.
      */
+    BBSpan blockBBs(Addr block_number) const;
+
+    /** blockBBs() as predecoded records. */
     void blockBranches(Addr block_number,
                        std::vector<StaticBBInfo> &out) const;
+
+    /** Predecoded record of global basic block `global_idx`. */
+    StaticBBInfo
+    staticInfo(std::uint32_t global_idx) const
+    {
+        const StaticBB &bb = bbs_[global_idx];
+        return StaticBBInfo{bb.startAddr, bb.targetAddr, bb.numInstrs,
+                            bb.type};
+    }
 
     /**
      * Exact lookup of the basic block starting at `addr`.
@@ -243,6 +266,28 @@ class Program
 
     /** Global BB indices sorted by start address. */
     std::vector<std::uint32_t> bbsByAddr_;
+
+    /**
+     * Dense per-cache-block index over one code area: the basic
+     * blocks starting in block `firstBlock + b` are bbsByAddr_
+     * positions [firstBB[b], firstBB[b + 1]).
+     */
+    struct BlockIndex
+    {
+        Addr firstBlock = 0;
+        std::vector<std::uint32_t> firstBB;
+
+        std::size_t blocks() const
+        {
+            return firstBB.empty() ? 0 : firstBB.size() - 1;
+        }
+    };
+
+    void buildBlockIndex(BlockIndex &index, Addr base, Addr end,
+                         std::size_t first_pos, std::size_t end_pos);
+
+    BlockIndex appIndex_;
+    BlockIndex osIndex_;
 
     std::uint64_t codeBytes_ = 0;
     std::uint64_t staticBranches_ = 0;

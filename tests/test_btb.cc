@@ -84,6 +84,37 @@ TEST(AssocTableTest, EraseAndClear)
     EXPECT_EQ(t.occupancy(), 0u);
 }
 
+TEST(AssocTableTest, SingleSetUsesEveryWay)
+{
+    SetAssocTable<int> t(1, 4);
+    for (std::uint64_t k = 0; k < 4; ++k)
+        EXPECT_FALSE(t.insert(k * 1000003, int(k)));
+    EXPECT_EQ(t.occupancy(), 4u);
+    t.touch(0);
+    std::uint64_t evicted_key = 0;
+    EXPECT_TRUE(t.insert(77, 77, &evicted_key));
+    EXPECT_EQ(evicted_key, 1000003u); // The LRU way after the touch.
+}
+
+TEST(AssocTableTest, NonPowerOfTwoSetsIndexByModulo)
+{
+    // 301 sets, as in the no-bit-vector U-BTB ablation: keys k and
+    // k + 301 share a set; 517 (set 5 under a power-of-two mask) goes
+    // to set 216.
+    SetAssocTable<int> t(301, 1);
+    for (std::uint64_t k = 0; k < 301; ++k)
+        EXPECT_FALSE(t.insert(k, int(k)));
+    EXPECT_EQ(t.occupancy(), 301u);
+
+    std::uint64_t evicted_key = 0;
+    EXPECT_TRUE(t.insert(5 + 301, 1, &evicted_key));
+    EXPECT_EQ(evicted_key, 5u);
+    EXPECT_TRUE(t.insert(517, 2, &evicted_key));
+    EXPECT_EQ(evicted_key, 216u);
+    EXPECT_NE(t.find(5 + 301), nullptr);
+    EXPECT_NE(t.find(517), nullptr);
+}
+
 TEST(AssocTableTest, ChooseWaysPrefersRequested)
 {
     EXPECT_EQ(chooseWays(2048, 4), 4u);

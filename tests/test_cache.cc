@@ -108,6 +108,45 @@ TEST(MshrTest, DrainOrderIsReadiness)
     EXPECT_EQ(order, (std::vector<Addr>{2, 3, 1}));
 }
 
+TEST(MshrTest, EqualReadyAtDrainsInBlockOrder)
+{
+    MSHRFile mshrs(8);
+    mshrs.allocate(9, 20, false);
+    mshrs.allocate(4, 20, true);
+    mshrs.allocate(7, 10, false);
+    mshrs.allocate(2, 20, false);
+    EXPECT_EQ(mshrs.nextReadyAt(), 10u);
+    std::vector<Addr> order;
+    mshrs.drain(20, [&](const MSHRFile::Entry &e) {
+        order.push_back(e.block);
+    });
+    EXPECT_EQ(order, (std::vector<Addr>{7, 2, 4, 9}));
+    EXPECT_EQ(mshrs.inFlight(), 0u);
+    EXPECT_EQ(mshrs.nextReadyAt(), kNever);
+}
+
+TEST(MshrTest, AllocationInsideDrainJoinsWhenDue)
+{
+    // A fill callback may allocate (a scheme prefetching on fill). An
+    // entry already due drains in the same pass, in (readyAt, block)
+    // order with the rest; a later one stays in flight.
+    MSHRFile mshrs(8);
+    mshrs.allocate(5, 10, false);
+    mshrs.allocate(6, 12, false);
+    std::vector<Addr> order;
+    mshrs.drain(12, [&](const MSHRFile::Entry &e) {
+        order.push_back(e.block);
+        if (e.block == 5) {
+            EXPECT_NE(mshrs.allocate(1, 12, true), nullptr);
+            EXPECT_NE(mshrs.allocate(2, 30, true), nullptr);
+        }
+    });
+    EXPECT_EQ(order, (std::vector<Addr>{5, 1, 6}));
+    EXPECT_EQ(mshrs.inFlight(), 1u);
+    EXPECT_EQ(mshrs.nextReadyAt(), 30u);
+    EXPECT_NE(mshrs.find(2), nullptr);
+}
+
 TEST(MshrTest, FullRejectsAllocation)
 {
     MSHRFile mshrs(2);

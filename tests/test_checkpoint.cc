@@ -206,6 +206,26 @@ TEST(CheckpointCacheTest, LruAccountingAndEviction)
     EXPECT_NE(cache.tryGet("c"), nullptr);
 }
 
+TEST(CheckpointCacheTest, StateBytesCoverTheLlcArray)
+{
+    // The cache's byte budget is honest only if a Core's charge
+    // covers its largest table: the LLC line array, at least a key,
+    // an LRU stamp, a valid flag and the block state per line.
+    const WorkloadPreset preset = tinyPreset("state-bytes", 53);
+    const Program &program = programFor(preset);
+    TraceGenerator gen(program, 1);
+    Core core(program, gen, CoreParams{}, HierarchyParams{},
+              SchemeConfig{});
+    const std::size_t llc_lines = 131072; // 8 MiB of 64-byte blocks.
+    ASSERT_EQ(HierarchyParams{}.llc.sizeKB * 1024 / kBlockBytes,
+              llc_lines);
+    EXPECT_GE(core.approxStateBytes(),
+              llc_lines * (2 * sizeof(std::uint64_t) + 2));
+    EXPECT_GE(core.approxStateBytes(),
+              core.mem().llc().footprintBytes() +
+                  core.mem().l1i().footprintBytes());
+}
+
 // ------------------------------------------- decoded-trace streams
 
 TEST(DecodedTraceTest, CursorReplaysTheFileStreamExactly)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/random.hh"
@@ -118,6 +119,35 @@ TEST(RngTest, ChanceExtremes)
     for (int i = 0; i < 1000; ++i) {
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
+    }
+}
+
+TEST(RngTest, ThresholdDrawMatchesChance)
+{
+    const double probabilities[] = {
+        0.0,  std::numeric_limits<double>::denorm_min(),
+        0.02, std::nextafter(0.5, 0.0),
+        1.0,  1.5,
+        -0.25, std::numeric_limits<double>::quiet_NaN(),
+    };
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+    for (const double p : probabilities) {
+        const std::uint64_t t = Rng::threshold(p);
+        // Exact at the boundary: u * 2^-53 < p iff u < t, for the
+        // 53-bit draws u around t and at both ends of the range.
+        for (const std::uint64_t u :
+             {std::uint64_t{0}, std::uint64_t{1}, t > 0 ? t - 1 : 0, t,
+              t + 1, kTop - 1}) {
+            if (u >= kTop)
+                continue;
+            EXPECT_EQ(u < t, static_cast<double>(u) * 0x1.0p-53 < p)
+                << "p=" << p << " u=" << u;
+        }
+        // Same outcomes, same draws consumed.
+        Rng a(21), b(21);
+        for (int i = 0; i < 20000; ++i)
+            ASSERT_EQ(a.draw(t), b.chance(p)) << "p=" << p << " i=" << i;
+        EXPECT_EQ(a.next(), b.next());
     }
 }
 

@@ -275,6 +275,45 @@ TEST(ConfluenceSchemeTest, RecordsAndReplaysHistory)
     EXPECT_TRUE(bench.mem->inFlight(101));
 }
 
+TEST(ConfluenceSchemeTest, NextWakeupTracksTheStream)
+{
+    // The core skips idle cycles up to nextWakeup(): never while no
+    // stream runs, the metadata-ready cycle during the round trip,
+    // `now` while replay has blocks to issue, and never again once
+    // replay has filled its lookahead window.
+    SchemeBench bench;
+    ConfluenceScheme scheme(bench.ctx);
+    EXPECT_EQ(scheme.nextWakeup(0), kNever);
+
+    BBRecord rec;
+    rec.numInstrs = 4;
+    rec.type = BranchType::None;
+    for (Addr block = 100; block < 140; ++block) {
+        rec.startAddr = blockToAddr(block);
+        scheme.onRetire(rec);
+    }
+    EXPECT_EQ(scheme.nextWakeup(5), kNever);
+
+    scheme.onDemandMiss(100, 10);
+    const Cycle ready = scheme.nextWakeup(11);
+    ASSERT_GT(ready, 11u);
+    ASSERT_NE(ready, kNever);
+    scheme.tick(ready - 1);
+    EXPECT_EQ(bench.mem->prefetchesIssued(), 0u);
+
+    Cycle now = ready;
+    EXPECT_EQ(scheme.nextWakeup(now), now);
+    while (scheme.nextWakeup(now) == now)
+        scheme.tick(now++);
+    EXPECT_EQ(bench.mem->prefetchesIssued(),
+              ConfluenceParams{}.lookaheadBlocks);
+    EXPECT_EQ(scheme.nextWakeup(now), kNever);
+
+    // The demand stream advancing re-opens the window.
+    scheme.onDemandBlock(101, now);
+    EXPECT_EQ(scheme.nextWakeup(now), now);
+}
+
 TEST(ConfluenceSchemeTest, DivergenceKillsStream)
 {
     SchemeBench bench;

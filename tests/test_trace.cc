@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -171,6 +172,63 @@ TEST(ProgramTest, BlockBranchesOracleMatchesBBs)
             }
             EXPECT_TRUE(present);
         }
+    }
+}
+
+TEST(ProgramTest, BlockIndexMatchesBruteForceScan)
+{
+    // The dense per-block index against a direct scan of every basic
+    // block, over every cache block of both code areas plus a margin
+    // outside each, for all six presets. Blocks in which no basic
+    // block starts -- outside the image, and any inside it -- must
+    // come back empty.
+    for (const WorkloadPreset &preset : allPresets()) {
+        const Program &prog = programFor(preset);
+        std::map<Addr, std::vector<std::uint32_t>> by_block;
+        Addr app_end = 0, os_end = 0;
+        for (std::uint32_t i = 0; i < prog.numBBs(); ++i) {
+            const StaticBB &bb = prog.bb(i);
+            by_block[blockNumber(bb.startAddr)].push_back(i);
+            Addr &end = bb.startAddr >= kOsCodeBase ? os_end : app_end;
+            end = std::max(end, blockNumber(bb.startAddr));
+        }
+        for (auto &[block, bbs] : by_block) {
+            std::sort(bbs.begin(), bbs.end(),
+                      [&](std::uint32_t a, std::uint32_t b) {
+                          return prog.bb(a).startAddr < prog.bb(b).startAddr;
+                      });
+        }
+
+        std::size_t empty_blocks = 0;
+        std::vector<StaticBBInfo> infos;
+        for (const auto &[first, last] :
+             {std::pair{blockNumber(kAppCodeBase), app_end},
+              std::pair{blockNumber(kOsCodeBase), os_end}}) {
+            for (Addr block = first - 3; block <= last + 3; ++block) {
+                const Program::BBSpan span = prog.blockBBs(block);
+                const std::vector<std::uint32_t> got(span.begin(),
+                                                     span.end());
+                const auto it = by_block.find(block);
+                if (it == by_block.end()) {
+                    ASSERT_TRUE(got.empty())
+                        << preset.name << " block " << block;
+                    ++empty_blocks;
+                    continue;
+                }
+                ASSERT_EQ(got, it->second)
+                    << preset.name << " block " << block;
+                prog.blockBranches(block, infos);
+                ASSERT_EQ(infos.size(), got.size());
+                for (std::size_t k = 0; k < got.size(); ++k) {
+                    const StaticBB &bb = prog.bb(got[k]);
+                    EXPECT_EQ(infos[k].startAddr, bb.startAddr);
+                    EXPECT_EQ(infos[k].target, bb.targetAddr);
+                    EXPECT_EQ(prog.bbIndexAt(bb.startAddr), got[k]);
+                }
+            }
+        }
+        EXPECT_GE(empty_blocks, 12u) << preset.name;
+        EXPECT_EQ(prog.bbIndexAt(kOsCodeBase - kInstrBytes), UINT32_MAX);
     }
 }
 
