@@ -30,8 +30,7 @@ class SetAssocTable
 {
   public:
     SetAssocTable(std::size_t sets, std::size_t ways)
-        : sets_(sets), ways_(ways),
-          setMask_((sets & (sets - 1)) == 0 ? sets - 1 : 0),
+        : sets_(sets), ways_(ways), setMask_(sets - 1),
           powerOfTwoSets_((sets & (sets - 1)) == 0),
           keys_(sets * ways), lru_(sets * ways), valid_(sets * ways),
           values_(sets * ways)

@@ -210,7 +210,6 @@ class Program
 
         const std::uint32_t *begin() const { return first; }
         const std::uint32_t *end() const { return last; }
-        bool empty() const { return first == last; }
     };
 
     /**

@@ -200,7 +200,6 @@ TEST(ProgramTest, BlockIndexMatchesBruteForceScan)
         }
 
         std::size_t empty_blocks = 0;
-        std::vector<StaticBBInfo> infos;
         for (const auto &[first, last] :
              {std::pair{blockNumber(kAppCodeBase), app_end},
               std::pair{blockNumber(kOsCodeBase), os_end}}) {
@@ -217,13 +216,12 @@ TEST(ProgramTest, BlockIndexMatchesBruteForceScan)
                 }
                 ASSERT_EQ(got, it->second)
                     << preset.name << " block " << block;
-                prog.blockBranches(block, infos);
-                ASSERT_EQ(infos.size(), got.size());
-                for (std::size_t k = 0; k < got.size(); ++k) {
-                    const StaticBB &bb = prog.bb(got[k]);
-                    EXPECT_EQ(infos[k].startAddr, bb.startAddr);
-                    EXPECT_EQ(infos[k].target, bb.targetAddr);
-                    EXPECT_EQ(prog.bbIndexAt(bb.startAddr), got[k]);
+                for (const std::uint32_t idx : got) {
+                    const StaticBB &bb = prog.bb(idx);
+                    const StaticBBInfo info = prog.staticInfo(idx);
+                    EXPECT_EQ(info.startAddr, bb.startAddr);
+                    EXPECT_EQ(info.target, bb.targetAddr);
+                    EXPECT_EQ(prog.bbIndexAt(bb.startAddr), idx);
                 }
             }
         }
