@@ -287,9 +287,6 @@ Program::finalizeAddresses(Rng &rng)
         cursor = (cursor + kFuncAlign - 1) & ~(kFuncAlign - 1);
         codeBytes_ += fn.sizeBytes;
     }
-    fatal_if(app_cursor > kOsCodeBase,
-             "Program '%s': application code overlaps the OS area",
-             params_.name.c_str());
 
     // Resolve basic-block start addresses and branch targets.
     for (const Function &fn : funcs_) {
