@@ -145,7 +145,7 @@ class Value
 
 /**
  * FNV-1a 64-bit hash of a byte string; the config-fingerprint
- * primitive (service/codec.hh renders it as 16 hex digits).
+ * primitive (sim/canonical.hh renders it as 16 hex digits).
  */
 std::uint64_t fnv1a64(const std::string &bytes);
 

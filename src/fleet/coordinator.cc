@@ -327,10 +327,12 @@ FleetCoordinator::serve()
              done});
     }
 
-    // Join every reader first (no thread can admit work or requeue a
-    // task afterwards), then flush a cancelled `done` to any job
-    // still open so clients are never left waiting on a vanished
-    // coordinator.
+    // Close the listener (a peer still queued in its backlog sees
+    // EOF now, not at its deadline), join every reader (no thread can
+    // admit work or requeue a task afterwards), then flush a
+    // cancelled `done` to any job still open so clients are never
+    // left waiting on a vanished coordinator.
+    listener_.close();
     reap(true);
     std::vector<std::shared_ptr<Job>> open;
     {

@@ -45,8 +45,8 @@ makeDirs(const std::string &dir)
 }
 
 /**
- * Fingerprints are 16 lowercase hex digits (codec.hh); anything else
- * must not be turned into a path component.
+ * Fingerprints are 16 lowercase hex digits (sim/canonical.hh);
+ * anything else must not be turned into a path component.
  */
 bool
 safeFingerprint(const std::string &fingerprint)

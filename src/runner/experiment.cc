@@ -44,7 +44,6 @@ ExperimentSet::addBaseline(const WorkloadPreset &preset,
     config.measureInstructions = measure;
     config.traceSeed = trace_seed;
     const std::size_t index = add(preset, "baseline", std::move(config));
-    all_[index].viaBaselineCache = true;
     baselines_.emplace(preset.name, index);
     return index;
 }
@@ -63,21 +62,12 @@ ExperimentSet::enableUarchProbes()
         exp.config.core.uarchProbes = true;
 }
 
-SimResult
-runExperiment(const Experiment &exp)
+std::string
+checkpointCohort(std::size_t, const Experiment &exp)
 {
-    // The baseline memo is keyed on (workload, lengths, seed) only --
-    // a windowed config is a different simulation and must not alias
-    // the whole-region baseline, and a probed config carries a
-    // payload (the uarch breakdown) the memo's probe-free run never
-    // produced, so both route around the cache.
-    return exp.viaBaselineCache && !exp.config.window.enabled() &&
-                   !exp.config.core.uarchProbes
-               ? baselineFor(exp.config.workload,
-                             exp.config.warmupInstructions,
-                             exp.config.measureInstructions,
-                             exp.config.traceSeed)
-               : runSimulation(exp.config);
+    return exp.config.warmupInstructions == 0
+               ? std::string()
+               : checkpointKey(exp.config, nullptr);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -139,7 +129,7 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         const auto start = std::chrono::steady_clock::now();
         SimResult result = options_.simulate
                                ? options_.simulate(index, exp)
-                               : runExperiment(exp);
+                               : runSimulation(exp.config);
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -184,11 +174,7 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         // restores instead of re-simulating the warmup (see
         // sim/checkpoint.hh). A custom simulate hook may not run
         // runSimulation at all, so only real simulations opt in.
-        hooks.cohortOf = [](std::size_t, const Experiment &exp) {
-            return exp.config.warmupInstructions == 0
-                       ? std::string()
-                       : checkpointKey(exp.config, nullptr);
-        };
+        hooks.cohortOf = checkpointCohort;
     }
     hooks.onDone = [&](const GridScheduler::Outcome &o) {
         std::lock_guard<std::mutex> lock(mutex);

@@ -33,13 +33,6 @@ struct Experiment
     std::string workload; ///< Preset name (grouping key for baselines).
     std::string label;    ///< Scheme/variant, e.g. "shotgun@1K".
     SimConfig config;
-
-    /**
-     * Route through baselineFor()'s process-wide memo instead of a
-     * direct runSimulation(), so ad-hoc baselineFor() callers later in
-     * the binary get a cache hit instead of a re-run.
-     */
-    bool viaBaselineCache = false;
 };
 
 /**
@@ -54,9 +47,9 @@ class ExperimentSet
                     SimConfig config);
 
     /**
-     * Append the workload's no-prefetch baseline (memoized, label
-     * "baseline"). Idempotent per (workload, lengths are taken from
-     * the first call): returns the existing index when already added.
+     * Append the workload's no-prefetch baseline (label "baseline").
+     * Idempotent per workload (lengths are taken from the first
+     * call): returns the existing index when already added.
      */
     std::size_t addBaseline(const WorkloadPreset &preset,
                             std::uint64_t warmup, std::uint64_t measure,
@@ -94,7 +87,7 @@ struct RunnerOptions
 
     /**
      * Optional executor override. When set, the runner calls this
-     * instead of runExperiment() for every grid point -- the
+     * instead of runSimulation() for every grid point -- the
      * simulation service hooks its fingerprint-keyed result cache and
      * job cancellation in here. Must be thread-safe; called from
      * worker threads with the experiment's grid index.
@@ -126,11 +119,12 @@ struct RunnerOptions
 };
 
 /**
- * Execute one experiment the way the runner would: through
- * baselineFor()'s process-wide memo when `viaBaselineCache` is set,
- * directly through runSimulation() otherwise.
+ * The GridScheduler cohortOf hook of every job that runs real
+ * simulations: the point's warmed-state checkpoint key
+ * (sim/checkpoint.hh), or "" -- no gating -- for a zero-warmup point,
+ * which has nothing to checkpoint.
  */
-SimResult runExperiment(const Experiment &exp);
+std::string checkpointCohort(std::size_t index, const Experiment &exp);
 
 class ExperimentRunner
 {

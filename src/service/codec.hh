@@ -1,14 +1,9 @@
 /**
  * @file
- * Canonical text codec for SimConfig and SimResult: every field,
- * always, in a fixed order, as compact single-line JSON. One
- * serialized form serves three masters --
- *
- *  - the wire (service/protocol.hh frames embed these objects),
- *  - the fingerprint (FNV-1a over the canonical bytes identifies a
- *    configuration for result caching and deduplication), and
- *  - the archive (a decoded config re-encodes to the same bytes, so
- *    configs can be logged and replayed years later).
+ * Strict decoding of the canonical SimConfig encoding (sim/canonical.hh)
+ * plus the canonical SimResult/StatsDelta codec, as compact single-line
+ * JSON. The service embeds these objects in its frames
+ * (service/protocol.hh).
  *
  * Decoding is strict in both directions: a missing field, an unknown
  * field, or a kind mismatch raises CodecError (derived from
@@ -29,6 +24,7 @@
 
 #include "common/json.hh"
 #include "obs/uarch.hh"
+#include "sim/canonical.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
@@ -47,12 +43,12 @@ struct CodecError : json::JsonError
 
 // ------------------------------------------------------------- encode
 
-json::Value encodeProgramParams(const ProgramParams &params);
-json::Value encodeWorkloadPreset(const WorkloadPreset &preset);
-json::Value encodeCoreParams(const CoreParams &params);
-json::Value encodeSchemeConfig(const SchemeConfig &config);
-json::Value encodeSimWindow(const SimWindow &window);
-json::Value encodeSimConfig(const SimConfig &config);
+// The canonical config encoding and identity live in the sim layer;
+// these keep the service-qualified names working.
+using shotgun::configFingerprint;
+using shotgun::encodeSimConfig;
+using shotgun::fingerprintHex;
+
 json::Value encodeSimResult(const SimResult &result);
 
 /**
@@ -113,24 +109,6 @@ obs::UarchBreakdown decodeUarchBreakdown(const json::Value &v);
 bool probeTraceFile(const std::string &path,
                     std::uint64_t needed_instructions,
                     std::string &error, TraceInfo *info = nullptr);
-
-// -------------------------------------------------------- fingerprint
-
-/**
- * Stable identity of a simulation: 16 lowercase hex digits of the
- * FNV-1a 64 hash over the canonical encoding. Two configs share a
- * fingerprint iff they encode to the same bytes, so the fingerprint
- * is the key of the service's result cache and the client's dedup.
- *
- * Note a trace-backed workload is fingerprinted by its trace *path*
- * plus the header-derived preset, not the file content; re-recording
- * a different workload over the same path on a live server would
- * alias cache entries. Don't do that.
- */
-std::string configFingerprint(const SimConfig &config);
-
-/** The 16-hex-digit rendering of an FNV-1a hash (exposed for tests). */
-std::string fingerprintHex(std::uint64_t hash);
 
 } // namespace service
 } // namespace shotgun

@@ -104,7 +104,6 @@ encodeExperiment(const runner::Experiment &exp)
     Value e = Value::object();
     e.set("workload", Value::string(exp.workload));
     e.set("label", Value::string(exp.label));
-    e.set("via_baseline_cache", Value::boolean(exp.viaBaselineCache));
     e.set("config", encodeSimConfig(exp.config));
     return e;
 }
@@ -115,7 +114,6 @@ decodeExperiment(const json::Value &v)
     runner::Experiment exp;
     exp.workload = v.at("workload").asString();
     exp.label = v.at("label").asString();
-    exp.viaBaselineCache = v.at("via_baseline_cache").asBool();
     exp.config = decodeSimConfig(v.at("config"));
     return exp;
 }

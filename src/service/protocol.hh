@@ -6,9 +6,8 @@
  * full grammar and an example session.
  *
  * Client -> server:
- *   {"type":"submit","protocol":2,"experiment":...,"jobs":N,
- *    "grid":[{"workload":...,"label":...,"via_baseline_cache":b,
- *             "config":{...}},...]}
+ *   {"type":"submit","protocol":3,"experiment":...,"jobs":N,
+ *    "grid":[{"workload":...,"label":...,"config":{...}},...]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
  *

@@ -196,20 +196,17 @@ SimServer::computeCached(const std::string &fingerprint,
     bool computed = false;
     auto value = cache_.get(fingerprint, [&exp, &computed]() {
         computed = true;
+        const SimulationDelta delta = runSimulationDelta(exp.config);
         CachedResult result;
+        result.result =
+            finalizeResult(delta.workload, delta.scheme,
+                           delta.schemeStorageBits, delta.stats);
+        // Windowed grid point: keep the raw counters so the result
+        // frame (and any later cache hit) carries the stitchable
+        // delta.
         if (exp.config.window.enabled()) {
-            // Windowed grid point: keep the raw counters so the
-            // result frame (and any later cache hit) carries the
-            // stitchable delta.
-            const SimulationDelta delta =
-                runSimulationDelta(exp.config);
-            result.result = finalizeResult(
-                delta.workload, delta.scheme, delta.schemeStorageBits,
-                delta.stats);
             result.hasDelta = true;
             result.delta = delta.stats;
-        } else {
-            result.result = runner::runExperiment(exp);
         }
         return result;
     });
@@ -291,9 +288,12 @@ SimServer::serve()
              done});
     }
 
-    // Shutdown: join the readers first (no thread can admit another
-    // job), then cancel and drain the scheduler -- every admitted
-    // job still gets its `done` frame (as cancelled) before exit.
+    // Shutdown: close the listener (a client still queued in its
+    // backlog sees EOF now, not at its deadline), join the readers
+    // (no thread can admit another job), then cancel and drain the
+    // scheduler -- every admitted job still gets its `done` frame (as
+    // cancelled) before exit.
+    listener_.close();
     reap(true);
     scheduler_.cancelAll();
     scheduler_.waitIdle();
@@ -305,9 +305,8 @@ SimServer::requestShutdown()
 {
     const bool was_stopped = stop_.exchange(true);
     // shutdown(2) + wake pipe, not close(2): serve() may be blocked
-    // in accept() on this fd right now; the fd itself is reclaimed
-    // when the listener is destroyed with the server, after serve()
-    // returned.
+    // in accept() on this fd right now; serve() closes it once its
+    // accept loop exited.
     listener_.shutdownListener();
     std::vector<std::shared_ptr<Connection>> live;
     {
@@ -438,11 +437,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // Points sharing a warmed-state checkpoint key dispatch as a
     // cohort: the first populates the checkpoint cache, the rest
     // restore instead of re-simulating the warmup (sim/checkpoint.hh).
-    hooks.cohortOf = [](std::size_t, const runner::Experiment &exp) {
-        return exp.config.warmupInstructions == 0
-                   ? std::string()
-                   : checkpointKey(exp.config, nullptr);
-    };
+    hooks.cohortOf = runner::checkpointCohort;
     hooks.onStart = [this, job]() {
         job->state.store(Job::State::Running);
         log("job " + std::to_string(job->id) + " running");

@@ -310,6 +310,7 @@ Listener::accept()
 void
 Listener::shutdownListener()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (wakeWrite_ >= 0) {
         const char byte = 1;
         ssize_t rc;
@@ -323,6 +324,7 @@ Listener::shutdownListener()
 void
 Listener::close()
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     if (sock_.valid()) {
         sock_.shutdownBoth();
         sock_.close();

@@ -16,6 +16,7 @@
 #define SHOTGUN_SERVICE_SOCKET_HH
 
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -146,21 +147,27 @@ class Listener
     /**
      * Unblock a concurrent accept() (it returns an invalid Socket)
      * without closing the file descriptor: writes the wake pipe and
-     * shuts the listening socket down. This is the only member safe
-     * to call from another thread while accept() runs: close()
-     * would free the fd under accept's feet (data race + the fd
-     * number could be recycled by a concurrent open).
+     * shuts the listening socket down. Safe to call from any thread,
+     * while accept() runs and before or after close(). It must not
+     * close the fd itself: that would free it under accept's feet
+     * (data race + the fd number could be recycled by a concurrent
+     * open).
      */
     void shutdownListener();
 
     /**
-     * Close the listening socket and remove a Unix socket file. Not
-     * thread-safe against a concurrent accept() -- call after the
-     * accept loop exited (the destructor's job in normal use).
+     * Close the listening socket and remove a Unix socket file, which
+     * also drops connections still queued in the backlog, so their
+     * clients see EOF instead of waiting out their deadlines. Not
+     * thread-safe against a concurrent accept() -- call from the
+     * accept loop's thread once it exited (servers do, and the
+     * destructor covers the rest).
      */
     void close();
 
   private:
+    /** Orders shutdownListener() against close() across threads. */
+    std::mutex mutex_;
     Socket sock_;
     Endpoint bound_;
     std::string unlinkPath_; ///< Unix socket file to remove.

@@ -14,17 +14,17 @@
  * would have -- the trajectory-invisibility argument is spelled out
  * in src/sim/README.md and death-tested in tests/test_checkpoint.cc.
  *
- * Keys are `workload#<prefix>:<scheme>` where the prefix fingerprints
- * everything scheme-independent about the warmup (workload/program
- * fingerprint, seed and trace binding, warmup length, window skip,
- * core parameters) and the scheme fingerprint covers the full
- * SchemeConfig. The scheme is part of the key because warmed state is
- * scheme-visible: prefetches change cache contents and timing, so
- * sharing a checkpoint across schemes would break the byte-identity
- * contract. Grid points that differ only in measurement window share
- * a key -- the big win for windowed/sampled plans and repeated
- * service jobs -- and a multi-scheme grid warms once per scheme while
- * sharing one trace decode (trace/decoded_trace.hh).
+ * A key is the config fingerprint (sim/canonical.hh) of the config
+ * with its measurement bounds blanked, so it covers everything that
+ * shapes the warmup: workload, seed, warmup length, window skip, core
+ * parameters and the full SchemeConfig. The scheme is part of the key
+ * because warmed state is scheme-visible: prefetches change cache
+ * contents and timing, so sharing a checkpoint across schemes would
+ * break the byte-identity contract. Grid points that differ only in
+ * measurement window share a key -- the big win for windowed/sampled
+ * plans and repeated service jobs -- and a multi-scheme grid warms
+ * once per scheme while sharing one trace decode
+ * (trace/decoded_trace.hh).
  *
  * Checkpoints live in a process-wide LRU byte-budgeted store
  * (tryGet/put, mirroring how the fleet coordinator feeds its result
@@ -66,22 +66,13 @@ struct CoreCheckpoint
     std::size_t bytes = 0;
 };
 
-/** Fingerprint of every SchemeConfig knob (all scheme families). */
-std::uint64_t schemeFingerprint(const SchemeConfig &scheme);
-
 /**
- * The scheme-independent key prefix: workload fingerprint, seed,
- * warmup length, window skip, and core parameters. Two configs with
- * equal prefixes consume an identical stream prefix through identical
- * shared front-end hardware during warmup.
- */
-std::uint64_t checkpointPrefixFingerprint(const SimConfig &config);
-
-/**
- * The cache key for `config`'s warmed state. `trace` must be the
- * opened trace's header for `trace:` workloads (binding the key to
- * this recording, so a re-recorded file never reuses a stale
- * checkpoint) and nullptr for generator workloads.
+ * The cache key for `config`'s warmed state: the configFingerprint()
+ * of `config` with measureInstructions, window.measureStart and
+ * window.measureEnd zeroed. `trace` must be the opened trace's header
+ * for `trace:` workloads (its seed and counts are appended, binding
+ * the key to this recording, so a re-recorded file never reuses a
+ * stale checkpoint) and nullptr for generator workloads.
  */
 std::string checkpointKey(const SimConfig &config,
                           const TraceInfo *trace);

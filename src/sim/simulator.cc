@@ -1,80 +1,18 @@
 #include "sim/simulator.hh"
 
-#include <cstring>
-#include <functional>
 #include <memory>
-#include <tuple>
 #include <utility>
 
 #include "common/memo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "sim/canonical.hh"
 #include "sim/checkpoint.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/trace_io.hh"
 
 namespace shotgun
 {
-
-namespace
-{
-
-std::uint64_t
-mixIn(std::uint64_t hash, std::uint64_t value)
-{
-    return mix64(hash ^ mix64(value));
-}
-
-std::uint64_t
-mixIn(std::uint64_t hash, double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return mixIn(hash, bits);
-}
-
-} // namespace
-
-std::uint64_t
-programFingerprint(const ProgramParams &p)
-{
-    std::uint64_t h = mix64(0x5107611);
-    for (std::uint64_t v :
-         {std::uint64_t(p.numFuncs), std::uint64_t(p.numOsFuncs),
-          std::uint64_t(p.numTrapHandlers), std::uint64_t(p.numTopLevel),
-          std::uint64_t(p.minBBInstrs), std::uint64_t(p.maxBBInstrs),
-          std::uint64_t(p.minBBsPerFunc), std::uint64_t(p.maxBBsPerFunc),
-          std::uint64_t(p.largeFuncBBs), std::uint64_t(p.minLoopTrip),
-          std::uint64_t(p.maxLoopTrip), std::uint64_t(p.maxCondSkip),
-          std::uint64_t(p.maxCallDepth), std::uint64_t(p.maxOsCallDepth),
-          p.seed}) {
-        h = mixIn(h, v);
-    }
-    for (double v :
-         {p.zipfAlpha, p.osZipfAlpha, p.topZipfAlpha, p.bbGrowProb,
-          p.funcGrowProb, p.largeFuncFrac, p.condFrac, p.callFrac,
-          p.jumpFrac, p.trapFrac, p.loopFrac, p.patternFrac,
-          p.strongFrac, p.mediumFrac, p.strongProb, p.mediumProb,
-          p.weakProb, p.takenBiasFrac, p.stickyFrac}) {
-        h = mixIn(h, v);
-    }
-    return h;
-}
-
-std::uint64_t
-presetFingerprint(const WorkloadPreset &preset)
-{
-    std::uint64_t h = programFingerprint(preset.program);
-    h = mixIn(h, preset.loadFrac);
-    h = mixIn(h, preset.l1dMissRate);
-    h = mixIn(h, preset.llcDataMissFrac);
-    h = mixIn(h, preset.backgroundLoad);
-    // A trace-backed workload must never share a memoized baseline
-    // with its live-generated twin: the file may be shorter or come
-    // from a different recording seed.
-    h = mixIn(h, std::hash<std::string>{}(preset.tracePath));
-    return h;
-}
 
 SimConfig
 SimConfig::make(const WorkloadPreset &workload, SchemeType type)
@@ -119,18 +57,15 @@ stallCoverage(const SimResult &result, const SimResult &baseline)
 const Program &
 programFor(const WorkloadPreset &preset)
 {
-    // Key on (name, fingerprint of every generation parameter):
+    // Key on the canonical encoding of every generation parameter:
     // presets sharing a name but differing in any knob get distinct
     // images. MemoCache computes outside its lock, so two threads
     // building *different* programs proceed in parallel while
     // duplicates wait.
-    static MemoCache<std::pair<std::string, std::uint64_t>, Program>
-        cache;
-    const auto key = std::make_pair(preset.program.name,
-                                    programFingerprint(preset.program));
+    static MemoCache<std::string, Program> cache;
     // The cache retains every entry for the process lifetime, so the
     // reference stays valid.
-    return *cache.get(key,
+    return *cache.get(encodeProgramParams(preset.program).dump(),
                       [&preset]() { return Program(preset.program); });
 }
 
@@ -207,8 +142,11 @@ runSimulationDelta(const SimConfig &config)
             recorded = &replay->preset();
             source = std::move(replay);
         }
-        fatal_if(programFingerprint(recorded->program) !=
-                     programFingerprint(config.workload.program),
+        // Compare every generation parameter but the display name.
+        ProgramParams recorded_program = recorded->program;
+        recorded_program.name = config.workload.program.name;
+        fatal_if(encodeProgramParams(recorded_program).dump() !=
+                     encodeProgramParams(config.workload.program).dump(),
                  "trace '%s' was recorded from program '%s', which "
                  "does not match this workload's program parameters",
                  trace_path.c_str(), recorded->program.name.c_str());
@@ -391,24 +329,11 @@ SimResult
 baselineFor(const WorkloadPreset &preset, std::uint64_t warmup,
             std::uint64_t measure, std::uint64_t trace_seed)
 {
-    // Computed outside the cache's lock: baselines for different
-    // workloads run concurrently, and only one thread simulates a
-    // given (workload, lengths, seed) no matter how many request it.
-    static MemoCache<std::tuple<std::string, std::uint64_t,
-                                std::uint64_t, std::uint64_t,
-                                std::uint64_t>,
-                     SimResult>
-        cache;
-    const auto key = std::make_tuple(preset.name,
-                                     presetFingerprint(preset), warmup,
-                                     measure, trace_seed);
-    return *cache.get(key, [&]() {
-        SimConfig config = SimConfig::make(preset, SchemeType::Baseline);
-        config.warmupInstructions = warmup;
-        config.measureInstructions = measure;
-        config.traceSeed = trace_seed;
-        return runSimulation(config);
-    });
+    SimConfig config = SimConfig::make(preset, SchemeType::Baseline);
+    config.warmupInstructions = warmup;
+    config.measureInstructions = measure;
+    config.traceSeed = trace_seed;
+    return runSimulation(config);
 }
 
 bool

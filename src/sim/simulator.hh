@@ -151,24 +151,12 @@ double stallCoverage(const SimResult &result, const SimResult &baseline);
 /**
  * Shared program cache: building a multi-MB synthetic program takes
  * noticeable time, and every scheme must run the *same* image, so
- * programs are memoized by (name, fingerprint of all generation
- * parameters). Thread-safe; distinct programs build concurrently.
+ * programs are memoized by the canonical encoding of their
+ * ProgramParams (sim/canonical.hh). Two presets may share a name yet
+ * differ in knobs; they get distinct images. Thread-safe; distinct
+ * programs build concurrently.
  */
 const Program &programFor(const WorkloadPreset &preset);
-
-/**
- * Identity of a program image: every ProgramParams field that shapes
- * generation. Two presets may share a name (e.g. ad-hoc "studio"
- * workloads) yet differ in knobs; the caches must treat them as
- * distinct.
- */
-std::uint64_t programFingerprint(const ProgramParams &params);
-
-/**
- * Program identity plus the preset's data-side behaviour and trace
- * binding (checkpoint keys, memoized baselines).
- */
-std::uint64_t presetFingerprint(const WorkloadPreset &preset);
 
 /** Run one (workload, scheme) simulation. */
 SimResult runSimulation(const SimConfig &config);
@@ -196,10 +184,10 @@ struct SimulationDelta
 SimulationDelta runSimulationDelta(const SimConfig &config);
 
 /**
- * Convenience: run the no-prefetch baseline for a workload with the
- * same run lengths (memoized per (workload fingerprint, lengths,
- * seed) because every figure needs it). Thread-safe; concurrent
- * requests for one baseline run a single simulation.
+ * Convenience for tests and examples: run the no-prefetch baseline
+ * for a workload with the given run lengths. Not memoized; a grid
+ * that needs baselines adds them as ordinary points
+ * (runner::ExperimentSet::addBaseline).
  */
 SimResult baselineFor(const WorkloadPreset &preset,
                       std::uint64_t warmup, std::uint64_t measure,

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "runner/thread_pool.hh"
-#include "sim/checkpoint.hh"
 
 namespace shotgun
 {
@@ -27,8 +26,6 @@ expandExperiment(const runner::Experiment &exp, const WindowPlan &plan)
         sub.label = exp.label + "#w" + std::to_string(i) + "/" +
                     std::to_string(configs.size());
         sub.config = configs[i];
-        // Never via the baseline memo: it is keyed without windows.
-        sub.viaBaselineCache = false;
         grid.push_back(std::move(sub));
     }
     return grid;
@@ -106,12 +103,7 @@ runWindowedExperiment(
     // key: the first window warms the core once and every later
     // window restores it (sampled plans differ in skipInstructions,
     // so their keys split and no gating applies).
-    hooks.cohortOf = [](std::size_t,
-                        const runner::Experiment &sub) {
-        return sub.config.warmupInstructions == 0
-                   ? std::string()
-                   : checkpointKey(sub.config, nullptr);
-    };
+    hooks.cohortOf = runner::checkpointCohort;
     scheduler.submit(std::move(grid), budget, std::move(hooks));
 
     {

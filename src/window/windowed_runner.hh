@@ -42,12 +42,9 @@ struct WindowedOutcome
 
 /**
  * The window sub-points of `exp` under `plan`, as ordinary grid
- * points: per-window configs from expandPlan(), labels
- * "<label>#w<i>/<n>", and -- load-bearing -- viaBaselineCache
- * cleared, because the baseline memo is keyed without windows and a
- * window must simulate as itself wherever it lands. Shared by the
- * in-process runner below and the service client's window sharding,
- * so both expand identically.
+ * points: per-window configs from expandPlan() and labels
+ * "<label>#w<i>/<n>". Shared by the in-process runner below and the
+ * service client's window sharding, so both expand identically.
  */
 std::vector<runner::Experiment>
 expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);

@@ -137,18 +137,26 @@ TEST(CheckpointKeyTest, SchemeWarmupAndSeedSeparateKeys)
 
 TEST(CheckpointKeyTest, WindowSubPointsShareTheKey)
 {
-    // measureStart/measureEnd pick what is *measured after* the
-    // warmup; they must not split the key, or windowed plans would
-    // re-warm per window. skipInstructions changes what is warmed
-    // over and must split it.
+    // measureStart/measureEnd and the measure length pick what is
+    // *measured after* the warmup; they must not split the key, or
+    // windowed plans would re-warm per window and a monolithic run
+    // would not share its windows' warmup. skipInstructions changes
+    // what is warmed over and must split it.
     const WorkloadPreset preset = tinyPreset("key-window", 4);
-    SimConfig w1 = quickConfig(preset, SchemeType::Shotgun);
+    const SimConfig monolithic = quickConfig(preset, SchemeType::Shotgun);
+    SimConfig w1 = monolithic;
     w1.window.measureStart = 0;
     w1.window.measureEnd = kMeasure / 2;
     SimConfig w2 = w1;
     w2.window.measureStart = kMeasure / 2;
     w2.window.measureEnd = kMeasure;
+    SimConfig longer = monolithic;
+    longer.measureInstructions = 2 * kMeasure;
     EXPECT_EQ(checkpointKey(w1, nullptr), checkpointKey(w2, nullptr));
+    EXPECT_EQ(checkpointKey(w1, nullptr),
+              checkpointKey(monolithic, nullptr));
+    EXPECT_EQ(checkpointKey(w1, nullptr),
+              checkpointKey(longer, nullptr));
 
     SimConfig sampled = w1;
     sampled.window.skipInstructions = 1000;

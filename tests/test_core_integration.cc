@@ -239,12 +239,13 @@ TEST(SimDriverTest, ProgramCacheReturnsSameInstance)
     EXPECT_EQ(&a, &b);
 }
 
-TEST(SimDriverTest, BaselineMemoized)
+TEST(SimDriverTest, BaselineForIsDeterministic)
 {
     const auto preset = makePreset(WorkloadId::Nutch);
     const SimResult a = baselineFor(preset, kWarmup, kMeasure);
     const SimResult b = baselineFor(preset, kWarmup, kMeasure);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.scheme, "baseline");
+    EXPECT_TRUE(a == b);
 }
 
 TEST(SimDriverTest, SpeedupAndCoverageMath)

@@ -153,7 +153,8 @@ TEST(ExperimentSetTest, BaselineIsDeduplicated)
     EXPECT_EQ(set.baselineIndex(preset.name), first);
     EXPECT_EQ(set.baselineIndex("no-such-workload"),
               ExperimentSet::npos);
-    EXPECT_TRUE(set.experiments()[first].viaBaselineCache);
+    EXPECT_EQ(set.experiments()[first].config.scheme.type,
+              SchemeType::Baseline);
 }
 
 // ------------------------------------------------------------------ Progress

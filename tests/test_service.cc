@@ -193,6 +193,68 @@ TEST(ServiceTest, ShardedSubmitMatchesInProcessBitwise)
               set.size());
 }
 
+TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
+{
+    // Regression: the grid entries' "via_baseline_cache" member once
+    // routed any config through a baseline memo keyed without scheme
+    // or core, so this shotgun point came back as the workload's
+    // baseline and was cached under the shotgun fingerprint. Old
+    // clients may still send the member; it must change nothing.
+    const WorkloadPreset preset = tinyPreset("svc-alias", 0xa11a5);
+    runner::Experiment exp;
+    exp.workload = preset.name;
+    exp.label = "shotgun";
+    exp.config = SimConfig::make(preset, SchemeType::Shotgun);
+    exp.config.core.fetchWidth = 8;
+    exp.config.warmupInstructions = 20000;
+    exp.config.measureInstructions = 50000;
+    const SimResult expected = runSimulation(exp.config);
+    ASSERT_EQ(expected.scheme, "shotgun");
+
+    SubmitRequest request;
+    request.experiment = "alias";
+    request.grid.push_back(exp);
+
+    // The old client's frame: the clean submit, with the member set
+    // on its one grid entry.
+    json::Value entry = json::Value::object();
+    entry.set("workload", json::Value::string(exp.workload));
+    entry.set("label", json::Value::string(exp.label));
+    entry.set("via_baseline_cache", json::Value::boolean(true));
+    entry.set("config", encodeSimConfig(exp.config));
+    json::Value grid = json::Value::array();
+    grid.push(std::move(entry));
+    const json::Value clean_frame = encodeSubmit(request);
+    json::Value frame = json::Value::object();
+    for (const auto &member : clean_frame.members())
+        frame.set(member.first,
+                  member.first == "grid" ? grid : member.second);
+
+    TestServer server("alias");
+    LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    ASSERT_TRUE(channel.sendLine(frame.dump()));
+    std::string line;
+    ASSERT_TRUE(channel.recvLine(line));
+    ASSERT_EQ(frameType(json::Value::parse(line)), "accepted") << line;
+    ASSERT_TRUE(channel.recvLine(line));
+    const ResultEvent flagged =
+        decodeResultEvent(json::Value::parse(line));
+    EXPECT_EQ(flagged.result.scheme, "shotgun");
+    EXPECT_TRUE(flagged.result == expected);
+
+    // A clean resubmit is a cache hit -- of the true shotgun result.
+    ServiceClient client(server.endpoint());
+    std::size_t cached = 0;
+    const auto clean = client.submit(
+        request,
+        [&](const ResultEvent &event) { cached += event.cached; });
+    ASSERT_EQ(clean.size(), 1u);
+    EXPECT_EQ(cached, 1u);
+    EXPECT_EQ(clean[0].scheme, "shotgun");
+    EXPECT_TRUE(clean[0] == expected);
+}
+
 TEST(ServiceTest, StatusReportsJobsAndCache)
 {
     const runner::ExperimentSet set = quickGrid(1);
@@ -657,6 +719,28 @@ TEST(ServiceTest, ShutdownInterruptsAcceptWithIdleClientConnected)
     EXPECT_FALSE(idle.recvLine(line));
     server.reset();
     SUCCEED();
+}
+
+TEST(ServiceTest, ShutdownReleasesClientsQueuedInTheBacklog)
+{
+    // Regression: serve() stopped accepting on shutdown but kept the
+    // listening socket open until the server was destroyed, so a
+    // client whose connect was already queued in the backlog blocked
+    // until its own deadline. serve() now closes the listener on its
+    // way out and the queued client reads EOF at once.
+    SimServer server("unix:/tmp/shotgun_svc_test_backlog.sock",
+                     ServerOptions{});
+    LineChannel queued(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(queued.valid());
+    ASSERT_TRUE(queued.socket().setRecvTimeout(10000));
+
+    server.requestShutdown();
+    server.serve(); // Returns at once: shutdown was already requested.
+
+    std::string line;
+    EXPECT_FALSE(queued.recvLine(line));
+    EXPECT_FALSE(queued.timedOut())
+        << "the queued client waited out its deadline";
 }
 
 TEST(ServiceTest, CancelUnknownJobIsAnError)

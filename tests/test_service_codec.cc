@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the canonical SimConfig/SimResult codec (service/codec.hh)
- * and the frame encoders (service/protocol.hh): round-trip equality
+ * Tests for the canonical SimConfig encoding (sim/canonical.hh), the
+ * strict decoders and SimResult codec (service/codec.hh) and the frame
+ * encoders (service/protocol.hh): round-trip equality
  * (including trace-backed workloads and non-default CoreParams),
  * fingerprint stability, and strict malformed-frame rejection.
  */
@@ -317,7 +318,6 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
         runner::Experiment exp;
         exp.workload = "nutch";
         exp.label = schemeTypeName(type);
-        exp.viaBaselineCache = type == SchemeType::Baseline;
         exp.config =
             SimConfig::make(makePreset(WorkloadId::Nutch), type);
         request.grid.push_back(exp);
@@ -331,7 +331,6 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
     EXPECT_EQ(decoded.jobs, 3u);
     ASSERT_EQ(decoded.grid.size(), 2u);
     EXPECT_EQ(decoded.grid[0].label, "baseline");
-    EXPECT_TRUE(decoded.grid[0].viaBaselineCache);
     EXPECT_EQ(configFingerprint(decoded.grid[1].config),
               configFingerprint(request.grid[1].config));
 }
