@@ -1,47 +1,126 @@
 #include "common/json.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 namespace shotgun
 {
 namespace json
 {
 
-std::string
-escape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+
+/**
+ * First allocation of an array's or object's storage. Most canonical
+ * objects fit; the rest regrow from here instead of from one, which
+ * saves a reallocation and a round of moves per doubling.
+ */
+constexpr std::size_t kInitialCapacity = 8;
+
+/** True for the bytes a JSON string must escape. */
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/**
+ * Append `s` escaped: runs of plain bytes are copied in one piece,
+ * so a string that needs no escaping costs a single append.
+ */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (!needsEscape(c))
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            static const char kHex[] = "0123456789abcdef";
+            const char u[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                               kHex[c & 0xf]};
+            out.append(u, sizeof(u));
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
+}
+
+/** "%.17g" of `v` into [first, last); returns the end of the text. */
+char *
+formatDoubleTo(char *first, char *last, double v)
+{
+    // Same bytes as "%.17g": to_chars with an explicit precision is
+    // specified as printf's conversion in the C locale.
+    return std::to_chars(first, last, v, std::chars_format::general, 17)
+        .ptr;
+}
+
+template <typename T>
+Value
+integerValue(T v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return Value::numberFromToken(
+        std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
+}
+
+/**
+ * Whole-token integer read: the token must be exactly an in-range
+ * integer of type T (no sign for unsigned, no fraction or exponent).
+ */
+template <typename T>
+T
+parseInteger(const std::string &token, const char *wanted)
+{
+    T v = 0;
+    const char *first = token.data();
+    const char *last = first + token.size();
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range && ptr == last)
+        throw JsonError("integer out of range: '" + token + "'");
+    if (ec != std::errc() || ptr != last)
+        throw JsonError(std::string("expected ") + wanted + ", got '" +
+                        token + "'");
+    return v;
+}
+
+} // namespace
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendEscaped(out, s);
     return out;
 }
 
 std::string
 formatDouble(double v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[32];
+    return std::string(buf, formatDoubleTo(buf, buf + sizeof(buf), v));
 }
 
 Value
@@ -56,36 +135,30 @@ Value::boolean(bool b)
 Value
 Value::number(std::uint64_t value)
 {
-    Value v;
-    v.kind_ = Kind::Number;
-    v.scalar_ = std::to_string(value);
-    return v;
+    return integerValue(value);
 }
 
 Value
 Value::number(std::int64_t value)
 {
-    Value v;
-    v.kind_ = Kind::Number;
-    v.scalar_ = std::to_string(value);
-    return v;
+    return integerValue(value);
 }
 
 Value
 Value::number(double value)
 {
-    Value v;
-    v.kind_ = Kind::Number;
-    v.scalar_ = formatDouble(value);
-    return v;
+    char buf[32];
+    const char *end = formatDoubleTo(buf, buf + sizeof(buf), value);
+    return numberFromToken(
+        std::string_view(buf, static_cast<std::size_t>(end - buf)));
 }
 
 Value
-Value::numberFromToken(std::string token)
+Value::numberFromToken(std::string_view token)
 {
     Value v;
     v.kind_ = Kind::Number;
-    v.scalar_ = std::move(token);
+    v.scalar_.assign(token.data(), token.size());
     return v;
 }
 
@@ -169,11 +242,20 @@ Value::asDouble() const
 {
     if (kind_ != Kind::Number)
         wrongKind("number", kind_);
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(scalar_.c_str(), &end);
-    if (end != scalar_.c_str() + scalar_.size())
+    double v = 0.0;
+    const char *first = scalar_.data();
+    const char *last = first + scalar_.size();
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ptr != last ||
+        (ec != std::errc() && ec != std::errc::result_out_of_range))
         throw JsonError("malformed number token '" + scalar_ + "'");
+    // from_chars leaves `v` unset when the token is out of range
+    // either way; strtod tells underflow (0 or a subnormal, kept)
+    // from overflow (+-inf, refused).
+    if (ec == std::errc::result_out_of_range)
+        v = std::strtod(scalar_.c_str(), nullptr);
+    if (!std::isfinite(v))
+        throw JsonError("number out of range: '" + scalar_ + "'");
     return v;
 }
 
@@ -182,18 +264,8 @@ Value::asU64() const
 {
     if (kind_ != Kind::Number)
         wrongKind("number", kind_);
-    for (char c : scalar_) {
-        if (c < '0' || c > '9')
-            throw JsonError("expected a non-negative integer, got '" +
-                            scalar_ + "'");
-    }
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(scalar_.c_str(), &end, 10);
-    if (errno == ERANGE || end != scalar_.c_str() + scalar_.size())
-        throw JsonError("integer out of range: '" + scalar_ + "'");
-    return v;
+    return parseInteger<std::uint64_t>(scalar_,
+                                       "a non-negative integer");
 }
 
 std::int64_t
@@ -201,20 +273,7 @@ Value::asI64() const
 {
     if (kind_ != Kind::Number)
         wrongKind("number", kind_);
-    const char *p = scalar_.c_str();
-    if (*p == '-')
-        ++p;
-    for (; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            throw JsonError("expected an integer, got '" + scalar_ +
-                            "'");
-    }
-    errno = 0;
-    char *end = nullptr;
-    const long long v = std::strtoll(scalar_.c_str(), &end, 10);
-    if (errno == ERANGE || end != scalar_.c_str() + scalar_.size())
-        throw JsonError("integer out of range: '" + scalar_ + "'");
-    return v;
+    return parseInteger<std::int64_t>(scalar_, "an integer");
 }
 
 void
@@ -222,6 +281,8 @@ Value::push(Value v)
 {
     if (kind_ != Kind::Array)
         wrongKind("array", kind_);
+    if (items_.empty())
+        items_.reserve(kInitialCapacity);
     items_.push_back(std::move(v));
 }
 
@@ -248,6 +309,8 @@ Value::set(std::string key, Value v)
 {
     if (kind_ != Kind::Object)
         wrongKind("object", kind_);
+    if (members_.empty())
+        members_.reserve(kInitialCapacity);
     members_.emplace_back(std::move(key), std::move(v));
 }
 
@@ -260,7 +323,7 @@ Value::members() const
 }
 
 const Value *
-Value::find(const std::string &key) const
+Value::find(std::string_view key) const
 {
     if (kind_ != Kind::Object)
         wrongKind("object", kind_);
@@ -272,48 +335,49 @@ Value::find(const std::string &key) const
 }
 
 const Value &
-Value::at(const std::string &key) const
+Value::at(std::string_view key) const
 {
     const Value *v = find(key);
     if (v == nullptr)
-        throw JsonError("missing key \"" + key + "\"");
+        throw JsonError("missing key \"" + std::string(key) + "\"");
     return *v;
 }
 
 void
-Value::write(std::ostream &os) const
+Value::appendTo(std::string &out) const
 {
     switch (kind_) {
       case Kind::Null:
-        os << "null";
+        out += "null";
         break;
       case Kind::Bool:
-        os << (bool_ ? "true" : "false");
+        out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        os << scalar_;
+        out += scalar_;
         break;
       case Kind::String:
-        os << '"' << escape(scalar_) << '"';
+        appendQuoted(out, scalar_);
         break;
       case Kind::Array:
-        os << '[';
+        out += '[';
         for (std::size_t i = 0; i < items_.size(); ++i) {
             if (i > 0)
-                os << ',';
-            items_[i].write(os);
+                out += ',';
+            items_[i].appendTo(out);
         }
-        os << ']';
+        out += ']';
         break;
       case Kind::Object:
-        os << '{';
+        out += '{';
         for (std::size_t i = 0; i < members_.size(); ++i) {
             if (i > 0)
-                os << ',';
-            os << '"' << escape(members_[i].first) << "\":";
-            members_[i].second.write(os);
+                out += ',';
+            appendQuoted(out, members_[i].first);
+            out += ':';
+            members_[i].second.appendTo(out);
         }
-        os << '}';
+        out += '}';
         break;
     }
 }
@@ -321,9 +385,19 @@ Value::write(std::ostream &os) const
 std::string
 Value::dump() const
 {
-    std::ostringstream oss;
-    write(oss);
-    return oss.str();
+    // Small frames fit the first allocation; a canonical config
+    // (~2 KiB) or a 4-point submit (~9 KiB) regrows it geometrically.
+    std::string out;
+    out.reserve(512);
+    appendTo(out);
+    return out;
+}
+
+void
+Value::write(std::ostream &os) const
+{
+    const std::string text = dump();
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 // -------------------------------------------------------------- parser
@@ -331,17 +405,27 @@ Value::dump() const
 namespace
 {
 
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text)
+        : begin_(text.data()), pos_(text.data()),
+          end_(text.data() + text.size())
+    {
+    }
 
     Value parse()
     {
         skipWs();
         Value v = parseValue(0);
         skipWs();
-        if (pos_ != text_.size())
+        if (pos_ != end_)
             fail("trailing content after JSON value");
         return v;
     }
@@ -352,16 +436,14 @@ class Parser
     [[noreturn]] void fail(const std::string &message) const
     {
         throw JsonError("JSON parse error at offset " +
-                        std::to_string(pos_) + ": " + message);
+                        std::to_string(pos_ - begin_) + ": " + message);
     }
-
-    bool atEnd() const { return pos_ >= text_.size(); }
 
     char peek() const
     {
-        if (atEnd())
+        if (pos_ == end_)
             fail("unexpected end of input");
-        return text_[pos_];
+        return *pos_;
     }
 
     char take()
@@ -373,21 +455,25 @@ class Parser
 
     void skipWs()
     {
-        while (!atEnd()) {
-            const char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                ++pos_;
-            else
-                break;
-        }
+        while (pos_ != end_ && (*pos_ == ' ' || *pos_ == '\t' ||
+                                *pos_ == '\n' || *pos_ == '\r'))
+            ++pos_;
     }
 
-    void expect(const char *literal)
+    std::size_t skipDigits()
     {
-        const std::size_t n = std::strlen(literal);
-        if (text_.compare(pos_, n, literal) != 0)
-            fail(std::string("expected '") + literal + "'");
-        pos_ += n;
+        const char *start = pos_;
+        while (pos_ != end_ && isDigit(*pos_))
+            ++pos_;
+        return static_cast<std::size_t>(pos_ - start);
+    }
+
+    void expect(std::string_view literal)
+    {
+        if (static_cast<std::size_t>(end_ - pos_) < literal.size() ||
+            std::memcmp(pos_, literal.data(), literal.size()) != 0)
+            fail("expected '" + std::string(literal) + "'");
+        pos_ += literal.size();
     }
 
     Value parseValue(int depth)
@@ -417,11 +503,11 @@ class Parser
 
     Value parseArray(int depth)
     {
-        take(); // '['
+        ++pos_; // '['
         Value v = Value::array();
         skipWs();
         if (peek() == ']') {
-            take();
+            ++pos_;
             return v;
         }
         while (true) {
@@ -438,11 +524,11 @@ class Parser
 
     Value parseObject(int depth)
     {
-        take(); // '{'
+        ++pos_; // '{'
         Value v = Value::object();
         skipWs();
         if (peek() == '}') {
-            take();
+            ++pos_;
             return v;
         }
         while (true) {
@@ -484,7 +570,7 @@ class Parser
         return value;
     }
 
-    void appendUtf8(std::string &out, unsigned cp)
+    static void appendUtf8(std::string &out, unsigned cp)
     {
         if (cp < 0x80) {
             out += static_cast<char>(cp);
@@ -505,18 +591,20 @@ class Parser
 
     std::string parseString()
     {
-        take(); // '"'
+        ++pos_; // '"'
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, backslash or control
+            // character in one append.
+            const char *run = pos_;
+            while (pos_ != end_ && !needsEscape(*pos_))
+                ++pos_;
+            out.append(run, static_cast<std::size_t>(pos_ - run));
             const char c = take();
             if (c == '"')
                 return out;
-            if (static_cast<unsigned char>(c) < 0x20)
+            if (c != '\\')
                 fail("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             const char esc = take();
             switch (esc) {
               case '"': out += '"'; break;
@@ -552,56 +640,47 @@ class Parser
 
     Value parseNumber()
     {
-        const std::size_t start = pos_;
+        const char *start = pos_;
         if (peek() == '-')
-            take();
-        if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
+            ++pos_;
+        if (pos_ == end_ || !isDigit(*pos_))
             fail("malformed number");
         // Leading zero may only be followed by '.', 'e' or the end.
-        if (take() == '0' && !atEnd() &&
-            std::isdigit(static_cast<unsigned char>(text_[pos_])))
+        if (*pos_++ == '0' && pos_ != end_ && isDigit(*pos_))
             fail("number with leading zero");
-        auto digits = [&]() {
-            std::size_t n = 0;
-            while (!atEnd() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                ++n;
-            }
-            return n;
-        };
-        digits();
-        if (!atEnd() && text_[pos_] == '.') {
+        skipDigits();
+        if (pos_ != end_ && *pos_ == '.') {
             ++pos_;
-            if (digits() == 0)
+            if (skipDigits() == 0)
                 fail("malformed number fraction");
         }
-        if (!atEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+        if (pos_ != end_ && (*pos_ == 'e' || *pos_ == 'E')) {
             ++pos_;
-            if (!atEnd() && (text_[pos_] == '+' || text_[pos_] == '-'))
+            if (pos_ != end_ && (*pos_ == '+' || *pos_ == '-'))
                 ++pos_;
-            if (digits() == 0)
+            if (skipDigits() == 0)
                 fail("malformed number exponent");
         }
         // Keep the exact token so writing re-emits the same bytes.
         return Value::numberFromToken(
-            text_.substr(start, pos_ - start));
+            std::string_view(start, static_cast<std::size_t>(pos_ - start)));
     }
 
-    const std::string &text_;
-    std::size_t pos_ = 0;
+    const char *const begin_;
+    const char *pos_;
+    const char *const end_;
 };
 
 } // namespace
 
 Value
-Value::parse(const std::string &text)
+Value::parse(std::string_view text)
 {
     return Parser(text).parse();
 }
 
 std::uint64_t
-fnv1a64(const std::string &bytes)
+fnv1a64(std::string_view bytes)
 {
     std::uint64_t hash = 0xcbf29ce484222325ULL;
     for (unsigned char c : bytes) {

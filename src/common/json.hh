@@ -12,8 +12,22 @@
  *    width round-trip exactly (no double rounding), and writing a
  *    parsed value re-emits the original bytes, which the canonical
  *    fingerprint relies on.
+ *  - Doubles are formatted with std::to_chars (general, 17
+ *    significant digits), which is specified to produce the same
+ *    bytes as printf's "%.17g", and read back with std::from_chars,
+ *    which yields the same correctly rounded value as strtod. A
+ *    token that overflows a double is rejected (asDouble throws)
+ *    instead of turning into an "inf" no JSON reader accepts;
+ *    underflow reads as strtod reads it (0 or a subnormal).
  *  - Object members preserve insertion order (canonical output is
  *    ordered by construction, not by sorting).
+ *  - One writer: dump() appends the whole tree into a single
+ *    reserved string, copying every run of bytes that needs no
+ *    escaping in one piece; write() streams that string. No stream
+ *    call or temporary string per member.
+ *  - The parser walks the text with pointers and copies each run of
+ *    plain string bytes in one append; lookups (find/at) take a
+ *    string_view, so probing a key allocates nothing.
  *  - Errors throw JsonError instead of calling fatal(): a malformed
  *    frame must never take down a long-running server.
  */
@@ -25,6 +39,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,7 +58,7 @@ struct JsonError : std::runtime_error
 };
 
 /** Escape a string's content for embedding in a JSON string literal. */
-std::string escape(const std::string &s);
+std::string escape(std::string_view s);
 
 /**
  * Round-trippable double formatting (17 significant digits, %g
@@ -64,6 +79,8 @@ class Value
         Object,
     };
 
+    using Member = std::pair<std::string, Value>;
+
     /** Default-constructed value is null. */
     Value() = default;
 
@@ -78,7 +95,7 @@ class Value
      * document re-serializes with the exact source bytes; `token`
      * must already be a valid JSON number.
      */
-    static Value numberFromToken(std::string token);
+    static Value numberFromToken(std::string_view token);
 
     static Value string(std::string s);
     static Value array();
@@ -96,8 +113,9 @@ class Value
     bool asBool() const;
     const std::string &asString() const;
 
-    /** Number accessors parse the raw token; asU64/asI64 reject
-     * fractions, exponents and out-of-range values. */
+    /** Number accessors parse the raw token; asDouble rejects a
+     * token that overflows a double, asU64/asI64 reject fractions,
+     * exponents and out-of-range values. */
     double asDouble() const;
     std::uint64_t asU64() const;
     std::int64_t asI64() const;
@@ -111,31 +129,32 @@ class Value
     std::size_t size() const;
 
     // ------------------------------------------- objects (ordered)
-    using Member = std::pair<std::string, Value>;
-
     /** Append a member (no de-duplication; parse rejects dups). */
     void set(std::string key, Value v);
     const std::vector<Member> &members() const;
 
     /** Lookup by key; nullptr when absent. */
-    const Value *find(const std::string &key) const;
+    const Value *find(std::string_view key) const;
 
     /** Lookup by key; throws JsonError when absent. */
-    const Value &at(const std::string &key) const;
+    const Value &at(std::string_view key) const;
 
     // ------------------------------------------------ serialization
     /** Compact canonical single-line form (no spaces, no newline). */
-    void write(std::ostream &os) const;
     std::string dump() const;
+    void write(std::ostream &os) const;
 
     /**
      * Strict whole-string parse: rejects trailing content, duplicate
-     * object keys, unescaped control characters, lone surrogates and
-     * nesting deeper than 128 levels.
+     * object keys, unescaped control characters, lone surrogates,
+     * numbers with leading zeros and nesting deeper than 128 levels.
      */
-    static Value parse(const std::string &text);
+    static Value parse(std::string_view text);
 
   private:
+    /** The writer behind dump(): appends this value's text to `out`. */
+    void appendTo(std::string &out) const;
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     std::string scalar_; ///< Number token or string content.
@@ -147,7 +166,7 @@ class Value
  * FNV-1a 64-bit hash of a byte string; the config-fingerprint
  * primitive (sim/canonical.hh renders it as 16 hex digits).
  */
-std::uint64_t fnv1a64(const std::string &bytes);
+std::uint64_t fnv1a64(std::string_view bytes);
 
 } // namespace json
 } // namespace shotgun

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <filesystem>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "prefetch/factory.hh"
@@ -76,6 +77,10 @@ workloadIdFromName(const std::string &name)
  * and finish() rejects members nobody asked for. This is what turns
  * "decode" into "validate": a frame with a typo'd or extra field is
  * an error, not a silently-defaulted config.
+ *
+ * The decoders ask for members in the order the canonical encoders
+ * write them, so each lookup first tries the member after the last
+ * one read and scans the object only when the input is reordered.
  */
 class ObjectReader
 {
@@ -84,21 +89,16 @@ class ObjectReader
     {
         if (!v.isObject())
             throw CodecError(std::string(what) + ": expected an object");
-        object_ = &v;
-        consumed_.assign(v.members().size(), false);
+        members_ = &v.members();
+        consumed_.assign(members_->size(), false);
     }
 
-    const Value &get(const char *key)
+    const Value &get(std::string_view key)
     {
-        const auto &members = object_->members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return members[i].second;
-            }
-        }
+        if (const Value *v = optional(key))
+            return *v;
         throw CodecError(std::string(what_) + ": missing field \"" +
-                         key + "\"");
+                         std::string(key) + "\"");
     }
 
     /**
@@ -107,36 +107,40 @@ class ObjectReader
      * keeping older payloads decodable while finish() still rejects
      * genuinely unknown fields.
      */
-    const Value *optional(const char *key)
+    const Value *optional(std::string_view key)
     {
-        const auto &members = object_->members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return &members[i].second;
-            }
+        const auto &members = *members_;
+        std::size_t i = next_;
+        if (i >= members.size() || members[i].first != key) {
+            i = 0;
+            while (i < members.size() && members[i].first != key)
+                ++i;
+            if (i == members.size())
+                return nullptr;
         }
-        return nullptr;
+        consumed_[i] = true;
+        next_ = i + 1;
+        return &members[i].second;
     }
 
-    std::string str(const char *key) { return get(key).asString(); }
-    bool boolean(const char *key) { return get(key).asBool(); }
-    double number(const char *key) { return get(key).asDouble(); }
-    std::uint64_t u64(const char *key) { return get(key).asU64(); }
+    std::string str(std::string_view key) { return get(key).asString(); }
+    bool boolean(std::string_view key) { return get(key).asBool(); }
+    double number(std::string_view key) { return get(key).asDouble(); }
+    std::uint64_t u64(std::string_view key) { return get(key).asU64(); }
 
     template <typename T>
-    T integer(const char *key)
+    T integer(std::string_view key)
     {
         const std::uint64_t v = u64(key);
         if (v > std::numeric_limits<T>::max())
-            throw CodecError(std::string(what_) + ": field \"" + key +
-                             "\" out of range");
+            throw CodecError(std::string(what_) + ": field \"" +
+                             std::string(key) + "\" out of range");
         return static_cast<T>(v);
     }
 
     void finish()
     {
-        const auto &members = object_->members();
+        const auto &members = *members_;
         for (std::size_t i = 0; i < members.size(); ++i) {
             if (!consumed_[i])
                 throw CodecError(std::string(what_) +
@@ -147,8 +151,9 @@ class ObjectReader
 
   private:
     const char *what_;
-    const Value *object_ = nullptr;
+    const std::vector<Value::Member> *members_ = nullptr;
     std::vector<bool> consumed_;
+    std::size_t next_ = 0; ///< Canonical position of the next member.
 };
 
 } // namespace

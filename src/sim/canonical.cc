@@ -1,7 +1,5 @@
 #include "sim/canonical.hh"
 
-#include <cstdio>
-
 #include "prefetch/factory.hh"
 #include "trace/presets.hh"
 
@@ -204,10 +202,11 @@ encodeSimConfig(const SimConfig &config)
 std::string
 fingerprintHex(std::uint64_t hash)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
-    return buf;
+    static const char kHex[] = "0123456789abcdef";
+    std::string hex(16, '0');
+    for (std::size_t i = hex.size(); i-- > 0; hash >>= 4)
+        hex[i] = kHex[hash & 0xf];
+    return hex;
 }
 
 std::string

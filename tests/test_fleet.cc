@@ -469,6 +469,42 @@ TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
     fake_slot.join();
 }
 
+TEST(FleetTest, OverflowingNumberIsRejectedAtSubmit)
+{
+    // A double that overflows to inf must be refused at the frame
+    // boundary. Accepted, the coordinator re-encoded it as the token
+    // `inf` in its work frame; every worker slot that stole the task
+    // failed to parse it, dropped its connection and had the task
+    // requeued, forever -- the client never got `done` or `error`.
+    TestCoordinator coord("overflow");
+    TestWorker worker("overflow-w", coord.endpoint(), 2);
+    awaitWorkers(coord.coordinator(), 1);
+
+    std::string frame =
+        service::encodeSubmit(requestFor(quickGrid(1), "fleet-overflow"))
+            .dump();
+    const std::string field = "\"issue_efficiency\":";
+    const auto pos = frame.find(field);
+    ASSERT_NE(pos, std::string::npos);
+    const auto end = frame.find(',', pos);
+    frame.replace(pos + field.size(), end - pos - field.size(), "1e400");
+
+    LineChannel channel(service::connectTo(
+        service::Endpoint::parse(coord.endpoint())));
+    channel.socket().setRecvTimeout(5000);
+    ASSERT_TRUE(channel.sendLine(frame));
+    std::string type;
+    std::string line;
+    while (type != "error" && type != "done") {
+        ASSERT_TRUE(channel.recvLine(line))
+            << "no error reply within 5 s (last frame: " << type << ")";
+        type = service::frameType(json::Value::parse(line));
+    }
+    EXPECT_EQ(type, "error") << line;
+    EXPECT_NE(line.find("out of range"), std::string::npos) << line;
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+}
+
 TEST(FleetTest, PersistentCacheAnswersAcrossRestartWithoutWorkers)
 {
     const runner::ExperimentSet set = quickGrid(1);

@@ -7,12 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
 #include <initializer_list>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/json.hh"
+#include "sim/canonical.hh"
+#include "trace/presets.hh"
 
 namespace shotgun
 {
@@ -37,6 +44,53 @@ TEST(JsonValueTest, ScalarsAndAccessors)
     EXPECT_THROW(Value::number(0.5).asString(), JsonError);
     EXPECT_THROW(Value::number(0.5).asU64(), JsonError);
     EXPECT_THROW(Value::number(std::int64_t{-1}).asU64(), JsonError);
+
+    // What each number accessor makes of a parsed token: a value, or
+    // (nullopt) a JsonError. A double that overflows to +-inf is
+    // refused; underflow reads as strtod reads it.
+    struct NumberCase
+    {
+        const char *token;
+        std::optional<double> asDouble;
+        std::optional<std::uint64_t> asU64;
+        std::optional<std::int64_t> asI64;
+    };
+    const NumberCase cases[] = {
+        {"-0", -0.0, std::nullopt, 0},
+        {"1e-400", 0.0, std::nullopt, std::nullopt},
+        {"-1e-400", -0.0, std::nullopt, std::nullopt},
+        {"4.9406564584124654e-324",
+         std::numeric_limits<double>::denorm_min(), std::nullopt,
+         std::nullopt},
+        {"1e400", std::nullopt, std::nullopt, std::nullopt},
+        {"-1e400", std::nullopt, std::nullopt, std::nullopt},
+        {"18446744073709551615", 18446744073709551615.0,
+         18446744073709551615ull, std::nullopt},
+        {"18446744073709551616", 18446744073709551616.0, std::nullopt,
+         std::nullopt},
+        {"-9223372036854775808", -9223372036854775808.0, std::nullopt,
+         std::numeric_limits<std::int64_t>::min()},
+        {"1.5", 1.5, std::nullopt, std::nullopt},
+    };
+    for (const NumberCase &c : cases) {
+        const Value v = Value::parse(c.token);
+        if (c.asDouble) {
+            EXPECT_EQ(v.asDouble(), *c.asDouble) << c.token;
+            EXPECT_EQ(std::signbit(v.asDouble()),
+                      std::signbit(*c.asDouble))
+                << c.token;
+        } else {
+            EXPECT_THROW(v.asDouble(), JsonError) << c.token;
+        }
+        if (c.asU64)
+            EXPECT_EQ(v.asU64(), *c.asU64) << c.token;
+        else
+            EXPECT_THROW(v.asU64(), JsonError) << c.token;
+        if (c.asI64)
+            EXPECT_EQ(v.asI64(), *c.asI64) << c.token;
+        else
+            EXPECT_THROW(v.asI64(), JsonError) << c.token;
+    }
 }
 
 TEST(JsonValueTest, U64PrecisionSurvives)
@@ -83,17 +137,27 @@ TEST(JsonParseTest, RoundTripsItsOwnOutput)
 
 TEST(JsonParseTest, AcceptsUnicodeEscapes)
 {
-    EXPECT_EQ(Value::parse("\"\\u0041\"").asString(), "A");
-    EXPECT_EQ(Value::parse("\"\\u00e9\"").asString(), "\xc3\xa9");
-    // Surrogate pair: U+1F600.
-    EXPECT_EQ(Value::parse("\"\\ud83d\\ude00\"").asString(),
-              "\xf0\x9f\x98\x80");
+    // Plain runs are copied in bulk; the escape after one must still
+    // decode.
+    const std::string run(64, 'a');
+    const std::pair<std::string, std::string> cases[] = {
+        {"\"\\u0041\"", "A"},
+        {"\"\\u00e9\"", "\xc3\xa9"},
+        // Surrogate pair: U+1F600.
+        {"\"\\ud83d\\ude00\"", "\xf0\x9f\x98\x80"},
+        {"\"" + run + "\\u00e9\"", run + "\xc3\xa9"},
+        {"\"" + run + "\\ud83d\\ude00" + run + "\"",
+         run + "\xf0\x9f\x98\x80" + run},
+    };
+    for (const auto &c : cases)
+        EXPECT_EQ(Value::parse(c.first).asString(), c.second) << c.first;
     EXPECT_THROW(Value::parse("\"\\ud83d\""), JsonError);
 }
 
 TEST(JsonParseTest, RejectsMalformedDocuments)
 {
-    const char *bad[] = {
+    const std::string run(64, 'a');
+    const std::string bad[] = {
         "",
         "{",
         "}",
@@ -114,8 +178,17 @@ TEST(JsonParseTest, RejectsMalformedDocuments)
         "{'a':1}",
         "{\"a\":1,\"a\":2}", // duplicate key
         "\"tab\there\"",     // unescaped control char
+        // The same rules right after a bulk-copied plain run.
+        "\"" + run + "\x01\"",
+        "\"" + run + "\x1f" + run + "\"",
+        "\"" + run,
+        "\"" + run + "\\",
+        "\"\\",
+        "\"" + run + "\\q\"",
+        "\"" + run + "\\u12\"",
+        "{\"" + run + "\":1,\"" + run + "\":2}",
     };
-    for (const char *text : bad)
+    for (const std::string &text : bad)
         EXPECT_THROW(Value::parse(text), JsonError) << text;
 }
 
@@ -133,6 +206,47 @@ TEST(JsonFormatTest, FormatDoubleRoundTrips)
         EXPECT_EQ(std::stod(text), v) << text;
     }
     EXPECT_EQ(json::formatDouble(0.5), "0.5");
+
+    // formatDouble must keep writing printf's "%.17g" bytes: every
+    // stored fingerprint and result digest was computed over them.
+    std::vector<double> pinned = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        0.1,
+        1.0 / 3.0,
+        1e-5,
+        1e-4,
+        1e16,
+        1e17,
+    };
+    // ... and every number of the default SimConfig and the six
+    // presets' canonical encodings, which covers each double default.
+    std::vector<SimConfig> configs = {SimConfig{}};
+    for (const WorkloadPreset &preset : allPresets())
+        configs.push_back(SimConfig::make(preset, SchemeType::Shotgun));
+    for (const SimConfig &config : configs) {
+        const Value encoded = encodeSimConfig(config);
+        std::vector<const Value *> stack = {&encoded};
+        while (!stack.empty()) {
+            const Value *v = stack.back();
+            stack.pop_back();
+            if (v->isNumber())
+                pinned.push_back(v->asDouble());
+            else if (v->isObject())
+                for (const auto &member : v->members())
+                    stack.push_back(&member.second);
+        }
+    }
+    EXPECT_GT(pinned.size(), 6 * 40u);
+    for (double v : pinned) {
+        char expected[64];
+        std::snprintf(expected, sizeof(expected), "%.17g", v);
+        EXPECT_EQ(json::formatDouble(v), expected);
+    }
 }
 
 TEST(JsonHashTest, Fnv1a64KnownVectors)

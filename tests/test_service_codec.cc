@@ -214,6 +214,18 @@ TEST(ServiceCodecTest, SimResultRoundTrips)
     const SimResult decoded =
         decodeSimResult(Value::parse(encoded.dump()));
     EXPECT_TRUE(decoded == result);
+
+    // A probed result carries the optional "uarch" member.
+    result.uarch.enabled = true;
+    result.uarch.activeCycles = 7000000;
+    result.uarch.stallBTBMiss = 1234;
+    result.uarch.lifecycle[0].issued = 99;
+    result.uarch.lifecycle[0].timely = 90;
+    result.uarch.btbMissSites = {{0x400123, 17, 2}, {0x400456, 5, 0}};
+    result.uarch.l1iMissSites = {{0x7f0000, 3, 1}};
+    const std::string probed = encodeSimResult(result).dump();
+    EXPECT_EQ(Value::parse(probed).dump(), probed);
+    EXPECT_TRUE(decodeSimResult(Value::parse(probed)) == result);
 }
 
 TEST(ServiceCodecTest, FingerprintIsStableAndDiscriminates)
@@ -305,34 +317,58 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
         EXPECT_THROW(decodeSimConfig(Value::parse(mutated)),
                      CodecError);
     }
+
+    // A double that overflows to inf must not decode: it would
+    // re-encode as the non-JSON token `inf`. Underflow decodes to 0.
+    const std::string field = "\"issue_efficiency\":";
+    ASSERT_NE(bytes.find(field), std::string::npos);
+    const auto with_issue_efficiency = [&](const std::string &token) {
+        std::string mutated = bytes;
+        const auto pos = mutated.find(field) + field.size();
+        mutated.replace(pos, mutated.find(',', pos) - pos, token);
+        return Value::parse(mutated);
+    };
+    EXPECT_THROW(decodeSimConfig(with_issue_efficiency("1e400")),
+                 json::JsonError);
+    EXPECT_THROW(decodeSimConfig(with_issue_efficiency("-1e400")),
+                 json::JsonError);
+    EXPECT_EQ(decodeSimConfig(with_issue_efficiency("1e-400"))
+                  .core.issueEfficiency,
+              0.0);
 }
 
 // ---------------------------------------------------------- protocol
 
 TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
 {
+    // The 2x2 grid a Fig 7 resubmit sends: nutch and zeus x baseline
+    // and shotgun.
     SubmitRequest request;
     request.experiment = "unit";
     request.jobs = 3;
-    for (SchemeType type : {SchemeType::Baseline, SchemeType::Shotgun}) {
-        runner::Experiment exp;
-        exp.workload = "nutch";
-        exp.label = schemeTypeName(type);
-        exp.config =
-            SimConfig::make(makePreset(WorkloadId::Nutch), type);
-        request.grid.push_back(exp);
+    for (WorkloadId id : {WorkloadId::Nutch, WorkloadId::Zeus}) {
+        for (SchemeType type :
+             {SchemeType::Baseline, SchemeType::Shotgun}) {
+            runner::Experiment exp;
+            exp.workload = workloadName(id);
+            exp.label = schemeTypeName(type);
+            exp.config = SimConfig::make(makePreset(id), type);
+            request.grid.push_back(exp);
+        }
     }
 
     const Value frame = encodeSubmit(request);
     EXPECT_EQ(frameType(frame), "submit");
-    const SubmitRequest decoded =
-        decodeSubmit(Value::parse(frame.dump()));
+    const std::string bytes = frame.dump();
+    EXPECT_EQ(Value::parse(bytes).dump(), bytes);
+    const SubmitRequest decoded = decodeSubmit(Value::parse(bytes));
     EXPECT_EQ(decoded.experiment, "unit");
     EXPECT_EQ(decoded.jobs, 3u);
-    ASSERT_EQ(decoded.grid.size(), 2u);
+    ASSERT_EQ(decoded.grid.size(), 4u);
     EXPECT_EQ(decoded.grid[0].label, "baseline");
-    EXPECT_EQ(configFingerprint(decoded.grid[1].config),
-              configFingerprint(request.grid[1].config));
+    for (std::size_t i = 0; i < request.grid.size(); ++i)
+        EXPECT_EQ(configFingerprint(decoded.grid[i].config),
+                  configFingerprint(request.grid[i].config));
 }
 
 TEST(ServiceProtocolTest, SubmitRejectsBadFrames)
