@@ -28,41 +28,35 @@ needsEscape(char c)
 }
 
 /**
- * Append `s` escaped: runs of plain bytes are copied in one piece,
- * so a string that needs no escaping costs a single append.
+ * Hand `s` to `emit(data, size)` escaped: runs of plain bytes go out
+ * in one piece, so a string that needs no escaping is a single call.
+ * The one escaping routine: escape(), dump() and Writer all use it.
  */
+template <typename Emit>
 void
-appendEscaped(std::string &out, std::string_view s)
+emitEscaped(std::string_view s, Emit &&emit)
 {
     std::size_t run = 0;
     for (std::size_t i = 0; i < s.size(); ++i) {
         const char c = s[i];
         if (!needsEscape(c))
             continue;
-        out.append(s.data() + run, i - run);
+        emit(s.data() + run, i - run);
         run = i + 1;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
+          case '"': emit("\\\"", 2); break;
+          case '\\': emit("\\\\", 2); break;
+          case '\n': emit("\\n", 2); break;
+          case '\t': emit("\\t", 2); break;
           default: {
             static const char kHex[] = "0123456789abcdef";
             const char u[6] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
                                kHex[c & 0xf]};
-            out.append(u, sizeof(u));
+            emit(u, sizeof(u));
           }
         }
     }
-    out.append(s.data() + run, s.size() - run);
-}
-
-void
-appendQuoted(std::string &out, std::string_view s)
-{
-    out += '"';
-    appendEscaped(out, s);
-    out += '"';
+    emit(s.data() + run, s.size() - run);
 }
 
 /** "%.17g" of `v` into [first, last); returns the end of the text. */
@@ -112,7 +106,9 @@ escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    appendEscaped(out, s);
+    emitEscaped(s, [&out](const char *data, std::size_t size) {
+        out.append(data, size);
+    });
     return out;
 }
 
@@ -343,53 +339,14 @@ Value::at(std::string_view key) const
     return *v;
 }
 
-void
-Value::appendTo(std::string &out) const
-{
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
-        break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        break;
-      case Kind::Number:
-        out += scalar_;
-        break;
-      case Kind::String:
-        appendQuoted(out, scalar_);
-        break;
-      case Kind::Array:
-        out += '[';
-        for (std::size_t i = 0; i < items_.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            items_[i].appendTo(out);
-        }
-        out += ']';
-        break;
-      case Kind::Object:
-        out += '{';
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            appendQuoted(out, members_[i].first);
-            out += ':';
-            members_[i].second.appendTo(out);
-        }
-        out += '}';
-        break;
-    }
-}
-
 std::string
 Value::dump() const
 {
     // Small frames fit the first allocation; a canonical config
-    // (~2 KiB) or a 4-point submit (~9 KiB) regrows it geometrically.
+    // (~2 KiB) regrows it geometrically.
     std::string out;
     out.reserve(512);
-    appendTo(out);
+    Writer(out).value(*this);
     return out;
 }
 
@@ -398,6 +355,121 @@ Value::write(std::ostream &os) const
 {
     const std::string text = dump();
     os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+// -------------------------------------------------------------- writer
+
+void
+Writer::open(char bracket)
+{
+    separate();
+    raw(bracket);
+    comma_ = false;
+}
+
+void
+Writer::close(char bracket)
+{
+    raw(bracket);
+    comma_ = true;
+}
+
+void
+Writer::rawEscaped(std::string_view s)
+{
+    raw('"');
+    emitEscaped(s, [this](const char *data, std::size_t size) {
+        raw(data, size);
+    });
+    raw('"');
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    separate();
+    rawEscaped(name);
+    raw(':');
+    comma_ = false;
+    return *this;
+}
+
+void
+Writer::string(std::string_view s)
+{
+    separate();
+    rawEscaped(s);
+}
+
+void
+Writer::number(std::uint64_t v)
+{
+    separate();
+    char buf[24];
+    raw(buf, static_cast<std::size_t>(
+                 std::to_chars(buf, buf + sizeof(buf), v).ptr - buf));
+}
+
+void
+Writer::number(double v)
+{
+    separate();
+    char buf[32];
+    raw(buf, static_cast<std::size_t>(
+                 formatDoubleTo(buf, buf + sizeof(buf), v) - buf));
+}
+
+void
+Writer::boolean(bool b)
+{
+    separate();
+    if (b)
+        raw("true", 4);
+    else
+        raw("false", 5);
+}
+
+void
+Writer::null()
+{
+    separate();
+    raw("null", 4);
+}
+
+void
+Writer::value(const Value &v)
+{
+    switch (v.kind()) {
+      case Value::Kind::Null:
+        null();
+        break;
+      case Value::Kind::Bool:
+        boolean(v.asBool());
+        break;
+      case Value::Kind::Number: {
+        separate();
+        const std::string &token = v.numberToken();
+        raw(token.data(), token.size());
+        break;
+      }
+      case Value::Kind::String:
+        string(v.asString());
+        break;
+      case Value::Kind::Array:
+        beginArray();
+        for (const Value &item : v.items())
+            value(item);
+        endArray();
+        break;
+      case Value::Kind::Object:
+        beginObject();
+        for (const Value::Member &member : v.members()) {
+            key(member.first);
+            value(member.second);
+        }
+        endObject();
+        break;
+    }
 }
 
 // -------------------------------------------------------------- parser
@@ -682,11 +754,9 @@ Value::parse(std::string_view text)
 std::uint64_t
 fnv1a64(std::string_view bytes)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
+    std::uint64_t hash = kFnv1aBasis;
+    for (unsigned char c : bytes)
+        hash = fnv1aStep(hash, c);
     return hash;
 }
 

@@ -21,10 +21,11 @@
  *    underflow reads as strtod reads it (0 or a subnormal).
  *  - Object members preserve insertion order (canonical output is
  *    ordered by construction, not by sorting).
- *  - One writer: dump() appends the whole tree into a single
- *    reserved string, copying every run of bytes that needs no
- *    escaping in one piece; write() streams that string. No stream
- *    call or temporary string per member.
+ *  - One writer: Writer streams a document straight into a string
+ *    or into FNV-1a, with no tree. dump() is that writer walking a
+ *    Value, so a streamed document and a dumped tree of the same
+ *    content are the same bytes by construction. Every run of bytes
+ *    that needs no escaping is copied in one piece.
  *  - The parser walks the text with pointers and copies each run of
  *    plain string bytes in one append; lookups (find/at) take a
  *    string_view, so probing a key allocates nothing.
@@ -152,14 +153,106 @@ class Value
     static Value parse(std::string_view text);
 
   private:
-    /** The writer behind dump(): appends this value's text to `out`. */
-    void appendTo(std::string &out) const;
-
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     std::string scalar_; ///< Number token or string content.
     std::vector<Value> items_;
     std::vector<Member> members_;
+};
+
+/** FNV-1a 64: the offset basis, and one byte folded in. */
+constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+constexpr std::uint64_t
+fnv1aStep(std::uint64_t hash, unsigned char byte)
+{
+    return (hash ^ byte) * 0x100000001b3ULL;
+}
+
+/**
+ * The canonical writer: compact single-line JSON, streamed. The
+ * caller opens containers and names keys; the writer places every
+ * ',' and ':'. It either appends to a string -- an outgoing frame, a
+ * cache key -- or folds the bytes into FNV-1a 64 (hash()) and keeps
+ * none of them, which is how a config is fingerprinted without
+ * building or storing its encoding.
+ *
+ * Strings are escaped and doubles formatted ("%.17g") by the same
+ * code Value uses, and Value::dump() is this writer walking the tree.
+ */
+class Writer
+{
+  public:
+    /** Append to `out`; what it already holds is kept. */
+    explicit Writer(std::string &out) : out_(&out) {}
+
+    /** Hash instead of storing the bytes; read the result with hash(). */
+    Writer() = default;
+
+    void beginObject() { open('{'); }
+    void endObject() { close('}'); }
+    void beginArray() { open('['); }
+    void endArray() { close(']'); }
+
+    /** Name the next member of the open object; write its value next. */
+    Writer &key(std::string_view name);
+
+    void string(std::string_view s);
+    void number(std::uint64_t v);
+    void number(double v);
+    void boolean(bool b);
+    void null();
+
+    /** A whole tree, written as dump() writes it. */
+    void value(const Value &v);
+
+    /** FNV-1a 64 of everything a hashing writer was given. */
+    std::uint64_t hash() const { return hash_; }
+
+  private:
+    void open(char bracket);
+    void close(char bracket);
+
+    /** The ',' owed before a value or key that follows another. */
+    void
+    separate()
+    {
+        if (comma_)
+            raw(',');
+        comma_ = true;
+    }
+
+    void
+    raw(const char *data, std::size_t size)
+    {
+        if (out_ != nullptr) {
+            out_->append(data, size);
+            return;
+        }
+        for (std::size_t i = 0; i < size; ++i)
+            fold(data[i]);
+    }
+
+    void
+    raw(char c)
+    {
+        if (out_ != nullptr)
+            out_->push_back(c);
+        else
+            fold(c);
+    }
+
+    void
+    fold(char c)
+    {
+        hash_ = fnv1aStep(hash_, static_cast<unsigned char>(c));
+    }
+
+    void rawEscaped(std::string_view s);
+
+    std::string *out_ = nullptr;
+    std::uint64_t hash_ = kFnv1aBasis;
+    bool comma_ = false; ///< A ',' is owed before the next value or key.
 };
 
 /**

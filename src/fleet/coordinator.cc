@@ -80,10 +80,10 @@ struct FleetCoordinator::Connection
         return sendRaw(frame.dump());
     }
 
-    bool sendRaw(const std::string &line)
+    bool sendRaw(std::string line)
     {
         std::lock_guard<std::mutex> lock(writeMutex);
-        return channel.sendLine(line);
+        return channel.sendLine(std::move(line));
     }
 };
 
@@ -632,8 +632,7 @@ FleetCoordinator::pumpLocked(SendBatch &sends)
                     .count());
             obs::tracer().record(std::move(span));
         }
-        sends.emplace_back(slot->conn,
-                           service::encodeWork(item).dump());
+        sends.emplace_back(slot->conn, service::encodeWork(item));
     }
 }
 
@@ -644,7 +643,7 @@ FleetCoordinator::sendBatch(SendBatch &sends)
     // hit EOF and requeue the task, so the failure needs no handling
     // here.
     for (auto &send : sends)
-        send.first->sendRaw(send.second);
+        send.first->sendRaw(std::move(send.second));
     sends.clear();
 }
 
@@ -707,7 +706,7 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
                         event.timing = job->pointTimings[i];
                     }
                 }
-                conn->sendFrame(service::encodeResultEvent(event));
+                conn->sendRaw(service::encodeResultEvent(event));
             }
         }
         if (trace_emit) {

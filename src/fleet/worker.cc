@@ -299,7 +299,7 @@ FleetWorker::slotLoop(unsigned slot_index)
                     }
                 }
                 if (!channel->sendLine(
-                        service::encodeWorkResult(out).dump()))
+                        service::encodeWorkResult(out)))
                     break;
                 if (out.ok)
                     completed_.fetch_add(1);

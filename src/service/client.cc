@@ -44,7 +44,13 @@ ServiceClient::recvLineOrThrow()
 json::Value
 ServiceClient::request(const json::Value &frame)
 {
-    if (!channel_.sendLine(frame.dump()))
+    return request(frame.dump());
+}
+
+json::Value
+ServiceClient::request(std::string line)
+{
+    if (!channel_.sendLine(std::move(line)))
         throw SocketError("send to " + endpoint_ + " failed");
     Value reply = Value::parse(recvLineOrThrow());
     if (frameType(reply) == "error")

@@ -105,6 +105,7 @@ class ServiceClient
 
   private:
     json::Value request(const json::Value &frame);
+    json::Value request(std::string line);
     std::string recvLineOrThrow();
 
     std::string endpoint_;

@@ -1,13 +1,14 @@
 /**
  * @file
- * Strict decoding of the canonical SimConfig encoding (sim/canonical.hh)
- * plus the canonical SimResult/StatsDelta codec, as compact single-line
- * JSON. The service embeds these objects in its frames
+ * Strict decoding of the canonical encodings (sim/canonical.hh): one
+ * reader runs each struct's field list (sim/fields.hh) over a parsed
+ * JSON object. The service embeds these objects in its frames
  * (service/protocol.hh).
  *
- * Decoding is strict in both directions: a missing field, an unknown
- * field, or a kind mismatch raises CodecError (derived from
- * json::JsonError) -- frames are rejected, the process never dies.
+ * Decoding is strict: a missing field, an unknown field, a kind
+ * mismatch or a value the simulator cannot run (the struct's
+ * brokenRule()) raises CodecError (derived from json::JsonError) --
+ * frames are rejected, the process never dies.
  *
  * Workloads round-trip two ways: the canonical form embeds the full
  * WorkloadPreset (program-model parameters, data-side knobs and the
@@ -43,32 +44,16 @@ struct CodecError : json::JsonError
 
 // ------------------------------------------------------------- encode
 
-// The canonical config encoding and identity live in the sim layer;
-// these keep the service-qualified names working.
+// The canonical encoders and identity live in the sim layer; these
+// keep the service-qualified names working.
 using shotgun::configFingerprint;
 using shotgun::encodeSimConfig;
+using shotgun::encodeSimResult;
+using shotgun::encodeStatsDelta;
+using shotgun::encodeUarchBreakdown;
 using shotgun::fingerprintHex;
 
-json::Value encodeSimResult(const SimResult &result);
-
-/**
- * Raw per-window counters (sim/stats_delta.hh), shipped in windowed
- * `result` frames so the client stitches from exact integers, never
- * from derived doubles.
- */
-json::Value encodeStatsDelta(const StatsDelta &delta);
-
-/**
- * Microarchitectural probe payload (obs/uarch.hh). SimResult and
- * StatsDelta embed it as the *optional* "uarch" member, emitted only
- * when the run had probes enabled, so probe-free payloads are
- * byte-identical to what they were before the probe layer existed.
- */
-json::Value encodeUarchBreakdown(const obs::UarchBreakdown &u);
-
 // ------------------------------------------------------------- decode
-
-ProgramParams decodeProgramParams(const json::Value &v);
 
 /**
  * Accepts the canonical object form or a compact string (preset name
@@ -77,21 +62,18 @@ ProgramParams decodeProgramParams(const json::Value &v);
  */
 WorkloadPreset decodeWorkloadPreset(const json::Value &v);
 
-CoreParams decodeCoreParams(const json::Value &v);
-SchemeConfig decodeSchemeConfig(const json::Value &v);
 
 /**
  * Strict decode plus semantic validation (an enabled window must be
  * a non-empty range; a stream skip needs a window): an invalid
  * window is a rejected frame, never a fatal() inside a simulation
- * worker thread of the daemon.
+ * worker thread of the daemon. Every decoder validates the same way.
  */
 SimWindow decodeSimWindow(const json::Value &v);
 
 SimConfig decodeSimConfig(const json::Value &v);
 SimResult decodeSimResult(const json::Value &v);
 StatsDelta decodeStatsDelta(const json::Value &v);
-obs::UarchBreakdown decodeUarchBreakdown(const json::Value &v);
 
 // ------------------------------------------------- trace validation
 

@@ -25,17 +25,17 @@ checkProtocol(const json::Value &frame)
 // are absent unless tracing is active, and peers that predate them
 // parse the frames unchanged).
 
-/** Append {"trace":{"id":N,"parent":N}} when a trace id is set. */
+/** Write "trace":{"id":N,"parent":N} when a trace id is set. */
 void
-setTraceRef(Value &v, std::uint64_t trace_id,
-            std::uint64_t parent_span)
+writeTraceRef(json::Writer &w, std::uint64_t trace_id,
+              std::uint64_t parent_span)
 {
     if (trace_id == 0)
         return;
-    Value trace = Value::object();
-    trace.set("id", Value::number(trace_id));
-    trace.set("parent", Value::number(parent_span));
-    v.set("trace", std::move(trace));
+    w.key("trace").beginObject();
+    w.key("id").number(trace_id);
+    w.key("parent").number(parent_span);
+    w.endObject();
 }
 
 void
@@ -49,14 +49,14 @@ getTraceRef(const Value &frame, std::uint64_t &trace_id,
 }
 
 void
-setSpans(Value &v, const std::vector<obs::SpanRecord> &spans)
+writeSpans(json::Writer &w, const std::vector<obs::SpanRecord> &spans)
 {
     if (spans.empty())
         return;
-    Value array = Value::array();
+    w.key("spans").beginArray();
     for (const obs::SpanRecord &span : spans)
-        array.push(obs::spanToJson(span));
-    v.set("spans", std::move(array));
+        w.value(obs::spanToJson(span));
+    w.endArray();
 }
 
 std::vector<obs::SpanRecord>
@@ -71,16 +71,51 @@ getSpans(const Value &frame)
 }
 
 void
-setTiming(Value &v, bool has_timing, const obs::PointTiming &timing)
+writeTiming(json::Writer &w, bool has_timing,
+            const obs::PointTiming &timing)
 {
     if (!has_timing)
         return;
-    Value t = Value::object();
-    t.set("decode_us", Value::number(timing.decodeUs));
-    t.set("warmup_us", Value::number(timing.warmupUs));
-    t.set("restore_us", Value::number(timing.restoreUs));
-    t.set("measure_us", Value::number(timing.measureUs));
-    v.set("timing", std::move(t));
+    w.key("timing").beginObject();
+    w.key("decode_us").number(timing.decodeUs);
+    w.key("warmup_us").number(timing.warmupUs);
+    w.key("restore_us").number(timing.restoreUs);
+    w.key("measure_us").number(timing.measureUs);
+    w.endObject();
+}
+
+/** A frame's line: room for its configs or results up front. */
+std::string
+frameBuffer(std::size_t payloads)
+{
+    std::string line;
+    line.reserve(256 + 2304 * payloads);
+    return line;
+}
+
+/** One grid point, as submit and work frames carry it. */
+void
+writeExperiment(json::Writer &w, const runner::Experiment &exp)
+{
+    w.beginObject();
+    w.key("workload").string(exp.workload);
+    w.key("label").string(exp.label);
+    writeCanonical(w.key("config"), exp.config);
+    w.endObject();
+}
+
+/** The members a worker's and a server's result frames share. */
+void
+writeOutcome(json::Writer &w, const SimResult &result, bool has_delta,
+             const StatsDelta &delta,
+             const std::vector<obs::SpanRecord> &spans, bool has_timing,
+             const obs::PointTiming &timing)
+{
+    writeCanonical(w.key("result"), result);
+    if (has_delta)
+        writeCanonical(w.key("delta"), delta);
+    writeSpans(w, spans);
+    writeTiming(w, has_timing, timing);
 }
 
 bool
@@ -98,16 +133,6 @@ getTiming(const Value &frame, obs::PointTiming &timing)
 
 } // namespace
 
-json::Value
-encodeExperiment(const runner::Experiment &exp)
-{
-    Value e = Value::object();
-    e.set("workload", Value::string(exp.workload));
-    e.set("label", Value::string(exp.label));
-    e.set("config", encodeSimConfig(exp.config));
-    return e;
-}
-
 runner::Experiment
 decodeExperiment(const json::Value &v)
 {
@@ -118,21 +143,24 @@ decodeExperiment(const json::Value &v)
     return exp;
 }
 
-json::Value
+std::string
 encodeSubmit(const SubmitRequest &request)
 {
-    Value grid = Value::array();
+    std::string line = frameBuffer(request.grid.size());
+    json::Writer w(line);
+    w.beginObject();
+    w.key("type").string("submit");
+    w.key("protocol").number(kProtocolVersion);
+    w.key("experiment").string(request.experiment);
+    w.key("jobs").number(request.jobs);
+    w.key("priority").number(request.priority);
+    w.key("grid").beginArray();
     for (const runner::Experiment &exp : request.grid)
-        grid.push(encodeExperiment(exp));
-    Value v = Value::object();
-    v.set("type", Value::string("submit"));
-    v.set("protocol", Value::number(kProtocolVersion));
-    v.set("experiment", Value::string(request.experiment));
-    v.set("jobs", Value::number(request.jobs));
-    v.set("priority", Value::number(request.priority));
-    v.set("grid", std::move(grid));
-    setTraceRef(v, request.traceId, request.parentSpan);
-    return v;
+        writeExperiment(w, exp);
+    w.endArray();
+    writeTraceRef(w, request.traceId, request.parentSpan);
+    w.endObject();
+    return line;
 }
 
 SubmitRequest
@@ -155,23 +183,23 @@ decodeSubmit(const json::Value &frame)
     return request;
 }
 
-json::Value
+std::string
 encodeResultEvent(const ResultEvent &event)
 {
-    Value v = Value::object();
-    v.set("type", Value::string("result"));
-    v.set("job", Value::number(event.job));
-    v.set("index", Value::number(event.index));
-    v.set("cached", Value::boolean(event.cached));
-    v.set("workload", Value::string(event.workload));
-    v.set("label", Value::string(event.label));
-    v.set("fingerprint", Value::string(event.fingerprint));
-    v.set("result", encodeSimResult(event.result));
-    if (event.hasDelta)
-        v.set("delta", encodeStatsDelta(event.delta));
-    setSpans(v, event.spans);
-    setTiming(v, event.hasTiming, event.timing);
-    return v;
+    std::string line = frameBuffer(1);
+    json::Writer w(line);
+    w.beginObject();
+    w.key("type").string("result");
+    w.key("job").number(event.job);
+    w.key("index").number(event.index);
+    w.key("cached").boolean(event.cached);
+    w.key("workload").string(event.workload);
+    w.key("label").string(event.label);
+    w.key("fingerprint").string(event.fingerprint);
+    writeOutcome(w, event.result, event.hasDelta, event.delta,
+                 event.spans, event.hasTiming, event.timing);
+    w.endObject();
+    return line;
 }
 
 ResultEvent
@@ -346,15 +374,18 @@ decodeHeartbeat(const json::Value &frame)
     return heartbeat;
 }
 
-json::Value
+std::string
 encodeWork(const WorkItem &item)
 {
-    Value v = Value::object();
-    v.set("type", Value::string("work"));
-    v.set("task", Value::number(item.task));
-    v.set("experiment", encodeExperiment(item.experiment));
-    setTraceRef(v, item.traceId, item.parentSpan);
-    return v;
+    std::string line = frameBuffer(1);
+    json::Writer w(line);
+    w.beginObject();
+    w.key("type").string("work");
+    w.key("task").number(item.task);
+    writeExperiment(w.key("experiment"), item.experiment);
+    writeTraceRef(w, item.traceId, item.parentSpan);
+    w.endObject();
+    return line;
 }
 
 WorkItem
@@ -367,25 +398,25 @@ decodeWork(const json::Value &frame)
     return item;
 }
 
-json::Value
+std::string
 encodeWorkResult(const WorkResult &result)
 {
-    Value v = Value::object();
-    v.set("type", Value::string("result"));
-    v.set("task", Value::number(result.task));
-    v.set("ok", Value::boolean(result.ok));
+    std::string line = frameBuffer(1);
+    json::Writer w(line);
+    w.beginObject();
+    w.key("type").string("result");
+    w.key("task").number(result.task);
+    w.key("ok").boolean(result.ok);
     if (!result.ok) {
-        v.set("message", Value::string(result.message));
-        return v;
+        w.key("message").string(result.message);
+    } else {
+        w.key("cached").boolean(result.cached);
+        w.key("fingerprint").string(result.fingerprint);
+        writeOutcome(w, result.result, result.hasDelta, result.delta,
+                     result.spans, result.hasTiming, result.timing);
     }
-    v.set("cached", Value::boolean(result.cached));
-    v.set("fingerprint", Value::string(result.fingerprint));
-    v.set("result", encodeSimResult(result.result));
-    if (result.hasDelta)
-        v.set("delta", encodeStatsDelta(result.delta));
-    setSpans(v, result.spans);
-    setTiming(v, result.hasTiming, result.timing);
-    return v;
+    w.endObject();
+    return line;
 }
 
 WorkResult
@@ -506,8 +537,7 @@ validateExperimentTrace(const runner::Experiment &exp,
                  .emplace(path,
                           std::make_pair(
                               info.instructions,
-                              encodeProgramParams(info.preset.program)
-                                  .dump()))
+                              canonicalText(info.preset.program)))
                  .first;
     }
     // A windowed config fast-forwards to window.measureEnd at most
@@ -526,7 +556,7 @@ validateExperimentTrace(const runner::Experiment &exp,
         return false;
     }
     if (it->second.second !=
-        encodeProgramParams(exp.config.workload.program).dump()) {
+        canonicalText(exp.config.workload.program)) {
         error = "experiment \"" + exp.workload + "/" + exp.label +
                 "\": trace '" + path +
                 "' on this server was recorded from different "

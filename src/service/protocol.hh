@@ -70,8 +70,11 @@
  *
  * This header provides typed encode/decode for the structured frames;
  * trivial frames (ping/pong/bye/attach/steal/ack/...) are built
- * inline where used. Decoding throws CodecError/JsonError on
- * malformed frames.
+ * inline where used. The four frames that carry a config or a result
+ * -- submit, work and both kinds of result -- encode straight into
+ * their line through json::Writer, with no tree; the others build a
+ * json::Value. Decoding parses a line into a tree and throws
+ * CodecError/JsonError on malformed frames.
  */
 
 #ifndef SHOTGUN_SERVICE_PROTOCOL_HH
@@ -123,7 +126,7 @@ struct SubmitRequest
     std::uint64_t parentSpan = 0;
 };
 
-json::Value encodeSubmit(const SubmitRequest &request);
+std::string encodeSubmit(const SubmitRequest &request);
 SubmitRequest decodeSubmit(const json::Value &frame);
 
 /** One streamed result, index-aligned with the submitted grid. */
@@ -154,7 +157,7 @@ struct ResultEvent
     obs::PointTiming timing;
 };
 
-json::Value encodeResultEvent(const ResultEvent &event);
+std::string encodeResultEvent(const ResultEvent &event);
 ResultEvent decodeResultEvent(const json::Value &frame);
 
 /** Terminal job states reported in `done` frames. */
@@ -255,7 +258,7 @@ struct WorkItem
     std::uint64_t parentSpan = 0;
 };
 
-json::Value encodeWork(const WorkItem &item);
+std::string encodeWork(const WorkItem &item);
 WorkItem decodeWork(const json::Value &frame);
 
 /**
@@ -285,7 +288,7 @@ struct WorkResult
     obs::PointTiming timing;
 };
 
-json::Value encodeWorkResult(const WorkResult &result);
+std::string encodeWorkResult(const WorkResult &result);
 WorkResult decodeWorkResult(const json::Value &frame);
 
 /** One worker's row in a coordinator `status` frame's fleet member. */
@@ -331,7 +334,6 @@ WorkerStatus decodeWorkerStatus(const json::Value &v);
 // -------------------------------------------------- shared helpers
 
 /** Wire form of one grid point (shared by submit and work frames). */
-json::Value encodeExperiment(const runner::Experiment &exp);
 runner::Experiment decodeExperiment(const json::Value &v);
 
 /**

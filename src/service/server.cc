@@ -97,10 +97,12 @@ struct SimServer::Connection
     std::mutex writeMutex;
 
     /** False when the peer is gone; callers just stop streaming. */
-    bool sendFrame(const Value &frame)
+    bool sendFrame(const Value &frame) { return sendLine(frame.dump()); }
+
+    bool sendLine(std::string line)
     {
         std::lock_guard<std::mutex> lock(writeMutex);
-        return channel.sendLine(frame.dump());
+        return channel.sendLine(std::move(line));
     }
 };
 
@@ -479,7 +481,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
                 event.timing = observation->value.timing;
             }
         }
-        conn->sendFrame(encodeResultEvent(event));
+        conn->sendLine(encodeResultEvent(event));
     };
     hooks.onDone = [this, job, owner](
                        const runner::GridScheduler::Outcome &outcome) {

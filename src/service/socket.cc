@@ -417,13 +417,10 @@ LineChannel::recvLine(std::string &line)
 }
 
 bool
-LineChannel::sendLine(const std::string &line)
+LineChannel::sendLine(std::string line)
 {
-    std::string framed;
-    framed.reserve(line.size() + 1);
-    framed = line;
-    framed += '\n';
-    return sock_.sendAll(framed.data(), framed.size());
+    line += '\n';
+    return sock_.sendAll(line.data(), line.size());
 }
 
 } // namespace service

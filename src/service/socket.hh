@@ -204,8 +204,11 @@ class LineChannel
      */
     bool timedOut() const { return timedOut_; }
 
-    /** Appends '\n'; false on send failure. */
-    bool sendLine(const std::string &line);
+    /**
+     * Appends '\n' to `line` itself -- the caller's frame buffer,
+     * moved in, not a copy of it -- and sends; false on failure.
+     */
+    bool sendLine(std::string line);
 
   private:
     static constexpr std::size_t kMaxLine = 64u << 20;

@@ -65,7 +65,7 @@ programFor(const WorkloadPreset &preset)
     static MemoCache<std::string, Program> cache;
     // The cache retains every entry for the process lifetime, so the
     // reference stays valid.
-    return *cache.get(encodeProgramParams(preset.program).dump(),
+    return *cache.get(canonicalText(preset.program),
                       [&preset]() { return Program(preset.program); });
 }
 
@@ -145,8 +145,8 @@ runSimulationDelta(const SimConfig &config)
         // Compare every generation parameter but the display name.
         ProgramParams recorded_program = recorded->program;
         recorded_program.name = config.workload.program.name;
-        fatal_if(encodeProgramParams(recorded_program).dump() !=
-                     encodeProgramParams(config.workload.program).dump(),
+        fatal_if(canonicalText(recorded_program) !=
+                     canonicalText(config.workload.program),
                  "trace '%s' was recorded from program '%s', which "
                  "does not match this workload's program parameters",
                  trace_path.c_str(), recorded->program.name.c_str());

@@ -2,8 +2,11 @@
 
 #include <cstring>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "common/logging.hh"
+#include "trace/preset_fields.hh"
 
 namespace shotgun
 {
@@ -48,16 +51,26 @@ byteSwap32(std::uint32_t v)
            ((v & 0x00ff0000u) >> 8) | ((v & 0xff000000u) >> 24);
 }
 
-/** Writing side of the symmetric header field list below. */
+/**
+ * The trace header's side of the workload field lists
+ * (trace/preset_fields.hh): the preset in list order, as fixed-width
+ * little-endian integers, IEEE doubles, u16-length strings and the
+ * workload id as one byte. The trace path is a binding to this host,
+ * not file content, so it is not archived.
+ */
 struct WriteArchive
 {
     std::ofstream &out;
 
-    void u32(std::uint32_t &v) { putLE(out, v, 4); }
-    void u64(std::uint64_t &v) { putLE(out, v, 8); }
+    template <typename T>
+    std::enable_if_t<std::is_integral_v<T>>
+    operator()(std::string_view, T v)
+    {
+        putLE(out, v, sizeof(T));
+    }
 
     void
-    f64(double &v)
+    operator()(std::string_view, double v)
     {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &v, sizeof(bits));
@@ -65,7 +78,7 @@ struct WriteArchive
     }
 
     void
-    str(std::string &s)
+    operator()(std::string_view, const std::string &s)
     {
         fatal_if(s.size() > std::numeric_limits<std::uint16_t>::max(),
                  "trace header string too long (%zu bytes)", s.size());
@@ -73,12 +86,21 @@ struct WriteArchive
         out.write(s.data(), static_cast<std::streamsize>(s.size()));
     }
 
-    std::uint8_t
-    u8r(std::uint8_t v)
+    template <typename E>
+    void
+    operator()(std::string_view, E e, EnumNames<E>)
     {
-        putLE(out, v, 1);
-        return v;
+        putLE(out, static_cast<std::uint8_t>(e), 1);
     }
+
+    template <typename S>
+    std::enable_if_t<std::is_class_v<S>>
+    operator()(std::string_view, const S &s)
+    {
+        visitFields(*this, s);
+    }
+
+    void binding(std::string_view, const std::string &) {}
 };
 
 /**
@@ -111,18 +133,22 @@ struct ReadArchive
         return value;
     }
 
-    void u32(std::uint32_t &v) { v = static_cast<std::uint32_t>(get(4)); }
-    void u64(std::uint64_t &v) { v = get(8); }
+    template <typename T>
+    std::enable_if_t<std::is_integral_v<T>>
+    operator()(std::string_view, T &v)
+    {
+        v = static_cast<T>(get(sizeof(T)));
+    }
 
     void
-    f64(double &v)
+    operator()(std::string_view, double &v)
     {
         const std::uint64_t bits = get(8);
         std::memcpy(&v, &bits, sizeof(v));
     }
 
     void
-    str(std::string &s)
+    operator()(std::string_view, std::string &s)
     {
         const auto len = static_cast<std::size_t>(get(2));
         s.resize(len);
@@ -132,68 +158,22 @@ struct ReadArchive
                               "': truncated trace header"};
     }
 
-    std::uint8_t
-    u8r(std::uint8_t v)
+    template <typename E>
+    void
+    operator()(std::string_view, E &e, EnumNames<E>)
     {
-        (void)v;
-        return static_cast<std::uint8_t>(get(1));
+        e = static_cast<E>(get(1));
     }
+
+    template <typename S>
+    std::enable_if_t<std::is_class_v<S>>
+    operator()(std::string_view, S &s)
+    {
+        fields(*this, s);
+    }
+
+    void binding(std::string_view, std::string &) {}
 };
-
-/**
- * The one field list both sides share: every WorkloadPreset knob that
- * shapes generation or the data-side model, in fixed order. tracePath
- * is a runtime binding, not file content, so it is not serialized.
- */
-template <typename Ar>
-void
-archivePreset(Ar &ar, WorkloadPreset &p)
-{
-    p.id = static_cast<WorkloadId>(
-        ar.u8r(static_cast<std::uint8_t>(p.id)));
-    ar.str(p.name);
-    ar.f64(p.loadFrac);
-    ar.f64(p.l1dMissRate);
-    ar.f64(p.llcDataMissFrac);
-    ar.f64(p.backgroundLoad);
-
-    ProgramParams &g = p.program;
-    ar.str(g.name);
-    ar.u32(g.numFuncs);
-    ar.u32(g.numOsFuncs);
-    ar.u32(g.numTrapHandlers);
-    ar.u32(g.numTopLevel);
-    ar.f64(g.zipfAlpha);
-    ar.f64(g.osZipfAlpha);
-    ar.f64(g.topZipfAlpha);
-    ar.f64(g.bbGrowProb);
-    ar.u32(g.minBBInstrs);
-    ar.u32(g.maxBBInstrs);
-    ar.f64(g.funcGrowProb);
-    ar.u32(g.minBBsPerFunc);
-    ar.u32(g.maxBBsPerFunc);
-    ar.f64(g.largeFuncFrac);
-    ar.u32(g.largeFuncBBs);
-    ar.f64(g.condFrac);
-    ar.f64(g.callFrac);
-    ar.f64(g.jumpFrac);
-    ar.f64(g.trapFrac);
-    ar.f64(g.loopFrac);
-    ar.f64(g.patternFrac);
-    ar.f64(g.strongFrac);
-    ar.f64(g.mediumFrac);
-    ar.u32(g.minLoopTrip);
-    ar.u32(g.maxLoopTrip);
-    ar.f64(g.strongProb);
-    ar.f64(g.mediumProb);
-    ar.f64(g.weakProb);
-    ar.f64(g.takenBiasFrac);
-    ar.f64(g.stickyFrac);
-    ar.u32(g.maxCondSkip);
-    ar.u32(g.maxCallDepth);
-    ar.u32(g.maxOsCallDepth);
-    ar.u64(g.seed);
-}
 
 /**
  * Validate magic/version and parse the full header of an open file;
@@ -237,10 +217,10 @@ parseHeaderOrThrow(std::ifstream &in, const std::string &path)
 
     TraceInfo info;
     ReadArchive ar{in, path};
-    ar.u64(info.records);
-    ar.u64(info.instructions);
-    ar.u64(info.traceSeed);
-    archivePreset(ar, info.preset);
+    info.records = ar.get(8);
+    info.instructions = ar.get(8);
+    info.traceSeed = ar.get(8);
+    fields(ar, info.preset);
     if (info.preset.id >= WorkloadId::NumWorkloads)
         throw HeaderError{"'" + path +
                           "': corrupt trace header (bad workload id)"};
@@ -273,9 +253,8 @@ TraceWriter::TraceWriter(const std::string &path,
     putLE(out_, count_, 8);  // patched in close()
     putLE(out_, instrs_, 8); // patched in close()
     putLE(out_, trace_seed, 8);
-    WorkloadPreset copy = preset;
     WriteArchive ar{out_};
-    archivePreset(ar, copy);
+    visitFields(ar, preset);
     fatal_if(!out_, "write error on trace file '%s'", path.c_str());
 }
 

@@ -481,8 +481,7 @@ TEST(FleetTest, OverflowingNumberIsRejectedAtSubmit)
     awaitWorkers(coord.coordinator(), 1);
 
     std::string frame =
-        service::encodeSubmit(requestFor(quickGrid(1), "fleet-overflow"))
-            .dump();
+        service::encodeSubmit(requestFor(quickGrid(1), "fleet-overflow"));
     const std::string field = "\"issue_efficiency\":";
     const auto pos = frame.find(field);
     ASSERT_NE(pos, std::string::npos);
@@ -503,6 +502,43 @@ TEST(FleetTest, OverflowingNumberIsRejectedAtSubmit)
     EXPECT_EQ(type, "error") << line;
     EXPECT_NE(line.find("out of range"), std::string::npos) << line;
     EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+}
+
+TEST(FleetTest, UnrunnableConfigIsRejectedAndTheWorkerSurvives)
+{
+    // Confluence with a zero-way index table divides by zero when the
+    // scheme is built, which would kill the worker that ran it. It
+    // must be an error reply at submit, and the same worker must go on
+    // to serve a normal grid.
+    TestCoordinator coord("unrunnable");
+    TestWorker worker("unrunnable-w", coord.endpoint(), 2);
+    awaitWorkers(coord.coordinator(), 1);
+
+    const WorkloadPreset preset = tinyPreset("fleet-unrunnable", 0xbad);
+    SimConfig config = SimConfig::make(preset, SchemeType::Confluence);
+    config.warmupInstructions = 20000;
+    config.measureInstructions = 50000;
+    config.scheme.confluence.indexWays = 0;
+    runner::ExperimentSet hostile;
+    hostile.add(preset, "confluence", config);
+
+    ServiceClient client(coord.endpoint(), 10);
+    try {
+        client.submit(requestFor(hostile, "fleet-unrunnable"));
+        ADD_FAILURE() << "an unrunnable config was accepted";
+    } catch (const service::ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find("index_ways"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+    const auto remote = client.submit(requestFor(set, "fleet-after"));
+    ASSERT_EQ(remote.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
 }
 
 TEST(FleetTest, PersistentCacheAnswersAcrossRestartWithoutWorkers)

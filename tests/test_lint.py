@@ -4,7 +4,7 @@
 Pins: every fixture violation is detected (golden output, byte-exact),
 suppressions waive exactly what they annotate, the clean fixtures stay
 clean, the real tree is green with zero unsuppressed findings, and a
-mutated clone constructor is caught.
+mutated clone constructor and a mutated wire field list are caught.
 """
 
 import os
@@ -101,6 +101,26 @@ class TestMutation(unittest.TestCase):
                 "clone_clean.cc", out,
                 "mutated clone ctor not caught:\n" + out)
             self.assertIn("'count_' of Engine", out)
+
+
+    def test_member_dropped_from_field_list_is_caught(self):
+        # A copy of the scanned tree with ras_entries deleted from
+        # CoreParams' field list: every encoding would lose it.
+        with tempfile.TemporaryDirectory() as tmp:
+            for top in ("src", "tools"):
+                shutil.copytree(os.path.join(REPO, top),
+                                os.path.join(tmp, top))
+            path = os.path.join(tmp, "src", "sim", "fields.hh")
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+            line = '    v("ras_entries", p.rasEntries);\n'
+            self.assertIn(line, text)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(line, ""))
+            code, out, _err = run_lint("--root", tmp)
+            self.assertEqual(code, 1)
+            self.assertIn("src/sim/fields.hh:", out)
+            self.assertIn("member 'rasEntries' of CoreParams", out)
 
 
 class TestCli(unittest.TestCase):

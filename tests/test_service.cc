@@ -224,7 +224,8 @@ TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
     entry.set("config", encodeSimConfig(exp.config));
     json::Value grid = json::Value::array();
     grid.push(std::move(entry));
-    const json::Value clean_frame = encodeSubmit(request);
+    const json::Value clean_frame =
+        json::Value::parse(encodeSubmit(request));
     json::Value frame = json::Value::object();
     for (const auto &member : clean_frame.members())
         frame.set(member.first,

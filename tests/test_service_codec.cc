@@ -318,23 +318,57 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
                      CodecError);
     }
 
-    // A double that overflows to inf must not decode: it would
-    // re-encode as the non-JSON token `inf`. Underflow decodes to 0.
-    const std::string field = "\"issue_efficiency\":";
-    ASSERT_NE(bytes.find(field), std::string::npos);
-    const auto with_issue_efficiency = [&](const std::string &token) {
+    // The config with one member's value replaced by `token`.
+    const auto with_field = [&](const std::string &key,
+                                const std::string &token) {
+        const std::string field = "\"" + key + "\":";
         std::string mutated = bytes;
-        const auto pos = mutated.find(field) + field.size();
-        mutated.replace(pos, mutated.find(',', pos) - pos, token);
+        const auto at = mutated.find(field);
+        EXPECT_NE(at, std::string::npos) << key;
+        const auto pos = at + field.size();
+        mutated.replace(pos, mutated.find_first_of(",}", pos) - pos,
+                        token);
         return Value::parse(mutated);
     };
-    EXPECT_THROW(decodeSimConfig(with_issue_efficiency("1e400")),
+
+    // A double that overflows to inf must not decode: it would
+    // re-encode as the non-JSON token `inf`. Underflow decodes to 0.
+    EXPECT_THROW(decodeSimConfig(with_field("issue_efficiency", "1e400")),
                  json::JsonError);
-    EXPECT_THROW(decodeSimConfig(with_issue_efficiency("-1e400")),
+    EXPECT_THROW(decodeSimConfig(with_field("issue_efficiency", "-1e400")),
                  json::JsonError);
-    EXPECT_EQ(decodeSimConfig(with_issue_efficiency("1e-400"))
-                  .core.issueEfficiency,
+    EXPECT_EQ(decodeSimConfig(with_field("l1d_miss_rate", "1e-400"))
+                  .workload.l1dMissRate,
               0.0);
+
+    // Configs the simulator cannot run are rejected frames, not
+    // crashed or wedged daemons.
+    const std::pair<const char *, const char *> unrunnable[] = {
+        // SIGFPE: a zero modulus or divisor.
+        {"index_ways", "0"},
+        {"history_entries", "0"},
+        {"ubtb_ways", "0"},
+        {"table_ways", "0"},
+        // fatal().
+        {"ftq_entries", "0"},
+        {"ras_entries", "0"},
+        {"conventional_entries", "0"},
+        {"prefetch_buffer_entries", "0"},
+        {"min_bbs_per_func", "1"},
+        {"max_call_depth", "4294967295"},
+        // Abort.
+        {"num_top_level", "0"},
+        // Never finishes.
+        {"fetch_width", "0"},
+        {"retire_width", "0"},
+        {"backend_entries", "0"},
+        {"bpu_bb_per_cycle", "0"},
+        {"issue_efficiency", "0"},
+        {"issue_efficiency", "1e-400"},
+    };
+    for (const auto &[key, token] : unrunnable)
+        EXPECT_THROW(decodeSimConfig(with_field(key, token)), CodecError)
+            << key << " = " << token;
 }
 
 // ---------------------------------------------------------- protocol
@@ -357,7 +391,7 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
         }
     }
 
-    const Value frame = encodeSubmit(request);
+    const Value frame = Value::parse(encodeSubmit(request));
     EXPECT_EQ(frameType(frame), "submit");
     const std::string bytes = frame.dump();
     EXPECT_EQ(Value::parse(bytes).dump(), bytes);
@@ -412,7 +446,7 @@ TEST(ServiceProtocolTest, ResultAndDoneFramesRoundTrip)
     event.result.ipc = 1.5;
 
     const ResultEvent rt =
-        decodeResultEvent(Value::parse(encodeResultEvent(event).dump()));
+        decodeResultEvent(Value::parse(encodeResultEvent(event)));
     EXPECT_EQ(rt.job, 9u);
     EXPECT_EQ(rt.index, 4u);
     EXPECT_TRUE(rt.cached);

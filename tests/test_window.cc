@@ -587,7 +587,7 @@ TEST(WindowShardingTest, WindowedFramesRoundTripDeltas)
 
     const service::ResultEvent rt = service::decodeResultEvent(
         json::Value::parse(
-            service::encodeResultEvent(event).dump()));
+            service::encodeResultEvent(event)));
     EXPECT_TRUE(rt.hasDelta);
     EXPECT_TRUE(rt.delta == event.delta);
 
@@ -595,7 +595,7 @@ TEST(WindowShardingTest, WindowedFramesRoundTripDeltas)
     event.hasDelta = false;
     const service::ResultEvent bare = service::decodeResultEvent(
         json::Value::parse(
-            service::encodeResultEvent(event).dump()));
+            service::encodeResultEvent(event)));
     EXPECT_FALSE(bare.hasDelta);
 }
 

@@ -16,9 +16,9 @@ Check registry (names are what `lint:allow(<name>)` takes):
                                 libc-rand reads in sim-reachable code,
                                 uninitialized scalar members in
                                 checkpointable classes
-  codec-coverage                every member of the wire structs must
-                                be referenced by its canonical
-                                encoder, decoder and fingerprint
+  codec-coverage                every non-static data member of a
+                                wire struct must appear in its field
+                                list, fields(V &, S &)
   protocol-optional-discipline  optional protocol members must be
                                 decoded via find(), never .at()
 """
@@ -315,68 +315,32 @@ def check_determinism_hazards(analysis):
 
 
 def check_codec_coverage(analysis):
+    """Every encoding of a wire struct -- the canonical writer and
+    fingerprint, the Value encoder, the strict decoder, the trace
+    archive -- is a run of its one field list, so covering the list
+    covers them all."""
     findings = []
-    codec = analysis.config.get("codec", {})
-    structs = codec.get("structs", [])
-    funcs = analysis.function_bodies  # name -> FunctionBody
-
-    # Effective identifier set: a fingerprint/encoder that delegates
-    # (configFingerprint hashes encodeSimConfig's canonical dump)
-    # covers everything its delegates cover.
-    cache = {}
-
-    def effective(fn_name, trail=()):
-        if fn_name in cache:
-            return cache[fn_name]
-        body = funcs.get(fn_name)
-        if body is None:
-            return set()
-        result = set(body.idents)
-        for callee in body.idents & set(funcs):
-            if callee != fn_name and callee not in trail:
-                result |= effective(callee, trail + (fn_name,))
-        cache[fn_name] = result
-        return result
-
     classes_by_name = {}
     for cls in analysis.classes:
         classes_by_name.setdefault(cls.name, cls)
-
-    for entry in structs:
-        sname = entry["struct"]
-        cls = classes_by_name.get(sname)
+    for fl in analysis.field_lists:
+        cls = classes_by_name.get(fl.struct)
         if cls is None:
             findings.append(Finding(
-                codec.get("config_file", "tools/lint/config.json"), 1,
-                "codec-coverage",
-                "configured struct '%s' was not found in the scanned "
-                "tree; update the codec coverage map" % sname))
+                fl.file, fl.line, "codec-coverage",
+                "field list for '%s', which is not a struct in the "
+                "scanned tree" % fl.struct))
             continue
-        excludes = entry.get("exclude", {})
-        for role in ("encoder", "decoder", "fingerprint"):
-            fn_name = entry.get(role)
-            if fn_name is None:
+        for m in cls.members:
+            if m.name in fl.members:
                 continue
-            if fn_name not in funcs:
-                findings.append(Finding(
-                    cls.file, cls.line, "codec-coverage",
-                    "%s '%s' for struct %s was not found in the "
-                    "codec scan set" % (role, fn_name, sname)))
-                continue
-            covered = effective(fn_name)
-            role_excludes = excludes.get(role, {})
-            for m in cls.members:
-                if m.name in role_excludes:
-                    continue
-                if m.name in covered:
-                    continue
-                findings.append(Finding(
-                    cls.file, m.line, "codec-coverage",
-                    "member '%s' of %s is not referenced by its %s "
-                    "%s(); a field that escapes the canonical codec "
-                    "or fingerprint corrupts caching and "
-                    "interchange fleet-wide" % (m.name, sname, role,
-                                                fn_name)))
+            findings.append(Finding(
+                fl.file, fl.line, "codec-coverage",
+                "member '%s' of %s (%s:%d) is missing from its field "
+                "list; a field that escapes the list escapes every "
+                "encoding and the fingerprint, which corrupts caching "
+                "and interchange fleet-wide" % (m.name, fl.struct,
+                                               cls.file, m.line)))
     return findings
 
 

@@ -8,7 +8,8 @@ Built on cpp_lexer tokens, this extracts exactly what the checks need:
     `const ClassName &`), with the set of identifiers referenced
     after the parameter list (member-init list + body) -- the "clone
     path" of a copy constructor;
-  * free-function bodies by name (for codec/fingerprint coverage);
+  * wire field lists -- `fields(V &v, S &s) { ... }` definitions --
+    with the members of S each one names (for codec coverage);
   * per-file convenience sets (names of variables/members declared
     with unordered container types).
 
@@ -43,8 +44,8 @@ ClassInfo = namedtuple(
     ["name", "qualified_name", "file", "line", "members", "ctors"],
 )
 
-FunctionBody = namedtuple(
-    "FunctionBody", ["name", "idents", "line", "file"])
+FieldList = namedtuple(
+    "FieldList", ["struct", "members", "line", "file"])
 
 # Keywords that can prefix a declaration without changing its shape.
 _DECL_QUALIFIERS = {
@@ -594,28 +595,38 @@ def parse_file(tokens, file):
     return classes, ctors
 
 
-def find_function_bodies(tokens, names, file):
-    """Locate free-function definitions whose unqualified name is in
-    `names`; return FunctionBody records with body identifier sets."""
+def find_field_lists(tokens, file, name="fields"):
+    """Locate wire field-list definitions, `name(V &v, S &s) { ... }`
+    (see src/common/wire.hh): return FieldList records naming S and
+    the members the body reads as `s.<member>`."""
     found = []
     i = 0
     n = len(tokens)
     while i < n:
         t = tokens[i]
-        if t.kind == "id" and t.text in names and i + 1 < n and \
+        if t.kind == "id" and t.text == name and i + 1 < n and \
                 tokens[i + 1].kind == "punct" and \
                 tokens[i + 1].text == "(":
-            # Exclude calls: a definition's `)` is followed by `{`
-            # (possibly with const/noexcept, not used for free fns).
+            # Exclude calls: a definition's `)` is followed by `{`.
             params_end = _find_matching_paren(tokens, i + 1)
-            j = params_end
-            while j < n and tokens[j].kind == "id":
-                j += 1  # noexcept etc.
-            if j < n and tokens[j].kind == "punct" and \
-                    tokens[j].text == "{":
-                body_end = _skip_balanced(tokens, j, "{", "}")
-                found.append(FunctionBody(
-                    t.text, _idents(tokens[j:body_end]), t.line, file))
+            params = _top_level_split(tokens[i + 2:params_end - 1])
+            if params_end < n and tokens[params_end].kind == "punct" \
+                    and tokens[params_end].text == "{" and \
+                    len(params) == 2:
+                ids = [p for p in params[1] if p.kind == "id"]
+                body_end = _skip_balanced(tokens, params_end, "{", "}")
+                if len(ids) >= 2:
+                    struct, param = ids[-2].text, ids[-1].text
+                    body = tokens[params_end:body_end]
+                    members = {
+                        body[k + 2].text
+                        for k in range(len(body) - 2)
+                        if body[k].kind == "id" and
+                        body[k].text == param and
+                        body[k + 1].kind == "punct" and
+                        body[k + 1].text == "." and
+                        body[k + 2].kind == "id"}
+                    found.append(FieldList(struct, members, t.line, file))
                 i = body_end
                 continue
         i += 1

@@ -1,7 +1,8 @@
 // Fixture: a file doing everything right, in scope for every check
 // -> zero findings. Ordered containers with value keys, a custom
 // comparator for the pointer-keyed set, a complete copy constructor,
-// initialized scalars, find() for optional protocol members.
+// initialized scalars, find() for optional protocol members, a field
+// list naming every member of its struct.
 #include <cstdint>
 #include <map>
 #include <set>
@@ -52,5 +53,21 @@ class Model
     std::uint64_t seed_ = 1;
     std::set<const int *, Stable> ptrs_;
 };
+
+struct Window
+{
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+
+    bool enabled() const { return end != 0; }
+};
+
+template <typename V>
+void
+fields(V &v, Window &w)
+{
+    v("start", w.start);
+    v("end", w.end);
+}
 
 } // namespace fix

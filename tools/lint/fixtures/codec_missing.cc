@@ -1,7 +1,6 @@
-// Fixture: codec-coverage. `label` is missing from the encoder ->
-// one finding. The decoder covers every member; the fingerprint
-// covers alpha/beta through delegation to the encoder, and `label`
-// is excluded for it (with a reason) in fixtures/config.json.
+// Fixture: codec-coverage. `label` is missing from WireConfig's field
+// list -> one finding, anchored at the list. The static member is not
+// wire state and needs no entry.
 #include <cstdint>
 #include <string>
 
@@ -13,29 +12,16 @@ struct WireConfig
     std::uint64_t alpha = 0;
     std::uint64_t beta = 0;
     std::string label;
+
+    static constexpr int kVersion = 1;
 };
 
-std::uint64_t
-encodeWireConfig(const WireConfig &c)
+template <typename V>
+void
+fields(V &v, WireConfig &c)
 {
-    return c.alpha * 31 + c.beta;
-}
-
-WireConfig
-decodeWireConfig(std::uint64_t alpha, std::uint64_t beta,
-                 const std::string &label)
-{
-    WireConfig c;
-    c.alpha = alpha;
-    c.beta = beta;
-    c.label = label;
-    return c;
-}
-
-std::uint64_t
-wireFingerprint(const WireConfig &c)
-{
-    return encodeWireConfig(c);
+    v("alpha", c.alpha);
+    v("beta", c.beta);
 }
 
 } // namespace fix

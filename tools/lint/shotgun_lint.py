@@ -116,7 +116,7 @@ class Analysis:
         self.files = {}           # relpath -> (tokens, comments)
         self.classes = []         # ClassInfo
         self._out_of_line = []    # Ctor defined outside a class body
-        self.function_bodies = {}  # name -> FunctionBody (merged)
+        self.field_lists = []     # FieldList
         self.unordered_by_file = {}  # relpath -> names declared there
         self.includes_by_file = {}   # relpath -> quoted include paths
         self.suppressions = Suppressions()
@@ -144,12 +144,6 @@ class Analysis:
                 if any(rel.startswith(p) for p in prefixes):
                     paths.append((full, rel))
 
-        codec_fn_names = set()
-        for entry in self.config.get("codec", {}).get("structs", []):
-            for role in ("encoder", "decoder", "fingerprint"):
-                if entry.get(role):
-                    codec_fn_names.add(entry[role])
-
         for full, rel in paths:
             with open(full, "r", encoding="utf-8",
                       errors="replace") as f:
@@ -176,14 +170,8 @@ class Analysis:
             self.classes.extend(classes)
             self._out_of_line.extend(ctors)
 
-            for body in cpp_model.find_function_bodies(
-                    tokens, codec_fn_names, rel):
-                prev = self.function_bodies.get(body.name)
-                if prev is None:
-                    self.function_bodies[body.name] = body
-                else:
-                    self.function_bodies[body.name] = prev._replace(
-                        idents=prev.idents | body.idents)
+            self.field_lists.extend(
+                cpp_model.find_field_lists(tokens, rel))
 
     def ctors_of(self, cls):
         return list(cls.ctors) + [c for c in self._out_of_line
