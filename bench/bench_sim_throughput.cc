@@ -19,7 +19,7 @@
  * A final "batched-grid" row times the one-pass pipeline: the
  * workload is recorded to a temporary trace and a --grid-schemes
  * grid over it runs through ExperimentRunner (shared decode, warmed
- * checkpoints, cohort scheduling), reporting effective throughput =
+ * checkpoints, the predecessor gate), reporting effective throughput =
  * sum of every point's warmup+measured instructions over the grid's
  * wall-clock. The gap between this row and the per-scheme rows is
  * the win the reuse machinery buys.
@@ -64,7 +64,7 @@ const char *kUsage =
     "--out (default stdout). A final batched-grid row times a\n"
     "--grid-schemes grid (default all six evaluated schemes) over a\n"
     "recorded trace of the workload through the one-pass pipeline\n"
-    "(shared decode + warmed checkpoints + cohort scheduling).\n";
+    "(shared decode + warmed checkpoints + predecessor gate).\n";
 
 [[noreturn]] void
 usageError(const std::string &message)
@@ -334,7 +334,7 @@ main(int argc, char **argv)
         // trace (setup, untimed), then time a multi-scheme grid over
         // it through ExperimentRunner -- one decode feeds every
         // scheme, each scheme warms once per repeat set (warmed
-        // checkpoints), cohorts batch the grid points. Effective
+        // checkpoints), the gate batches the grid points. Effective
         // throughput counts every point's full simulated work.
         const std::string trace_path =
             "/tmp/bench_sim_throughput_" +

@@ -5,8 +5,8 @@ Compares a fresh ``bench_sim_throughput`` run against the committed
 baseline (``BENCH_sim_throughput.json``) and exits non-zero when any
 (workload, scheme) row regressed. This covers the per-scheme rows
 and the ``batched-grid`` row alike: the latter budgets the one-pass
-grid pipeline (shared trace decode + warmed checkpoints + cohort
-scheduling), whose effective instr/sec must stay ahead of what the
+grid pipeline (shared trace decode + warmed checkpoints + predecessor
+gate), whose effective instr/sec must stay ahead of what the
 per-scheme rows imply for six separate runs. For every row:
 
   * ``measured_instructions`` / ``measured_cycles`` must match the

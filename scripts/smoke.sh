@@ -183,8 +183,10 @@ echo "== windowed simulation: record -> index -> 3-daemon fleet =="
 # windows are re-simulated on the survivors and the stitched result
 # must match the monolithic run numerically -- the CSVs (which carry
 # every metric) are compared byte for byte. The index tool is
-# exercised first (build + inspect; full-coverage windows re-simulate
-# their prefix for exactness, so the .idx serves the sampled mode).
+# exercised first (build + inspect; full-coverage windows never skip
+# the stream -- remote ones re-simulate their prefix for exactness,
+# in-process ones resume the core the window before them parked --
+# so the .idx serves the sampled mode).
 WTRACE="$BUILD_DIR/smoke/window.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
     --warmup 100000 --instructions 200000
@@ -382,7 +384,7 @@ grep -q '"scheme":"shotgun+uarch-probes"' \
 echo "== one-pass grid: shared decode + warmed checkpoints, bitwise =="
 # A 6-scheme grid over one recorded trace must be byte-identical to
 # running the six points one at a time in separate processes (where
-# no cross-point reuse is possible): the cohort/checkpoint machinery
+# no cross-point reuse is possible): the gate/checkpoint machinery
 # is trajectory-invisible by contract (src/sim/README.md).
 ALL_SCHEMES=baseline,fdip,boomerang,confluence,shotgun,rdip
 CGRID=(--workload "trace:$WTRACE" --warmup 100000

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 
 #include "common/logging.hh"
@@ -62,12 +63,45 @@ ExperimentSet::enableUarchProbes()
         exp.config.core.uarchProbes = true;
 }
 
-std::string
-checkpointCohort(std::size_t, const Experiment &exp)
+std::vector<std::size_t>
+checkpointPredecessors(const std::vector<Experiment> &grid,
+                       const std::vector<std::size_t> &order)
 {
-    return exp.config.warmupInstructions == 0
-               ? std::string()
-               : checkpointKey(exp.config, nullptr);
+    // Key every point once. A well-formed window that is not its
+    // run's last parks its core under (key, end) -- the first such
+    // window in grid order is the one its successors wait for.
+    std::vector<std::string> keys(grid.size());
+    std::map<std::pair<std::string, std::uint64_t>, std::size_t> parks;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const SimConfig &config = grid[i].config;
+        if (config.warmupInstructions == 0)
+            continue;
+        keys[i] = checkpointKey(config, nullptr);
+        const SimWindow &w = config.window;
+        if (w.enabled() && w.measureStart < w.measureEnd &&
+            w.measureEnd < config.measureInstructions)
+            parks.emplace(std::make_pair(keys[i], w.measureEnd), i);
+    }
+
+    // Chain edges strictly lower the window start, and a key's leader
+    // is ungated, so no walk along predecessors can return to itself.
+    std::vector<std::size_t> predecessor(grid.size(),
+                                         GridScheduler::kNoPredecessor);
+    std::map<std::string, std::size_t> leaders;
+    for (const std::size_t i : order) {
+        if (keys[i].empty())
+            continue;
+        const auto park = parks.find(
+            std::make_pair(keys[i], grid[i].config.window.measureStart));
+        if (park != parks.end()) {
+            predecessor[i] = park->second;
+            continue;
+        }
+        const auto leader = leaders.emplace(keys[i], i);
+        if (!leader.second)
+            predecessor[i] = leader.first->second;
+    }
+    return predecessor;
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -169,12 +203,13 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         cv.notify_one();
     };
     if (!options_.simulate) {
-        // Group grid points by warmed-state checkpoint key so the
-        // leader populates the checkpoint cache and every follower
-        // restores instead of re-simulating the warmup (see
-        // sim/checkpoint.hh). A custom simulate hook may not run
-        // runSimulation at all, so only real simulations opt in.
-        hooks.cohortOf = checkpointCohort;
+        // Gate grid points on their warmed-state checkpoint keys so
+        // each key's first point populates the checkpoint cache and
+        // every other point restores (or resumes a parked window)
+        // instead of re-simulating (see sim/checkpoint.hh). A custom
+        // simulate hook may not run runSimulation at all, so only
+        // real simulations opt in.
+        hooks.predecessors = checkpointPredecessors;
     }
     hooks.onDone = [&](const GridScheduler::Outcome &o) {
         std::lock_guard<std::mutex> lock(mutex);

@@ -119,12 +119,19 @@ struct RunnerOptions
 };
 
 /**
- * The GridScheduler cohortOf hook of every job that runs real
- * simulations: the point's warmed-state checkpoint key
- * (sim/checkpoint.hh), or "" -- no gating -- for a zero-warmup point,
- * which has nothing to checkpoint.
+ * The GridScheduler predecessor gate of every job that runs real
+ * simulations, over the points' warmed-state checkpoint keys
+ * (sim/checkpoint.hh); zero-warmup points store nothing and stay
+ * ungated. A point whose window starts where another window of its
+ * key ends (one that is not its run's last) waits for that window and
+ * resumes the core it parked. Every other point of a key waits for
+ * the first of them in dispatch `order`, the key's leader, and
+ * restores its warmup. A window with a chain predecessor never leads,
+ * so the gate is acyclic whatever the order.
  */
-std::string checkpointCohort(std::size_t index, const Experiment &exp);
+std::vector<std::size_t>
+checkpointPredecessors(const std::vector<Experiment> &grid,
+                       const std::vector<std::size_t> &order);
 
 class ExperimentRunner
 {

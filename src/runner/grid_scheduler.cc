@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <string>
 #include <utility>
 
+#include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "runner/thread_pool.hh"
 
@@ -52,6 +52,34 @@ pointsEmittedCounter()
     return c;
 }
 
+/**
+ * True when `predecessor` has `size` entries, each kNoPredecessor or
+ * another grid index, and following predecessors from any point ends
+ * at an ungated one -- so every gate eventually opens.
+ */
+bool
+acyclicGate(const std::vector<std::size_t> &predecessor, std::size_t size)
+{
+    constexpr std::size_t kNone = GridScheduler::kNoPredecessor;
+    if (predecessor.size() != size)
+        return false;
+    // 0 = unvisited, 1 = on the current walk, 2 = reaches an ungated
+    // point.
+    std::vector<char> mark(size, 0);
+    for (std::size_t i = 0; i < size; ++i) {
+        std::size_t j = i;
+        while (j != kNone && j < size && mark[j] == 0) {
+            mark[j] = 1;
+            j = predecessor[j];
+        }
+        if (j != kNone && (j >= size || mark[j] == 1))
+            return false;
+        for (std::size_t k = i; k != j; k = predecessor[k])
+            mark[k] = 2;
+    }
+    return true;
+}
+
 } // namespace
 
 /**
@@ -67,9 +95,6 @@ pointsEmittedCounter()
  */
 struct GridScheduler::JobState
 {
-    static constexpr std::size_t kNoCohort =
-        static_cast<std::size_t>(-1);
-
     std::uint64_t id = 0;
     std::vector<Experiment> grid;
     unsigned budget = 0;
@@ -86,16 +111,16 @@ struct GridScheduler::JobState
     std::vector<std::size_t> order;
 
     /**
-     * Cohort gating (see JobHooks::cohortOf): per grid index, the
-     * dense cohort id or kNoCohort; per cohort, the leader's grid
-     * index and whether the leader has completed. A follower is held
-     * back until its cohort opens; everything else dispatches as if
-     * cohorts did not exist. Empty when the job has no cohortOf.
+     * Predecessor gate (see JobHooks::predecessors): per grid index,
+     * the point that must complete first or kNoPredecessor, and
+     * whether each point completed, successfully or not. A gated
+     * point is held back until its predecessor completes; everything
+     * else dispatches as if the gate did not exist. Empty when the
+     * job has no gate.
      */
-    std::vector<std::size_t> cohortIds;
-    std::vector<std::size_t> cohortLeader;
-    std::vector<char> cohortOpen;
-    std::vector<char> dispatched; ///< Per grid index (cohorts only).
+    std::vector<std::size_t> predecessor;
+    std::vector<char> completed;
+    std::vector<char> dispatched; ///< Per grid index (gated jobs only).
 
     std::size_t nextDispatch = 0; ///< First undispatched order slot.
     unsigned active = 0;          ///< Points in flight right now.
@@ -141,23 +166,21 @@ struct GridScheduler::JobState
         }
     }
 
-    /** May grid index `i` be dispatched right now (cohort gate)? */
+    /** May grid index `i` be dispatched right now (its gate)? */
     bool eligible(std::size_t i) const
     {
-        if (cohortIds.empty())
-            return true;
-        const std::size_t c = cohortIds[i];
-        return c == kNoCohort || cohortOpen[c] || cohortLeader[c] == i;
+        const std::size_t p = predecessor[i];
+        return p == kNoPredecessor || completed[p];
     }
 
     /**
      * The order slot of the next dispatchable point, or grid.size()
-     * when every undispatched point is cohort-gated (or none is
-     * left). Without cohorts this is just nextDispatch.
+     * when every undispatched point is gated (or none is left).
+     * Without a gate this is just nextDispatch.
      */
     std::size_t nextEligibleSlot() const
     {
-        if (cohortIds.empty())
+        if (predecessor.empty())
             return nextDispatch;
         for (std::size_t s = nextDispatch; s < order.size(); ++s) {
             const std::size_t i = order[s];
@@ -171,7 +194,7 @@ struct GridScheduler::JobState
     std::size_t claimSlot(std::size_t s)
     {
         const std::size_t index = order[s];
-        if (cohortIds.empty()) {
+        if (predecessor.empty()) {
             ++nextDispatch;
             return index;
         }
@@ -180,22 +203,6 @@ struct GridScheduler::JobState
                dispatched[order[nextDispatch]])
             ++nextDispatch;
         return index;
-    }
-
-    /**
-     * A completed point opens its cohort if it led one; true when
-     * that may have unblocked gated followers (callers wake idle
-     * workers).
-     */
-    bool noteCompleted(std::size_t index)
-    {
-        if (cohortIds.empty() || cohortIds[index] == kNoCohort)
-            return false;
-        const std::size_t c = cohortIds[index];
-        if (cohortLeader[c] != index || cohortOpen[c])
-            return false;
-        cohortOpen[c] = 1;
-        return true;
     }
 
     bool dispatchable() const
@@ -295,29 +302,16 @@ GridScheduler::submit(std::vector<Experiment> grid, unsigned budget,
                          });
     }
 
-    if (job->hooks.cohortOf && !job->grid.empty()) {
-        // Key every point once up front; the first member of each
-        // cohort *in dispatch order* leads it, so with a costOf
-        // permutation the longest member warms the checkpoint up.
-        job->cohortIds.assign(job->grid.size(),
-                              JobState::kNoCohort);
+    if (job->hooks.predecessors && !job->grid.empty()) {
+        // Gate every point once up front, against the final dispatch
+        // order (a gate may pick a key's first point in that order).
+        job->predecessor = job->hooks.predecessors(job->grid, job->order);
+        panic_if(!acyclicGate(job->predecessor, job->grid.size()),
+                 "predecessor gate of a %zu-point grid is not an "
+                 "acyclic map of grid indices",
+                 job->grid.size());
+        job->completed.assign(job->grid.size(), 0);
         job->dispatched.assign(job->grid.size(), 0);
-        std::map<std::string, std::size_t> ids;
-        for (std::size_t s = 0; s < job->order.size(); ++s) {
-            const std::size_t i = job->order[s];
-            std::string key = job->hooks.cohortOf(i, job->grid[i]);
-            if (key.empty())
-                continue;
-            auto it = ids.find(key);
-            if (it == ids.end()) {
-                it = ids.emplace(std::move(key),
-                                 job->cohortLeader.size())
-                         .first;
-                job->cohortLeader.push_back(i);
-                job->cohortOpen.push_back(0);
-            }
-            job->cohortIds[i] = it->second;
-        }
     }
 
     std::vector<std::shared_ptr<JobState>> finished;
@@ -628,13 +622,12 @@ GridScheduler::workerLoop(unsigned worker_index)
             }
         }
         --job->active;
-        // Success or failure, a finished leader opens its cohort:
-        // followers of a failed job never dispatch anyway, and a
-        // gate that outlived its leader would deadlock a cancel
-        // that raced the leader's completion.
-        const bool opened = job->noteCompleted(index);
+        // Success or failure, a completed point opens its successors'
+        // gates, so no gate outlives its predecessor.
+        if (!job->completed.empty())
+            job->completed[index] = 1;
         finished = reapLocked();
-        if (!finished.empty() || opened || job->dispatchable()) {
+        if (!finished.empty() || job->dispatchable()) {
             lock.unlock();
             deliverOutcomes(std::move(finished));
             // This worker freed budget (or finished a job): idle

@@ -57,6 +57,10 @@ namespace runner
 class GridScheduler
 {
   public:
+    /** JobHooks::predecessors' entry for an ungated point. */
+    static constexpr std::size_t kNoPredecessor =
+        static_cast<std::size_t>(-1);
+
     struct Options
     {
         // Explicit constructor instead of member initializers: a
@@ -149,22 +153,22 @@ class GridScheduler
             costOf;
 
         /**
-         * Optional cohort key of a grid point (e.g. its warmup
-         * checkpoint key, see sim/checkpoint.hh). Points sharing a
-         * non-empty key form a cohort: the first of them in dispatch
-         * order is the cohort's leader, and the rest only become
-         * dispatchable after the leader *completed* -- so the leader
-         * populates the checkpoint cache and every follower restores
-         * instead of re-simulating the shared warmup. An empty key
-         * opts the point out (no gating). Points of different
-         * cohorts (and cohort-free points) still dispatch freely in
-         * parallel, and emission order stays strict grid order, so
-         * cohort batching changes wall-clock shape but never
-         * results. Called once per point at submit time.
+         * Optional predecessor gate: called once at submit time, on
+         * the submitting thread, with the grid and its dispatch order
+         * (grid indices, see costOf). It returns, per grid index, the
+         * one point of this job that must *complete* before that
+         * point may dispatch, or kNoPredecessor. The gate must be
+         * acyclic (a cycle panics at submit). A predecessor that
+         * failed completes too, so a gate can never hold a job
+         * forever; cancellation stops dispatch regardless of gates.
+         * Ungated points dispatch freely in parallel, and emission
+         * order stays strict grid order, so the gate changes the
+         * wall-clock shape of a run but never its results.
          */
-        std::function<std::string(std::size_t index,
-                                  const Experiment &)>
-            cohortOf;
+        std::function<std::vector<std::size_t>(
+            const std::vector<Experiment> &grid,
+            const std::vector<std::size_t> &order)>
+            predecessors;
     };
 
     explicit GridScheduler(Options options = Options());

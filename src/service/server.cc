@@ -436,10 +436,13 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
                (window.enabled() ? window.measureEnd
                                  : exp.config.measureInstructions);
     };
-    // Points sharing a warmed-state checkpoint key dispatch as a
-    // cohort: the first populates the checkpoint cache, the rest
-    // restore instead of re-simulating the warmup (sim/checkpoint.hh).
-    hooks.cohortOf = runner::checkpointCohort;
+    // Points sharing a warmed-state checkpoint key are gated: a
+    // window waits for the window that parks its start and resumes
+    // its core, every other point waits for its key's first point and
+    // restores its warmup (sim/checkpoint.hh). A window with a
+    // predecessor never leads a key, so LPT order cannot make the
+    // last window warm up alone.
+    hooks.predecessors = runner::checkpointPredecessors;
     hooks.onStart = [this, job]() {
         job->state.store(Job::State::Running);
         log("job " + std::to_string(job->id) + " running");

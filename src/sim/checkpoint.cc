@@ -1,5 +1,7 @@
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
+
 #include "sim/canonical.hh"
 
 namespace shotgun
@@ -24,6 +26,86 @@ checkpointKey(const SimConfig &config, const TraceInfo *trace)
                std::to_string(trace->instructions);
     }
     return key;
+}
+
+CheckpointCache::CheckpointCache(std::size_t budget_bytes)
+    : budget_(budget_bytes),
+      checkpoints_(budget_bytes,
+                   [](const std::string &, const CoreCheckpoint &cp) {
+                       return cp.bytes;
+                   })
+{
+}
+
+StoredState
+CheckpointCache::acquire(const std::string &key, std::uint64_t position)
+{
+    StoredState found;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = parked_.find(key);
+        if (it != parked_.end() && it->second.position == position) {
+            found.parked = std::move(it->second.state);
+            parkedBytes_ -= found.parked.bytes;
+            parked_.erase(it);
+            ++resumes_;
+            return found;
+        }
+    }
+    found.warmed = checkpoints_.tryGet(key);
+    return found;
+}
+
+void
+CheckpointCache::put(const std::string &key, CoreCheckpoint checkpoint)
+{
+    checkpoints_.put(key, std::move(checkpoint));
+    std::lock_guard<std::mutex> lock(mutex_);
+    trimLocked();
+}
+
+void
+CheckpointCache::park(const std::string &key, std::uint64_t position,
+                      ParkedCore state)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    Parked &slot = parked_[key];
+    parkedBytes_ += state.bytes;
+    parkedBytes_ -= slot.state.bytes;
+    slot.position = position;
+    slot.age = parks_++;
+    slot.state = std::move(state);
+    trimLocked();
+}
+
+void
+CheckpointCache::trimLocked()
+{
+    if (budget_ == 0)
+        return;
+    const std::size_t warmed = checkpoints_.stats().bytes;
+    while (!parked_.empty() && warmed + parkedBytes_ > budget_) {
+        auto oldest = std::min_element(
+            parked_.begin(), parked_.end(),
+            [](const auto &a, const auto &b) {
+                return a.second.age < b.second.age;
+            });
+        parkedBytes_ -= oldest->second.state.bytes;
+        parked_.erase(oldest);
+        ++parkedEvictions_;
+    }
+}
+
+MemoCacheStats
+CheckpointCache::stats() const
+{
+    MemoCacheStats stats = checkpoints_.stats();
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats.entries += parked_.size();
+    stats.bytes += parkedBytes_;
+    stats.hits += resumes_;
+    stats.evictions += parkedEvictions_;
+    return stats;
 }
 
 CheckpointCache &

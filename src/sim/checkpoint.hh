@@ -1,7 +1,8 @@
 /**
  * @file
- * Warmed-state checkpoints: the post-warmup state of a simulation,
- * captured once and reused by every later run that shares it.
+ * Stored simulation state: the post-warmup state of a simulation,
+ * captured once and reused by every later run that shares it, and the
+ * live state a window parks for the window that continues it.
  *
  * A CoreCheckpoint is a deep clone of a warmed Core (caches, U-BTB/
  * C-BTB/RIB and every other scheme structure, TAGE, RAS, FTQ/backend
@@ -14,6 +15,14 @@
  * would have -- the trajectory-invisibility argument is spelled out
  * in src/sim/README.md and death-tested in tests/test_checkpoint.cc.
  *
+ * A ParkedCore is the other kind of stored state: the live Core and
+ * trace source of a window that is not its run's last, *moved* (never
+ * cloned) into the store at the end of its measured slice. The window
+ * that starts where it ended takes the pair back out and measures its
+ * own slice without a restore or a fast-forward. Stopping is invisible
+ * (src/window/README.md), so the resumed core is in exactly the state
+ * a cold window reaches after its fast-forward.
+ *
  * A key is the config fingerprint (sim/canonical.hh) of the config
  * with its measurement bounds blanked, so it covers everything that
  * shapes the warmup: workload, seed, warmup length, window skip, core
@@ -24,19 +33,22 @@
  * measurement window share a key -- the big win for windowed/sampled
  * plans and repeated service jobs -- and a multi-scheme grid warms
  * once per scheme while sharing one trace decode
- * (trace/decoded_trace.hh).
+ * (trace/decoded_trace.hh). A parked state is stored under its key
+ * and the measured position it stopped at.
  *
- * Checkpoints live in a process-wide LRU byte-budgeted store
- * (tryGet/put, mirroring how the fleet coordinator feeds its result
- * cache). Raw streaming TraceFileSource runs (decoded store over
- * budget) and zero-warmup runs are simply not checkpointed.
+ * Both kinds live in one process-wide byte-budgeted store. Zero-warmup
+ * runs are never stored; raw streaming TraceFileSource runs (decoded
+ * store over budget) park but never capture a warmup, because a file
+ * stream has no cheap exact reposition.
  */
 
 #ifndef SHOTGUN_SIM_CHECKPOINT_HH
 #define SHOTGUN_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/memo.hh"
@@ -77,13 +89,42 @@ struct CoreCheckpoint
 std::string checkpointKey(const SimConfig &config,
                           const TraceInfo *trace);
 
+/** A window's live Core and the source it reads, parked for reuse. */
+struct ParkedCore
+{
+    std::unique_ptr<TraceSource> source;
+    std::unique_ptr<Core> core; ///< Reads *source.
+
+    /** Accounted footprint (Core::approxStateBytes at park). */
+    std::size_t bytes = 0;
+};
+
 /**
- * The LRU byte-budgeted checkpoint store. Producers simulate the
- * warmup themselves and put(); consumers tryGet() -- the same
- * asynchronous-producer shape the fleet result cache uses. Cohort
- * scheduling (runner/grid_scheduler.hh) serializes the first point of
- * each key, so grid followers find the checkpoint populated instead
- * of racing to warm up in parallel.
+ * What CheckpointCache::acquire() found for a run: at most one of the
+ * two is set. A parked core (`parked.core` non-null) is the run's to
+ * resume; a warmed checkpoint is shared and restored by cloning.
+ */
+struct StoredState
+{
+    ParkedCore parked;
+    std::shared_ptr<const CoreCheckpoint> warmed;
+};
+
+/**
+ * The byte-budgeted store of warmed checkpoints (LRU) and parked
+ * window cores. Producers simulate themselves and put() or park();
+ * consumers acquire() -- the same asynchronous-producer shape the
+ * fleet result cache uses. The predecessor gate
+ * (runner::checkpointPredecessors) makes each window wait for the
+ * window that parks its start and every other point of a key wait for
+ * the key's first point, so grid followers find the state stored
+ * instead of racing to warm up in parallel.
+ *
+ * Parked states count against the same budget as checkpoints, and at
+ * most one is parked per key: a newer park replaces the older one.
+ * When the two kinds together exceed the budget, parked states go
+ * first, oldest first; a run that then finds no parked state falls
+ * back to its warmup checkpoint and fast-forwards.
  */
 class CheckpointCache
 {
@@ -93,30 +134,53 @@ class CheckpointCache
         256ull * 1024 * 1024;
 
     explicit CheckpointCache(
-        std::size_t budget_bytes = kDefaultBudgetBytes)
-        : cache_(budget_bytes,
-                 [](const std::string &, const CoreCheckpoint &cp) {
-                     return cp.bytes;
-                 })
-    {
-    }
+        std::size_t budget_bytes = kDefaultBudgetBytes);
 
-    std::shared_ptr<const CoreCheckpoint>
-    tryGet(const std::string &key)
-    {
-        return cache_.tryGet(key);
-    }
+    /**
+     * The stored state a run of `key` whose measured slice starts at
+     * `position` can begin from: the core parked at exactly
+     * `position` (moved out of the store), else the key's warmed
+     * checkpoint, else nothing. Counts one hit or one miss.
+     */
+    StoredState acquire(const std::string &key, std::uint64_t position);
 
-    void put(const std::string &key, CoreCheckpoint checkpoint)
-    {
-        cache_.put(key, std::move(checkpoint));
-    }
+    /** Store a warmed checkpoint; an existing one for the key wins. */
+    void put(const std::string &key, CoreCheckpoint checkpoint);
 
-    /** hits = restored runs, misses = warmups simulated. */
-    MemoCacheStats stats() const { return cache_.stats(); }
+    /**
+     * Park a window's live core, which stopped at measured position
+     * `position`, replacing any state parked earlier under `key`.
+     */
+    void park(const std::string &key, std::uint64_t position,
+              ParkedCore state);
+
+    /**
+     * hits = runs started from stored state (restored or resumed),
+     * misses = warmups simulated; entries, bytes and evictions cover
+     * checkpoints and parked states together.
+     */
+    MemoCacheStats stats() const;
 
   private:
-    LruMemoCache<std::string, CoreCheckpoint> cache_;
+    struct Parked
+    {
+        std::uint64_t position = 0;
+        std::uint64_t age = 0; ///< Park order, for eviction.
+        ParkedCore state;
+    };
+
+    /** Evict the oldest parked states until the budget fits. */
+    void trimLocked();
+
+    const std::size_t budget_;
+    LruMemoCache<std::string, CoreCheckpoint> checkpoints_;
+
+    mutable std::mutex mutex_; ///< Guards the parked states below.
+    std::map<std::string, Parked> parked_;
+    std::size_t parkedBytes_ = 0;
+    std::uint64_t parks_ = 0;
+    std::size_t resumes_ = 0;
+    std::size_t parkedEvictions_ = 0;
 };
 
 /** The process-wide store every simulation shares. */

@@ -188,35 +188,43 @@ runSimulationDelta(const SimConfig &config)
     HierarchyParams hierarchy_params;
     hierarchy_params.mesh.backgroundLoad = config.workload.backgroundLoad;
 
-    // Warmup checkpoint reuse: when a warmed clone for this exact
-    // configuration prefix is cached, reposition a fresh source where
-    // the original's stood and resume from the clone -- skipping the
-    // skip+warmup simulation entirely. Streaming TraceFileSource
-    // replay is not checkpointable (no cheap exact reposition), and a
-    // zero-warmup run has nothing worth caching.
-    const bool checkpointable =
-        config.warmupInstructions > 0 &&
-        (generator != nullptr || cursor != nullptr);
+    // Stored-state reuse (sim/checkpoint.hh). A window that starts
+    // where an earlier window of the same key stopped takes that
+    // window's parked core and source and skips the warmup and the
+    // fast-forward; otherwise a cached warmed clone is restored onto
+    // a fresh source repositioned where the original's stood,
+    // skipping the skip+warmup simulation. A streaming
+    // TraceFileSource has no cheap exact reposition, so it parks but
+    // never restores or captures; a zero-warmup run stores nothing.
+    const bool capturable = generator != nullptr || cursor != nullptr;
     std::string key;
-    std::shared_ptr<const CoreCheckpoint> restored;
-    if (checkpointable) {
+    StoredState stored;
+    if (config.warmupInstructions > 0) {
         key = checkpointKey(config,
-                            cursor != nullptr ? &trace_info : nullptr);
-        restored = checkpointCache().tryGet(key);
+                            trace_path.empty() ? nullptr : &trace_info);
+        stored = checkpointCache().acquire(key, measure_start);
     }
+    const bool resumed = stored.parked.core != nullptr;
 
     std::unique_ptr<Core> core;
-    if (restored != nullptr) {
+    if (resumed || (stored.warmed != nullptr && capturable)) {
         obs::Span restore_span("restore", "sim");
         obs::PhaseTimer restore_timer(
             "sim.phase.restore_us",
             point_timing != nullptr ? &point_timing->restoreUs
                                     : nullptr);
-        if (generator != nullptr)
-            generator->restore(restored->generator);
-        else
-            cursor->seekToRecord(restored->cursorRecord);
-        core = std::make_unique<Core>(*restored->core, source.get());
+        if (resumed) {
+            source = std::move(stored.parked.source);
+            core = std::move(stored.parked.core);
+            obs::metrics().counter("sim.resumes")->add(1);
+        } else {
+            if (generator != nullptr)
+                generator->restore(stored.warmed->generator);
+            else
+                cursor->seekToRecord(stored.warmed->cursorRecord);
+            core = std::make_unique<Core>(*stored.warmed->core,
+                                          source.get());
+        }
     } else {
         obs::Span warmup_span("warmup", "sim");
         obs::PhaseTimer warmup_timer(
@@ -233,8 +241,8 @@ runSimulationDelta(const SimConfig &config)
         core = std::make_unique<Core>(program, *source, core_params,
                                       hierarchy_params, config.scheme);
         core->run(config.warmupInstructions);
-        if (checkpointable) {
-            // Park a clone; the run continues on the original, so
+        if (!key.empty() && capturable) {
+            // Store a clone; the run continues on the original, so
             // taking the checkpoint cannot perturb its trajectory.
             CoreCheckpoint cp;
             cp.core = std::make_shared<const Core>(*core, nullptr);
@@ -253,7 +261,10 @@ runSimulationDelta(const SimConfig &config)
     obs::PhaseTimer measure_timer(
         "sim.phase.measure_us",
         point_timing != nullptr ? &point_timing->measureUs : nullptr);
-    core->resetStats();
+    // A resumed core already counts from the post-warm-up reset and
+    // stands at measure_start, so its fast-forward below is a no-op.
+    if (!resumed)
+        core->resetStats();
     // Fast-forward to the window, then measure it as the snapshot
     // difference. Both bounds are thresholds relative to the
     // post-warm-up reset ("first cycle in which the N-th measured
@@ -313,6 +324,17 @@ runSimulationDelta(const SimConfig &config)
             ->add(u.stallBackendPressure);
         reg.counter("sim.uarch.stall_prefetch_in_flight")
             ->add(u.stallPrefetchInFlight);
+    }
+    if (!key.empty() && window.enabled() &&
+        measure_end < config.measureInstructions) {
+        // Not the run's last window: park the live core for the window
+        // that starts here. Moved, not cloned -- this run is done
+        // with it.
+        ParkedCore parked;
+        parked.bytes = core->approxStateBytes();
+        parked.core = std::move(core);
+        parked.source = std::move(source);
+        checkpointCache().park(key, measure_end, std::move(parked));
     }
     return out;
 }

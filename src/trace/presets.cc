@@ -57,11 +57,6 @@ makePreset(WorkloadId id)
         p.program.numOsFuncs = 300;
         p.program.numTrapHandlers = 24;
         p.program.zipfAlpha = 1.8125;
-        p.program.stickyFrac = 0.8;
-        p.program.stickyFrac = 0.8;
-        p.program.stickyFrac = 0.5;
-        p.program.stickyFrac = 0.5;
-        p.program.stickyFrac = 0.6;
         p.program.stickyFrac = 0.55;
         p.program.trapFrac = 0.008;
         p.program.seed = 0x9a7c01;

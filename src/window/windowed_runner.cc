@@ -100,10 +100,11 @@ runWindowedExperiment(
         cv.notify_one();
     };
     // Contiguous windows share warmup and skip, hence a checkpoint
-    // key: the first window warms the core once and every later
-    // window restores it (sampled plans differ in skipInstructions,
-    // so their keys split and no gating applies).
-    hooks.cohortOf = runner::checkpointCohort;
+    // key: each window waits for the one before it and resumes the
+    // core that window parked, so the plan simulates the measure
+    // region once (sampled plans differ in skipInstructions, so their
+    // keys split and no gating applies).
+    hooks.predecessors = runner::checkpointPredecessors;
     scheduler.submit(std::move(grid), budget, std::move(hooks));
 
     {

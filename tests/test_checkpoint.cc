@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -197,21 +198,102 @@ TEST(CheckpointCacheTest, LruAccountingAndEviction)
         return cp;
     };
 
-    EXPECT_EQ(cache.tryGet("a"), nullptr);
+    EXPECT_EQ(cache.acquire("a", 0).warmed, nullptr);
     EXPECT_EQ(cache.stats().misses, 1u);
 
     cache.put("a", entry(40));
     cache.put("b", entry(40));
-    EXPECT_NE(cache.tryGet("a"), nullptr); // Touch: a is now MRU.
-    cache.put("c", entry(40));             // Evicts b, the LRU.
+    EXPECT_NE(cache.acquire("a", 0).warmed, nullptr); // Touch: a is MRU.
+    cache.put("c", entry(40));                         // Evicts b, the LRU.
 
     const MemoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_LE(stats.bytes, 100u);
-    EXPECT_EQ(cache.tryGet("b"), nullptr);
-    EXPECT_NE(cache.tryGet("a"), nullptr);
-    EXPECT_NE(cache.tryGet("c"), nullptr);
+    EXPECT_EQ(cache.acquire("b", 0).warmed, nullptr);
+    EXPECT_NE(cache.acquire("a", 0).warmed, nullptr);
+    EXPECT_NE(cache.acquire("c", 0).warmed, nullptr);
+}
+
+/** A live core on a generator of `program`, charged its real size. */
+ParkedCore
+parkedCore(const Program &program)
+{
+    ParkedCore parked;
+    parked.source = std::make_unique<TraceGenerator>(program, 1);
+    parked.core =
+        std::make_unique<Core>(program, *parked.source, CoreParams{},
+                               HierarchyParams{}, SchemeConfig{});
+    parked.bytes = parked.core->approxStateBytes();
+    return parked;
+}
+
+TEST(CheckpointCacheTest, ParkedCoreResumesOnceAtItsPositionOnly)
+{
+    const Program &program = programFor(tinyPreset("parked-exact", 57));
+    const std::size_t bytes = parkedCore(program).bytes;
+    CheckpointCache cache(4 * bytes);
+    CoreCheckpoint warmed;
+    warmed.bytes = bytes;
+    cache.put("k", warmed);
+
+    cache.park("k", 100, parkedCore(program));
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.stats().bytes, 2 * bytes);
+    // Another position leaves the parked core for its successor.
+    StoredState other = cache.acquire("k", 50);
+    EXPECT_EQ(other.parked.core, nullptr);
+    EXPECT_NE(other.warmed, nullptr);
+    StoredState mine = cache.acquire("k", 100);
+    EXPECT_NE(mine.parked.core, nullptr);
+    EXPECT_EQ(mine.warmed, nullptr);
+    // Moved out: a second run from 100 restores the warmup instead.
+    EXPECT_EQ(cache.acquire("k", 100).parked.core, nullptr);
+
+    // One parked state per key: the newer park replaces the older.
+    cache.park("k", 100, parkedCore(program));
+    cache.park("k", 200, parkedCore(program));
+    EXPECT_EQ(cache.acquire("k", 100).parked.core, nullptr);
+    EXPECT_NE(cache.acquire("k", 200).parked.core, nullptr);
+
+    // Every acquire counted exactly one hit (none missed).
+    const MemoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 5u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.bytes, bytes);
+}
+
+TEST(CheckpointCacheTest, BudgetForFewerThanTwoCoresEvictsParkedStates)
+{
+    // Room for one core and a half: the warmup checkpoint fits, a
+    // parked core beside it does not, and it is the parked core that
+    // goes -- its successor falls back to the checkpoint.
+    const Program &program = programFor(tinyPreset("parked-budget", 59));
+    const std::size_t bytes = parkedCore(program).bytes;
+    CheckpointCache cache(bytes + bytes / 2);
+    CoreCheckpoint warmed;
+    warmed.bytes = bytes;
+    cache.put("k", warmed);
+
+    cache.park("k", 100, parkedCore(program));
+    MemoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_LE(stats.bytes, stats.budgetBytes);
+    const StoredState state = cache.acquire("k", 100);
+    EXPECT_EQ(state.parked.core, nullptr);
+    EXPECT_NE(state.warmed, nullptr);
+
+    // A checkpoint stored after the park evicts the parked core too.
+    CheckpointCache later(bytes + bytes / 2);
+    later.park("k", 100, parkedCore(program));
+    EXPECT_EQ(later.stats().entries, 1u);
+    later.put("k", warmed);
+    stats = later.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_LE(stats.bytes, stats.budgetBytes);
+    EXPECT_EQ(later.acquire("k", 100).parked.core, nullptr);
 }
 
 TEST(CheckpointCacheTest, StateBytesCoverTheLlcArray)

@@ -678,6 +678,179 @@ TEST(GridSchedulerTest, EmptyGridCompletesImmediately)
     EXPECT_EQ(outcome.completed, 0u);
 }
 
+// ---------------------------------------------------- predecessor gate
+
+/**
+ * One run split into `n` contiguous windows, optionally preceded by
+ * the monolithic run itself: placeholder points whose configs carry
+ * real window bounds, so runner::checkpointPredecessors chains them.
+ * The simulate hooks below fabricate results; nothing is simulated.
+ */
+std::vector<runner::Experiment>
+windowGrid(unsigned n, bool with_monolithic)
+{
+    runner::Experiment base;
+    base.workload = "gate";
+    base.label = "mono";
+    base.config.warmupInstructions = 1000;
+    base.config.measureInstructions = 1000 * n;
+    std::vector<runner::Experiment> grid;
+    if (with_monolithic)
+        grid.push_back(base);
+    for (unsigned w = 0; w < n; ++w) {
+        runner::Experiment sub = base;
+        sub.label = "w" + std::to_string(w);
+        sub.config.window.measureStart = 1000 * w;
+        sub.config.window.measureEnd = 1000 * (w + 1);
+        grid.push_back(std::move(sub));
+    }
+    return grid;
+}
+
+TEST(PredecessorGateTest, WindowsChainAndOnlyUnchainedPointsLead)
+{
+    constexpr std::size_t none = GridScheduler::kNoPredecessor;
+    using Gate = std::vector<std::size_t>;
+    const auto grid = windowGrid(4, true); // mono, w0, w1, w2, w3
+
+    // The monolithic run leads its key, window 0 restores its warmup
+    // and every later window resumes the one before it.
+    EXPECT_EQ(runner::checkpointPredecessors(grid, {0, 1, 2, 3, 4}),
+              (Gate{none, 0, 1, 2, 3}));
+    // Longest-first order puts the last window first, but a window
+    // with a chain predecessor never leads.
+    EXPECT_EQ(runner::checkpointPredecessors(grid, {4, 3, 2, 1, 0}),
+              (Gate{1, none, 1, 2, 3}));
+    // Zero-warmup points store nothing, so nothing gates them.
+    auto cold = grid;
+    for (runner::Experiment &exp : cold)
+        exp.config.warmupInstructions = 0;
+    EXPECT_EQ(runner::checkpointPredecessors(cold, {0, 1, 2, 3, 4}),
+              Gate(5, none));
+}
+
+TEST(PredecessorGateTest, ChainedJobNeverHasTwoPointsInFlight)
+{
+    GridScheduler scheduler(GridScheduler::Options(4));
+    std::atomic<int> in_flight{0}, peak{0};
+    std::mutex mutex;
+    std::vector<std::size_t> dispatched;
+    DoneCapture done;
+    GridScheduler::JobHooks hooks;
+    hooks.predecessors = runner::checkpointPredecessors;
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &) {
+        const int now = ++in_flight;
+        int expected = peak.load();
+        while (now > expected &&
+               !peak.compare_exchange_weak(expected, now)) {
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            dispatched.push_back(index);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        --in_flight;
+        return fakeResult(index);
+    };
+    hooks.onDone = done.hook();
+    scheduler.submit(windowGrid(8, false), 0, std::move(hooks));
+
+    EXPECT_EQ(done.wait().status, GridScheduler::Outcome::Status::Ok);
+    EXPECT_EQ(peak.load(), 1);
+    ASSERT_EQ(dispatched.size(), 8u);
+    for (std::size_t i = 0; i < dispatched.size(); ++i)
+        EXPECT_EQ(dispatched[i], i);
+}
+
+TEST(PredecessorGateTest, LongestFirstChainStillStartsAtWindowZero)
+{
+    // The service's LPT cost ranks the last window first; the chain
+    // must still start at window 0 and finish.
+    GridScheduler scheduler(GridScheduler::Options(4));
+    std::mutex mutex;
+    std::vector<std::size_t> dispatched;
+    DoneCapture done;
+    GridScheduler::JobHooks hooks;
+    hooks.costOf = [](std::size_t, const runner::Experiment &exp) {
+        return exp.config.warmupInstructions +
+               exp.config.window.measureEnd;
+    };
+    hooks.predecessors = runner::checkpointPredecessors;
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &) {
+        std::lock_guard<std::mutex> lock(mutex);
+        dispatched.push_back(index);
+        return fakeResult(index);
+    };
+    hooks.onDone = done.hook();
+    scheduler.submit(windowGrid(4, false), 0, std::move(hooks));
+
+    const auto outcome = done.wait();
+    EXPECT_EQ(outcome.status, GridScheduler::Outcome::Status::Ok);
+    EXPECT_EQ(outcome.completed, 4u);
+    EXPECT_EQ(dispatched, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(PredecessorGateTest, FailedOrCancelledChainEndsWithoutHanging)
+{
+    GridScheduler scheduler(GridScheduler::Options(4));
+
+    // A throwing predecessor fails the job; its successors never run.
+    std::atomic<int> simulated{0};
+    DoneCapture failed;
+    GridScheduler::JobHooks throwing;
+    throwing.predecessors = runner::checkpointPredecessors;
+    throwing.simulate = [&](std::size_t index,
+                            const runner::Experiment &) -> SimResult {
+        ++simulated;
+        if (index == 1)
+            throw std::runtime_error("boom at window 1");
+        return fakeResult(index);
+    };
+    throwing.onDone = failed.hook();
+    scheduler.submit(windowGrid(4, false), 0, std::move(throwing));
+    const auto error = failed.wait();
+    EXPECT_EQ(error.status, GridScheduler::Outcome::Status::Error);
+    EXPECT_EQ(error.completed, 1u);
+    EXPECT_EQ(simulated.load(), 2);
+
+    // A cancel while window 1 runs: it finishes, nothing follows.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool started = false, release = false;
+    std::atomic<int> ran{0};
+    DoneCapture cancelled;
+    GridScheduler::JobHooks blocking;
+    blocking.predecessors = runner::checkpointPredecessors;
+    blocking.simulate = [&](std::size_t index,
+                            const runner::Experiment &) {
+        ++ran;
+        if (index == 1) {
+            std::unique_lock<std::mutex> lock(mutex);
+            started = true;
+            cv.notify_all();
+            cv.wait(lock, [&]() { return release; });
+        }
+        return fakeResult(index);
+    };
+    blocking.onDone = cancelled.hook();
+    const std::uint64_t id =
+        scheduler.submit(windowGrid(4, false), 0, std::move(blocking));
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&]() { return started; });
+    }
+    scheduler.cancel(id);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        release = true;
+        cv.notify_all();
+    }
+    const auto outcome = cancelled.wait();
+    EXPECT_EQ(outcome.status, GridScheduler::Outcome::Status::Cancelled);
+    EXPECT_EQ(outcome.completed, 2u);
+    EXPECT_EQ(ran.load(), 2);
+}
+
 // ----------------------------------------------- parallel == serial results
 
 /** Small but non-trivial synthetic workload: fast to simulate. */

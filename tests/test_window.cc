@@ -16,15 +16,19 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.hh"
+#include "obs/metrics.hh"
 #include "obs/uarch.hh"
 #include "runner/experiment.hh"
 #include "runner/grid_scheduler.hh"
 #include "service/client.hh"
 #include "service/server.hh"
+#include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_delta.hh"
 #include "trace/generator.hh"
@@ -431,6 +435,184 @@ TEST(WindowedRunnerTest, EmitsWindowsStrictlyInOrder)
     ASSERT_EQ(outcome.windows.size(), 6u);
     for (const SimulationDelta &w : outcome.windows)
         EXPECT_GT(w.stats.instructions, 0u);
+}
+
+// ----------------------------------------------------- resumed windows
+
+/**
+ * The set-up every resumed-window test shares: a generator preset and
+ * a trace recorded from it (written to `trace_path`), each with probes
+ * off and on. `seed` keeps each test's checkpoint keys its own.
+ */
+std::vector<runner::Experiment>
+resumeCases(const std::string &name, std::uint64_t seed,
+            const std::string &trace_path)
+{
+    const WorkloadPreset generated = tinyPreset(name, seed);
+    Program prog(generated.program);
+    TraceGenerator gen(prog, seed);
+    recordTraceInstructions(gen, generated, seed, trace_path,
+                            kWarmup + kMeasure + 20000);
+    std::vector<runner::Experiment> cases;
+    for (const WorkloadPreset &preset :
+         {generated, presetByName("trace:" + trace_path)}) {
+        for (const bool probes : {false, true}) {
+            runner::Experiment exp =
+                experimentFor(preset, SchemeType::Shotgun);
+            exp.config.core.uarchProbes = probes;
+            cases.push_back(std::move(exp));
+        }
+    }
+    return cases;
+}
+
+std::string
+caseName(const runner::Experiment &exp)
+{
+    return exp.workload +
+           (exp.config.core.uarchProbes ? " probed" : " unprobed");
+}
+
+/**
+ * The reference a windowed run must reproduce slice for slice: one
+ * uninterrupted Core, built the way runSimulationDelta builds it and
+ * stepped by hand through the warmup and the measure region, with a
+ * snapshot at every window boundary of `plan`.
+ */
+std::vector<StatsDelta>
+handSteppedSlices(const SimConfig &config, const WindowPlan &plan)
+{
+    const Program &program = programFor(config.workload);
+    std::unique_ptr<TraceSource> source;
+    std::uint64_t control_seed = config.traceSeed;
+    if (config.workload.tracePath.empty()) {
+        source =
+            std::make_unique<TraceGenerator>(program, config.traceSeed);
+    } else {
+        auto file =
+            std::make_unique<TraceFileSource>(config.workload.tracePath);
+        control_seed = file->traceSeed();
+        source = std::move(file);
+    }
+    CoreParams core_params = config.core;
+    core_params.loadFrac = config.workload.loadFrac;
+    core_params.l1dMissRate = config.workload.l1dMissRate;
+    core_params.llcDataMissFrac = config.workload.llcDataMissFrac;
+    core_params.dataSeed =
+        mix64(control_seed ^ mix64(config.workload.program.seed));
+    HierarchyParams hierarchy;
+    hierarchy.mesh.backgroundLoad = config.workload.backgroundLoad;
+
+    Core core(program, *source, core_params, hierarchy, config.scheme);
+    core.run(config.warmupInstructions);
+    core.resetStats();
+    std::vector<StatsDelta> slices;
+    for (const SimWindow &w : plan.windows) {
+        core.clearUarchSites();
+        const Core::StatsSnapshot begin = core.snapshotStats();
+        core.runUntilRetired(w.measureEnd);
+        slices.push_back(deltaBetween(begin, core.snapshotStats()));
+    }
+    return slices;
+}
+
+std::uint64_t
+resumes()
+{
+    return obs::metrics().counter("sim.resumes")->value();
+}
+
+TEST(ResumedWindowTest, EveryWindowIsItsHandSteppedSlice)
+{
+    // Windows 1-3 resume the core the window before them parked; each
+    // window's counters must still be exactly its slice of one
+    // uninterrupted core, and the stitch the monolithic result.
+    const std::string path = "/tmp/shotgun_test_resume_exact.trace";
+    for (const runner::Experiment &exp :
+         resumeCases("resume-exact", 61, path)) {
+        SCOPED_TRACE(caseName(exp));
+        const WindowPlan plan = contiguousPlan(exp.config, 4);
+        const std::vector<StatsDelta> slices =
+            handSteppedSlices(exp.config, plan);
+
+        const std::uint64_t before = resumes();
+        const window::WindowedOutcome outcome =
+            runWindowedExperiment(exp, plan, 4);
+        EXPECT_EQ(resumes() - before, 3u); // Windows 1, 2 and 3.
+
+        ASSERT_EQ(outcome.windows.size(), slices.size());
+        for (std::size_t w = 0; w < slices.size(); ++w)
+            EXPECT_TRUE(outcome.windows[w].stats == slices[w])
+                << "window " << w;
+        expectIdentical(outcome.stitched, runSimulation(exp.config));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ResumedWindowTest, ReverseOrderRestoresAndFastForwards)
+{
+    // Run one by one from the last window back, no window finds its
+    // predecessor parked: each restores the warmup checkpoint the
+    // monolithic run captured and fast-forwards, to the same deltas.
+    const std::string path = "/tmp/shotgun_test_resume_reverse.trace";
+    for (const runner::Experiment &exp :
+         resumeCases("resume-reverse", 67, path)) {
+        SCOPED_TRACE(caseName(exp));
+        const WindowPlan plan = contiguousPlan(exp.config, 4);
+        const std::vector<StatsDelta> slices =
+            handSteppedSlices(exp.config, plan);
+        const std::vector<SimConfig> configs =
+            expandPlan(exp.config, plan);
+        runSimulation(exp.config);
+
+        const std::uint64_t resumes_before = resumes();
+        const MemoCacheStats before = checkpointCache().stats();
+        for (std::size_t w = configs.size(); w-- > 0;)
+            EXPECT_TRUE(runSimulationDelta(configs[w]).stats == slices[w])
+                << "window " << w;
+        const MemoCacheStats after = checkpointCache().stats();
+        EXPECT_EQ(resumes(), resumes_before);
+        EXPECT_EQ(after.hits, before.hits + configs.size());
+        EXPECT_EQ(after.misses, before.misses);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ResumedWindowTest, IdenticalPlansRacingAgree)
+{
+    // Two identical plans on one pool race for the same parked
+    // states: whichever window wins a state resumes, the other falls
+    // back to restore and fast-forward, and both come out the same.
+    const std::string path = "/tmp/shotgun_test_resume_race.trace";
+    for (const runner::Experiment &exp :
+         resumeCases("resume-race", 71, path)) {
+        SCOPED_TRACE(caseName(exp));
+        const WindowPlan plan = contiguousPlan(exp.config, 4);
+        const std::vector<StatsDelta> slices =
+            handSteppedSlices(exp.config, plan);
+
+        runner::GridScheduler scheduler(
+            runner::GridScheduler::Options{4});
+        window::WindowedOutcome a, b;
+        std::thread first([&]() {
+            a = runWindowedExperiment(exp, plan, scheduler);
+        });
+        std::thread second([&]() {
+            b = runWindowedExperiment(exp, plan, scheduler);
+        });
+        first.join();
+        second.join();
+
+        ASSERT_EQ(a.windows.size(), slices.size());
+        ASSERT_EQ(b.windows.size(), slices.size());
+        for (std::size_t w = 0; w < slices.size(); ++w) {
+            EXPECT_TRUE(a.windows[w].stats == slices[w]) << "window " << w;
+            EXPECT_TRUE(b.windows[w].stats == slices[w]) << "window " << w;
+        }
+        expectIdentical(a.stitched, b.stitched);
+        expectIdentical(a.stitched, runSimulation(exp.config));
+    }
+    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------- sampled windows

@@ -28,10 +28,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
@@ -107,14 +110,17 @@ const char *kUsage =
     "                       windows back into results numerically\n"
     "                       identical to monolithic runs; dead-worker\n"
     "                       recovery re-simulates lost windows on\n"
-    "                       survivors. Each window re-simulates its\n"
-    "                       prefix as warm-up (the price of exact\n"
-    "                       stitching), so this buys distribution\n"
-    "                       granularity and fault tolerance, not a\n"
-    "                       shorter critical path; the sampled-window\n"
-    "                       API (src/window/) is the latency lever.\n"
-    "                       Works with --local too (the windows run\n"
-    "                       on the in-process pool).\n"
+    "                       survivors. Each remote window\n"
+    "                       re-simulates its prefix as warm-up (the\n"
+    "                       price of exact stitching), so this buys\n"
+    "                       distribution granularity and fault\n"
+    "                       tolerance, not a shorter critical path;\n"
+    "                       the sampled-window API (src/window/) is\n"
+    "                       the latency lever. Works with --local\n"
+    "                       too: every experiment's windows run on\n"
+    "                       the in-process pool at once, each\n"
+    "                       resuming the core the window before it\n"
+    "                       parked.\n"
     "\n"
     "Transport options:\n"
     "  --timeout SECONDS    fail when the server sends nothing for\n"
@@ -436,24 +442,55 @@ runSubmit(const Options &opts)
         }
         results = runner::ExperimentRunner(ropts).run(set);
     } else if (opts.local) {
-        // Windowed in-process: each experiment's windows run
-        // concurrently on one pool; experiments run in sequence.
+        // Windowed in-process: every experiment's plan is submitted
+        // at once to one pool, one submitting thread each, so while
+        // one plan's windows wait on each other the pool runs the
+        // other plans' windows.
         runner::GridScheduler::Options sopts;
         if (opts.jobs != 0)
             sopts.workers = static_cast<unsigned>(opts.jobs);
         runner::GridScheduler scheduler(sopts);
-        for (const runner::Experiment &exp : set.experiments()) {
-            const window::WindowPlan plan =
-                window::contiguousPlan(exp.config, window_shards);
-            window::WindowedOutcome outcome =
-                window::runWindowedExperiment(exp, plan, scheduler);
-            if (opts.showProgress)
-                std::fprintf(stderr, "[%zu/%zu] %s/%s stitched from "
-                             "%u windows\n",
-                             results.size() + 1, set.size(),
-                             exp.workload.c_str(), exp.label.c_str(),
-                             window_shards);
-            results.push_back(std::move(outcome.stitched));
+        const std::vector<runner::Experiment> &grid = set.experiments();
+        results.resize(grid.size());
+        std::vector<std::exception_ptr> errors(grid.size());
+        const obs::TraceContext *parent = obs::currentTraceContext();
+        std::mutex progress_mutex;
+        std::size_t stitched = 0;
+        std::vector<std::thread> submitters;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            submitters.emplace_back([&, i]() {
+                // The plan's job is traced like the main thread's.
+                obs::TraceContext ctx;
+                if (parent != nullptr)
+                    ctx = *parent;
+                obs::ScopedTraceContext scope(parent != nullptr ? &ctx
+                                                                : nullptr);
+                try {
+                    results[i] = window::runWindowedExperiment(
+                                     grid[i],
+                                     window::contiguousPlan(
+                                         grid[i].config, window_shards),
+                                     scheduler)
+                                     .stitched;
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                    return;
+                }
+                if (opts.showProgress) {
+                    std::lock_guard<std::mutex> lock(progress_mutex);
+                    std::fprintf(stderr, "[%zu/%zu] %s/%s stitched from "
+                                 "%u windows\n",
+                                 ++stitched, grid.size(),
+                                 grid[i].workload.c_str(),
+                                 grid[i].label.c_str(), window_shards);
+                }
+            });
+        }
+        for (std::thread &t : submitters)
+            t.join();
+        for (const std::exception_ptr &error : errors) {
+            if (error != nullptr)
+                std::rethrow_exception(error);
         }
     } else {
         service::ShardedOptions shard_opts;
