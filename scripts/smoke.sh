@@ -89,16 +89,25 @@ grep -q '"workload": "nutch"' "$TRACE_OUT.json"
     | grep -q "OK: file replay is bit-identical"
 
 echo "== tool CLI conventions (--help 0 / --version 0 / bad usage 2) =="
+expect_usage_error() { # expect_usage_error TOOL [args...]
+    local rc=0
+    "$BUILD_DIR/$1" "${@:2}" > /dev/null 2>&1 || rc=$?
+    test "$rc" -eq 2 || {
+        echo "$*: exited $rc, expected 2 (usage error)" >&2
+        exit 1
+    }
+}
 for tool in shotgun-trace shotgun-serve shotgun-submit shotgun-coord; do
     "$BUILD_DIR/$tool" --help > /dev/null
     "$BUILD_DIR/$tool" --version | grep -q "^$tool "
-    rc=0
-    "$BUILD_DIR/$tool" --definitely-not-a-flag > /dev/null 2>&1 || rc=$?
-    test "$rc" -eq 2 || {
-        echo "$tool: bad usage exited $rc, expected 2" >&2
-        exit 1
-    }
+    expect_usage_error "$tool" --definitely-not-a-flag
 done
+# shotgun-submit takes exactly one of --server, --coordinator and
+# --local; two (even two of the same) are a usage error, not
+# last-wins. The option parser rejects them before any connect.
+expect_usage_error shotgun-submit --server unix:a --coordinator unix:b
+expect_usage_error shotgun-submit --server unix:a --server unix:b
+expect_usage_error shotgun-submit --coordinator unix:a --local
 
 echo "== service: serve -> submit -> verify bitwise vs in-process =="
 # Every spawned daemon registers its PID here; the EXIT trap kills
@@ -132,25 +141,19 @@ GRID=(--workload nutch --schemes fdip,shotgun
 start_serve "$SOCK"
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --ping
 
-# The same grid through the service, and sharded across two "workers"
-# pointed at the same server, and fully in-process (--local): all
-# three must produce byte-identical JSON/CSV.
+# The same grid through the service and fully in-process (--local):
+# both must produce byte-identical JSON/CSV.
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_remote" > /dev/null
-"$BUILD_DIR/shotgun-submit" --workers "unix:$SOCK,unix:$SOCK" \
-    "${GRID[@]}" --out "$BUILD_DIR/smoke/svc_sharded" > /dev/null
 "$BUILD_DIR/shotgun-submit" --local "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_local" > /dev/null
 for ext in json csv; do
     cmp "$BUILD_DIR/smoke/svc_remote.$ext" \
         "$BUILD_DIR/smoke/svc_local.$ext"
-    cmp "$BUILD_DIR/smoke/svc_sharded.$ext" \
-        "$BUILD_DIR/smoke/svc_local.$ext"
 done
 
-# Three submits of one 3-point grid, but only 3 distinct configs
-# simulated: the repeats were served from the fingerprint cache,
-# whose stats are surfaced in the status frame.
+# The 3-point grid's 3 distinct configs sit in the fingerprint
+# cache, whose stats are surfaced in the status frame.
 STATUS=$("$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --status)
 echo "$STATUS" | grep -q '"cache_entries":3'
 echo "$STATUS" | grep -q '"cache":{"entries":3'
@@ -159,34 +162,14 @@ echo "$STATUS" | grep -q '"evictions":0'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
 wait "${DAEMON_PIDS[0]}"
 
-echo "== service: dead worker mid-fleet is survived byte-identically =="
-# Three --workers endpoints, one pointing at nothing: the dead
-# worker's shard must be redistributed across the two live daemons
-# and the stitched output must still match --local byte for byte.
-SOCK_A="$BUILD_DIR/smoke/serve_a.sock"
-SOCK_B="$BUILD_DIR/smoke/serve_b.sock"
-start_serve "$SOCK_A"
-start_serve "$SOCK_B"
-"$BUILD_DIR/shotgun-submit" \
-    --workers "unix:$SOCK_A,unix:$BUILD_DIR/smoke/no-such.sock,unix:$SOCK_B" \
-    "${GRID[@]}" --out "$BUILD_DIR/smoke/svc_survived" \
-    2> "$BUILD_DIR/smoke/svc_survived.err" > /dev/null
-grep -q "redistributed to survivors" "$BUILD_DIR/smoke/svc_survived.err"
-for ext in json csv; do
-    cmp "$BUILD_DIR/smoke/svc_survived.$ext" \
-        "$BUILD_DIR/smoke/svc_local.$ext"
-done
-
-echo "== windowed simulation: record -> index -> 3-daemon fleet =="
-# One heavy workload split into 3 measurement windows distributed
-# across a 3-daemon fleet, with one daemon killed mid-run: the lost
-# windows are re-simulated on the survivors and the stitched result
-# must match the monolithic run numerically -- the CSVs (which carry
-# every metric) are compared byte for byte. The index tool is
-# exercised first (build + inspect; full-coverage windows never skip
-# the stream -- remote ones re-simulate their prefix for exactness,
-# in-process ones resume the core the window before them parked --
-# so the .idx serves the sampled mode).
+echo "== windowed simulation: record -> index -> one server =="
+# One workload split into 3 measurement windows and stitched back:
+# the CSVs (which carry every metric) must match the monolithic run
+# byte for byte, in-process and through one server. The index tool
+# is exercised first (build + inspect; full-coverage windows never
+# skip the stream -- they resume the core the window before them
+# parked, or re-simulate their prefix -- so the .idx serves the
+# sampled mode).
 WTRACE="$BUILD_DIR/smoke/window.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
     --warmup 100000 --instructions 200000
@@ -200,43 +183,28 @@ test -s "$WTRACE.idx" || {
 
 WGRID=(--workload "trace:$WTRACE" --schemes shotgun
        --warmup 100000 --instructions 200000 --no-progress)
-SOCK_W1="$BUILD_DIR/smoke/serve_w1.sock"
-SOCK_W2="$BUILD_DIR/smoke/serve_w2.sock"
-SOCK_W3="$BUILD_DIR/smoke/serve_w3.sock"
-start_serve "$SOCK_W1"
-start_serve "$SOCK_W2"
-start_serve "$SOCK_W3"
-VICTIM_PID="${DAEMON_PIDS[-1]}"
-
 "$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" \
     --out "$BUILD_DIR/smoke/win_mono" > /dev/null
-
-# Kill one daemon shortly after the windowed submit starts. Whether
-# it dies before, during or after its windows were delivered, the
-# stitched output must be the same -- that is the recovery contract.
-"$BUILD_DIR/shotgun-submit" \
-    --workers "unix:$SOCK_W1,unix:$SOCK_W2,unix:$SOCK_W3" \
-    "${WGRID[@]}" --window-shards 3 \
-    --out "$BUILD_DIR/smoke/win_fleet" \
-    2> "$BUILD_DIR/smoke/win_fleet.err" > /dev/null &
-SUBMIT_PID=$!
-sleep 0.3
-kill "$VICTIM_PID" 2>/dev/null || true
-wait "$SUBMIT_PID"
-
-cmp "$BUILD_DIR/smoke/win_fleet.csv" "$BUILD_DIR/smoke/win_mono.csv"
-grep -q '"windows": 3' "$BUILD_DIR/smoke/win_fleet.json"
-
-# The same windowed grid entirely in-process matches too.
 "$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" --window-shards 3 \
     --out "$BUILD_DIR/smoke/win_local" > /dev/null
 cmp "$BUILD_DIR/smoke/win_local.csv" "$BUILD_DIR/smoke/win_mono.csv"
+grep -q '"windows": 3' "$BUILD_DIR/smoke/win_local.json"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W1" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W2" --shutdown
+# On one server the 6 windows (2 schemes x 3) form one job: each
+# scheme simulates its warmup once (2 checkpoint misses) and its
+# windows 1 and 2 resume the core the window before them parked
+# (4 hits).
+SOCK_W="$BUILD_DIR/smoke/serve_w.sock"
+start_serve "$SOCK_W"
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" "${WGRID[@]}" \
+    --window-shards 3 --out "$BUILD_DIR/smoke/win_server" > /dev/null
+cmp "$BUILD_DIR/smoke/win_server.csv" "$BUILD_DIR/smoke/win_mono.csv"
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --status \
+    | grep -q '"checkpoint":{"entries":2,[^}]*"hits":4,"misses":2'
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --shutdown
 
 echo "== fleet: coord + 3 workers, kill one, verify bitwise =="
-# The same windowed grid through the coordinator fleet: three
+# The windowed grid through the coordinator fleet: three
 # shotgun-serve workers register with a shotgun-coord daemon and
 # steal points from its global queue; one worker is killed mid-run
 # and the coordinator must requeue its in-flight points on the
@@ -459,18 +427,35 @@ if grep -q '"uarch"' "$BUILD_DIR/smoke/svc_local.json"; then
     exit 1
 fi
 
-# The same probed grid sharded across two workers: the breakdown
-# rides the result frames' optional "uarch" member home, so the
-# fleet's report (and CSV) must match the local ones byte for byte.
-"$BUILD_DIR/shotgun-submit" --workers "unix:$SOCK_A,unix:$SOCK_B" \
+# The same probed grid through a coordinator and two workers: the
+# breakdown rides the result frames' optional "uarch" member home,
+# so the fleet's report (and CSV) must match the local ones byte for
+# byte.
+COORD_U_SOCK="$BUILD_DIR/smoke/coord_u.sock"
+"$BUILD_DIR/shotgun-coord" --listen "unix:$COORD_U_SOCK" --quiet \
+    --heartbeat-ms 200 &
+DAEMON_PIDS+=($!)
+for _ in $(seq 50); do
+    [ -S "$COORD_U_SOCK" ] && break
+    sleep 0.1
+done
+SOCK_U1="$BUILD_DIR/smoke/serve_u1.sock"
+SOCK_U2="$BUILD_DIR/smoke/serve_u2.sock"
+start_serve "$SOCK_U1" --coordinator "unix:$COORD_U_SOCK" \
+    --name uarch-w1 --heartbeat-ms 200 --jobs 1
+start_serve "$SOCK_U2" --coordinator "unix:$COORD_U_SOCK" \
+    --name uarch-w2 --heartbeat-ms 200 --jobs 1
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_U_SOCK" \
     "${GRID[@]}" --out "$BUILD_DIR/smoke/uarch_fleet" \
     --uarch-report "$BUILD_DIR/smoke/uarch_fleet_report.json" \
     > /dev/null
 cmp "$BUILD_DIR/smoke/uarch_fleet.csv" "$BUILD_DIR/smoke/svc_local.csv"
 cmp "$BUILD_DIR/smoke/uarch_fleet_report.json" "$UARCH_REPORT"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_A" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_B" --shutdown
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U1" --shutdown
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U2" --shutdown
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_U_SOCK" \
+    --shutdown
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --shutdown
 wait "${DAEMON_PIDS[@]:1}" 2>/dev/null || true
 

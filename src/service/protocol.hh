@@ -142,7 +142,8 @@ struct ResultEvent
 
     /**
      * Raw window counters, present exactly when the grid point's
-     * config had a window: what submitWindowSharded() stitches.
+     * config had a window: what ServiceClient::submitWindowed()
+     * stitches.
      */
     bool hasDelta = false;
     StatsDelta delta;

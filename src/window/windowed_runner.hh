@@ -11,10 +11,11 @@
  * identical to running the experiment monolithically -- the windows
  * measure disjoint adjacent slices of the exact cycle sequence the
  * monolithic run traverses (see src/window/README.md), and the raw
- * counters merge exactly. The service client's window sharding
- * (service/client.hh submitWindowSharded) stitches with the same
- * merge, so a window lost to a dead worker and re-simulated
- * elsewhere changes nothing in the result.
+ * counters merge exactly. The service client's windowed submit
+ * (service/client.hh ServiceClient::submitWindowed) stitches with
+ * the same merge, so a window a fleet coordinator requeues after its
+ * worker died and re-simulates elsewhere changes nothing in the
+ * result.
  */
 
 #ifndef SHOTGUN_WINDOW_WINDOWED_RUNNER_HH

@@ -5,10 +5,11 @@
  * SimServer+FleetWorker workers attached to it. The load-bearing
  * assertions are determinism and exactly-once delivery: a grid
  * submitted to the coordinator -- including one whose worker is
- * killed or stops heartbeating mid-grid -- returns results bitwise
- * identical to the same grid run in-process, and a persistent cache
- * directory answers a resubmitted grid across a coordinator restart
- * without any worker at all.
+ * killed or stops heartbeating mid-grid, and a windowed one stitched
+ * back from its windows -- returns results bitwise identical to the
+ * same grid run in-process, and a persistent cache directory answers
+ * a resubmitted grid across a coordinator restart without any worker
+ * at all.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include "runner/result_sink.hh"
 #include "service/client.hh"
 #include "service/server.hh"
+#include "sim/simulator.hh"
 
 namespace shotgun
 {
@@ -376,6 +378,69 @@ TEST(FleetTest, WorkerKilledMidGridLandsEveryPointExactlyOnce)
 
     EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
     EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+    victim.reset();
+}
+
+TEST(FleetTest, WindowedGridSurvivesWorkerKilledMidPlan)
+{
+    // Two experiments, each split into three windows, through a
+    // coordinator with three workers; one worker is stopped on the
+    // first streamed window. Its in-flight windows are requeued on
+    // the survivors, and every stitched result still equals the
+    // monolithic in-process run bit for bit.
+    const WorkloadPreset preset = tinyPreset("fleet-win", 0xf1ee7);
+    SubmitRequest request;
+    request.experiment = "fleet-windowed";
+    request.jobs = 1;
+    std::vector<SimResult> mono;
+    for (const SchemeType type :
+         {SchemeType::Baseline, SchemeType::Shotgun}) {
+        runner::Experiment exp;
+        exp.workload = preset.name;
+        exp.label = schemeTypeName(type);
+        exp.config = SimConfig::make(preset, type);
+        exp.config.warmupInstructions = 20000;
+        exp.config.measureInstructions = 50000;
+        mono.push_back(runSimulation(exp.config));
+        request.grid.push_back(std::move(exp));
+    }
+
+    TestCoordinator coord("windowed");
+    TestWorker w1("win-1", coord.endpoint());
+    TestWorker w2("win-2", coord.endpoint());
+    auto victim =
+        std::make_unique<TestWorker>("win-3", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 3);
+
+    ServiceClient client(coord.endpoint());
+    std::size_t events = 0;
+    std::size_t deltas = 0;
+    const std::vector<SimResult> stitched = client.submitWindowed(
+        request, 3, [&](const ResultEvent &event) {
+            deltas += event.hasDelta ? 1 : 0;
+            if (++events == 1)
+                victim->stop();
+        });
+
+    ASSERT_EQ(stitched.size(), mono.size());
+    for (std::size_t i = 0; i < mono.size(); ++i)
+        EXPECT_TRUE(stitched[i] == mono[i]) << "index " << i;
+    // 2 experiments x 3 windows, every window frame with its delta.
+    EXPECT_EQ(events, 6u);
+    EXPECT_EQ(deltas, 6u);
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+    awaitWorkers(coord.coordinator(), 2);
+
+    // The resubmit is answered from the coordinator's cache, whose
+    // windowed entries keep their deltas, and stitches identically.
+    std::size_t cached = 0;
+    const std::vector<SimResult> again = client.submitWindowed(
+        request, 3,
+        [&](const ResultEvent &event) { cached += event.cached; });
+    EXPECT_EQ(cached, 6u);
+    ASSERT_EQ(again.size(), mono.size());
+    for (std::size_t i = 0; i < mono.size(); ++i)
+        EXPECT_TRUE(again[i] == mono[i]) << "index " << i;
     victim.reset();
 }
 

@@ -2,10 +2,10 @@
  * @file
  * End-to-end tests for the simulation service: a real SimServer on a
  * Unix socket in this process, driven through ServiceClient. The
- * load-bearing assertions are the distributed-determinism ones: a
- * grid submitted to one server, or sharded across two, returns
- * results bitwise-identical to the same grid run in-process, and the
- * serialized JSON/CSV artifacts match byte for byte.
+ * load-bearing assertions are the determinism ones: a grid submitted
+ * to a server returns results bitwise-identical to the same grid run
+ * in-process, and the serialized JSON/CSV artifacts match byte for
+ * byte.
  */
 
 #include <gtest/gtest.h>
@@ -165,32 +165,6 @@ TEST(ServiceTest, ResubmitIsServedFromTheCache)
     EXPECT_EQ(server.server().cacheSize(), set.size());
     for (std::size_t i = 0; i < set.size(); ++i)
         EXPECT_TRUE(first[i] == second[i]);
-}
-
-TEST(ServiceTest, ShardedSubmitMatchesInProcessBitwise)
-{
-    const runner::ExperimentSet set = quickGrid(3);
-    const auto local = runner::ExperimentRunner().run(set);
-
-    TestServer a("shard-a"), b("shard-b");
-    std::size_t last_done = 0;
-    const auto remote = submitSharded(
-        {a.endpoint(), b.endpoint()}, requestFor(set, "sharded"),
-        [&](std::size_t done, std::size_t total) {
-            last_done = done;
-            EXPECT_EQ(total, set.size());
-        });
-
-    EXPECT_EQ(last_done, set.size());
-    ASSERT_EQ(remote.size(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i)
-        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
-
-    // Both servers did real work (round-robin sharding).
-    EXPECT_GT(a.server().cacheSize(), 0u);
-    EXPECT_GT(b.server().cacheSize(), 0u);
-    EXPECT_EQ(a.server().cacheSize() + b.server().cacheSize(),
-              set.size());
 }
 
 TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
@@ -521,92 +495,12 @@ TEST(ServiceTest, CacheEvictionRespectsByteBudget)
     EXPECT_LE(stats.bytes, options.cacheBytes);
 }
 
-TEST(ServiceTest, ShardedSurvivesDeadWorkerEndpoint)
+TEST(ServiceTest, JobErrorSurfacesAsServiceError)
 {
-    // One of three workers is dead on arrival (nothing listens on
-    // its socket): its shard must be redistributed across the two
-    // survivors and the stitched result must stay byte-identical.
-    const runner::ExperimentSet set = quickGrid(3);
-    const auto local = runner::ExperimentRunner().run(set);
-
-    TestServer a("dead-a"), b("dead-b");
-    const std::string dead = "unix:/tmp/shotgun_svc_dead_worker.sock";
-
-    ShardedOptions options;
-    std::vector<ShardOutcome> outcomes;
-    options.outcomes = &outcomes;
-    std::atomic<std::size_t> last_done{0};
-    options.onProgress = [&](std::size_t done, std::size_t total) {
-        last_done.store(done);
-        EXPECT_EQ(total, set.size());
-    };
-
-    const auto remote = submitSharded(
-        {a.endpoint(), dead, b.endpoint()},
-        requestFor(set, "dead-worker"), options);
-
-    EXPECT_EQ(last_done.load(), set.size());
-    ASSERT_EQ(remote.size(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i)
-        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
-
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_TRUE(outcomes[0].error.empty());
-    EXPECT_TRUE(outcomes[2].error.empty());
-    EXPECT_FALSE(outcomes[1].error.empty());
-    EXPECT_EQ(outcomes[1].delivered, 0u);
-    EXPECT_EQ(outcomes[1].retried, outcomes[1].assigned);
-    EXPECT_EQ(outcomes[0].delivered + outcomes[2].delivered,
-              set.size());
-}
-
-TEST(ServiceTest, ShardedSurvivesWorkerKilledMidGrid)
-{
-    // Kill one of three live workers while the grid runs: its
-    // undelivered points move to the survivors and the stitched
-    // vector is still complete and byte-identical.
-    const runner::ExperimentSet set = quickGrid(3);
-    const auto local = runner::ExperimentRunner().run(set);
-
-    TestServer a("kill-a"), b("kill-b");
-    auto victim = std::make_unique<TestServer>("kill-c");
-
-    ShardedOptions options;
-    std::vector<ShardOutcome> outcomes;
-    options.outcomes = &outcomes;
-    std::atomic<bool> killed{false};
-    options.onProgress = [&](std::size_t, std::size_t) {
-        // First delivered point anywhere: shoot worker C.
-        if (!killed.exchange(true))
-            victim->server().requestShutdown();
-    };
-
-    const auto remote = submitSharded(
-        {a.endpoint(), b.endpoint(), victim->endpoint()},
-        requestFor(set, "killed-worker"), options);
-
-    ASSERT_EQ(remote.size(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i)
-        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
-    // Every point was delivered by someone; C's ledger is truthful
-    // whether the kill caught it mid-shard or just after it
-    // finished (both are legal interleavings).
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_EQ(outcomes[0].delivered + outcomes[1].delivered +
-                  outcomes[2].delivered,
-              set.size());
-    EXPECT_EQ(outcomes[2].delivered + outcomes[2].retried,
-              outcomes[2].assigned);
-}
-
-TEST(ServiceTest, ShardedJobErrorFailsFastWithoutRedistribution)
-{
-    // A fake worker that accepts the submit and then reports the job
-    // itself failed (`done` status "error"): that failure is
-    // deterministic -- the same point would fail on every worker --
-    // so submitSharded must rethrow it immediately instead of
-    // "redistributing" the shard across the healthy fleet.
-    const std::string path = "/tmp/shotgun_svc_failfast.sock";
+    // A fake server that accepts the submit and then reports the job
+    // itself failed (`done` status "error"): submit() must throw a
+    // ServiceError carrying the server's message.
+    const std::string path = "/tmp/shotgun_svc_job_error.sock";
     Listener fake(Endpoint::parse("unix:" + path));
     std::thread fake_thread([&]() {
         Socket sock = fake.accept();
@@ -635,14 +529,12 @@ TEST(ServiceTest, ShardedJobErrorFailsFastWithoutRedistribution)
         }
     });
 
-    TestServer healthy("failfast");
     const runner::ExperimentSet set = quickGrid(2);
-    ShardedOptions options;
     try {
-        submitSharded({healthy.endpoint(), "unix:" + path},
-                      requestFor(set, "failfast"), options);
-        FAIL() << "deterministic job failure was not propagated";
-    } catch (const JobFailedError &e) {
+        ServiceClient("unix:" + path)
+            .submit(requestFor(set, "job-error"));
+        FAIL() << "job failure was not propagated";
+    } catch (const ServiceError &e) {
         EXPECT_NE(std::string(e.what())
                       .find("synthetic simulate failure"),
                   std::string::npos)
@@ -650,30 +542,6 @@ TEST(ServiceTest, ShardedJobErrorFailsFastWithoutRedistribution)
     }
     fake.shutdownListener();
     fake_thread.join();
-}
-
-TEST(ServiceTest, ShardedAllWorkersDeadRethrowsWithLedger)
-{
-    const runner::ExperimentSet set = quickGrid(1);
-    ShardedOptions options;
-    std::vector<ShardOutcome> outcomes;
-    options.outcomes = &outcomes;
-    EXPECT_THROW(
-        submitSharded({"unix:/tmp/shotgun_svc_dead_1.sock",
-                       "unix:/tmp/shotgun_svc_dead_2.sock"},
-                      requestFor(set, "all-dead"), options),
-        SocketError);
-
-    // The per-worker ledger is filled even on the failure path, so
-    // the caller can report who died with what instead of only the
-    // first exception (this is what shotgun-submit prints before
-    // exiting non-zero when the whole fleet is gone).
-    ASSERT_EQ(outcomes.size(), 2u);
-    for (const ShardOutcome &outcome : outcomes) {
-        EXPECT_FALSE(outcome.error.empty()) << outcome.endpoint;
-        EXPECT_EQ(outcome.delivered, 0u);
-        EXPECT_GT(outcome.assigned, 0u);
-    }
 }
 
 TEST(ServiceTest, ClientTimesOutOnWedgedServer)

@@ -5,11 +5,11 @@
  * full-coverage window plan -- contiguous windows, warm-up equal to
  * the preceding prefix -- stitches into a SimResult numerically
  * identical to the monolithic run, for synthetic presets and
- * recorded traces, in-process and across service workers, including
- * when a worker dies mid-run and its windows are re-simulated
- * elsewhere. Plus: merge permutation-invariance, strict window-order
- * emission, death tests for malformed plans, and the sampled
- * (approximate) mode's determinism.
+ * recorded traces. Plus: merge permutation-invariance, strict
+ * window-order emission, death tests for malformed plans, the
+ * windowed wire codec, and the sampled (approximate) mode's
+ * determinism. Windows through a fleet coordinator, with a worker
+ * killed mid-plan, are tested in test_fleet.cc.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +26,8 @@
 #include "obs/uarch.hh"
 #include "runner/experiment.hh"
 #include "runner/grid_scheduler.hh"
-#include "service/client.hh"
-#include "service/server.hh"
+#include "service/codec.hh"
+#include "service/protocol.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_delta.hh"
@@ -262,8 +262,8 @@ TEST(WindowStitchTest, FullCoverageMatchesMonolithicForRecordedTrace)
 TEST(WindowStitchTest, MergeIsPermutationInvariant)
 {
     // The property the distributed stitch rests on: whatever order
-    // windows come back in (worker interleaving, redistribution
-    // after a death), merging their deltas in any permutation gives
+    // windows come back in (worker interleaving, a requeue after a
+    // death), merging their deltas in any permutation gives
     // the monolithic counters.
     const WorkloadPreset preset = tinyPreset("perm", 7);
     SimConfig config = quickConfig(preset, SchemeType::Shotgun);
@@ -641,91 +641,7 @@ TEST(SampledWindowTest, DeterministicAndCheaperThanFullPrefix)
     EXPECT_LT(once.instructions, 5010u);
 }
 
-// ------------------------------------------------- service integration
-
-/** A serve()ing SimServer on a fresh Unix socket, RAII-stopped. */
-class TestServer
-{
-  public:
-    explicit TestServer(const std::string &tag)
-        : server_("unix:/tmp/shotgun_window_test_" + tag + ".sock"),
-          thread_([this]() { server_.serve(); })
-    {
-    }
-
-    ~TestServer()
-    {
-        server_.requestShutdown();
-        thread_.join();
-    }
-
-    std::string endpoint() const { return server_.endpoint(); }
-
-  private:
-    service::SimServer server_;
-    std::thread thread_;
-};
-
-TEST(WindowShardingTest, MatchesMonolithicAcrossWorkersAndDeaths)
-{
-    // Two experiments window-sharded across two live workers and one
-    // dead endpoint: the dead worker's windows are re-simulated on
-    // survivors, and the stitched results still equal monolithic
-    // in-process runs exactly.
-    service::SubmitRequest request;
-    request.experiment = "window-shard";
-    request.jobs = 2;
-    std::vector<SimResult> mono;
-    for (const SchemeType type :
-         {SchemeType::Baseline, SchemeType::Shotgun}) {
-        const runner::Experiment exp =
-            experimentFor(tinyPreset("ws", 11), type);
-        mono.push_back(runSimulation(exp.config));
-        request.grid.push_back(exp);
-    }
-
-    TestServer alpha("alpha");
-    TestServer beta("beta");
-    const std::vector<std::string> endpoints{
-        alpha.endpoint(),
-        "unix:/tmp/shotgun_window_test_dead.sock", // nobody listens
-        beta.endpoint()};
-
-    service::ShardedOptions options;
-    std::vector<service::ShardOutcome> outcomes;
-    options.outcomes = &outcomes;
-    std::size_t events = 0;
-    std::size_t deltas = 0;
-    options.onEvent = [&](std::size_t,
-                          const service::ResultEvent &event) {
-        ++events;
-        deltas += event.hasDelta ? 1 : 0;
-    };
-
-    const std::vector<SimResult> stitched =
-        service::submitWindowSharded(endpoints, request, 3, options);
-
-    ASSERT_EQ(stitched.size(), mono.size());
-    for (std::size_t i = 0; i < mono.size(); ++i)
-        expectIdentical(stitched[i], mono[i]);
-
-    // 2 experiments x 3 windows, every window frame carried a delta.
-    EXPECT_EQ(events, 6u);
-    EXPECT_EQ(deltas, 6u);
-
-    // The dead endpoint really was assigned windows and lost them.
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_FALSE(outcomes[1].error.empty());
-    EXPECT_GT(outcomes[1].retried, 0u);
-    EXPECT_EQ(outcomes[1].delivered, 0u);
-
-    // Resubmitting hits the servers' fingerprint caches (windowed
-    // entries keep their deltas) and stitches identically again.
-    const std::vector<SimResult> again = service::submitWindowSharded(
-        endpoints, request, 3, service::ShardedOptions{});
-    for (std::size_t i = 0; i < mono.size(); ++i)
-        expectIdentical(again[i], mono[i]);
-}
+// ---------------------------------------------------------- wire codec
 
 TEST(WindowShardingTest, DecodeRejectsDegenerateWindows)
 {

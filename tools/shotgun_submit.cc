@@ -3,15 +3,14 @@
  * shotgun-submit: client of the shotgun-serve simulation service.
  * Builds an experiment grid from the same declarative pieces the
  * benches use (workload presets / trace:<path>[:name] specs, scheme
- * names, run lengths), submits it to one server -- or shards it
- * across several with `--workers` -- streams progress, and writes
- * the same console table and JSON/CSV files an in-process run
- * produces. With `--local` the identical grid runs in-process, which
- * is how the smoke script asserts the service path is byte-identical
- * to the runner.
+ * names, run lengths), submits it to one server, streams progress,
+ * and writes the same console table and JSON/CSV files an in-process
+ * run produces. With `--local` the identical grid runs in-process,
+ * which is how the smoke script asserts the service path is
+ * byte-identical to the runner.
  *
  *   shotgun-submit --server unix:/run/shotgun.sock --workload nutch
- *   shotgun-submit --workers hostA:7401,hostB:7401 --workload all \
+ *   shotgun-submit --coordinator hostA:7400 --workload all \
  *       --schemes baseline,fdip,boomerang,confluence,shotgun \
  *       --out results/speedup
  *   shotgun-submit --server hostA:7401 --status
@@ -19,10 +18,12 @@
  *
  * With `--coordinator` the same grid goes to a shotgun-coord fleet
  * control plane instead of a single server: the coordinator spreads
- * the points over its registered workers and streams results back in
- * grid order, so the output stays byte-identical. `--fleet-status`
- * renders the coordinator's per-worker table (throughput, queue
- * depth, heartbeat age, cache hit rate).
+ * the points over its registered workers, requeues the points of a
+ * worker that dies, and streams results back in grid order, so the
+ * output stays byte-identical. `--fleet-status` renders the
+ * coordinator's per-worker table (throughput, queue depth, heartbeat
+ * age, cache hit rate). `--window-shards N` works with every
+ * endpoint: each experiment runs as N windows stitched back exactly.
  */
 
 #include <algorithm>
@@ -57,8 +58,7 @@ namespace
 
 const char *kUsage =
     "usage:\n"
-    "  shotgun-submit --server ENDPOINT | --workers EP1,EP2,...\n"
-    "                 | --coordinator ENDPOINT\n"
+    "  shotgun-submit --server ENDPOINT | --coordinator ENDPOINT\n"
     "                 [grid options] [output options]\n"
     "  shotgun-submit --server ENDPOINT --status|--ping|--shutdown\n"
     "  shotgun-submit --server ENDPOINT --cancel JOB\n"
@@ -96,31 +96,21 @@ const char *kUsage =
     "                       per-worker throughput, queue depth,\n"
     "                       heartbeat age and cache hit rate\n"
     "\n"
-    "Sharding: --workers submits experiment i to worker i mod W and\n"
-    "stitches results back by index, so the output is byte-identical\n"
-    "to a single-server or --local run of the same grid. A worker\n"
-    "that dies mid-grid has its undelivered points redistributed\n"
-    "across the surviving workers (delivered results are kept); the\n"
-    "submit fails only when every worker is dead.\n"
-    "\n"
+    "Windows:\n"
     "  --window-shards N    split every experiment into N contiguous\n"
-    "                       measurement windows distributed across\n"
-    "                       the workers (finer-grained work units\n"
-    "                       than per-config sharding) and stitch the\n"
-    "                       windows back into results numerically\n"
-    "                       identical to monolithic runs; dead-worker\n"
-    "                       recovery re-simulates lost windows on\n"
-    "                       survivors. Each remote window\n"
-    "                       re-simulates its prefix as warm-up (the\n"
-    "                       price of exact stitching), so this buys\n"
-    "                       distribution granularity and fault\n"
-    "                       tolerance, not a shorter critical path;\n"
-    "                       the sampled-window API (src/window/) is\n"
-    "                       the latency lever. Works with --local\n"
-    "                       too: every experiment's windows run on\n"
-    "                       the in-process pool at once, each\n"
-    "                       resuming the core the window before it\n"
-    "                       parked.\n"
+    "                       measurement windows, submitted as one job,\n"
+    "                       and stitch them back into results\n"
+    "                       numerically identical to monolithic runs.\n"
+    "                       On one server (or --local) each window\n"
+    "                       resumes the core the window before it\n"
+    "                       parked; through --coordinator the windows\n"
+    "                       spread over the fleet, a window lost with\n"
+    "                       its worker is requeued, and each window\n"
+    "                       restores the warm-up and re-simulates its\n"
+    "                       prefix (the price of exact stitching), so\n"
+    "                       this buys finer work units, not a shorter\n"
+    "                       critical path; the sampled-window API\n"
+    "                       (src/window/) is the latency lever\n"
     "\n"
     "Transport options:\n"
     "  --timeout SECONDS    fail when the server sends nothing for\n"
@@ -174,7 +164,7 @@ splitCommas(const std::string &text)
 
 struct Options
 {
-    std::vector<std::string> endpoints;
+    std::string endpoint; ///< --server or --coordinator.
     bool local = false;
 
     enum class Action
@@ -210,6 +200,7 @@ Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
+    unsigned targets = 0; // --server, --coordinator and --local seen.
     for (int i = 1; i < argc; ++i) {
         auto next = [&](const char *flag) -> const char * {
             if (i + 1 >= argc)
@@ -227,17 +218,16 @@ parseOptions(int argc, char **argv)
         };
         const char *arg = argv[i];
         if (std::strcmp(arg, "--server") == 0) {
-            opts.endpoints = {next("--server")};
-        } else if (std::strcmp(arg, "--workers") == 0) {
-            opts.endpoints = splitCommas(next("--workers"));
-            if (opts.endpoints.empty())
-                usageError("--workers: expected EP1,EP2,...");
+            opts.endpoint = next("--server");
+            ++targets;
         } else if (std::strcmp(arg, "--coordinator") == 0) {
             // The coordinator speaks the same client protocol as a
             // single server; it fans the grid out to its fleet.
-            opts.endpoints = {next("--coordinator")};
+            opts.endpoint = next("--coordinator");
+            ++targets;
         } else if (std::strcmp(arg, "--local") == 0) {
             opts.local = true;
+            ++targets;
         } else if (std::strcmp(arg, "--status") == 0) {
             opts.action = Options::Action::Status;
         } else if (std::strcmp(arg, "--fleet-status") == 0) {
@@ -305,15 +295,12 @@ parseOptions(int argc, char **argv)
         }
     }
 
-    if (opts.local && !opts.endpoints.empty())
-        usageError("--local excludes --server/--workers");
-    if (!opts.local && opts.endpoints.empty())
-        usageError("one of --server, --workers or --local is required");
-    if (opts.action != Options::Action::Submit &&
-        (opts.local || opts.endpoints.size() != 1))
+    if (targets != 1)
+        usageError("exactly one of --server, --coordinator or --local "
+                   "is required");
+    if (opts.action != Options::Action::Submit && opts.local)
         usageError("--status/--fleet-status/--ping/--shutdown/"
-                   "--cancel need exactly one --server or "
-                   "--coordinator");
+                   "--cancel need --server or --coordinator");
     return opts;
 }
 
@@ -493,93 +480,29 @@ runSubmit(const Options &opts)
                 std::rethrow_exception(error);
         }
     } else {
-        service::ShardedOptions shard_opts;
-        shard_opts.onProgress = [&](std::size_t done,
-                                    std::size_t total) {
-            if (opts.showProgress)
-                std::fprintf(stderr, "[%zu/%zu] points complete\n",
-                             done, total);
-        };
-        shard_opts.timeoutSeconds =
-            static_cast<unsigned>(opts.timeoutSeconds);
-        if (tracing) {
+        service::ServiceClient client(
+            opts.endpoint, static_cast<unsigned>(opts.timeoutSeconds));
+        const std::size_t points =
+            request.grid.size() * (window_shards == 0 ? 1 : window_shards);
+        std::size_t delivered = 0;
+        const auto on_result = [&](const service::ResultEvent &event) {
             // Remote spans arrive inside result frames; fold them
             // into the local tracer so one file holds the whole
-            // cross-process timeline. onEvent calls are serialized.
-            shard_opts.onEvent =
-                [&timings, window_shards](
-                    std::size_t grid_index,
-                    const service::ResultEvent &event) {
-                    if (window_shards == 0 && event.hasTiming &&
-                        grid_index < timings.size())
-                        timings[grid_index] = event.timing;
-                    if (!event.spans.empty())
-                        obs::tracer().record(event.spans);
-                };
-        }
-        std::vector<service::ShardOutcome> outcomes;
-        shard_opts.outcomes = &outcomes;
-        try {
-            results =
-                window_shards == 0
-                    ? service::submitSharded(opts.endpoints, request,
-                                             shard_opts)
-                    : service::submitWindowSharded(opts.endpoints,
-                                                   request,
-                                                   window_shards,
-                                                   shard_opts);
-        } catch (const service::JobFailedError &) {
-            // The job itself is broken (a grid point whose
-            // simulation fails deterministically); the fleet is
-            // fine. Let the generic handler report it.
-            throw;
-        } catch (const std::exception &e) {
-            // Transport failure with no survivors: print the
-            // per-worker ledger so the operator can see who died
-            // when, then fail with an unambiguous summary.
-            // Window sharding expands each experiment into
-            // window_shards transport-level points.
-            const std::size_t total_points =
-                request.grid.size() *
-                (window_shards == 0 ? 1 : window_shards);
-            std::size_t delivered = 0;
-            std::size_t dead = 0;
-            for (const service::ShardOutcome &outcome : outcomes) {
-                delivered += outcome.delivered;
-                if (!outcome.error.empty())
-                    ++dead;
-                std::fprintf(
-                    stderr,
-                    "worker %s: %zu assigned, %zu delivered%s%s\n",
-                    outcome.endpoint.c_str(), outcome.assigned,
-                    outcome.delivered,
-                    outcome.error.empty() ? "" : "; died: ",
-                    outcome.error.c_str());
+            // cross-process timeline.
+            if (tracing) {
+                if (window_shards == 0 && event.hasTiming)
+                    timings[event.index] = event.timing;
+                if (!event.spans.empty())
+                    obs::tracer().record(event.spans);
             }
-            if (dead > 0 && dead == outcomes.size())
-                std::fprintf(stderr,
-                             "shotgun-submit: all %zu worker%s died; "
-                             "grid incomplete (%zu/%zu points "
-                             "delivered): %s\n",
-                             dead, dead == 1 ? "" : "s", delivered,
-                             total_points, e.what());
-            else
-                std::fprintf(stderr,
-                             "shotgun-submit: submit failed after "
-                             "%zu/%zu points: %s\n",
-                             delivered, total_points, e.what());
-            return 1;
-        }
-        for (const service::ShardOutcome &outcome : outcomes) {
-            if (outcome.error.empty())
-                continue;
-            std::fprintf(stderr,
-                         "warning: worker %s died after %zu points "
-                         "(%s); %zu points redistributed to "
-                         "survivors\n",
-                         outcome.endpoint.c_str(), outcome.delivered,
-                         outcome.error.c_str(), outcome.retried);
-        }
+            if (opts.showProgress)
+                std::fprintf(stderr, "[%zu/%zu] points complete\n",
+                             ++delivered, points);
+        };
+        results = window_shards == 0
+                      ? client.submit(request, on_result)
+                      : client.submitWindowed(request, window_shards,
+                                              on_result);
     }
 
     // Rows, table and files go through the exact machinery
@@ -668,7 +591,7 @@ int
 runFleetStatus(const Options &opts)
 {
     service::ServiceClient client(
-        opts.endpoints[0],
+        opts.endpoint,
         static_cast<unsigned>(opts.timeoutSeconds));
     const json::Value status = client.status();
     const json::Value *fleet = status.find("fleet");
@@ -676,11 +599,11 @@ runFleetStatus(const Options &opts)
         fatal("%s is a plain server, not a coordinator (its status "
               "frame has no `fleet` member); point --coordinator at "
               "a shotgun-coord endpoint",
-              opts.endpoints[0].c_str());
+              opts.endpoint.c_str());
 
     const json::Value &server = status.at("server");
     const json::Value &cache = server.at("cache");
-    std::printf("fleet @ %s\n", opts.endpoints[0].c_str());
+    std::printf("fleet @ %s\n", opts.endpoint.c_str());
     std::printf("  queue depth %llu, in flight %llu, parked slots "
                 "%llu/%llu\n",
                 static_cast<unsigned long long>(
@@ -813,7 +736,7 @@ main(int argc, char **argv)
             return runSubmit(opts);
           case Options::Action::Status: {
             service::ServiceClient client(
-                opts.endpoints[0],
+                opts.endpoint,
                 static_cast<unsigned>(opts.timeoutSeconds));
             std::cout << client.status().dump() << "\n";
             return 0;
@@ -822,25 +745,25 @@ main(int argc, char **argv)
             return runFleetStatus(opts);
           case Options::Action::Ping: {
             service::ServiceClient client(
-                opts.endpoints[0],
+                opts.endpoint,
                 static_cast<unsigned>(opts.timeoutSeconds));
             if (!client.ping())
-                fatal("no pong from %s", opts.endpoints[0].c_str());
-            std::printf("pong from %s\n", opts.endpoints[0].c_str());
+                fatal("no pong from %s", opts.endpoint.c_str());
+            std::printf("pong from %s\n", opts.endpoint.c_str());
             return 0;
           }
           case Options::Action::Shutdown: {
             service::ServiceClient client(
-                opts.endpoints[0],
+                opts.endpoint,
                 static_cast<unsigned>(opts.timeoutSeconds));
             client.shutdownServer();
             std::printf("server %s shutting down\n",
-                        opts.endpoints[0].c_str());
+                        opts.endpoint.c_str());
             return 0;
           }
           case Options::Action::Cancel: {
             service::ServiceClient client(
-                opts.endpoints[0],
+                opts.endpoint,
                 static_cast<unsigned>(opts.timeoutSeconds));
             client.cancel(opts.cancelJob);
             std::printf("job %llu cancelling\n",
