@@ -22,12 +22,13 @@ cmake --build "$BUILD_DIR" -j
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== shotgun-lint: tree green, mutated clone ctor fails =="
+echo "== shotgun-lint: tree green, member left out of a clone fails =="
 # The tree must be lint-clean, and the linter must demonstrably
-# still have teeth: in a scratch copy, delete one member-copy line
-# from Core's clone constructor and assert shotgun-lint fails with a
-# clone-completeness finding (the exact silent-restore-divergence
-# bug the check exists to catch).
+# still have teeth: in a scratch copy, add a member to Core beside
+# the source and scheme (outside CoreState, which the clone
+# constructor copies whole) without cloning it, and assert
+# shotgun-lint fails with a clone-completeness finding (the exact
+# silent-restore-divergence bug the check exists to catch).
 python3 tools/lint/shotgun_lint.py --root .
 
 LINT_SCRATCH="$BUILD_DIR/smoke/lint_mutation"
@@ -35,13 +36,13 @@ rm -rf "$LINT_SCRATCH"
 mkdir -p "$LINT_SCRATCH/tools"
 cp -r src "$LINT_SCRATCH/src"
 cp -r tools/lint "$LINT_SCRATCH/tools/lint"
-grep -q 'stalls_(other.stalls_), btbMisses_(other.btbMisses_),' \
-    "$LINT_SCRATCH/src/cpu/core.cc" || {
-    echo "clone-ctor line to mutate not found in core.cc" >&2
+grep -q '^    std::unique_ptr<Scheme> scheme_;$' \
+    "$LINT_SCRATCH/src/cpu/core.hh" || {
+    echo "Core's scheme_ member not found in core.hh" >&2
     exit 1
 }
-sed -i '/stalls_(other.stalls_), btbMisses_(other.btbMisses_),/d' \
-    "$LINT_SCRATCH/src/cpu/core.cc"
+sed -i 's/^    std::unique_ptr<Scheme> scheme_;$/&\n    std::uint64_t uncloned_ = 0;/' \
+    "$LINT_SCRATCH/src/cpu/core.hh"
 LINT_RC=0
 python3 tools/lint/shotgun_lint.py --root "$LINT_SCRATCH" \
     > "$LINT_SCRATCH/findings.txt" 2> /dev/null || LINT_RC=$?
@@ -50,7 +51,7 @@ test "$LINT_RC" -eq 1 || {
          "(expected 1)" >&2
     exit 1
 }
-grep -q "clone-completeness.*'stalls_' of Core" \
+grep -q "clone-completeness.*'uncloned_' of Core" \
     "$LINT_SCRATCH/findings.txt"
 rm -rf "$LINT_SCRATCH"
 

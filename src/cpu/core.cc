@@ -5,25 +5,27 @@
 namespace shotgun
 {
 
+CoreState::CoreState(const Program &program, const CoreParams &core_params,
+                     const HierarchyParams &hierarchy_params,
+                     std::shared_ptr<OutcomeLog> log)
+    : program_(program), params_(core_params), mem_(hierarchy_params),
+      outcomes_(std::move(log)), ras_(core_params.rasEntries),
+      predecoder_(program, core_params.predecodeCycles),
+      ftq_(core_params.ftqEntries)
+{
+}
+
 Core::Core(const Program &program, TraceSource &source,
            const CoreParams &core_params,
            const HierarchyParams &hierarchy_params,
-           const SchemeConfig &scheme_config)
-    : program_(program), source_(&source), params_(core_params),
-      mem_(hierarchy_params), ras_(core_params.rasEntries),
-      predecoder_(program, core_params.predecodeCycles),
-      ftq_(core_params.ftqEntries), dataRng_(core_params.dataSeed),
-      loadThreshold_(Rng::threshold(core_params.loadFrac)),
-      l1dMissThreshold_(Rng::threshold(core_params.l1dMissRate)),
-      llcDataMissThreshold_(Rng::threshold(core_params.llcDataMissFrac))
+           const SchemeConfig &scheme_config,
+           std::shared_ptr<OutcomeLog> log)
+    : CoreState(program, core_params, hierarchy_params, log),
+      source_(&source), scheme_(makeScheme(scheme_config, schemeContext()))
 {
-    SchemeContext ctx;
-    ctx.tage = &tage_;
-    ctx.ras = &ras_;
-    ctx.mem = &mem_;
-    ctx.predecoder = &predecoder_;
-    ctx.params = &params_;
-    scheme_ = makeScheme(scheme_config, ctx);
+    panic_if(!log->drawsMatch(core_params),
+             "outcome log holds the data-side draws of another seed or "
+             "rate set than this core's");
     // The pollution victim table only observes fills/misses (it never
     // influences replacement), so enabling it with the probes keeps
     // the trajectory bitwise-identical to a probe-free run.
@@ -31,51 +33,40 @@ Core::Core(const Program &program, TraceSource &source,
         mem_.l1i().enablePollutionTracking();
 }
 
+Core::Core(const Program &program, TraceSource &source,
+           const CoreParams &core_params,
+           const HierarchyParams &hierarchy_params,
+           const SchemeConfig &scheme_config)
+    : Core(program, source, core_params, hierarchy_params, scheme_config,
+           std::make_shared<OutcomeLog>(core_params))
+{
+}
+
 Core::Core(const Core &other, TraceSource *source)
-    : program_(other.program_), source_(source),
-      params_(other.params_), mem_(other.mem_), tage_(other.tage_),
-      ras_(other.ras_), predecoder_(other.predecoder_),
-      ftq_(other.ftq_), backendQ_(other.backendQ_),
-      backendInstrs_(other.backendInstrs_), now_(other.now_),
-      bpuStallUntil_(other.bpuStallUntil_),
-      bpuStallKind_(other.bpuStallKind_),
-      sourceExhausted_(other.sourceExhausted_),
-      bpuWaitingRedirect_(other.bpuWaitingRedirect_),
-      pendingRedirectPenalty_(other.pendingRedirectPenalty_),
-      pendingRedirectKind_(other.pendingRedirectKind_),
-      fetchStallUntil_(other.fetchStallUntil_),
-      fetchStallKind_(other.fetchStallKind_),
-      dataStallUntil_(other.dataStallUntil_),
-      deliveredThisCycle_(other.deliveredThisCycle_),
-      retireCredit_(other.retireCredit_),
-      fetchStallOnPrefetch_(other.fetchStallOnPrefetch_),
-      dataRng_(other.dataRng_), loadThreshold_(other.loadThreshold_),
-      l1dMissThreshold_(other.l1dMissThreshold_),
-      llcDataMissThreshold_(other.llcDataMissThreshold_),
-      cyclesSinceReset_(other.cyclesSinceReset_),
-      retiredSinceReset_(other.retiredSinceReset_),
-      stalls_(other.stalls_), btbMisses_(other.btbMisses_),
-      mispredicts_(other.mispredicts_),
-      misfetches_(other.misfetches_), l1dFill_(other.l1dFill_),
-      uarch_(other.uarch_), btbMissSketch_(other.btbMissSketch_),
-      l1iMissSketch_(other.l1iMissSketch_)
+    : CoreState(other), source_(source),
+      scheme_(other.scheme_->clone(schemeContext()))
+{
+}
+
+SchemeContext
+Core::schemeContext()
 {
     SchemeContext ctx;
-    ctx.tage = &tage_;
+    ctx.outcomes = &outcomes_;
     ctx.ras = &ras_;
     ctx.mem = &mem_;
     ctx.predecoder = &predecoder_;
     ctx.params = &params_;
-    scheme_ = other.scheme_->clone(ctx);
+    return ctx;
 }
 
 std::size_t
 Core::approxStateBytes() const
 {
     // The object itself (MSHR file and fixed state inline) plus every
-    // heap table: the LLC and L1-I line arrays, TAGE, the FTQ, the
-    // backend queue, and the scheme's metadata via storageBits().
-    return sizeof(Core) + mem_.footprintBytes() + tage_.footprintBytes() +
+    // heap table: the LLC and L1-I line arrays, the FTQ, the backend
+    // queue, and the scheme's metadata via storageBits().
+    return sizeof(Core) + mem_.footprintBytes() +
            ftq_.capacity() * sizeof(FTQEntry) +
            backendQ_.size() * sizeof(BackendItem) +
            scheme_->storageBits() / 8;
@@ -382,23 +373,18 @@ Core::backendStep()
     while (budget > 0 && !backendQ_.empty()) {
         BackendItem &item = backendQ_.front();
         const unsigned n = std::min<unsigned>(budget, item.remaining);
-        for (unsigned i = 0; i < n; ++i) {
-            // Data-side model: per-instruction load/miss draws.
-            if (!dataRng_.draw(loadThreshold_))
-                continue;
-            if (!dataRng_.draw(l1dMissThreshold_))
-                continue;
+        // Data-side model: the log's L1-D misses among these n.
+        outcomes_.retire(n, [this](bool to_memory) {
             mem_.mesh().noteRequest(now_);
-            const Cycle latency =
-                dataRng_.draw(llcDataMissThreshold_)
-                    ? mem_.mesh().memoryLatency(now_)
-                    : mem_.mesh().llcLatency(now_);
+            const Cycle latency = to_memory
+                                      ? mem_.mesh().memoryLatency(now_)
+                                      : mem_.mesh().llcLatency(now_);
             l1dFill_.sample(static_cast<double>(latency));
             const Cycle stall = static_cast<Cycle>(
                 static_cast<double>(latency) /
                 params_.memLevelParallelism);
             dataStallUntil_ = std::max(dataStallUntil_, now_ + stall);
-        }
+        });
         item.remaining -= static_cast<std::uint8_t>(n);
         budget -= n;
         retiredSinceReset_ += n;

@@ -21,11 +21,10 @@
 #include <memory>
 
 #include "branch/ras.hh"
-#include "branch/tage.hh"
 #include "cache/hierarchy.hh"
 #include "cache/predecoder.hh"
-#include "common/random.hh"
 #include "cpu/ftq.hh"
+#include "cpu/outcome_log.hh"
 #include "cpu/params.hh"
 #include "obs/uarch.hh"
 #include "prefetch/factory.hh"
@@ -34,9 +33,137 @@
 namespace shotgun
 {
 
-class Core
+/**
+ * Everything of a Core that a clone copies by value: all of its state
+ * but the trace source, which a clone rebinds, and the scheme, which a
+ * clone rebuilds on the copy's own structures. One struct with a
+ * defaulted copy, so the clone constructor copies it in one line and a
+ * member added here is cloned without further code.
+ */
+struct CoreState
+{
+    /** Starvation-cycle attribution. */
+    struct StallBreakdown
+    {
+        std::uint64_t icache = 0;     ///< Waiting on an L1-I fill.
+        std::uint64_t btbResolve = 0; ///< BPU stalled on reactive fill.
+        std::uint64_t misfetch = 0;   ///< Decode-redirect bubbles.
+        std::uint64_t mispredict = 0; ///< Execute-redirect bubbles.
+        std::uint64_t other = 0;
+
+        /** The paper's front-end stall cycles. */
+        std::uint64_t
+        frontEnd() const
+        {
+            return icache + btbResolve + misfetch;
+        }
+    };
+
+    enum class BpuStallKind
+    {
+        None,
+        ICache,
+        Resolve,
+        Misfetch,
+        Mispredict,
+    };
+
+    /** Fully fetched basic blocks awaiting retirement. */
+    struct BackendItem
+    {
+        BBRecord record;
+        std::uint8_t remaining = 0;
+    };
+
+    CoreState(const Program &program, const CoreParams &core_params,
+              const HierarchyParams &hierarchy_params,
+              std::shared_ptr<OutcomeLog> log);
+
+    const Program &program_;
+    CoreParams params_;
+
+    InstrHierarchy mem_;
+
+    /**
+     * This core's position in its stream's outcome log: the TAGE
+     * mispredicts and L1-D misses (cpu/outcome_log.hh). The RAS stays
+     * per core; RDIP reads its top and size.
+     */
+    OutcomeCursor outcomes_;
+    ReturnAddressStack ras_;
+    Predecoder predecoder_;
+
+    FTQ ftq_;
+
+    std::deque<BackendItem> backendQ_;
+    std::size_t backendInstrs_ = 0;
+
+    Cycle now_ = 0;
+    Cycle bpuStallUntil_ = 0;
+    BpuStallKind bpuStallKind_ = BpuStallKind::None;
+    bool sourceExhausted_ = false;
+
+    /**
+     * Redirect modelling: on a mispredict/misfetch the BPU halts at
+     * the offending branch (everything younger would be wrong-path).
+     * When fetch finishes draining the FTQ up to that branch, the
+     * redirect bubble starts: both fetch and the BPU stay idle for
+     * the penalty, after which the BPU restarts with an empty FTQ --
+     * losing its prefetch lead, exactly as a real flush does.
+     */
+    bool bpuWaitingRedirect_ = false;
+    unsigned pendingRedirectPenalty_ = 0;
+    BpuStallKind pendingRedirectKind_ = BpuStallKind::None;
+
+    Cycle fetchStallUntil_ = 0;
+    BpuStallKind fetchStallKind_ = BpuStallKind::None;
+    Cycle dataStallUntil_ = 0;
+    unsigned deliveredThisCycle_ = 0;
+    double retireCredit_ = 0.0;
+
+    /**
+     * Whether the current ICache fetch stall piggybacked on an
+     * in-flight *prefetch* MSHR (the prefetch-in-flight taxonomy
+     * cause) rather than a fresh demand miss. Probe bookkeeping
+     * only; never read by simulation logic.
+     */
+    bool fetchStallOnPrefetch_ = false;
+
+    // Measurement state.
+    Cycle cyclesSinceReset_ = 0;
+    std::uint64_t retiredSinceReset_ = 0;
+    StallBreakdown stalls_;
+    std::uint64_t btbMisses_ = 0;
+    std::uint64_t mispredicts_ = 0;
+    std::uint64_t misfetches_ = 0;
+    Average l1dFill_;
+
+    // Microarchitectural probe state (params_.uarchProbes): the
+    // cycle-attribution counters (stalls + activeCycles; lifecycle
+    // and site tables are assembled by snapshotStats) and the two
+    // deterministic miss-site sketches.
+    obs::UarchBreakdown uarch_;
+    obs::SpaceSavingSketch btbMissSketch_;
+    obs::SpaceSavingSketch l1iMissSketch_;
+};
+
+class Core : private CoreState
 {
   public:
+    /**
+     * A core reading `log`, which must hold the outcomes of the stream
+     * `source` delivers from here on and the data-side draws
+     * `core_params` sets (panics when the draws differ; a read panics
+     * when the stream does). sim/outcome_store.hh shares one log among
+     * every core of a stream.
+     */
+    Core(const Program &program, TraceSource &source,
+         const CoreParams &core_params,
+         const HierarchyParams &hierarchy_params,
+         const SchemeConfig &scheme_config,
+         std::shared_ptr<OutcomeLog> log);
+
+    /** A core on a private log of its own: the same code, unshared. */
     Core(const Program &program, TraceSource &source,
          const CoreParams &core_params,
          const HierarchyParams &hierarchy_params,
@@ -44,9 +171,10 @@ class Core
 
     /**
      * Deep-copy clone for warmup checkpointing (sim/checkpoint.hh):
-     * every piece of microarchitectural and measurement state is
-     * copied by value (the scheme via Scheme::clone, rebound onto the
-     * copy's own structures) and the stream is rebound to `source`,
+     * the CoreState is copied by value -- the outcome cursor with it,
+     * so the clone reads on from the same log position -- the scheme
+     * is cloned onto the copy's own structures (Scheme::clone), and
+     * the stream is rebound to `source`,
      * which the caller must position exactly where `other`'s source
      * stood. `source` may be nullptr for a parked clone that is never
      * stepped -- a stored checkpoint -- since only the BPU touches
@@ -58,8 +186,9 @@ class Core
     /**
      * In-memory footprint, for checkpoint-cache LRU accounting: the
      * object itself plus the real sizes of its heap tables (LLC and
-     * L1-I line arrays, TAGE, FTQ, backend queue) and the scheme's
-     * metadata via storageBits(). Small heap pieces are left out.
+     * L1-I line arrays, FTQ, backend queue) and the scheme's metadata
+     * via storageBits(). Small heap pieces are left out, and so is the
+     * outcome log, which every core of a stream shares.
      */
     std::size_t approxStateBytes() const;
 
@@ -101,22 +230,7 @@ class Core
                          static_cast<double>(cyclesSinceReset_);
     }
 
-    /** Starvation-cycle attribution. */
-    struct StallBreakdown
-    {
-        std::uint64_t icache = 0;     ///< Waiting on an L1-I fill.
-        std::uint64_t btbResolve = 0; ///< BPU stalled on reactive fill.
-        std::uint64_t misfetch = 0;   ///< Decode-redirect bubbles.
-        std::uint64_t mispredict = 0; ///< Execute-redirect bubbles.
-        std::uint64_t other = 0;
-
-        /** The paper's front-end stall cycles. */
-        std::uint64_t
-        frontEnd() const
-        {
-            return icache + btbResolve + misfetch;
-        }
-    };
+    using CoreState::StallBreakdown;
 
     const StallBreakdown &stalls() const { return stalls_; }
 
@@ -194,21 +308,12 @@ class Core
     Scheme &scheme() { return *scheme_; }
     const Scheme &scheme() const { return *scheme_; }
     InstrHierarchy &mem() { return mem_; }
-    TagePredictor &tage() { return tage_; }
+    const OutcomeCursor &outcomes() const { return outcomes_; }
     ReturnAddressStack &ras() { return ras_; }
     const CoreParams &params() const { return params_; }
     Cycle now() const { return now_; }
 
   private:
-    enum class BpuStallKind
-    {
-        None,
-        ICache,
-        Resolve,
-        Misfetch,
-        Mispredict,
-    };
-
     void step();
     void bpuStep();
     void fetchStep();
@@ -230,81 +335,11 @@ class Core
     void accountStarvation(Cycle cycles);
     void attributeCycle(Cycle cycles);
 
-    const Program &program_;
+    /** The scheme's view of this core's shared components. */
+    SchemeContext schemeContext();
+
     TraceSource *source_; ///< Null only for a parked checkpoint clone.
-    CoreParams params_;
-
-    InstrHierarchy mem_;
-    TagePredictor tage_;
-    ReturnAddressStack ras_;
-    Predecoder predecoder_;
     std::unique_ptr<Scheme> scheme_;
-
-    FTQ ftq_;
-
-    /** Fully fetched basic blocks awaiting retirement. */
-    struct BackendItem
-    {
-        BBRecord record;
-        std::uint8_t remaining = 0;
-    };
-    std::deque<BackendItem> backendQ_;
-    std::size_t backendInstrs_ = 0;
-
-    Cycle now_ = 0;
-    Cycle bpuStallUntil_ = 0;
-    BpuStallKind bpuStallKind_ = BpuStallKind::None;
-    bool sourceExhausted_ = false;
-
-    /**
-     * Redirect modelling: on a mispredict/misfetch the BPU halts at
-     * the offending branch (everything younger would be wrong-path).
-     * When fetch finishes draining the FTQ up to that branch, the
-     * redirect bubble starts: both fetch and the BPU stay idle for
-     * the penalty, after which the BPU restarts with an empty FTQ --
-     * losing its prefetch lead, exactly as a real flush does.
-     */
-    bool bpuWaitingRedirect_ = false;
-    unsigned pendingRedirectPenalty_ = 0;
-    BpuStallKind pendingRedirectKind_ = BpuStallKind::None;
-
-    Cycle fetchStallUntil_ = 0;
-    BpuStallKind fetchStallKind_ = BpuStallKind::None;
-    Cycle dataStallUntil_ = 0;
-    unsigned deliveredThisCycle_ = 0;
-    double retireCredit_ = 0.0;
-
-    /**
-     * Whether the current ICache fetch stall piggybacked on an
-     * in-flight *prefetch* MSHR (the prefetch-in-flight taxonomy
-     * cause) rather than a fresh demand miss. Probe bookkeeping
-     * only; never read by simulation logic.
-     */
-    bool fetchStallOnPrefetch_ = false;
-
-    Rng dataRng_;
-
-    /** Rng::threshold() of the three data-side probabilities. */
-    std::uint64_t loadThreshold_ = 0;
-    std::uint64_t l1dMissThreshold_ = 0;
-    std::uint64_t llcDataMissThreshold_ = 0;
-
-    // Measurement state.
-    Cycle cyclesSinceReset_ = 0;
-    std::uint64_t retiredSinceReset_ = 0;
-    StallBreakdown stalls_;
-    std::uint64_t btbMisses_ = 0;
-    std::uint64_t mispredicts_ = 0;
-    std::uint64_t misfetches_ = 0;
-    Average l1dFill_;
-
-    // Microarchitectural probe state (params_.uarchProbes): the
-    // cycle-attribution counters (stalls + activeCycles; lifecycle
-    // and site tables are assembled by snapshotStats) and the two
-    // deterministic miss-site sketches.
-    obs::UarchBreakdown uarch_;
-    obs::SpaceSavingSketch btbMissSketch_;
-    obs::SpaceSavingSketch l1iMissSketch_;
 };
 
 } // namespace shotgun

@@ -15,10 +15,7 @@ Scheme::predictControl(const BBRecord &truth,
         // fall-through cannot redirect; do not train on them.
         if (truth.target == truth.fallThrough())
             return false;
-        const Addr pc = truth.branchPC();
-        const bool predicted = ctx_.tage->predict(pc);
-        ctx_.tage->update(pc, truth.taken);
-        return predicted != truth.taken;
+        return ctx_.outcomes->mispredicts(truth.branchPC(), truth.taken);
       }
       case BranchType::Call:
       case BranchType::Trap:

@@ -4,7 +4,8 @@
  * distinguishes the paper's evaluated mechanisms: the BTB organization
  * and its miss handling, the L1-I prefetch policy, fill-time
  * predecode hooks, and retire-time training. The core's cycle loop,
- * fetch engine, TAGE and RAS are shared across schemes.
+ * fetch engine, TAGE and RAS are shared across schemes; TAGE's
+ * outcomes come from the stream's outcome log (cpu/outcome_log.hh).
  */
 
 #ifndef SHOTGUN_PREFETCH_SCHEME_HH
@@ -15,9 +16,9 @@
 #include <string>
 
 #include "branch/ras.hh"
-#include "branch/tage.hh"
 #include "cache/hierarchy.hh"
 #include "cache/predecoder.hh"
+#include "cpu/outcome_log.hh"
 #include "cpu/params.hh"
 #include "obs/uarch.hh"
 #include "trace/instruction.hh"
@@ -28,7 +29,7 @@ namespace shotgun
 /** Shared front-end components a scheme operates on. */
 struct SchemeContext
 {
-    TagePredictor *tage = nullptr;
+    OutcomeCursor *outcomes = nullptr; ///< TAGE mispredicts, per stream.
     ReturnAddressStack *ras = nullptr;
     InstrHierarchy *mem = nullptr;
     Predecoder *predecoder = nullptr;
@@ -137,8 +138,11 @@ class Scheme
   protected:
     /**
      * Shared direction/target prediction for a *known* branch (after
-     * a BTB hit or a resolved miss): consults and trains TAGE for
-     * conditionals, maintains the RAS for calls/returns.
+     * a BTB hit or a resolved miss): reads TAGE's outcome for
+     * conditionals from the outcome log, maintains the RAS for
+     * calls/returns. Every scheme calls it exactly once per basic
+     * block, in stream order, which is what lets one log serve them
+     * all.
      *
      * @param popped receives the RAS entry consumed by a return.
      * @return true when the prediction redirects wrongly (mispredict).

@@ -236,6 +236,12 @@ writeCanonical(json::Writer &w, const ProgramParams &params)
 }
 
 void
+writeCanonical(json::Writer &w, const WorkloadPreset &preset)
+{
+    stream(w, preset);
+}
+
+void
 writeCanonical(json::Writer &w, const SimConfig &config)
 {
     stream(w, config);

@@ -10,6 +10,9 @@
  *    dedup;
  *  - checkpointKey() (sim/checkpoint.hh) is the fingerprint of the
  *    config with its measurement bounds blanked;
+ *  - outcomeKey() (sim/outcome_store.hh) hashes just what a stream
+ *    and its data-side draws depend on: the workload, the seed (or
+ *    the trace header) and the window skip;
  *  - programFor() keys program images on the ProgramParams encoding.
  *
  * Two writers produce it, both runs of the same field lists: the
@@ -57,6 +60,7 @@ json::Value encodeUarchBreakdown(const obs::UarchBreakdown &u);
  * the bytes encodeX(x).dump() produces, without the tree.
  */
 void writeCanonical(json::Writer &w, const ProgramParams &params);
+void writeCanonical(json::Writer &w, const WorkloadPreset &preset);
 void writeCanonical(json::Writer &w, const SimConfig &config);
 void writeCanonical(json::Writer &w, const SimResult &result);
 void writeCanonical(json::Writer &w, const StatsDelta &delta);

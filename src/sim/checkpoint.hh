@@ -5,9 +5,10 @@
  * live state a window parks for the window that continues it.
  *
  * A CoreCheckpoint is a deep clone of a warmed Core (caches, U-BTB/
- * C-BTB/RIB and every other scheme structure, TAGE, RAS, FTQ/backend
- * queues, the data-side RNG, cycle and measurement counters -- see
- * Core's clone constructor) plus the exact position of its stream
+ * C-BTB/RIB and every other scheme structure, RAS, FTQ/backend
+ * queues, cycle and measurement counters, and the outcome cursor that
+ * stands for TAGE and the data-side draws -- see Core's clone
+ * constructor) plus the exact position of its stream
  * source: a GeneratorCheckpoint for synthetic workloads, a decoded-
  * trace record index for `trace:` workloads. Restoring builds a fresh
  * source, repositions it, and clones the stored Core onto it; the

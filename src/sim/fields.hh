@@ -60,10 +60,14 @@ brokenRule(const CoreParams &p)
                "bpu_bb_per_cycle must be at least 1";
     if (p.ftqEntries == 0 || p.rasEntries == 0)
         return "ftq_entries and ras_entries must be at least 1";
-    if (!(p.issueEfficiency > 0.0))
-        return "issue_efficiency must be above 0";
-    if (!(p.memLevelParallelism > 0.0))
-        return "mem_level_parallelism must be above 0";
+    // The retire credit grows retire_width x issue_efficiency a cycle,
+    // and a miss stalls its latency / mem_level_parallelism cycles.
+    if (!(p.issueEfficiency >= 0.01))
+        return "issue_efficiency must be at least 0.01 (a retire slot "
+               "at least every 100 cycles)";
+    if (!(p.memLevelParallelism >= 1.0))
+        return "mem_level_parallelism must be at least 1 (a miss stalls "
+               "at most its latency)";
     return nullptr;
 }
 

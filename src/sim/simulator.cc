@@ -8,6 +8,7 @@
 #include "obs/trace.hh"
 #include "sim/canonical.hh"
 #include "sim/checkpoint.hh"
+#include "sim/outcome_store.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/trace_io.hh"
 
@@ -207,6 +208,12 @@ runSimulationDelta(const SimConfig &config)
     const bool resumed = stored.parked.core != nullptr;
 
     std::unique_ptr<Core> core;
+    // Where this point's core stood in its outcome log when the point
+    // took it over: the sim.outcomes.* counters count what it reads
+    // from there, split into the conditionals it produced and those
+    // an earlier reader left for it.
+    std::uint64_t read_before = 0;
+    std::uint64_t produced_before = 0;
     if (resumed || (stored.warmed != nullptr && capturable)) {
         obs::Span restore_span("restore", "sim");
         obs::PhaseTimer restore_timer(
@@ -225,6 +232,8 @@ runSimulationDelta(const SimConfig &config)
             core = std::make_unique<Core>(*stored.warmed->core,
                                           source.get());
         }
+        read_before = core->outcomes().branchesRead();
+        produced_before = core->outcomes().branchesProduced();
     } else {
         obs::Span warmup_span("warmup", "sim");
         obs::PhaseTimer warmup_timer(
@@ -238,8 +247,15 @@ runSimulationDelta(const SimConfig &config)
         if (window.skipInstructions > 0)
             source->skipInstructions(window.skipInstructions);
 
-        core = std::make_unique<Core>(program, *source, core_params,
-                                      hierarchy_params, config.scheme);
+        // Every core that replays this stream reads one outcome log
+        // (sim/outcome_store.hh): TAGE and the data draws run once.
+        core = std::make_unique<Core>(
+            program, *source, core_params, hierarchy_params,
+            config.scheme,
+            outcomeLogs().acquire(
+                outcomeKey(config,
+                           trace_path.empty() ? nullptr : &trace_info),
+                core_params));
         core->run(config.warmupInstructions);
         if (!key.empty() && capturable) {
             // Store a clone; the run continues on the original, so
@@ -293,6 +309,12 @@ runSimulationDelta(const SimConfig &config)
     const std::uint64_t measure_us = measure_timer.stop();
     measure_span.end();
     obs::metrics().counter("sim.points")->add(1);
+    const std::uint64_t produced =
+        core->outcomes().branchesProduced() - produced_before;
+    obs::metrics().counter("sim.outcomes.produced")->add(produced);
+    obs::metrics()
+        .counter("sim.outcomes.reused")
+        ->add(core->outcomes().branchesRead() - read_before - produced);
     // Per-point measure-time distribution: the percentile source for
     // metrics snapshots and the fleet heartbeat's p50/p95/p99.
     obs::metrics()

@@ -41,12 +41,12 @@ TEST(RdipTest, StorageIsNearPaperFigure)
     params.numTopLevel = 4;
     Program program(params);
     Predecoder predecoder(program);
-    TagePredictor tage;
+    CoreParams cp;
+    OutcomeCursor outcomes(std::make_shared<OutcomeLog>(cp));
     ReturnAddressStack ras(32);
     HierarchyParams hp;
     InstrHierarchy mem(hp);
-    CoreParams cp;
-    SchemeContext ctx{&tage, &ras, &mem, &predecoder, &cp};
+    SchemeContext ctx{&outcomes, &ras, &mem, &predecoder, &cp};
     RdipScheme rdip(ctx);
     ConventionalBTB btb(2048);
 

@@ -33,7 +33,7 @@ struct SchemeBench
     {
         hierarchyParams.mesh.backgroundLoad = 0.0;
         mem = std::make_unique<InstrHierarchy>(hierarchyParams);
-        ctx.tage = &tage;
+        ctx.outcomes = &outcomes;
         ctx.ras = &ras;
         ctx.mem = mem.get();
         ctx.predecoder = &predecoder;
@@ -54,12 +54,12 @@ struct SchemeBench
     }
 
     Program program;
-    TagePredictor tage;
+    CoreParams coreParams;
+    OutcomeCursor outcomes{std::make_shared<OutcomeLog>(coreParams)};
     ReturnAddressStack ras{32};
     HierarchyParams hierarchyParams;
     std::unique_ptr<InstrHierarchy> mem;
     Predecoder predecoder;
-    CoreParams coreParams;
     SchemeContext ctx;
 };
 

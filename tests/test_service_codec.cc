@@ -365,6 +365,9 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
         {"bpu_bb_per_cycle", "0"},
         {"issue_efficiency", "0"},
         {"issue_efficiency", "1e-400"},
+        {"issue_efficiency", "1e-9"},
+        // Undefined behaviour: a stall too large for a Cycle.
+        {"mem_level_parallelism", "1e-300"},
     };
     for (const auto &[key, token] : unrunnable)
         EXPECT_THROW(decodeSimConfig(with_field(key, token)), CodecError)

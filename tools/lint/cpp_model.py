@@ -293,7 +293,7 @@ def _first_param_name(params):
 def _covered_names(tokens, src_name):
     """Names a constructor demonstrably initializes or copies.
 
-    A bare mention is not coverage (`ctx.tage = &tage_;` in the body
+    A bare mention is not coverage (`ctx.ras = &ras_;` in the body
     must not excuse `tage_` missing from the init list). A name
     counts when it is read from the source object (`other.m`) or is
     the target of an init/assignment (`m(...)`, `m{...}`, `m = ...`).
