@@ -92,6 +92,82 @@ splitCommas(const std::string &text)
     return out;
 }
 
+/**
+ * Best (least-noise) wall-clock seconds of `repeats` calls of `run`.
+ * The simulated results are deterministic; only the timings vary.
+ */
+template <class Run>
+double
+bestSeconds(std::uint64_t repeats, Run run)
+{
+    double best = 0.0;
+    for (std::uint64_t r = 0; r < repeats; ++r) {
+        const auto start = std::chrono::steady_clock::now();
+        run();
+        const double seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        if (r == 0 || seconds < best)
+            best = seconds;
+    }
+    return best;
+}
+
+/**
+ * One single-config row: the best of `repeats` runSimulation() calls
+ * of `config`, labelled `label` (the result's scheme when empty).
+ * `note` ends the stderr line; a tracked-only row (!enforced) carries
+ * budget_enforced=false, which the budget check never fails on.
+ */
+json::Value
+configRow(const SimConfig &config, std::uint64_t repeats,
+          std::string label, const char *note, bool enforced)
+{
+    // Warm the program memo outside the timed region: building the
+    // synthetic image is one-time setup, not simulation.
+    programFor(config.workload);
+
+    SimResult result;
+    const double best_seconds = bestSeconds(
+        repeats, [&]() { result = runSimulation(config); });
+    if (label.empty())
+        label = result.scheme;
+    // Warm-up instructions are simulated work too; count them in the
+    // throughput so the metric reflects the real loop cost.
+    const std::uint64_t warmup = config.warmupInstructions;
+    const double simulated =
+        static_cast<double>(warmup + result.instructions);
+    const double ips =
+        best_seconds > 0.0 ? simulated / best_seconds : 0.0;
+    const double cps =
+        best_seconds > 0.0
+            ? static_cast<double>(result.cycles) / best_seconds
+            : 0.0;
+
+    using json::Value;
+    Value row = Value::object();
+    row.set("workload", Value::string(result.workload));
+    row.set("scheme", Value::string(label));
+    row.set("warmup_instructions", Value::number(warmup));
+    row.set("measured_instructions", Value::number(result.instructions));
+    row.set("measured_cycles",
+            Value::number(std::uint64_t{result.cycles}));
+    row.set("best_seconds", Value::number(best_seconds));
+    row.set("instructions_per_second", Value::number(ips));
+    row.set("cycles_per_second", Value::number(cps));
+    if (!enforced)
+        row.set("budget_enforced", Value::boolean(false));
+
+    std::fprintf(stderr,
+                 "%s/%s: %.2f Minstr/s, %.2f Mcycles/s "
+                 "(best of %llu x %.3fs%s)\n",
+                 result.workload.c_str(), label.c_str(), ips / 1e6,
+                 cps / 1e6, static_cast<unsigned long long>(repeats),
+                 best_seconds, note);
+    return row;
+}
+
 } // namespace
 
 int
@@ -148,185 +224,46 @@ main(int argc, char **argv)
 
     using json::Value;
     Value rows = Value::array();
-    for (const std::string &scheme : schemes) {
+    auto configFor = [&](const std::string &scheme) {
         SimConfig config =
             SimConfig::make(preset, schemeTypeByName(scheme));
         config.warmupInstructions = warmup;
         config.measureInstructions = measure;
-
-        // Warm the program memo outside the timed region: building
-        // the synthetic image is one-time setup, not simulation.
-        programFor(config.workload);
-
-        double best_seconds = 0.0;
-        SimResult result;
-        for (std::uint64_t r = 0; r < repeats; ++r) {
-            const auto start = std::chrono::steady_clock::now();
-            result = runSimulation(config);
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (r == 0 || seconds < best_seconds)
-                best_seconds = seconds;
-        }
-        // Warm-up instructions are simulated work too; count them in
-        // the throughput so the metric reflects the real loop cost.
-        const double simulated =
-            static_cast<double>(warmup + result.instructions);
-        const double ips =
-            best_seconds > 0.0 ? simulated / best_seconds : 0.0;
-        const double cps =
-            best_seconds > 0.0
-                ? static_cast<double>(result.cycles) / best_seconds
-                : 0.0;
-
-        Value row = Value::object();
-        row.set("workload", Value::string(result.workload));
-        row.set("scheme", Value::string(result.scheme));
-        row.set("warmup_instructions", Value::number(warmup));
-        row.set("measured_instructions",
-                Value::number(result.instructions));
-        row.set("measured_cycles",
-                Value::number(std::uint64_t{result.cycles}));
-        row.set("best_seconds", Value::number(best_seconds));
-        row.set("instructions_per_second", Value::number(ips));
-        row.set("cycles_per_second", Value::number(cps));
-        rows.push(std::move(row));
-
-        std::fprintf(stderr,
-                     "%s/%s: %.2f Minstr/s, %.2f Mcycles/s "
-                     "(best of %llu x %.3fs)\n",
-                     result.workload.c_str(), result.scheme.c_str(),
-                     ips / 1e6, cps / 1e6,
-                     static_cast<unsigned long long>(repeats),
-                     best_seconds);
-    }
+        return config;
+    };
+    for (const std::string &scheme : schemes)
+        rows.push(configRow(configFor(scheme), repeats, "", "", true));
 
     {
         // Tracing-overhead row: the shotgun scheme re-run with span
         // tracing fully on (enabled tracer + installed trace
         // context), so the cost of the observability layer is
         // visible in the trajectory next to the untraced rows. The
-        // row carries budget_enforced=false -- the budget check
-        // tracks it but never fails on it -- while the determinism
-        // fields still pin that tracing cannot change simulated
-        // results.
-        SimConfig config =
-            SimConfig::make(preset, schemeTypeByName("shotgun"));
-        config.warmupInstructions = warmup;
-        config.measureInstructions = measure;
-        programFor(config.workload);
-
+        // row is tracked only, while the determinism fields still
+        // pin that tracing cannot change simulated results.
         obs::tracer().setProcessName("bench");
         obs::tracer().enable(obs::newTraceId());
         obs::TraceContext trace_ctx;
         trace_ctx.traceId = obs::tracer().defaultTraceId();
         trace_ctx.lane = "bench";
-        double best_seconds = 0.0;
-        SimResult result;
         {
             obs::ScopedTraceContext scope(&trace_ctx);
-            for (std::uint64_t r = 0; r < repeats; ++r) {
-                const auto start = std::chrono::steady_clock::now();
-                result = runSimulation(config);
-                const double seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                if (r == 0 || seconds < best_seconds)
-                    best_seconds = seconds;
-            }
+            rows.push(configRow(configFor("shotgun"), repeats,
+                                "shotgun+tracing", ", spans on", false));
         }
         obs::tracer().disable();
-
-        const double simulated =
-            static_cast<double>(warmup + result.instructions);
-        const double ips =
-            best_seconds > 0.0 ? simulated / best_seconds : 0.0;
-        const double cps =
-            best_seconds > 0.0
-                ? static_cast<double>(result.cycles) / best_seconds
-                : 0.0;
-
-        Value row = Value::object();
-        row.set("workload", Value::string(result.workload));
-        row.set("scheme", Value::string("shotgun+tracing"));
-        row.set("warmup_instructions", Value::number(warmup));
-        row.set("measured_instructions",
-                Value::number(result.instructions));
-        row.set("measured_cycles",
-                Value::number(std::uint64_t{result.cycles}));
-        row.set("best_seconds", Value::number(best_seconds));
-        row.set("instructions_per_second", Value::number(ips));
-        row.set("cycles_per_second", Value::number(cps));
-        row.set("budget_enforced", Value::boolean(false));
-        rows.push(std::move(row));
-
-        std::fprintf(stderr,
-                     "%s/shotgun+tracing: %.2f Minstr/s, %.2f "
-                     "Mcycles/s (best of %llu x %.3fs, spans on)\n",
-                     result.workload.c_str(), ips / 1e6, cps / 1e6,
-                     static_cast<unsigned long long>(repeats),
-                     best_seconds);
     }
 
     {
         // Uarch-probe-overhead row: the shotgun scheme re-run with
         // the microarchitectural probes on (cycle-exact stall
         // attribution, lifecycle counters, miss-site sketches), the
-        // tracked twin of the tracing row above: budget_enforced is
-        // false, while the determinism fields pin that the probes
-        // cannot change simulated results.
-        SimConfig config =
-            SimConfig::make(preset, schemeTypeByName("shotgun"));
-        config.warmupInstructions = warmup;
-        config.measureInstructions = measure;
+        // tracked twin of the tracing row above: the probes cannot
+        // change simulated results either.
+        SimConfig config = configFor("shotgun");
         config.core.uarchProbes = true;
-        programFor(config.workload);
-
-        double best_seconds = 0.0;
-        SimResult result;
-        for (std::uint64_t r = 0; r < repeats; ++r) {
-            const auto start = std::chrono::steady_clock::now();
-            result = runSimulation(config);
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (r == 0 || seconds < best_seconds)
-                best_seconds = seconds;
-        }
-
-        const double simulated =
-            static_cast<double>(warmup + result.instructions);
-        const double ips =
-            best_seconds > 0.0 ? simulated / best_seconds : 0.0;
-        const double cps =
-            best_seconds > 0.0
-                ? static_cast<double>(result.cycles) / best_seconds
-                : 0.0;
-
-        Value row = Value::object();
-        row.set("workload", Value::string(result.workload));
-        row.set("scheme", Value::string("shotgun+uarch-probes"));
-        row.set("warmup_instructions", Value::number(warmup));
-        row.set("measured_instructions",
-                Value::number(result.instructions));
-        row.set("measured_cycles",
-                Value::number(std::uint64_t{result.cycles}));
-        row.set("best_seconds", Value::number(best_seconds));
-        row.set("instructions_per_second", Value::number(ips));
-        row.set("cycles_per_second", Value::number(cps));
-        row.set("budget_enforced", Value::boolean(false));
-        rows.push(std::move(row));
-
-        std::fprintf(stderr,
-                     "%s/shotgun+uarch-probes: %.2f Minstr/s, %.2f "
-                     "Mcycles/s (best of %llu x %.3fs, probes on)\n",
-                     result.workload.c_str(), ips / 1e6, cps / 1e6,
-                     static_cast<unsigned long long>(repeats),
-                     best_seconds);
+        rows.push(configRow(config, repeats, "shotgun+uarch-probes",
+                            ", probes on", false));
     }
 
     if (!grid_schemes.empty()) {
@@ -367,20 +304,10 @@ main(int argc, char **argv)
             grid.push_back(std::move(exp));
         }
 
-        double best_seconds = 0.0;
         std::vector<SimResult> results;
-        for (std::uint64_t r = 0; r < repeats; ++r) {
-            runner::ExperimentRunner runner{runner::RunnerOptions{}};
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<SimResult> batch = runner.run(grid);
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            if (r == 0 || seconds < best_seconds)
-                best_seconds = seconds;
-            results = std::move(batch);
-        }
+        const double best_seconds = bestSeconds(repeats, [&]() {
+            results = runner::ExperimentRunner().run(grid);
+        });
 
         std::uint64_t total_instructions = 0, total_cycles = 0;
         for (const SimResult &result : results) {

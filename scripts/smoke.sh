@@ -163,6 +163,44 @@ echo "$STATUS" | grep -q '"evictions":0'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
 wait "${DAEMON_PIDS[0]}"
 
+echo "== service: shutdown mid-job cancels the job, keeps its client =="
+# A daemon shut down while a grid runs sends the unfinished job an
+# honest `done:"cancelled"` frame, so the submit fails with that
+# status (exit 1) instead of a dropped connection.
+SOCK_X="$BUILD_DIR/smoke/serve_x.sock"
+SUBMIT_X_ERR="$BUILD_DIR/smoke/shutdown_submit.err"
+start_serve "$SOCK_X" --jobs 1
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_X" --workload nutch \
+    --schemes fdip,boomerang,confluence,shotgun,rdip \
+    --warmup 100000 --instructions 4000000 --no-progress \
+    > /dev/null 2> "$SUBMIT_X_ERR" &
+SUBMIT_X_PID=$!
+RUNNING=0
+for _ in $(seq 200); do
+    if "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_X" --status \
+        | grep -q '"state":"running"'; then
+        RUNNING=1
+        break
+    fi
+    sleep 0.05
+done
+test "$RUNNING" -eq 1 || {
+    echo "no running job to shut down" >&2
+    exit 1
+}
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_X" --shutdown
+SUBMIT_X_RC=0
+wait "$SUBMIT_X_PID" || SUBMIT_X_RC=$?
+test "$SUBMIT_X_RC" -eq 1 || {
+    echo "submit exited $SUBMIT_X_RC, expected 1" >&2
+    exit 1
+}
+grep -q "cancelled" "$SUBMIT_X_ERR" || {
+    echo "submit did not report a cancelled job:" >&2
+    cat "$SUBMIT_X_ERR" >&2
+    exit 1
+}
+
 echo "== windowed simulation: record -> index -> one server =="
 # One workload split into 3 measurement windows and stitched back:
 # the CSVs (which carry every metric) must match the monolithic run

@@ -1,8 +1,8 @@
 /**
  * @file
- * Strict numeric parsing shared by the CLI layers (bench options,
- * shotgun-trace): a count is accepted only if the whole string is
- * decimal digits and fits std::uint64_t -- never a silent fallback,
+ * Strict numeric parsing shared by the CLI layers (bench options, the
+ * tools): a count is accepted only if the whole string is decimal
+ * digits and fits std::uint64_t -- never a silent fallback,
  * truncation or saturation.
  */
 
@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 
 namespace shotgun
 {
@@ -32,6 +33,33 @@ parseU64(const char *text, std::uint64_t &out)
     if (errno == ERANGE || end == text || *end != '\0')
         return false;
     out = value;
+    return true;
+}
+
+/**
+ * Strict positive byte count with an optional K, M or G suffix
+ * (powers of 1024): "600", "64M". Rejects zero and counts that
+ * overflow std::uint64_t.
+ */
+inline bool
+parseByteSize(std::string text, std::uint64_t &out)
+{
+    std::uint64_t multiplier = 1;
+    if (!text.empty()) {
+        switch (text.back()) {
+          case 'K': multiplier = 1ull << 10; break;
+          case 'M': multiplier = 1ull << 20; break;
+          case 'G': multiplier = 1ull << 30; break;
+          default: break;
+        }
+        if (multiplier != 1)
+            text.pop_back();
+    }
+    std::uint64_t bytes = 0;
+    if (!parseU64(text.c_str(), bytes) || bytes == 0 ||
+        bytes > UINT64_MAX / multiplier)
+        return false;
+    out = bytes * multiplier;
     return true;
 }
 

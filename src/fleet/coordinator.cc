@@ -17,37 +17,12 @@ namespace fleet
 using json::Value;
 using service::CachedResult;
 using service::CodecError;
-using service::LineChannel;
 using service::makeError;
 using service::makeFrame;
 using Clock = std::chrono::steady_clock;
 
 namespace
 {
-
-/** Same crude-but-monotone sizing the SimServer cache uses. */
-std::size_t
-resultCacheBytes(const std::string &fingerprint,
-                 const CachedResult &cached)
-{
-    return fingerprint.size() + sizeof(CachedResult) +
-           cached.result.workload.size() +
-           cached.result.scheme.size();
-}
-
-/**
- * Relative simulated length of one grid point: the queue's
- * longest-measured-first key. Matches the instruction count the
- * trace validator requires, so "cost" and "work" agree.
- */
-std::uint64_t
-experimentCost(const runner::Experiment &exp)
-{
-    const SimWindow &window = exp.config.window;
-    return window.skipInstructions + exp.config.warmupInstructions +
-           (window.enabled() ? window.measureEnd
-                             : exp.config.measureInstructions);
-}
 
 std::uint64_t
 elapsedMs(Clock::time_point since, Clock::time_point now)
@@ -60,50 +35,18 @@ elapsedMs(Clock::time_point since, Clock::time_point now)
 
 } // namespace
 
-/**
- * One peer connection (client, worker control, or worker slot).
- * Frames are written from several threads (the owning reader plus
- * emitters and the dispatch pump), hence the write mutex.
- */
-struct FleetCoordinator::Connection
+struct FleetCoordinator::Job : service::DaemonJob
 {
-    explicit Connection(service::Socket sock)
-        : channel(std::move(sock))
-    {
-    }
-
-    LineChannel channel;
-    std::mutex writeMutex;
-
-    bool sendFrame(const Value &frame)
-    {
-        return sendRaw(frame.dump());
-    }
-
-    bool sendRaw(std::string line)
-    {
-        std::lock_guard<std::mutex> lock(writeMutex);
-        return channel.sendLine(std::move(line));
-    }
-};
-
-struct FleetCoordinator::Job
-{
-    std::uint64_t id = 0;
-    std::string experiment;
     std::uint64_t priority = 1;
     std::vector<runner::Experiment> grid;
-    std::vector<std::string> fingerprints; ///< Index-aligned.
     std::vector<std::shared_ptr<const CachedResult>> outcomes;
     std::vector<char> ready;      ///< Outcome available, per index.
     std::vector<char> cachedFlag; ///< Served from a cache, per index.
-    std::size_t total = 0;
     std::size_t pendingTasks = 0; ///< Tasks not yet Done.
     std::size_t nextEmit = 0;     ///< First unemitted index.
     bool emitting = false;        ///< A thread streams the prefix.
     bool cancelled = false;
     bool failed = false;
-    bool doneSent = false;
     std::string message; ///< First failure detail.
     std::uint64_t cachedCount = 0;
 
@@ -120,29 +63,26 @@ struct FleetCoordinator::Job
     std::vector<obs::PointTiming> pointTimings;
     std::vector<char> pointHasTiming;
 
-    /**
-     * The submitting connection. Strong on purpose: during shutdown
-     * the final cancelled `done` must still reach the client after
-     * its reader thread exited. A client that disconnects mid-job
-     * has this cleared by its reader (so a vanished client doesn't
-     * pin the socket or pay frame encoding for the rest of a long
-     * grid), and pruning the finished job drops the ref anyway.
-     */
-    std::shared_ptr<Connection> owner;
-
     /** One per grid point; never resized after admission, so raw
      * Task pointers in the queue/registry stay valid. */
     std::vector<Task> tasks;
 
-    const char *stateName() const
+    service::JobStatus status() const override
     {
+        service::JobStatus row;
+        row.id = id;
+        row.experiment = experiment;
         if (failed)
-            return doneSent ? "error" : "running";
-        if (doneSent)
-            return cancelled && nextEmit < total ? "cancelled" : "ok";
-        if (nextEmit > 0 || pendingTasks < total)
-            return "running";
-        return "queued";
+            row.state = doneSent ? "error" : "running";
+        else if (doneSent)
+            row.state = cancelled && nextEmit < total ? "cancelled" : "ok";
+        else
+            row.state = nextEmit > 0 || pendingTasks < total ? "running"
+                                                            : "queued";
+        row.total = total;
+        row.completed = nextEmit;
+        row.cached = cachedCount;
+        return row;
     }
 };
 
@@ -204,22 +144,14 @@ FleetCoordinator::TaskOrder::operator()(const Task *a,
 
 FleetCoordinator::FleetCoordinator(const std::string &endpoint_spec,
                                    CoordinatorOptions options)
-    : options_(options),
-      listener_(service::Endpoint::parse(endpoint_spec)),
-      cache_(options.cacheBytes, resultCacheBytes)
+    : Daemon(endpoint_spec, "shotgun-coord", options.log,
+             options.cacheBytes),
+      options_(options)
 {
     if (!options_.cacheDir.empty()) {
         disk_.reset(new DiskResultCache(options_.cacheDir,
                                         options_.cacheDirMaxBytes));
-        DiskResultCache *disk = disk_.get();
-        cache_.setBackend(
-            [disk](const std::string &key, CachedResult &out) {
-                return disk->load(key, out);
-            },
-            [disk](const std::string &key,
-                   const CachedResult &value) {
-                disk->store(key, value);
-            });
+        disk_->attachTo(*this);
     }
     monitor_ = std::thread([this]() { monitorLoop(); });
 }
@@ -227,21 +159,8 @@ FleetCoordinator::FleetCoordinator(const std::string &endpoint_spec,
 FleetCoordinator::~FleetCoordinator()
 {
     requestShutdown();
-    monitorCv_.notify_all();
     if (monitor_.joinable())
         monitor_.join();
-}
-
-std::string
-FleetCoordinator::endpoint() const
-{
-    return listener_.boundEndpoint().str();
-}
-
-MemoCacheStats
-FleetCoordinator::cacheStats() const
-{
-    return cache_.stats();
 }
 
 std::size_t
@@ -263,222 +182,69 @@ FleetCoordinator::queueDepth() const
     return queue_.size();
 }
 
-void
-FleetCoordinator::log(const std::string &line)
+std::string
+FleetCoordinator::banner() const
 {
-    if (options_.log != nullptr)
-        *options_.log << "shotgun-coord: " << line << std::endl;
+    return "heartbeat " + std::to_string(options_.heartbeatIntervalMs) +
+           "ms x" + std::to_string(options_.heartbeatMissLimit);
 }
 
 void
-FleetCoordinator::serve()
+FleetCoordinator::onShutdown()
 {
-    log("listening on " + endpoint() + " (version " + cli::kVersion +
-        ", heartbeat " + std::to_string(options_.heartbeatIntervalMs) +
-        "ms x" + std::to_string(options_.heartbeatMissLimit) + ")");
+    monitorCv_.notify_all();
+}
 
-    struct Reader
-    {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    std::vector<Reader> readers;
-    auto reap = [&readers](bool all) {
-        for (auto it = readers.begin(); it != readers.end();) {
-            if (all || it->done->load()) {
-                it->thread.join();
-                it = readers.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-
-    while (!stop_.load()) {
-        service::Socket sock = listener_.accept();
-        if (!sock.valid()) {
-            if (stop_.load())
-                break;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-            continue;
-        }
-        reap(false);
-        auto conn = std::make_shared<Connection>(std::move(sock));
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            connections_.erase(
-                std::remove_if(
-                    connections_.begin(), connections_.end(),
-                    [](const std::weak_ptr<Connection> &w) {
-                        return w.expired();
-                    }),
-                connections_.end());
-            connections_.push_back(conn);
-        }
-        if (stop_.load())
-            conn->channel.socket().shutdownBoth();
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        readers.push_back(
-            {std::thread([this, conn, done]() {
-                 handleConnection(conn);
-                 done->store(true);
-             }),
-             done});
-    }
-
-    // Close the listener (a peer still queued in its backlog sees
-    // EOF now, not at its deadline), join every reader (no thread can
-    // admit work or requeue a task afterwards), then flush a
-    // cancelled `done` to any job still open so clients are never
-    // left waiting on a vanished coordinator.
-    listener_.close();
-    reap(true);
+void
+FleetCoordinator::drain()
+{
     std::vector<std::shared_ptr<Job>> open;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (auto &entry : jobs_) {
             if (!entry.second->doneSent)
-                open.push_back(entry.second);
+                open.push_back(std::static_pointer_cast<Job>(entry.second));
         }
         for (auto &job : open) {
             job->cancelled = true;
-            dropQueuedLocked(job);
+            dropQueuedLocked(*job);
         }
     }
     for (auto &job : open)
         emitJob(job);
-    log("shut down");
-}
-
-void
-FleetCoordinator::requestShutdown()
-{
-    const bool was_stopped = stop_.exchange(true);
-    listener_.shutdownListener();
-    std::vector<std::shared_ptr<Connection>> live;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &weak : connections_) {
-            if (auto conn = weak.lock())
-                live.push_back(std::move(conn));
-        }
-    }
-    // Read-side only: the blocked readers wake and tear down, but
-    // serve()'s final pass can still write a cancelled `done` frame
-    // to clients whose jobs were still open.
-    for (auto &conn : live)
-        conn->channel.socket().shutdownRead();
-    monitorCv_.notify_all();
-    if (!was_stopped)
-        log("shutdown requested");
-}
-
-void
-FleetCoordinator::handleConnection(std::shared_ptr<Connection> conn)
-{
-    // The first frame classifies the peer: workers open with
-    // `register` (control) or `attach` (slot), anything else is a
-    // client connection served with the ordinary protocol loop.
-    std::string line;
-    if (!conn->channel.recvLine(line))
-        return;
-    Value first;
-    std::string type;
-    try {
-        first = Value::parse(line);
-        type = service::frameType(first);
-    } catch (const json::JsonError &e) {
-        conn->sendFrame(makeError(e.what()));
-        return;
-    }
-    if (type == "register") {
-        runWorkerControl(conn, first);
-        return;
-    }
-    if (type == "attach") {
-        runWorkerSlot(conn, first);
-        return;
-    }
-
-    if (handleClientFrame(conn, first)) {
-        while (conn->channel.recvLine(line)) {
-            Value frame;
-            try {
-                frame = Value::parse(line);
-            } catch (const json::JsonError &e) {
-                if (!conn->sendFrame(makeError(e.what())))
-                    break;
-                continue;
-            }
-            if (!handleClientFrame(conn, frame))
-                break;
-        }
-    }
-    // Client gone: stop pinning its socket and encoding frames for
-    // its jobs (they keep running and warm the cache). During
-    // shutdown the owner stays set instead, so serve()'s final pass
-    // can still deliver the cancelled `done` frame.
-    if (!stop_.load()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &entry : jobs_) {
-            if (entry.second->owner == conn)
-                entry.second->owner.reset();
-        }
-    }
 }
 
 bool
-FleetCoordinator::handleClientFrame(
-    const std::shared_ptr<Connection> &conn, const json::Value &frame)
+FleetCoordinator::adoptConnection(
+    const std::shared_ptr<Connection> &conn, const std::string &type,
+    const json::Value &frame)
 {
-    Value reply;
-    try {
-        const std::string type = service::frameType(frame);
-        if (type == "submit") {
-            handleSubmit(conn, frame);
-            return true; // handleSubmit sent `accepted` itself.
-        } else if (type == "status") {
-            reply = statusFrame();
-        } else if (type == "ping") {
-            reply = makeFrame("pong");
-        } else if (type == "cancel") {
-            const std::uint64_t id = frame.at("job").asU64();
-            std::shared_ptr<Job> job;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                auto it = jobs_.find(id);
-                if (it != jobs_.end()) {
-                    job = it->second;
-                    job->cancelled = true;
-                    dropQueuedLocked(job);
-                }
-            }
-            if (job == nullptr) {
-                reply = makeError("unknown job " +
-                                  std::to_string(id));
-            } else {
-                // In-flight points finish on their workers; queued
-                // ones are gone. The `done` frame reports cancelled
-                // once the last in-flight point returns.
-                emitJob(job);
-                reply = makeFrame("cancelling");
-                reply.set("job", Value::number(id));
-            }
-        } else if (type == "shutdown") {
-            conn->sendFrame(makeFrame("bye"));
-            requestShutdown();
+    if (type == "register")
+        runWorkerControl(conn, service::decodeRegister(frame));
+    else if (type == "attach")
+        runWorkerSlot(conn, frame);
+    else
+        return false;
+    return true;
+}
+
+bool
+FleetCoordinator::cancelJob(std::uint64_t id)
+{
+    std::shared_ptr<Job> job;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        job = findJobLocked<Job>(id);
+        if (job == nullptr)
             return false;
-        } else {
-            reply =
-                makeError("unknown frame type \"" + type + "\"");
-        }
-    } catch (const json::JsonError &e) {
-        reply = makeError(e.what());
-    } catch (const std::exception &e) {
-        reply = makeError(std::string("internal error: ") + e.what());
+        job->cancelled = true;
+        dropQueuedLocked(*job);
     }
-    return conn->sendFrame(reply);
+    // In-flight points finish on their workers; queued ones are gone.
+    // The `done` frame reports cancelled once the last in-flight
+    // point returns.
+    emitJob(job);
+    return true;
 }
 
 void
@@ -486,7 +252,7 @@ FleetCoordinator::handleSubmit(
     const std::shared_ptr<Connection> &conn, const json::Value &frame)
 {
     service::SubmitRequest request = service::decodeSubmit(frame);
-    if (stop_.load())
+    if (stopping())
         throw CodecError("coordinator is shutting down");
 
     // Traces are NOT validated here: the coordinator need not share
@@ -499,7 +265,6 @@ FleetCoordinator::handleSubmit(
     job->priority = std::max<std::uint64_t>(1, request.priority);
     job->grid = std::move(request.grid);
     job->total = job->grid.size();
-    job->owner = conn;
     job->fingerprints.reserve(job->total);
     for (const runner::Experiment &exp : job->grid)
         job->fingerprints.push_back(
@@ -540,23 +305,9 @@ FleetCoordinator::handleSubmit(
     }
     job->pendingTasks = fresh;
 
-    Value fingerprints = Value::array();
-    for (const std::string &fp : job->fingerprints)
-        fingerprints.push(Value::string(fp));
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job->id = nextJobId_++;
-        jobs_.emplace(job->id, job);
-    }
-
     // `accepted` goes on the wire before any task can complete (and
-    // before the cache-hit prefix is streamed), so the client's
-    // submit reply is never a `result` frame.
-    Value accepted = makeFrame("accepted");
-    accepted.set("job", Value::number(job->id));
-    accepted.set("total", Value::number(std::uint64_t{job->total}));
-    accepted.set("fingerprints", std::move(fingerprints));
-    conn->sendFrame(accepted);
+    // before the cache-hit prefix is streamed).
+    admit(conn, job);
     log("job " + std::to_string(job->id) + " accepted: " +
         job->experiment + ", " + std::to_string(job->total) +
         " points (" + std::to_string(job->total - fresh) +
@@ -565,7 +316,7 @@ FleetCoordinator::handleSubmit(
     SendBatch sends;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (job->cancelled || stop_.load()) {
+        if (job->cancelled || stopping()) {
             // A cancel raced the admission (or shutdown began):
             // nothing is queued; the `done` frame below reports
             // cancelled over whatever the cache prefilled.
@@ -581,7 +332,7 @@ FleetCoordinator::handleSubmit(
                 task.jobId = job->id;
                 task.index = i;
                 task.priority = job->priority;
-                task.cost = experimentCost(job->grid[i]);
+                task.cost = service::experimentCost(job->grid[i]);
                 task.state = Task::State::Queued;
                 if (job->traceId != 0) {
                     task.queuedWallUs = obs::wallClockUs();
@@ -643,23 +394,23 @@ FleetCoordinator::sendBatch(SendBatch &sends)
     // hit EOF and requeue the task, so the failure needs no handling
     // here.
     for (auto &send : sends)
-        send.first->sendRaw(std::move(send.second));
+        send.first->sendLine(std::move(send.second));
     sends.clear();
 }
 
 void
-FleetCoordinator::dropQueuedLocked(const std::shared_ptr<Job> &job)
+FleetCoordinator::dropQueuedLocked(Job &job)
 {
     for (auto it = queue_.begin(); it != queue_.end();) {
         Task *task = *it;
-        if (task->job != job.get()) {
+        if (task->job != &job) {
             ++it;
             continue;
         }
         it = queue_.erase(it);
         tasksById_.erase(task->id);
         task->state = Task::State::Done;
-        --job->pendingTasks;
+        --job.pendingTasks;
     }
 }
 
@@ -706,7 +457,7 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
                         event.timing = job->pointTimings[i];
                     }
                 }
-                conn->sendRaw(service::encodeResultEvent(event));
+                conn->sendLine(service::encodeResultEvent(event));
             }
         }
         if (trace_emit) {
@@ -728,48 +479,31 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
         lock.lock();
     }
     job->emitting = false;
-
+    if (job->doneSent || job->pendingTasks != 0)
+        return;
+    // Claimed under the lock, so exactly one emitter sends `done`.
+    job->doneSent = true;
     service::DoneEvent done;
-    bool send_done = false;
-    if (!job->doneSent && job->pendingTasks == 0) {
-        job->doneSent = true;
-        send_done = true;
-        done.job = job->id;
-        if (job->failed) {
-            done.status = "error";
-            done.message = job->message;
-        } else if (job->nextEmit == job->total) {
-            done.status = "ok";
-        } else {
-            done.status = "cancelled";
-        }
-        done.completed = job->nextEmit;
-        done.cached = job->cachedCount;
-        pruneJobsLocked();
+    done.job = job->id;
+    if (job->failed) {
+        done.status = "error";
+        done.message = job->message;
+    } else if (job->nextEmit == job->total) {
+        done.status = "ok";
+    } else {
+        done.status = "cancelled";
     }
+    done.completed = job->nextEmit;
+    done.cached = job->cachedCount;
     lock.unlock();
-    if (send_done) {
-        if (conn != nullptr)
-            conn->sendFrame(service::encodeDone(done));
-        log("job " + std::to_string(done.job) + " " + done.status +
-            " (" + std::to_string(done.completed) + "/" +
-            std::to_string(job->total) + " points, " +
-            std::to_string(done.cached) + " cached)");
-    }
+    finishJob(*job, done);
 }
 
 void
 FleetCoordinator::runWorkerControl(
-    const std::shared_ptr<Connection> &conn, const json::Value &frame)
+    const std::shared_ptr<Connection> &conn,
+    const service::RegisterRequest &reg)
 {
-    service::RegisterRequest reg;
-    try {
-        reg = service::decodeRegister(frame);
-    } catch (const json::JsonError &e) {
-        conn->sendFrame(makeError(e.what()));
-        return;
-    }
-
     auto worker = std::make_shared<Worker>();
     worker->name = reg.name;
     worker->slots = reg.slots;
@@ -787,28 +521,23 @@ FleetCoordinator::runWorkerControl(
     log("worker " + std::to_string(worker->id) + " (" + worker->name +
         ") registered, " + std::to_string(reg.slots) + " slots");
 
-    std::string line;
-    while (conn->channel.recvLine(line)) {
-        Value reply = makeFrame("ack");
-        try {
-            const Value hb_frame = Value::parse(line);
-            const std::string type = service::frameType(hb_frame);
-            if (type == "heartbeat") {
-                const service::HeartbeatFrame hb =
-                    service::decodeHeartbeat(hb_frame);
-                std::lock_guard<std::mutex> lock(mutex_);
-                worker->lastHeartbeat = Clock::now();
-                worker->stats = hb;
-            } else {
-                reply = makeError("unexpected frame type \"" + type +
-                                  "\" on a control connection");
-            }
-        } catch (const json::JsonError &e) {
-            reply = makeError(e.what());
+    frameLoop(*conn, [&](const std::string &type, const Value &frame,
+                         Value &reply) {
+        if (type != "heartbeat") {
+            reply = makeError("unexpected frame type \"" + type +
+                              "\" on a control connection");
+            return true;
         }
-        if (!conn->sendFrame(reply))
-            break;
-    }
+        const service::HeartbeatFrame hb =
+            service::decodeHeartbeat(frame);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            worker->lastHeartbeat = Clock::now();
+            worker->stats = hb;
+        }
+        reply = makeFrame("ack");
+        return true;
+    });
     declareDead(worker->id, "control connection closed");
 }
 
@@ -818,7 +547,7 @@ FleetCoordinator::runWorkerSlot(
 {
     auto slot = std::make_shared<Slot>();
     slot->conn = conn;
-    try {
+    {
         const std::uint64_t worker_id = frame.at("worker").asU64();
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = workers_.find(worker_id);
@@ -828,40 +557,30 @@ FleetCoordinator::runWorkerSlot(
                              " (register first)");
         slot->worker = it->second;
         it->second->attached.push_back(slot);
-    } catch (const json::JsonError &e) {
-        conn->sendFrame(makeError(e.what()));
-        return;
     }
     conn->sendFrame(makeFrame("ack"));
 
-    std::string line;
-    while (conn->channel.recvLine(line)) {
-        try {
-            const Value slot_frame = Value::parse(line);
-            const std::string type = service::frameType(slot_frame);
-            if (type == "steal") {
-                SendBatch sends;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (!slot->parked && slot->inflight == nullptr) {
-                        slot->parked = true;
-                        parked_.push_back(slot);
-                    }
-                    pumpLocked(sends);
+    frameLoop(*conn, [&](const std::string &type, const Value &work_frame,
+                         Value &reply) {
+        if (type == "steal") {
+            SendBatch sends;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                if (!slot->parked && slot->inflight == nullptr) {
+                    slot->parked = true;
+                    parked_.push_back(slot);
                 }
-                sendBatch(sends);
-            } else if (type == "result") {
-                handleWorkResult(slot, slot_frame);
-            } else {
-                conn->sendFrame(makeError(
-                    "unexpected frame type \"" + type +
-                    "\" on a work connection"));
+                pumpLocked(sends);
             }
-        } catch (const json::JsonError &e) {
-            if (!conn->sendFrame(makeError(e.what())))
-                break;
+            sendBatch(sends);
+        } else if (type == "result") {
+            handleWorkResult(slot, work_frame);
+        } else {
+            reply = makeError("unexpected frame type \"" + type +
+                              "\" on a work connection");
         }
-    }
+        return true;
+    });
 
     // Slot teardown: whatever was in flight here lands back in the
     // queue for the survivors -- unless it already completed (late
@@ -882,13 +601,11 @@ FleetCoordinator::runWorkerSlot(
         if (task != nullptr && task->state == Task::State::InFlight &&
             task->slot == slot.get()) {
             task->slot = nullptr;
-            if (stop_.load()) {
+            if (stopping()) {
                 task->state = Task::State::Done;
                 tasksById_.erase(task->id);
                 --task->job->pendingTasks;
-                auto jt = jobs_.find(task->jobId);
-                if (jt != jobs_.end())
-                    open_job = jt->second;
+                open_job = findJobLocked<Job>(task->jobId);
             } else {
                 task->state = Task::State::Queued;
                 queue_.insert(task);
@@ -931,9 +648,7 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
         task->slot = nullptr;
         slot->inflight = nullptr;
         tasksById_.erase(it);
-        auto jt = jobs_.find(task->jobId);
-        if (jt != jobs_.end())
-            job = jt->second;
+        job = findJobLocked<Job>(task->jobId);
         --task->job->pendingTasks;
         slot->worker->completed += 1;
         if (!wr.ok) {
@@ -941,8 +656,7 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
                 task->job->failed = true;
                 task->job->message = wr.message;
             }
-            if (job != nullptr)
-                dropQueuedLocked(job);
+            dropQueuedLocked(*task->job);
         } else {
             value = std::make_shared<const CachedResult>(
                 CachedResult{wr.result, wr.hasDelta, wr.delta});
@@ -1013,10 +727,10 @@ FleetCoordinator::monitorLoop()
     std::unique_lock<std::mutex> lock(mutex_);
     const auto tick = std::chrono::milliseconds(
         std::max(1u, options_.heartbeatIntervalMs / 2));
-    while (!stop_.load()) {
+    while (!stopping()) {
         monitorCv_.wait_for(lock, tick,
-                            [this]() { return stop_.load(); });
-        if (stop_.load())
+                            [this]() { return stopping(); });
+        if (stopping())
             break;
         const Clock::time_point now = Clock::now();
         const std::uint64_t limit_ms =
@@ -1045,7 +759,7 @@ json::Value
 FleetCoordinator::statusFrame()
 {
     const Clock::time_point now = Clock::now();
-    Value jobs = Value::array();
+    Value jobs;
     Value workers = Value::array();
     std::uint64_t queue_depth = 0;
     std::uint64_t inflight = 0;
@@ -1055,17 +769,7 @@ FleetCoordinator::statusFrame()
     std::uint64_t checkpoint_misses = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &entry : jobs_) {
-            const Job &job = *entry.second;
-            service::JobStatus status;
-            status.id = job.id;
-            status.experiment = job.experiment;
-            status.state = job.stateName();
-            status.total = job.total;
-            status.completed = job.nextEmit;
-            status.cached = job.cachedCount;
-            jobs.push(encodeJobStatus(status));
-        }
+        jobs = jobStatusesLocked();
         for (const auto &entry : workers_) {
             const Worker &worker = *entry.second;
             service::WorkerStatus status;
@@ -1155,19 +859,6 @@ FleetCoordinator::statusFrame()
     v.set("jobs", std::move(jobs));
     v.set("fleet", std::move(fleet));
     return v;
-}
-
-void
-FleetCoordinator::pruneJobsLocked()
-{
-    constexpr std::size_t kRetainedJobs = 64;
-    for (auto it = jobs_.begin();
-         it != jobs_.end() && jobs_.size() > kRetainedJobs;) {
-        if (it->second->doneSent)
-            it = jobs_.erase(it);
-        else
-            ++it;
-    }
 }
 
 } // namespace fleet

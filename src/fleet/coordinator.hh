@@ -24,7 +24,7 @@
  * in-process run.
  *
  * Scheduling: queued tasks are ordered by job priority (the submit
- * frame's fair-share weight, descending), then simulated length
+ * frame's `priority`, descending, strictly), then simulated length
  * (descending -- longest-measured-first, the LPT placement that
  * minimizes the straggler tail), then admission order. Any idle
  * worker slot steals the head of that queue; there is no static
@@ -43,28 +43,28 @@
  * with an optional persistent directory backend (disk_cache.hh):
  * a resubmitted grid is answered without touching any worker, even
  * across a coordinator restart.
+ *
+ * Listening, connections, frames, the job registry and shutdown are
+ * the daemon shell's (service/daemon.hh), shared with SimServer.
  */
 
 #ifndef SHOTGUN_FLEET_COORDINATOR_HH
 #define SHOTGUN_FLEET_COORDINATOR_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/memo.hh"
 #include "fleet/disk_cache.hh"
-#include "service/protocol.hh"
-#include "service/socket.hh"
+#include "service/daemon.hh"
 
 namespace shotgun
 {
@@ -101,32 +101,13 @@ struct CoordinatorOptions
     std::ostream *log = nullptr;
 };
 
-class FleetCoordinator
+class FleetCoordinator : public service::Daemon
 {
   public:
     /** Bind and listen immediately; throws SocketError on failure. */
     FleetCoordinator(const std::string &endpoint_spec,
                      CoordinatorOptions options = {});
-    ~FleetCoordinator();
-
-    FleetCoordinator(const FleetCoordinator &) = delete;
-    FleetCoordinator &operator=(const FleetCoordinator &) = delete;
-
-    /** Resolved listen address, e.g. "127.0.0.1:34127". */
-    std::string endpoint() const;
-
-    /**
-     * Accept and serve clients and workers until a `shutdown` frame
-     * arrives or requestShutdown() is called. Unfinished jobs get a
-     * cancelled `done` frame before this returns.
-     */
-    void serve();
-
-    /** Initiate shutdown from any thread. */
-    void requestShutdown();
-
-    /** Result-cache counters (backendHits counts disk answers). */
-    MemoCacheStats cacheStats() const;
+    ~FleetCoordinator() override;
 
     /** Workers currently registered and not declared dead. */
     std::size_t liveWorkers() const;
@@ -135,7 +116,7 @@ class FleetCoordinator
     std::size_t queueDepth() const;
 
   private:
-    struct Connection;
+    using Connection = service::Connection;
     struct Worker;
     struct Slot;
     struct Job;
@@ -151,13 +132,23 @@ class FleetCoordinator
     using SendBatch = std::vector<
         std::pair<std::shared_ptr<Connection>, std::string>>;
 
-    void handleConnection(std::shared_ptr<Connection> conn);
-    bool handleClientFrame(const std::shared_ptr<Connection> &conn,
-                           const json::Value &frame);
+    std::string banner() const override;
     void handleSubmit(const std::shared_ptr<Connection> &conn,
-                      const json::Value &frame);
+                      const json::Value &frame) override;
+    json::Value statusFrame() override;
+    bool cancelJob(std::uint64_t id) override;
+
+    /** Workers open with `register` (control) or `attach` (slot). */
+    bool adoptConnection(const std::shared_ptr<Connection> &conn,
+                         const std::string &type,
+                         const json::Value &frame) override;
+    void onShutdown() override;
+
+    /** Flush a cancelled `done` to every job still open. */
+    void drain() override;
+
     void runWorkerControl(const std::shared_ptr<Connection> &conn,
-                          const json::Value &frame);
+                          const service::RegisterRequest &reg);
     void runWorkerSlot(const std::shared_ptr<Connection> &conn,
                        const json::Value &frame);
     void handleWorkResult(const std::shared_ptr<Slot> &slot,
@@ -167,7 +158,7 @@ class FleetCoordinator
     void pumpLocked(SendBatch &sends);
 
     /** Drop a job's queued tasks (cancel/failure). Lock held. */
-    void dropQueuedLocked(const std::shared_ptr<Job> &job);
+    void dropQueuedLocked(Job &job);
 
     /**
      * Stream the job's ready prefix in grid order and, when the job
@@ -181,23 +172,15 @@ class FleetCoordinator
                      const std::string &reason);
 
     void monitorLoop();
-    json::Value statusFrame();
-    void pruneJobsLocked();
     void sendBatch(SendBatch &sends);
-    void log(const std::string &line);
 
     CoordinatorOptions options_;
-    service::Listener listener_;
-    std::atomic<bool> stop_{false};
 
-    mutable std::mutex mutex_; ///< Registry, queue, jobs, workers.
-    std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
+    // Guarded by the daemon mutex, with the job registry.
     std::map<std::uint64_t, std::shared_ptr<Worker>> workers_;
     std::map<std::uint64_t, Task *> tasksById_; ///< Undone tasks.
     std::set<Task *, TaskOrder> queue_;         ///< Queued tasks.
     std::deque<std::shared_ptr<Slot>> parked_;  ///< Idle steals.
-    std::vector<std::weak_ptr<Connection>> connections_;
-    std::uint64_t nextJobId_ = 1;
     std::uint64_t nextWorkerId_ = 1;
     std::uint64_t nextTaskId_ = 1;
 
@@ -205,7 +188,6 @@ class FleetCoordinator
     std::thread monitor_;
 
     std::unique_ptr<DiskResultCache> disk_;
-    LruMemoCache<std::string, service::CachedResult> cache_;
 };
 
 } // namespace fleet

@@ -236,5 +236,18 @@ DiskResultCache::totalBytes() const
     return total;
 }
 
+void
+DiskResultCache::attachTo(service::Daemon &daemon) const
+{
+    daemon.setCacheBackend(
+        [this](const std::string &key, service::CachedResult &out) {
+            return load(key, out);
+        },
+        [this](const std::string &key,
+               const service::CachedResult &value) {
+            store(key, value);
+        });
+}
+
 } // namespace fleet
 } // namespace shotgun

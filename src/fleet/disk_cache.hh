@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <string>
 
-#include "service/server.hh"
+#include "service/daemon.hh"
 
 namespace shotgun
 {
@@ -83,6 +83,13 @@ class DiskResultCache
 
     /** Total bytes of completed entries (for tests/status). */
     std::uint64_t totalBytes() const;
+
+    /**
+     * Make this directory the write-through backend of `daemon`'s
+     * result cache. Call before the daemon serves; this object must
+     * outlive every use the daemon makes of its cache.
+     */
+    void attachTo(service::Daemon &daemon) const;
 
   private:
     std::string entryPath(const std::string &fingerprint) const;

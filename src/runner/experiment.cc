@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <mutex>
 
@@ -131,25 +130,14 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
     // One single-job GridScheduler run: the same cooperative
     // dispatch machinery the simulation service multiplexes many
     // jobs over, so every bench and test exercises the scheduler's
-    // ordering guarantees. Workers push the ordered results into a
-    // hand-off queue; this thread drains it so onResult keeps its
-    // caller's-thread contract while later points still simulate.
+    // ordering guarantees. Results land index-aligned as they are
+    // emitted, and this thread waits for the job's onDone.
     //
-    // The hand-off state is declared before the scheduler on
-    // purpose: if this function unwinds (an onResult callback
-    // throws), the scheduler must be destroyed -- joining workers
-    // that still touch these locals through the hooks -- first.
-    struct Ready
-    {
-        std::size_t index = 0;
-        SimResult result;
-        bool hasObservation = false;
-        obs::PointTiming timing;
-        std::vector<obs::SpanRecord> spans;
-    };
+    // The locals the hooks touch are declared before the scheduler
+    // on purpose: it is destroyed -- joining the workers -- first.
+    std::vector<SimResult> results(grid.size());
     std::mutex mutex;
     std::condition_variable cv;
-    std::deque<Ready> ready;
     bool done = false;
     GridScheduler::Outcome outcome;
 
@@ -158,12 +146,9 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
     GridScheduler scheduler(sched_opts);
 
     GridScheduler::JobHooks hooks;
-    hooks.simulate = [this, &progress](std::size_t index,
-                                       const Experiment &exp) {
+    hooks.simulate = [&progress](std::size_t, const Experiment &exp) {
         const auto start = std::chrono::steady_clock::now();
-        SimResult result = options_.simulate
-                               ? options_.simulate(index, exp)
-                               : runSimulation(exp.config);
+        SimResult result = runSimulation(exp.config);
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -171,46 +156,22 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         progress.completed(exp.workload + "/" + exp.label, seconds);
         return result;
     };
-    // For traced runs the scheduler hands each point's observation
-    // to onObservation right before that point's onResult; emissions
-    // of one job never run concurrently, so the pending slot safely
-    // bridges the pair into one hand-off entry.
-    bool pending_has = false;
-    obs::PointTiming pending_timing;
-    std::vector<obs::SpanRecord> pending_spans;
     if (options_.onObservation) {
         hooks.onObservation =
-            [&](std::size_t,
-                const GridScheduler::PointObservation &point) {
-                pending_timing = point.timing;
-                pending_spans = point.spans;
-                pending_has = true;
+            [this](std::size_t index,
+                   const GridScheduler::PointObservation &point) {
+                options_.onObservation(index, point.timing, point.spans);
             };
     }
-    hooks.onResult = [&](std::size_t index, const Experiment &,
-                         const SimResult &result) {
-        std::lock_guard<std::mutex> lock(mutex);
-        Ready item;
-        item.index = index;
-        item.result = result;
-        if (pending_has) {
-            item.hasObservation = true;
-            item.timing = pending_timing;
-            item.spans = std::move(pending_spans);
-            pending_has = false;
-        }
-        ready.push_back(std::move(item));
-        cv.notify_one();
+    hooks.onResult = [&results](std::size_t index, const Experiment &,
+                                const SimResult &result) {
+        results[index] = result;
     };
-    if (!options_.simulate) {
-        // Gate grid points on their warmed-state checkpoint keys so
-        // each key's first point populates the checkpoint cache and
-        // every other point restores (or resumes a parked window)
-        // instead of re-simulating (see sim/checkpoint.hh). A custom
-        // simulate hook may not run runSimulation at all, so only
-        // real simulations opt in.
-        hooks.predecessors = checkpointPredecessors;
-    }
+    // Gate grid points on their warmed-state checkpoint keys so each
+    // key's first point populates the checkpoint cache and every
+    // other point restores (or resumes a parked window) instead of
+    // re-simulating (see sim/checkpoint.hh).
+    hooks.predecessors = checkpointPredecessors;
     hooks.onDone = [&](const GridScheduler::Outcome &o) {
         std::lock_guard<std::mutex> lock(mutex);
         outcome = o;
@@ -218,30 +179,9 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         cv.notify_one();
     };
     scheduler.submit(grid, 0, std::move(hooks));
-
-    std::vector<SimResult> results;
-    results.reserve(grid.size());
     {
         std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            cv.wait(lock,
-                    [&]() { return done || !ready.empty(); });
-            while (!ready.empty()) {
-                Ready item = std::move(ready.front());
-                ready.pop_front();
-                lock.unlock();
-                results.push_back(std::move(item.result));
-                if (item.hasObservation && options_.onObservation)
-                    options_.onObservation(item.index, item.timing,
-                                           item.spans);
-                if (options_.onResult)
-                    options_.onResult(item.index, grid[item.index],
-                                      results.back());
-                lock.lock();
-            }
-            if (done)
-                break;
-        }
+        cv.wait(lock, [&done]() { return done; });
     }
 
     // The first simulate exception stops dispatch of the remaining

@@ -86,32 +86,13 @@ struct RunnerOptions
     std::ostream *progress = nullptr;
 
     /**
-     * Optional executor override. When set, the runner calls this
-     * instead of runSimulation() for every grid point -- the
-     * simulation service hooks its fingerprint-keyed result cache and
-     * job cancellation in here. Must be thread-safe; called from
-     * worker threads with the experiment's grid index.
-     */
-    std::function<SimResult(std::size_t index, const Experiment &)>
-        simulate;
-
-    /**
-     * Optional per-result stream, called on the run() caller's thread
-     * in strict grid order as soon as each result (and all results
-     * before it) completed. The service uses it to stream `result`
-     * frames while later grid points are still simulating.
-     */
-    std::function<void(std::size_t index, const Experiment &,
-                       const SimResult &)>
-        onResult;
-
-    /**
      * Optional per-point observation stream for traced runs (the
      * run() caller installed an obs::TraceContext before calling):
-     * fires on the caller's thread right before the point's
-     * onResult, in the same strict grid order, with the point's
-     * phase timing and recorded spans. Never fires for untraced
-     * runs, so installing it costs nothing by default.
+     * fires with each point's phase timing and recorded spans in
+     * strict grid order, never concurrently, and before run()
+     * returns -- on a pool thread, so it must only touch state the
+     * caller reads after run(). Never fires for untraced runs, so
+     * installing it costs nothing by default.
      */
     std::function<void(std::size_t index, const obs::PointTiming &,
                        const std::vector<obs::SpanRecord> &)>

@@ -1,0 +1,273 @@
+/**
+ * @file
+ * The front door both daemons share. `shotgun-serve` (SimServer) and
+ * `shotgun-coord` (fleet::FleetCoordinator) listen, accept, read
+ * frames, track jobs and shut down through one Daemon:
+ *
+ *  - the listener and its accept loop, one reader thread per
+ *    connection, reaped as readers finish;
+ *  - the connection registry, so requestShutdown() can wake every
+ *    reader by shutting the read side of its socket -- the write side
+ *    stays open, so a job's final `done` still reaches its client;
+ *  - the frame loop: a malformed, unknown or throwing frame gets an
+ *    `error` reply and the connection stays open;
+ *  - the client frames: `ping`, `status`, `cancel` and `shutdown`,
+ *    with `submit`, the status body and cancel handed to the daemon;
+ *  - the job registry: a job holds its submitting connection until
+ *    its `done` is sent, unless the client left before shutdown, and
+ *    at most 64 finished jobs are kept for `status`;
+ *  - the fingerprint-keyed result cache both daemons answer from.
+ *
+ * A daemon supplies only what differs: submit admission, the status
+ * body, cancel, the drain once every reader joined, and the
+ * connections it takes over on their first frame (the coordinator's
+ * worker `register` and `attach`).
+ */
+
+#ifndef SHOTGUN_SERVICE_DAEMON_HH
+#define SHOTGUN_SERVICE_DAEMON_HH
+
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/memo.hh"
+#include "service/protocol.hh"
+#include "service/socket.hh"
+
+namespace shotgun
+{
+namespace service
+{
+
+/**
+ * A cached grid-point outcome: the derived result plus, for windowed
+ * configs, the raw window counters -- a cache hit must replay the
+ * same `delta` member the original `result` frame carried, or a
+ * resubmitted window could no longer be stitched.
+ */
+struct CachedResult
+{
+    SimResult result;
+    bool hasDelta = false;
+    StatsDelta delta;
+};
+
+/** Fingerprint-keyed result memo (common/memo.hh). */
+using ResultCache = LruMemoCache<std::string, CachedResult>;
+
+/**
+ * Relative simulated length of one grid point: the key both daemons'
+ * longest-first dispatch orders by. Matches the instruction count the
+ * trace validator requires, so "cost" and "work" agree.
+ */
+std::uint64_t experimentCost(const runner::Experiment &exp);
+
+/**
+ * One peer connection. Frames are written from several threads (its
+ * reader, job emitters, the coordinator's dispatch), hence the write
+ * mutex.
+ */
+struct Connection
+{
+    explicit Connection(Socket sock) : channel(std::move(sock)) {}
+
+    LineChannel channel;
+    std::mutex writeMutex;
+
+    /** False when the peer is gone; callers just stop streaming. */
+    bool sendFrame(const json::Value &frame)
+    {
+        return sendLine(frame.dump());
+    }
+
+    bool sendLine(std::string line);
+};
+
+/** What the daemon shell keeps of every admitted job. */
+struct DaemonJob
+{
+    DaemonJob() = default;
+    DaemonJob(const DaemonJob &) = delete;
+    DaemonJob &operator=(const DaemonJob &) = delete;
+    virtual ~DaemonJob() = default;
+
+    /** The job's `status` row. Called with the daemon mutex held. */
+    virtual JobStatus status() const = 0;
+
+    std::uint64_t id = 0; ///< Assigned by Daemon::admit().
+    std::string experiment;
+    std::size_t total = 0;                 ///< Grid size.
+    std::vector<std::string> fingerprints; ///< Index-aligned.
+
+    // Guarded by the daemon mutex.
+
+    /**
+     * The submitting connection. Strong on purpose: the cancelled
+     * `done` a shutdown sends must still reach the client after its
+     * reader exited. A client that leaves before shutdown has it
+     * cleared (the job still completes and warms the cache, it just
+     * stops streaming and no longer pins the socket), and sending
+     * `done` clears it.
+     */
+    std::shared_ptr<Connection> owner;
+    bool doneSent = false; ///< Terminal; prunable beyond the bound.
+};
+
+class Daemon
+{
+  public:
+    /**
+     * Bind and listen immediately (so the resolved endpoint -- e.g. a
+     * kernel-assigned TCP port -- is readable before serve()). Throws
+     * SocketError when the endpoint cannot be bound. `name` prefixes
+     * the lines written to `log` (nullptr is quiet); `cache_bytes`
+     * bounds the result cache (0 unbounded).
+     */
+    Daemon(const std::string &endpoint_spec, std::string name,
+           std::ostream *log, std::size_t cache_bytes);
+    virtual ~Daemon() = default;
+
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+
+    /** Resolved listen address, e.g. "127.0.0.1:34127". */
+    std::string endpoint() const;
+
+    /**
+     * Accept and serve connections until a `shutdown` frame arrives
+     * or requestShutdown() is called. Then closes the listener, joins
+     * every reader and drains the daemon: every unfinished job gets
+     * its `done` frame (as cancelled) before this returns, so the
+     * caller may destroy the daemon afterwards.
+     */
+    void serve();
+
+    /**
+     * Initiate shutdown from any thread: stop accepting, wake every
+     * connection reader, cancel unfinished jobs.
+     */
+    void requestShutdown();
+
+    /** Result-cache counters (backendHits counts disk answers). */
+    MemoCacheStats cacheStats() const;
+
+    /**
+     * Attach a persistent write-through backend to the result cache
+     * (fleet::DiskResultCache::attachTo, wired by the layer that owns
+     * the storage). Call before serve().
+     */
+    void setCacheBackend(ResultCache::LoadFn load,
+                         ResultCache::StoreFn store);
+
+  protected:
+    /**
+     * Handles one parsed frame of a connection: fills `reply` (left
+     * null, nothing is sent) and returns false to end the loop.
+     */
+    using FrameHandler = std::function<bool(
+        const std::string &type, const json::Value &frame,
+        json::Value &reply)>;
+
+    /**
+     * Read frames from `conn` until the peer leaves, a reply cannot be
+     * sent, or `handle` returns false. A malformed frame, or one
+     * `handle` throws on, is answered with an `error` frame and the
+     * connection stays open.
+     */
+    static void frameLoop(Connection &conn, const FrameHandler &handle);
+
+    /** Detail for serve()'s first log line: pool size, heartbeat. */
+    virtual std::string banner() const = 0;
+
+    /**
+     * Admit a `submit` frame (through admit(), which sends
+     * `accepted`) or throw to reject it with an `error` reply.
+     */
+    virtual void handleSubmit(const std::shared_ptr<Connection> &conn,
+                              const json::Value &frame) = 0;
+
+    virtual json::Value statusFrame() = 0;
+
+    /** Stop dispatching a job's points; false for an unknown id. */
+    virtual bool cancelJob(std::uint64_t id) = 0;
+
+    /**
+     * Offered a connection's first frame when it is not a client
+     * frame: return true after serving the connection some other way
+     * to its end, false to reject the frame as unknown.
+     */
+    virtual bool adoptConnection(const std::shared_ptr<Connection> &conn,
+                                 const std::string &type,
+                                 const json::Value &frame);
+
+    /** requestShutdown()'s daemon part, after the sockets woke. */
+    virtual void onShutdown() = 0;
+
+    /**
+     * serve()'s last step, once every reader joined (no thread can
+     * admit a job any more): finish every open job.
+     */
+    virtual void drain() = 0;
+
+    bool stopping() const { return stop_.load(); }
+    void log(const std::string &line);
+
+    /**
+     * Register `job`, submitted on `conn`, under a fresh id and send
+     * its `accepted` frame. Call before any of its results can
+     * stream, so the client's submit reply is never a `result` frame.
+     */
+    void admit(const std::shared_ptr<Connection> &conn,
+               const std::shared_ptr<DaemonJob> &job);
+
+    /** The connection a job streams to; null once its client left. */
+    std::shared_ptr<Connection> ownerOf(const DaemonJob &job) const;
+
+    /**
+     * Send `done` to the job's client, if it is still there, release
+     * the connection and log the job's end. The job becomes prunable.
+     */
+    void finishJob(DaemonJob &job, const DoneEvent &done);
+
+    /** Registered job `id` as the daemon's own type, or null. */
+    template <class Job>
+    std::shared_ptr<Job> findJobLocked(std::uint64_t id) const
+    {
+        const auto it = jobs_.find(id);
+        return it == jobs_.end()
+                   ? nullptr
+                   : std::static_pointer_cast<Job>(it->second);
+    }
+
+    /** The `status` frame's jobs array. Lock held. */
+    json::Value jobStatusesLocked() const;
+
+    /** The job and connection registries, and the daemon's state. */
+    mutable std::mutex mutex_;
+    std::map<std::uint64_t, std::shared_ptr<DaemonJob>> jobs_;
+
+    /** The fingerprint-keyed results both daemons answer from. */
+    ResultCache cache_;
+
+  private:
+    void serveConnection(const std::shared_ptr<Connection> &conn);
+
+    const std::string name_;
+    std::ostream *const log_;
+    Listener listener_;
+    std::atomic<bool> stop_{false};
+    std::vector<std::weak_ptr<Connection>> connections_;
+    std::uint64_t nextJobId_ = 1;
+};
+
+} // namespace service
+} // namespace shotgun
+
+#endif // SHOTGUN_SERVICE_DAEMON_HH

@@ -28,12 +28,12 @@
  * (sim/stats_delta.hh) -- so clients stitch windows from exact
  * integers rather than derived doubles.
  *
- * Protocol 3 (fleet): `submit` gains an optional "priority" (the
- * job's fair-share weight against concurrently admitted jobs,
- * default 1), and the coordinator<->worker frames below join the
- * grammar. A worker holds one *control* connection (register,
- * then periodic heartbeats) and one *work* connection per slot
- * (attach, then a steal -> work -> result loop). See
+ * Protocol 3 (fleet): `submit` gains an optional "priority" (a
+ * server's fair-share weight for the job, a coordinator's strict
+ * priority; default 1), and the coordinator<->worker frames below
+ * join the grammar. A worker holds one *control* connection
+ * (register, then periodic heartbeats) and one *work* connection
+ * per slot (attach, then a steal -> work -> result loop). See
  * src/fleet/README.md for the full fleet protocol spec.
  *
  * Worker -> coordinator (control):

@@ -1,10 +1,9 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <exception>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "common/cli.hh"
@@ -23,20 +22,6 @@ using json::Value;
 
 namespace
 {
-
-/**
- * Accounted size of one cached result: the map key plus the struct
- * plus its heap strings. Crude (allocator overhead is ignored) but
- * monotone in the real footprint, which is all a byte budget needs.
- */
-std::size_t
-resultCacheBytes(const std::string &fingerprint,
-                 const CachedResult &cached)
-{
-    return fingerprint.size() + sizeof(CachedResult) +
-           cached.result.workload.size() +
-           cached.result.scheme.size();
-}
 
 unsigned
 poolWorkers(unsigned jobs_option)
@@ -84,39 +69,13 @@ traceStoreStatsJson(obs::Registry &registry, const std::string &prefix)
 
 } // namespace
 
-/**
- * One client connection. Result frames are written from scheduler
- * worker threads while command replies are written from the
- * connection's reader thread, hence the write mutex.
- */
-struct SimServer::Connection
+struct SimServer::Job : DaemonJob
 {
-    explicit Connection(Socket sock) : channel(std::move(sock)) {}
-
-    LineChannel channel;
-    std::mutex writeMutex;
-
-    /** False when the peer is gone; callers just stop streaming. */
-    bool sendFrame(const Value &frame) { return sendLine(frame.dump()); }
-
-    bool sendLine(std::string line)
-    {
-        std::lock_guard<std::mutex> lock(writeMutex);
-        return channel.sendLine(std::move(line));
-    }
-};
-
-struct SimServer::Job
-{
-    std::uint64_t id = 0;
-    SubmitRequest request; ///< Grid moved out on admission.
-    std::size_t total = 0; ///< Grid size (outlives the move).
-    std::vector<std::string> fingerprints; ///< Index-aligned.
     unsigned budget = 0; ///< Scheduler worker budget (clamped).
 
     /**
      * Scheduler handle; 0 until the job is admitted. Guarded by the
-     * server mutex together with cancelRequested, so a cancel frame
+     * daemon mutex together with cancelRequested, so a cancel frame
      * racing the admission is never lost.
      */
     std::uint64_t schedulerId = 0;
@@ -133,26 +92,27 @@ struct SimServer::Job
     std::atomic<State> state{State::Queued};
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> cachedCount{0};
-    std::string message; ///< Failure detail, set before state.
 
-    const char *stateName() const
+    JobStatus status() const override
     {
-        switch (state.load()) {
-          case State::Queued: return "queued";
-          case State::Running: return "running";
-          case State::Ok: return "ok";
-          case State::Cancelled: return "cancelled";
-          case State::Error: return "error";
-        }
-        return "?";
+        static const char *const kNames[] = {"queued", "running", "ok",
+                                             "cancelled", "error"};
+        JobStatus row;
+        row.id = id;
+        row.experiment = experiment;
+        row.state = kNames[static_cast<int>(state.load())];
+        row.total = total;
+        row.completed = completed.load();
+        row.cached = cachedCount.load();
+        row.budget = budget;
+        return row;
     }
 };
 
 SimServer::SimServer(const std::string &endpoint_spec,
                      ServerOptions options)
-    : options_(options),
-      listener_(Endpoint::parse(endpoint_spec)),
-      cache_(options.cacheBytes, resultCacheBytes),
+    : Daemon(endpoint_spec, "shotgun-serve", options.log,
+             options.cacheBytes),
       scheduler_(
           runner::GridScheduler::Options{poolWorkers(options.jobs)})
 {
@@ -165,30 +125,10 @@ SimServer::~SimServer()
     // which no callback can touch this object again.
 }
 
-std::string
-SimServer::endpoint() const
-{
-    return listener_.boundEndpoint().str();
-}
-
 std::size_t
 SimServer::cacheSize() const
 {
     return cache_.size();
-}
-
-MemoCacheStats
-SimServer::cacheStats() const
-{
-    return cache_.stats();
-}
-
-void
-SimServer::setCacheBackend(
-    LruMemoCache<std::string, CachedResult>::LoadFn load,
-    LruMemoCache<std::string, CachedResult>::StoreFn store)
-{
-    cache_.setBackend(std::move(load), std::move(store));
 }
 
 std::shared_ptr<const CachedResult>
@@ -217,112 +157,24 @@ SimServer::computeCached(const std::string &fingerprint,
     return value;
 }
 
-void
-SimServer::log(const std::string &line)
+std::string
+SimServer::banner() const
 {
-    if (options_.log != nullptr)
-        *options_.log << "shotgun-serve: " << line << std::endl;
+    return std::to_string(scheduler_.workers()) + " workers";
 }
 
 void
-SimServer::serve()
+SimServer::onShutdown()
 {
-    log("listening on " + endpoint() + " (version " +
-        cli::kVersion + ", " + std::to_string(scheduler_.workers()) +
-        " workers)");
+    scheduler_.cancelAll();
+}
 
-    // Reader threads flag themselves done so a long-running daemon
-    // reclaims them as it accepts, not only at shutdown.
-    struct Reader
-    {
-        std::thread thread;
-        std::shared_ptr<std::atomic<bool>> done;
-    };
-    std::vector<Reader> readers;
-    auto reap = [&readers](bool all) {
-        for (auto it = readers.begin(); it != readers.end();) {
-            if (all || it->done->load()) {
-                it->thread.join();
-                it = readers.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-
-    while (!stop_.load()) {
-        Socket sock = listener_.accept();
-        if (!sock.valid()) {
-            if (stop_.load())
-                break;
-            // Persistent accept failure (EMFILE, ...): retry slowly
-            // instead of spinning a core.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-            continue;
-        }
-        reap(false);
-        auto conn = std::make_shared<Connection>(std::move(sock));
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            // Drop expired entries so the registry tracks live
-            // connections, not the connection count ever accepted.
-            connections_.erase(
-                std::remove_if(connections_.begin(),
-                               connections_.end(),
-                               [](const std::weak_ptr<Connection> &w) {
-                                   return w.expired();
-                               }),
-                connections_.end());
-            connections_.push_back(conn);
-        }
-        // A shutdown that snapshotted connections_ before this
-        // registration could not shut this socket down; re-check so
-        // the connection's reader cannot outlive the accept loop.
-        if (stop_.load())
-            conn->channel.socket().shutdownBoth();
-        auto done = std::make_shared<std::atomic<bool>>(false);
-        readers.push_back(
-            {std::thread([this, conn, done]() {
-                 handleConnection(conn);
-                 done->store(true);
-             }),
-             done});
-    }
-
-    // Shutdown: close the listener (a client still queued in its
-    // backlog sees EOF now, not at its deadline), join the readers
-    // (no thread can admit another job), then cancel and drain the
-    // scheduler -- every admitted job still gets its `done` frame (as
-    // cancelled) before exit.
-    listener_.close();
-    reap(true);
+void
+SimServer::drain()
+{
+    // Every admitted job still gets its `done` frame (as cancelled).
     scheduler_.cancelAll();
     scheduler_.waitIdle();
-    log("shut down");
-}
-
-void
-SimServer::requestShutdown()
-{
-    const bool was_stopped = stop_.exchange(true);
-    // shutdown(2) + wake pipe, not close(2): serve() may be blocked
-    // in accept() on this fd right now; serve() closes it once its
-    // accept loop exited.
-    listener_.shutdownListener();
-    std::vector<std::shared_ptr<Connection>> live;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &weak : connections_) {
-            if (auto conn = weak.lock())
-                live.push_back(std::move(conn));
-        }
-    }
-    for (auto &conn : live)
-        conn->channel.socket().shutdownBoth();
-    scheduler_.cancelAll();
-    if (!was_stopped)
-        log("shutdown requested");
 }
 
 void
@@ -331,7 +183,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
 {
     SubmitRequest request = decodeSubmit(frame);
 
-    if (stop_.load())
+    if (stopping())
         throw CodecError("server is shutting down");
 
     // Validate up front what would otherwise fatal() mid-simulation
@@ -349,41 +201,22 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     }
 
     auto job = std::make_shared<Job>();
-    job->request = std::move(request);
-    job->total = job->request.grid.size();
-    const std::uint64_t request_trace_id = job->request.traceId;
-    const std::uint64_t request_parent_span = job->request.parentSpan;
-    job->fingerprints.reserve(job->request.grid.size());
-    for (const runner::Experiment &exp : job->request.grid)
+    job->experiment = request.experiment;
+    job->total = request.grid.size();
+    job->fingerprints.reserve(job->total);
+    for (const runner::Experiment &exp : request.grid)
         job->fingerprints.push_back(configFingerprint(exp.config));
-
     const unsigned cap = scheduler_.workers();
-    job->budget =
-        job->request.jobs == 0
-            ? cap
-            : static_cast<unsigned>(std::min<std::uint64_t>(
-                  job->request.jobs, cap));
+    job->budget = request.jobs == 0
+                      ? cap
+                      : static_cast<unsigned>(std::min<std::uint64_t>(
+                            request.jobs, cap));
 
-    Value fingerprints = Value::array();
-    for (const std::string &fp : job->fingerprints)
-        fingerprints.push(Value::string(fp));
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job->id = nextJobId_++;
-        jobs_.emplace(job->id, job);
-    }
-
-    // `accepted` must be on the wire before the job is admitted to
-    // the scheduler, or a cache-hit job could stream results first
-    // and the client would read a `result` frame as its submit reply.
-    Value accepted = makeFrame("accepted");
-    accepted.set("job", Value::number(job->id));
-    accepted.set("total", Value::number(std::uint64_t{job->total}));
-    accepted.set("fingerprints", std::move(fingerprints));
-    conn->sendFrame(accepted);
+    // `accepted` is on the wire before the job reaches the
+    // scheduler, or a cache-hit job could stream results first.
+    admit(conn, job);
     log("job " + std::to_string(job->id) + " accepted: " +
-        job->request.experiment + ", " + std::to_string(job->total) +
+        job->experiment + ", " + std::to_string(job->total) +
         " points, budget " + std::to_string(job->budget));
 
     // Written by scheduler workers at distinct indices, read when
@@ -430,11 +263,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // grid's points differ in simulated length. Emission order (and
     // thus every byte on the wire) is unaffected.
     hooks.costOf = [](std::size_t, const runner::Experiment &exp) {
-        const SimWindow &window = exp.config.window;
-        return window.skipInstructions +
-               exp.config.warmupInstructions +
-               (window.enabled() ? window.measureEnd
-                                 : exp.config.measureInstructions);
+        return experimentCost(exp);
     };
     // Points sharing a warmed-state checkpoint key are gated: a
     // window waits for the window that parks its start and resumes
@@ -447,20 +276,14 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         job->state.store(Job::State::Running);
         log("job " + std::to_string(job->id) + " running");
     };
-    // The hooks hold the submitting connection weakly: a client
-    // that disconnects mid-job must not pin the socket fd (and pay
-    // per-point frame encoding) for the rest of a long grid -- the
-    // job still completes, warming the cache, it just stops
-    // streaming.
-    std::weak_ptr<Connection> owner = conn;
-    hooks.onResult = [job, owner, cached_flags, outcomes,
+    hooks.onResult = [this, job, cached_flags, outcomes,
                       observation](std::size_t index,
                                    const runner::Experiment &exp,
                                    const SimResult &result) {
         job->completed.fetch_add(1);
         const bool has_observation = observation->has;
         observation->has = false;
-        auto conn = owner.lock();
+        auto conn = ownerOf(*job);
         if (conn == nullptr)
             return;
         ResultEvent event;
@@ -486,7 +309,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         }
         conn->sendLine(encodeResultEvent(event));
     };
-    hooks.onDone = [this, job, owner](
+    hooks.onDone = [this, job](
                        const runner::GridScheduler::Outcome &outcome) {
         DoneEvent done;
         done.job = job->id;
@@ -503,24 +326,17 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
             try {
                 std::rethrow_exception(outcome.error);
             } catch (const std::exception &e) {
-                job->message = e.what();
+                done.message = e.what();
             } catch (...) {
-                job->message = "unknown error";
+                done.message = "unknown error";
             }
             job->state.store(Job::State::Error);
             done.status = "error";
-            done.message = job->message;
             break;
         }
         done.completed = job->completed.load();
         done.cached = job->cachedCount.load();
-        if (auto conn = owner.lock())
-            conn->sendFrame(encodeDone(done));
-        log("job " + std::to_string(job->id) + " " + done.status +
-            " (" + std::to_string(done.completed) + "/" +
-            std::to_string(job->total) + " points, " +
-            std::to_string(done.cached) + " cached)");
-        pruneJobs();
+        finishJob(*job, done);
     };
 
     // A trace-carrying submit (or a server running with --trace-out)
@@ -530,19 +346,19 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // a tracing-enabled server fills in its own for bare submits.
     obs::TraceContext trace_ctx;
     std::unique_ptr<obs::ScopedTraceContext> trace_scope;
-    if (request_trace_id != 0 || obs::tracer().enabled()) {
-        trace_ctx.traceId = request_trace_id != 0
-                                ? request_trace_id
+    if (request.traceId != 0 || obs::tracer().enabled()) {
+        trace_ctx.traceId = request.traceId != 0
+                                ? request.traceId
                                 : obs::tracer().defaultTraceId();
-        trace_ctx.parentSpan = request_parent_span;
+        trace_ctx.parentSpan = request.parentSpan;
         trace_scope.reset(new obs::ScopedTraceContext(&trace_ctx));
     }
 
-    // The grid moves into the scheduler (which owns it for the
-    // job's lifetime); the Job keeps only its size and fingerprints.
+    // The grid moves into the scheduler, which owns it for the job's
+    // lifetime; the Job keeps only its size and fingerprints.
     const std::uint64_t scheduler_id =
-        scheduler_.submit(std::move(job->request.grid), job->budget,
-                          job->request.priority, std::move(hooks));
+        scheduler_.submit(std::move(request.grid), job->budget,
+                          request.priority, std::move(hooks));
     trace_scope.reset();
     bool cancel_now = false;
     {
@@ -552,28 +368,34 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     }
     // A cancel frame that raced the admission parked its request on
     // the job; honor it now that the scheduler knows the id.
-    if (cancel_now || stop_.load())
+    if (cancel_now || stopping())
         scheduler_.cancel(scheduler_id);
+}
+
+bool
+SimServer::cancelJob(std::uint64_t id)
+{
+    std::uint64_t scheduler_id = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto job = findJobLocked<Job>(id);
+        if (job == nullptr)
+            return false;
+        job->cancelRequested = true;
+        scheduler_id = job->schedulerId;
+    }
+    if (scheduler_id != 0)
+        scheduler_.cancel(scheduler_id);
+    return true;
 }
 
 json::Value
 SimServer::statusFrame()
 {
-    Value jobs = Value::array();
+    Value jobs;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &entry : jobs_) {
-            const Job &job = *entry.second;
-            JobStatus status;
-            status.id = job.id;
-            status.experiment = job.request.experiment;
-            status.state = job.stateName();
-            status.total = job.total;
-            status.completed = job.completed.load();
-            status.cached = job.cachedCount.load();
-            status.budget = job.budget;
-            jobs.push(encodeJobStatus(status));
-        }
+        jobs = jobStatusesLocked();
     }
     // Publish every cache's stats into the process metrics registry,
     // then render the frame objects *from the registry* -- the frame
@@ -614,87 +436,6 @@ SimServer::statusFrame()
     v.set("server", std::move(server));
     v.set("jobs", std::move(jobs));
     return v;
-}
-
-void
-SimServer::handleConnection(std::shared_ptr<Connection> conn)
-{
-    std::string line;
-    while (conn->channel.recvLine(line)) {
-        Value reply;
-        try {
-            const Value frame = Value::parse(line);
-            const std::string type = frameType(frame);
-            if (type == "submit") {
-                handleSubmit(conn, frame);
-                continue; // handleSubmit sent `accepted` itself.
-            } else if (type == "status") {
-                reply = statusFrame();
-            } else if (type == "ping") {
-                reply = makeFrame("pong");
-            } else if (type == "cancel") {
-                const std::uint64_t id = frame.at("job").asU64();
-                std::shared_ptr<Job> job;
-                std::uint64_t scheduler_id = 0;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    auto it = jobs_.find(id);
-                    if (it != jobs_.end()) {
-                        job = it->second;
-                        job->cancelRequested = true;
-                        scheduler_id = job->schedulerId;
-                    }
-                }
-                if (job == nullptr) {
-                    reply = makeError("unknown job " +
-                                      std::to_string(id));
-                } else {
-                    // Stops dispatch of the job's remaining points;
-                    // in-flight points finish and the `done` frame
-                    // reports `cancelled` truthfully.
-                    if (scheduler_id != 0)
-                        scheduler_.cancel(scheduler_id);
-                    reply = makeFrame("cancelling");
-                    reply.set("job", Value::number(id));
-                }
-            } else if (type == "shutdown") {
-                conn->sendFrame(makeFrame("bye"));
-                requestShutdown();
-                break;
-            } else {
-                reply = makeError("unknown frame type \"" + type +
-                                  "\"");
-            }
-        } catch (const json::JsonError &e) {
-            // Malformed frame: reject it, keep the connection.
-            reply = makeError(e.what());
-        } catch (const std::exception &e) {
-            // Anything else a frame provoked (filesystem errors,
-            // allocation failure on a huge grid, ...) is that
-            // frame's problem, never the daemon's.
-            reply = makeError(std::string("internal error: ") +
-                              e.what());
-        }
-        if (!conn->sendFrame(reply))
-            break;
-    }
-}
-
-void
-SimServer::pruneJobs()
-{
-    // Keep a bounded tail of terminal jobs for `status`; a daemon
-    // serving thousands of submits must not hold every grid forever.
-    constexpr std::size_t kRetainedJobs = 64;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = jobs_.begin();
-         it != jobs_.end() && jobs_.size() > kRetainedJobs;) {
-        const Job::State state = it->second->state.load();
-        if (state == Job::State::Queued || state == Job::State::Running)
-            ++it;
-        else
-            it = jobs_.erase(it);
-    }
 }
 
 } // namespace service

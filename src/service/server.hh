@@ -1,8 +1,7 @@
 /**
  * @file
- * The batch/async simulation service daemon core: accepts frame
- * protocol connections (see protocol.hh), admits submitted grids as
- * jobs into a work-conserving multi-job scheduler
+ * The batch/async simulation service daemon core: admits submitted
+ * grids as jobs into a work-conserving multi-job scheduler
  * (runner/grid_scheduler.hh) -- a fixed worker pool dispatches grid
  * points round-robin across every admitted job, so concurrently
  * submitted sweeps make progress together instead of queueing FIFO
@@ -11,7 +10,8 @@
  * fingerprint-keyed result cache with an optional LRU byte budget
  * (common/memo.hh): a sweep resubmitted after a client crash, or
  * sharing points with an earlier sweep, only simulates the
- * configurations it has not seen.
+ * configurations it has not seen. Sockets, frames, jobs and shutdown
+ * are the daemon shell's (daemon.hh).
  *
  * The class is the in-process core of the `shotgun-serve` tool, kept
  * in the library so tests can run a real server on a Unix socket in
@@ -27,19 +27,13 @@
 #ifndef SHOTGUN_SERVICE_SERVER_HH
 #define SHOTGUN_SERVICE_SERVER_HH
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
-#include "common/memo.hh"
 #include "runner/grid_scheduler.hh"
-#include "service/protocol.hh"
-#include "service/socket.hh"
+#include "service/daemon.hh"
 
 namespace shotgun
 {
@@ -66,65 +60,16 @@ struct ServerOptions
     std::ostream *log = nullptr;
 };
 
-/**
- * A cached grid-point outcome: the derived result plus, for windowed
- * configs, the raw window counters -- a cache hit must replay the
- * same `delta` member the original `result` frame carried, or a
- * resubmitted window could no longer be stitched.
- */
-struct CachedResult
-{
-    SimResult result;
-    bool hasDelta = false;
-    StatsDelta delta;
-};
-
-class SimServer
+class SimServer : public Daemon
 {
   public:
-    /**
-     * Bind and listen immediately (so the resolved endpoint -- e.g.
-     * a kernel-assigned TCP port -- is readable before serve()).
-     * Throws SocketError when the endpoint cannot be bound.
-     */
+    /** Bind and listen immediately; throws SocketError on failure. */
     SimServer(const std::string &endpoint_spec,
               ServerOptions options = {});
-    ~SimServer();
-
-    SimServer(const SimServer &) = delete;
-    SimServer &operator=(const SimServer &) = delete;
-
-    /** Resolved listen address, e.g. "127.0.0.1:34127". */
-    std::string endpoint() const;
-
-    /**
-     * Accept and serve connections until a `shutdown` frame arrives
-     * or requestShutdown() is called. Joins every reader, cancels
-     * and drains every job (each still gets its `done` frame), so
-     * the caller may destroy the server afterwards.
-     */
-    void serve();
-
-    /**
-     * Initiate shutdown from any thread: stop accepting, cancel
-     * admitted jobs, unblock connection readers.
-     */
-    void requestShutdown();
+    ~SimServer() override;
 
     /** Distinct configurations in the result cache right now. */
     std::size_t cacheSize() const;
-
-    /** Cache counters (entries/bytes/hits/misses/evictions). */
-    MemoCacheStats cacheStats() const;
-
-    /**
-     * Attach a persistent write-through backend to the result cache
-     * (e.g. fleet::DiskResultCache, wired by the tool layer so the
-     * service stays ignorant of storage). Call before serve().
-     */
-    void setCacheBackend(
-        LruMemoCache<std::string, CachedResult>::LoadFn load,
-        LruMemoCache<std::string, CachedResult>::StoreFn store);
 
     /**
      * Compute one grid point through the result cache -- the shared
@@ -141,33 +86,19 @@ class SimServer
                   bool *cached = nullptr);
 
   private:
-    struct Connection;
     struct Job;
 
-    void handleConnection(std::shared_ptr<Connection> conn);
+    std::string banner() const override;
     void handleSubmit(const std::shared_ptr<Connection> &conn,
-                      const json::Value &frame);
-    json::Value statusFrame();
-    void pruneJobs();
-    void log(const std::string &line);
+                      const json::Value &frame) override;
+    json::Value statusFrame() override;
+    bool cancelJob(std::uint64_t id) override;
+    void onShutdown() override;
+    void drain() override;
 
-    ServerOptions options_;
-    Listener listener_;
-
-    std::atomic<bool> stop_{false};
-
-    mutable std::mutex mutex_; ///< jobs_, connections_.
-    std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
-    std::vector<std::weak_ptr<Connection>> connections_;
-    std::uint64_t nextJobId_ = 1;
-
-    LruMemoCache<std::string, CachedResult> cache_;
-
-    // Declared last on purpose: its destructor joins the worker
-    // threads, and their hooks touch cache_, jobs_, mutex_ and the
-    // connection registry -- all of which must still be alive.
-    // Members destroy in reverse declaration order, so the
-    // scheduler goes first.
+    // Its destructor joins the worker threads, whose hooks touch the
+    // cache, the jobs and the connections. The daemon shell holding
+    // those is destroyed after this member, so they are still alive.
     runner::GridScheduler scheduler_;
 };
 

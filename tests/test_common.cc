@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
@@ -67,6 +68,24 @@ TEST(TypesTest, BranchTypeNames)
 {
     EXPECT_STREQ(branchTypeName(BranchType::Call), "call");
     EXPECT_STREQ(branchTypeName(BranchType::TrapReturn), "trap-return");
+}
+
+TEST(ParseTest, ByteSizes)
+{
+    // The daemons' --cache-bytes/--cache-max-bytes grammar.
+    std::uint64_t bytes = 0;
+    EXPECT_TRUE(parseByteSize("600", bytes));
+    EXPECT_EQ(bytes, 600u);
+    EXPECT_TRUE(parseByteSize("64M", bytes));
+    EXPECT_EQ(bytes, 64u << 20);
+    EXPECT_TRUE(parseByteSize("2G", bytes));
+    EXPECT_EQ(bytes, 2ull << 30);
+    EXPECT_TRUE(parseByteSize("16777215G", bytes));
+    EXPECT_EQ(bytes, 16777215ull << 30);
+    for (const char *bad : {"", "0", "0K", "K", "12k", "1.5M", "-1",
+                            "1e6", "17179869184G",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseByteSize(bad, bytes)) << bad;
 }
 
 TEST(RngTest, Deterministic)

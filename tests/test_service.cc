@@ -5,7 +5,8 @@
  * load-bearing assertions are the determinism ones: a grid submitted
  * to a server returns results bitwise-identical to the same grid run
  * in-process, and the serialized JSON/CSV artifacts match byte for
- * byte.
+ * byte. The rules of the daemon shell both daemons share (frames,
+ * clients that leave, shutdown) run against a fleet coordinator too.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +15,15 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "fleet/coordinator.hh"
+#include "fleet/worker.hh"
 #include "runner/experiment.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
@@ -51,14 +55,14 @@ tinyPreset(const std::string &name, std::uint64_t seed)
 }
 
 runner::ExperimentSet
-quickGrid(int workloads = 2)
+quickGrid(int workloads = 2, std::uint64_t seed = 0x5e40)
 {
     const std::uint64_t warmup = 20000, measure = 50000;
     runner::ExperimentSet set;
     for (int w = 0; w < workloads; ++w) {
         const WorkloadPreset preset =
             tinyPreset("svc-w" + std::to_string(w),
-                       0x5e40 + static_cast<std::uint64_t>(w));
+                       seed + static_cast<std::uint64_t>(w));
         set.addBaseline(preset, warmup, measure);
         for (SchemeType type :
              {SchemeType::Boomerang, SchemeType::Shotgun}) {
@@ -81,31 +85,35 @@ requestFor(const runner::ExperimentSet &set, const std::string &name)
     return request;
 }
 
-/** A serve()ing SimServer on a fresh Unix socket, RAII-stopped. */
-class TestServer
+/** A serve()ing daemon on a fresh Unix socket, RAII-stopped. */
+template <class Daemon, class Options = ServerOptions>
+class TestDaemon
 {
   public:
-    explicit TestServer(const std::string &tag,
-                        ServerOptions options = {})
+    explicit TestDaemon(const std::string &tag, Options options = {})
         : server_("unix:/tmp/shotgun_svc_test_" + tag + ".sock",
                   options),
           thread_([this]() { server_.serve(); })
     {
     }
 
-    ~TestServer()
+    ~TestDaemon()
     {
         server_.requestShutdown();
         thread_.join();
     }
 
     std::string endpoint() const { return server_.endpoint(); }
-    SimServer &server() { return server_; }
+    Daemon &server() { return server_; }
 
   private:
-    SimServer server_;
+    Daemon server_;
     std::thread thread_;
 };
+
+using TestServer = TestDaemon<SimServer>;
+using TestCoordinator =
+    TestDaemon<fleet::FleetCoordinator, fleet::CoordinatorOptions>;
 
 TEST(ServiceTest, SubmitMatchesInProcessBitwise)
 {
@@ -254,26 +262,93 @@ TEST(ServiceTest, StatusReportsJobsAndCache)
 TEST(ServiceTest, MalformedFramesAreRejectedNotFatal)
 {
     TestServer server("malformed");
-    LineChannel channel(
-        connectTo(Endpoint::parse(server.endpoint())));
+    TestCoordinator coordinator("malformed-coord");
+    for (const std::string &endpoint :
+         {server.endpoint(), coordinator.endpoint()}) {
+        SCOPED_TRACE(endpoint);
+        LineChannel channel(connectTo(Endpoint::parse(endpoint)));
+        ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
 
-    // Garbage, valid-JSON-wrong-shape, unknown type: all answered
-    // with an error frame on a connection that stays usable.
-    for (const char *line :
-         {"this is not json", "[1,2,3]", "{\"no_type\":1}",
-          "{\"type\":\"warp\"}",
-          "{\"type\":\"submit\",\"protocol\":1}"}) {
-        ASSERT_TRUE(channel.sendLine(line));
+        // Garbage, valid-JSON-wrong-shape, unknown type: all answered
+        // with an error frame on a connection that stays usable --
+        // from the very first frame on.
+        for (const char *line :
+             {"this is not json", "[1,2,3]", "{\"no_type\":1}",
+              "{\"type\":\"warp\"}",
+              "{\"type\":\"submit\",\"protocol\":1}"}) {
+            ASSERT_TRUE(channel.sendLine(line));
+            std::string reply;
+            ASSERT_TRUE(channel.recvLine(reply)) << line;
+            EXPECT_EQ(frameType(json::Value::parse(reply)), "error")
+                << line;
+        }
+
+        ASSERT_TRUE(channel.sendLine("{\"type\":\"ping\"}"));
         std::string reply;
         ASSERT_TRUE(channel.recvLine(reply));
-        EXPECT_EQ(frameType(json::Value::parse(reply)), "error")
-            << line;
+        EXPECT_EQ(frameType(json::Value::parse(reply)), "pong");
     }
+}
 
-    ASSERT_TRUE(channel.sendLine("{\"type\":\"ping\"}"));
-    std::string reply;
-    ASSERT_TRUE(channel.recvLine(reply));
-    EXPECT_EQ(frameType(json::Value::parse(reply)), "pong");
+TEST(ServiceTest, ClientLeavingMidJobLetsTheJobFinish)
+{
+    // A client that disconnects mid-job stops its stream, not its
+    // job: the job completes, warming the daemon's result cache, and
+    // its status row reads `ok`. Both daemons share the rule; the
+    // coordinator's job runs on a one-slot worker. Each daemon gets
+    // its own 9-point grid, so neither finds the other's points
+    // warmed.
+    ServerOptions one_worker;
+    one_worker.jobs = 1;
+    TestServer server("leave", one_worker);
+    TestCoordinator coordinator("leave-coord");
+    TestServer worker_server("leave-w", one_worker);
+    fleet::WorkerOptions worker_options;
+    worker_options.coordinator = coordinator.endpoint();
+    worker_options.heartbeatMs = 100;
+    fleet::FleetWorker worker(worker_server.server(), worker_options);
+    worker.start();
+
+    const std::vector<
+        std::pair<std::string, std::function<MemoCacheStats()>>>
+        daemons = {
+            {server.endpoint(),
+             [&]() { return server.server().cacheStats(); }},
+            {coordinator.endpoint(),
+             [&]() { return coordinator.server().cacheStats(); }},
+        };
+    std::uint64_t seed = 0x1ea5e;
+    for (const auto &daemon : daemons) {
+        SCOPED_TRACE(daemon.first);
+        const runner::ExperimentSet set = quickGrid(3, seed);
+        seed += 0x100;
+        {
+            LineChannel channel(
+                connectTo(Endpoint::parse(daemon.first)));
+            ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+            ASSERT_TRUE(
+                channel.sendLine(encodeSubmit(requestFor(set, "leave"))));
+            std::string line;
+            ASSERT_TRUE(channel.recvLine(line));
+            ASSERT_EQ(frameType(json::Value::parse(line)), "accepted");
+            ASSERT_TRUE(channel.recvLine(line));
+            ASSERT_EQ(frameType(json::Value::parse(line)), "result");
+        } // The client leaves with most of its grid unsimulated.
+
+        ServiceClient control(daemon.first);
+        JobStatus job;
+        for (int waited = 0; waited < 60000; ++waited) {
+            const json::Value status = control.status();
+            ASSERT_EQ(status.at("jobs").size(), 1u);
+            job = decodeJobStatus(status.at("jobs").items()[0]);
+            if (job.state != "queued" && job.state != "running")
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        EXPECT_EQ(job.state, "ok");
+        EXPECT_EQ(job.completed, set.size());
+        EXPECT_EQ(daemon.second().entries, set.size());
+    }
 }
 
 TEST(ServiceTest, SubmitWithBadTraceFileIsRejected)
@@ -630,6 +705,44 @@ TEST(ServiceTest, ShutdownFrameStopsServe)
     thread.join(); // Returns only if shutdown actually stopped serve.
     server.reset();
     SUCCEED();
+}
+
+TEST(ServiceTest, ShutdownCancelsUnfinishedJobs)
+{
+    // A job still running when the server shuts down gets an honest
+    // `cancelled` done frame; its client is never just dropped.
+    const runner::ExperimentSet set = quickGrid(3);
+    ServerOptions options;
+    options.jobs = 1;
+    auto server = std::make_unique<TestServer>("shutdown-mid-job",
+                                               options);
+
+    std::atomic<bool> started{false};
+    std::string failure;
+    std::thread submitter([&]() {
+        try {
+            ServiceClient client(server->endpoint());
+            client.submit(requestFor(set, "shutdown-me"),
+                          [&](const ResultEvent &) {
+                              started.store(true);
+                          });
+            failure = "submit succeeded despite the shutdown";
+        } catch (const ServiceError &e) {
+            if (std::string(e.what()).find("cancelled") ==
+                std::string::npos)
+                failure = std::string("unexpected error: ") +
+                          e.what();
+        } catch (const std::exception &e) {
+            failure =
+                std::string("unexpected exception: ") + e.what();
+        }
+    });
+    while (!started.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    server.reset(); // Shuts down mid-job and joins serve().
+    submitter.join();
+    EXPECT_TRUE(failure.empty()) << failure;
 }
 
 TEST(ServiceEndpointTest, ParseAndFormat)

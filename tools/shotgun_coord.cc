@@ -81,28 +81,16 @@ usageError(const std::string &message)
     std::exit(cli::kUsageExitCode);
 }
 
-/** Positive byte count with optional K/M/G suffix, or usage error. */
+/** The byte count `flag` was given, or a usage error. */
 std::uint64_t
-parseByteSize(const char *flag, std::string text)
+byteSizeArg(const char *flag, const char *text)
 {
-    std::uint64_t multiplier = 1;
-    if (!text.empty()) {
-        switch (text.back()) {
-          case 'K': multiplier = 1ull << 10; break;
-          case 'M': multiplier = 1ull << 20; break;
-          case 'G': multiplier = 1ull << 30; break;
-          default: break;
-        }
-        if (multiplier != 1)
-            text.pop_back();
-    }
     std::uint64_t bytes = 0;
-    if (!parseU64(text.c_str(), bytes) || bytes == 0 ||
-        bytes > UINT64_MAX / multiplier)
+    if (!parseByteSize(text, bytes))
         usageError(std::string(flag) +
                    ": expected a positive byte count (K/M/G suffix "
                    "allowed), got '" + text + "'");
-    return bytes * multiplier;
+    return bytes;
 }
 
 } // namespace
@@ -130,11 +118,11 @@ main(int argc, char **argv)
             listen = next("--listen");
         } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
             options.cacheBytes = static_cast<std::size_t>(
-                parseByteSize("--cache-bytes", next("--cache-bytes")));
+                byteSizeArg("--cache-bytes", next("--cache-bytes")));
         } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
             options.cacheDir = next("--cache-dir");
         } else if (std::strcmp(argv[i], "--cache-max-bytes") == 0) {
-            options.cacheDirMaxBytes = parseByteSize(
+            options.cacheDirMaxBytes = byteSizeArg(
                 "--cache-max-bytes", next("--cache-max-bytes"));
         } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0) {
             std::uint64_t ms = 0;

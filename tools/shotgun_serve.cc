@@ -100,28 +100,16 @@ usageError(const std::string &message)
     std::exit(cli::kUsageExitCode);
 }
 
-/** Positive byte count with optional K/M/G suffix, or usage error. */
+/** The byte count `flag` was given, or a usage error. */
 std::uint64_t
-parseByteSize(const char *flag, std::string text)
+byteSizeArg(const char *flag, const char *text)
 {
-    std::uint64_t multiplier = 1;
-    if (!text.empty()) {
-        switch (text.back()) {
-          case 'K': multiplier = 1ull << 10; break;
-          case 'M': multiplier = 1ull << 20; break;
-          case 'G': multiplier = 1ull << 30; break;
-          default: break;
-        }
-        if (multiplier != 1)
-            text.pop_back();
-    }
     std::uint64_t bytes = 0;
-    if (!parseU64(text.c_str(), bytes) || bytes == 0 ||
-        bytes > UINT64_MAX / multiplier)
+    if (!parseByteSize(text, bytes))
         usageError(std::string(flag) +
                    ": expected a positive byte count (K/M/G suffix "
                    "allowed), got '" + text + "'");
-    return bytes * multiplier;
+    return bytes;
 }
 
 } // namespace
@@ -162,11 +150,11 @@ main(int argc, char **argv)
             options.jobs = static_cast<unsigned>(jobs);
         } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
             options.cacheBytes = static_cast<std::size_t>(
-                parseByteSize("--cache-bytes", next("--cache-bytes")));
+                byteSizeArg("--cache-bytes", next("--cache-bytes")));
         } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
             cache_dir = next("--cache-dir");
         } else if (std::strcmp(argv[i], "--cache-max-bytes") == 0) {
-            cache_max_bytes = parseByteSize(
+            cache_max_bytes = byteSizeArg(
                 "--cache-max-bytes", next("--cache-max-bytes"));
         } else if (std::strcmp(argv[i], "--coordinator") == 0) {
             fleet_options.coordinator = next("--coordinator");
@@ -212,16 +200,7 @@ main(int argc, char **argv)
         if (!cache_dir.empty()) {
             disk.reset(new fleet::DiskResultCache(cache_dir,
                                                   cache_max_bytes));
-            fleet::DiskResultCache *cache = disk.get();
-            server.setCacheBackend(
-                [cache](const std::string &key,
-                        service::CachedResult &out) {
-                    return cache->load(key, out);
-                },
-                [cache](const std::string &key,
-                        const service::CachedResult &value) {
-                    cache->store(key, value);
-                });
+            disk->attachTo(server);
         }
         // Ready marker for scripts; resolved so `--listen host:0`
         // callers learn the actual port.

@@ -88,10 +88,10 @@ const char *kUsage =
     "misses heartbeats. Results stream back in grid order, so the\n"
     "output is byte-identical to --local.\n"
     "\n"
-    "  --priority N         weighted fair share against concurrent\n"
-    "                       jobs: a priority-2 job is dispatched\n"
-    "                       twice as often as a priority-1 job\n"
-    "                       (default 1; also honoured by --server)\n"
+    "  --priority N         job priority (default 1): a server\n"
+    "                       dispatches a priority-2 job twice as\n"
+    "                       often as a priority-1 job, a\n"
+    "                       coordinator strictly first\n"
     "  --fleet-status       render the coordinator's fleet table:\n"
     "                       per-worker throughput, queue depth,\n"
     "                       heartbeat age and cache hit rate\n"
