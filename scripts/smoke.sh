@@ -148,17 +148,26 @@ start_serve "$SOCK"
     --out "$BUILD_DIR/smoke/svc_remote" > /dev/null
 "$BUILD_DIR/shotgun-submit" --local "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_local" > /dev/null
-for ext in json csv; do
-    cmp "$BUILD_DIR/smoke/svc_remote.$ext" \
-        "$BUILD_DIR/smoke/svc_local.$ext"
+# Resubmitted, the identical submit frame skips decoding (the
+# daemon's submit memo) and every point is a result-cache hit: the
+# output is still the in-process bytes.
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
+    --out "$BUILD_DIR/smoke/svc_resubmit" > /dev/null
+for run in svc_remote svc_resubmit; do
+    for ext in json csv; do
+        cmp "$BUILD_DIR/smoke/$run.$ext" \
+            "$BUILD_DIR/smoke/svc_local.$ext"
+    done
 done
 
 # The 3-point grid's 3 distinct configs sit in the fingerprint
-# cache, whose stats are surfaced in the status frame.
+# cache, whose stats are surfaced in the status frame beside the
+# submit memo's.
 STATUS=$("$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --status)
 echo "$STATUS" | grep -q '"cache_entries":3'
 echo "$STATUS" | grep -q '"cache":{"entries":3'
 echo "$STATUS" | grep -q '"evictions":0'
+echo "$STATUS" | grep -Eq '"submit_memo":\{[^}]*"hits":[1-9]'
 
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
 wait "${DAEMON_PIDS[0]}"
@@ -290,6 +299,16 @@ FLEET_STATUS=$("$BUILD_DIR/shotgun-submit" \
 echo "$FLEET_STATUS" | grep -q "queue depth"
 echo "$FLEET_STATUS" | grep -q "coordinator cache:"
 echo "$FLEET_STATUS" | grep -q "smoke-w"
+
+# The same grid again: the coordinator's submit memo skips decoding
+# the identical frame, and the result cache answers every window.
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
+    "${WGRID[@]}" --window-shards 3 \
+    --out "$BUILD_DIR/smoke/fleet_resubmit" > /dev/null
+cmp "$BUILD_DIR/smoke/fleet_resubmit.csv" \
+    "$BUILD_DIR/smoke/win_mono.csv"
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
+    --status | grep -Eq '"submit_memo":\{[^}]*"hits":[1-9]'
 
 echo "== fleet: persistent cache answers across a coord restart =="
 # Stop the whole fleet, then restart only the coordinator on the

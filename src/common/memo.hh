@@ -274,6 +274,12 @@ class LruMemoCache
                     /*store_through=*/true);
     }
 
+    /** put() of a value the caller keeps sharing: no copy. */
+    void put(const Key &key, std::shared_ptr<const Value> value)
+    {
+        insertReady(key, std::move(value), /*store_through=*/true);
+    }
+
     /** Completed + in-flight entries (MemoCache-compatible). */
     std::size_t size() const
     {

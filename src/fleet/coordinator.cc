@@ -37,8 +37,9 @@ elapsedMs(Clock::time_point since, Clock::time_point now)
 
 struct FleetCoordinator::Job : service::DaemonJob
 {
+    using DaemonJob::DaemonJob;
+
     std::uint64_t priority = 1;
-    std::vector<runner::Experiment> grid;
     std::vector<std::shared_ptr<const CachedResult>> outcomes;
     std::vector<char> ready;      ///< Outcome available, per index.
     std::vector<char> cachedFlag; ///< Served from a cache, per index.
@@ -71,7 +72,7 @@ struct FleetCoordinator::Job : service::DaemonJob
     {
         service::JobStatus row;
         row.id = id;
-        row.experiment = experiment;
+        row.experiment = submit->request.experiment;
         if (failed)
             row.state = doneSent ? "error" : "running";
         else if (doneSent)
@@ -249,9 +250,10 @@ FleetCoordinator::cancelJob(std::uint64_t id)
 
 void
 FleetCoordinator::handleSubmit(
-    const std::shared_ptr<Connection> &conn, const json::Value &frame)
+    const std::shared_ptr<Connection> &conn,
+    std::shared_ptr<const service::DecodedSubmit> submit)
 {
-    service::SubmitRequest request = service::decodeSubmit(frame);
+    const service::SubmitRequest &request = submit->request;
     if (stopping())
         throw CodecError("coordinator is shutting down");
 
@@ -260,15 +262,8 @@ FleetCoordinator::handleSubmit(
     // before simulating and report a failure as an error result,
     // which fails the job -- same outcome as a SimServer rejecting
     // the submit, just detected where the file lives.
-    auto job = std::make_shared<Job>();
-    job->experiment = request.experiment;
+    auto job = std::make_shared<Job>(std::move(submit));
     job->priority = std::max<std::uint64_t>(1, request.priority);
-    job->grid = std::move(request.grid);
-    job->total = job->grid.size();
-    job->fingerprints.reserve(job->total);
-    for (const runner::Experiment &exp : job->grid)
-        job->fingerprints.push_back(
-            service::configFingerprint(exp.config));
     job->outcomes.resize(job->total);
     job->ready.assign(job->total, 0);
     job->cachedFlag.assign(job->total, 0);
@@ -294,7 +289,8 @@ FleetCoordinator::handleSubmit(
     // simulation, so doing it on the reader thread is cheap.
     std::size_t fresh = 0;
     for (std::size_t i = 0; i < job->total; ++i) {
-        if (auto value = cache_.tryGet(job->fingerprints[i])) {
+        if (auto value =
+                cache_.tryGet(job->submit->fingerprints[i])) {
             job->outcomes[i] = std::move(value);
             job->ready[i] = 1;
             job->cachedFlag[i] = 1;
@@ -309,7 +305,7 @@ FleetCoordinator::handleSubmit(
     // before the cache-hit prefix is streamed).
     admit(conn, job);
     log("job " + std::to_string(job->id) + " accepted: " +
-        job->experiment + ", " + std::to_string(job->total) +
+        request.experiment + ", " + std::to_string(job->total) +
         " points (" + std::to_string(job->total - fresh) +
         " cached), priority " + std::to_string(job->priority));
 
@@ -332,7 +328,8 @@ FleetCoordinator::handleSubmit(
                 task.jobId = job->id;
                 task.index = i;
                 task.priority = job->priority;
-                task.cost = service::experimentCost(job->grid[i]);
+                task.cost = service::experimentCost(
+                    job->submit->request.grid[i]);
                 task.state = Task::State::Queued;
                 if (job->traceId != 0) {
                     task.queuedWallUs = obs::wallClockUs();
@@ -362,7 +359,7 @@ FleetCoordinator::pumpLocked(SendBatch &sends)
         slot->inflight = task;
         service::WorkItem item;
         item.task = task->id;
-        item.experiment = task->job->grid[task->index];
+        item.experiment = task->job->submit->request.grid[task->index];
         item.traceId = task->job->traceId;
         item.parentSpan = task->job->traceParent;
         // The coordinator's own contribution to the trace: how long
@@ -442,9 +439,11 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
                 event.job = job->id;
                 event.index = i;
                 event.cached = job->cachedFlag[i] != 0;
-                event.workload = job->grid[i].workload;
-                event.label = job->grid[i].label;
-                event.fingerprint = job->fingerprints[i];
+                const runner::Experiment &exp =
+                    job->submit->request.grid[i];
+                event.workload = exp.workload;
+                event.label = exp.label;
+                event.fingerprint = job->submit->fingerprints[i];
                 event.result = job->outcomes[i]->result;
                 if (job->outcomes[i]->hasDelta) {
                     event.hasDelta = true;
@@ -666,7 +665,7 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
                 task->job->cachedFlag[task->index] = 1;
                 ++task->job->cachedCount;
             }
-            cache_key = task->job->fingerprints[task->index];
+            cache_key = task->job->submit->fingerprints[task->index];
             // Worker spans: into the coordinator's own trace file
             // (--trace-out merges the whole fleet into one JSON) and
             // into the job for relay to the client.
@@ -852,6 +851,7 @@ FleetCoordinator::statusFrame()
     server.set("cache_entries",
                Value::number(std::uint64_t{cache_stats.entries}));
     server.set("cache", std::move(cache));
+    server.set("submit_memo", submitMemoStatus("coord.submit_memo"));
     server.set("max_jobs", Value::number(total_slots));
 
     Value v = makeFrame("status");

@@ -133,8 +133,9 @@ class FleetCoordinator : public service::Daemon
         std::pair<std::shared_ptr<Connection>, std::string>>;
 
     std::string banner() const override;
-    void handleSubmit(const std::shared_ptr<Connection> &conn,
-                      const json::Value &frame) override;
+    void handleSubmit(
+        const std::shared_ptr<Connection> &conn,
+        std::shared_ptr<const service::DecodedSubmit> submit) override;
     json::Value statusFrame() override;
     bool cancelJob(std::uint64_t id) override;
 

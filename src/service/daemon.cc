@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "common/cli.hh"
+#include "obs/metrics.hh"
+#include "trace/presets.hh"
 
 namespace shotgun
 {
@@ -34,6 +37,53 @@ resultCacheBytes(const std::string &fingerprint,
 /** The daemons keep this many finished jobs for `status`. */
 constexpr std::size_t kRetainedJobs = 64;
 
+/**
+ * Byte budget of the submit memo. A 4-point grid's frame and decode
+ * are charged about 20 KB, so this holds some 800 distinct grids.
+ */
+constexpr std::size_t kSubmitMemoBytes = 16u << 20;
+
+/**
+ * How encodeSubmit's frames open. A line that parses and opens so is
+ * a submit frame (duplicate keys are rejected), so the memo can be
+ * consulted before the line is parsed.
+ */
+constexpr std::string_view kSubmitOpening = R"({"type":"submit")";
+
+/**
+ * Accounted size of one memoized submit: the frame bytes twice (the
+ * map key and the LRU list each hold a copy) plus the decoded grid.
+ * Crude like resultCacheBytes, and monotone in the real footprint.
+ */
+std::size_t
+submitMemoBytes(const std::string &line, const DecodedSubmit &submit)
+{
+    std::size_t bytes = 2 * line.size() + sizeof(DecodedSubmit);
+    for (const runner::Experiment &exp : submit.request.grid)
+        bytes += sizeof(exp) + exp.workload.size() + exp.label.size();
+    for (const std::string &fp : submit.fingerprints)
+        bytes += sizeof(fp) + fp.size();
+    return bytes;
+}
+
+/**
+ * True when decoding `frame` read trace headers: a grid point names
+ * its workload by a compact `trace:<path>` spec, whose preset is that
+ * file's header as it is now. Such a decode is not a function of the
+ * frame's bytes.
+ */
+bool
+readsTraceFiles(const Value &frame)
+{
+    for (const Value &point : frame.at("grid").items()) {
+        const Value &workload = point.at("config").at("workload");
+        if (workload.isString() &&
+            isTraceWorkloadSpec(workload.asString()))
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 std::uint64_t
@@ -55,7 +105,8 @@ Connection::sendLine(std::string line)
 Daemon::Daemon(const std::string &endpoint_spec, std::string name,
                std::ostream *log, std::size_t cache_bytes)
     : cache_(cache_bytes, resultCacheBytes), name_(std::move(name)),
-      log_(log), listener_(Endpoint::parse(endpoint_spec))
+      log_(log), listener_(Endpoint::parse(endpoint_spec)),
+      submitMemo_(kSubmitMemoBytes, submitMemoBytes)
 {
 }
 
@@ -69,6 +120,12 @@ MemoCacheStats
 Daemon::cacheStats() const
 {
     return cache_.stats();
+}
+
+MemoCacheStats
+Daemon::submitMemoStats() const
+{
+    return submitMemo_.stats();
 }
 
 void
@@ -187,13 +244,21 @@ Daemon::requestShutdown()
 void
 Daemon::frameLoop(Connection &conn, const FrameHandler &handle)
 {
+    lineLoop(conn, [&handle](const std::string &line, Value &reply) {
+        const Value frame = Value::parse(line);
+        return handle(frameType(frame), frame, reply);
+    });
+}
+
+void
+Daemon::lineLoop(Connection &conn, const LineHandler &handle)
+{
     std::string line;
     while (conn.channel.recvLine(line)) {
         Value reply;
         bool more = true;
         try {
-            const Value frame = Value::parse(line);
-            more = handle(frameType(frame), frame, reply);
+            more = handle(line, reply);
         } catch (const json::JsonError &e) {
             // Malformed frame: reject it, keep the connection.
             reply = makeError(e.what());
@@ -218,15 +283,45 @@ Daemon::adoptConnection(const std::shared_ptr<Connection> &,
     return false;
 }
 
+std::shared_ptr<const DecodedSubmit>
+Daemon::decodeSubmitFrame(const Value &frame, const std::string *key)
+{
+    auto submit = std::make_shared<DecodedSubmit>();
+    submit->request = decodeSubmit(frame);
+    submit->fingerprints.reserve(submit->request.grid.size());
+    for (const runner::Experiment &exp : submit->request.grid)
+        submit->fingerprints.push_back(configFingerprint(exp.config));
+    // A traced frame carries a fresh parent span id, so its bytes
+    // never repeat.
+    if (key != nullptr && submit->request.traceId == 0 &&
+        !readsTraceFiles(frame))
+        submitMemo_.put(*key, submit);
+    return submit;
+}
+
 void
 Daemon::serveConnection(const std::shared_ptr<Connection> &conn)
 {
     bool first = true;
-    frameLoop(*conn, [&](const std::string &type, const Value &frame,
-                         Value &reply) {
+    lineLoop(*conn, [&](const std::string &line, Value &reply) {
+        // Submits in encodeSubmit's layout are looked up by their
+        // bytes before parsing: one decoded before skips parsing,
+        // decoding and fingerprinting. Admission runs every time.
+        const bool keyed =
+            line.compare(0, kSubmitOpening.size(), kSubmitOpening) == 0;
+        if (keyed) {
+            if (auto submit = submitMemo_.tryGet(line)) {
+                first = false;
+                handleSubmit(conn, std::move(submit));
+                return true;
+            }
+        }
+        const Value frame = Value::parse(line);
+        const std::string type = frameType(frame);
         const bool opening = std::exchange(first, false);
         if (type == "submit") {
-            handleSubmit(conn, frame);
+            handleSubmit(conn,
+                         decodeSubmitFrame(frame, keyed ? &line : nullptr));
         } else if (type == "status") {
             reply = statusFrame();
         } else if (type == "ping") {
@@ -276,7 +371,7 @@ Daemon::admit(const std::shared_ptr<Connection> &conn,
         jobs_.emplace(job->id, job);
     }
     Value fingerprints = Value::array();
-    for (const std::string &fp : job->fingerprints)
+    for (const std::string &fp : job->submit->fingerprints)
         fingerprints.push(Value::string(fp));
     Value accepted = makeFrame("accepted");
     accepted.set("job", Value::number(job->id));
@@ -326,6 +421,13 @@ Daemon::jobStatusesLocked() const
     for (const auto &entry : jobs_)
         jobs.push(encodeJobStatus(entry.second->status()));
     return jobs;
+}
+
+json::Value
+Daemon::submitMemoStatus(const std::string &prefix) const
+{
+    obs::publishCacheStats(obs::metrics(), prefix, submitMemo_.stats());
+    return obs::cacheStatsJson(obs::metrics(), prefix, false);
 }
 
 } // namespace service

@@ -12,7 +12,10 @@
  *  - the frame loop: a malformed, unknown or throwing frame gets an
  *    `error` reply and the connection stays open;
  *  - the client frames: `ping`, `status`, `cancel` and `shutdown`,
- *    with `submit`, the status body and cancel handed to the daemon;
+ *    with the status body and cancel handed to the daemon;
+ *  - `submit` decoding: each frame is decoded and its grid
+ *    fingerprinted once, memoized by the frame's exact bytes, and the
+ *    decoded request handed to the daemon's admission;
  *  - the job registry: a job holds its submitting connection until
  *    its `done` is sent, unless the client left before shutdown, and
  *    at most 64 finished jobs are kept for `status`;
@@ -63,6 +66,22 @@ struct CachedResult
 using ResultCache = LruMemoCache<std::string, CachedResult>;
 
 /**
+ * A `submit` frame as both daemons admit it: the decoded request and
+ * its grid's fingerprints, index-aligned with `request.grid`.
+ */
+struct DecodedSubmit
+{
+    SubmitRequest request;
+    std::vector<std::string> fingerprints;
+};
+
+/**
+ * Decoded submits keyed by the frame's exact bytes (compared in full,
+ * never by hash alone). It holds requests, never results.
+ */
+using SubmitMemo = LruMemoCache<std::string, DecodedSubmit>;
+
+/**
  * Relative simulated length of one grid point: the key both daemons'
  * longest-first dispatch orders by. Matches the instruction count the
  * trace validator requires, so "cost" and "work" agree.
@@ -93,7 +112,10 @@ struct Connection
 /** What the daemon shell keeps of every admitted job. */
 struct DaemonJob
 {
-    DaemonJob() = default;
+    explicit DaemonJob(std::shared_ptr<const DecodedSubmit> decoded)
+        : submit(std::move(decoded)), total(submit->request.grid.size())
+    {
+    }
     DaemonJob(const DaemonJob &) = delete;
     DaemonJob &operator=(const DaemonJob &) = delete;
     virtual ~DaemonJob() = default;
@@ -102,9 +124,13 @@ struct DaemonJob
     virtual JobStatus status() const = 0;
 
     std::uint64_t id = 0; ///< Assigned by Daemon::admit().
-    std::string experiment;
-    std::size_t total = 0;                 ///< Grid size.
-    std::vector<std::string> fingerprints; ///< Index-aligned.
+
+    /**
+     * The grid, its fingerprints and the submit's parameters. Shared
+     * with the submit memo: a resubmitted frame's job copies neither.
+     */
+    const std::shared_ptr<const DecodedSubmit> submit;
+    const std::size_t total; ///< Grid size.
 
     // Guarded by the daemon mutex.
 
@@ -158,6 +184,9 @@ class Daemon
     /** Result-cache counters (backendHits counts disk answers). */
     MemoCacheStats cacheStats() const;
 
+    /** Submit-memo counters: hits are submits that skipped decoding. */
+    MemoCacheStats submitMemoStats() const;
+
     /**
      * Attach a persistent write-through backend to the result cache
      * (fleet::DiskResultCache::attachTo, wired by the layer that owns
@@ -187,11 +216,14 @@ class Daemon
     virtual std::string banner() const = 0;
 
     /**
-     * Admit a `submit` frame (through admit(), which sends
-     * `accepted`) or throw to reject it with an `error` reply.
+     * Admit a decoded `submit` (through admit(), which sends
+     * `accepted`) or throw to reject it with an `error` reply. Runs
+     * on every submit, memoized or not: checks of daemon or
+     * filesystem state belong here, never in the decode.
      */
-    virtual void handleSubmit(const std::shared_ptr<Connection> &conn,
-                              const json::Value &frame) = 0;
+    virtual void
+    handleSubmit(const std::shared_ptr<Connection> &conn,
+                 std::shared_ptr<const DecodedSubmit> submit) = 0;
 
     virtual json::Value statusFrame() = 0;
 
@@ -249,6 +281,12 @@ class Daemon
     /** The `status` frame's jobs array. Lock held. */
     json::Value jobStatusesLocked() const;
 
+    /**
+     * The `status` frame's submit-memo object, published to the
+     * metrics registry under `prefix` and rendered from it.
+     */
+    json::Value submitMemoStatus(const std::string &prefix) const;
+
     /** The job and connection registries, and the daemon's state. */
     mutable std::mutex mutex_;
     std::map<std::uint64_t, std::shared_ptr<DaemonJob>> jobs_;
@@ -257,7 +295,22 @@ class Daemon
     ResultCache cache_;
 
   private:
+    /** frameLoop()'s handler, given each line before it is parsed. */
+    using LineHandler = std::function<bool(const std::string &line,
+                                           json::Value &reply)>;
+
+    static void lineLoop(Connection &conn, const LineHandler &handle);
+
     void serveConnection(const std::shared_ptr<Connection> &conn);
+
+    /**
+     * Decode and fingerprint a parsed `submit` frame. With a `key`
+     * (its line, in encodeSubmit's layout) the result is memoized
+     * under it, unless the frame is traced or its decode read a
+     * trace file.
+     */
+    std::shared_ptr<const DecodedSubmit>
+    decodeSubmitFrame(const json::Value &frame, const std::string *key);
 
     const std::string name_;
     std::ostream *const log_;
@@ -265,6 +318,7 @@ class Daemon
     std::atomic<bool> stop_{false};
     std::vector<std::weak_ptr<Connection>> connections_;
     std::uint64_t nextJobId_ = 1;
+    SubmitMemo submitMemo_;
 };
 
 } // namespace service

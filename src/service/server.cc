@@ -71,6 +71,8 @@ traceStoreStatsJson(obs::Registry &registry, const std::string &prefix)
 
 struct SimServer::Job : DaemonJob
 {
+    using DaemonJob::DaemonJob;
+
     unsigned budget = 0; ///< Scheduler worker budget (clamped).
 
     /**
@@ -99,7 +101,7 @@ struct SimServer::Job : DaemonJob
                                              "cancelled", "error"};
         JobStatus row;
         row.id = id;
-        row.experiment = experiment;
+        row.experiment = submit->request.experiment;
         row.state = kNames[static_cast<int>(state.load())];
         row.total = total;
         row.completed = completed.load();
@@ -179,10 +181,9 @@ SimServer::drain()
 
 void
 SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
-                        const json::Value &frame)
+                        std::shared_ptr<const DecodedSubmit> submit)
 {
-    SubmitRequest request = decodeSubmit(frame);
-
+    const SubmitRequest &request = submit->request;
     if (stopping())
         throw CodecError("server is shutting down");
 
@@ -200,12 +201,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
             throw CodecError(error);
     }
 
-    auto job = std::make_shared<Job>();
-    job->experiment = request.experiment;
-    job->total = request.grid.size();
-    job->fingerprints.reserve(job->total);
-    for (const runner::Experiment &exp : request.grid)
-        job->fingerprints.push_back(configFingerprint(exp.config));
+    auto job = std::make_shared<Job>(std::move(submit));
     const unsigned cap = scheduler_.workers();
     job->budget = request.jobs == 0
                       ? cap
@@ -216,7 +212,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // scheduler, or a cache-hit job could stream results first.
     admit(conn, job);
     log("job " + std::to_string(job->id) + " accepted: " +
-        job->experiment + ", " + std::to_string(job->total) +
+        request.experiment + ", " + std::to_string(job->total) +
         " points, budget " + std::to_string(job->budget));
 
     // Written by scheduler workers at distinct indices, read when
@@ -249,8 +245,8 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
                          std::size_t index,
                          const runner::Experiment &exp) {
         bool was_cached = false;
-        auto value = computeCached(job->fingerprints[index], exp,
-                                   &was_cached);
+        auto value = computeCached(job->submit->fingerprints[index],
+                                   exp, &was_cached);
         if (was_cached) {
             job->cachedCount.fetch_add(1);
             (*cached_flags)[index] = 1;
@@ -292,7 +288,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         event.cached = (*cached_flags)[index] != 0;
         event.workload = exp.workload;
         event.label = exp.label;
-        event.fingerprint = job->fingerprints[index];
+        event.fingerprint = job->submit->fingerprints[index];
         event.result = result;
         const std::shared_ptr<const CachedResult> &outcome =
             (*outcomes)[index];
@@ -354,11 +350,10 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         trace_scope.reset(new obs::ScopedTraceContext(&trace_ctx));
     }
 
-    // The grid moves into the scheduler, which owns it for the job's
-    // lifetime; the Job keeps only its size and fingerprints.
+    // The scheduler owns a copy of the grid for the job's lifetime.
     const std::uint64_t scheduler_id =
-        scheduler_.submit(std::move(request.grid), job->budget,
-                          request.priority, std::move(hooks));
+        scheduler_.submit(request.grid, job->budget, request.priority,
+                          std::move(hooks));
     trace_scope.reset();
     bool cancel_now = false;
     {
@@ -427,6 +422,7 @@ SimServer::statusFrame()
     server.set("cache_entries",
                Value::number(std::uint64_t{cache_stats.entries}));
     server.set("cache", std::move(cache));
+    server.set("submit_memo", submitMemoStatus("serve.submit_memo"));
     server.set("checkpoint", std::move(checkpoint));
     server.set("traces", std::move(traces));
     server.set("max_jobs",

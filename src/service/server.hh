@@ -90,7 +90,7 @@ class SimServer : public Daemon
 
     std::string banner() const override;
     void handleSubmit(const std::shared_ptr<Connection> &conn,
-                      const json::Value &frame) override;
+                      std::shared_ptr<const DecodedSubmit> submit) override;
     json::Value statusFrame() override;
     bool cancelJob(std::uint64_t id) override;
     void onShutdown() override;

@@ -396,12 +396,16 @@ LineChannel::recvLine(std::string &line)
 {
     timedOut_ = false;
     while (true) {
-        const auto newline = buffer_.find('\n');
+        // Bytes before scanned_ hold no newline: resume the search
+        // there, so a line arriving in many chunks is scanned once.
+        const auto newline = buffer_.find('\n', scanned_);
         if (newline != std::string::npos) {
             line.assign(buffer_, 0, newline);
             buffer_.erase(0, newline + 1);
+            scanned_ = 0;
             return true;
         }
+        scanned_ = buffer_.size();
         if (buffer_.size() > kMaxLine)
             return false;
         char chunk[16384];

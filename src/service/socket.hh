@@ -215,6 +215,7 @@ class LineChannel
 
     Socket sock_;
     std::string buffer_;
+    std::size_t scanned_ = 0; ///< Prefix of buffer_ without '\n'.
     bool timedOut_ = false;
 };
 

@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -114,6 +117,85 @@ class TestDaemon
 using TestServer = TestDaemon<SimServer>;
 using TestCoordinator =
     TestDaemon<fleet::FleetCoordinator, fleet::CoordinatorOptions>;
+
+/** A coordinator plus one FleetWorker computing on its own server. */
+class TestFleet
+{
+  public:
+    explicit TestFleet(const std::string &tag)
+        : coordinator_(tag), workerServer_(tag + "-w"),
+          worker_(workerServer_.server(), workerOptions())
+    {
+        worker_.start();
+    }
+
+    std::string endpoint() const { return coordinator_.endpoint(); }
+    fleet::FleetCoordinator &coordinator()
+    {
+        return coordinator_.server();
+    }
+
+  private:
+    fleet::WorkerOptions workerOptions() const
+    {
+        fleet::WorkerOptions options;
+        options.coordinator = coordinator_.endpoint();
+        options.heartbeatMs = 100;
+        return options;
+    }
+
+    TestCoordinator coordinator_;
+    TestServer workerServer_;
+    fleet::FleetWorker worker_;
+};
+
+/**
+ * Send one submit line and collect its replies: through `done`, or a
+ * lone `error`.
+ */
+std::vector<std::string>
+submitLine(LineChannel &channel, const std::string &line)
+{
+    std::vector<std::string> frames;
+    if (!channel.sendLine(line))
+        return frames;
+    std::string reply;
+    while (channel.recvLine(reply)) {
+        frames.push_back(reply);
+        const std::string type = frameType(json::Value::parse(reply));
+        if (type == "done" || type == "error")
+            break;
+    }
+    return frames;
+}
+
+/** `object` with member `key` replaced by `value`, order kept. */
+json::Value
+withMember(const json::Value &object, const std::string &key,
+           const json::Value &value)
+{
+    json::Value out = json::Value::object();
+    for (const auto &member : object.members())
+        out.set(member.first,
+                member.first == key ? value : member.second);
+    return out;
+}
+
+/**
+ * A reply frame without the members a resubmit may change: the job
+ * id and whether points came from the result cache.
+ */
+std::string
+withoutJobAndCached(const std::string &line)
+{
+    const json::Value frame = json::Value::parse(line);
+    json::Value out = json::Value::object();
+    for (const auto &member : frame.members()) {
+        if (member.first != "job" && member.first != "cached")
+            out.set(member.first, member.second);
+    }
+    return out.dump();
+}
 
 TEST(ServiceTest, SubmitMatchesInProcessBitwise)
 {
@@ -287,6 +369,235 @@ TEST(ServiceTest, MalformedFramesAreRejectedNotFatal)
         std::string reply;
         ASSERT_TRUE(channel.recvLine(reply));
         EXPECT_EQ(frameType(json::Value::parse(reply)), "pong");
+    }
+}
+
+TEST(ServiceTest, ResubmittedFrameIsDecodedOnce)
+{
+    // The daemon shell memoizes a decoded submit by its frame bytes.
+    // The same line sent again is answered like the first, every
+    // point now from the result cache, and counts one memo hit.
+    TestServer server("memo");
+    TestFleet fleet("memo-coord");
+    const std::vector<
+        std::pair<std::string, std::function<MemoCacheStats()>>>
+        daemons = {
+            {server.endpoint(),
+             [&]() { return server.server().submitMemoStats(); }},
+            {fleet.endpoint(),
+             [&]() { return fleet.coordinator().submitMemoStats(); }},
+        };
+    const runner::ExperimentSet set = quickGrid(1, 0x3e30);
+    const std::string line = encodeSubmit(requestFor(set, "memo"));
+    for (const auto &daemon : daemons) {
+        SCOPED_TRACE(daemon.first);
+        LineChannel channel(connectTo(Endpoint::parse(daemon.first)));
+        ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+        const std::vector<std::string> first = submitLine(channel, line);
+        const std::vector<std::string> second =
+            submitLine(channel, line);
+
+        // accepted, one result per point, done.
+        ASSERT_EQ(first.size(), set.size() + 2);
+        ASSERT_EQ(second.size(), first.size());
+        for (std::size_t i = 0; i < first.size(); ++i)
+            EXPECT_EQ(withoutJobAndCached(first[i]),
+                      withoutJobAndCached(second[i]))
+                << "frame " << i;
+        for (std::size_t i = 1; i <= set.size(); ++i)
+            EXPECT_TRUE(
+                decodeResultEvent(json::Value::parse(second[i])).cached)
+                << "point " << i - 1;
+        const DoneEvent done =
+            decodeDone(json::Value::parse(second.back()));
+        EXPECT_EQ(done.status, "ok");
+        EXPECT_EQ(done.cached, set.size());
+
+        const MemoCacheStats memo = daemon.second();
+        EXPECT_EQ(memo.entries, 1u);
+        EXPECT_EQ(memo.hits, 1u);
+        EXPECT_EQ(memo.misses, 1u);
+        const json::Value status = ServiceClient(daemon.first).status();
+        EXPECT_EQ(
+            status.at("server").at("submit_memo").at("hits").asU64(),
+            1u);
+        EXPECT_EQ(status.at("server").at("cache").at("entries").asU64(),
+                  set.size());
+    }
+}
+
+TEST(ServiceTest, RejectedSubmitsAreNeverMemoized)
+{
+    // A submit that fails to decode, or whose config breaks a rule
+    // the simulator needs, gets the same error each time it is sent
+    // and never enters the memo.
+    const WorkloadPreset preset = tinyPreset("svc-unrunnable", 0xbad);
+    SimConfig config = SimConfig::make(preset, SchemeType::Confluence);
+    config.warmupInstructions = 20000;
+    config.measureInstructions = 50000;
+    config.scheme.confluence.indexWays = 0;
+    runner::ExperimentSet unrunnable;
+    unrunnable.add(preset, "confluence", config);
+    const std::vector<std::string> lines = {
+        R"({"type":"submit","protocol":3,"experiment":"x"})",
+        encodeSubmit(requestFor(unrunnable, "unrunnable")),
+    };
+
+    TestServer server("memo-reject");
+    TestCoordinator coordinator("memo-reject-coord");
+    const std::vector<
+        std::pair<std::string, std::function<MemoCacheStats()>>>
+        daemons = {
+            {server.endpoint(),
+             [&]() { return server.server().submitMemoStats(); }},
+            {coordinator.endpoint(),
+             [&]() { return coordinator.server().submitMemoStats(); }},
+        };
+    for (const auto &daemon : daemons) {
+        SCOPED_TRACE(daemon.first);
+        LineChannel channel(connectTo(Endpoint::parse(daemon.first)));
+        ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+        for (const std::string &line : lines) {
+            const std::vector<std::string> first =
+                submitLine(channel, line);
+            ASSERT_EQ(first.size(), 1u) << line;
+            EXPECT_EQ(frameType(json::Value::parse(first[0])), "error");
+            EXPECT_EQ(submitLine(channel, line), first);
+        }
+        const MemoCacheStats memo = daemon.second();
+        EXPECT_EQ(memo.entries, 0u);
+        EXPECT_EQ(memo.hits, 0u);
+        EXPECT_EQ(memo.misses, 2 * lines.size());
+    }
+}
+
+TEST(ServiceTest, MemoizedSubmitStillValidatesItsTraceFile)
+{
+    // Checks of filesystem state run on every submit: a memoized
+    // frame whose trace file was truncated since is rejected. A frame
+    // naming its workload by a `trace:` spec reads that file while it
+    // decodes, so it is never memoized at all.
+    const WorkloadPreset preset = tinyPreset("svc-memo-trace", 3);
+    const std::string trace = "/tmp/shotgun_svc_memo.trace";
+    {
+        Program prog(preset.program);
+        TraceGenerator gen(prog, 1);
+        recordTrace(gen, preset, 1, trace, 5000);
+    }
+    runner::Experiment exp;
+    exp.workload = preset.name;
+    exp.label = "baseline";
+    exp.config = SimConfig::make(preset, SchemeType::Baseline);
+    exp.config.workload.tracePath = trace;
+    exp.config.warmupInstructions = 1000;
+    exp.config.measureInstructions = 2000;
+    SubmitRequest request;
+    request.experiment = "memo-trace";
+    request.grid.push_back(exp);
+    const std::string line = encodeSubmit(request);
+
+    const json::Value frame = json::Value::parse(line);
+    const json::Value &point = frame.at("grid").items()[0];
+    json::Value grid = json::Value::array();
+    grid.push(withMember(
+        point, "config",
+        withMember(point.at("config"), "workload",
+                   json::Value::string("trace:" + trace))));
+    const std::string by_spec = withMember(frame, "grid", grid).dump();
+
+    TestServer server("memo-trace");
+    LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    for (const std::string &sent : {line, by_spec, by_spec}) {
+        const std::vector<std::string> replies =
+            submitLine(channel, sent);
+        ASSERT_FALSE(replies.empty());
+        EXPECT_EQ(decodeDone(json::Value::parse(replies.back())).status,
+                  "ok")
+            << replies.back();
+    }
+    EXPECT_EQ(server.server().submitMemoStats().entries, 1u);
+    EXPECT_EQ(server.server().submitMemoStats().hits, 0u);
+
+    std::filesystem::resize_file(
+        trace, std::filesystem::file_size(trace) / 2);
+    const std::vector<std::string> replies = submitLine(channel, line);
+    ASSERT_EQ(replies.size(), 1u);
+    EXPECT_EQ(frameType(json::Value::parse(replies[0])), "error");
+    EXPECT_NE(replies[0].find("trace"), std::string::npos)
+        << replies[0];
+    EXPECT_EQ(server.server().submitMemoStats().hits, 1u);
+    std::remove(trace.c_str());
+}
+
+TEST(ServiceTest, TracedSubmitsAreNotMemoized)
+{
+    // A traced frame's parent span id is fresh per submit, so its
+    // bytes never repeat: it is decoded, answered, and not stored.
+    SubmitRequest request = requestFor(quickGrid(1, 0x7ace), "traced");
+    request.traceId = 7;
+    request.parentSpan = 9;
+    const std::string line = encodeSubmit(request);
+
+    TestServer server("memo-traced");
+    LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    for (int i = 0; i < 2; ++i) {
+        const std::vector<std::string> replies =
+            submitLine(channel, line);
+        ASSERT_FALSE(replies.empty());
+        EXPECT_EQ(decodeDone(json::Value::parse(replies.back())).status,
+                  "ok");
+    }
+    const MemoCacheStats memo = server.server().submitMemoStats();
+    EXPECT_EQ(memo.entries, 0u);
+    EXPECT_EQ(memo.misses, 2u);
+}
+
+TEST(ServiceTest, ConcurrentResubmitsOfOneGridAreBitwiseEqual)
+{
+    // Two connections resubmit one grid at once: their jobs share the
+    // memoized request, and every delivery equals the in-process run
+    // bit for bit, on both daemons.
+    const runner::ExperimentSet set = quickGrid(1, 0xc0c0);
+    const auto local = runner::ExperimentRunner().run(set);
+    constexpr int kRounds = 3;
+
+    TestServer server("memo-conc");
+    TestFleet fleet("memo-conc-coord");
+    const std::vector<
+        std::pair<std::string, std::function<MemoCacheStats()>>>
+        daemons = {
+            {server.endpoint(),
+             [&]() { return server.server().submitMemoStats(); }},
+            {fleet.endpoint(),
+             [&]() { return fleet.coordinator().submitMemoStats(); }},
+        };
+    for (const auto &daemon : daemons) {
+        SCOPED_TRACE(daemon.first);
+        std::vector<std::vector<SimResult>> delivered(2 * kRounds);
+        std::vector<std::thread> clients;
+        for (int c = 0; c < 2; ++c) {
+            clients.emplace_back([&, c]() {
+                ServiceClient client(daemon.first);
+                for (int r = 0; r < kRounds; ++r)
+                    delivered[c * kRounds + r] =
+                        client.submit(requestFor(set, "memo-conc"));
+            });
+        }
+        for (std::thread &client : clients)
+            client.join();
+        for (std::size_t d = 0; d < delivered.size(); ++d) {
+            ASSERT_EQ(delivered[d].size(), set.size()) << "submit " << d;
+            for (std::size_t i = 0; i < set.size(); ++i)
+                EXPECT_TRUE(delivered[d][i] == local[i])
+                    << "submit " << d << " index " << i;
+        }
+        // Both first submits may miss at once; the rest hit.
+        const MemoCacheStats memo = daemon.second();
+        EXPECT_EQ(memo.entries, 1u);
+        EXPECT_EQ(memo.hits + memo.misses, 2u * kRounds);
+        EXPECT_GE(memo.hits, 2u * kRounds - 2);
     }
 }
 
@@ -743,6 +1054,43 @@ TEST(ServiceTest, ShutdownCancelsUnfinishedJobs)
     server.reset(); // Shuts down mid-job and joins serve().
     submitter.join();
     EXPECT_TRUE(failure.empty()) << failure;
+}
+
+TEST(ServiceSocketTest, LongLineRoundTripsAndOverlongLineIsRefused)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    LineChannel reader{Socket(fds[0])};
+    LineChannel writer{Socket(fds[1])};
+    ASSERT_TRUE(reader.socket().setRecvTimeout(60000));
+
+    // A 16 MiB line arrives in about a thousand reads, each resuming
+    // the newline search where the last one stopped.
+    const std::string big(16u << 20, 'x');
+    std::thread send([&]() {
+        writer.sendLine(big);
+        writer.sendLine("after");
+    });
+    std::string line;
+    ASSERT_TRUE(reader.recvLine(line));
+    EXPECT_TRUE(line == big) << "got " << line.size() << " bytes";
+    ASSERT_TRUE(reader.recvLine(line));
+    EXPECT_EQ(line, "after");
+    send.join();
+
+    // Past the 64 MiB bound without a newline: refused, not buffered
+    // without end.
+    std::thread flood([&]() {
+        const std::string chunk(1u << 20, 'y');
+        for (int i = 0; i < 66; ++i) {
+            if (!writer.socket().sendAll(chunk.data(), chunk.size()))
+                break;
+        }
+    });
+    EXPECT_FALSE(reader.recvLine(line));
+    EXPECT_FALSE(reader.timedOut());
+    reader.socket().close(); // Fails the flood's pending send.
+    flood.join();
 }
 
 TEST(ServiceEndpointTest, ParseAndFormat)
