@@ -11,6 +11,7 @@
 
 #include "common/parse.hh"
 #include "runner/thread_pool.hh"
+#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -257,7 +258,8 @@ runGrid(const runner::ExperimentSet &set, const BenchOptions &opts,
 
     runner::ExperimentRunner engine(runner_opts);
     runner::ResultSink sink(slug);
-    auto results = engine.run(set, &sink);
+    auto results =
+        fatalOnTraceError([&]() { return engine.run(set, &sink); });
 
     if (opts.writeFiles && !set.empty()) {
         const std::string base =

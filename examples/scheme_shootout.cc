@@ -21,6 +21,7 @@
 #include "common/table.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
+#include "trace/trace_io.hh"
 
 using namespace shotgun;
 
@@ -95,8 +96,8 @@ main(int argc, char **argv)
     runner::RunnerOptions runner_opts;
     runner_opts.jobs = jobs;
     runner_opts.progress = &std::cerr;
-    const auto results =
-        runner::ExperimentRunner(runner_opts).run(set);
+    const auto results = fatalOnTraceError(
+        [&]() { return runner::ExperimentRunner(runner_opts).run(set); });
     const SimResult &base = results[base_idx];
 
     TextTable table("control-flow delivery on " + preset.name);

@@ -227,8 +227,8 @@ main(int argc, char **argv)
 
     runner::RunnerOptions runner_opts;
     runner_opts.jobs = jobs;
-    const auto results =
-        runner::ExperimentRunner(runner_opts).run(set);
+    const auto results = fatalOnTraceError(
+        [&]() { return runner::ExperimentRunner(runner_opts).run(set); });
     const SimResult &base = results[base_idx];
 
     std::printf("\ndelivery schemes on '%s' (baseline IPC %.3f):\n",

@@ -22,13 +22,15 @@ cmake --build "$BUILD_DIR" -j
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== shotgun-lint: tree green, member left out of a clone fails =="
+echo "== shotgun-lint: tree green, unlisted members fail =="
 # The tree must be lint-clean, and the linter must demonstrably
 # still have teeth: in a scratch copy, add a member to Core beside
 # the source and scheme (outside CoreState, which the clone
-# constructor copies whole) without cloning it, and assert
-# shotgun-lint fails with a clone-completeness finding (the exact
-# silent-restore-divergence bug the check exists to catch).
+# constructor copies whole) without cloning it, and a member to the
+# `done` frame without its wire key, and assert shotgun-lint fails
+# with a clone-completeness finding (the exact
+# silent-restore-divergence bug the check exists to catch) and a
+# codec-coverage finding (a frame member no peer would ever see).
 python3 tools/lint/shotgun_lint.py --root .
 
 LINT_SCRATCH="$BUILD_DIR/smoke/lint_mutation"
@@ -43,6 +45,13 @@ grep -q '^    std::unique_ptr<Scheme> scheme_;$' \
 }
 sed -i 's/^    std::unique_ptr<Scheme> scheme_;$/&\n    std::uint64_t uncloned_ = 0;/' \
     "$LINT_SCRATCH/src/cpu/core.hh"
+DONE_MESSAGE='^    std::string message; ///< Failure detail for "error".$'
+grep -q "$DONE_MESSAGE" "$LINT_SCRATCH/src/service/protocol.hh" || {
+    echo "DoneEvent's message member not found in protocol.hh" >&2
+    exit 1
+}
+sed -i "s|$DONE_MESSAGE|&\n    std::uint64_t unlisted_ = 0;|" \
+    "$LINT_SCRATCH/src/service/protocol.hh"
 LINT_RC=0
 python3 tools/lint/shotgun_lint.py --root "$LINT_SCRATCH" \
     > "$LINT_SCRATCH/findings.txt" 2> /dev/null || LINT_RC=$?
@@ -52,6 +61,8 @@ test "$LINT_RC" -eq 1 || {
     exit 1
 }
 grep -q "clone-completeness.*'uncloned_' of Core" \
+    "$LINT_SCRATCH/findings.txt"
+grep -q "codec-coverage.*'unlisted_' of DoneEvent" \
     "$LINT_SCRATCH/findings.txt"
 rm -rf "$LINT_SCRATCH"
 
@@ -168,6 +179,37 @@ echo "$STATUS" | grep -q '"cache_entries":3'
 echo "$STATUS" | grep -q '"cache":{"entries":3'
 echo "$STATUS" | grep -q '"evictions":0'
 echo "$STATUS" | grep -Eq '"submit_memo":\{[^}]*"hits":[1-9]'
+
+# A corrupt trace fails its point, not the daemon: record 100's
+# branch-type byte set to 238 (19-byte records, the type at byte 17)
+# leaves the header and the file size intact, so the submit is
+# admitted and the decode finds the damage. The submit exits 1
+# naming the record and the daemon answers the next ping. The tools
+# keep failing such a file with a fatal: line and exit 1.
+CORRUPT="$BUILD_DIR/smoke/corrupt.trace"
+CORRUPT_ERR="$BUILD_DIR/smoke/corrupt.err"
+cp "$TRACE" "$CORRUPT"
+RECORDS=$("$BUILD_DIR/shotgun-trace" info "$CORRUPT" \
+              | awk '/^records/ {print $3}')
+OFFSET=$(( $(stat -c %s "$CORRUPT") - RECORDS * 19 + 100 * 19 + 17 ))
+printf '\356' | dd of="$CORRUPT" bs=1 seek="$OFFSET" conv=notrunc \
+    status=none
+expect_corrupt_failure() { # expect_corrupt_failure TOOL [args...]
+    local rc=0
+    "$BUILD_DIR/$1" "${@:2}" > /dev/null 2> "$CORRUPT_ERR" || rc=$?
+    test "$rc" -eq 1 && grep -q "corrupt record 100" "$CORRUPT_ERR" || {
+        echo "$*: exited $rc, expected 1 naming the corrupt record:" >&2
+        cat "$CORRUPT_ERR" >&2
+        exit 1
+    }
+}
+expect_corrupt_failure shotgun-submit --server "unix:$SOCK" \
+    --workload "trace:$CORRUPT" --schemes shotgun \
+    --warmup 100000 --instructions 200000 --no-progress
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --ping
+expect_corrupt_failure shotgun-trace replay "$CORRUPT" \
+    --warmup 100000 --instructions 200000 --scheme shotgun
+grep -q "^fatal:" "$CORRUPT_ERR"
 
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
 wait "${DAEMON_PIDS[0]}"
@@ -359,6 +401,22 @@ start_serve "$SOCK_T1" --coordinator "unix:$COORD_T_SOCK" \
     --name trace-w1 --heartbeat-ms 200 --jobs 1
 start_serve "$SOCK_T2" --coordinator "unix:$COORD_T_SOCK" \
     --name trace-w2 --heartbeat-ms 200 --jobs 1
+# Both slots must be parked (stealing) before the traced submit, so
+# the coordinator hands each of them a point and both workers' lanes
+# land in the trace.
+PARKED=0
+for _ in $(seq 50); do
+    if "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
+        --status | grep -q '"parked_slots":2'; then
+        PARKED=1
+        break
+    fi
+    sleep 0.1
+done
+test "$PARKED" -eq 1 || {
+    echo "the traced fleet's two slots never parked" >&2
+    exit 1
+}
 
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
     "${GRID[@]}" --trace-out "$SUBMIT_TRACE" \

@@ -7,7 +7,7 @@ namespace shotgun
 
 BimodalPredictor::BimodalPredictor(std::size_t entries,
                                    unsigned counter_bits)
-    : mask_(entries - 1), counterBits_(counter_bits)
+    : mask_(entries - 1)
 {
     fatal_if(entries == 0 || (entries & (entries - 1)) != 0,
              "bimodal table size must be a power of two");
@@ -32,12 +32,6 @@ void
 BimodalPredictor::update(Addr pc, bool taken)
 {
     table_[index(pc)].update(taken);
-}
-
-std::uint64_t
-BimodalPredictor::storageBits() const
-{
-    return static_cast<std::uint64_t>(table_.size()) * counterBits_;
 }
 
 } // namespace shotgun

@@ -1,7 +1,8 @@
 /**
  * @file
  * Bimodal predictor: a PC-indexed table of 2-bit saturating counters.
- * The simplest useful baseline; also the bottom component of TAGE.
+ * The simplest useful baseline, kept as the reference TAGE's tests
+ * measure against; TAGE has its own bimodal base table.
  */
 
 #ifndef SHOTGUN_BRANCH_BIMODAL_HH
@@ -9,30 +10,27 @@
 
 #include <vector>
 
-#include "branch/direction_predictor.hh"
 #include "common/sat_counter.hh"
+#include "common/types.hh"
 
 namespace shotgun
 {
 
-class BimodalPredictor : public DirectionPredictor
+class BimodalPredictor
 {
   public:
     /** @param entries table size; must be a power of two. */
     explicit BimodalPredictor(std::size_t entries = 8192,
                               unsigned counter_bits = 2);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    std::uint64_t storageBits() const override;
-    const char *name() const override { return "bimodal"; }
+    bool predict(Addr pc);
+    void update(Addr pc, bool taken);
 
   private:
     std::size_t index(Addr pc) const;
 
     std::vector<SatCounter> table_;
     std::size_t mask_;
-    unsigned counterBits_;
 };
 
 } // namespace shotgun

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/direction_predictor.hh"
+#include "common/types.hh"
 
 namespace shotgun
 {
@@ -43,16 +43,22 @@ struct TageParams
     std::uint64_t uResetPeriod = 256 * 1024;
 };
 
-class TagePredictor : public DirectionPredictor
+/**
+ * Usage protocol: predict(pc) followed immediately by update(pc,
+ * taken) for the same branch -- the outcome is known as soon as the
+ * prediction is made, and predict() stashes metadata update() reads.
+ */
+class TagePredictor
 {
   public:
     explicit TagePredictor(const TageParams &params = TageParams{},
                            std::uint64_t seed = 0x7a6e);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    std::uint64_t storageBits() const override;
-    const char *name() const override { return "tage"; }
+    bool predict(Addr pc);
+    void update(Addr pc, bool taken);
+
+    /** Total predictor state in bits (the paper's 8KB budget). */
+    std::uint64_t storageBits() const;
 
     /** Number of tagged tables. */
     std::size_t numTables() const { return tables_.size(); }

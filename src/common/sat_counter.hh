@@ -81,60 +81,6 @@ class SatCounter
     unsigned value_;
 };
 
-/**
- * A signed saturating counter in [-2^(bits-1), 2^(bits-1) - 1], as
- * used by TAGE tagged-component predictions and its use-alt counter.
- */
-class SignedSatCounter
-{
-  public:
-    explicit SignedSatCounter(unsigned bits = 3, int initial = 0)
-        : bits_(bits), value_(initial)
-    {
-        panic_if(bits < 2 || bits > 16,
-                 "SignedSatCounter bits out of range");
-        panic_if(initial < min() || initial > max(),
-                 "SignedSatCounter initial value out of range");
-    }
-
-    int min() const { return -(1 << (bits_ - 1)); }
-    int max() const { return (1 << (bits_ - 1)) - 1; }
-    int value() const { return value_; }
-
-    void
-    update(bool toward_positive)
-    {
-        if (toward_positive) {
-            if (value_ < max())
-                ++value_;
-        } else {
-            if (value_ > min())
-                --value_;
-        }
-    }
-
-    bool predictTaken() const { return value_ >= 0; }
-
-    /** Confidence: |value| relative to the saturation point. */
-    bool
-    isWeak() const
-    {
-        return value_ == 0 || value_ == -1;
-    }
-
-    void
-    set(int value)
-    {
-        panic_if(value < min() || value > max(),
-                 "SignedSatCounter::set out of range");
-        value_ = value;
-    }
-
-  private:
-    unsigned bits_;
-    int value_;
-};
-
 } // namespace shotgun
 
 #endif // SHOTGUN_COMMON_SAT_COUNTER_HH

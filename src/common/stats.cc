@@ -1,7 +1,5 @@
 #include "common/stats.hh"
 
-#include <iomanip>
-
 namespace shotgun
 {
 
@@ -30,45 +28,6 @@ Histogram::percentileBucket(double frac) const
             return b;
     }
     return buckets_.size();
-}
-
-Counter &
-StatGroup::counter(const std::string &stat_name)
-{
-    return counters_[stat_name];
-}
-
-Average &
-StatGroup::average(const std::string &stat_name)
-{
-    return averages_[stat_name];
-}
-
-std::uint64_t
-StatGroup::counterValue(const std::string &stat_name) const
-{
-    auto it = counters_.find(stat_name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[stat_name, value] : counters_)
-        os << name_ << '.' << stat_name << ' ' << value.value() << '\n';
-    for (const auto &[stat_name, avg] : averages_) {
-        os << name_ << '.' << stat_name << ' ' << std::fixed
-           << std::setprecision(4) << avg.mean() << '\n';
-    }
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[stat_name, value] : counters_)
-        value.reset();
-    for (auto &[stat_name, avg] : averages_)
-        avg.reset();
 }
 
 } // namespace shotgun

@@ -221,7 +221,8 @@ FleetCoordinator::adoptConnection(
     const json::Value &frame)
 {
     if (type == "register")
-        runWorkerControl(conn, service::decodeRegister(frame));
+        runWorkerControl(
+            conn, service::decodeFrame<service::RegisterRequest>(frame));
     else if (type == "attach")
         runWorkerSlot(conn, frame);
     else
@@ -380,7 +381,7 @@ FleetCoordinator::pumpLocked(SendBatch &sends)
                     .count());
             obs::tracer().record(std::move(span));
         }
-        sends.emplace_back(slot->conn, service::encodeWork(item));
+        sends.emplace_back(slot->conn, service::encodeFrame(item));
     }
 }
 
@@ -456,7 +457,7 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
                         event.timing = job->pointTimings[i];
                     }
                 }
-                conn->sendLine(service::encodeResultEvent(event));
+                conn->sendLine(service::encodeFrame(event));
             }
         }
         if (trace_emit) {
@@ -527,8 +528,8 @@ FleetCoordinator::runWorkerControl(
                               "\" on a control connection");
             return true;
         }
-        const service::HeartbeatFrame hb =
-            service::decodeHeartbeat(frame);
+        const auto hb =
+            service::decodeFrame<service::HeartbeatFrame>(frame);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             worker->lastHeartbeat = Clock::now();
@@ -629,7 +630,7 @@ void
 FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
                                    const json::Value &frame)
 {
-    service::WorkResult wr = service::decodeWorkResult(frame);
+    auto wr = service::decodeFrame<service::WorkResult>(frame);
     std::shared_ptr<Job> job;
     std::string cache_key;
     std::shared_ptr<const CachedResult> value;
@@ -790,19 +791,10 @@ FleetCoordinator::statusFrame()
                            : static_cast<double>(worker.completed) *
                                  1000.0 /
                                  static_cast<double>(up_ms);
-            status.cacheHits = worker.stats.cacheHits;
-            status.cacheMisses = worker.stats.cacheMisses;
-            status.backendHits = worker.stats.backendHits;
-            status.checkpointHits = worker.stats.checkpointHits;
-            status.checkpointMisses = worker.stats.checkpointMisses;
-            status.phaseDecodeUs = worker.stats.phaseDecodeUs;
-            status.phaseWarmupUs = worker.stats.phaseWarmupUs;
-            status.phaseRestoreUs = worker.stats.phaseRestoreUs;
-            status.phaseMeasureUs = worker.stats.phaseMeasureUs;
-            status.phasePoints = worker.stats.phasePoints;
-            status.measureP50Us = worker.stats.measureP50Us;
-            status.measureP95Us = worker.stats.measureP95Us;
-            status.measureP99Us = worker.stats.measureP99Us;
+            status.cache = worker.stats.cache;
+            status.checkpoint = worker.stats.checkpoint;
+            status.phase = worker.stats.phase;
+            status.percentiles = worker.stats.percentiles;
             // Heartbeat freshness per worker, published as registry
             // gauges so liveness is inspectable from the same source
             // the frame reads.
@@ -811,11 +803,11 @@ FleetCoordinator::statusFrame()
                        ".heartbeat_age_ms")
                 ->set(static_cast<std::int64_t>(
                     status.heartbeatAgeMs));
-            checkpoint_hits += status.checkpointHits;
-            checkpoint_misses += status.checkpointMisses;
+            checkpoint_hits += status.checkpoint.hits;
+            checkpoint_misses += status.checkpoint.misses;
             inflight += status.inflight;
             total_slots += worker.slots;
-            workers.push(encodeWorkerStatus(status));
+            workers.push(encodeTree(status));
         }
         queue_depth = queue_.size();
         parked = parked_.size();

@@ -121,8 +121,7 @@ FleetWorker::controlLoop()
             service::RegisterRequest reg;
             reg.name = options_.name;
             reg.slots = options_.slots;
-            if (!channel->sendLine(
-                    service::encodeRegister(reg).dump()))
+            if (!channel->sendLine(service::encodeFrame(reg)))
                 throw service::SocketError("register send failed");
             std::string line;
             if (!channel->recvLine(line))
@@ -141,27 +140,20 @@ FleetWorker::controlLoop()
                 hb.worker = workerId_.load();
                 hb.completed = completed_.load();
                 const MemoCacheStats stats = server_.cacheStats();
-                hb.cacheHits = stats.hits;
-                hb.cacheMisses = stats.misses;
-                hb.backendHits = stats.backendHits;
+                hb.cache = {stats.hits, stats.misses, stats.backendHits};
                 const MemoCacheStats cp = checkpointCache().stats();
-                hb.checkpointHits = cp.hits;
-                hb.checkpointMisses = cp.misses;
+                hb.checkpoint = {cp.hits, cp.misses};
                 // Per-phase simulation time, process-lifetime totals
                 // from the always-on registry counters: the
                 // coordinator folds these into --fleet-status's
                 // per-phase breakdown table.
                 obs::Registry &registry = obs::metrics();
-                hb.phaseDecodeUs =
-                    registry.counter("sim.phase.decode_us")->value();
-                hb.phaseWarmupUs =
-                    registry.counter("sim.phase.warmup_us")->value();
-                hb.phaseRestoreUs =
-                    registry.counter("sim.phase.restore_us")->value();
-                hb.phaseMeasureUs =
-                    registry.counter("sim.phase.measure_us")->value();
-                hb.phasePoints =
-                    registry.counter("sim.points")->value();
+                hb.phase = {
+                    registry.counter("sim.phase.decode_us")->value(),
+                    registry.counter("sim.phase.warmup_us")->value(),
+                    registry.counter("sim.phase.restore_us")->value(),
+                    registry.counter("sim.phase.measure_us")->value(),
+                    registry.counter("sim.points")->value()};
                 // Measure-latency percentiles from the per-point
                 // histogram the simulator records; stays all-zero
                 // (member omitted on the wire) until the first
@@ -171,12 +163,11 @@ FleetWorker::controlLoop()
                     if (s.kind != obs::MetricSample::Kind::Histogram ||
                         s.name != "sim.phase.measure_us_hist")
                         continue;
-                    hb.measureP50Us = obs::histogramQuantile(s, 0.50);
-                    hb.measureP95Us = obs::histogramQuantile(s, 0.95);
-                    hb.measureP99Us = obs::histogramQuantile(s, 0.99);
+                    hb.percentiles = {obs::histogramQuantile(s, 0.50),
+                                      obs::histogramQuantile(s, 0.95),
+                                      obs::histogramQuantile(s, 0.99)};
                 }
-                if (!channel->sendLine(
-                        service::encodeHeartbeat(hb).dump()))
+                if (!channel->sendLine(service::encodeFrame(hb)))
                     break;
                 if (!channel->recvLine(line))
                     break;
@@ -238,8 +229,8 @@ FleetWorker::slotLoop(unsigned slot_index)
                 const std::string type = service::frameType(frame);
                 if (type != "work")
                     continue; // e.g. an error frame; keep stealing.
-                const service::WorkItem item =
-                    service::decodeWork(frame);
+                const auto item =
+                    service::decodeFrame<service::WorkItem>(frame);
 
                 service::WorkResult out;
                 out.task = item.task;
@@ -298,8 +289,7 @@ FleetWorker::slotLoop(unsigned slot_index)
                         out.message = e.what();
                     }
                 }
-                if (!channel->sendLine(
-                        service::encodeWorkResult(out)))
+                if (!channel->sendLine(service::encodeFrame(out)))
                     break;
                 if (out.ok)
                     completed_.fetch_add(1);

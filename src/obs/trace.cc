@@ -188,38 +188,6 @@ PhaseTimer::stop()
 }
 
 json::Value
-spanToJson(const SpanRecord &span)
-{
-    Value out = Value::object();
-    out.set("trace", Value::number(span.traceId));
-    out.set("id", Value::number(span.id));
-    out.set("parent", Value::number(span.parent));
-    out.set("name", Value::string(span.name));
-    out.set("cat", Value::string(span.category));
-    out.set("proc", Value::string(span.process));
-    out.set("lane", Value::string(span.lane));
-    out.set("ts", Value::number(span.startUs));
-    out.set("dur", Value::number(span.durUs));
-    return out;
-}
-
-SpanRecord
-spanFromJson(const json::Value &value)
-{
-    SpanRecord span;
-    span.traceId = value.at("trace").asU64();
-    span.id = value.at("id").asU64();
-    span.parent = value.at("parent").asU64();
-    span.name = value.at("name").asString();
-    span.category = value.at("cat").asString();
-    span.process = value.at("proc").asString();
-    span.lane = value.at("lane").asString();
-    span.startUs = value.at("ts").asU64();
-    span.durUs = value.at("dur").asU64();
-    return span;
-}
-
-json::Value
 chromeTraceJson(const std::vector<SpanRecord> &spans)
 {
     return chromeTraceJson(spans, {});

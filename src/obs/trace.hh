@@ -259,7 +259,12 @@ class PhaseTimer
 /** Wall-clock µs since the Unix epoch (span `ts` timebase). */
 std::uint64_t wallClockUs();
 
-/** Span <-> JSON (the representation result frames carry). */
+/**
+ * Span <-> JSON, the representation result frames carry: runs of
+ * SpanRecord's field list, defined with the frame lists
+ * (service/protocol.*). spanFromJson() decodes strictly and throws
+ * service::CodecError on a malformed span.
+ */
 json::Value spanToJson(const SpanRecord &span);
 SpanRecord spanFromJson(const json::Value &value);
 

@@ -62,7 +62,7 @@ ServiceClient::submit(
     const SubmitRequest &request_data,
     const std::function<void(const ResultEvent &)> &on_result)
 {
-    const Value accepted = request(encodeSubmit(request_data));
+    const Value accepted = request(encodeFrame(request_data));
     if (frameType(accepted) != "accepted")
         throw ServiceError(endpoint_ + ": expected `accepted`, got `" +
                            frameType(accepted) + "`");
@@ -80,7 +80,7 @@ ServiceClient::submit(
         const Value frame = Value::parse(recvLineOrThrow());
         const std::string type = frameType(frame);
         if (type == "result") {
-            ResultEvent event = decodeResultEvent(frame);
+            ResultEvent event = decodeFrame<ResultEvent>(frame);
             if (event.job != job)
                 continue; // Another interleaved job's stream.
             if (event.index >= results.size() || seen[event.index])
@@ -93,7 +93,7 @@ ServiceClient::submit(
             if (on_result)
                 on_result(event);
         } else if (type == "done") {
-            const DoneEvent done = decodeDone(frame);
+            const DoneEvent done = decodeFrame<DoneEvent>(frame);
             if (done.job != job)
                 continue;
             if (done.status != "ok")

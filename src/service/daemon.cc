@@ -44,7 +44,7 @@ constexpr std::size_t kRetainedJobs = 64;
 constexpr std::size_t kSubmitMemoBytes = 16u << 20;
 
 /**
- * How encodeSubmit's frames open. A line that parses and opens so is
+ * How encodeFrame's submit frames open. A line that parses and opens so is
  * a submit frame (duplicate keys are rejected), so the memo can be
  * consulted before the line is parsed.
  */
@@ -287,7 +287,7 @@ std::shared_ptr<const DecodedSubmit>
 Daemon::decodeSubmitFrame(const Value &frame, const std::string *key)
 {
     auto submit = std::make_shared<DecodedSubmit>();
-    submit->request = decodeSubmit(frame);
+    submit->request = decodeFrame<SubmitRequest>(frame);
     submit->fingerprints.reserve(submit->request.grid.size());
     for (const runner::Experiment &exp : submit->request.grid)
         submit->fingerprints.push_back(configFingerprint(exp.config));
@@ -304,7 +304,7 @@ Daemon::serveConnection(const std::shared_ptr<Connection> &conn)
 {
     bool first = true;
     lineLoop(*conn, [&](const std::string &line, Value &reply) {
-        // Submits in encodeSubmit's layout are looked up by their
+        // Submits in encodeFrame's layout are looked up by their
         // bytes before parsing: one decoded before skips parsing,
         // decoding and fingerprinting. Admission runs every time.
         const bool keyed =
@@ -407,7 +407,7 @@ Daemon::finishJob(DaemonJob &job, const DoneEvent &done)
         }
     }
     if (conn != nullptr)
-        conn->sendFrame(encodeDone(done));
+        conn->sendLine(encodeFrame(done));
     log("job " + std::to_string(done.job) + " " + done.status + " (" +
         std::to_string(done.completed) + "/" +
         std::to_string(job.total) + " points, " +
@@ -419,7 +419,7 @@ Daemon::jobStatusesLocked() const
 {
     Value jobs = Value::array();
     for (const auto &entry : jobs_)
-        jobs.push(encodeJobStatus(entry.second->status()));
+        jobs.push(encodeTree(entry.second->status()));
     return jobs;
 }
 

@@ -305,7 +305,7 @@ class Daemon
 
     /**
      * Decode and fingerprint a parsed `submit` frame. With a `key`
-     * (its line, in encodeSubmit's layout) the result is memoized
+     * (its line, in encodeFrame's layout) the result is memoized
      * under it, unless the frame is traced or its decode read a
      * trace file.
      */

@@ -52,7 +52,7 @@
  *    [,"message":...]}                      -> (next steal)
  *
  * A coordinator answers the ordinary client `status` frame with an
- * additional "fleet" member: per-worker rows (encodeWorkerStatus)
+ * additional "fleet" member: per-worker rows (WorkerStatus)
  * plus queue depths and cache counters.
  *
  * Tracing fields (all OPTIONAL -- the protocol version stays 3 and
@@ -68,13 +68,22 @@
  * counters behind `--fleet-status`'s breakdown table). See
  * src/obs/README.md.
  *
- * This header provides typed encode/decode for the structured frames;
- * trivial frames (ping/pong/bye/attach/steal/ack/...) are built
- * inline where used. The four frames that carry a config or a result
- * -- submit, work and both kinds of result -- encode straight into
- * their line through json::Writer, with no tree; the others build a
- * json::Value. Decoding parses a line into a tree and throws
- * CodecError/JsonError on malformed frames.
+ * Each structured frame below is a struct with a field list, the
+ * same kind of list configs and results have (common/wire.hh), and
+ * so are the values frames carry: a grid point, a span, a point's
+ * timing, the heartbeat's counter groups and the status rows.
+ * encodeFrame() streams a frame into its line, "type" first, with no
+ * tree; decodeFrame() consumes "type" and runs the strict reader
+ * (service/codec.hh), so an unknown or missing member, a kind
+ * mismatch or a broken rule is a CodecError that names its path, and
+ * a malformed frame is an `error` reply, never a dead daemon. Each
+ * frame's layout is written down once, in its list. Optional members
+ * follow common/wire.hh's one rule: the written-when-set ones (trace,
+ * delta, spans, timing, percentiles, message) and the always-written
+ * ones older peers may omit (priority, budget, checkpoint, phase,
+ * checkpoint_hits/misses) both decode to their defaults when absent.
+ * Trivial frames (ping/pong/bye/attach/steal/ack/...) are built
+ * inline where used with makeFrame().
  */
 
 #ifndef SHOTGUN_SERVICE_PROTOCOL_HH
@@ -93,15 +102,99 @@
 
 namespace shotgun
 {
+namespace runner
+{
+
+/** One grid point, as submit and work frames carry it. */
+template <typename V>
+void
+fields(V &v, Experiment &e)
+{
+    v("workload", e.workload);
+    v("label", e.label);
+    v("config", e.config);
+}
+
+} // namespace runner
+
+namespace obs
+{
+
+/** The span objects result frames carry (spanToJson's form). */
+template <typename V>
+void
+fields(V &v, SpanRecord &s)
+{
+    v("trace", s.traceId);
+    v("id", s.id);
+    v("parent", s.parent);
+    v("name", s.name);
+    v("cat", s.category);
+    v("proc", s.process);
+    v("lane", s.lane);
+    v("ts", s.startUs);
+    v("dur", s.durUs);
+}
+
+template <typename V>
+void
+fields(V &v, PointTiming &t)
+{
+    v("decode_us", t.decodeUs);
+    v("warmup_us", t.warmupUs);
+    v("restore_us", t.restoreUs);
+    v("measure_us", t.measureUs);
+}
+
+} // namespace obs
+
 namespace service
 {
 
 /** Bumped on any incompatible frame-layout change. */
 constexpr std::uint64_t kProtocolVersion = 3;
 
+/**
+ * The "protocol" member of submit and register frames: written as
+ * this build's version; a reader refuses any other before it reads
+ * the members after it.
+ */
+template <typename V>
+void
+protocolMember(V &v)
+{
+    std::uint64_t protocol = kProtocolVersion;
+    v("protocol", protocol);
+    if (protocol != kProtocolVersion)
+        throw CodecError("unsupported protocol version " +
+                         std::to_string(protocol) + " (this build: " +
+                         std::to_string(kProtocolVersion) + ")");
+}
+
+/**
+ * The optional "trace" member ({"id":N,"parent":N}, written when the
+ * id is set): a view of a frame's run-wide trace id and the span new
+ * spans parent to.
+ */
+struct TraceRef
+{
+    std::uint64_t &id;
+    std::uint64_t &parent;
+};
+
+template <typename V>
+void
+fields(V &v, TraceRef &t)
+{
+    v("id", t.id);
+    v("parent", t.parent);
+}
+
 /** A grid submission: the wire form of a runner::ExperimentSet. */
 struct SubmitRequest
 {
+    static constexpr const char *kType = "submit";
+
     std::string experiment; ///< Sweep name (result-sink header).
 
     /** Worker threads for this job; 0 = server default; the server
@@ -126,12 +219,30 @@ struct SubmitRequest
     std::uint64_t parentSpan = 0;
 };
 
-std::string encodeSubmit(const SubmitRequest &request);
-SubmitRequest decodeSubmit(const json::Value &frame);
+template <typename V>
+void
+fields(V &v, SubmitRequest &r)
+{
+    protocolMember(v);
+    v("experiment", r.experiment);
+    v("jobs", r.jobs);
+    v.optional("priority", r.priority, true);
+    v("grid", r.grid);
+    TraceRef trace{r.traceId, r.parentSpan};
+    v.optional("trace", trace, r.traceId != 0);
+}
+
+inline const char *
+brokenRule(const SubmitRequest &r)
+{
+    return r.grid.empty() ? "empty grid" : nullptr;
+}
 
 /** One streamed result, index-aligned with the submitted grid. */
 struct ResultEvent
 {
+    static constexpr const char *kType = "result";
+
     std::uint64_t job = 0;
     std::uint64_t index = 0;
     bool cached = false; ///< Served from the fingerprint cache.
@@ -158,12 +269,27 @@ struct ResultEvent
     obs::PointTiming timing;
 };
 
-std::string encodeResultEvent(const ResultEvent &event);
-ResultEvent decodeResultEvent(const json::Value &frame);
+template <typename V>
+void
+fields(V &v, ResultEvent &e)
+{
+    v("job", e.job);
+    v("index", e.index);
+    v("cached", e.cached);
+    v("workload", e.workload);
+    v("label", e.label);
+    v("fingerprint", e.fingerprint);
+    v("result", e.result);
+    v.optional("delta", e.delta, e.hasDelta);
+    v.optional("spans", e.spans, !e.spans.empty());
+    v.optional("timing", e.timing, e.hasTiming);
+}
 
 /** Terminal job states reported in `done` frames. */
 struct DoneEvent
 {
+    static constexpr const char *kType = "done";
+
     std::uint64_t job = 0;
     std::string status; ///< "ok", "cancelled" or "error".
     std::uint64_t completed = 0;
@@ -171,8 +297,16 @@ struct DoneEvent
     std::string message; ///< Failure detail for "error".
 };
 
-json::Value encodeDone(const DoneEvent &event);
-DoneEvent decodeDone(const json::Value &frame);
+template <typename V>
+void
+fields(V &v, DoneEvent &d)
+{
+    v("job", d.job);
+    v("status", d.status);
+    v("completed", d.completed);
+    v("cached", d.cached);
+    v.optional("message", d.message, !d.message.empty());
+}
 
 /** One job's row in a `status` frame. */
 struct JobStatus
@@ -188,8 +322,18 @@ struct JobStatus
     std::uint64_t budget = 0;
 };
 
-json::Value encodeJobStatus(const JobStatus &status);
-JobStatus decodeJobStatus(const json::Value &v);
+template <typename V>
+void
+fields(V &v, JobStatus &s)
+{
+    v("id", s.id);
+    v("experiment", s.experiment);
+    v("state", s.state);
+    v("total", s.total);
+    v("completed", s.completed);
+    v("cached", s.cached);
+    v.optional("budget", s.budget, true);
+}
 
 // ---------------------------------------------------- fleet frames
 
@@ -200,53 +344,143 @@ JobStatus decodeJobStatus(const json::Value &v);
  */
 struct RegisterRequest
 {
+    static constexpr const char *kType = "register";
+
     std::string name;         ///< Operator-facing worker name.
     std::uint64_t slots = 1;  ///< Concurrent simulation slots.
 };
 
-json::Value encodeRegister(const RegisterRequest &request);
-RegisterRequest decodeRegister(const json::Value &frame);
-
-/** Periodic liveness proof plus the worker's local cache counters. */
-struct HeartbeatFrame
+template <typename V>
+void
+fields(V &v, RegisterRequest &r)
 {
-    std::uint64_t worker = 0;
-    std::uint64_t completed = 0; ///< Points finished since register.
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t backendHits = 0; ///< Served by the disk cache.
+    protocolMember(v);
+    v("name", r.name);
+    v("slots", r.slots);
+}
 
-    // The worker's warmed-state checkpoint store (sim/checkpoint.hh):
-    // hits are restored warmups, misses are warmups simulated.
-    std::uint64_t checkpointHits = 0;
-    std::uint64_t checkpointMisses = 0;
+inline const char *
+brokenRule(const RegisterRequest &r)
+{
+    return r.slots == 0 ? "\"slots\" must be >= 1" : nullptr;
+}
 
-    // Always-on per-phase wall-clock totals from the worker's
-    // sim.phase.* registry counters ("phase" member, optional on the
-    // wire): what `--fleet-status` renders as the per-phase
-    // breakdown. Microseconds; `phasePoints` counts finished points.
-    std::uint64_t phaseDecodeUs = 0;
-    std::uint64_t phaseWarmupUs = 0;
-    std::uint64_t phaseRestoreUs = 0;
-    std::uint64_t phaseMeasureUs = 0;
-    std::uint64_t phasePoints = 0;
-
-    // Deterministic per-point measure-phase latency percentiles from
-    // the worker's sim.phase.measure_us_hist histogram
-    // (obs::histogramQuantile; bucket-resolution). "percentiles"
-    // member, optional on the wire -- absent until the worker has
-    // finished a point, and from workers predating it.
-    std::uint64_t measureP50Us = 0;
-    std::uint64_t measureP95Us = 0;
-    std::uint64_t measureP99Us = 0;
+/** A worker's result-cache counters (backendHits: disk answers). */
+struct CacheCounts
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t backendHits = 0;
 };
 
-json::Value encodeHeartbeat(const HeartbeatFrame &heartbeat);
-HeartbeatFrame decodeHeartbeat(const json::Value &frame);
+template <typename V>
+void
+fields(V &v, CacheCounts &c)
+{
+    v("hits", c.hits);
+    v("misses", c.misses);
+    v("backend_hits", c.backendHits);
+}
+
+/**
+ * A worker's warmed-state checkpoint store (sim/checkpoint.hh): hits
+ * are restored warmups, misses are warmups simulated.
+ */
+struct CheckpointCounts
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+template <typename V>
+void
+fields(V &v, CheckpointCounts &c)
+{
+    v("hits", c.hits);
+    v("misses", c.misses);
+}
+
+/**
+ * The "phase" group: always-on per-phase wall-clock totals from a
+ * worker's sim.phase.* registry counters, in microseconds, and the
+ * points it finished -- what `--fleet-status` renders as the
+ * per-phase breakdown.
+ */
+struct PhaseTotals
+{
+    std::uint64_t decodeUs = 0;
+    std::uint64_t warmupUs = 0;
+    std::uint64_t restoreUs = 0;
+    std::uint64_t measureUs = 0;
+    std::uint64_t points = 0;
+};
+
+template <typename V>
+void
+fields(V &v, PhaseTotals &p)
+{
+    v("decode_us", p.decodeUs);
+    v("warmup_us", p.warmupUs);
+    v("restore_us", p.restoreUs);
+    v("measure_us", p.measureUs);
+    v("points", p.points);
+}
+
+/**
+ * The "percentiles" group: deterministic per-point measure-phase
+ * latency percentiles from a worker's sim.phase.measure_us_hist
+ * histogram (obs::histogramQuantile; bucket-resolution). Written
+ * once the worker has finished a point, so a fresh worker heartbeats
+ * the bytes it always did.
+ */
+struct MeasurePercentiles
+{
+    std::uint64_t p50Us = 0;
+    std::uint64_t p95Us = 0;
+    std::uint64_t p99Us = 0;
+
+    bool any() const { return p50Us != 0 || p95Us != 0 || p99Us != 0; }
+};
+
+template <typename V>
+void
+fields(V &v, MeasurePercentiles &p)
+{
+    v("measure_p50_us", p.p50Us);
+    v("measure_p95_us", p.p95Us);
+    v("measure_p99_us", p.p99Us);
+}
+
+/** Periodic liveness proof plus the worker's local counters. */
+struct HeartbeatFrame
+{
+    static constexpr const char *kType = "heartbeat";
+
+    std::uint64_t worker = 0;
+    std::uint64_t completed = 0; ///< Points finished since register.
+    CacheCounts cache;
+    CheckpointCounts checkpoint;
+    PhaseTotals phase;
+    MeasurePercentiles percentiles;
+};
+
+template <typename V>
+void
+fields(V &v, HeartbeatFrame &h)
+{
+    v("worker", h.worker);
+    v("completed", h.completed);
+    v("cache", h.cache);
+    v.optional("checkpoint", h.checkpoint, true);
+    v.optional("phase", h.phase, true);
+    v.optional("percentiles", h.percentiles, h.percentiles.any());
+}
 
 /** One grid point handed to a stealing worker slot. */
 struct WorkItem
 {
+    static constexpr const char *kType = "work";
+
     std::uint64_t task = 0; ///< Coordinator-assigned task id.
     runner::Experiment experiment;
 
@@ -259,8 +493,15 @@ struct WorkItem
     std::uint64_t parentSpan = 0;
 };
 
-std::string encodeWork(const WorkItem &item);
-WorkItem decodeWork(const json::Value &frame);
+template <typename V>
+void
+fields(V &v, WorkItem &w)
+{
+    v("task", w.task);
+    v("experiment", w.experiment);
+    TraceRef trace{w.traceId, w.parentSpan};
+    v.optional("trace", trace, w.traceId != 0);
+}
 
 /**
  * A slot's finished point. `ok` false reports a failed simulation
@@ -270,6 +511,8 @@ WorkItem decodeWork(const json::Value &frame);
  */
 struct WorkResult
 {
+    static constexpr const char *kType = "result";
+
     std::uint64_t task = 0;
     bool ok = true;
     std::string message; ///< Failure detail when !ok.
@@ -289,8 +532,24 @@ struct WorkResult
     obs::PointTiming timing;
 };
 
-std::string encodeWorkResult(const WorkResult &result);
-WorkResult decodeWorkResult(const json::Value &frame);
+/** A failed result carries its message and nothing else. */
+template <typename V>
+void
+fields(V &v, WorkResult &r)
+{
+    v("task", r.task);
+    v("ok", r.ok);
+    if (!r.ok) {
+        v("message", r.message);
+        return;
+    }
+    v("cached", r.cached);
+    v("fingerprint", r.fingerprint);
+    v("result", r.result);
+    v.optional("delta", r.delta, r.hasDelta);
+    v.optional("spans", r.spans, !r.spans.empty());
+    v.optional("timing", r.timing, r.hasTiming);
+}
 
 /** One worker's row in a coordinator `status` frame's fleet member. */
 struct WorkerStatus
@@ -306,36 +565,62 @@ struct WorkerStatus
     /** Points returned per second since registration. */
     double throughput = 0.0;
 
-    // The worker's own cache counters, from its last heartbeat.
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t backendHits = 0;
-    std::uint64_t checkpointHits = 0;   ///< Warmups restored.
-    std::uint64_t checkpointMisses = 0; ///< Warmups simulated.
-
-    // Per-phase totals from the worker's last heartbeat ("phase"
-    // member, optional on the wire; zeros from older workers).
-    std::uint64_t phaseDecodeUs = 0;
-    std::uint64_t phaseWarmupUs = 0;
-    std::uint64_t phaseRestoreUs = 0;
-    std::uint64_t phaseMeasureUs = 0;
-    std::uint64_t phasePoints = 0;
-
-    // Measure-phase latency percentiles relayed from the worker's
-    // last heartbeat ("percentiles" member, optional on the wire;
-    // zeros from older workers or before the first finished point).
-    std::uint64_t measureP50Us = 0;
-    std::uint64_t measureP95Us = 0;
-    std::uint64_t measureP99Us = 0;
+    // Relayed from the worker's last heartbeat.
+    CacheCounts cache;
+    CheckpointCounts checkpoint;
+    PhaseTotals phase;
+    MeasurePercentiles percentiles;
 };
 
-json::Value encodeWorkerStatus(const WorkerStatus &status);
-WorkerStatus decodeWorkerStatus(const json::Value &v);
+/** The cache and checkpoint counters are flat in a row. */
+template <typename V>
+void
+fields(V &v, WorkerStatus &s)
+{
+    v("id", s.id);
+    v("name", s.name);
+    v("slots", s.slots);
+    v("inflight", s.inflight);
+    v("completed", s.completed);
+    v("alive", s.alive);
+    v("heartbeat_age_ms", s.heartbeatAgeMs);
+    v("throughput", s.throughput);
+    v("cache_hits", s.cache.hits);
+    v("cache_misses", s.cache.misses);
+    v("backend_hits", s.cache.backendHits);
+    v.optional("checkpoint_hits", s.checkpoint.hits, true);
+    v.optional("checkpoint_misses", s.checkpoint.misses, true);
+    v.optional("phase", s.phase, true);
+    v.optional("percentiles", s.percentiles, s.percentiles.any());
+}
+
+/** A frame's line: {"type":F::kType, then F's list}. */
+template <typename F>
+std::string
+encodeFrame(const F &frame)
+{
+    std::string line;
+    line.reserve(2560); // Room for one config or result.
+    json::Writer w(line);
+    w.beginObject();
+    w.key("type").string(F::kType);
+    StreamVisitor v(w);
+    visitFields(v, frame);
+    w.endObject();
+    return line;
+}
+
+/** Strictly decode a parsed frame of F's type. */
+template <typename F>
+F
+decodeFrame(const json::Value &frame)
+{
+    F f;
+    FieldReader::decodeFrame(frame, f, F::kType);
+    return f;
+}
 
 // -------------------------------------------------- shared helpers
-
-/** Wire form of one grid point (shared by submit and work frames). */
-runner::Experiment decodeExperiment(const json::Value &v);
 
 /**
  * Per-path probe memo for validateExperimentTrace: path ->

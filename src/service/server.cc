@@ -303,7 +303,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
                 event.timing = observation->value.timing;
             }
         }
-        conn->sendLine(encodeResultEvent(event));
+        conn->sendLine(encodeFrame(event));
     };
     hooks.onDone = [this, job](
                        const runner::GridScheduler::Outcome &outcome) {

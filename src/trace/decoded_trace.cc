@@ -25,17 +25,16 @@ DecodedTrace::DecodedTrace(const std::string &path)
         instrs += record.numInstrs;
         prefix_.push_back(instrs);
     }
-    fatal_if(records_.size() != info_.records,
-             "'%s': header claims %llu records but the file holds %zu",
-             path.c_str(),
-             static_cast<unsigned long long>(info_.records),
-             records_.size());
-    fatal_if(instrs != info_.instructions,
-             "'%s': header claims %llu instructions but the records "
-             "hold %llu (corrupt trace?)",
-             path.c_str(),
-             static_cast<unsigned long long>(info_.instructions),
-             static_cast<unsigned long long>(instrs));
+    if (records_.size() != info_.records)
+        throw TraceError("'" + path + "': header claims " +
+                         std::to_string(info_.records) +
+                         " records but the file holds " +
+                         std::to_string(records_.size()));
+    if (instrs != info_.instructions)
+        throw TraceError("'" + path + "': header claims " +
+                         std::to_string(info_.instructions) +
+                         " instructions but the records hold " +
+                         std::to_string(instrs) + " (corrupt trace?)");
 }
 
 std::uint64_t

@@ -43,7 +43,10 @@ namespace shotgun
 class DecodedTrace
 {
   public:
-    /** Decode every record of `path`; fatal() on a bad file. */
+    /**
+     * Decode every record of `path`: fatal() on a bad header, a
+     * TraceError (trace/trace_io.hh) on damaged records.
+     */
     explicit DecodedTrace(const std::string &path);
 
     const TraceInfo &info() const { return info_; }
@@ -157,8 +160,9 @@ class DecodedTraceStore
     /**
      * The decoded trace for `path`, or nullptr when its footprint
      * would exceed the store budget (caller streams the file
-     * instead). fatal() on an unreadable/corrupt file, mirroring
-     * TraceFileSource.
+     * instead). fatal() on an unreadable header, a TraceError on
+     * damaged records, mirroring TraceFileSource; a failed decode
+     * is not kept, so the next acquire() reads the file again.
      */
     std::shared_ptr<const DecodedTrace> acquire(const std::string &path);
 

@@ -315,10 +315,10 @@ TraceFileSource::next(BBRecord &out)
         return false;
     unsigned char buf[kTraceRecordBytes];
     in_.read(reinterpret_cast<char *>(buf), sizeof(buf));
-    fatal_if(static_cast<std::size_t>(in_.gcount()) != sizeof(buf),
-             "'%s': truncated trace file after %llu of %llu records",
-             path_.c_str(), static_cast<unsigned long long>(read_),
-             static_cast<unsigned long long>(total_));
+    if (static_cast<std::size_t>(in_.gcount()) != sizeof(buf))
+        throw TraceError("'" + path_ + "': truncated trace file after " +
+                         std::to_string(read_) + " of " +
+                         std::to_string(total_) + " records");
     auto le64 = [&buf](unsigned at) {
         std::uint64_t v = 0;
         for (unsigned i = 0; i < 8; ++i)
@@ -328,10 +328,10 @@ TraceFileSource::next(BBRecord &out)
     out.startAddr = le64(0);
     out.target = le64(8);
     out.numInstrs = buf[16];
-    fatal_if(buf[17] >= static_cast<unsigned>(BranchType::NumTypes),
-             "'%s': corrupt record %llu (bad branch type %u)",
-             path_.c_str(), static_cast<unsigned long long>(read_),
-             buf[17]);
+    if (buf[17] >= static_cast<unsigned>(BranchType::NumTypes))
+        throw TraceError("'" + path_ + "': corrupt record " +
+                         std::to_string(read_) + " (bad branch type " +
+                         std::to_string(buf[17]) + ")");
     out.type = static_cast<BranchType>(buf[17]);
     out.taken = buf[18] != 0;
     ++read_;

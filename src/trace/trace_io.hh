@@ -28,9 +28,11 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "trace/generator.hh"
 #include "trace/instruction.hh"
 #include "trace/presets.hh"
@@ -43,6 +45,33 @@ constexpr std::uint32_t kTraceMagic = 0x47544853; // "SHTG"
 
 /** Current trace format version. */
 constexpr std::uint32_t kTraceVersion = 2;
+
+/**
+ * Damaged trace records: a truncated file, a bad branch type, or
+ * counts that disagree with the header. The record readers a daemon
+ * reaches throw it -- TraceFileSource::next() and the shared decode
+ * (trace/decoded_trace.hh) -- so a bad file fails its point, never
+ * the process. The message is the one the tools print.
+ */
+struct TraceError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * run() for a command-line tool: a TraceError is fatal(), exit 1
+ * with its message.
+ */
+template <typename F>
+auto
+fatalOnTraceError(F &&run) -> decltype(run())
+{
+    try {
+        return run();
+    } catch (const TraceError &e) {
+        fatal("%s", e.what());
+    }
+}
 
 /** Streams BBRecords into a binary trace file. */
 class TraceWriter
@@ -163,6 +192,7 @@ class TraceFileSource : public TraceSource
     /** Open `path` for reading; fatal() on failure or bad header. */
     explicit TraceFileSource(const std::string &path);
 
+    /** The next record; throws TraceError on a damaged one. */
     bool next(BBRecord &out) override;
 
     /**

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the direction predictors (bimodal, gshare, TAGE) and the
- * return address stack, including comparative accuracy properties
- * that the simulator's results depend on.
+ * Tests for the TAGE direction predictor (against the bimodal
+ * reference) and the return address stack, including comparative
+ * accuracy properties that the simulator's results depend on.
  */
 
 #include <gtest/gtest.h>
 
 #include "branch/bimodal.hh"
-#include "branch/gshare.hh"
 #include "branch/ras.hh"
 #include "branch/tage.hh"
 #include "common/random.hh"
@@ -21,8 +20,9 @@ namespace
 {
 
 /** Accuracy of a predictor on a synthetic branch stream. */
+template <typename Predictor>
 double
-measureAccuracy(DirectionPredictor &pred,
+measureAccuracy(Predictor &pred,
                 const std::vector<std::pair<Addr, bool>> &stream)
 {
     std::uint64_t correct = 0;
@@ -75,13 +75,6 @@ TEST(BimodalTest, CannotLearnPatterns)
     // counter converges to the majority direction (not-taken 2/3).
     const double acc = measureAccuracy(pred, patternedStream(30000, 3));
     EXPECT_LT(acc, 0.75);
-}
-
-TEST(GshareTest, LearnsPatterns)
-{
-    GsharePredictor pred(16384, 12);
-    const double acc = measureAccuracy(pred, patternedStream(30000, 3));
-    EXPECT_GT(acc, 0.95);
 }
 
 TEST(TageTest, LearnsStrongBias)

@@ -277,30 +277,6 @@ TEST(SatCounterTest, WeakTakenInit)
     EXPECT_FALSE(c.predictTaken());
 }
 
-TEST(SignedSatCounterTest, Range)
-{
-    SignedSatCounter c(3);
-    EXPECT_EQ(c.min(), -4);
-    EXPECT_EQ(c.max(), 3);
-    for (int i = 0; i < 10; ++i)
-        c.update(true);
-    EXPECT_EQ(c.value(), 3);
-    for (int i = 0; i < 20; ++i)
-        c.update(false);
-    EXPECT_EQ(c.value(), -4);
-    EXPECT_FALSE(c.predictTaken());
-}
-
-TEST(SignedSatCounterTest, WeakDetection)
-{
-    SignedSatCounter c(3, 0);
-    EXPECT_TRUE(c.isWeak());
-    c.set(-1);
-    EXPECT_TRUE(c.isWeak());
-    c.set(2);
-    EXPECT_FALSE(c.isWeak());
-}
-
 TEST(HistogramTest, BucketsAndOverflow)
 {
     Histogram h(4);
@@ -331,31 +307,6 @@ TEST(HistogramTest, PercentileBucket)
         h.sample(i, 10);
     EXPECT_EQ(h.percentileBucket(0.5), 4u);
     EXPECT_EQ(h.percentileBucket(0.95), 9u);
-}
-
-TEST(StatGroupTest, CountersAndDump)
-{
-    StatGroup g("core0");
-    ++g.counter("cycles");
-    g.counter("cycles") += 9;
-    g.average("ipc").sample(2.0);
-    g.average("ipc").sample(4.0);
-
-    EXPECT_EQ(g.counterValue("cycles"), 10u);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-    EXPECT_NEAR(g.average("ipc").mean(), 3.0, 1e-9);
-
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("core0.cycles 10"), std::string::npos);
-}
-
-TEST(StatGroupTest, Reset)
-{
-    StatGroup g("x");
-    g.counter("a") += 5;
-    g.reset();
-    EXPECT_EQ(g.counterValue("a"), 0u);
 }
 
 TEST(TextTableTest, AlignsColumns)

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -35,6 +36,9 @@
 #include "service/client.hh"
 #include "service/server.hh"
 #include "sim/simulator.hh"
+#include "trace/generator.hh"
+#include "trace/program.hh"
+#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -469,7 +473,7 @@ TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
     reg.name = "fake";
     reg.slots = 1;
     ASSERT_TRUE(
-        control.sendLine(service::encodeRegister(reg).dump()));
+        control.sendLine(service::encodeFrame(reg)));
     std::string line;
     ASSERT_TRUE(control.recvLine(line));
     const std::uint64_t fake_id =
@@ -479,8 +483,7 @@ TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
         while (!got_work.load() && !fake_stop.load()) {
             service::HeartbeatFrame hb;
             hb.worker = fake_id;
-            if (!control.sendLine(
-                    service::encodeHeartbeat(hb).dump()))
+            if (!control.sendLine(service::encodeFrame(hb)))
                 return;
             std::string reply;
             if (!control.recvLine(reply))
@@ -546,7 +549,7 @@ TEST(FleetTest, OverflowingNumberIsRejectedAtSubmit)
     awaitWorkers(coord.coordinator(), 1);
 
     std::string frame =
-        service::encodeSubmit(requestFor(quickGrid(1), "fleet-overflow"));
+        service::encodeFrame(requestFor(quickGrid(1), "fleet-overflow"));
     const std::string field = "\"issue_efficiency\":";
     const auto pos = frame.find(field);
     ASSERT_NE(pos, std::string::npos);
@@ -604,6 +607,63 @@ TEST(FleetTest, UnrunnableConfigIsRejectedAndTheWorkerSurvives)
     ASSERT_EQ(remote.size(), set.size());
     for (std::size_t i = 0; i < set.size(); ++i)
         EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
+}
+
+TEST(FleetTest, CorruptTraceFailsTheJobAndEveryWorkerSurvives)
+{
+    // Record 100's branch-type byte flipped: the header and the file
+    // size are intact, so the workers admit the points and find the
+    // damage while they decode. The job fails with the record named,
+    // nothing is requeued, and both workers stay to run the next grid.
+    const WorkloadPreset preset = tinyPreset("fleet-corrupt", 0xc0);
+    const std::string path = "/tmp/shotgun_fleet_corrupt.trace";
+    {
+        Program prog(preset.program);
+        TraceGenerator gen(prog, 1);
+        recordTraceInstructions(gen, preset, 1, path, 100000);
+        std::fstream file(path, std::ios::binary | std::ios::in |
+                                    std::ios::out);
+        const std::uint64_t records = readTraceInfo(path).records;
+        file.seekp(static_cast<std::streamoff>(
+            std::filesystem::file_size(path) - records * 19 + 100 * 19 +
+            17));
+        file.put(static_cast<char>(238));
+    }
+    runner::ExperimentSet corrupt;
+    for (SchemeType type : {SchemeType::Baseline, SchemeType::Shotgun}) {
+        SimConfig config =
+            SimConfig::make(presetByName("trace:" + path), type);
+        config.warmupInstructions = 20000;
+        config.measureInstructions = 50000;
+        corrupt.add(config.workload, schemeTypeName(type), config);
+    }
+
+    TestCoordinator coord("corrupt");
+    TestWorker w1("corrupt-1", coord.endpoint());
+    TestWorker w2("corrupt-2", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 2);
+
+    ServiceClient client(coord.endpoint(), 60);
+    try {
+        client.submit(requestFor(corrupt, "fleet-corrupt"));
+        ADD_FAILURE() << "a corrupt trace ran";
+    } catch (const service::ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "corrupt record 100 (bad branch type 238)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+    const auto remote = client.submit(requestFor(set, "fleet-after"));
+    ASSERT_EQ(remote.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+    std::remove(path.c_str());
 }
 
 TEST(FleetTest, PersistentCacheAnswersAcrossRestartWithoutWorkers)
@@ -671,8 +731,8 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
     EXPECT_EQ(fleet.at("inflight").asU64(), 0u);
     EXPECT_EQ(fleet.at("total_slots").asU64(), 2u);
     ASSERT_EQ(fleet.at("workers").size(), 1u);
-    const service::WorkerStatus row = service::decodeWorkerStatus(
-        fleet.at("workers").items()[0]);
+    const auto row = service::decodeAs<service::WorkerStatus>(
+        fleet.at("workers").items()[0], "worker");
     EXPECT_EQ(row.name, "status-w");
     EXPECT_EQ(row.slots, 2u);
     EXPECT_TRUE(row.alive);
@@ -681,7 +741,7 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
     EXPECT_LT(row.heartbeatAgeMs, 5000u);
     // The worker simulated the whole grid: its heartbeat carried one
     // cache miss per point and no hits.
-    EXPECT_EQ(row.cacheMisses, set.size());
+    EXPECT_EQ(row.cache.misses, set.size());
 
     // The coordinator cache holds every fingerprint; a resubmit is
     // answered from it without touching the worker.

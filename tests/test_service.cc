@@ -262,8 +262,9 @@ TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
     // Regression: the grid entries' "via_baseline_cache" member once
     // routed any config through a baseline memo keyed without scheme
     // or core, so this shotgun point came back as the workload's
-    // baseline and was cached under the shotgun fingerprint. Old
-    // clients may still send the member; it must change nothing.
+    // baseline and was cached under the shotgun fingerprint. Frames
+    // decode strictly now: an old client's frame with the member is
+    // an error reply, and it can change no result.
     const WorkloadPreset preset = tinyPreset("svc-alias", 0xa11a5);
     runner::Experiment exp;
     exp.workload = preset.name;
@@ -289,7 +290,7 @@ TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
     json::Value grid = json::Value::array();
     grid.push(std::move(entry));
     const json::Value clean_frame =
-        json::Value::parse(encodeSubmit(request));
+        json::Value::parse(encodeFrame(request));
     json::Value frame = json::Value::object();
     for (const auto &member : clean_frame.members())
         frame.set(member.first,
@@ -301,23 +302,26 @@ TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
     ASSERT_TRUE(channel.sendLine(frame.dump()));
     std::string line;
     ASSERT_TRUE(channel.recvLine(line));
-    ASSERT_EQ(frameType(json::Value::parse(line)), "accepted") << line;
-    ASSERT_TRUE(channel.recvLine(line));
-    const ResultEvent flagged =
-        decodeResultEvent(json::Value::parse(line));
-    EXPECT_EQ(flagged.result.scheme, "shotgun");
-    EXPECT_TRUE(flagged.result == expected);
+    const json::Value reply = json::Value::parse(line);
+    ASSERT_EQ(frameType(reply), "error") << line;
+    EXPECT_NE(reply.at("message").asString().find(
+                  R"(submit.grid: unknown field "via_baseline_cache")"),
+              std::string::npos)
+        << line;
 
-    // A clean resubmit is a cache hit -- of the true shotgun result.
+    // The clean submit computes the true shotgun result; its resubmit
+    // is a cache hit of it.
     ServiceClient client(server.endpoint());
-    std::size_t cached = 0;
-    const auto clean = client.submit(
-        request,
-        [&](const ResultEvent &event) { cached += event.cached; });
-    ASSERT_EQ(clean.size(), 1u);
-    EXPECT_EQ(cached, 1u);
-    EXPECT_EQ(clean[0].scheme, "shotgun");
-    EXPECT_TRUE(clean[0] == expected);
+    for (std::size_t expected_cached : {0u, 1u}) {
+        std::size_t cached = 0;
+        const auto clean = client.submit(
+            request,
+            [&](const ResultEvent &event) { cached += event.cached; });
+        ASSERT_EQ(clean.size(), 1u);
+        EXPECT_EQ(cached, expected_cached);
+        EXPECT_EQ(clean[0].scheme, "shotgun");
+        EXPECT_TRUE(clean[0] == expected);
+    }
 }
 
 TEST(ServiceTest, StatusReportsJobsAndCache)
@@ -334,7 +338,8 @@ TEST(ServiceTest, StatusReportsJobsAndCache)
     EXPECT_EQ(status.at("server").at("cache_entries").asU64(),
               set.size());
     ASSERT_EQ(status.at("jobs").size(), 1u);
-    const JobStatus job = decodeJobStatus(status.at("jobs").items()[0]);
+    const auto job =
+        decodeAs<JobStatus>(status.at("jobs").items()[0], "job");
     EXPECT_EQ(job.experiment, "status-job");
     EXPECT_EQ(job.state, "ok");
     EXPECT_EQ(job.total, set.size());
@@ -388,7 +393,7 @@ TEST(ServiceTest, ResubmittedFrameIsDecodedOnce)
              [&]() { return fleet.coordinator().submitMemoStats(); }},
         };
     const runner::ExperimentSet set = quickGrid(1, 0x3e30);
-    const std::string line = encodeSubmit(requestFor(set, "memo"));
+    const std::string line = encodeFrame(requestFor(set, "memo"));
     for (const auto &daemon : daemons) {
         SCOPED_TRACE(daemon.first);
         LineChannel channel(connectTo(Endpoint::parse(daemon.first)));
@@ -406,10 +411,10 @@ TEST(ServiceTest, ResubmittedFrameIsDecodedOnce)
                 << "frame " << i;
         for (std::size_t i = 1; i <= set.size(); ++i)
             EXPECT_TRUE(
-                decodeResultEvent(json::Value::parse(second[i])).cached)
+                decodeFrame<ResultEvent>(json::Value::parse(second[i])).cached)
                 << "point " << i - 1;
         const DoneEvent done =
-            decodeDone(json::Value::parse(second.back()));
+            decodeFrame<DoneEvent>(json::Value::parse(second.back()));
         EXPECT_EQ(done.status, "ok");
         EXPECT_EQ(done.cached, set.size());
 
@@ -440,7 +445,7 @@ TEST(ServiceTest, RejectedSubmitsAreNeverMemoized)
     unrunnable.add(preset, "confluence", config);
     const std::vector<std::string> lines = {
         R"({"type":"submit","protocol":3,"experiment":"x"})",
-        encodeSubmit(requestFor(unrunnable, "unrunnable")),
+        encodeFrame(requestFor(unrunnable, "unrunnable")),
     };
 
     TestServer server("memo-reject");
@@ -494,7 +499,7 @@ TEST(ServiceTest, MemoizedSubmitStillValidatesItsTraceFile)
     SubmitRequest request;
     request.experiment = "memo-trace";
     request.grid.push_back(exp);
-    const std::string line = encodeSubmit(request);
+    const std::string line = encodeFrame(request);
 
     const json::Value frame = json::Value::parse(line);
     const json::Value &point = frame.at("grid").items()[0];
@@ -512,8 +517,10 @@ TEST(ServiceTest, MemoizedSubmitStillValidatesItsTraceFile)
         const std::vector<std::string> replies =
             submitLine(channel, sent);
         ASSERT_FALSE(replies.empty());
-        EXPECT_EQ(decodeDone(json::Value::parse(replies.back())).status,
-                  "ok")
+        EXPECT_EQ(
+            decodeFrame<DoneEvent>(json::Value::parse(replies.back()))
+                .status,
+            "ok")
             << replies.back();
     }
     EXPECT_EQ(server.server().submitMemoStats().entries, 1u);
@@ -530,6 +537,64 @@ TEST(ServiceTest, MemoizedSubmitStillValidatesItsTraceFile)
     std::remove(trace.c_str());
 }
 
+/**
+ * Record `preset` to `path`, then flip record 100's branch-type byte
+ * to 238 on disk (19-byte records, the type at byte 17). Returns the
+ * good bytes. The header and the file size stay intact, so only the
+ * decode can find the damage.
+ */
+std::string
+recordCorruptTrace(const WorkloadPreset &preset, const std::string &path)
+{
+    Program prog(preset.program);
+    TraceGenerator gen(prog, 1);
+    recordTraceInstructions(gen, preset, 1, path, 100000);
+    std::ifstream in(path, std::ios::binary);
+    const std::string good((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::string bad = good;
+    bad[good.size() - readTraceInfo(path).records * 19 + 100 * 19 + 17] =
+        static_cast<char>(238);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+    return good;
+}
+
+TEST(ServiceTest, CorruptTraceFailsItsPointNotTheServer)
+{
+    // The damaged record fails the point with an error reply; the
+    // daemon answers the next frame, and its decode store kept no
+    // failed decode: with the good bytes back at the same path the
+    // same grid runs.
+    const std::string path = "/tmp/shotgun_svc_corrupt.trace";
+    const std::string good =
+        recordCorruptTrace(tinyPreset("svc-corrupt", 0xc0), path);
+    SimConfig config = SimConfig::make(presetByName("trace:" + path),
+                                       SchemeType::Shotgun);
+    config.warmupInstructions = 20000;
+    config.measureInstructions = 50000;
+    runner::ExperimentSet set;
+    set.add(config.workload, "shotgun", config);
+
+    TestServer server("corrupt");
+    ServiceClient client(server.endpoint());
+    try {
+        client.submit(requestFor(set, "corrupt"));
+        ADD_FAILURE() << "a corrupt trace ran";
+    } catch (const ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "corrupt record 100 (bad branch type 238)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(client.ping());
+
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << good;
+    const auto remote = client.submit(requestFor(set, "restored"));
+    ASSERT_EQ(remote.size(), 1u);
+    EXPECT_TRUE(remote[0] == runSimulation(config));
+    std::remove(path.c_str());
+}
+
 TEST(ServiceTest, TracedSubmitsAreNotMemoized)
 {
     // A traced frame's parent span id is fresh per submit, so its
@@ -537,7 +602,7 @@ TEST(ServiceTest, TracedSubmitsAreNotMemoized)
     SubmitRequest request = requestFor(quickGrid(1, 0x7ace), "traced");
     request.traceId = 7;
     request.parentSpan = 9;
-    const std::string line = encodeSubmit(request);
+    const std::string line = encodeFrame(request);
 
     TestServer server("memo-traced");
     LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
@@ -546,8 +611,10 @@ TEST(ServiceTest, TracedSubmitsAreNotMemoized)
         const std::vector<std::string> replies =
             submitLine(channel, line);
         ASSERT_FALSE(replies.empty());
-        EXPECT_EQ(decodeDone(json::Value::parse(replies.back())).status,
-                  "ok");
+        EXPECT_EQ(
+            decodeFrame<DoneEvent>(json::Value::parse(replies.back()))
+                .status,
+            "ok");
     }
     const MemoCacheStats memo = server.server().submitMemoStats();
     EXPECT_EQ(memo.entries, 0u);
@@ -638,7 +705,7 @@ TEST(ServiceTest, ClientLeavingMidJobLetsTheJobFinish)
                 connectTo(Endpoint::parse(daemon.first)));
             ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
             ASSERT_TRUE(
-                channel.sendLine(encodeSubmit(requestFor(set, "leave"))));
+                channel.sendLine(encodeFrame(requestFor(set, "leave"))));
             std::string line;
             ASSERT_TRUE(channel.recvLine(line));
             ASSERT_EQ(frameType(json::Value::parse(line)), "accepted");
@@ -651,7 +718,7 @@ TEST(ServiceTest, ClientLeavingMidJobLetsTheJobFinish)
         for (int waited = 0; waited < 60000; ++waited) {
             const json::Value status = control.status();
             ASSERT_EQ(status.at("jobs").size(), 1u);
-            job = decodeJobStatus(status.at("jobs").items()[0]);
+            job = decodeAs<JobStatus>(status.at("jobs").items()[0], "job");
             if (job.state != "queued" && job.state != "running")
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -779,7 +846,7 @@ TEST(ServiceTest, ConcurrentJobsInterleaveAndMatchInProcess)
             const json::Value status = status_client.status();
             std::size_t running = 0;
             for (const json::Value &row : status.at("jobs").items())
-                running += decodeJobStatus(row).state == "running";
+                running += decodeAs<JobStatus>(row, "job").state == "running";
             both_running = running >= 2;
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
@@ -841,7 +908,8 @@ TEST(ServiceTest, CancelRunningJobStopsDispatch)
     // completed count, and the remaining points were never simulated.
     const json::Value status = control.status();
     ASSERT_EQ(status.at("jobs").size(), 1u);
-    const JobStatus job = decodeJobStatus(status.at("jobs").items()[0]);
+    const auto job =
+        decodeAs<JobStatus>(status.at("jobs").items()[0], "job");
     EXPECT_EQ(job.state, "cancelled");
     EXPECT_LT(job.completed, set.size());
     EXPECT_LT(server.server().cacheSize(), set.size());
@@ -911,7 +979,7 @@ TEST(ServiceTest, JobErrorSurfacesAsServiceError)
             done.status = "error";
             done.completed = 0;
             done.message = "synthetic simulate failure";
-            channel.sendLine(encodeDone(done).dump());
+            channel.sendLine(encodeFrame(done));
         }
     });
 

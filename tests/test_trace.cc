@@ -833,18 +833,24 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
     recordTrace(gen, preset, 1, path, 1000);
 
     // Chop the tail off the last records; the header still claims
-    // 1000, so replay must fail loudly rather than end quietly.
+    // 1000, so replay must fail loudly rather than end quietly -- with
+    // a TraceError a daemon reports and a tool turns into exit 1.
     const auto size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size - 30);
 
-    EXPECT_EXIT(
-        {
-            TraceFileSource source(path);
-            BBRecord rec;
-            while (source.next(rec)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "truncated trace file");
+    TraceFileSource source(path);
+    BBRecord rec;
+    try {
+        while (source.next(rec)) {
+        }
+        ADD_FAILURE() << "a truncated trace replayed to its end";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("truncated trace file"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EXIT(fatalOnTraceError([&]() { return source.next(rec); }),
+                ::testing::ExitedWithCode(1), "truncated trace file");
     std::remove(path.c_str());
 }
 

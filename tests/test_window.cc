@@ -683,17 +683,15 @@ TEST(WindowShardingTest, WindowedFramesRoundTripDeltas)
     event.delta.l1dFillSum = 4242.0;
     event.delta.l1dFillCount = 21;
 
-    const service::ResultEvent rt = service::decodeResultEvent(
-        json::Value::parse(
-            service::encodeResultEvent(event)));
+    const auto rt = service::decodeFrame<service::ResultEvent>(
+        json::Value::parse(service::encodeFrame(event)));
     EXPECT_TRUE(rt.hasDelta);
     EXPECT_TRUE(rt.delta == event.delta);
 
     // And a windowless frame stays windowless.
     event.hasDelta = false;
-    const service::ResultEvent bare = service::decodeResultEvent(
-        json::Value::parse(
-            service::encodeResultEvent(event)));
+    const auto bare = service::decodeFrame<service::ResultEvent>(
+        json::Value::parse(service::encodeFrame(event)));
     EXPECT_FALSE(bare.hasDelta);
 }
 

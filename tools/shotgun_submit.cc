@@ -641,7 +641,8 @@ runFleetStatus(const Options &opts)
     // table deterministic for a given fleet.
     std::vector<service::WorkerStatus> workers;
     for (const json::Value &row : fleet->at("workers").items())
-        workers.push_back(service::decodeWorkerStatus(row));
+        workers.push_back(
+            service::decodeAs<service::WorkerStatus>(row, "worker"));
     std::sort(workers.begin(), workers.end(),
               [](const service::WorkerStatus &a,
                  const service::WorkerStatus &b) {
@@ -664,10 +665,10 @@ runFleetStatus(const Options &opts)
                     static_cast<unsigned long long>(worker.inflight),
                     static_cast<unsigned long long>(worker.completed),
                     age, worker.throughput,
-                    hitRate(worker.cacheHits, worker.cacheMisses)
+                    hitRate(worker.cache.hits, worker.cache.misses)
                         .c_str(),
-                    hitRate(worker.checkpointHits,
-                            worker.checkpointMisses)
+                    hitRate(worker.checkpoint.hits,
+                            worker.checkpoint.misses)
                         .c_str());
     }
     if (workers.empty())
@@ -679,9 +680,9 @@ runFleetStatus(const Options &opts)
     // section appears once any worker has simulated something.
     bool any_phase = false;
     for (const service::WorkerStatus &worker : workers) {
-        if (worker.phaseDecodeUs != 0 || worker.phaseWarmupUs != 0 ||
-            worker.phaseRestoreUs != 0 ||
-            worker.phaseMeasureUs != 0)
+        const service::PhaseTotals &p = worker.phase;
+        if (p.decodeUs != 0 || p.warmupUs != 0 || p.restoreUs != 0 ||
+            p.measureUs != 0)
             any_phase = true;
     }
     if (any_phase) {
@@ -706,14 +707,14 @@ runFleetStatus(const Options &opts)
         for (const service::WorkerStatus &worker : workers) {
             std::printf(
                 "  %-16s %9.2f %9.2f %9.2f %9.2f %8llu %7s %7s %7s\n",
-                worker.name.c_str(), seconds(worker.phaseDecodeUs),
-                seconds(worker.phaseWarmupUs),
-                seconds(worker.phaseRestoreUs),
-                seconds(worker.phaseMeasureUs),
-                static_cast<unsigned long long>(worker.phasePoints),
-                pct(worker.measureP50Us).c_str(),
-                pct(worker.measureP95Us).c_str(),
-                pct(worker.measureP99Us).c_str());
+                worker.name.c_str(), seconds(worker.phase.decodeUs),
+                seconds(worker.phase.warmupUs),
+                seconds(worker.phase.restoreUs),
+                seconds(worker.phase.measureUs),
+                static_cast<unsigned long long>(worker.phase.points),
+                pct(worker.percentiles.p50Us).c_str(),
+                pct(worker.percentiles.p95Us).c_str(),
+                pct(worker.percentiles.p99Us).c_str());
         }
     }
     return 0;

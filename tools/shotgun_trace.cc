@@ -214,7 +214,8 @@ cmdReplay(int argc, char **argv)
         SimConfig::make(preset, schemeTypeByName(scheme));
     config.warmupInstructions = warmup;
     config.measureInstructions = measure;
-    const SimResult result = runSimulation(config);
+    const SimResult result =
+        fatalOnTraceError([&]() { return runSimulation(config); });
 
     TextTable table("replay of " + path);
     table.row().cell("Workload").cell("Scheme").cell("IPC")
