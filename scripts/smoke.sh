@@ -503,6 +503,18 @@ cmp "$BUILD_DIR/smoke/cohort_svc.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":0,"misses":6'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | grep -q '"traces":{"entries":1,[^}]*"decodes":1'
+# Stored state costs what the run touched: the six warmed cores are
+# charged about 3.1 MB together (resident cache lines, scheme heaps,
+# outcome logs). The bound sits midway to the ~15 MB that a
+# capacity-sized LLC line array per core costs.
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
+    | python3 -c '
+import json, sys
+stored = json.load(sys.stdin)["server"]["checkpoint"]["bytes"]
+if stored >= 9000000:
+    sys.exit("6 warmed checkpoints charged %d bytes (bound 9000000)"
+             % stored)
+'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" "${CGRID[@]}" \
     --schemes "$ALL_SCHEMES" --instructions 100000 \
     --out "$BUILD_DIR/smoke/cohort_rerun" > /dev/null

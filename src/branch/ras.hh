@@ -52,6 +52,13 @@ class ReturnAddressStack
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return stack_.size(); }
 
+    /** Heap bytes of the stack array. */
+    std::size_t
+    footprintBytes() const
+    {
+        return stack_.capacity() * sizeof(Entry);
+    }
+
     /** Number of pushes that overwrote a live entry. */
     std::uint64_t overflows() const { return overflows_; }
 

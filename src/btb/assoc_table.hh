@@ -1,11 +1,17 @@
 /**
  * @file
  * Generic set-associative, LRU-replacement lookup table used by every
- * BTB variant and by the cache models. Keys are pre-shifted
- * identifiers (basic-block address >> 2 for BTBs, block number for
- * caches); the set index is key modulo the number of sets, and the
- * full key acts as the tag, so the model never suffers false aliasing
- * (matching the paper's full-length tag storage accounting).
+ * BTB variant and by RDIP's and Confluence's tables. Keys are
+ * pre-shifted identifiers (basic-block address >> 2 for BTBs); the
+ * set index is key modulo the number of sets, and the full key acts
+ * as the tag, so the model never suffers false aliasing (matching the
+ * paper's full-length tag storage accounting).
+ *
+ * The table is dense: every way of every set has a slot from the
+ * start. That suits the small, well-filled BTBs, whose lookups are on
+ * the BPU's path; the caches, whose LLC is mostly empty in a run, keep
+ * only their resident lines instead (cache/cache.hh) and take just
+ * chooseWays() from here.
  *
  * Keys, valid bits, LRU stamps and values live in separate arrays, so
  * a probe scans only the dense key array of its set. Power-of-two set

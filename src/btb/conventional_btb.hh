@@ -47,6 +47,9 @@ class ConventionalBTB
     std::size_t numEntries() const { return table_.capacity(); }
     std::size_t occupancy() const { return table_.occupancy(); }
 
+    /** Heap bytes of the entry arrays (checkpoint accounting). */
+    std::size_t footprintBytes() const { return table_.footprintBytes(); }
+
     std::uint64_t lookups() const { return lookups_.value(); }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return lookups_.value() - hits_.value(); }

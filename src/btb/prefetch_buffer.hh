@@ -39,6 +39,13 @@ class BTBPrefetchBuffer
 
     std::size_t capacity() const { return entries_.size(); }
     std::size_t occupancy() const;
+
+    /** Heap bytes of the slot array (checkpoint accounting). */
+    std::size_t
+    footprintBytes() const
+    {
+        return entries_.capacity() * sizeof(Slot);
+    }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t inserts() const { return inserts_; }
 

@@ -4,15 +4,29 @@
  * demand hits/misses, and per-block prefetch provenance so prefetch
  * accuracy (used-before-evicted) can be measured exactly as Fig 10
  * defines it.
+ *
+ * Storage is proportional to what a run touched, not to capacity: the
+ * 8 MiB LLC holds at most a few thousand instruction blocks in a run,
+ * and every checkpoint clones the cache. Resident lines live in one
+ * growable array; each set keeps a chain head and a resident count,
+ * and its lines are chained through the array most recently used
+ * first. A lookup walks its set's chain; a hit or a re-fill moves the
+ * line to the head. A fill into a set with a free way appends a line
+ * at the head; a fill into a full set refills the tail, its least
+ * recently used line, in place and moves it to the head. So a set's
+ * lines and victims are exactly those of a dense table of `ways`
+ * slots per set that evicts the lowest LRU stamp, which
+ * tests/test_cache.cc checks call for call. L1-I and LLC share this
+ * one layout.
  */
 
 #ifndef SHOTGUN_CACHE_CACHE_HH
 #define SHOTGUN_CACHE_CACHE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "btb/assoc_table.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -48,15 +62,16 @@ class Cache
      */
     void fill(Addr block_number, bool prefetched);
 
-    std::size_t numBlocks() const { return table_.capacity(); }
-    std::size_t occupancy() const { return table_.occupancy(); }
+    std::size_t numBlocks() const { return sets_.size() * ways_; }
+    std::size_t occupancy() const { return lines_.size(); }
 
-    /** Heap bytes of the line arrays and victim table. */
+    /** Heap bytes of the set, line and victim arrays. */
     std::size_t
     footprintBytes() const
     {
-        return table_.footprintBytes() +
-               pollutionVictims_.size() * sizeof(Addr);
+        return sets_.capacity() * sizeof(Set) +
+               lines_.capacity() * sizeof(Line) +
+               pollutionVictims_.capacity() * sizeof(Addr);
     }
     const std::string &name() const { return params_.name; }
 
@@ -87,16 +102,46 @@ class Cache
     void enablePollutionTracking();
 
     void resetStats();
-    void clear() { table_.clear(); }
 
   private:
-    struct BlockState
+    static constexpr std::uint32_t kNoLine = ~std::uint32_t(0);
+
+    /** A resident block, chained to the next line of its set. */
+    struct Line
     {
-        bool prefetched = false; ///< Awaiting first demand use.
+        Addr block = 0;
+        std::uint32_t next = kNoLine; ///< Next (less recent) line.
+        bool prefetched = false;      ///< Awaiting first demand use.
     };
 
+    /** A set's most recently used line and how many lines it holds. */
+    struct Set
+    {
+        std::uint32_t head = kNoLine;
+        std::uint32_t count = 0;
+    };
+
+    /** key % sets: a mask for a power-of-two set count. */
+    std::size_t
+    setIndex(Addr block_number) const
+    {
+        return powerOfTwoSets_ ? block_number & setMask_
+                               : block_number % sets_.size();
+    }
+
+    /** The resident line holding `block_number`, or kNoLine. */
+    std::uint32_t find(Addr block_number) const;
+
+    /** find(), then make the line its set's most recently used. */
+    std::uint32_t touch(Addr block_number);
+
     CacheParams params_;
-    SetAssocTable<BlockState> table_;
+    std::size_t ways_;
+    std::uint64_t setMask_ = 0;
+    bool powerOfTwoSets_ = false;
+    std::vector<Set> sets_;
+    std::vector<Line> lines_;
+
     Counter accesses_;
     Counter hits_;
     Counter fills_;

@@ -46,6 +46,13 @@ class Predecoder
     bool decodeBB(Addr bb_start, BTBEntry &out) const;
 
     unsigned decodeCycles() const { return decodeCycles_; }
+
+    /** Heap bytes of the result buffer. */
+    std::size_t
+    footprintBytes() const
+    {
+        return result_.capacity() * sizeof(BTBEntry);
+    }
     std::uint64_t blocksDecoded() const { return decoded_.value(); }
     std::uint64_t branchesExtracted() const { return extracted_.value(); }
 

@@ -55,6 +55,13 @@ class FootprintRecorder
     /** Regions whose accesses all fit the bit-vector range. */
     std::uint64_t regionsFullyCovered() const { return covered_.value(); }
 
+    /** Heap bytes of the retire-side call stack. */
+    std::size_t
+    footprintBytes() const
+    {
+        return callStack_.capacity() * sizeof(callStack_[0]);
+    }
+
     void
     resetStats()
     {

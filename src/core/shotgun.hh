@@ -52,6 +52,12 @@ class ShotgunScheme : public Scheme
 
     std::uint64_t storageBits() const override;
 
+    std::size_t footprintBytes() const override
+    {
+        return sizeof(*this) + btbs_.footprintBytes() +
+               buffer_.footprintBytes() + recorder_.footprintBytes();
+    }
+
     void collectUarch(obs::UarchBreakdown &u) const override;
 
     std::unique_ptr<Scheme> clone(SchemeContext ctx) const override

@@ -132,6 +132,14 @@ class ShotgunBTB
                rib_.storageBits();
     }
 
+    /** Heap bytes of the three tables (checkpoint accounting). */
+    std::size_t
+    footprintBytes() const
+    {
+        return ubtb_.footprintBytes() + cbtb_.footprintBytes() +
+               rib_.footprintBytes();
+    }
+
     void
     resetStats()
     {

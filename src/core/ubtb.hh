@@ -88,6 +88,9 @@ class UBTB
     std::size_t numEntries() const { return table_.capacity(); }
     std::size_t occupancy() const { return table_.occupancy(); }
 
+    /** Heap bytes of the entry arrays (checkpoint accounting). */
+    std::size_t footprintBytes() const { return table_.footprintBytes(); }
+
     /** Valid entries occupied by returns (no-RIB ablation metric). */
     std::size_t returnOccupancy() const;
 

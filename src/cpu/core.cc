@@ -60,16 +60,39 @@ Core::schemeContext()
     return ctx;
 }
 
+namespace
+{
+
+/**
+ * Heap bytes of a deque, bounded from above: libstdc++ allocates
+ * 512-byte node buffers (one per element when it is larger), at most
+ * one more than the elements need, plus a node map of at least eight
+ * pointers.
+ */
+template <typename T>
+std::size_t
+dequeBytes(const std::deque<T> &queue)
+{
+    constexpr std::size_t per_node =
+        sizeof(T) < 512 ? 512 / sizeof(T) : std::size_t(1);
+    const std::size_t nodes = queue.size() / per_node + 2;
+    return nodes * per_node * sizeof(T) +
+           std::max<std::size_t>(8, nodes + 2) * sizeof(T *);
+}
+
+} // namespace
+
 std::size_t
 Core::approxStateBytes() const
 {
-    // The object itself (MSHR file and fixed state inline) plus every
-    // heap table: the LLC and L1-I line arrays, the FTQ, the backend
-    // queue, and the scheme's metadata via storageBits().
-    return sizeof(Core) + mem_.footprintBytes() +
-           ftq_.capacity() * sizeof(FTQEntry) +
-           backendQ_.size() * sizeof(BackendItem) +
-           scheme_->storageBits() / 8;
+    // The object itself (MSHR file and fixed state inline), every heap
+    // array it owns at its real size, the scheme's heap, and the
+    // outcome log this core pins.
+    return sizeof(Core) + mem_.footprintBytes() + ras_.footprintBytes() +
+           predecoder_.footprintBytes() + ftq_.footprintBytes() +
+           dequeBytes(backendQ_) + btbMissSketch_.footprintBytes() +
+           l1iMissSketch_.footprintBytes() + scheme_->footprintBytes() +
+           outcomes_.logBytes();
 }
 
 void

@@ -184,11 +184,14 @@ class Core : private CoreState
     Core(const Core &other, TraceSource *source);
 
     /**
-     * In-memory footprint, for checkpoint-cache LRU accounting: the
-     * object itself plus the real sizes of its heap tables (LLC and
-     * L1-I line arrays, FTQ, backend queue) and the scheme's metadata
-     * via storageBits(). Small heap pieces are left out, and so is the
-     * outcome log, which every core of a stream shares.
+     * The memory this core pins, for the checkpoint store's budget:
+     * the object, every heap array it owns at its real size (the
+     * caches' resident lines, RAS, predecode buffer, FTQ, backend
+     * queue, miss-site sketches), the scheme's heap
+     * (Scheme::footprintBytes) and the outcome log's bytes now. The
+     * log is shared by every core of its stream, so charging it to
+     * each is an upper bound; leaving it out would let stored cores
+     * keep logs alive that the budget never sees.
      */
     std::size_t approxStateBytes() const;
 

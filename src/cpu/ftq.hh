@@ -41,6 +41,13 @@ class FTQ
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return slots_.size(); }
 
+    /** Heap bytes of the ring. */
+    std::size_t
+    footprintBytes() const
+    {
+        return slots_.capacity() * sizeof(FTQEntry);
+    }
+
     void
     push(const BBRecord &record)
     {

@@ -26,6 +26,14 @@ OutcomeLog::drawsMatch(const CoreParams &params) const
                llcDataMissThreshold_;
 }
 
+std::size_t
+OutcomeLog::bytes() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sizeof(*this) + tage_.footprintBytes() + branches_.bytes() +
+           misses_.bytes();
+}
+
 void
 OutcomeLog::drawChunk()
 {

@@ -66,6 +66,13 @@ class OutcomeLog
     /** True when `params` sets the same data-side draws as this log. */
     bool drawsMatch(const CoreParams &params) const;
 
+    /**
+     * Bytes the log holds now: the object, TAGE's tables and every
+     * chunk published so far. Read under the mutex, since readers
+     * that produce grow it.
+     */
+    std::size_t bytes() const;
+
   private:
     friend class OutcomeCursor;
 
@@ -90,6 +97,13 @@ class OutcomeLog
         {
             return chunks[index / kChunkEntries].get();
         }
+
+        std::size_t
+        bytes() const
+        {
+            return chunks.size() * kChunkEntries * sizeof(T) +
+                   chunks.capacity() * sizeof(chunks[0]);
+        }
     };
 
     /** Draw the next kDrawInstructions instructions' data side. */
@@ -101,7 +115,7 @@ class OutcomeLog
     const std::uint64_t l1dMissThreshold_;
     const std::uint64_t llcDataMissThreshold_;
 
-    std::mutex mutex_; ///< Guards everything below.
+    mutable std::mutex mutex_; ///< Guards everything below.
 
     TagePredictor tage_;
     Rng dataRng_;
@@ -158,6 +172,9 @@ class OutcomeCursor
     /** Conditionals read so far, and how many of them this cursor produced. */
     std::uint64_t branchesRead() const { return branch_; }
     std::uint64_t branchesProduced() const { return produced_; }
+
+    /** Bytes of the log this cursor reads (OutcomeLog::bytes). */
+    std::size_t logBytes() const { return log_->bytes(); }
 
   private:
     static std::uint16_t

@@ -210,6 +210,16 @@ SpaceSavingSketch::record(Addr pc)
     index_.emplace(pc, victim);
 }
 
+std::size_t
+SpaceSavingSketch::footprintBytes() const
+{
+    // An index node holds the next pointer and the (pc, slot) pair.
+    return entries_.capacity() * sizeof(SiteCount) +
+           index_.size() * (sizeof(void *) + sizeof(Addr) +
+                            sizeof(std::size_t)) +
+           index_.bucket_count() * sizeof(void *);
+}
+
 void
 SpaceSavingSketch::clear()
 {

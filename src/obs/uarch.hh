@@ -204,6 +204,9 @@ class SpaceSavingSketch
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
 
+    /** Heap bytes of the slots, the index's nodes and its buckets. */
+    std::size_t footprintBytes() const;
+
     /** Snapshot of every tracked site, sorted count desc, pc asc. */
     std::vector<SiteCount> sites() const;
 

@@ -39,6 +39,11 @@ class BaselineScheme : public Scheme
         return btb_.storageBits();
     }
 
+    std::size_t footprintBytes() const override
+    {
+        return sizeof(*this) + btb_.footprintBytes();
+    }
+
     std::unique_ptr<Scheme> clone(SchemeContext ctx) const override
     {
         auto copy = std::make_unique<BaselineScheme>(*this);

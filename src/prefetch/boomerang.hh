@@ -36,6 +36,12 @@ class BoomerangScheme : public Scheme
 
     std::uint64_t storageBits() const override;
 
+    std::size_t footprintBytes() const override
+    {
+        return sizeof(*this) + btb_.footprintBytes() +
+               buffer_.footprintBytes();
+    }
+
     void
     collectUarch(obs::UarchBreakdown &u) const override
     {

@@ -67,6 +67,13 @@ class ConfluenceScheme : public Scheme
 
     std::uint64_t storageBits() const override;
 
+    std::size_t footprintBytes() const override
+    {
+        return sizeof(*this) + btb_.footprintBytes() +
+               history_.capacity() * sizeof(history_[0]) +
+               index_.footprintBytes();
+    }
+
     void collectUarch(obs::UarchBreakdown &u) const override;
 
     std::unique_ptr<Scheme> clone(SchemeContext ctx) const override

@@ -32,6 +32,8 @@ class IdealScheme : public Scheme
 
     std::uint64_t storageBits() const override { return 0; }
 
+    std::size_t footprintBytes() const override { return sizeof(*this); }
+
     std::unique_ptr<Scheme> clone(SchemeContext ctx) const override
     {
         return std::make_unique<IdealScheme>(ctx);

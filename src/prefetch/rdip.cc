@@ -107,4 +107,18 @@ RdipScheme::storageBits() const
     return btb_.storageBits() + params_.tableEntries * entry_bits;
 }
 
+std::size_t
+RdipScheme::footprintBytes() const
+{
+    // Each miss set owns its block list: walk the table for them.
+    std::size_t miss_blocks = 0;
+    table_.forEach([&miss_blocks](std::uint64_t, const MissSet &set) {
+        miss_blocks += set.blocks.capacity();
+    });
+    return sizeof(*this) + btb_.footprintBytes() +
+           table_.footprintBytes() + miss_blocks * sizeof(Addr) +
+           sigHistory_.capacity() * sizeof(sigHistory_[0]) +
+           pendingMisses_.capacity() * sizeof(pendingMisses_[0]);
+}
+
 } // namespace shotgun

@@ -52,6 +52,8 @@ class RdipScheme : public Scheme
 
     std::uint64_t storageBits() const override;
 
+    std::size_t footprintBytes() const override;
+
     std::unique_ptr<Scheme> clone(SchemeContext ctx) const override
     {
         auto copy = std::make_unique<RdipScheme>(*this);

@@ -120,6 +120,14 @@ class Scheme
     virtual std::uint64_t storageBits() const = 0;
 
     /**
+     * Host memory the scheme occupies: the object and every heap
+     * structure it owns, summed from their footprintBytes(). This is
+     * what a checkpoint clone allocates, which storageBits() -- the
+     * modelled SRAM -- is not (sim/checkpoint.hh charges it).
+     */
+    virtual std::size_t footprintBytes() const = 0;
+
+    /**
      * Deposit the scheme's prefetch-lifecycle counters into the
      * per-structure slots of `u` (uarch probes; see obs/uarch.hh).
      * Read-only with respect to scheme state; schemes without

@@ -28,6 +28,33 @@ checkpointKey(const SimConfig &config, const TraceInfo *trace)
     return key;
 }
 
+CoreCheckpoint
+captureCheckpoint(const Core &core, const TraceGenerator *generator,
+                  const DecodedTraceCursor *cursor)
+{
+    CoreCheckpoint cp;
+    cp.core = std::make_shared<const Core>(core, nullptr);
+    if (generator != nullptr) {
+        cp.fromGenerator = true;
+        cp.generator = generator->checkpoint();
+    } else {
+        cp.cursorRecord = cursor->recordsRead();
+    }
+    cp.bytes = sizeof(CoreCheckpoint) + cp.core->approxStateBytes() +
+               cp.generator.footprintBytes();
+    return cp;
+}
+
+ParkedCore
+parkCore(std::unique_ptr<Core> core, std::unique_ptr<TraceSource> source)
+{
+    ParkedCore parked;
+    parked.bytes = core->approxStateBytes() + source->footprintBytes();
+    parked.core = std::move(core);
+    parked.source = std::move(source);
+    return parked;
+}
+
 CheckpointCache::CheckpointCache(std::size_t budget_bytes)
     : budget_(budget_bytes),
       checkpoints_(budget_bytes,

@@ -41,6 +41,15 @@
  * runs are never stored; raw streaming TraceFileSource runs (decoded
  * store over budget) park but never capture a warmup, because a file
  * stream has no cheap exact reposition.
+ *
+ * What is stored is proportional to what the run touched: the caches
+ * hold only resident lines (cache/cache.hh) and a GeneratorCheckpoint
+ * only the nonzero counters. Each state is charged the heap it pins
+ * -- Core::approxStateBytes() (caches, queues, the scheme's
+ * footprintBytes() and the outcome log's bytes), plus the generator
+ * checkpoint for a capture or the source's footprintBytes() for a
+ * parked core -- so the budget bounds the memory the store keeps
+ * alive, not a modelled size.
  */
 
 #ifndef SHOTGUN_SIM_CHECKPOINT_HH
@@ -55,6 +64,7 @@
 #include "common/memo.hh"
 #include "cpu/core.hh"
 #include "sim/simulator.hh"
+#include "trace/decoded_trace.hh"
 #include "trace/trace_io.hh"
 
 namespace shotgun
@@ -75,9 +85,23 @@ struct CoreCheckpoint
     /** Decoded-trace cursor record index (!fromGenerator). */
     std::uint64_t cursorRecord = 0;
 
-    /** Accounted footprint (Core::approxStateBytes at capture). */
+    /**
+     * The charge against the store's budget: this object, the clone's
+     * Core::approxStateBytes() (its outcome log included) and the
+     * generator checkpoint's heap.
+     */
     std::size_t bytes = 0;
 };
+
+/**
+ * Checkpoint warmed `core`, whose stream is `generator` (synthetic)
+ * or else `cursor` (a decoded trace): a clone of the core, the
+ * stream's position, and the charge for both. Cloning is const on
+ * `core`, so the run can continue on the original.
+ */
+CoreCheckpoint captureCheckpoint(const Core &core,
+                                 const TraceGenerator *generator,
+                                 const DecodedTraceCursor *cursor);
 
 /**
  * The cache key for `config`'s warmed state: the configFingerprint()
@@ -96,9 +120,17 @@ struct ParkedCore
     std::unique_ptr<TraceSource> source;
     std::unique_ptr<Core> core; ///< Reads *source.
 
-    /** Accounted footprint (Core::approxStateBytes at park). */
+    /**
+     * The charge against the store's budget: the core's
+     * approxStateBytes() plus its source's footprintBytes() (a
+     * generator's dense counter table, say).
+     */
     std::size_t bytes = 0;
 };
+
+/** Park `core` with the `source` it reads, charged what both pin. */
+ParkedCore parkCore(std::unique_ptr<Core> core,
+                    std::unique_ptr<TraceSource> source);
 
 /**
  * What CheckpointCache::acquire() found for a run: at most one of the

@@ -260,16 +260,8 @@ runSimulationDelta(const SimConfig &config)
         if (!key.empty() && capturable) {
             // Store a clone; the run continues on the original, so
             // taking the checkpoint cannot perturb its trajectory.
-            CoreCheckpoint cp;
-            cp.core = std::make_shared<const Core>(*core, nullptr);
-            if (generator != nullptr) {
-                cp.fromGenerator = true;
-                cp.generator = generator->checkpoint();
-            } else {
-                cp.cursorRecord = cursor->recordsRead();
-            }
-            cp.bytes = cp.core->approxStateBytes();
-            checkpointCache().put(key, std::move(cp));
+            checkpointCache().put(
+                key, captureCheckpoint(*core, generator, cursor));
         }
     }
 
@@ -352,11 +344,8 @@ runSimulationDelta(const SimConfig &config)
         // Not the run's last window: park the live core for the window
         // that starts here. Moved, not cloned -- this run is done
         // with it.
-        ParkedCore parked;
-        parked.bytes = core->approxStateBytes();
-        parked.core = std::move(core);
-        parked.source = std::move(source);
-        checkpointCache().park(key, measure_end, std::move(parked));
+        checkpointCache().park(
+            key, measure_end, parkCore(std::move(core), std::move(source)));
     }
     return out;
 }

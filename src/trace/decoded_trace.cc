@@ -107,7 +107,12 @@ DecodedTraceStore::acquire(const std::string &path)
     // The header read is cheap and serves two purposes: sizing the
     // refusal check without decoding, and binding the cache key to
     // this recording so a re-recorded file never serves stale records.
-    const TraceInfo info = readTraceInfo(path);
+    // A daemon validated the file at submit time, but it may have been
+    // deleted or rewritten since: that fails the point, not the daemon.
+    TraceInfo info;
+    std::string error;
+    if (!tryReadTraceInfo(path, info, error))
+        throw TraceError(error);
     if (budget_ != 0 &&
         DecodedTrace::estimateBytes(info.records) > budget_) {
         std::lock_guard<std::mutex> lock(mutex_);

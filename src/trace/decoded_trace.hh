@@ -109,6 +109,9 @@ class DecodedTraceCursor : public TraceSource
     /** Reposition to record `record` (checkpoint restore). */
     void seekToRecord(std::uint64_t record);
 
+    /** The cursor alone: the decode it reads is the store's. */
+    std::size_t footprintBytes() const override { return sizeof(*this); }
+
     const WorkloadPreset &preset() const { return trace_->preset(); }
     std::uint64_t traceSeed() const { return trace_->traceSeed(); }
     std::uint64_t totalRecords() const { return trace_->records(); }
@@ -160,9 +163,9 @@ class DecodedTraceStore
     /**
      * The decoded trace for `path`, or nullptr when its footprint
      * would exceed the store budget (caller streams the file
-     * instead). fatal() on an unreadable header, a TraceError on
-     * damaged records, mirroring TraceFileSource; a failed decode
-     * is not kept, so the next acquire() reads the file again.
+     * instead). A TraceError on a missing or unreadable file, a bad
+     * or truncated header, or damaged records; a failed decode is
+     * not kept, so the next acquire() reads the file again.
      */
     std::shared_ptr<const DecodedTrace> acquire(const std::string &path);
 

@@ -1,5 +1,7 @@
 #include "trace/generator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace shotgun
@@ -157,7 +159,11 @@ TraceGenerator::checkpoint() const
     state.cur = cur_;
     state.requestType = requestType_;
     state.stack = stack_;
-    state.counters = counters_;
+    state.staticBBs = counters_.size();
+    for (std::uint32_t i = 0; i < counters_.size(); ++i) {
+        if (counters_[i] != 0)
+            state.counters.emplace_back(i, counters_[i]);
+    }
     state.stats = stats_;
     return state;
 }
@@ -165,16 +171,26 @@ TraceGenerator::checkpoint() const
 void
 TraceGenerator::restore(const GeneratorCheckpoint &state)
 {
-    panic_if(state.counters.size() != counters_.size(),
+    panic_if(state.staticBBs != counters_.size(),
              "generator checkpoint restore across different programs "
              "(%zu vs %zu static basic blocks)",
-             state.counters.size(), counters_.size());
+             state.staticBBs, counters_.size());
     rng_.restoreState(state.rngState);
     cur_ = state.cur;
     requestType_ = state.requestType;
     stack_ = state.stack;
-    counters_ = state.counters;
+    std::fill(counters_.begin(), counters_.end(), 0u);
+    for (const auto &[bb, value] : state.counters)
+        counters_[bb] = value;
     stats_ = state.stats;
+}
+
+std::size_t
+TraceGenerator::footprintBytes() const
+{
+    return sizeof(*this) + counters_.capacity() * sizeof(counters_[0]) +
+           stack_.capacity() * sizeof(stack_[0]) +
+           topSampler_.size() * sizeof(double);
 }
 
 } // namespace shotgun

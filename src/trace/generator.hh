@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -46,6 +47,13 @@ class TraceSource
      * @return instructions actually skipped.
      */
     virtual std::uint64_t skipInstructions(std::uint64_t instructions);
+
+    /**
+     * Bytes this source pins: the object and the heap it owns, not
+     * what it shares (a decoded trace is charged by its own store).
+     * A parked window core is charged its source's footprint too.
+     */
+    virtual std::size_t footprintBytes() const = 0;
 };
 
 /** Aggregate counts of what a generator has produced so far. */
@@ -77,8 +85,26 @@ struct GeneratorCheckpoint
     std::uint32_t cur = 0;
     std::uint32_t requestType = 0;
     std::vector<std::uint32_t> stack;
-    std::vector<std::uint32_t> counters;
+
+    /** Static basic blocks of the program the state belongs to. */
+    std::size_t staticBBs = 0;
+
+    /**
+     * The nonzero loop/pattern counters as (static BB, value) pairs in
+     * index order; every other counter is zero. A run touches a few
+     * hundred of a program's up to ~370K static basic blocks.
+     */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> counters;
+
     GeneratorStats stats;
+
+    /** Heap bytes of the stack and counter arrays. */
+    std::size_t
+    footprintBytes() const
+    {
+        return stack.capacity() * sizeof(stack[0]) +
+               counters.capacity() * sizeof(counters[0]);
+    }
 };
 
 /**
@@ -102,11 +128,14 @@ class TraceGenerator : public TraceSource
 
     /**
      * Reinstate `state` (captured from a generator over the same
-     * program; panic() on a counter-table size mismatch). The next
-     * record produced equals the one the checkpointed generator
+     * program; panic() on a static-basic-block count mismatch). The
+     * next record produced equals the one the checkpointed generator
      * would have produced next.
      */
     void restore(const GeneratorCheckpoint &state);
+
+    /** The object, its dense counter table, stack and Zipf table. */
+    std::size_t footprintBytes() const override;
 
     const GeneratorStats &stats() const { return stats_; }
     const Program &program() const { return program_; }

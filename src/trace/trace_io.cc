@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -389,9 +390,11 @@ TraceFileSource::skipInstructions(std::uint64_t instructions)
     if (best != nullptr) {
         in_.clear();
         in_.seekg(static_cast<std::streamoff>(best->byteOffset));
-        fatal_if(!in_, "'%s': seek to window-index offset %llu failed",
-                 path_.c_str(),
-                 static_cast<unsigned long long>(best->byteOffset));
+        if (!in_)
+            throw TraceError("'" + path_ +
+                             "': seek to window-index offset " +
+                             std::to_string(best->byteOffset) +
+                             " failed");
         read_ = best->record;
         instrsRead_ = best->instructions;
     }
@@ -402,6 +405,16 @@ TraceFileSource::skipInstructions(std::uint64_t instructions)
             break;
     }
     return instrsRead_ - before;
+}
+
+std::size_t
+TraceFileSource::footprintBytes() const
+{
+    // The stream's read buffer is BUFSIZ bytes in libstdc++.
+    return sizeof(*this) + BUFSIZ + path_.capacity() +
+           preset_.name.capacity() + preset_.program.name.capacity() +
+           preset_.tracePath.capacity() +
+           index_.entries.capacity() * sizeof(TraceIndexEntry);
 }
 
 TraceInfo

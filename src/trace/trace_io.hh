@@ -48,10 +48,12 @@ constexpr std::uint32_t kTraceVersion = 2;
 
 /**
  * Damaged trace records: a truncated file, a bad branch type, or
- * counts that disagree with the header. The record readers a daemon
- * reaches throw it -- TraceFileSource::next() and the shared decode
- * (trace/decoded_trace.hh) -- so a bad file fails its point, never
- * the process. The message is the one the tools print.
+ * counts that disagree with the header. The readers a daemon reaches
+ * throw it -- TraceFileSource::next() and its window-index seek, the
+ * shared decode and its header re-read (trace/decoded_trace.hh) -- so
+ * a bad file, or one deleted or rewritten after the submit-time
+ * check, fails its point, never the process. The message is the one
+ * the tools print.
  */
 struct TraceError : std::runtime_error
 {
@@ -200,9 +202,13 @@ class TraceFileSource : public TraceSource
      * via the sidecar window index (`<path>.idx`) when a valid one
      * exists -- the landing record is identical either way; the
      * index only replaces linear reading with a seek. A missing or
-     * stale index silently falls back to the linear skip.
+     * stale index silently falls back to the linear skip; a seek that
+     * fails throws TraceError.
      */
     std::uint64_t skipInstructions(std::uint64_t instructions) override;
+
+    /** The object, its read buffer, path, preset and window index. */
+    std::size_t footprintBytes() const override;
 
     std::uint64_t totalRecords() const { return total_; }
     std::uint64_t totalInstructions() const { return totalInstrs_; }

@@ -9,10 +9,12 @@
 
 #include <vector>
 
+#include "btb/assoc_table.hh"
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cache/mshr.hh"
 #include "cache/predecoder.hh"
+#include "common/random.hh"
 #include "trace/program.hh"
 
 namespace shotgun
@@ -71,6 +73,159 @@ TEST(CacheTest, LruVictimSelection)
     cache.access(1); // 1 becomes MRU
     cache.fill(3, false);
     EXPECT_TRUE(cache.contains(1) || cache.contains(3));
+}
+
+/**
+ * The dense reference the resident-line Cache must match call for
+ * call: `ways` slots per set, a victim that is the first free slot
+ * or else the least recently used (one clock stamps every touch and
+ * insert), and the same provenance and pollution bookkeeping.
+ */
+class DenseReferenceCache
+{
+  public:
+    DenseReferenceCache(std::size_t blocks, std::size_t ways)
+        : ways_(chooseWays(blocks, ways)), sets_(blocks / ways_),
+          slots_(blocks), victims_(256, ~Addr(0))
+    {
+    }
+
+    std::size_t numBlocks() const { return slots_.size(); }
+    std::size_t hits = 0, misses = 0, fills = 0, useful = 0;
+    std::size_t useless = 0, prefetchFills = 0, polluting = 0;
+    std::size_t occupancy = 0;
+
+    bool
+    contains(Addr block) const
+    {
+        return slotOf(block) != nullptr;
+    }
+
+    bool
+    access(Addr block)
+    {
+        Slot *slot = slotOf(block);
+        if (slot == nullptr) {
+            ++misses;
+            if (victims_[block % 256] == block) {
+                ++polluting;
+                victims_[block % 256] = ~Addr(0);
+            }
+            return false;
+        }
+        ++hits;
+        slot->stamp = ++clock_;
+        if (slot->prefetched) {
+            slot->prefetched = false;
+            ++useful;
+        }
+        return true;
+    }
+
+    void
+    fill(Addr block, bool prefetched)
+    {
+        ++fills;
+        prefetchFills += prefetched;
+        if (Slot *slot = slotOf(block)) {
+            slot->stamp = ++clock_;
+            return;
+        }
+        Slot *victim = &slots_[block % sets_ * ways_];
+        for (std::size_t w = 0; w < ways_; ++w) {
+            Slot &slot = slots_[block % sets_ * ways_ + w];
+            if (!slot.valid) {
+                victim = &slot;
+                break;
+            }
+            if (slot.stamp < victim->stamp)
+                victim = &slot;
+        }
+        if (victim->valid) {
+            useless += victim->prefetched;
+            if (prefetched && !victim->prefetched)
+                victims_[victim->block % 256] = victim->block;
+        } else {
+            ++occupancy;
+        }
+        *victim = Slot{block, ++clock_, true, prefetched};
+    }
+
+  private:
+    struct Slot
+    {
+        Addr block = 0;
+        std::uint64_t stamp = 0;
+        bool valid = false;
+        bool prefetched = false;
+    };
+
+    Slot *
+    slotOf(Addr block) const
+    {
+        for (std::size_t w = 0; w < ways_; ++w) {
+            const Slot &slot = slots_[block % sets_ * ways_ + w];
+            if (slot.valid && slot.block == block)
+                return const_cast<Slot *>(&slot);
+        }
+        return nullptr;
+    }
+
+    std::size_t ways_;
+    std::size_t sets_;
+    std::vector<Slot> slots_;
+    std::vector<Addr> victims_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(CacheTest, ResidentLinesMatchTheDenseReferenceCallForCall)
+{
+    struct Geometry
+    {
+        std::size_t sizeKB;
+        std::size_t ways;
+    };
+    // 1-way; the L1-I's 2-way 256 sets; 16-way; 80 sets (not a power
+    // of two, so sets index by modulo).
+    const Geometry geometries[] = {{4, 1}, {32, 2}, {64, 16}, {20, 4}};
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(testing::Message() << g.sizeKB << "KB " << g.ways
+                                        << "-way");
+        Cache cache(CacheParams{"t", g.sizeKB, g.ways});
+        cache.enablePollutionTracking();
+        DenseReferenceCache ref(g.sizeKB * 1024 / kBlockBytes, g.ways);
+        ASSERT_EQ(cache.numBlocks(), ref.numBlocks());
+
+        Rng rng(g.sizeKB * 131 + g.ways);
+        // Blocks from a range of three capacities, half the draws near
+        // the previous one: conflicts, reuse and sequential runs.
+        const Addr span = 3 * ref.numBlocks();
+        Addr block = 0;
+        for (int i = 0; i < 60000; ++i) {
+            block = rng.chance(0.5) ? (block + rng.below(4)) % span
+                                    : rng.below(span);
+            const std::uint64_t op = rng.below(4);
+            if (op == 0) {
+                ASSERT_EQ(cache.access(block), ref.access(block)) << i;
+            } else if (op == 1) {
+                ASSERT_EQ(cache.contains(block), ref.contains(block))
+                    << i;
+            } else {
+                cache.fill(block, op == 3);
+                ref.fill(block, op == 3);
+            }
+            ASSERT_EQ(cache.hits(), ref.hits) << i;
+            ASSERT_EQ(cache.misses(), ref.misses) << i;
+            ASSERT_EQ(cache.fills(), ref.fills) << i;
+            ASSERT_EQ(cache.usefulPrefetches(), ref.useful) << i;
+            ASSERT_EQ(cache.uselessPrefetches(), ref.useless) << i;
+            ASSERT_EQ(cache.prefetchFills(), ref.prefetchFills) << i;
+            ASSERT_EQ(cache.pollutingPrefetches(), ref.polluting) << i;
+            ASSERT_EQ(cache.occupancy(), ref.occupancy) << i;
+        }
+        EXPECT_GT(ref.useless, 0u);
+        EXPECT_GT(ref.polluting, 0u);
+    }
 }
 
 TEST(MshrTest, AllocateFindDrain)

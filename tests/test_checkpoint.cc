@@ -17,11 +17,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+#include "common/random.hh"
+#include "obs/metrics.hh"
 #include "runner/experiment.hh"
+#include "service/codec.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "trace/decoded_trace.hh"
@@ -31,6 +37,40 @@
 #include "trace/trace_io.hh"
 #include "window/window_plan.hh"
 #include "window/windowed_runner.hh"
+
+namespace
+{
+
+/** While non-null, operator new on this thread adds its sizes here. */
+thread_local std::size_t *allocatedBytes = nullptr;
+
+} // namespace
+
+// Counting global allocation functions: the honest-charge test below
+// measures the heap a checkpoint capture allocates with them. They are
+// kept out of line, so the compiler pairs each free() with the malloc()
+// here rather than with a call site's new.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (allocatedBytes != nullptr)
+        *allocatedBytes += size;
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace shotgun
 {
@@ -219,13 +259,10 @@ TEST(CheckpointCacheTest, LruAccountingAndEviction)
 ParkedCore
 parkedCore(const Program &program)
 {
-    ParkedCore parked;
-    parked.source = std::make_unique<TraceGenerator>(program, 1);
-    parked.core =
-        std::make_unique<Core>(program, *parked.source, CoreParams{},
-                               HierarchyParams{}, SchemeConfig{});
-    parked.bytes = parked.core->approxStateBytes();
-    return parked;
+    auto source = std::make_unique<TraceGenerator>(program, 1);
+    auto core = std::make_unique<Core>(program, *source, CoreParams{},
+                                       HierarchyParams{}, SchemeConfig{});
+    return parkCore(std::move(core), std::move(source));
 }
 
 TEST(CheckpointCacheTest, ParkedCoreResumesOnceAtItsPositionOnly)
@@ -296,24 +333,36 @@ TEST(CheckpointCacheTest, BudgetForFewerThanTwoCoresEvictsParkedStates)
     EXPECT_EQ(later.acquire("k", 100).parked.core, nullptr);
 }
 
-TEST(CheckpointCacheTest, StateBytesCoverTheLlcArray)
+TEST(CheckpointCacheTest, ChargeCoversTheHeapACaptureAllocates)
 {
-    // The cache's byte budget is honest only if a Core's charge
-    // covers its largest table: the LLC line array, at least a key,
-    // an LRU stamp, a valid flag and the block state per line.
-    const WorkloadPreset preset = tinyPreset("state-bytes", 53);
-    const Program &program = programFor(preset);
-    TraceGenerator gen(program, 1);
-    Core core(program, gen, CoreParams{}, HierarchyParams{},
-              SchemeConfig{});
-    const std::size_t llc_lines = 131072; // 8 MiB of 64-byte blocks.
-    ASSERT_EQ(HierarchyParams{}.llc.sizeKB * 1024 / kBlockBytes,
-              llc_lines);
-    EXPECT_GE(core.approxStateBytes(),
-              llc_lines * (2 * sizeof(std::uint64_t) + 2));
-    EXPECT_GE(core.approxStateBytes(),
-              core.mem().llc().footprintBytes() +
-                  core.mem().l1i().footprintBytes());
+    // The store's budget bounds memory only if a capture is charged at
+    // least the heap it allocates: the Core clone with every cache
+    // line and scheme structure, and the generator checkpoint. The
+    // charge also holds the outcome log the clone pins, which the
+    // capture does not allocate, so the upper bound adds it; within
+    // that, the charge is no more than twice the real heap.
+    for (const WorkloadId id : {WorkloadId::Nutch, WorkloadId::Oracle}) {
+        const WorkloadPreset preset = makePreset(id);
+        const Program &program = programFor(preset);
+        for (const SchemeType type : kGridSchemes) {
+            SCOPED_TRACE(preset.name + "/" + schemeTypeName(type));
+            TraceGenerator gen(program, 1);
+            SchemeConfig scheme;
+            scheme.type = type;
+            Core core(program, gen, CoreParams{}, HierarchyParams{},
+                      scheme);
+            core.run(kWarmup);
+
+            std::size_t heap = 0;
+            allocatedBytes = &heap;
+            const CoreCheckpoint cp =
+                captureCheckpoint(core, &gen, nullptr);
+            allocatedBytes = nullptr;
+            const std::size_t log = cp.core->outcomes().logBytes();
+            EXPECT_GE(cp.bytes, heap);
+            EXPECT_LE(cp.bytes, 2 * heap + log);
+        }
+    }
 }
 
 // ------------------------------------------- decoded-trace streams
@@ -497,6 +546,84 @@ TEST(CohortGridTest, TraceGridDecodesOnceAndMatches)
 
     std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
+}
+
+// --------------------------------------------- randomized round trip
+
+/** The canonical digest of a result: every counter it holds. */
+std::string
+resultDigest(const SimResult &result)
+{
+    return service::fingerprintHex(
+        json::fnv1a64(service::encodeSimResult(result).dump()));
+}
+
+TEST(RoundTripTest, RandomConfigsMatchColdRestoredAndResumed)
+{
+    // Reuse is invisible for any valid config, not only the defaults:
+    // each random config gives one digest run cold, rerun (restoring
+    // its warmup checkpoint), and as a contiguous 3-window plan
+    // stitched back, whose first window restores that checkpoint and
+    // whose later windows resume the core the window before parked.
+    const std::string trace_path = "/tmp/shotgun_test_round_trip.trace";
+    const WorkloadPreset recorded = tinyPreset("round-trip-trace", 71);
+    TraceGenerator recorder(programFor(recorded), 73);
+    recordTraceInstructions(recorder, recorded, 73, trace_path, 40000);
+    std::vector<WorkloadPreset> presets = {
+        tinyPreset("round-trip-a", 61), tinyPreset("round-trip-b", 67),
+        presetByName("trace:" + trace_path)};
+    presets[1].program.numFuncs = 400;
+    presets[1].loadFrac = 0.45;
+    presets[1].l1dMissRate = 0.05;
+
+    obs::Counter *resumes = obs::metrics().counter("sim.resumes");
+    Rng rng(2024);
+    for (int i = 0; i < 200; ++i) {
+        SimConfig config =
+            SimConfig::make(presets[rng.below(presets.size())],
+                            kGridSchemes[rng.below(6)]);
+        config.traceSeed = 1000 + i; // Its own checkpoint key.
+        config.warmupInstructions = rng.range(1000, 12000);
+        config.measureInstructions = rng.range(3000, 15000);
+        CoreParams &core = config.core;
+        core.fetchWidth = static_cast<unsigned>(rng.range(1, 8));
+        core.retireWidth = static_cast<unsigned>(rng.range(1, 6));
+        core.ftqEntries = static_cast<unsigned>(rng.range(1, 48));
+        core.misfetchPenalty = static_cast<unsigned>(rng.range(0, 20));
+        core.mispredictPenalty = static_cast<unsigned>(rng.range(0, 20));
+        core.issueEfficiency = 0.05 + 0.95 * rng.uniform();
+        // A config a daemon would accept: the strict decoder runs
+        // every field list's brokenRule().
+        ASSERT_NO_THROW(service::decodeSimConfig(json::Value::parse(
+            service::encodeSimConfig(config).dump())))
+            << "config " << i;
+        SCOPED_TRACE(testing::Message()
+                     << "config " << i << ": "
+                     << service::encodeSimConfig(config).dump());
+
+        const MemoCacheStats before = checkpointCache().stats();
+        const std::uint64_t resumes_before = resumes->value();
+        const std::string cold = resultDigest(runSimulation(config));
+        const MemoCacheStats after_cold = checkpointCache().stats();
+        const std::string restored = resultDigest(runSimulation(config));
+        std::vector<SimulationDelta> windows;
+        for (const SimConfig &window : window::expandPlan(
+                 config, window::contiguousPlan(config, 3)))
+            windows.push_back(runSimulationDelta(window));
+        const std::string stitched =
+            resultDigest(window::stitchWindows(windows));
+        const MemoCacheStats after = checkpointCache().stats();
+
+        ASSERT_EQ(restored, cold);
+        ASSERT_EQ(stitched, cold);
+        // Cold warmed; the rerun and the first window restored; the
+        // two later windows resumed parked cores.
+        ASSERT_EQ(after_cold.misses, before.misses + 1);
+        ASSERT_EQ(after.misses, before.misses + 1);
+        ASSERT_EQ(after.hits, before.hits + 4);
+        ASSERT_EQ(resumes->value(), resumes_before + 2);
+    }
+    std::remove(trace_path.c_str());
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/presets.hh"
 #include "trace/program.hh"
@@ -755,6 +756,56 @@ TEST(TraceIndexTest, StaleOrCorruptIndexIsRejectedNotTrusted)
     std::remove(path.c_str());
 }
 
+TEST(TraceIndexTest, FailedIndexSeekThrowsTraceError)
+{
+    // A header whose counts outgrow its file (rewritten after a
+    // daemon checked it, say) with a window index that steers the
+    // skip past 2^63 bytes: the seek fails. A daemon's point must
+    // fail with a TraceError; the process must not die.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    const std::string path = "/tmp/shotgun_test_idx_bad_seek.bin";
+    TraceGenerator gen(prog, 3);
+    recordTrace(gen, preset, 3, path, 100);
+    const TraceIndex every = buildTraceIndex(path, 1);
+    ASSERT_GE(every.entries.size(), 2u);
+    const std::uint64_t payload = every.entries[0].byteOffset;
+    const std::uint64_t record_bytes =
+        every.entries[1].byteOffset - payload;
+
+    const std::uint64_t huge = std::uint64_t(1) << 60;
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(8); // The record and instruction counts.
+        for (int field = 0; field < 2; ++field) {
+            for (int i = 0; i < 8; ++i)
+                f.put(static_cast<char>(huge >> (8 * i)));
+        }
+    }
+    TraceIndex index;
+    index.records = huge;
+    index.instructions = huge;
+    index.traceSeed = 3;
+    index.interval = 1;
+    const std::uint64_t far = huge / 2;
+    index.entries.push_back({far, 1000, payload + far * record_bytes});
+    writeTraceIndex(traceIndexPath(path), index);
+
+    TraceFileSource source(path);
+    try {
+        source.skipInstructions(2000);
+        ADD_FAILURE() << "a failed seek went unnoticed";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "seek to window-index offset"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(traceIndexPath(path).c_str());
+    std::remove(path.c_str());
+}
+
 TEST(TraceIndexDeathTest, BuildRejectsZeroInterval)
 {
     const WorkloadPreset preset = tinyPreset();
@@ -851,6 +902,29 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
     }
     EXPECT_EXIT(fatalOnTraceError([&]() { return source.next(rec); }),
                 ::testing::ExitedWithCode(1), "truncated trace file");
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, DecodedStoreThrowsOnAFileChangedSinceItsCheck)
+{
+    // A daemon checks a trace when it is submitted, but the file may
+    // be deleted or rewritten before the run: the decoded store's
+    // header re-read fails that point with a TraceError.
+    const std::string path = "/tmp/shotgun_test_store_changed.bin";
+    std::remove(path.c_str());
+    try {
+        decodedTraces().acquire(path);
+        ADD_FAILURE() << "a missing trace decoded";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("cannot open trace file"),
+                  std::string::npos)
+            << e.what();
+    }
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "not a trace";
+    }
+    EXPECT_THROW(decodedTraces().acquire(path), TraceError);
     std::remove(path.c_str());
 }
 
