@@ -51,10 +51,8 @@ returnOccupancyFraction(const WorkloadPreset &preset,
            static_cast<double>(occupancy);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
     bench::printBanner(
@@ -106,4 +104,14 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

@@ -95,10 +95,8 @@ branchCoverage(const WorkloadPreset &preset, std::uint64_t instructions,
                         coverageCurve(uncond_counts, cuts)};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
     bench::printBanner(
@@ -157,4 +155,14 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

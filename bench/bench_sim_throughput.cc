@@ -168,10 +168,8 @@ configRow(const SimConfig &config, std::uint64_t repeats,
     return row;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     int exit_code = 0;
     if (cli::handleStandardFlags(argc, argv, "bench_sim_throughput",
@@ -368,4 +366,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "results: %s\n", out_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

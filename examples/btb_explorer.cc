@@ -16,13 +16,17 @@
 
 #include "common/table.hh"
 #include "sim/simulator.hh"
+#include "trace/trace_io.hh"
 
 #include <iostream>
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "oracle";
     const std::uint64_t instructions =
@@ -70,4 +74,14 @@ main(int argc, char **argv)
                 "footprints) wins once the branch working set is "
                 "large.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

@@ -16,11 +16,15 @@
 #include <cstdlib>
 
 #include "sim/simulator.hh"
+#include "trace/trace_io.hh"
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "db2";
     const std::uint64_t instructions =
@@ -55,4 +59,14 @@ main(int argc, char **argv)
     std::printf("front-end stalls covered:     %.1f%%\n",
                 100.0 * stallCoverage(shot, base));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

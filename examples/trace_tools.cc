@@ -18,8 +18,11 @@
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "apache";
     const std::uint64_t num_bbs =
@@ -82,4 +85,14 @@ main(int argc, char **argv)
     }
     std::printf("MISMATCH: replay diverged from live generation\n");
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

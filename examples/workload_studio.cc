@@ -55,10 +55,8 @@ parseJobsArg(const char *text)
     return static_cast<unsigned>(value);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     ProgramParams params;
     params.name = "studio";
@@ -227,8 +225,7 @@ main(int argc, char **argv)
 
     runner::RunnerOptions runner_opts;
     runner_opts.jobs = jobs;
-    const auto results = fatalOnTraceError(
-        [&]() { return runner::ExperimentRunner(runner_opts).run(set); });
+    const auto results = runner::ExperimentRunner(runner_opts).run(set);
     const SimResult &base = results[base_idx];
 
     std::printf("\ndelivery schemes on '%s' (baseline IPC %.3f):\n",
@@ -266,4 +263,14 @@ main(int argc, char **argv)
                     u.conserves(r.cycles) ? "" : "  [not conserved!]");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A trace the run cannot use ends the tool: exit 1 with its
+    // message (trace/trace_io.hh).
+    return fatalOnTraceError([&]() { return runTool(argc, argv); });
 }

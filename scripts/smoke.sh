@@ -515,6 +515,23 @@ if stored >= 9000000:
     sys.exit("6 warmed checkpoints charged %d bytes (bound 9000000)"
              % stored)
 '
+# The grid built one program image (nutch, the trace's program). In
+# 20-byte basic-block records allocated once it holds about 29 bytes
+# per static basic block with its indices; the bound sits midway to
+# the ~72 bytes of 40-byte records grown by doubling, and a build
+# reservation left unreleased would trip it too.
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
+    | python3 -c '
+import json, sys
+programs = json.load(sys.stdin)["server"]["programs"]
+if programs["count"] != 1:
+    sys.exit("expected one program image, status shows %d"
+             % programs["count"])
+per_bb = programs["bytes"] / programs["static_bbs"]
+if per_bb >= 50:
+    sys.exit("program image holds %.1f bytes per static basic block "
+             "(bound 50)" % per_bb)
+'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" "${CGRID[@]}" \
     --schemes "$ALL_SCHEMES" --instructions 100000 \
     --out "$BUILD_DIR/smoke/cohort_rerun" > /dev/null

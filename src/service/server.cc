@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/cli.hh"
@@ -415,6 +416,16 @@ SimServer::statusFrame()
                            decodedTraces().stats());
     Value traces = traceStoreStatsJson(registry, "serve.traces");
 
+    // Program images, which programFor publishes as it builds them.
+    Value programs = Value::object();
+    for (const char *field : {"count", "static_bbs", "bytes"}) {
+        programs.set(field,
+                     Value::number(static_cast<std::uint64_t>(
+                         registry.gauge(std::string("sim.programs.") +
+                                        field)
+                             ->value())));
+    }
+
     Value server = Value::object();
     server.set("version", Value::string(cli::kVersion));
     server.set("protocol", Value::number(kProtocolVersion));
@@ -425,6 +436,7 @@ SimServer::statusFrame()
     server.set("submit_memo", submitMemoStatus("serve.submit_memo"));
     server.set("checkpoint", std::move(checkpoint));
     server.set("traces", std::move(traces));
+    server.set("programs", std::move(programs));
     server.set("max_jobs",
                Value::number(std::uint64_t{scheduler_.workers()}));
 

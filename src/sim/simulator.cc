@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/memo.hh"
@@ -65,9 +66,17 @@ programFor(const WorkloadPreset &preset)
     // duplicates wait.
     static MemoCache<std::string, Program> cache;
     // The cache retains every entry for the process lifetime, so the
-    // reference stays valid.
-    return *cache.get(canonicalText(preset.program),
-                      [&preset]() { return Program(preset.program); });
+    // reference stays valid, and the sim.programs.* gauges (rendered
+    // by a daemon's status frame) only ever grow.
+    return *cache.get(canonicalText(preset.program), [&preset]() {
+        Program program(preset.program);
+        obs::Registry &registry = obs::metrics();
+        registry.gauge("sim.programs.count")->add(1);
+        registry.gauge("sim.programs.static_bbs")->add(program.numBBs());
+        registry.gauge("sim.programs.bytes")
+            ->add(static_cast<std::int64_t>(program.footprintBytes()));
+        return program;
+    });
 }
 
 SimulationDelta
@@ -143,30 +152,35 @@ runSimulationDelta(const SimConfig &config)
             recorded = &replay->preset();
             source = std::move(replay);
         }
-        // Compare every generation parameter but the display name.
+        // The file may have changed since a daemon checked it at
+        // submit time, so a trace that does not fit the run fails the
+        // point with a TraceError, never the process. Compare every
+        // generation parameter but the display name.
         ProgramParams recorded_program = recorded->program;
         recorded_program.name = config.workload.program.name;
-        fatal_if(canonicalText(recorded_program) !=
-                     canonicalText(config.workload.program),
-                 "trace '%s' was recorded from program '%s', which "
-                 "does not match this workload's program parameters",
-                 trace_path.c_str(), recorded->program.name.c_str());
+        if (canonicalText(recorded_program) !=
+            canonicalText(config.workload.program)) {
+            throw TraceError("trace '" + trace_path +
+                             "' was recorded from program '" +
+                             recorded->program.name +
+                             "', which does not match this workload's "
+                             "program parameters");
+        }
         const std::uint64_t needed = window.skipInstructions +
                                      config.warmupInstructions +
                                      measure_end;
-        fatal_if(trace_info.instructions < needed,
-                 "trace '%s' holds %llu instructions but the run "
-                 "needs %llu (%llu skipped + %llu warm-up + %llu "
-                 "measured); record a longer trace",
-                 trace_path.c_str(),
-                 static_cast<unsigned long long>(
-                     trace_info.instructions),
-                 static_cast<unsigned long long>(needed),
-                 static_cast<unsigned long long>(
-                     window.skipInstructions),
-                 static_cast<unsigned long long>(
-                     config.warmupInstructions),
-                 static_cast<unsigned long long>(measure_end));
+        if (trace_info.instructions < needed) {
+            throw TraceError(
+                "trace '" + trace_path + "' holds " +
+                std::to_string(trace_info.instructions) +
+                " instructions but the run needs " +
+                std::to_string(needed) + " (" +
+                std::to_string(window.skipInstructions) +
+                " skipped + " +
+                std::to_string(config.warmupInstructions) +
+                " warm-up + " + std::to_string(measure_end) +
+                " measured); record a longer trace");
+        }
         // Use the recorded seed so the data-side model reproduces the
         // run the trace was captured from, bit for bit.
         control_seed = trace_info.traceSeed;

@@ -154,11 +154,17 @@ double stallCoverage(const SimResult &result, const SimResult &baseline);
  * programs are memoized by the canonical encoding of their
  * ProgramParams (sim/canonical.hh). Two presets may share a name yet
  * differ in knobs; they get distinct images. Thread-safe; distinct
- * programs build concurrently.
+ * programs build concurrently. Each build adds to the registry gauges
+ * sim.programs.count, .static_bbs and .bytes (Program::footprintBytes).
  */
 const Program &programFor(const WorkloadPreset &preset);
 
-/** Run one (workload, scheme) simulation. */
+/**
+ * Run one (workload, scheme) simulation. A trace-backed run throws
+ * TraceError (trace/trace_io.hh) when its trace cannot be read, was
+ * recorded from other program parameters or is too short for the
+ * run; a command-line tool wraps the call in fatalOnTraceError.
+ */
 SimResult runSimulation(const SimConfig &config);
 
 /**

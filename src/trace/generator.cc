@@ -36,30 +36,27 @@ TraceGenerator::conditionalOutcome(std::uint32_t bb_idx,
       case BiasClass::Loop: {
         std::uint32_t &count = counters_[bb_idx];
         ++count;
-        if (count < bb.loopTrip)
+        if (count < bb.loopTrip())
             return true;
         count = 0;
         return false;
       }
       case BiasClass::Pattern: {
-        const std::uint32_t pos = counters_[bb_idx]++ % bb.patternLen;
-        return (bb.pattern >> pos) & 1u;
+        const std::uint32_t pos = counters_[bb_idx]++ % bb.patternLen();
+        return (bb.pattern() >> pos) & 1u;
       }
       default: {
         // Sticky branches resolve the same way every time the same
         // request type executes them (see ProgramParams::stickyFrac);
         // the rest are independent draws against the branch's bias.
-        const double sticky_frac = program_.params().stickyFrac;
-        if (sticky_frac > 0.0 &&
-            (mix64(bb_idx) & 0xffff) <
-                static_cast<std::uint64_t>(sticky_frac * 65536.0)) {
+        if (bb.sticky()) {
             const std::uint64_t h = mix64(
                 (static_cast<std::uint64_t>(bb_idx) << 20) ^
                 requestType_);
             return static_cast<double>(h >> 11) * 0x1.0p-53 <
-                   bb.takenProb;
+                   bb.takenProb();
         }
-        return rng_.chance(bb.takenProb);
+        return rng_.chance(bb.takenProb());
       }
     }
 }
@@ -68,10 +65,10 @@ bool
 TraceGenerator::next(BBRecord &out)
 {
     const StaticBB &bb = program_.bb(cur_);
-    out.startAddr = bb.startAddr;
+    out.startAddr = bb.startAddr();
     out.numInstrs = bb.numInstrs;
     out.type = bb.type;
-    out.target = bb.targetAddr;
+    out.target = bb.targetAddr();
     out.taken = false;
 
     std::uint32_t next_bb = cur_ + 1;
@@ -118,7 +115,7 @@ TraceGenerator::next(BBRecord &out)
             next_bb = stack_.back();
             stack_.pop_back();
         }
-        out.target = program_.bb(next_bb).startAddr;
+        out.target = program_.bb(next_bb).startAddr();
         break;
       default:
         panic("invalid branch type in program image");

@@ -1,12 +1,38 @@
 #include "trace/program.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "common/logging.hh"
 
 namespace shotgun
 {
+
+namespace
+{
+
+/** The float bits a StaticBB's param word holds for `prob`. */
+std::uint32_t
+probBits(double prob)
+{
+    const float value = static_cast<float>(prob);
+    std::uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** Point `bb`'s taken target at the start of `target`. */
+void
+setTarget(StaticBB &bb, const StaticBB &target)
+{
+    bb.targetInstr = target.startInstr;
+    bb.flags |= StaticBB::kHasTarget;
+    if (target.flags & StaticBB::kStartOs)
+        bb.flags |= StaticBB::kTargetOs;
+}
+
+} // namespace
 
 /**
  * Per-level callee lists and Zipf samplers built once before basic
@@ -102,9 +128,15 @@ Program::build()
     if (!trapHandlers_.empty())
         tables.handlerSampler.build(trapHandlers_.size(), 0.8);
 
-    // Pass 2: generate basic blocks for every function.
+    // Pass 2: generate basic blocks for every function, into one
+    // reservation no function can outgrow; the exact-size copy then
+    // returns it (see the file comment in program.hh).
+    bbs_.reserve(std::size_t{num_total} *
+                 std::max({params_.minBBsPerFunc, params_.maxBBsPerFunc,
+                           params_.largeFuncBBs}));
     for (std::uint32_t f = 0; f < num_total; ++f)
         buildFunction(f, rng, tables);
+    bbs_.shrink_to_fit();
 
     // Pass 3: lay functions out in the address space and resolve
     // branch targets to absolute addresses.
@@ -135,9 +167,9 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
         bb.numInstrs = static_cast<std::uint8_t>(
             rng.geometric(params_.bbGrowProb, params_.minBBInstrs,
                           params_.maxBBInstrs));
-        // Temporarily store the instruction offset; pass 3 turns it
-        // into an absolute address.
-        bb.startAddr = instr_offset;
+        // The offset from the function entry; pass 3 rebases it on
+        // the code area.
+        bb.startInstr = instr_offset;
         instr_offset += bb.numInstrs;
 
         const bool last = (i + 1 == num_bbs);
@@ -163,7 +195,7 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                 const std::uint32_t back = static_cast<std::uint32_t>(
                     rng.range(1, std::min<std::uint64_t>(4, i)));
                 bb.targetBB = fn.firstBB + (i - back);
-                bb.loopTrip = static_cast<std::uint16_t>(
+                bb.param = static_cast<std::uint16_t>(
                     rng.range(params_.minLoopTrip, params_.maxLoopTrip));
             } else if (can_skip_forward) {
                 const std::uint32_t skip = static_cast<std::uint32_t>(
@@ -176,28 +208,29 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                     rng.chance(params_.takenBiasFrac);
                 if (c < params_.patternFrac) {
                     bb.bias = BiasClass::Pattern;
-                    bb.patternLen = static_cast<std::uint8_t>(
+                    const auto len = static_cast<std::uint8_t>(
                         rng.range(2, 8));
-                    bb.pattern = static_cast<std::uint32_t>(
-                        rng.next() & ((1u << bb.patternLen) - 1));
+                    const auto pattern = static_cast<std::uint32_t>(
+                        rng.next() & ((1u << len) - 1));
+                    bb.param = pattern | std::uint32_t{len} << 8;
                 } else if (c < params_.patternFrac + params_.strongFrac) {
                     bb.bias = toward_taken ? BiasClass::StrongTaken
                                            : BiasClass::StrongNotTaken;
-                    bb.takenProb = static_cast<float>(
-                        toward_taken ? params_.strongProb
-                                     : 1.0 - params_.strongProb);
+                    bb.param = probBits(toward_taken
+                                            ? params_.strongProb
+                                            : 1.0 - params_.strongProb);
                 } else if (c < params_.patternFrac + params_.strongFrac +
                                params_.mediumFrac) {
                     bb.bias = toward_taken ? BiasClass::MediumTaken
                                            : BiasClass::MediumNotTaken;
-                    bb.takenProb = static_cast<float>(
-                        toward_taken ? params_.mediumProb
-                                     : 1.0 - params_.mediumProb);
+                    bb.param = probBits(toward_taken
+                                            ? params_.mediumProb
+                                            : 1.0 - params_.mediumProb);
                 } else {
                     bb.bias = BiasClass::Weak;
-                    bb.takenProb = static_cast<float>(
-                        rng.chance(0.5) ? params_.weakProb
-                                        : 1.0 - params_.weakProb);
+                    bb.param = probBits(rng.chance(0.5)
+                                            ? params_.weakProb
+                                            : 1.0 - params_.weakProb);
                 }
             } else {
                 // No room for a forward skip: tail position becomes
@@ -225,12 +258,14 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
         if (make_call) {
             // Call site; may become a trap (app code only), and
             // degrades to a straight-line split in leaf functions.
+            // targetBB holds the callee's function index until pass 3
+            // maps it to the callee's first basic block.
             const bool is_trap = !fn.isOs && !trapHandlers_.empty() &&
                 rng.chance(params_.trapFrac);
             if (is_trap) {
                 bb.type = BranchType::Trap;
-                bb.callee = trapHandlers_[tables.handlerSampler
-                                              .sample(rng)];
+                bb.targetBB = trapHandlers_[tables.handlerSampler
+                                                .sample(rng)];
             } else {
                 const auto &levels =
                     fn.isOs ? tables.osLevel : tables.appLevel;
@@ -247,7 +282,7 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                         bb.type = BranchType::None;
                     } else {
                         bb.type = BranchType::Call;
-                        bb.callee =
+                        bb.targetBB =
                             levels[tl][samplers[tl].sample(rng)];
                     }
                 }
@@ -278,6 +313,7 @@ Program::finalizeAddresses(Rng &rng)
     Addr app_cursor = kAppCodeBase;
     Addr os_cursor = kOsCodeBase;
     std::vector<std::uint32_t> os_by_entry;
+    funcByEntry_.reserve(funcs_.size());
     for (const std::uint32_t f : order) {
         Function &fn = funcs_[f];
         Addr &cursor = fn.isOs ? os_cursor : app_cursor;
@@ -288,28 +324,47 @@ Program::finalizeAddresses(Rng &rng)
         codeBytes_ += fn.sizeBytes;
     }
 
-    // Resolve basic-block start addresses and branch targets.
+    // A StaticBB keeps its addresses as u32 instruction offsets.
+    constexpr Addr kMaxAreaBytes = (Addr{1} << 32) * kInstrBytes;
+    fatal_if(app_cursor - kAppCodeBase > kMaxAreaBytes ||
+                 os_cursor - kOsCodeBase > kMaxAreaBytes,
+             "Program '%s': a code area above 2^32 instructions (16 GiB)",
+             params_.name.c_str());
+
+    // Rebase basic-block starts on their code area, then resolve
+    // branch targets and the generator's sticky predicate.
     for (const Function &fn : funcs_) {
+        const Addr base = fn.isOs ? kOsCodeBase : kAppCodeBase;
+        const auto entry_instr =
+            static_cast<std::uint32_t>((fn.entry - base) / kInstrBytes);
         for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
             StaticBB &bb = bbs_[fn.firstBB + i];
-            bb.startAddr = fn.entry + bb.startAddr * kInstrBytes;
+            bb.startInstr += entry_instr;
+            if (fn.isOs)
+                bb.flags |= StaticBB::kStartOs;
         }
     }
-    for (StaticBB &bb : bbs_) {
+    const std::uint64_t sticky_cut =
+        params_.stickyFrac > 0.0
+            ? static_cast<std::uint64_t>(params_.stickyFrac * 65536.0)
+            : 0;
+    for (std::uint32_t idx = 0; idx < bbs_.size(); ++idx) {
+        StaticBB &bb = bbs_[idx];
         switch (bb.type) {
           case BranchType::Conditional:
           case BranchType::Jump:
-            bb.targetAddr = bbs_[bb.targetBB].startAddr;
+            setTarget(bb, bbs_[bb.targetBB]);
             break;
           case BranchType::Call:
           case BranchType::Trap:
-            bb.targetAddr = funcs_[bb.callee].entry;
-            bb.targetBB = funcs_[bb.callee].firstBB;
+            bb.targetBB = funcs_[bb.targetBB].firstBB;
+            setTarget(bb, bbs_[bb.targetBB]);
             break;
           default:
-            bb.targetAddr = 0;
             break;
         }
+        if ((mix64(idx) & 0xffff) < sticky_cut)
+            bb.flags |= StaticBB::kSticky;
         if (isBranch(bb.type))
             ++staticBranches_;
     }
@@ -346,7 +401,7 @@ Program::buildBlockIndex(BlockIndex &index, Addr base, Addr end,
     std::size_t pos = first_pos;
     for (std::size_t b = 0; b <= blocks; ++b) {
         while (pos < end_pos &&
-               blockNumber(bbs_[bbsByAddr_[pos]].startAddr) <
+               blockNumber(bbs_[bbsByAddr_[pos]].startAddr()) <
                    index.firstBlock + b) {
             ++pos;
         }
@@ -369,15 +424,6 @@ Program::blockBBs(Addr block_number) const
     return BBSpan{};
 }
 
-void
-Program::blockBranches(Addr block_number,
-                       std::vector<StaticBBInfo> &out) const
-{
-    out.clear();
-    for (const std::uint32_t idx : blockBBs(block_number))
-        out.push_back(staticInfo(idx));
-}
-
 bool
 Program::staticBBAt(Addr addr, StaticBBInfo &out) const
 {
@@ -391,8 +437,14 @@ Program::staticBBAt(Addr addr, StaticBBInfo &out) const
 std::uint32_t
 Program::bbIndexAt(Addr addr) const
 {
+    // A block's basic blocks all lie in the code area holding `addr`,
+    // so an instruction boundary matches on the packed offset alone.
+    if (addr % kInstrBytes != 0)
+        return UINT32_MAX;
+    const Addr base = addr >= kOsCodeBase ? kOsCodeBase : kAppCodeBase;
+    const Addr instr = (addr - base) / kInstrBytes;
     for (const std::uint32_t idx : blockBBs(blockNumber(addr))) {
-        if (bbs_[idx].startAddr == addr)
+        if (bbs_[idx].startInstr == instr)
             return idx;
     }
     return UINT32_MAX;
@@ -411,6 +463,18 @@ Program::functionIndexAt(Addr addr) const
     if (addr >= fn.entry + fn.sizeBytes)
         return UINT32_MAX;
     return f;
+}
+
+std::size_t
+Program::footprintBytes() const
+{
+    auto bytes = [](const auto &v) {
+        return v.capacity() * sizeof(v[0]);
+    };
+    return sizeof(*this) + params_.name.capacity() + bytes(funcs_) +
+           bytes(bbs_) + bytes(trapHandlers_) + bytes(topLevel_) +
+           bytes(funcEntries_) + bytes(funcByEntry_) + bytes(bbsByAddr_) +
+           bytes(appIndex_.firstBB) + bytes(osIndex_.firstBB);
 }
 
 } // namespace shotgun

@@ -22,12 +22,40 @@
  * The image also acts as the predecoder oracle: given a cache block,
  * it reports the basic blocks starting inside it, which is exactly
  * the information a real predecoder extracts from instruction bytes.
+ *
+ * Memory layout. The image is the largest thing a simulation process
+ * holds (oracle alone has ~370K static basic blocks over 10 MB of
+ * code), so each static basic block is one 20-byte StaticBB record:
+ *
+ *  - stored: the start and the taken target as u32 instruction
+ *    offsets from their code area's base (a flag bit names the area,
+ *    another says whether there is a target), the target's global BB
+ *    index, one class-dependent parameter word (taken probability,
+ *    loop trip count or outcome pattern), and one byte each of size,
+ *    branch type, bias class and flags;
+ *  - derived, without branches: the absolute start and target
+ *    addresses (an offset plus a code-area base read from a table
+ *    indexed by the flag bits, whose "no target" entries are 0) and
+ *    the class-dependent fields, through accessors that return the
+ *    values drawn when the image was built;
+ *  - computed once at build: the generator's sticky predicate
+ *    (ProgramParams::stickyFrac), kept as a flag bit.
+ *
+ * The taken target is stored rather than derived from its target
+ * record, so a predecoded or generated branch reads one record.
+ *
+ * One allocation: the record array is reserved at a bound taken from
+ * the parameters before the basic blocks are generated, then copied
+ * once to its exact size. Reserved pages that are never touched never
+ * become resident, and no chain of doubling buffers is left behind as
+ * freed but resident heap.
  */
 
 #ifndef SHOTGUN_TRACE_PROGRAM_HH
 #define SHOTGUN_TRACE_PROGRAM_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,21 +78,121 @@ enum class BiasClass : std::uint8_t
     Loop,           ///< Back-edge with a fixed trip count.
 };
 
-/** One static basic block of the program image. */
+/** Base virtual address of application code. */
+constexpr Addr kAppCodeBase = 0x0000000000400000ULL;
+
+/** Base virtual address of OS (trap handler) code. */
+constexpr Addr kOsCodeBase = 0x00007f0000000000ULL;
+
+/**
+ * One static basic block of the program image, packed into 20 bytes
+ * (see the file comment). Addresses are stored as u32 instruction
+ * offsets from their code area's base, so a code area holds at most
+ * 2^32 instructions (16 GiB of code).
+ */
 struct StaticBB
 {
-    Addr startAddr = 0;       ///< Absolute address of the first instr.
-    Addr targetAddr = 0;      ///< Absolute taken-target (0 for Return).
-    std::uint32_t targetBB = 0; ///< Global BB index of the taken target.
-    std::uint32_t callee = 0; ///< Function index for Call/Trap.
-    float takenProb = 0.5f;   ///< Taken probability for bias classes.
-    std::uint16_t loopTrip = 0; ///< Loop trip count for Loop class.
-    std::uint32_t pattern = 0;  ///< Outcome bits for Pattern class.
-    std::uint8_t patternLen = 0;
+    /** Bits of `flags`. */
+    static constexpr std::uint8_t kStartOs = 1;   ///< Start in OS area.
+    static constexpr std::uint8_t kTargetOs = 2;  ///< Target in OS area.
+    static constexpr std::uint8_t kHasTarget = 4; ///< Has a taken target.
+    static constexpr std::uint8_t kSticky = 8;    ///< See sticky().
+
+    std::uint32_t startInstr = 0;  ///< Start, instrs from area base.
+    std::uint32_t targetInstr = 0; ///< Taken target, likewise.
+    std::uint32_t targetBB = 0;    ///< Global BB index of the target.
+
+    /**
+     * Class-dependent parameter: takenProb's float bits for the biased
+     * classes, the trip count for Loop, `pattern | patternLen << 8`
+     * for Pattern. Read it through the accessors.
+     */
+    std::uint32_t param = kDefaultProbBits;
+
     std::uint8_t numInstrs = 1;
     BranchType type = BranchType::None;
     BiasClass bias = BiasClass::Weak;
+    std::uint8_t flags = 0;
+
+    /** Absolute address of the first instruction. */
+    Addr
+    startAddr() const
+    {
+        return kStartBase[flags & kAreaBits] +
+               Addr{startInstr} * kInstrBytes;
+    }
+
+    /** Absolute taken target; 0 for Return, TrapReturn and None. */
+    Addr
+    targetAddr() const
+    {
+        // A block without a target keeps targetInstr 0, so its base
+        // of 0 decodes to 0.
+        return kTargetBase[flags & kAreaBits] +
+               Addr{targetInstr} * kInstrBytes;
+    }
+
+    /** Taken probability of the biased classes (0.5 for the others). */
+    float
+    takenProb() const
+    {
+        const bool has_prob =
+            bias != BiasClass::Loop && bias != BiasClass::Pattern;
+        const std::uint32_t bits = has_prob ? param : kDefaultProbBits;
+        float prob;
+        std::memcpy(&prob, &bits, sizeof(prob));
+        return prob;
+    }
+
+    /** Trip count of a Loop branch (0 for the other classes). */
+    std::uint32_t
+    loopTrip() const
+    {
+        return bias == BiasClass::Loop ? param : 0;
+    }
+
+    /** Outcome bits of a Pattern branch (0 for the other classes). */
+    std::uint32_t
+    pattern() const
+    {
+        return bias == BiasClass::Pattern ? param & 0xffu : 0;
+    }
+
+    /** Pattern length in outcomes (0 for the other classes). */
+    std::uint32_t
+    patternLen() const
+    {
+        return bias == BiasClass::Pattern ? param >> 8 : 0;
+    }
+
+    /**
+     * Whether a biased conditional resolves as a fixed function of
+     * (branch, request type) rather than as an independent draw (see
+     * ProgramParams::stickyFrac). Computed once when the image is
+     * built.
+     */
+    bool sticky() const { return flags & kSticky; }
+
+    /** 0.5f, the taken probability of a block whose class sets none. */
+    static constexpr std::uint32_t kDefaultProbBits = 0x3f000000u;
+
+    /**
+     * The code-area bases of the start and of the target, indexed by
+     * the kStartOs, kTargetOs and kHasTarget bits: the decode reads a
+     * table, with no branch on the area or the branch type.
+     */
+    static constexpr std::uint8_t kAreaBits =
+        kStartOs | kTargetOs | kHasTarget;
+    static constexpr Addr kStartBase[8] = {
+        kAppCodeBase, kOsCodeBase, kAppCodeBase, kOsCodeBase,
+        kAppCodeBase, kOsCodeBase, kAppCodeBase, kOsCodeBase,
+    };
+    static constexpr Addr kTargetBase[8] = {
+        0, 0, 0, 0, kAppCodeBase, kAppCodeBase, kOsCodeBase, kOsCodeBase,
+    };
 };
+
+static_assert(sizeof(StaticBB) == 20, "StaticBB is a 20-byte record");
 
 /** One function: a contiguous slice of the global basic-block array. */
 struct Function
@@ -169,7 +297,6 @@ class Program
     const std::string &name() const { return params_.name; }
 
     const std::vector<Function> &functions() const { return funcs_; }
-    const std::vector<StaticBB> &basicBlocks() const { return bbs_; }
 
     const Function &function(std::uint32_t idx) const
     {
@@ -220,16 +347,12 @@ class Program
      */
     BBSpan blockBBs(Addr block_number) const;
 
-    /** blockBBs() as predecoded records. */
-    void blockBranches(Addr block_number,
-                       std::vector<StaticBBInfo> &out) const;
-
     /** Predecoded record of global basic block `global_idx`. */
     StaticBBInfo
     staticInfo(std::uint32_t global_idx) const
     {
         const StaticBB &bb = bbs_[global_idx];
-        return StaticBBInfo{bb.startAddr, bb.targetAddr, bb.numInstrs,
+        return StaticBBInfo{bb.startAddr(), bb.targetAddr(), bb.numInstrs,
                             bb.type};
     }
 
@@ -244,6 +367,9 @@ class Program
 
     /** Function containing `addr`, or UINT32_MAX. */
     std::uint32_t functionIndexAt(Addr addr) const;
+
+    /** Bytes the image holds: the object and every array's capacity. */
+    std::size_t footprintBytes() const;
 
   private:
     struct CallTargetTables;
@@ -291,12 +417,6 @@ class Program
     std::uint64_t codeBytes_ = 0;
     std::uint64_t staticBranches_ = 0;
 };
-
-/** Base virtual address of application code. */
-constexpr Addr kAppCodeBase = 0x0000000000400000ULL;
-
-/** Base virtual address of OS (trap handler) code. */
-constexpr Addr kOsCodeBase = 0x00007f0000000000ULL;
 
 } // namespace shotgun
 

@@ -106,8 +106,9 @@ struct WriteArchive
 
 /**
  * Header-parse failure carried as data so the caller chooses the
- * severity: readTraceInfo()/TraceFileSource stay fatal() (right for
- * the CLIs), tryReadTraceInfo() reports it (required by the
+ * severity: readTraceInfo() and buildTraceIndex() stay fatal()
+ * (right for the CLIs); tryReadTraceInfo() reports it and
+ * TraceFileSource throws it as a TraceError (both reached by the
  * simulation service, where a bad file must never kill the daemon).
  */
 struct HeaderError
@@ -300,8 +301,14 @@ TraceWriter::close()
 TraceFileSource::TraceFileSource(const std::string &path)
     : in_(path, std::ios::binary), path_(path)
 {
-    fatal_if(!in_.is_open(), "cannot open trace file '%s'", path.c_str());
-    TraceInfo info = parseHeader(in_, path_);
+    if (!in_.is_open())
+        throw TraceError("cannot open trace file '" + path + "'");
+    TraceInfo info;
+    try {
+        info = parseHeaderOrThrow(in_, path_);
+    } catch (const HeaderError &e) {
+        throw TraceError(e.message);
+    }
     preset_ = std::move(info.preset);
     traceSeed_ = info.traceSeed;
     total_ = info.records;

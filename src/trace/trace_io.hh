@@ -47,13 +47,15 @@ constexpr std::uint32_t kTraceMagic = 0x47544853; // "SHTG"
 constexpr std::uint32_t kTraceVersion = 2;
 
 /**
- * Damaged trace records: a truncated file, a bad branch type, or
- * counts that disagree with the header. The readers a daemon reaches
- * throw it -- TraceFileSource::next() and its window-index seek, the
- * shared decode and its header re-read (trace/decoded_trace.hh) -- so
- * a bad file, or one deleted or rewritten after the submit-time
- * check, fails its point, never the process. The message is the one
- * the tools print.
+ * A trace a run cannot use: a missing file, a bad header, damaged
+ * records (a truncated file, a bad branch type, counts that disagree
+ * with the header), or a recording that does not fit the run. The
+ * readers a daemon reaches throw it -- TraceFileSource's constructor,
+ * next() and window-index seek, the shared decode and its header
+ * re-read (trace/decoded_trace.hh), and runSimulation()'s program and
+ * length checks -- so a bad file, or one deleted or rewritten after
+ * the submit-time check, fails its point, never the process. The
+ * message is the one the tools print.
  */
 struct TraceError : std::runtime_error
 {
@@ -191,7 +193,10 @@ bool tryReadTraceIndex(const std::string &idx_path,
 class TraceFileSource : public TraceSource
 {
   public:
-    /** Open `path` for reading; fatal() on failure or bad header. */
+    /**
+     * Open `path` for reading; throws TraceError when it cannot be
+     * opened or its header is bad.
+     */
     explicit TraceFileSource(const std::string &path);
 
     /** The next record; throws TraceError on a damaged one. */

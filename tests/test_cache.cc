@@ -427,10 +427,10 @@ TEST(PredecoderTest, MatchesProgramOracle)
     const Function &fn = program.function(10);
     const StaticBB &bb = program.bb(fn.firstBB);
     const auto &decoded =
-        predecoder.decodeBlock(blockNumber(bb.startAddr));
+        predecoder.decodeBlock(blockNumber(bb.startAddr()));
     bool found = false;
     for (const BTBEntry &entry : decoded) {
-        if (entry.bbStart == bb.startAddr) {
+        if (entry.bbStart == bb.startAddr()) {
             found = true;
             EXPECT_EQ(entry.type, bb.type);
             EXPECT_EQ(entry.numInstrs, bb.numInstrs);
@@ -440,8 +440,8 @@ TEST(PredecoderTest, MatchesProgramOracle)
     EXPECT_GT(predecoder.blocksDecoded(), 0u);
 
     BTBEntry single;
-    EXPECT_TRUE(predecoder.decodeBB(bb.startAddr, single));
-    EXPECT_EQ(single.bbStart, bb.startAddr);
+    EXPECT_TRUE(predecoder.decodeBB(bb.startAddr(), single));
+    EXPECT_EQ(single.bbStart, bb.startAddr());
     EXPECT_FALSE(predecoder.decodeBB(0xdead000, single));
 }
 

@@ -70,8 +70,8 @@ firstCallRecord(const Program &program)
         const StaticBB &bb = program.bb(i);
         if (bb.type == BranchType::Call) {
             BBRecord rec;
-            rec.startAddr = bb.startAddr;
-            rec.target = bb.targetAddr;
+            rec.startAddr = bb.startAddr();
+            rec.target = bb.targetAddr();
             rec.numInstrs = bb.numInstrs;
             rec.type = bb.type;
             rec.taken = true;
@@ -151,9 +151,9 @@ TEST(BoomerangSchemeTest, PredecodeStagesNeighborsInBuffer)
     scheme.processBB(call, 0, result);
     // Any other BB in the same block must now be staged: migrating it
     // later must not stall.
-    std::vector<StaticBBInfo> in_block;
-    bench.program.blockBranches(blockNumber(call.startAddr), in_block);
-    for (const auto &info : in_block) {
+    for (const std::uint32_t idx :
+         bench.program.blockBBs(blockNumber(call.startAddr))) {
+        const StaticBBInfo info = bench.program.staticInfo(idx);
         if (info.startAddr == call.startAddr)
             continue;
         EXPECT_TRUE(scheme.prefetchBuffer().contains(info.startAddr));
@@ -214,8 +214,8 @@ TEST(ShotgunSchemeTest, PrefetchedBlockPrefillsCBTB)
         const StaticBB &bb = bench.program.bb(i);
         if (bb.type != BranchType::Conditional)
             continue;
-        scheme.onFill(blockNumber(bb.startAddr), true, 0);
-        EXPECT_NE(scheme.btbs().cbtb().probe(bb.startAddr), nullptr);
+        scheme.onFill(blockNumber(bb.startAddr()), true, 0);
+        EXPECT_NE(scheme.btbs().cbtb().probe(bb.startAddr()), nullptr);
         EXPECT_GT(scheme.btbs().cbtb().prefills(), 0u);
         return;
     }

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -71,7 +72,7 @@ TEST(ProgramTest, BBsAreContiguousWithinFunction)
         Addr expect = fn.entry;
         for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
             const StaticBB &bb = prog.bb(fn.firstBB + i);
-            EXPECT_EQ(bb.startAddr, expect);
+            EXPECT_EQ(bb.startAddr(), expect);
             expect += bb.numInstrs * kInstrBytes;
         }
         EXPECT_EQ(expect, fn.entry + fn.sizeBytes);
@@ -100,8 +101,8 @@ TEST(ProgramTest, BranchTargetsStayInsideFunction)
                 bb.type == BranchType::Jump) {
                 EXPECT_GE(bb.targetBB, fn.firstBB);
                 EXPECT_LT(bb.targetBB, fn.firstBB + fn.numBBs);
-                EXPECT_GE(bb.targetAddr, fn.entry);
-                EXPECT_LT(bb.targetAddr, fn.entry + fn.sizeBytes);
+                EXPECT_GE(bb.targetAddr(), fn.entry);
+                EXPECT_LT(bb.targetAddr(), fn.entry + fn.sizeBytes);
             }
         }
     }
@@ -113,14 +114,21 @@ TEST(ProgramTest, CallGraphIsAcyclicByLevel)
     for (const auto &fn : prog.functions()) {
         for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
             const StaticBB &bb = prog.bb(fn.firstBB + i);
+            if (!isCallType(bb.type))
+                continue;
+            const std::uint32_t callee_idx =
+                prog.functionIndexAt(bb.targetAddr());
+            ASSERT_NE(callee_idx, UINT32_MAX);
+            const Function &callee = prog.function(callee_idx);
+            EXPECT_EQ(bb.targetAddr(), callee.entry);
+            EXPECT_EQ(bb.targetBB, callee.firstBB);
             if (bb.type == BranchType::Call) {
-                const Function &callee = prog.function(bb.callee);
                 EXPECT_LT(callee.level, fn.level)
                     << "call must target a strictly lower level";
                 EXPECT_EQ(callee.isOs, fn.isOs)
                     << "plain calls stay within app or OS code";
-            } else if (bb.type == BranchType::Trap) {
-                EXPECT_TRUE(prog.function(bb.callee).isHandler);
+            } else {
+                EXPECT_TRUE(callee.isHandler);
             }
         }
     }
@@ -145,7 +153,7 @@ TEST(ProgramTest, AddressLookupsRoundTrip)
         EXPECT_EQ(prog.functionIndexAt(fn.entry), f);
         EXPECT_EQ(prog.functionIndexAt(fn.entry + fn.sizeBytes - 1), f);
         const StaticBB &bb0 = prog.bb(fn.firstBB);
-        EXPECT_EQ(prog.bbIndexAt(bb0.startAddr), fn.firstBB);
+        EXPECT_EQ(prog.bbIndexAt(bb0.startAddr()), fn.firstBB);
     }
     EXPECT_EQ(prog.functionIndexAt(0x1000), UINT32_MAX);
     EXPECT_EQ(prog.bbIndexAt(0x1000), UINT32_MAX);
@@ -154,21 +162,21 @@ TEST(ProgramTest, AddressLookupsRoundTrip)
 TEST(ProgramTest, BlockBranchesOracleMatchesBBs)
 {
     Program prog(smallParams());
-    std::vector<StaticBBInfo> found;
     // Exhaustively check a sample of functions: every BB must be
     // reported by the oracle for its containing block.
     for (std::uint32_t f = 0; f < prog.numFunctions(); f += 11) {
         const Function &fn = prog.function(f);
         for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
             const StaticBB &bb = prog.bb(fn.firstBB + i);
-            prog.blockBranches(blockNumber(bb.startAddr), found);
             bool present = false;
-            for (const auto &info : found) {
-                if (info.startAddr == bb.startAddr) {
+            for (const std::uint32_t idx :
+                 prog.blockBBs(blockNumber(bb.startAddr()))) {
+                const StaticBBInfo info = prog.staticInfo(idx);
+                if (info.startAddr == bb.startAddr()) {
                     present = true;
                     EXPECT_EQ(info.numInstrs, bb.numInstrs);
                     EXPECT_EQ(info.type, bb.type);
-                    EXPECT_EQ(info.target, bb.targetAddr);
+                    EXPECT_EQ(info.target, bb.targetAddr());
                 }
             }
             EXPECT_TRUE(present);
@@ -189,14 +197,15 @@ TEST(ProgramTest, BlockIndexMatchesBruteForceScan)
         Addr app_end = 0, os_end = 0;
         for (std::uint32_t i = 0; i < prog.numBBs(); ++i) {
             const StaticBB &bb = prog.bb(i);
-            by_block[blockNumber(bb.startAddr)].push_back(i);
-            Addr &end = bb.startAddr >= kOsCodeBase ? os_end : app_end;
-            end = std::max(end, blockNumber(bb.startAddr));
+            by_block[blockNumber(bb.startAddr())].push_back(i);
+            Addr &end = bb.startAddr() >= kOsCodeBase ? os_end : app_end;
+            end = std::max(end, blockNumber(bb.startAddr()));
         }
         for (auto &[block, bbs] : by_block) {
             std::sort(bbs.begin(), bbs.end(),
                       [&](std::uint32_t a, std::uint32_t b) {
-                          return prog.bb(a).startAddr < prog.bb(b).startAddr;
+                          return prog.bb(a).startAddr() <
+                                 prog.bb(b).startAddr();
                       });
         }
 
@@ -220,9 +229,9 @@ TEST(ProgramTest, BlockIndexMatchesBruteForceScan)
                 for (const std::uint32_t idx : got) {
                     const StaticBB &bb = prog.bb(idx);
                     const StaticBBInfo info = prog.staticInfo(idx);
-                    EXPECT_EQ(info.startAddr, bb.startAddr);
-                    EXPECT_EQ(info.target, bb.targetAddr);
-                    EXPECT_EQ(prog.bbIndexAt(bb.startAddr), idx);
+                    EXPECT_EQ(info.startAddr, bb.startAddr());
+                    EXPECT_EQ(info.target, bb.targetAddr());
+                    EXPECT_EQ(prog.bbIndexAt(bb.startAddr()), idx);
                 }
             }
         }
@@ -237,10 +246,10 @@ TEST(ProgramTest, StaticBBAtExactMatchOnly)
     const Function &fn = prog.function(0);
     const StaticBB &bb = prog.bb(fn.firstBB);
     StaticBBInfo info;
-    EXPECT_TRUE(prog.staticBBAt(bb.startAddr, info));
-    EXPECT_EQ(info.startAddr, bb.startAddr);
+    EXPECT_TRUE(prog.staticBBAt(bb.startAddr(), info));
+    EXPECT_EQ(info.startAddr, bb.startAddr());
     if (bb.numInstrs > 1) {
-        EXPECT_FALSE(prog.staticBBAt(bb.startAddr + 4, info));
+        EXPECT_FALSE(prog.staticBBAt(bb.startAddr() + 4, info));
     }
 }
 
@@ -249,9 +258,9 @@ TEST(ProgramTest, DeterministicForSameSeed)
     Program a(smallParams(99)), b(smallParams(99));
     ASSERT_EQ(a.numBBs(), b.numBBs());
     for (std::uint32_t i = 0; i < a.numBBs(); i += 13) {
-        EXPECT_EQ(a.bb(i).startAddr, b.bb(i).startAddr);
+        EXPECT_EQ(a.bb(i).startAddr(), b.bb(i).startAddr());
         EXPECT_EQ(a.bb(i).type, b.bb(i).type);
-        EXPECT_EQ(a.bb(i).targetAddr, b.bb(i).targetAddr);
+        EXPECT_EQ(a.bb(i).targetAddr(), b.bb(i).targetAddr());
     }
 }
 
@@ -260,9 +269,91 @@ TEST(ProgramTest, DifferentSeedsProduceDifferentLayouts)
     Program a(smallParams(1)), b(smallParams(2));
     bool differs = a.numBBs() != b.numBBs();
     for (std::uint32_t i = 0; !differs && i < a.numBBs(); ++i)
-        differs = a.bb(i).startAddr != b.bb(i).startAddr ||
+        differs = a.bb(i).startAddr() != b.bb(i).startAddr() ||
                   a.bb(i).type != b.bb(i).type;
     EXPECT_TRUE(differs);
+}
+
+/** FNV-1a over little-endian u64 words. */
+struct WordDigest
+{
+    std::uint64_t value = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t word)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            value ^= (word >> (8 * i)) & 0xff;
+            value *= 0x100000001b3ULL;
+        }
+    }
+};
+
+TEST(ProgramTest, PackedImageIsLossless)
+{
+    // Digests of every static basic block's decoded view and of every
+    // function row of the six presets, recorded by the same loop over
+    // the fields of the unpacked 40-byte record the packed one
+    // replaced: packing the image changed no value. Each block's
+    // sticky flag must equal the generator's per-draw predicate.
+    struct Expected
+    {
+        std::uint32_t bbs;
+        std::uint64_t bbDigest;
+        std::uint64_t funcDigest;
+    };
+    const std::map<std::string, Expected> expected = {
+        {"nutch", {20925, 0x8f6df26779a39d91ULL, 0x2310faa0a91bd431ULL}},
+        {"streaming", {89738, 0xc18780ef7d8b78deULL, 0x0b6b1548b5ba37cbULL}},
+        {"apache", {135354, 0x1327749efe9a7e6aULL, 0xc195f799ad62b1f5ULL}},
+        {"zeus", {93735, 0x88ab063d9be0c8fdULL, 0x836bc3b75277f27aULL}},
+        {"oracle", {370349, 0xd48c757f483a6adbULL, 0x51e4e49d1c0cdecfULL}},
+        {"db2", {286842, 0xfe277b0a25eab867ULL, 0xd1a9a16c405080edULL}},
+    };
+    for (const WorkloadPreset &preset : allPresets()) {
+        const Program &prog = programFor(preset);
+        const double sticky_frac = prog.params().stickyFrac;
+        WordDigest bbs;
+        std::uint32_t sticky_mismatches = 0;
+        for (std::uint32_t i = 0; i < prog.numBBs(); ++i) {
+            const StaticBB &bb = prog.bb(i);
+            const float prob = bb.takenProb();
+            std::uint32_t prob_bits;
+            std::memcpy(&prob_bits, &prob, sizeof(prob_bits));
+            for (const std::uint64_t word :
+                 {bb.startAddr(), bb.targetAddr(),
+                  std::uint64_t{bb.targetBB}, std::uint64_t{bb.numInstrs},
+                  static_cast<std::uint64_t>(bb.type),
+                  static_cast<std::uint64_t>(bb.bias),
+                  std::uint64_t{prob_bits},
+                  std::uint64_t{bb.loopTrip()},
+                  std::uint64_t{bb.pattern()},
+                  std::uint64_t{bb.patternLen()}}) {
+                bbs.add(word);
+            }
+            const bool sticky =
+                sticky_frac > 0.0 &&
+                (mix64(i) & 0xffff) <
+                    static_cast<std::uint64_t>(sticky_frac * 65536.0);
+            sticky_mismatches += bb.sticky() != sticky;
+        }
+        WordDigest funcs;
+        for (const Function &fn : prog.functions()) {
+            for (const std::uint64_t word :
+                 {fn.entry, std::uint64_t{fn.firstBB},
+                  std::uint64_t{fn.numBBs}, std::uint64_t{fn.sizeBytes},
+                  std::uint64_t{fn.level}, std::uint64_t{fn.isOs},
+                  std::uint64_t{fn.isHandler},
+                  std::uint64_t{fn.isTopLevel}}) {
+                funcs.add(word);
+            }
+        }
+        const Expected &want = expected.at(preset.name);
+        EXPECT_EQ(prog.numBBs(), want.bbs) << preset.name;
+        EXPECT_EQ(bbs.value, want.bbDigest) << preset.name;
+        EXPECT_EQ(funcs.value, want.funcDigest) << preset.name;
+        EXPECT_EQ(sticky_mismatches, 0u) << preset.name;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -367,7 +458,7 @@ TEST(GeneratorTest, LoopTripCountsRespected)
     std::vector<int> runs;
     for (int i = 0; i < 2000000 && runs.size() < 5; ++i) {
         gen.next(rec);
-        if (rec.startAddr != loop.startAddr)
+        if (rec.startAddr != loop.startAddr())
             continue;
         if (rec.taken) {
             ++run;
@@ -377,7 +468,7 @@ TEST(GeneratorTest, LoopTripCountsRespected)
         }
     }
     for (int r : runs)
-        EXPECT_EQ(r, loop.loopTrip - 1);
+        EXPECT_EQ(r, static_cast<int>(loop.loopTrip()) - 1);
 }
 
 TEST(GeneratorTest, BranchDensityIsServerLike)
@@ -827,13 +918,49 @@ TEST(PresetsDeathTest, UnknownWorkloadListsEveryAlternative)
                 "apache, zeus, oracle, db2.*trace:<path>");
 }
 
+// A daemon runs a point after a submit-time check of its trace, and
+// the file may be deleted, rewritten or re-recorded in between: every
+// trace check a run makes throws TraceError, which fails the point
+// (done:"error", a worker's ok:false), never the process.
+
+/** Whether `run` throws a TraceError whose message contains `text`. */
+template <typename F>
+::testing::AssertionResult
+throwsTraceError(F &&run, const std::string &text)
+{
+    try {
+        run();
+    } catch (const TraceError &e) {
+        if (std::string(e.what()).find(text) != std::string::npos)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "TraceError '" << e.what() << "' lacks '" << text
+               << "'";
+    }
+    return ::testing::AssertionFailure() << "no TraceError";
+}
+
+/**
+ * Open `path` the way a command-line tool does: TraceFileSource throws
+ * TraceError on a bad file, and fatalOnTraceError turns it into exit 1.
+ */
+void
+openThroughCli(const std::string &path)
+{
+    fatalOnTraceError([&]() { TraceFileSource source(path); });
+}
+
 TEST(TraceIODeathTest, RejectsBadMagic)
 {
     const auto path = writeRawFile(
         "/tmp/shotgun_test_badmagic.bin",
         {'n', 'o', 't', 'a', 't', 'r', 'a', 'c', 'e', '!'});
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
+    EXPECT_TRUE(throwsTraceError([&]() { TraceFileSource source(path); },
+                                 "not a shotgun trace file"));
+    // The shared decode opens the file through the same constructor.
+    EXPECT_TRUE(throwsTraceError([&]() { DecodedTrace trace(path); },
+                                 "not a shotgun trace file"));
+    EXPECT_EXIT(openThroughCli(path), ::testing::ExitedWithCode(1),
                 "not a shotgun trace file");
     std::remove(path.c_str());
 }
@@ -845,8 +972,8 @@ TEST(TraceIODeathTest, RejectsForeignEndianMagic)
     appendLE32(bytes, kTraceVersion);
     const auto path =
         writeRawFile("/tmp/shotgun_test_bigendian.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1), "foreign-endian");
+    EXPECT_EXIT(openThroughCli(path), ::testing::ExitedWithCode(1),
+                "foreign-endian");
     std::remove(path.c_str());
 }
 
@@ -856,8 +983,7 @@ TEST(TraceIODeathTest, RejectsVersion1)
     appendLE32(bytes, kTraceMagic);
     appendLE32(bytes, 1);
     const auto path = writeRawFile("/tmp/shotgun_test_v1.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(openThroughCli(path), ::testing::ExitedWithCode(1),
                 "version-1 trace.*no longer supported");
     std::remove(path.c_str());
 }
@@ -869,8 +995,7 @@ TEST(TraceIODeathTest, RejectsUnknownFutureVersion)
     appendLE32(bytes, 99);
     const auto path =
         writeRawFile("/tmp/shotgun_test_v99.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(openThroughCli(path), ::testing::ExitedWithCode(1),
                 "unsupported trace version 99");
     std::remove(path.c_str());
 }
@@ -939,8 +1064,10 @@ TEST(TraceIODeathTest, RejectsTraceShorterThanRun)
                                        SchemeType::Shotgun);
     config.warmupInstructions = 20000;
     config.measureInstructions = 50000;
-    EXPECT_EXIT(runSimulation(config), ::testing::ExitedWithCode(1),
-                "record a longer trace");
+    EXPECT_TRUE(throwsTraceError([&]() { runSimulation(config); },
+                                 "instructions but the run needs"));
+    EXPECT_EXIT(fatalOnTraceError([&]() { return runSimulation(config); }),
+                ::testing::ExitedWithCode(1), "record a longer trace");
     std::remove(path.c_str());
 }
 
@@ -956,9 +1083,23 @@ TEST(TraceIODeathTest, RejectsMismatchedProgram)
     config.workload.tracePath = path;
     config.warmupInstructions = 1000;
     config.measureInstructions = 1000;
-    EXPECT_EXIT(runSimulation(config), ::testing::ExitedWithCode(1),
+    EXPECT_TRUE(throwsTraceError([&]() { runSimulation(config); },
+                                 "was recorded from program"));
+    EXPECT_EXIT(fatalOnTraceError([&]() { return runSimulation(config); }),
+                ::testing::ExitedWithCode(1),
                 "does not match this workload's program");
     std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, MissingFileThrowsFromTheSource)
+{
+    const std::string path = "/tmp/shotgun_test_missing_source.bin";
+    std::remove(path.c_str());
+    EXPECT_TRUE(throwsTraceError([&]() { TraceFileSource source(path); },
+                                 "cannot open trace file"));
+    // The shared decode opens the file through the same constructor.
+    EXPECT_TRUE(throwsTraceError([&]() { DecodedTrace trace(path); },
+                                 "cannot open trace file"));
 }
 
 // ---------------------------------------------------------------------

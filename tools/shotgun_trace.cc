@@ -214,8 +214,7 @@ cmdReplay(int argc, char **argv)
         SimConfig::make(preset, schemeTypeByName(scheme));
     config.warmupInstructions = warmup;
     config.measureInstructions = measure;
-    const SimResult result =
-        fatalOnTraceError([&]() { return runSimulation(config); });
+    const SimResult result = runSimulation(config);
 
     TextTable table("replay of " + path);
     table.row().cell("Workload").cell("Scheme").cell("IPC")
@@ -308,14 +307,18 @@ main(int argc, char **argv)
     if (argc < 2)
         usageError("expected a subcommand");
     const std::string command = argv[1];
-    if (command == "record")
-        return cmdRecord(argc - 2, argv + 2);
-    if (command == "info")
-        return cmdInfo(argc - 2, argv + 2);
-    if (command == "replay")
-        return cmdReplay(argc - 2, argv + 2);
-    if (command == "index")
-        return cmdIndex(argc - 2, argv + 2);
-    usageError((std::string("unknown subcommand '") + command + "'")
-                   .c_str());
+    // Every subcommand reads traces: one that cannot be used ends the
+    // tool with exit 1 and its message.
+    return fatalOnTraceError([&]() {
+        if (command == "record")
+            return cmdRecord(argc - 2, argv + 2);
+        if (command == "info")
+            return cmdInfo(argc - 2, argv + 2);
+        if (command == "replay")
+            return cmdReplay(argc - 2, argv + 2);
+        if (command == "index")
+            return cmdIndex(argc - 2, argv + 2);
+        usageError((std::string("unknown subcommand '") + command + "'")
+                       .c_str());
+    });
 }
