@@ -55,6 +55,14 @@ const char *kUsage =
     "serving repeated configurations from a fingerprint-keyed\n"
     "result cache.\n"
     "\n"
+    "Warmed state is the daemon's largest memory consumer. Each\n"
+    "process keeps the post-warmup state of its simulations in one\n"
+    "256 MiB store, so a later run with the same warmup restores it\n"
+    "instead of simulating it again. Warmups that no run has\n"
+    "restored yet are held to a quarter of the store (oldest dropped\n"
+    "first); restored ones stay in an LRU over the other three\n"
+    "quarters. --status shows the split under server.checkpoint.\n"
+    "\n"
     "  --listen ENDPOINT   unix:<path> or <host>:<port> (TCP port 0\n"
     "                      asks the kernel for a free port; the\n"
     "                      resolved endpoint is printed on stdout)\n"
