@@ -506,19 +506,14 @@ cmp "$BUILD_DIR/smoke/cohort_svc.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
 # Stored state costs what the run touched: the six warmed cores are
 # charged about 3.1 MB together (resident cache lines, scheme heaps,
 # outcome logs). The bound sits midway to the ~15 MB that a
-# capacity-sized LLC line array per core costs. No run has restored
-# the six captures yet, so all of them wait on probation.
+# capacity-sized LLC line array per core costs.
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | python3 -c '
 import json, sys
-checkpoint = json.load(sys.stdin)["server"]["checkpoint"]
-stored = checkpoint["bytes"]
+stored = json.load(sys.stdin)["server"]["checkpoint"]["bytes"]
 if stored >= 9000000:
     sys.exit("6 warmed checkpoints charged %d bytes (bound 9000000)"
              % stored)
-if checkpoint["probation_bytes"] != stored:
-    sys.exit("6 unrestored captures: %d of %d bytes on probation"
-             % (checkpoint["probation_bytes"], stored))
 '
 # The grid built one program image (nutch, the trace's program). In
 # 20-byte basic-block records allocated once it holds about 29 bytes
@@ -542,9 +537,6 @@ if per_bb >= 50:
     --out "$BUILD_DIR/smoke/cohort_rerun" > /dev/null
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":6,"misses":6'
-# Each capture's first restore promoted it off probation.
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
-    | grep -q '"checkpoint":{[^}]*"probation_bytes":0,"promotions":6}'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --shutdown
 
 # A bounded cache on a live daemon evicts instead of growing: after

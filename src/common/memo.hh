@@ -280,6 +280,30 @@ class LruMemoCache
         insertReady(key, std::move(value), /*store_through=*/true);
     }
 
+    /**
+     * Evict the least recently used completed entry whose key `keep`
+     * rejects, for an owner that charges other state against the same
+     * budget (sim/checkpoint.hh); false when `keep` holds every entry.
+     * `keep` runs under the cache's lock.
+     */
+    template <typename Keep>
+    bool evictOldest(Keep &&keep)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto it = lru_.end(); it != lru_.begin();) {
+            --it;
+            if (keep(*it))
+                continue;
+            auto entry = entries_.find(*it);
+            bytes_ -= entry->second.bytes;
+            entries_.erase(entry);
+            lru_.erase(it);
+            ++evictions_;
+            return true;
+        }
+        return false;
+    }
+
     /** Completed + in-flight entries (MemoCache-compatible). */
     std::size_t size() const
     {

@@ -406,25 +406,11 @@ SimServer::statusFrame()
 
     // Warmed-state checkpoint store and decoded-trace store stats,
     // process-wide (shared by every job), beside the result cache:
-    // the three caches the one-pass grid pipeline rests on. The
-    // checkpoint object ends with the store's split: the bytes of
-    // captures no run has restored yet, and the promotions out of
-    // that probation.
-    const CheckpointStats checkpoint_stats = checkpointCache().stats();
+    // the three caches the one-pass grid pipeline rests on.
     obs::publishCacheStats(registry, "serve.checkpoint",
-                           checkpoint_stats);
+                           checkpointCache().stats());
     Value checkpoint =
         obs::cacheStatsJson(registry, "serve.checkpoint", false);
-    const std::pair<const char *, std::size_t> split[] = {
-        {"probation_bytes", checkpoint_stats.probationBytes},
-        {"promotions", checkpoint_stats.promotions}};
-    for (const auto &[field, value] : split) {
-        obs::Gauge *gauge =
-            registry.gauge(std::string("serve.checkpoint.") + field);
-        gauge->set(static_cast<std::int64_t>(value));
-        checkpoint.set(field, Value::number(static_cast<std::uint64_t>(
-                                  gauge->value())));
-    }
 
     publishTraceStoreStats(registry, "serve.traces",
                            decodedTraces().stats());

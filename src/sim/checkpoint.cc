@@ -56,7 +56,11 @@ parkCore(std::unique_ptr<Core> core, std::unique_ptr<TraceSource> source)
 }
 
 CheckpointCache::CheckpointCache(std::size_t budget_bytes)
-    : budget_(budget_bytes)
+    : budget_(budget_bytes),
+      checkpoints_(budget_bytes,
+                   [](const std::string &, const CoreCheckpoint &cp) {
+                       return cp.bytes;
+                   })
 {
 }
 
@@ -64,54 +68,26 @@ StoredState
 CheckpointCache::acquire(const std::string &key, std::uint64_t position)
 {
     StoredState found;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto parked = parked_.find(key);
-    if (parked != parked_.end() && parked->second.position == position) {
-        found.parked = std::move(parked->second.state);
-        parkedBytes_ -= found.parked.bytes;
-        parked_.erase(parked);
-        ++hits_;
-        return found;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = parked_.find(key);
+        if (it != parked_.end() && it->second.position == position) {
+            found.parked = std::move(it->second.state);
+            parkedBytes_ -= found.parked.bytes;
+            parked_.erase(it);
+            ++resumes_;
+            return found;
+        }
     }
-    auto it = warmed_.find(key);
-    if (it == warmed_.end()) {
-        ++misses_;
-        return found;
-    }
-    ++hits_;
-    Warmed &warmed = it->second;
-    found.warmed = warmed.checkpoint;
-    // A restore proves the checkpoint: the first moves it off
-    // probation, every one makes it the proven LRU's newest.
-    Share &from = warmed.proven ? proven_ : probation_;
-    proven_.keys.splice(proven_.keys.begin(), from.keys, warmed.order);
-    if (!warmed.proven) {
-        warmed.proven = true;
-        probation_.bytes -= found.warmed->bytes;
-        proven_.bytes += found.warmed->bytes;
-        ++promotions_;
-        shrinkLocked(proven_, budget_ - budget_ / 4);
-    }
+    found.warmed = checkpoints_.tryGet(key);
     return found;
 }
 
 void
 CheckpointCache::put(const std::string &key, CoreCheckpoint checkpoint)
 {
+    checkpoints_.put(key, std::move(checkpoint));
     std::lock_guard<std::mutex> lock(mutex_);
-    if (warmed_.count(key) != 0)
-        return;
-    if (budget_ != 0 && checkpoint.bytes > budget_) {
-        ++evictions_;
-        return;
-    }
-    probation_.keys.push_front(key);
-    probation_.bytes += checkpoint.bytes;
-    warmed_.emplace(
-        key, Warmed{std::make_shared<const CoreCheckpoint>(
-                        std::move(checkpoint)),
-                    false, probation_.keys.begin()});
-    shrinkLocked(probation_, budget_ / 4);
     trimLocked();
 }
 
@@ -130,25 +106,19 @@ CheckpointCache::park(const std::string &key, std::uint64_t position,
 }
 
 void
-CheckpointCache::shrinkLocked(Share &share, std::size_t bound)
-{
-    if (budget_ == 0)
-        return;
-    while (share.bytes > bound && share.keys.size() > 1) {
-        auto oldest = warmed_.find(share.keys.back());
-        share.bytes -= oldest->second.checkpoint->bytes;
-        share.keys.pop_back();
-        warmed_.erase(oldest);
-        ++evictions_;
-    }
-}
-
-void
 CheckpointCache::trimLocked()
 {
     if (budget_ == 0)
         return;
-    const std::size_t warmed = probation_.bytes + proven_.bytes;
+    // A checkpoint under a parked state's key is what that window's
+    // successor falls back to; any other goes before a parked state.
+    const auto fallback = [this](const std::string &key) {
+        return parked_.count(key) != 0;
+    };
+    while (checkpoints_.stats().bytes + parkedBytes_ > budget_ &&
+           checkpoints_.evictOldest(fallback)) {
+    }
+    const std::size_t warmed = checkpoints_.stats().bytes;
     while (!parked_.empty() && warmed + parkedBytes_ > budget_) {
         auto oldest = std::min_element(
             parked_.begin(), parked_.end(),
@@ -157,23 +127,19 @@ CheckpointCache::trimLocked()
             });
         parkedBytes_ -= oldest->second.state.bytes;
         parked_.erase(oldest);
-        ++evictions_;
+        ++parkedEvictions_;
     }
 }
 
-CheckpointStats
+MemoCacheStats
 CheckpointCache::stats() const
 {
+    MemoCacheStats stats = checkpoints_.stats();
     std::lock_guard<std::mutex> lock(mutex_);
-    CheckpointStats stats;
-    stats.entries = warmed_.size() + parked_.size();
-    stats.bytes = probation_.bytes + proven_.bytes + parkedBytes_;
-    stats.budgetBytes = budget_;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.evictions = evictions_;
-    stats.probationBytes = probation_.bytes;
-    stats.promotions = promotions_;
+    stats.entries += parked_.size();
+    stats.bytes += parkedBytes_;
+    stats.hits += resumes_;
+    stats.evictions += parkedEvictions_;
     return stats;
 }
 

@@ -42,23 +42,20 @@
  * store over budget) park but never capture a warmup, because a file
  * stream has no cheap exact reposition.
  *
- * Warmed checkpoints are admitted by the simplified 2Q rule (Johnson
- * and Shasha, VLDB 1994). A capture enters *probation*, a FIFO held
- * to a quarter of the budget. The first run that restores it promotes
- * it into the LRU of *proven* checkpoints, which holds the other three
- * quarters, and later restores refresh it there. A capture that no
- * run restores is dropped, oldest first, once probation is full. So a
- * daemon fed fresh configs, whose every warmup is one-off, holds at
- * most a quarter of the budget in them, and no scan of one-off
- * captures can push out warm state that runs reuse. A quarter is 2Q's
- * own Kin: room for a grid's captures to wait for the followers and
- * windows that restore them (a whole paper-sweep grid charges about
- * 25 MB), while three quarters stay for state that has been reused.
- * Each share keeps its newest checkpoint even when that one alone is
- * over the share; a capture larger than the whole budget is not kept.
- * Every drop -- a capture off probation, a proven checkpoint off the
- * LRU, a parked core, a capture too large to keep -- counts as one
- * eviction.
+ * The default budget is 64 MiB, least recently used first out. A
+ * daemon fed fresh configs stores warmups that no run restores, so it
+ * holds its program images plus the whole budget; 64 MiB is what that
+ * costs. It holds a six-preset, six-scheme grid's 36 captures (about
+ * 25 MB at 0.5M warm-up + 1M measured, 57-60 MB at 2M + 5M and 4M +
+ * 2M), so that grid's followers, windows and reruns still restore
+ * every warmup. Beyond that it costs restores: two such grids at 2M +
+ * 1M charge 79 MB, the store keeps the newest 60 captures, and
+ * rerunning both with a shorter measure restores none of their 72
+ * warmups (in LRU order each miss's capture drops the next one the
+ * rerun needs), where 256 MiB restored all 72. Dropping a capture can
+ * also end its stream's outcome log (sim/outcome_store.hh); a later
+ * point of the stream then produces a fresh one, with identical
+ * results.
  *
  * What is stored is proportional to what the run touched: the caches
  * hold only resident lines (cache/cache.hh) and a GeneratorCheckpoint
@@ -74,7 +71,6 @@
 #define SHOTGUN_SIM_CHECKPOINT_HH
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -162,20 +158,9 @@ struct StoredState
     std::shared_ptr<const CoreCheckpoint> warmed;
 };
 
-/** CheckpointCache::stats(): the store's counters and its split. */
-struct CheckpointStats : MemoCacheStats
-{
-    /** Bytes of the captures on probation (none restored yet). */
-    std::size_t probationBytes = 0;
-
-    /** Captures that a first restore moved from probation. */
-    std::size_t promotions = 0;
-};
-
 /**
- * The byte-budgeted store of warmed checkpoints (probation FIFO and
- * proven LRU, see the file comment) and parked window cores, under
- * one mutex. Producers simulate themselves and put() or park();
+ * The byte-budgeted store of warmed checkpoints (LRU) and parked
+ * window cores. Producers simulate themselves and put() or park();
  * consumers acquire() -- the same asynchronous-producer shape the
  * fleet result cache uses. The predecessor gate
  * (runner::checkpointPredecessors) makes each window wait for the
@@ -185,19 +170,19 @@ struct CheckpointStats : MemoCacheStats
  *
  * Parked states count against the same budget as checkpoints, and at
  * most one is parked per key: a newer park replaces the older one.
- * When probation, proven and parked states together exceed the
- * budget, parked states go first, oldest first; a run that then finds
- * no parked state falls back to its warmup checkpoint and
- * fast-forwards.
+ * When the two kinds together exceed the budget, the least recently
+ * used checkpoints go first, except those under a parked state's key,
+ * then parked states, oldest first; a run that then finds no parked
+ * state falls back to its warmup checkpoint and fast-forwards. So a
+ * store filled with one-off captures still resumes windows.
  */
 class CheckpointCache
 {
   public:
-    /** Default budget of the process-wide store (256 MiB). */
+    /** Default budget of the process-wide store (64 MiB). */
     static constexpr std::size_t kDefaultBudgetBytes =
-        256ull * 1024 * 1024;
+        64ull * 1024 * 1024;
 
-    /** `budget_bytes` 0 keeps everything (no share is bounded). */
     explicit CheckpointCache(
         std::size_t budget_bytes = kDefaultBudgetBytes);
 
@@ -205,15 +190,11 @@ class CheckpointCache
      * The stored state a run of `key` whose measured slice starts at
      * `position` can begin from: the core parked at exactly
      * `position` (moved out of the store), else the key's warmed
-     * checkpoint, promoted from probation if no run restored it
-     * before, else nothing. Counts one hit or one miss.
+     * checkpoint, else nothing. Counts one hit or one miss.
      */
     StoredState acquire(const std::string &key, std::uint64_t position);
 
-    /**
-     * Store a warmed checkpoint on probation; an existing one for the
-     * key wins.
-     */
+    /** Store a warmed checkpoint; an existing one for the key wins. */
     void put(const std::string &key, CoreCheckpoint checkpoint);
 
     /**
@@ -226,25 +207,11 @@ class CheckpointCache
     /**
      * hits = runs started from stored state (restored or resumed),
      * misses = warmups simulated; entries, bytes and evictions cover
-     * probation, proven and parked states together.
+     * checkpoints and parked states together.
      */
-    CheckpointStats stats() const;
+    MemoCacheStats stats() const;
 
   private:
-    /** The warmed checkpoints of one share, newest first. */
-    struct Share
-    {
-        std::list<std::string> keys;
-        std::size_t bytes = 0;
-    };
-
-    struct Warmed
-    {
-        std::shared_ptr<const CoreCheckpoint> checkpoint;
-        bool proven = false; ///< Else on probation.
-        std::list<std::string>::iterator order; ///< Place in its share.
-    };
-
     struct Parked
     {
         std::uint64_t position = 0;
@@ -252,25 +219,21 @@ class CheckpointCache
         ParkedCore state;
     };
 
-    /** Drop `share`'s oldest while it is over `bound`, keep its newest. */
-    void shrinkLocked(Share &share, std::size_t bound);
-
-    /** Evict the oldest parked states until the budget fits. */
+    /**
+     * Evict checkpoints no parked state falls back to, then the
+     * oldest parked states, until the budget fits.
+     */
     void trimLocked();
 
     const std::size_t budget_;
+    LruMemoCache<std::string, CoreCheckpoint> checkpoints_;
 
-    mutable std::mutex mutex_; ///< Guards everything below.
-    std::map<std::string, Warmed> warmed_;
-    Share probation_; ///< FIFO of captures no run has restored.
-    Share proven_;    ///< LRU of restored checkpoints.
+    mutable std::mutex mutex_; ///< Guards the parked states below.
     std::map<std::string, Parked> parked_;
     std::size_t parkedBytes_ = 0;
     std::uint64_t parks_ = 0;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t promotions_ = 0;
-    std::size_t evictions_ = 0;
+    std::size_t resumes_ = 0;
+    std::size_t parkedEvictions_ = 0;
 };
 
 /** The process-wide store every simulation shares. */

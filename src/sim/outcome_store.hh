@@ -45,13 +45,14 @@ std::string outcomeKey(const SimConfig &config, const TraceInfo *trace);
 /**
  * The store of shared outcome logs. It holds them weakly: a log lives
  * while a core, a parked window or a stored checkpoint of its stream
- * holds it -- a warmed grid's captures wait on the checkpoint store's
- * probation, which a grid's worth fits in, so that spans the grid --
- * and the store keeps nothing alive itself. A long-lived worker's
- * logs are therefore bounded by what it runs and what the
- * byte-budgeted checkpoint store keeps. When that store drops a
- * stream's last capture, the log goes with it, and a later point of
- * the stream produces a fresh one with the same outcomes.
+ * holds it -- every point of a warmed grid captures a checkpoint, and
+ * the checkpoint store holds a six-preset, six-scheme grid's captures,
+ * so that spans such a grid -- and the store keeps nothing alive
+ * itself. A long-lived worker's logs are therefore bounded by what it
+ * runs and what the byte-budgeted checkpoint store keeps. When that
+ * store drops a stream's last capture, the log goes with it, and a
+ * later point of the stream produces a fresh one with the same
+ * outcomes.
  */
 class OutcomeLogStore
 {

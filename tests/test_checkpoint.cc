@@ -2,12 +2,11 @@
  * @file
  * Warmed-state checkpoints and the shared decoded-trace store: the
  * machinery the one-pass multi-config pipeline rests on. The tests
- * pin the contract down from below (key separation, the store's
- * admission and accounting, cursor/file stream equivalence) and from
- * above (a restored run is bitwise identical to an uninterrupted one;
- * a cohort-batched grid emits exactly the bytes a point-at-a-time
- * loop does; one trace file decodes once no matter how many cores
- * replay it).
+ * pin the contract down from below (key separation, LRU accounting,
+ * cursor/file stream equivalence) and from above (a restored run is
+ * bitwise identical to an uninterrupted one; a cohort-batched grid
+ * emits exactly the bytes a point-at-a-time loop does; one trace
+ * file decodes once no matter how many cores replay it).
  *
  * The checkpoint cache and decoded-trace store are process-wide
  * singletons, so each test uses uniquely named/seeded presets --
@@ -22,7 +21,6 @@
 #include <memory>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -248,13 +246,10 @@ TEST(CheckpointCacheTest, LruAccountingAndEviction)
     EXPECT_EQ(cache.acquire("a", 0).warmed, nullptr);
     EXPECT_EQ(cache.stats().misses, 1u);
 
-    // A capture waits on probation (a quarter of the budget, which
-    // keeps its newest capture even when that one alone is over);
-    // its first restore promotes it out of there.
     cache.put("a", entry(40));
-    EXPECT_NE(cache.acquire("a", 0).warmed, nullptr); // Touch: a proven.
     cache.put("b", entry(40));
-    cache.put("c", entry(40)); // Evicts b, never restored.
+    EXPECT_NE(cache.acquire("a", 0).warmed, nullptr); // Touch: a is MRU.
+    cache.put("c", entry(40));                         // Evicts b, the LRU.
 
     const MemoCacheStats stats = cache.stats();
     EXPECT_EQ(stats.entries, 2u);
@@ -265,80 +260,24 @@ TEST(CheckpointCacheTest, LruAccountingAndEviction)
     EXPECT_NE(cache.acquire("c", 0).warmed, nullptr);
 }
 
-TEST(CheckpointCacheTest, ScanOfOneOffCapturesKeepsARestoredCheckpoint)
+TEST(CheckpointCacheTest, DefaultBudgetHoldsOneOffCapturesTo64MiB)
 {
-    // A daemon fed fresh configs stores a stream of warmups that no
-    // run restores. They pass through probation, so a checkpoint that
-    // a run did restore outlives a scan twice the budget.
-    constexpr std::size_t kBudget = 1000;
-    CheckpointCache cache(kBudget);
-    cache.put("u", entry(10));
-    EXPECT_NE(cache.acquire("u", 0).warmed, nullptr);
-    for (int i = 0; i < 200; ++i)
-        cache.put("scan" + std::to_string(i), entry(10));
+    // A daemon fed fresh configs stores warmups that no run restores.
+    // The default budget bounds what they keep alive at 64 MiB, which
+    // still holds a 36-point grid's captures at 2M warm-up (about
+    // 57 MB): oldest dropped first, each drop an eviction.
+    constexpr std::size_t kMiB = 1024 * 1024;
+    CheckpointCache cache;
+    for (int i = 0; i < 128; ++i)
+        cache.put("once" + std::to_string(i), entry(kMiB));
 
-    EXPECT_NE(cache.acquire("u", 0).warmed, nullptr);
-    const CheckpointStats stats = cache.stats();
-    EXPECT_EQ(stats.promotions, 1u);
-    EXPECT_EQ(stats.hits, 2u);
-    EXPECT_LE(stats.bytes, kBudget);
-}
-
-TEST(CheckpointCacheTest, OneOffCapturesHoldAQuarterOfTheBudget)
-{
-    // Captures totalling twice the budget, none restored: probation
-    // keeps the newest quarter's worth and drops the rest, oldest
-    // first, each drop an eviction.
-    constexpr std::size_t kBudget = 1000;
-    CheckpointCache cache(kBudget);
-    for (int i = 0; i < 200; ++i)
-        cache.put("once" + std::to_string(i), entry(10));
-
-    const CheckpointStats stats = cache.stats();
-    EXPECT_LE(stats.bytes, kBudget / 4);
-    EXPECT_EQ(stats.probationBytes, stats.bytes);
-    EXPECT_EQ(stats.entries, 25u);
-    EXPECT_EQ(stats.evictions, 200u - stats.entries);
-    EXPECT_EQ(stats.promotions, 0u);
-    EXPECT_EQ(cache.acquire("once0", 0).warmed, nullptr);
-    EXPECT_NE(cache.acquire("once199", 0).warmed, nullptr);
-
-    // A capture larger than the whole budget is not kept, and it
-    // displaces nothing.
-    cache.put("huge", entry(kBudget + 1));
-    EXPECT_EQ(cache.acquire("huge", 0).warmed, nullptr);
-    EXPECT_EQ(cache.stats().entries, 25u);
-    EXPECT_EQ(cache.stats().evictions, stats.evictions + 1);
-}
-
-TEST(CheckpointCacheTest, RacingPutsAndRestoresKeepOneCopyPerKey)
-{
-    // Threads capture and restore the same few keys at once: each key
-    // is stored once, on probation or proven but never both, so the
-    // counts add up to exactly one charge per key (the budget holds
-    // them all).
-    constexpr int kKeys = 8;
-    CheckpointCache cache(1000);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&cache, t] {
-            for (int i = 0; i < 200; ++i) {
-                const std::string key =
-                    "race" + std::to_string((i + t) % kKeys);
-                if (cache.acquire(key, 0).warmed == nullptr)
-                    cache.put(key, entry(10));
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-
-    const CheckpointStats stats = cache.stats();
-    EXPECT_EQ(stats.entries, std::size_t{kKeys});
-    EXPECT_EQ(stats.bytes, 10u * kKeys);
-    EXPECT_EQ(stats.probationBytes, 10u * (kKeys - stats.promotions));
-    EXPECT_EQ(stats.hits + stats.misses, 4u * 200u);
-    EXPECT_EQ(stats.evictions, 0u);
+    const MemoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.budgetBytes, 64 * kMiB);
+    EXPECT_EQ(stats.bytes, 64 * kMiB);
+    EXPECT_EQ(stats.entries, 64u);
+    EXPECT_EQ(stats.evictions, 64u);
+    EXPECT_EQ(cache.acquire("once63", 0).warmed, nullptr);
+    EXPECT_NE(cache.acquire("once64", 0).warmed, nullptr);
 }
 
 /** A live core on a generator of `program`, charged its real size. */
@@ -417,6 +356,30 @@ TEST(CheckpointCacheTest, BudgetForFewerThanTwoCoresEvictsParkedStates)
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_LE(stats.bytes, stats.budgetBytes);
     EXPECT_EQ(later.acquire("k", 100).parked.core, nullptr);
+}
+
+TEST(CheckpointCacheTest, ParkedCoreDisplacesOtherKeysCheckpoints)
+{
+    // A store full of captures still keeps a window's parked core:
+    // the least recently used capture of another key goes, while the
+    // parked key's own checkpoint (its successor's fallback) stays,
+    // though it is the oldest.
+    const Program &program = programFor(tinyPreset("parked-full", 61));
+    const std::size_t bytes = parkedCore(program).bytes;
+    CheckpointCache cache(3 * bytes);
+    cache.put("k", entry(bytes));
+    cache.put("old", entry(bytes));
+    cache.put("new", entry(bytes));
+
+    cache.park("k", 100, parkedCore(program));
+    const MemoCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 3u);
+    EXPECT_LE(stats.bytes, stats.budgetBytes);
+    EXPECT_EQ(cache.acquire("old", 0).warmed, nullptr);
+    EXPECT_NE(cache.acquire("new", 0).warmed, nullptr);
+    EXPECT_NE(cache.acquire("k", 100).parked.core, nullptr);
+    EXPECT_NE(cache.acquire("k", 0).warmed, nullptr);
 }
 
 TEST(CheckpointCacheTest, ChargeCoversTheHeapACaptureAllocates)

@@ -57,11 +57,14 @@ const char *kUsage =
     "\n"
     "Warmed state is the daemon's largest memory consumer. Each\n"
     "process keeps the post-warmup state of its simulations in one\n"
-    "256 MiB store, so a later run with the same warmup restores it\n"
-    "instead of simulating it again. Warmups that no run has\n"
-    "restored yet are held to a quarter of the store (oldest dropped\n"
-    "first); restored ones stay in an LRU over the other three\n"
-    "quarters. --status shows the split under server.checkpoint.\n"
+    "64 MiB least-recently-used store, so a later run with the same\n"
+    "warmup restores it instead of simulating it again; a worker fed\n"
+    "fresh configs holds its program images plus up to 64 MiB. A\n"
+    "six-preset, six-scheme grid's 36 warmed states fit (about 60 MB\n"
+    "at 2M-4M warm-up instructions). A grid with more distinct\n"
+    "warmups than fit keeps only its newest, so a rerun of it\n"
+    "simulates its warmups again. --status reports the store under\n"
+    "server.checkpoint.\n"
     "\n"
     "  --listen ENDPOINT   unix:<path> or <host>:<port> (TCP port 0\n"
     "                      asks the kernel for a free port; the\n"
