@@ -146,6 +146,18 @@ start_serve() { # start_serve SOCKET [extra flags...]
     return 1
 }
 
+# A fleet step waits for its workers' slots to attach, not just for
+# their sockets, so no step depends on how fast workers register.
+await_parked() { # await_parked COORD_SOCKET N
+    for _ in $(seq 100); do
+        "$BUILD_DIR/shotgun-submit" --coordinator "unix:$1" --status \
+            | grep -q "\"parked_slots\":$2," && return 0
+        sleep 0.05
+    done
+    echo "the fleet on $1 never parked $2 slots" >&2
+    return 1
+}
+
 SOCK="$BUILD_DIR/smoke/serve.sock"
 GRID=(--workload nutch --schemes fdip,shotgun
       --warmup 100000 --instructions 200000 --no-progress)
@@ -172,11 +184,12 @@ for run in svc_remote svc_resubmit; do
 done
 
 # The 3-point grid's 3 distinct configs sit in the fingerprint
-# cache, whose stats are surfaced in the status frame beside the
-# submit memo's.
+# cache, whose stats (and default 64 MiB budget) are surfaced in the
+# status frame beside the submit memo's.
 STATUS=$("$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --status)
 echo "$STATUS" | grep -q '"cache_entries":3'
 echo "$STATUS" | grep -q '"cache":{"entries":3'
+echo "$STATUS" | grep -q '"cache":{[^}]*"budget_bytes":67108864,'
 echo "$STATUS" | grep -q '"evictions":0'
 echo "$STATUS" | grep -Eq '"submit_memo":\{[^}]*"hits":[1-9]'
 
@@ -220,7 +233,10 @@ echo "== service: shutdown mid-job cancels the job, keeps its client =="
 # status (exit 1) instead of a dropped connection.
 SOCK_X="$BUILD_DIR/smoke/serve_x.sock"
 SUBMIT_X_ERR="$BUILD_DIR/smoke/shutdown_submit.err"
-start_serve "$SOCK_X" --jobs 1
+# --cache-bytes 0 lifts the default budget: an unbounded cache.
+start_serve "$SOCK_X" --jobs 1 --cache-bytes 0
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_X" --status \
+    | grep -q '"cache":{[^}]*"budget_bytes":0,'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_X" --workload nutch \
     --schemes fdip,boomerang,confluence,shotgun,rdip \
     --warmup 100000 --instructions 4000000 --no-progress \
@@ -325,6 +341,7 @@ for i in 1 2 3; do
         --name "smoke-w$i" --heartbeat-ms 200 --jobs 1
 done
 FLEET_VICTIM_PID="${DAEMON_PIDS[-1]}"
+await_parked "$COORD_SOCK" 3
 
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
     "${WGRID[@]}" --window-shards 3 \
@@ -404,19 +421,7 @@ start_serve "$SOCK_T2" --coordinator "unix:$COORD_T_SOCK" \
 # Both slots must be parked (stealing) before the traced submit, so
 # the coordinator hands each of them a point and both workers' lanes
 # land in the trace.
-PARKED=0
-for _ in $(seq 50); do
-    if "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
-        --status | grep -q '"parked_slots":2'; then
-        PARKED=1
-        break
-    fi
-    sleep 0.1
-done
-test "$PARKED" -eq 1 || {
-    echo "the traced fleet's two slots never parked" >&2
-    exit 1
-}
+await_parked "$COORD_T_SOCK" 2
 
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
     "${GRID[@]}" --trace-out "$SUBMIT_TRACE" \
@@ -590,6 +595,7 @@ start_serve "$SOCK_U1" --coordinator "unix:$COORD_U_SOCK" \
     --name uarch-w1 --heartbeat-ms 200 --jobs 1
 start_serve "$SOCK_U2" --coordinator "unix:$COORD_U_SOCK" \
     --name uarch-w2 --heartbeat-ms 200 --jobs 1
+await_parked "$COORD_U_SOCK" 2
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_U_SOCK" \
     "${GRID[@]}" --out "$BUILD_DIR/smoke/uarch_fleet" \
     --uarch-report "$BUILD_DIR/smoke/uarch_fleet_report.json" \

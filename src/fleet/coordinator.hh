@@ -74,7 +74,7 @@ namespace fleet
 struct CoordinatorOptions
 {
     /** Byte budget of the in-memory result cache; 0 unbounded. */
-    std::size_t cacheBytes = 0;
+    std::size_t cacheBytes = service::kDefaultResultCacheBytes;
 
     /**
      * Persistent cache directory; empty disables persistence. The

@@ -19,6 +19,37 @@ namespace fleet
 using json::Value;
 using service::LineChannel;
 
+namespace
+{
+
+/**
+ * Reconnect delay: kFirstRetryMs after a success, doubling on each
+ * failure up to the heartbeat period.
+ */
+class Backoff
+{
+  public:
+    explicit Backoff(unsigned cap_ms) : cap_(cap_ms) { reset(); }
+
+    /** The delay before the next attempt; doubles the one after. */
+    unsigned next()
+    {
+        const unsigned delay = delay_;
+        delay_ = std::min(cap_, delay_ * 2);
+        return delay;
+    }
+
+    void reset() { delay_ = std::min(cap_, kFirstRetryMs); }
+
+  private:
+    static constexpr unsigned kFirstRetryMs = 5;
+
+    unsigned cap_;
+    unsigned delay_ = 0;
+};
+
+} // namespace
+
 FleetWorker::FleetWorker(service::SimServer &server,
                          WorkerOptions options)
     : server_(server), options_(std::move(options)),
@@ -50,10 +81,12 @@ FleetWorker::stop()
 {
     if (!started_.load())
         return;
-    stop_.store(true);
     std::vector<std::shared_ptr<LineChannel>> live;
     {
+        // Set under the mutex, so a slot between its wait predicate
+        // and its wait cannot miss the notify below.
         std::lock_guard<std::mutex> lock(mutex_);
+        stop_.store(true);
         for (auto &weak : channels_) {
             if (auto channel = weak.lock())
                 live.push_back(std::move(channel));
@@ -108,6 +141,7 @@ FleetWorker::log(const std::string &line)
 void
 FleetWorker::controlLoop()
 {
+    Backoff backoff(options_.heartbeatMs);
     while (!stop_.load()) {
         try {
             auto channel =
@@ -130,12 +164,24 @@ FleetWorker::controlLoop()
             if (service::frameType(ack) != "ack")
                 throw service::ServiceError(
                     "register rejected: " + line);
-            workerId_.store(ack.at("worker").asU64());
-            log("registered as worker " +
-                std::to_string(workerId_.load()) + " at " +
+            const std::uint64_t id = ack.at("worker").asU64();
+            {
+                // Under the mutex, so a slot cannot check the id and
+                // then sleep through this notify.
+                std::lock_guard<std::mutex> lock(mutex_);
+                workerId_.store(id);
+            }
+            stopCv_.notify_all();
+            backoff.reset();
+            log("registered as worker " + std::to_string(id) + " at " +
                 coordinator_.str());
 
-            while (sleepMs(options_.heartbeatMs)) {
+            // The coordinator only answers heartbeats, so between
+            // them the socket turns readable only when the
+            // coordinator closes it or stop() shuts it down: a
+            // restarted coordinator is noticed at once, not a
+            // heartbeat later.
+            while (!channel->socket().waitReadable(options_.heartbeatMs)) {
                 service::HeartbeatFrame hb;
                 hb.worker = workerId_.load();
                 hb.completed = completed_.load();
@@ -183,7 +229,7 @@ FleetWorker::controlLoop()
         // coordinator (their worker died with the control conn), and
         // their loops re-attach once a new id is assigned.
         workerId_.store(0);
-        if (!sleepMs(options_.heartbeatMs))
+        if (!sleepMs(backoff.next()))
             break;
     }
 }
@@ -192,13 +238,19 @@ void
 FleetWorker::slotLoop(unsigned slot_index)
 {
     service::TraceProbeCache probed;
+    Backoff backoff(options_.heartbeatMs);
     while (!stop_.load()) {
-        const std::uint64_t id = workerId_.load();
-        if (id == 0) {
-            // Not registered (yet, or between reconnects).
-            if (!sleepMs(std::max(50u, options_.heartbeatMs / 4)))
+        std::uint64_t id = 0;
+        {
+            // Not registered (yet, or between reconnects): the
+            // control thread's registration wakes this wait.
+            std::unique_lock<std::mutex> lock(mutex_);
+            stopCv_.wait(lock, [this]() {
+                return stop_.load() || workerId_.load() != 0;
+            });
+            if (stop_.load())
                 break;
-            continue;
+            id = workerId_.load();
         }
         try {
             auto channel =
@@ -211,9 +263,13 @@ FleetWorker::slotLoop(unsigned slot_index)
             if (!channel->recvLine(line))
                 throw service::SocketError("no attach ack");
             const Value ack = Value::parse(line);
+            // A stale id (the coordinator restarted or declared this
+            // worker dead) is rejected; back off until the control
+            // thread registers again.
             if (service::frameType(ack) != "ack")
                 throw service::ServiceError("attach rejected: " +
                                             line);
+            backoff.reset();
 
             // Steal -> work -> result, parked on the coordinator
             // while the queue is empty. No receive deadline: an idle
@@ -299,7 +355,7 @@ FleetWorker::slotLoop(unsigned slot_index)
                 log("slot " + std::to_string(slot_index) +
                     " connection lost: " + e.what());
         }
-        if (!sleepMs(options_.heartbeatMs))
+        if (!sleepMs(backoff.next()))
             break;
     }
 }

@@ -20,8 +20,20 @@
  * (SimServer::computeCached), so fleet work and direct submissions
  * share one cache (and one --cache-dir persistence).
  *
- * Failures reconnect with backoff: a coordinator restart, a dropped
- * control connection, or a dead slot socket each just retries; the
+ * Registration is an event: the control thread publishes the
+ * coordinator-assigned id under the worker's mutex and notifies the
+ * slot threads, which wait for it instead of polling, so a worker's
+ * slots attach and park within milliseconds of its `register` ack.
+ *
+ * Failures reconnect with a capped exponential backoff: a
+ * coordinator that is not listening yet, a coordinator restart, a
+ * dropped control connection, a dead slot socket or an `attach`
+ * rejected for a stale id each retry after 5 ms, doubling up to
+ * heartbeatMs, and a successful `register` or `attach` resets the
+ * delay. Between heartbeats the control thread waits on its socket,
+ * so it notices a coordinator closing the connection at once. So a
+ * worker started before its coordinator, or one whose coordinator
+ * restarted, rejoins within tens of milliseconds. The
  * coordinator requeues whatever this worker had in flight the
  * moment it notices (EOF or missed heartbeats), so a reconnecting
  * worker never strands work.
@@ -59,7 +71,10 @@ struct WorkerOptions
     /** Concurrent simulation slots offered to the coordinator. */
     unsigned slots = 1;
 
-    /** Heartbeat period; also paces reconnect backoff. */
+    /**
+     * Heartbeat period; also the cap on the reconnect backoff, which
+     * starts at 5 ms and doubles per failed attempt.
+     */
     unsigned heartbeatMs = 1000;
 
     /** Log stream; nullptr is quiet. */
@@ -109,7 +124,11 @@ class FleetWorker
 
     std::atomic<std::uint64_t> completed_{0};
 
-    std::mutex mutex_; ///< channels_ and the sleep cv.
+    /**
+     * Guards channels_. stop_ and a nonzero workerId_ are stored
+     * under it before stopCv_ is notified, so no waiter misses one.
+     */
+    std::mutex mutex_;
     std::condition_variable stopCv_;
     std::vector<std::weak_ptr<service::LineChannel>> channels_;
 

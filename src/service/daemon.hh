@@ -19,7 +19,8 @@
  *  - the job registry: a job holds its submitting connection until
  *    its `done` is sent, unless the client left before shutdown, and
  *    at most 64 finished jobs are kept for `status`;
- *  - the fingerprint-keyed result cache both daemons answer from.
+ *  - the fingerprint-keyed result cache both daemons answer from,
+ *    an LRU of 64 MiB unless the daemon is given another budget.
  *
  * A daemon supplies only what differs: submit admission, the status
  * body, cancel, the drain once every reader joined, and the
@@ -64,6 +65,12 @@ struct CachedResult
 
 /** Fingerprint-keyed result memo (common/memo.hh). */
 using ResultCache = LruMemoCache<std::string, CachedResult>;
+
+/**
+ * Default byte budget of a daemon's result cache (64 MiB, like the
+ * checkpoint store): about 60,000 results at about 1.05 KB each.
+ */
+constexpr std::size_t kDefaultResultCacheBytes = 64ull * 1024 * 1024;
 
 /**
  * A `submit` frame as both daemons admit it: the decoded request and

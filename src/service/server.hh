@@ -54,7 +54,7 @@ struct ServerOptions
      * used entries are evicted once the accounted result bytes
      * exceed it. 0 keeps the cache unbounded.
      */
-    std::size_t cacheBytes = 0;
+    std::size_t cacheBytes = kDefaultResultCacheBytes;
 
     /** Log stream for connection/job lines; nullptr is quiet. */
     std::ostream *log = nullptr;

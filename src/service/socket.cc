@@ -126,6 +126,21 @@ Socket::setRecvTimeout(unsigned milliseconds)
                         sizeof(tv)) == 0;
 }
 
+bool
+Socket::waitReadable(unsigned milliseconds)
+{
+    pollfd fds{};
+    fds.fd = fd_;
+    fds.events = POLLIN;
+    while (true) {
+        const int rc =
+            ::poll(&fds, 1, static_cast<int>(milliseconds));
+        if (rc < 0 && errno == EINTR)
+            continue;
+        return rc != 0; // An error is for the next recv to report.
+    }
+}
+
 void
 Socket::shutdownBoth()
 {

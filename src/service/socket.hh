@@ -97,6 +97,13 @@ class Socket
      */
     bool setRecvTimeout(unsigned milliseconds);
 
+    /**
+     * Wait up to `milliseconds` for a recv that would not block:
+     * data, EOF, an error, or a shutdown() from another thread.
+     * False when the time passed with none of them.
+     */
+    bool waitReadable(unsigned milliseconds);
+
     /** shutdown(2) both directions -- unblocks a reader elsewhere. */
     void shutdownBoth();
 

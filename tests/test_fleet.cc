@@ -105,10 +105,15 @@ class TestCoordinator
   public:
     explicit TestCoordinator(const std::string &tag,
                              CoordinatorOptions options = {})
-        : coordinator_("unix:/tmp/shotgun_fleet_c_" + tag + ".sock",
-                       options),
+        : coordinator_(endpointFor(tag), options),
           thread_([this]() { coordinator_.serve(); })
     {
+    }
+
+    /** The endpoint a coordinator tagged `tag` listens on. */
+    static std::string endpointFor(const std::string &tag)
+    {
+        return "unix:/tmp/shotgun_fleet_c_" + tag + ".sock";
     }
 
     ~TestCoordinator() { shutdown(); }
@@ -182,6 +187,26 @@ awaitWorkers(FleetCoordinator &coordinator, std::size_t count,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     FAIL() << "never saw " << count << " live workers";
+}
+
+/**
+ * Poll the coordinator's `status` until it reports `slots` parked
+ * worker slots; false once `timeout_ms` passed without.
+ */
+bool
+slotsParkWithin(const std::string &endpoint, std::uint64_t slots,
+                unsigned timeout_ms)
+{
+    ServiceClient client(endpoint);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    do {
+        if (client.status().at("fleet").at("parked_slots").asU64() ==
+            slots)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
 }
 
 std::string
@@ -716,11 +741,24 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
 
     ServiceClient client(coord.endpoint());
     client.submit(requestFor(set, "fleet-status"));
-    // Give the worker a couple of heartbeats to report the cache
-    // counters the simulations just bumped.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    // Poll until a heartbeat has reported the cache counters the
+    // simulations just bumped: one miss per point.
+    auto reportedMisses = [](const json::Value &frame) {
+        const json::Value &workers = frame.at("fleet").at("workers");
+        return workers.size() != 1
+                   ? 0u
+                   : service::decodeAs<service::WorkerStatus>(
+                         workers.items()[0], "worker")
+                         .cache.misses;
+    };
+    json::Value status = client.status();
+    for (int waited = 0;
+         reportedMisses(status) != set.size() && waited < 10000;
+         waited += 5) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        status = client.status();
+    }
 
-    const json::Value status = client.status();
     EXPECT_EQ(status.at("server").at("role").asString(),
               "coordinator");
     EXPECT_EQ(status.at("server").at("protocol").asU64(),
@@ -753,6 +791,63 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
                       cached += event.cached;
                   });
     EXPECT_EQ(cached, set.size());
+}
+
+// The attach tests run coordinator and worker at a 60 s heartbeat, so
+// no heartbeat or heartbeat-paced retry lands inside their 2 s
+// deadlines: a slot parks because registration woke it, and a
+// worker rejoins because its backoff retried within milliseconds.
+constexpr unsigned kSlowHeartbeatMs = 60000;
+
+CoordinatorOptions
+slowHeartbeat()
+{
+    CoordinatorOptions options;
+    options.heartbeatIntervalMs = kSlowHeartbeatMs;
+    return options;
+}
+
+TEST(FleetAttachTest, SlotsParkAsSoonAsTheWorkerRegisters)
+{
+    TestCoordinator coord("attach", slowHeartbeat());
+    TestWorker worker("attach-w", coord.endpoint(), 2,
+                      kSlowHeartbeatMs);
+    EXPECT_TRUE(slotsParkWithin(coord.endpoint(), 2, 2000));
+}
+
+TEST(FleetAttachTest, WorkerStartedBeforeItsCoordinatorJoinsOnListen)
+{
+    // The worker's first connects find no listener; its backoff must
+    // retry within milliseconds, not a heartbeat, once there is one.
+    TestWorker worker("early-w", TestCoordinator::endpointFor("early"),
+                      2, kSlowHeartbeatMs);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    TestCoordinator coord("early", slowHeartbeat());
+    EXPECT_TRUE(slotsParkWithin(coord.endpoint(), 2, 2000));
+}
+
+TEST(FleetAttachTest, WorkerRejoinsARestartedCoordinator)
+{
+    // The coordinator goes away and comes back on the same endpoint:
+    // the worker notices its closed control connection at once,
+    // registers again and re-parks both slots, then serves a grid.
+    auto coord =
+        std::make_unique<TestCoordinator>("rejoin", slowHeartbeat());
+    TestWorker worker("rejoin-w", coord->endpoint(), 2,
+                      kSlowHeartbeatMs);
+    ASSERT_TRUE(slotsParkWithin(coord->endpoint(), 2, 2000));
+
+    coord.reset();
+    coord = std::make_unique<TestCoordinator>("rejoin", slowHeartbeat());
+    ASSERT_TRUE(slotsParkWithin(coord->endpoint(), 2, 2000));
+
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+    ServiceClient client(coord->endpoint());
+    const auto remote = client.submit(requestFor(set, "fleet-rejoin"));
+    ASSERT_EQ(remote.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
 }
 
 TEST(FleetTest, SubmitWithNoWorkersWaitsThenCompletes)

@@ -949,6 +949,25 @@ TEST(ServiceTest, CacheEvictionRespectsByteBudget)
     EXPECT_LE(stats.bytes, options.cacheBytes);
 }
 
+TEST(ServiceTest, ResultCachesDefaultToA64MiBBudget)
+{
+    // A daemon fed fresh configs for days must not grow its result
+    // cache without bound: with default options, both daemons report
+    // the 64 MiB default budget in `status`.
+    TestServer server("budget");
+    TestCoordinator coordinator("budget-coord");
+    for (const std::string &endpoint :
+         {server.endpoint(), coordinator.endpoint()}) {
+        const json::Value status = ServiceClient(endpoint).status();
+        EXPECT_EQ(status.at("server")
+                      .at("cache")
+                      .at("budget_bytes")
+                      .asU64(),
+                  64ull << 20)
+            << endpoint;
+    }
+}
+
 TEST(ServiceTest, JobErrorSurfacesAsServiceError)
 {
     // A fake server that accepts the submit and then reports the job

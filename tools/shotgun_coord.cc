@@ -50,7 +50,8 @@ const char *kUsage =
     "                      asks the kernel for a free port; the\n"
     "                      resolved endpoint is printed on stdout)\n"
     "  --cache-bytes N     byte budget for the in-memory result\n"
-    "                      cache (suffix K/M/G; default: unbounded)\n"
+    "                      cache (suffix K/M/G; default 64M, about\n"
+    "                      60,000 results; 0: unbounded)\n"
     "  --cache-dir DIR     persistent result cache directory; every\n"
     "                      result is written through to one JSON\n"
     "                      file per config fingerprint and served\n"
@@ -93,6 +94,15 @@ byteSizeArg(const char *flag, const char *text)
     return bytes;
 }
 
+/** --cache-bytes' value: a byte count, or 0 for unbounded. */
+std::size_t
+cacheBytesArg(const char *text)
+{
+    if (std::strcmp(text, "0") == 0)
+        return 0;
+    return static_cast<std::size_t>(byteSizeArg("--cache-bytes", text));
+}
+
 } // namespace
 
 int
@@ -117,8 +127,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--listen") == 0) {
             listen = next("--listen");
         } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
-            options.cacheBytes = static_cast<std::size_t>(
-                byteSizeArg("--cache-bytes", next("--cache-bytes")));
+            options.cacheBytes = cacheBytesArg(next("--cache-bytes"));
         } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
             options.cacheDir = next("--cache-dir");
         } else if (std::strcmp(argv[i], "--cache-max-bytes") == 0) {

@@ -74,8 +74,8 @@ const char *kUsage =
     "                      per hardware thread)\n"
     "  --cache-bytes N     byte budget for the result cache;\n"
     "                      least-recently-used results are evicted\n"
-    "                      beyond it (suffix K/M/G; default:\n"
-    "                      unbounded)\n"
+    "                      beyond it (suffix K/M/G; default 64M,\n"
+    "                      about 60,000 results; 0: unbounded)\n"
     "  --cache-dir DIR     persistent result cache directory: every\n"
     "                      result is written through to disk and\n"
     "                      served from there after a restart\n"
@@ -89,7 +89,9 @@ const char *kUsage =
     "                      while still serving direct clients\n"
     "  --name NAME         worker name shown in --fleet-status\n"
     "                      (default: serve-<pid>)\n"
-    "  --heartbeat-ms N    fleet heartbeat period (default 1000)\n"
+    "  --heartbeat-ms N    fleet heartbeat period, also the cap on\n"
+    "                      the reconnect backoff, which starts at\n"
+    "                      5 ms and doubles (default 1000)\n"
     "  --trace-out FILE    write a Chrome trace-event JSON of every\n"
     "                      span this daemon recorded (its own and\n"
     "                      trace-carrying jobs') when it shuts down;\n"
@@ -121,6 +123,15 @@ byteSizeArg(const char *flag, const char *text)
                    ": expected a positive byte count (K/M/G suffix "
                    "allowed), got '" + text + "'");
     return bytes;
+}
+
+/** --cache-bytes' value: a byte count, or 0 for unbounded. */
+std::size_t
+cacheBytesArg(const char *text)
+{
+    if (std::strcmp(text, "0") == 0)
+        return 0;
+    return static_cast<std::size_t>(byteSizeArg("--cache-bytes", text));
 }
 
 } // namespace
@@ -160,8 +171,7 @@ main(int argc, char **argv)
                            text + "'");
             options.jobs = static_cast<unsigned>(jobs);
         } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
-            options.cacheBytes = static_cast<std::size_t>(
-                byteSizeArg("--cache-bytes", next("--cache-bytes")));
+            options.cacheBytes = cacheBytesArg(next("--cache-bytes"));
         } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
             cache_dir = next("--cache-dir");
         } else if (std::strcmp(argv[i], "--cache-max-bytes") == 0) {
