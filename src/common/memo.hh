@@ -5,7 +5,9 @@
  * outside the table lock (so distinct keys build concurrently), every
  * concurrent duplicate waits on the same future, and later callers
  * hit the cache. If the compute function throws, the entry is removed
- * so a subsequent call can retry, and waiters see the exception.
+ * so a subsequent call can retry, and every waiter retries too: each
+ * caller that fails gets an exception of its own, never one object
+ * shared across threads.
  */
 
 #ifndef SHOTGUN_COMMON_MEMO_HH
@@ -29,41 +31,42 @@ class MemoCache
   public:
     /**
      * Return the cached value for `key`, running `compute` (signature
-     * `Value()`) at most once per key. The returned shared_ptr keeps
-     * the value alive independent of the cache.
+     * `Value()`) at most once per key while it succeeds. The returned
+     * shared_ptr keeps the value alive independent of the cache.
      */
     template <typename Fn>
     std::shared_ptr<const Value> get(const Key &key, Fn &&compute)
     {
-        std::shared_future<std::shared_ptr<const Value>> future;
-        bool mine = false;
-        std::promise<std::shared_ptr<const Value>> promise;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = entries_.find(key);
-            if (it == entries_.end()) {
-                future = promise.get_future().share();
-                entries_.emplace(key, future);
-                mine = true;
-            } else {
+        for (;;) {
+            std::shared_future<std::shared_ptr<const Value>> future;
+            {
+                std::unique_lock<std::mutex> lock(mutex_);
+                auto it = entries_.find(key);
+                if (it == entries_.end()) {
+                    std::promise<std::shared_ptr<const Value>> promise;
+                    entries_.emplace(key, promise.get_future().share());
+                    lock.unlock();
+                    std::shared_ptr<const Value> value;
+                    try {
+                        value = std::make_shared<const Value>(compute());
+                    } catch (...) {
+                        lock.lock();
+                        entries_.erase(key);
+                        lock.unlock();
+                        // Waiters get no exception object: they retry.
+                        promise.set_value(nullptr);
+                        throw;
+                    }
+                    promise.set_value(value);
+                    return value;
+                }
                 future = it->second;
             }
+            // Null: the computing caller threw. Look again, so that a
+            // failure here is this caller's own.
+            if (auto value = future.get())
+                return value;
         }
-
-        if (mine) {
-            try {
-                promise.set_value(std::make_shared<const Value>(
-                    std::forward<Fn>(compute)()));
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    entries_.erase(key);
-                }
-                promise.set_exception(std::current_exception());
-                throw;
-            }
-        }
-        return future.get();
     }
 
     std::size_t size() const
@@ -97,7 +100,8 @@ struct MemoCacheStats
  * MemoCache with a byte budget and least-recently-used eviction.
  * Same once-per-key contract while an entry lives: the first caller
  * computes outside the lock, concurrent duplicates wait on the same
- * future, a throwing compute removes the entry and rethrows.
+ * future, a throwing compute removes the entry and rethrows, and its
+ * waiters retry.
  *
  * Differences from MemoCache:
  *  - Each completed entry is charged `bytesOf(key, value)` bytes
@@ -159,74 +163,31 @@ class LruMemoCache
     template <typename Fn>
     std::shared_ptr<const Value> get(const Key &key, Fn &&compute)
     {
-        std::shared_future<std::shared_ptr<const Value>> future;
-        bool mine = false;
-        std::promise<std::shared_ptr<const Value>> promise;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = entries_.find(key);
-            if (it == entries_.end()) {
-                future = promise.get_future().share();
-                Entry entry;
-                entry.future = future;
-                entries_.emplace(key, std::move(entry));
-                ++misses_;
-                mine = true;
-            } else {
+        for (;;) {
+            std::shared_future<std::shared_ptr<const Value>> future;
+            {
+                std::unique_lock<std::mutex> lock(mutex_);
+                auto it = entries_.find(key);
+                if (it == entries_.end()) {
+                    std::promise<std::shared_ptr<const Value>> promise;
+                    Entry entry;
+                    entry.future = promise.get_future().share();
+                    entries_.emplace(key, std::move(entry));
+                    ++misses_;
+                    lock.unlock();
+                    return fill(key, promise, compute);
+                }
                 if (it->second.ready)
-                    lru_.splice(lru_.begin(), lru_,
-                                it->second.lruIt);
+                    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
                 ++hits_;
                 future = it->second.future;
             }
+            // A null value means the computing caller threw and erased
+            // the entry: look again, so that a failure here is this
+            // caller's own.
+            if (auto value = future.get())
+                return value;
         }
-
-        if (mine) {
-            std::shared_ptr<const Value> value;
-            bool from_backend = false;
-            try {
-                // A persistent-backend hit replaces compute (and is
-                // not written back: the backend already has it).
-                if (backendLoad_) {
-                    Value loaded;
-                    if (backendLoad_(key, loaded)) {
-                        from_backend = true;
-                        value = std::make_shared<const Value>(
-                            std::move(loaded));
-                    }
-                }
-                if (value == nullptr)
-                    value = std::make_shared<const Value>(
-                        std::forward<Fn>(compute)());
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    entries_.erase(key);
-                }
-                promise.set_exception(std::current_exception());
-                throw;
-            }
-            if (!from_backend && backendStore_)
-                backendStore_(key, *value);
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                auto it = entries_.find(key);
-                // Only this thread completes the entry, so it is
-                // still present (eviction skips in-flight entries).
-                it->second.bytes =
-                    bytesOf_ ? bytesOf_(key, *value)
-                             : sizeof(Value) + sizeof(Key);
-                it->second.ready = true;
-                lru_.push_front(key);
-                it->second.lruIt = lru_.begin();
-                bytes_ += it->second.bytes;
-                if (from_backend)
-                    ++backendHits_;
-                evictLocked();
-            }
-            promise.set_value(std::move(value));
-        }
-        return future.get();
     }
 
     /**
@@ -326,6 +287,61 @@ class LruMemoCache
     }
 
   private:
+    /**
+     * Compute the value of `key`, whose entry this caller registered
+     * with `promise`'s future, and complete the entry.
+     */
+    template <typename Fn>
+    std::shared_ptr<const Value>
+    fill(const Key &key,
+         std::promise<std::shared_ptr<const Value>> &promise, Fn &compute)
+    {
+        std::shared_ptr<const Value> value;
+        bool from_backend = false;
+        try {
+            // A persistent-backend hit replaces compute (and is not
+            // written back: the backend already has it).
+            if (backendLoad_) {
+                Value loaded;
+                if (backendLoad_(key, loaded)) {
+                    from_backend = true;
+                    value = std::make_shared<const Value>(
+                        std::move(loaded));
+                }
+            }
+            if (value == nullptr)
+                value = std::make_shared<const Value>(compute());
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                entries_.erase(key);
+            }
+            // Waiters get no exception object: they retry, and any
+            // that fail throw their own.
+            promise.set_value(nullptr);
+            throw;
+        }
+        if (!from_backend && backendStore_)
+            backendStore_(key, *value);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto it = entries_.find(key);
+            // Only this thread completes the entry, so it is still
+            // present (eviction skips in-flight entries).
+            it->second.bytes = bytesOf_ ? bytesOf_(key, *value)
+                                        : sizeof(Value) + sizeof(Key);
+            it->second.ready = true;
+            lru_.push_front(key);
+            it->second.lruIt = lru_.begin();
+            bytes_ += it->second.bytes;
+            if (from_backend)
+                ++backendHits_;
+            evictLocked();
+        }
+        promise.set_value(value);
+        return value;
+    }
+
     /** Insert an already-available value; existing entries win. */
     void insertReady(const Key &key,
                      std::shared_ptr<const Value> value,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -41,71 +42,22 @@ struct FleetCoordinator::Job : service::DaemonJob
 
     std::uint64_t priority = 1;
     std::vector<std::shared_ptr<const CachedResult>> outcomes;
-    std::vector<char> ready;      ///< Outcome available, per index.
     std::vector<char> cachedFlag; ///< Served from a cache, per index.
-    std::size_t pendingTasks = 0; ///< Tasks not yet Done.
-    std::size_t nextEmit = 0;     ///< First unemitted index.
-    bool emitting = false;        ///< A thread streams the prefix.
-    bool cancelled = false;
-    bool failed = false;
-    std::string message; ///< First failure detail.
-    std::uint64_t cachedCount = 0;
+    bool cancelled = false; ///< Cancelled before its points queued.
 
     /**
      * Tracing: non-zero when the submit carried a trace id (or the
      * coordinator runs with --trace-out and stamps its own). The
      * per-point vectors hold spans/timing shipped back by workers,
      * relayed to the client in result frames; sized only for traced
-     * jobs so untraced jobs pay nothing.
+     * jobs so untraced jobs pay nothing. The job's points all queue
+     * at admission, which the "queued" spans start from.
      */
     std::uint64_t traceId = 0;
     std::uint64_t traceParent = 0;
     std::vector<std::vector<obs::SpanRecord>> pointSpans;
     std::vector<obs::PointTiming> pointTimings;
     std::vector<char> pointHasTiming;
-
-    /** One per grid point; never resized after admission, so raw
-     * Task pointers in the queue/registry stay valid. */
-    std::vector<Task> tasks;
-
-    service::JobStatus status() const override
-    {
-        service::JobStatus row;
-        row.id = id;
-        row.experiment = submit->request.experiment;
-        if (failed)
-            row.state = doneSent ? "error" : "running";
-        else if (doneSent)
-            row.state = cancelled && nextEmit < total ? "cancelled" : "ok";
-        else
-            row.state = nextEmit > 0 || pendingTasks < total ? "running"
-                                                            : "queued";
-        row.total = total;
-        row.completed = nextEmit;
-        row.cached = cachedCount;
-        return row;
-    }
-};
-
-struct FleetCoordinator::Task
-{
-    enum class State
-    {
-        Queued,
-        InFlight,
-        Done,
-    };
-
-    std::uint64_t id = 0;
-    Job *job = nullptr; ///< Parent; outlives every registry pointer.
-    std::uint64_t jobId = 0;
-    std::size_t index = 0;       ///< Grid index within the job.
-    std::uint64_t priority = 1;  ///< Copied from the job (ordering).
-    std::uint64_t cost = 0;      ///< experimentCost() of the point.
-    State state = State::Done;   ///< Cache-prefilled unless queued.
-    Slot *slot = nullptr;        ///< Owning slot while InFlight.
-
-    /** Queue-entry timestamps for the "queued" span (traced jobs). */
     std::uint64_t queuedWallUs = 0;
     Clock::time_point queuedAt;
 };
@@ -128,20 +80,9 @@ struct FleetCoordinator::Slot
 {
     std::shared_ptr<Connection> conn;
     std::shared_ptr<Worker> worker;
-    Task *inflight = nullptr; ///< Valid while that task is InFlight.
-    bool parked = false;      ///< Waiting in parked_ for work.
+    runner::Dispatcher::Dispatch work; ///< In flight; 0 ticket: none.
+    bool parked = false;               ///< Waiting in parked_ for work.
 };
-
-bool
-FleetCoordinator::TaskOrder::operator()(const Task *a,
-                                        const Task *b) const
-{
-    if (a->priority != b->priority)
-        return a->priority > b->priority;
-    if (a->cost != b->cost)
-        return a->cost > b->cost;
-    return a->id < b->id;
-}
 
 FleetCoordinator::FleetCoordinator(const std::string &endpoint_spec,
                                    CoordinatorOptions options)
@@ -180,7 +121,7 @@ std::size_t
 FleetCoordinator::queueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
+    return dispatcher_.queued();
 }
 
 std::string
@@ -203,12 +144,10 @@ FleetCoordinator::drain()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (auto &entry : jobs_) {
-            if (!entry.second->doneSent)
+            if (!entry.second->doneSent) {
                 open.push_back(std::static_pointer_cast<Job>(entry.second));
-        }
-        for (auto &job : open) {
-            job->cancelled = true;
-            dropQueuedLocked(*job);
+                dispatcher_.cancel(entry.first);
+            }
         }
     }
     for (auto &job : open)
@@ -240,7 +179,7 @@ FleetCoordinator::cancelJob(std::uint64_t id)
         if (job == nullptr)
             return false;
         job->cancelled = true;
-        dropQueuedLocked(*job);
+        dispatcher_.cancel(id);
     }
     // In-flight points finish on their workers; queued ones are gone.
     // The `done` frame reports cancelled once the last in-flight
@@ -266,9 +205,7 @@ FleetCoordinator::handleSubmit(
     auto job = std::make_shared<Job>(std::move(submit));
     job->priority = std::max<std::uint64_t>(1, request.priority);
     job->outcomes.resize(job->total);
-    job->ready.assign(job->total, 0);
     job->cachedFlag.assign(job->total, 0);
-    job->tasks.resize(job->total);
 
     // The client's trace id wins; a coordinator running with
     // --trace-out stamps its own onto bare submits so its workers'
@@ -283,64 +220,46 @@ FleetCoordinator::handleSubmit(
         job->pointSpans.resize(job->total);
         job->pointTimings.resize(job->total);
         job->pointHasTiming.assign(job->total, 0);
+        job->queuedWallUs = obs::wallClockUs();
+        job->queuedAt = Clock::now();
     }
 
     // Cache prefill (memory, then disk): a point seen before is
     // answered without touching any worker. tryGet never runs a
     // simulation, so doing it on the reader thread is cheap.
-    std::size_t fresh = 0;
+    std::vector<std::uint64_t> cost(job->total);
     for (std::size_t i = 0; i < job->total; ++i) {
-        if (auto value =
-                cache_.tryGet(job->submit->fingerprints[i])) {
-            job->outcomes[i] = std::move(value);
-            job->ready[i] = 1;
-            job->cachedFlag[i] = 1;
-            ++job->cachedCount;
-        } else {
-            ++fresh;
-        }
+        job->outcomes[i] = cache_.tryGet(job->submit->fingerprints[i]);
+        job->cachedFlag[i] = job->outcomes[i] != nullptr;
+        job->cachedCount += job->cachedFlag[i];
+        cost[i] = service::experimentCost(request.grid[i]);
     }
-    job->pendingTasks = fresh;
+    runner::Dispatcher::Plan plan = runner::Dispatcher::plan(cost);
 
-    // `accepted` goes on the wire before any task can complete (and
+    // `accepted` goes on the wire before any point can complete (and
     // before the cache-hit prefix is streamed).
     admit(conn, job);
     log("job " + std::to_string(job->id) + " accepted: " +
         request.experiment + ", " + std::to_string(job->total) +
-        " points (" + std::to_string(job->total - fresh) +
+        " points (" + std::to_string(job->cachedCount.load()) +
         " cached), priority " + std::to_string(job->priority));
 
     SendBatch sends;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (job->cancelled || stopping()) {
-            // A cancel raced the admission (or shutdown began):
-            // nothing is queued; the `done` frame below reports
-            // cancelled over whatever the cache prefilled.
-            job->cancelled = true;
-            job->pendingTasks = 0;
-        } else {
-            for (std::size_t i = 0; i < job->total; ++i) {
-                if (job->ready[i])
-                    continue;
-                Task &task = job->tasks[i];
-                task.id = nextTaskId_++;
-                task.job = job.get();
-                task.jobId = job->id;
-                task.index = i;
-                task.priority = job->priority;
-                task.cost = service::experimentCost(
-                    job->submit->request.grid[i]);
-                task.state = Task::State::Queued;
-                if (job->traceId != 0) {
-                    task.queuedWallUs = obs::wallClockUs();
-                    task.queuedAt = Clock::now();
-                }
-                queue_.insert(&task);
-                tasksById_.emplace(task.id, &task);
-            }
-            pumpLocked(sends);
+        // No budget: every slot may run the job's points.
+        dispatcher_.submit(job->id, std::move(plan), 0, job->priority);
+        for (std::size_t i = 0; i < job->total; ++i) {
+            if (job->cachedFlag[i])
+                dispatcher_.prefill(job->id, i);
         }
+        job->running = job->cachedCount != 0;
+        // A cancel that raced the admission (or shutdown) leaves
+        // nothing queued; the `done` frame below reports cancelled
+        // over whatever the cache prefilled.
+        if (job->cancelled || stopping())
+            dispatcher_.cancel(job->id);
+        pumpLocked(sends);
     }
     sendBatch(sends);
     emitJob(job);
@@ -349,38 +268,27 @@ FleetCoordinator::handleSubmit(
 void
 FleetCoordinator::pumpLocked(SendBatch &sends)
 {
-    while (!queue_.empty() && !parked_.empty()) {
+    while (!parked_.empty()) {
+        const runner::Dispatcher::Dispatch work = dispatcher_.pick();
+        if (work.ticket == 0)
+            return;
         auto slot = parked_.front();
         parked_.pop_front();
         slot->parked = false;
-        Task *task = *queue_.begin();
-        queue_.erase(queue_.begin());
-        task->state = Task::State::InFlight;
-        task->slot = slot.get();
-        slot->inflight = task;
+        slot->work = work;
+        Job &job = *findJobLocked<Job>(work.job);
+        job.running = true;
         service::WorkItem item;
-        item.task = task->id;
-        item.experiment = task->job->submit->request.grid[task->index];
-        item.traceId = task->job->traceId;
-        item.parentSpan = task->job->traceParent;
+        item.task = work.ticket;
+        item.experiment = job.submit->request.grid[work.index];
+        item.traceId = job.traceId;
+        item.parentSpan = job.traceParent;
         // The coordinator's own contribution to the trace: how long
         // the point sat in the fleet queue before a slot stole it.
-        if (task->job->traceId != 0 && obs::tracer().enabled()) {
-            obs::SpanRecord span;
-            span.traceId = task->job->traceId;
-            span.id = obs::tracer().nextSpanId();
-            span.parent = task->job->traceParent;
-            span.name = "queued";
-            span.category = "fleet";
-            span.process = obs::tracer().processName();
-            span.lane = "queue";
-            span.startUs = task->queuedWallUs;
-            span.durUs = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - task->queuedAt)
-                    .count());
-            obs::tracer().record(std::move(span));
-        }
+        if (job.traceId != 0 && obs::tracer().enabled())
+            obs::tracer().record(obs::spanUntilNow(
+                job.traceId, job.traceParent, "queued", "fleet", "queue",
+                job.queuedWallUs, job.queuedAt));
         sends.emplace_back(slot->conn, service::encodeFrame(item));
     }
 }
@@ -389,7 +297,7 @@ void
 FleetCoordinator::sendBatch(SendBatch &sends)
 {
     // A failed send means the slot's socket died; its reader will
-    // hit EOF and requeue the task, so the failure needs no handling
+    // hit EOF and requeue the point, so the failure needs no handling
     // here.
     for (auto &send : sends)
         send.first->sendLine(std::move(send.second));
@@ -397,106 +305,58 @@ FleetCoordinator::sendBatch(SendBatch &sends)
 }
 
 void
-FleetCoordinator::dropQueuedLocked(Job &job)
-{
-    for (auto it = queue_.begin(); it != queue_.end();) {
-        Task *task = *it;
-        if (task->job != &job) {
-            ++it;
-            continue;
-        }
-        it = queue_.erase(it);
-        tasksById_.erase(task->id);
-        task->state = Task::State::Done;
-        --job.pendingTasks;
-    }
-}
-
-void
 FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     auto conn = job->owner; // Copied under the lock; may be null.
-    if (job->emitting)
-        return; // The active emitter re-carves before it stops.
-    job->emitting = true;
-    for (;;) {
-        const std::size_t from = job->nextEmit;
-        std::size_t to = from;
-        while (to < job->total && job->ready[to])
-            ++to;
-        if (to == from)
+    for (bool holding = false;;) {
+        const runner::Dispatcher::Run run =
+            dispatcher_.takeEmit(job->id, holding);
+        if (run.empty())
             break;
-        job->nextEmit = to;
+        holding = true;
         lock.unlock();
         const bool trace_emit =
             job->traceId != 0 && obs::tracer().enabled();
         const std::uint64_t emit_start_us =
             trace_emit ? obs::wallClockUs() : 0;
         const Clock::time_point emit_start = Clock::now();
-        if (conn != nullptr) {
-            for (std::size_t i = from; i < to; ++i) {
-                service::ResultEvent event;
-                event.job = job->id;
-                event.index = i;
-                event.cached = job->cachedFlag[i] != 0;
-                const runner::Experiment &exp =
-                    job->submit->request.grid[i];
-                event.workload = exp.workload;
-                event.label = exp.label;
-                event.fingerprint = job->submit->fingerprints[i];
-                event.result = job->outcomes[i]->result;
-                if (job->outcomes[i]->hasDelta) {
-                    event.hasDelta = true;
-                    event.delta = job->outcomes[i]->delta;
-                }
-                if (job->traceId != 0) {
-                    event.spans = job->pointSpans[i];
-                    if (job->pointHasTiming[i]) {
-                        event.hasTiming = true;
-                        event.timing = job->pointTimings[i];
-                    }
-                }
-                conn->sendLine(service::encodeFrame(event));
+        for (std::size_t i = run.from; conn != nullptr && i < run.to;
+             ++i) {
+            service::ResultEvent event;
+            event.job = job->id;
+            event.index = i;
+            event.cached = job->cachedFlag[i] != 0;
+            const runner::Experiment &exp = job->submit->request.grid[i];
+            event.workload = exp.workload;
+            event.label = exp.label;
+            event.fingerprint = job->submit->fingerprints[i];
+            event.result = job->outcomes[i]->result;
+            if (job->outcomes[i]->hasDelta) {
+                event.hasDelta = true;
+                event.delta = job->outcomes[i]->delta;
             }
+            if (job->traceId != 0) {
+                event.spans = job->pointSpans[i];
+                if (job->pointHasTiming[i]) {
+                    event.hasTiming = true;
+                    event.timing = job->pointTimings[i];
+                }
+            }
+            conn->sendLine(service::encodeFrame(event));
         }
-        if (trace_emit) {
-            obs::SpanRecord span;
-            span.traceId = job->traceId;
-            span.id = obs::tracer().nextSpanId();
-            span.parent = job->traceParent;
-            span.name = "emit";
-            span.category = "fleet";
-            span.process = obs::tracer().processName();
-            span.lane = "emit";
-            span.startUs = emit_start_us;
-            span.durUs = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    Clock::now() - emit_start)
-                    .count());
-            obs::tracer().record(std::move(span));
-        }
+        job->completed += run.to - run.from;
+        if (trace_emit)
+            obs::tracer().record(obs::spanUntilNow(
+                job->traceId, job->traceParent, "emit", "fleet", "emit",
+                emit_start_us, emit_start));
         lock.lock();
     }
-    job->emitting = false;
-    if (job->doneSent || job->pendingTasks != 0)
+    runner::Dispatcher::Outcome outcome;
+    if (!dispatcher_.finish(job->id, outcome))
         return;
-    // Claimed under the lock, so exactly one emitter sends `done`.
-    job->doneSent = true;
-    service::DoneEvent done;
-    done.job = job->id;
-    if (job->failed) {
-        done.status = "error";
-        done.message = job->message;
-    } else if (job->nextEmit == job->total) {
-        done.status = "ok";
-    } else {
-        done.status = "cancelled";
-    }
-    done.completed = job->nextEmit;
-    done.cached = job->cachedCount;
     lock.unlock();
-    finishJob(*job, done);
+    finishJob(*job, outcome);
 }
 
 void
@@ -566,7 +426,7 @@ FleetCoordinator::runWorkerSlot(
             SendBatch sends;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                if (!slot->parked && slot->inflight == nullptr) {
+                if (!slot->parked && slot->work.ticket == 0) {
                     slot->parked = true;
                     parked_.push_back(slot);
                 }
@@ -582,10 +442,10 @@ FleetCoordinator::runWorkerSlot(
         return true;
     });
 
-    // Slot teardown: whatever was in flight here lands back in the
-    // queue for the survivors -- unless it already completed (late
-    // results were accepted above) or the daemon is shutting down.
-    std::shared_ptr<Job> open_job;
+    // Slot teardown: whatever was in flight here queues again for the
+    // survivors -- unless it already completed (late results were
+    // accepted above) or the daemon is shutting down.
+    std::shared_ptr<Job> job;
     SendBatch sends;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -596,22 +456,15 @@ FleetCoordinator::runWorkerSlot(
             }
         }
         slot->parked = false;
-        Task *task = slot->inflight;
-        slot->inflight = nullptr;
-        if (task != nullptr && task->state == Task::State::InFlight &&
-            task->slot == slot.get()) {
-            task->slot = nullptr;
-            if (stopping()) {
-                task->state = Task::State::Done;
-                tasksById_.erase(task->id);
-                --task->job->pendingTasks;
-                open_job = findJobLocked<Job>(task->jobId);
-            } else {
-                task->state = Task::State::Queued;
-                queue_.insert(task);
-                log("task " + std::to_string(task->id) +
+        if (slot->work.ticket != 0) {
+            job = findJobLocked<Job>(slot->work.job);
+            if (stopping())
+                dispatcher_.cancel(job->id);
+            else
+                log("task " + std::to_string(slot->work.ticket) +
                     " requeued (worker slot lost)");
-            }
+            dispatcher_.lose(slot->work.ticket);
+            slot->work = {};
         }
         if (slot->worker != nullptr) {
             auto &attached = slot->worker->attached;
@@ -622,8 +475,8 @@ FleetCoordinator::runWorkerSlot(
         pumpLocked(sends);
     }
     sendBatch(sends);
-    if (open_job != nullptr)
-        emitJob(open_job);
+    if (job != nullptr)
+        emitJob(job);
 }
 
 void
@@ -632,66 +485,50 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
 {
     auto wr = service::decodeFrame<service::WorkResult>(frame);
     std::shared_ptr<Job> job;
-    std::string cache_key;
     std::shared_ptr<const CachedResult> value;
+    std::string cache_key;
     std::vector<obs::SpanRecord> tracer_spans;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = tasksById_.find(wr.task);
-        if (it == tasksById_.end())
-            return; // Late duplicate from a declared-dead worker.
-        Task *task = it->second;
-        if (task->state != Task::State::InFlight ||
-            task->slot != slot.get())
-            return; // Requeued elsewhere; this copy is stale.
-        task->state = Task::State::Done;
-        task->slot = nullptr;
-        slot->inflight = nullptr;
-        tasksById_.erase(it);
-        job = findJobLocked<Job>(task->jobId);
-        --task->job->pendingTasks;
+        if (wr.task == 0 || wr.task != slot->work.ticket)
+            return; // Not what this slot runs: a stale copy.
+        const runner::Dispatcher::Dispatch work = slot->work;
+        slot->work = {};
+        job = findJobLocked<Job>(work.job);
         slot->worker->completed += 1;
         if (!wr.ok) {
-            if (!task->job->failed) {
-                task->job->failed = true;
-                task->job->message = wr.message;
-            }
-            dropQueuedLocked(*task->job);
+            dispatcher_.fail(work.ticket, std::make_exception_ptr(
+                                              std::runtime_error(wr.message)));
         } else {
             value = std::make_shared<const CachedResult>(
-                CachedResult{wr.result, wr.hasDelta, wr.delta});
-            task->job->outcomes[task->index] = value;
-            task->job->ready[task->index] = 1;
+                CachedResult{std::move(wr.result), wr.hasDelta, wr.delta});
+            job->outcomes[work.index] = value;
+            cache_key = job->submit->fingerprints[work.index];
             if (wr.cached) {
-                task->job->cachedFlag[task->index] = 1;
-                ++task->job->cachedCount;
+                job->cachedFlag[work.index] = 1;
+                ++job->cachedCount;
             }
-            cache_key = task->job->submit->fingerprints[task->index];
             // Worker spans: into the coordinator's own trace file
             // (--trace-out merges the whole fleet into one JSON) and
             // into the job for relay to the client.
             if (obs::tracer().enabled() && !wr.spans.empty())
                 tracer_spans = wr.spans;
-            if (task->job->traceId != 0) {
-                task->job->pointSpans[task->index] =
-                    std::move(wr.spans);
+            if (job->traceId != 0) {
+                job->pointSpans[work.index] = std::move(wr.spans);
                 if (wr.hasTiming) {
-                    task->job->pointHasTiming[task->index] = 1;
-                    task->job->pointTimings[task->index] = wr.timing;
+                    job->pointHasTiming[work.index] = 1;
+                    job->pointTimings[work.index] = wr.timing;
                 }
             }
+            dispatcher_.complete(work.ticket);
         }
     }
     if (!tracer_spans.empty())
         obs::tracer().record(std::move(tracer_spans));
-    if (value != nullptr) {
-        // Outside the registry mutex: put() write-throughs to disk.
-        cache_.put(cache_key,
-                   CachedResult{std::move(wr.result), wr.hasDelta,
-                                wr.delta});
-    }
-    if (job != nullptr)
-        emitJob(job);
+    // Outside the registry mutex: put() write-throughs to disk.
+    if (value != nullptr)
+        cache_.put(cache_key, std::move(value));
+    emitJob(job);
 }
 
 void
@@ -777,7 +614,7 @@ FleetCoordinator::statusFrame()
             status.name = worker.name;
             status.slots = worker.slots;
             for (const auto &slot : worker.attached) {
-                if (slot->inflight != nullptr)
+                if (slot->work.ticket != 0)
                     ++status.inflight;
             }
             status.completed = worker.completed;
@@ -809,7 +646,7 @@ FleetCoordinator::statusFrame()
             total_slots += worker.slots;
             workers.push(encodeTree(status));
         }
-        queue_depth = queue_.size();
+        queue_depth = dispatcher_.queued();
         parked = parked_.size();
     }
 

@@ -11,7 +11,7 @@
  *        |  submit/status/cancel                  |  register+heartbeat
  *        v                                        v  (1 control conn)
  *   +---------------------- shotgun-coord ----------------------+
- *   | priority/cost-ordered task queue | worker registry        |
+ *   | dispatcher (fair share, LPT)    | worker registry        |
  *   | result cache (LRU + disk)       | heartbeat monitor       |
  *   +------------------------------------------------------------+
  *                  ^ steal -> work -> result (1 conn per slot)
@@ -23,21 +23,22 @@
  * unchanged -- and the assembled output stays byte-identical to an
  * in-process run.
  *
- * Scheduling: queued tasks are ordered by job priority (the submit
- * frame's `priority`, descending, strictly), then simulated length
- * (descending -- longest-measured-first, the LPT placement that
- * minimizes the straggler tail), then admission order. Any idle
- * worker slot steals the head of that queue; there is no static
- * assignment, so a fast worker simply steals more.
+ * Scheduling is the one policy GridScheduler runs too
+ * (runner/dispatcher.hh): any idle worker slot steals the next point
+ * of the job with the smallest dispatch share, weighted by the submit
+ * frame's `priority`; within a job points go longest-measured-first
+ * (the LPT placement that minimizes the straggler tail), ties in grid
+ * order. There is no static assignment, so a fast worker simply
+ * steals more.
  *
  * Fault tolerance: a worker that closes its connections, or whose
  * heartbeat goes missing for `heartbeatMissLimit` intervals, is
- * declared dead and every point in flight on it is requeued at the
- * head of its job's class for the survivors -- results it already
- * returned are kept, and a late duplicate result from a worker that
- * was wrongly declared dead is dropped, so every grid point lands
- * exactly once. Simulations are pure functions of their config, so
- * re-running a lost point on any worker yields identical bytes.
+ * declared dead and every point in flight on it is requeued at its
+ * old place in its job's order for the survivors -- results it
+ * already returned are kept, and a late result for a requeued point
+ * is dropped, so every grid point lands exactly once. Simulations are
+ * pure functions of their config, so re-running a lost point on any
+ * worker yields identical bytes.
  *
  * Results are cached by config fingerprint in an LRU memo cache
  * with an optional persistent directory backend (disk_cache.hh):
@@ -57,13 +58,13 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "fleet/disk_cache.hh"
+#include "runner/dispatcher.hh"
 #include "service/daemon.hh"
 
 namespace shotgun
@@ -120,13 +121,6 @@ class FleetCoordinator : public service::Daemon
     struct Worker;
     struct Slot;
     struct Job;
-    struct Task;
-
-    /** Queue order: priority desc, cost desc, admission asc. */
-    struct TaskOrder
-    {
-        bool operator()(const Task *a, const Task *b) const;
-    };
 
     /** (connection, encoded frame) pairs sent outside the mutex. */
     using SendBatch = std::vector<
@@ -155,16 +149,13 @@ class FleetCoordinator : public service::Daemon
     void handleWorkResult(const std::shared_ptr<Slot> &slot,
                           const json::Value &frame);
 
-    /** Match queued tasks to parked slots; fills `sends`. */
+    /** Match dispatchable points to parked slots; fills `sends`. */
     void pumpLocked(SendBatch &sends);
 
-    /** Drop a job's queued tasks (cancel/failure). Lock held. */
-    void dropQueuedLocked(Job &job);
-
     /**
-     * Stream the job's ready prefix in grid order and, when the job
-     * has no pending tasks left, its `done` frame. Safe from any
-     * thread; concurrent calls for one job never interleave frames.
+     * Stream the job's ready prefix in grid order and, once the job
+     * is over, its `done` frame. Safe from any thread; concurrent
+     * calls for one job never interleave frames.
      */
     void emitJob(const std::shared_ptr<Job> &job);
 
@@ -178,12 +169,10 @@ class FleetCoordinator : public service::Daemon
     CoordinatorOptions options_;
 
     // Guarded by the daemon mutex, with the job registry.
+    runner::Dispatcher dispatcher_; ///< Keyed by daemon job id.
     std::map<std::uint64_t, std::shared_ptr<Worker>> workers_;
-    std::map<std::uint64_t, Task *> tasksById_; ///< Undone tasks.
-    std::set<Task *, TaskOrder> queue_;         ///< Queued tasks.
-    std::deque<std::shared_ptr<Slot>> parked_;  ///< Idle steals.
+    std::deque<std::shared_ptr<Slot>> parked_; ///< Idle steals.
     std::uint64_t nextWorkerId_ = 1;
-    std::uint64_t nextTaskId_ = 1;
 
     std::condition_variable monitorCv_;
     std::thread monitor_;

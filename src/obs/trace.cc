@@ -164,6 +164,28 @@ Span::end()
         tracer().record(std::move(span));
 }
 
+SpanRecord
+spanUntilNow(std::uint64_t trace_id, std::uint64_t parent,
+             const char *name, const char *category, const char *lane,
+             std::uint64_t start_us,
+             std::chrono::steady_clock::time_point start)
+{
+    SpanRecord span;
+    span.traceId = trace_id;
+    span.id = tracer().nextSpanId();
+    span.parent = parent;
+    span.name = name;
+    span.category = category;
+    span.process = tracer().processName();
+    span.lane = lane;
+    span.startUs = start_us;
+    span.durUs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    return span;
+}
+
 PhaseTimer::PhaseTimer(const char *counter_us, std::uint64_t *slot)
     : counterName_(counter_us),
       slot_(slot),

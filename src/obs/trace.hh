@@ -260,6 +260,16 @@ class PhaseTimer
 std::uint64_t wallClockUs();
 
 /**
+ * A span of this process, outside any TraceContext, that began at
+ * wall-clock `start_us` (steady-clock `start`) and ends now: the
+ * schedulers' "queued" and "emit" spans.
+ */
+SpanRecord spanUntilNow(std::uint64_t trace_id, std::uint64_t parent,
+                        const char *name, const char *category,
+                        const char *lane, std::uint64_t start_us,
+                        std::chrono::steady_clock::time_point start);
+
+/**
  * Span <-> JSON, the representation result frames carry: runs of
  * SpanRecord's field list, defined with the frame lists
  * (service/protocol.*). spanFromJson() decodes strictly and throws

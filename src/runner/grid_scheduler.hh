@@ -2,23 +2,17 @@
  * @file
  * Work-conserving multi-grid scheduler: one fixed pool of worker
  * threads executing any number of concurrently admitted experiment
- * grids ("jobs"). Dispatch picks one grid point at a time across
- * jobs by weighted fair share (stride scheduling: the job with the
- * smallest dispatched/weight ratio goes next, so equal weights
- * degenerate to round-robin and a weight-3 job receives three
- * points for a weight-1 job's one), so every admitted job makes
- * progress while a long sweep runs -- no job owns the pool. Each
- * job declares a worker budget capping how many pool threads may
- * simulate its points at once; budgets above the pool size (or 0)
- * mean "whole pool", and unused budget is always available to
- * other jobs.
- *
- * Within one job, points dispatch in grid order by default; a job
- * that knows its points' relative costs can install a costOf hook
- * and have them dispatched longest-first (classic LPT: starting the
- * heavy windows first minimizes the tail where one straggler holds
- * the whole job). Neither weights nor cost ordering change what is
- * *emitted*: onResult order is strict grid order regardless.
+ * grids ("jobs"). It is the thread-pool shell around the one
+ * scheduling policy (runner/dispatcher.hh): dispatch picks one grid
+ * point at a time across jobs by weighted fair share, so every
+ * admitted job makes progress while a long sweep runs -- no job owns
+ * the pool. Each job declares a worker budget capping how many pool
+ * threads may simulate its points at once; budgets above the pool
+ * size (or 0) mean "whole pool", and unused budget is always
+ * available to other jobs. Within one job, points dispatch in grid
+ * order, or longest-first when the job installs a costOf hook;
+ * neither weights nor cost ordering change what is *emitted*:
+ * onResult order is strict grid order regardless.
  *
  * Determinism: simulations are pure functions of their config, and
  * each job's results are emitted strictly in grid order (index 0,
@@ -39,14 +33,16 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hh"
+#include "runner/dispatcher.hh"
 #include "runner/experiment.hh"
 
 namespace shotgun
@@ -59,7 +55,7 @@ class GridScheduler
   public:
     /** JobHooks::predecessors' entry for an ungated point. */
     static constexpr std::size_t kNoPredecessor =
-        static_cast<std::size_t>(-1);
+        Dispatcher::kNoPredecessor;
 
     struct Options
     {
@@ -73,23 +69,7 @@ class GridScheduler
     };
 
     /** A job's terminal report, delivered exactly once via onDone. */
-    struct Outcome
-    {
-        enum class Status
-        {
-            Ok,        ///< Every point emitted.
-            Cancelled, ///< Dispatch stopped by cancel()/cancelAll().
-            Error,     ///< A simulate call threw; `error` holds it.
-        };
-
-        Status status = Status::Ok;
-
-        /** Points emitted through onResult (the ordered prefix). */
-        std::size_t completed = 0;
-
-        /** First simulate exception (Status::Error only). */
-        std::exception_ptr error;
-    };
+    using Outcome = Dispatcher::Outcome;
 
     /**
      * Per-point tracing payload: the phase timing breakdown and the
@@ -214,22 +194,26 @@ class GridScheduler
     void waitIdle();
 
   private:
-    struct JobState;
+    struct Job;
+    using Finished =
+        std::vector<std::pair<std::shared_ptr<Job>, Outcome>>;
 
     void workerLoop(unsigned worker_index);
-    bool anyDispatchableLocked() const;
-    std::shared_ptr<JobState> pickJobLocked();
-    std::vector<std::shared_ptr<JobState>> reapLocked();
-    void deliverOutcomes(
-        std::vector<std::shared_ptr<JobState>> finished);
 
-    Options options_;
+    /** Emit the job's ready results; called and returns locked. */
+    void emit(std::unique_lock<std::mutex> &lock, Dispatcher::JobId id,
+              Job &job);
 
-    mutable std::mutex mutex_; ///< jobs_, cursor, per-job counters.
+    /** Move a job that is over into `finished`. Lock held. */
+    void reapLocked(Dispatcher::JobId id, Finished &finished);
+    void deliverOutcomes(Finished finished);
+
+    mutable std::mutex mutex_; ///< dispatcher_, jobs_ and the rest.
     std::condition_variable workCv_;
     std::condition_variable idleCv_;
-    std::vector<std::shared_ptr<JobState>> jobs_; ///< Admitted, by id.
-    std::uint64_t nextId_ = 1;
+    Dispatcher dispatcher_;
+    std::map<Dispatcher::JobId, std::shared_ptr<Job>> jobs_;
+    Dispatcher::JobId nextId_ = 1;
     std::size_t finalizing_ = 0; ///< Outcomes being delivered.
     bool stopping_ = false;
 

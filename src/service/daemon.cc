@@ -387,13 +387,46 @@ Daemon::ownerOf(const DaemonJob &job) const
     return job.owner;
 }
 
-void
-Daemon::finishJob(DaemonJob &job, const DoneEvent &done)
+JobStatus
+DaemonJob::status() const
 {
+    JobStatus row;
+    row.id = id;
+    row.experiment = submit->request.experiment;
+    row.state = doneSent ? doneStatus : running ? "running" : "queued";
+    row.total = total;
+    row.completed = completed.load();
+    row.cached = cachedCount.load();
+    row.budget = budget;
+    return row;
+}
+
+void
+Daemon::finishJob(DaemonJob &job,
+                  const runner::Dispatcher::Outcome &outcome)
+{
+    using Status = runner::Dispatcher::Outcome::Status;
+    DoneEvent done;
+    done.job = job.id;
+    done.status = outcome.status == Status::Ok          ? "ok"
+                  : outcome.status == Status::Cancelled ? "cancelled"
+                                                        : "error";
+    if (outcome.status == Status::Error) {
+        try {
+            std::rethrow_exception(outcome.error);
+        } catch (const std::exception &e) {
+            done.message = e.what();
+        } catch (...) {
+            done.message = "unknown error";
+        }
+    }
+    done.completed = outcome.completed;
+    done.cached = job.cachedCount.load();
     std::shared_ptr<Connection> conn;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job.doneSent = true;
+        job.doneStatus = done.status;
         conn = std::move(job.owner);
         // Keep a bounded tail of finished jobs for `status`; a daemon
         // serving thousands of submits must not hold every grid

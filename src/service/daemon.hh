@@ -18,7 +18,9 @@
  *    decoded request handed to the daemon's admission;
  *  - the job registry: a job holds its submitting connection until
  *    its `done` is sent, unless the client left before shutdown, and
- *    at most 64 finished jobs are kept for `status`;
+ *    at most 64 finished jobs are kept for `status`; each job's
+ *    `status` row, and its `done` frame built from the scheduler's
+ *    outcome (runner/dispatcher.hh);
  *  - the fingerprint-keyed result cache both daemons answer from,
  *    an LRU of 64 MiB unless the daemon is given another budget.
  *
@@ -42,6 +44,7 @@
 #include <vector>
 
 #include "common/memo.hh"
+#include "runner/dispatcher.hh"
 #include "service/protocol.hh"
 #include "service/socket.hh"
 
@@ -128,7 +131,7 @@ struct DaemonJob
     virtual ~DaemonJob() = default;
 
     /** The job's `status` row. Called with the daemon mutex held. */
-    virtual JobStatus status() const = 0;
+    JobStatus status() const;
 
     std::uint64_t id = 0; ///< Assigned by Daemon::admit().
 
@@ -151,6 +154,14 @@ struct DaemonJob
      */
     std::shared_ptr<Connection> owner;
     bool doneSent = false; ///< Terminal; prunable beyond the bound.
+    std::string doneStatus; ///< The `done` frame's status, once sent.
+
+    // The status row's progress, kept by the daemon running the job
+    // (from any thread).
+    std::atomic<bool> running{false};          ///< A point started.
+    std::atomic<std::uint64_t> completed{0};   ///< Results streamed.
+    std::atomic<std::uint64_t> cachedCount{0}; ///< Answered by a cache.
+    unsigned budget = 0; ///< Worker budget; 0 where there is none.
 };
 
 class Daemon
@@ -270,10 +281,12 @@ class Daemon
     std::shared_ptr<Connection> ownerOf(const DaemonJob &job) const;
 
     /**
-     * Send `done` to the job's client, if it is still there, release
-     * the connection and log the job's end. The job becomes prunable.
+     * Send the job's `done` for `outcome` to its client, if it is
+     * still there, release the connection and log the job's end. The
+     * job becomes prunable.
      */
-    void finishJob(DaemonJob &job, const DoneEvent &done);
+    void finishJob(DaemonJob &job,
+                   const runner::Dispatcher::Outcome &outcome);
 
     /** Registered job `id` as the daemon's own type, or null. */
     template <class Job>

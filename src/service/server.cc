@@ -1,8 +1,6 @@
 #include "service/server.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -74,8 +72,6 @@ struct SimServer::Job : DaemonJob
 {
     using DaemonJob::DaemonJob;
 
-    unsigned budget = 0; ///< Scheduler worker budget (clamped).
-
     /**
      * Scheduler handle; 0 until the job is admitted. Guarded by the
      * daemon mutex together with cancelRequested, so a cancel frame
@@ -83,33 +79,6 @@ struct SimServer::Job : DaemonJob
      */
     std::uint64_t schedulerId = 0;
     bool cancelRequested = false;
-
-    enum class State
-    {
-        Queued,
-        Running,
-        Ok,
-        Cancelled,
-        Error,
-    };
-    std::atomic<State> state{State::Queued};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> cachedCount{0};
-
-    JobStatus status() const override
-    {
-        static const char *const kNames[] = {"queued", "running", "ok",
-                                             "cancelled", "error"};
-        JobStatus row;
-        row.id = id;
-        row.experiment = submit->request.experiment;
-        row.state = kNames[static_cast<int>(state.load())];
-        row.total = total;
-        row.completed = completed.load();
-        row.cached = cachedCount.load();
-        row.budget = budget;
-        return row;
-    }
 };
 
 SimServer::SimServer(const std::string &endpoint_spec,
@@ -270,7 +239,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // last window warm up alone.
     hooks.predecessors = runner::checkpointPredecessors;
     hooks.onStart = [this, job]() {
-        job->state.store(Job::State::Running);
+        job->running.store(true);
         log("job " + std::to_string(job->id) + " running");
     };
     hooks.onResult = [this, job, cached_flags, outcomes,
@@ -308,32 +277,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     };
     hooks.onDone = [this, job](
                        const runner::GridScheduler::Outcome &outcome) {
-        DoneEvent done;
-        done.job = job->id;
-        switch (outcome.status) {
-          case runner::GridScheduler::Outcome::Status::Ok:
-            job->state.store(Job::State::Ok);
-            done.status = "ok";
-            break;
-          case runner::GridScheduler::Outcome::Status::Cancelled:
-            job->state.store(Job::State::Cancelled);
-            done.status = "cancelled";
-            break;
-          case runner::GridScheduler::Outcome::Status::Error:
-            try {
-                std::rethrow_exception(outcome.error);
-            } catch (const std::exception &e) {
-                done.message = e.what();
-            } catch (...) {
-                done.message = "unknown error";
-            }
-            job->state.store(Job::State::Error);
-            done.status = "error";
-            break;
-        }
-        done.completed = job->completed.load();
-        done.cached = job->cachedCount.load();
-        finishJob(*job, done);
+        finishJob(*job, outcome);
     };
 
     // A trace-carrying submit (or a server running with --trace-out)

@@ -3,10 +3,10 @@
  * The batch/async simulation service daemon core: admits submitted
  * grids as jobs into a work-conserving multi-job scheduler
  * (runner/grid_scheduler.hh) -- a fixed worker pool dispatches grid
- * points round-robin across every admitted job, so concurrently
- * submitted sweeps make progress together instead of queueing FIFO
- * behind each other -- streams `result` frames in grid order as
- * points complete, and serves repeated configurations from a
+ * points across every admitted job by its priority's fair share, so
+ * concurrently submitted sweeps make progress together instead of
+ * queueing FIFO behind each other -- streams `result` frames in grid
+ * order as points complete, and serves repeated configurations from a
  * fingerprint-keyed result cache with an optional LRU byte budget
  * (common/memo.hh): a sweep resubmitted after a client crash, or
  * sharing points with an earlier sweep, only simulates the

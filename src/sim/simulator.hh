@@ -36,9 +36,9 @@ namespace shotgun
  *
  * `skipInstructions` additionally skips that many instructions of the
  * *stream* before simulation starts (whole basic blocks, until the
- * threshold is reached) -- the sampled-window mode, where a short
- * warm-up stands in for the full prefix. Exact stitching requires
- * skipInstructions == 0; sampled windows are approximations.
+ * threshold is reached), so a short warm-up stands in for the full
+ * prefix. Exact stitching requires skipInstructions == 0; a window
+ * that skips is an approximation.
  */
 struct SimWindow
 {

@@ -18,7 +18,6 @@ contiguousPlan(const SimConfig &base, unsigned num_windows)
 
     WindowPlan plan;
     plan.warmupInstructions = base.warmupInstructions;
-    plan.fullCoverage = true;
 
     const std::uint64_t length = base.measureInstructions / num_windows;
     const std::uint64_t remainder =
@@ -29,44 +28,6 @@ contiguousPlan(const SimConfig &base, unsigned num_windows)
         w.measureStart = start;
         w.measureEnd = start + length + (i < remainder ? 1 : 0);
         start = w.measureEnd;
-        plan.windows.push_back(w);
-    }
-    return plan;
-}
-
-WindowPlan
-sampledPlan(const SimConfig &base, unsigned num_windows,
-            std::uint64_t window_length, std::uint64_t warmup)
-{
-    fatal_if(num_windows == 0, "window plan needs at least 1 window");
-    fatal_if(window_length == 0,
-             "sampled windows need a nonzero length");
-    fatal_if(warmup > base.warmupInstructions,
-             "sampled warm-up %llu exceeds the base run's %llu "
-             "(a sample's warm-up is a shorter stand-in, not more)",
-             static_cast<unsigned long long>(warmup),
-             static_cast<unsigned long long>(base.warmupInstructions));
-    const std::uint64_t stride =
-        base.measureInstructions / num_windows;
-    fatal_if(window_length > stride,
-             "%u windows of %llu instructions overlap in a "
-             "%llu-instruction measure region",
-             num_windows,
-             static_cast<unsigned long long>(window_length),
-             static_cast<unsigned long long>(
-                 base.measureInstructions));
-
-    WindowPlan plan;
-    plan.warmupInstructions = warmup;
-    plan.fullCoverage = false;
-    for (unsigned i = 0; i < num_windows; ++i) {
-        // Window i samples [i * stride, i * stride + length) of the
-        // measure region; everything before its warm-up is skipped.
-        SimWindow w;
-        w.skipInstructions =
-            base.warmupInstructions + i * stride - warmup;
-        w.measureStart = 0;
-        w.measureEnd = window_length;
         plan.windows.push_back(w);
     }
     return plan;
@@ -117,19 +78,13 @@ validateFullCoverage(const WindowPlan &plan, const SimConfig &base)
 std::vector<SimConfig>
 expandPlan(const SimConfig &base, const WindowPlan &plan)
 {
-    if (plan.fullCoverage)
-        validateFullCoverage(plan, base);
+    validateFullCoverage(plan, base);
     std::vector<SimConfig> configs;
     configs.reserve(plan.windows.size());
     for (const SimWindow &w : plan.windows) {
         SimConfig config = base;
         config.window = w;
         config.warmupInstructions = plan.warmupInstructions;
-        if (!plan.fullCoverage) {
-            // A sampled window is its own little run: the measure
-            // region is just the window.
-            config.measureInstructions = w.measureEnd;
-        }
         configs.push_back(std::move(config));
     }
     return configs;

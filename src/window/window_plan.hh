@@ -1,27 +1,19 @@
 /**
  * @file
  * Window plans: how one simulation's measure region is split into
- * {warmup, measure} windows for windowed (distributed or sampled)
- * simulation. A plan is pure data -- an ordered list of SimWindows
- * plus the per-window warm-up -- expanded into per-window SimConfigs
- * that are each a complete, independently runnable (and service-
- * submittable, cacheable) simulation.
+ * contiguous {warmup, measure} windows for distributed simulation. A
+ * plan is pure data -- an ordered list of SimWindows plus the
+ * per-window warm-up -- expanded into per-window SimConfigs that are
+ * each a complete, independently runnable (and service-submittable,
+ * cacheable) simulation.
  *
- * Two plan families:
- *
- *  - contiguousPlan(): full coverage. Windows partition
- *    [0, measureInstructions) with warm-up equal to the base run's,
- *    and every window fast-forwards through the measured prefix
- *    before its start (structures train, counters subtracted out).
- *    Stitching the per-window deltas reproduces the monolithic
- *    SimResult bit for bit -- validateFullCoverage() enforces the
- *    preconditions and fatal()s on gapped/overlapping plans.
- *
- *  - sampledPlan(): fast approximation. Evenly spaced windows, each
- *    preceded by only `warmup` instructions of training; the stream
- *    prefix before that is skipped outright (via the trace window
- *    index or generator skip). Deterministic, but NOT numerically
- *    equal to the monolithic run.
+ * contiguousPlan() gives full coverage: windows partition
+ * [0, measureInstructions) with warm-up equal to the base run's, and
+ * every window fast-forwards through the measured prefix before its
+ * start (structures train, counters subtracted out). Stitching the
+ * per-window deltas reproduces the monolithic SimResult bit for bit
+ * -- validateFullCoverage() enforces the preconditions and fatal()s
+ * on gapped/overlapping plans.
  */
 
 #ifndef SHOTGUN_WINDOW_WINDOW_PLAN_HH
@@ -45,13 +37,6 @@ struct WindowPlan
     /** Warm-up instructions of each per-window sub-run. */
     std::uint64_t warmupInstructions = 0;
 
-    /**
-     * True when the plan is contractually full-coverage: stitching
-     * its deltas must reproduce the monolithic result exactly.
-     * Runners validate such plans before executing them.
-     */
-    bool fullCoverage = true;
-
     std::size_t size() const { return windows.size(); }
 };
 
@@ -64,17 +49,6 @@ struct WindowPlan
 WindowPlan contiguousPlan(const SimConfig &base, unsigned num_windows);
 
 /**
- * Sampled plan: `num_windows` windows of `window_length`
- * instructions, evenly spaced across the measure region, each with
- * `warmup` instructions of training after skipping the stream prefix
- * before it. Requires warmup <= base.warmupInstructions (the sample's
- * point is a *shorter* warm-up) and the windows to fit the region.
- */
-WindowPlan sampledPlan(const SimConfig &base, unsigned num_windows,
-                       std::uint64_t window_length,
-                       std::uint64_t warmup);
-
-/**
  * fatal() unless `plan` covers `base`'s measure region exactly:
  * non-empty, first window at 0, no gaps, no overlaps, last window
  * ending at measureInstructions, no stream skips, and the base
@@ -85,9 +59,10 @@ void validateFullCoverage(const WindowPlan &plan,
 
 /**
  * The per-window simulation configs of `plan` over `base`, index-
- * aligned with plan.windows. Each is a complete SimConfig whose
- * canonical encoding (and thus service fingerprint) identifies the
- * window, so two windows of one run never alias a result cache.
+ * aligned with plan.windows, after validateFullCoverage(). Each is a
+ * complete SimConfig whose canonical encoding (and thus service
+ * fingerprint) identifies the window, so two windows of one run never
+ * alias a result cache.
  */
 std::vector<SimConfig> expandPlan(const SimConfig &base,
                                   const WindowPlan &plan);

@@ -102,8 +102,7 @@ runWindowedExperiment(
     // Contiguous windows share warmup and skip, hence a checkpoint
     // key: each window waits for the one before it and resumes the
     // core that window parked, so the plan simulates the measure
-    // region once (sampled plans differ in skipInstructions, so their
-    // keys split and no gating applies).
+    // region once.
     hooks.predecessors = runner::checkpointPredecessors;
     scheduler.submit(std::move(grid), budget, std::move(hooks));
 

@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <exception>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -81,6 +84,42 @@ TEST(MemoCacheTest, ThrowingComputeAllowsRetry)
                  std::runtime_error);
     // The failed entry must not be cached.
     EXPECT_EQ(*cache.get(1, [&attempts]() { return ++attempts; }), 2);
+}
+
+TEST(MemoCacheTest, WaitersOfAThrowingComputeEachGetTheirOwnError)
+{
+    // MemoCache keeps no hit counter, so the computing caller holds
+    // until every caller has started, plus a pause to let them reach
+    // the table; the same check as LruMemoCache's test below.
+    constexpr std::size_t kThreads = 6;
+    MemoCache<int, int> cache;
+    std::atomic<std::size_t> started{0};
+    std::vector<const void *> caught(kThreads, nullptr);
+    std::vector<std::exception_ptr> alive(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            ++started;
+            try {
+                cache.get(1, [&started]() -> int {
+                    while (started.load() < kThreads)
+                        std::this_thread::yield();
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    throw std::runtime_error("no value");
+                });
+            } catch (const std::runtime_error &e) {
+                caught[t] = &e;
+                alive[t] = std::current_exception();
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    const std::set<const void *> distinct(caught.begin(), caught.end());
+    EXPECT_EQ(distinct.count(nullptr), 0u);
+    EXPECT_EQ(distinct.size(), kThreads);
+    EXPECT_EQ(cache.size(), 0u);
 }
 
 // ----------------------------------------------------------- LruMemoCache
@@ -202,6 +241,39 @@ TEST(LruMemoCacheTest, ThrowingComputeAllowsRetry)
                  std::runtime_error);
     EXPECT_EQ(*cache.get(1, [&attempts]() { return ++attempts; }), 2);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruMemoCacheTest, WaitersOfAThrowingComputeEachGetTheirOwnError)
+{
+    // The first caller computes and holds until the other callers
+    // wait on it (each wait counts as a hit), then throws. Every
+    // caller must catch an exception object of its own: one object
+    // rethrown on several threads is shared between them.
+    constexpr std::size_t kThreads = 6;
+    LruMemoCache<int, int> cache;
+    std::vector<const void *> caught(kThreads, nullptr);
+    std::vector<std::exception_ptr> alive(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cache, &caught, &alive, t]() {
+            try {
+                cache.get(1, [&cache]() -> int {
+                    while (cache.stats().hits < kThreads - 1)
+                        std::this_thread::yield();
+                    throw std::runtime_error("no value");
+                });
+            } catch (const std::runtime_error &e) {
+                caught[t] = &e;
+                alive[t] = std::current_exception();
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    const std::set<const void *> distinct(caught.begin(), caught.end());
+    EXPECT_EQ(distinct.count(nullptr), 0u);
+    EXPECT_EQ(distinct.size(), kThreads);
+    EXPECT_EQ(cache.size(), 0u); // Every throwing compute left no entry.
 }
 
 /** Small synthetic workloads so the hammer stays fast. */

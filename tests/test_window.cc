@@ -45,7 +45,6 @@ namespace
 using window::contiguousPlan;
 using window::expandPlan;
 using window::runWindowedExperiment;
-using window::sampledPlan;
 using window::stitchWindows;
 using window::validateFullCoverage;
 using window::WindowPlan;
@@ -120,7 +119,6 @@ TEST(WindowPlanTest, ContiguousPlanPartitionsTheMeasureRegion)
     for (unsigned n : {1u, 3u, 7u}) {
         const WindowPlan plan = contiguousPlan(config, n);
         ASSERT_EQ(plan.windows.size(), n);
-        EXPECT_TRUE(plan.fullCoverage);
         EXPECT_EQ(plan.warmupInstructions, kWarmup);
         validateFullCoverage(plan, config); // must not die
         std::uint64_t covered = 0;
@@ -615,25 +613,23 @@ TEST(ResumedWindowTest, IdenticalPlansRacingAgree)
     std::remove(path.c_str());
 }
 
-// ----------------------------------------------------- sampled windows
+// ------------------------------------------------------- skip windows
 
-TEST(SampledWindowTest, DeterministicAndCheaperThanFullPrefix)
+TEST(SkipWindowTest, PrefixSkippingWindowSimulatesDeterministically)
 {
+    // A window a client may send: skip the stream up to the second
+    // third of the measure region less a short warm-up, warm up for
+    // 5,000 instructions and measure the next 5,000.
     const WorkloadPreset preset = tinyPreset("sampled", 10);
     SimConfig config = quickConfig(preset, SchemeType::Shotgun);
+    config.window.skipInstructions = kWarmup + kMeasure / 3 - 5000;
+    config.window.measureStart = 0;
+    config.window.measureEnd = 5000;
+    config.warmupInstructions = 5000;
+    config.measureInstructions = 5000;
 
-    const WindowPlan plan = sampledPlan(config, 3, 5000, 5000);
-    EXPECT_FALSE(plan.fullCoverage);
-    const std::vector<SimConfig> configs = expandPlan(config, plan);
-    ASSERT_EQ(configs.size(), 3u);
-    // Window 1 skips the stream up to (warmup + stride - warmup').
-    EXPECT_EQ(configs[1].window.skipInstructions,
-              kWarmup + kMeasure / 3 - 5000);
-    EXPECT_EQ(configs[1].warmupInstructions, 5000u);
-
-    // Deterministic: the same sampled window simulates identically.
-    const SimResult once = runSimulation(configs[1]);
-    const SimResult twice = runSimulation(configs[1]);
+    const SimResult once = runSimulation(config);
+    const SimResult twice = runSimulation(config);
     expectIdentical(once, twice);
     // The final cycle may retire a couple of instructions past the
     // threshold (run() stops on whole cycles).

@@ -3,8 +3,8 @@
  * shotgun-coord: the fleet control-plane daemon. Wraps the
  * in-library FleetCoordinator (src/fleet/coordinator.hh): workers
  * started with `shotgun-serve --coordinator HOST:PORT` register
- * here and steal grid points from a global priority/cost-ordered
- * queue; clients submit with `shotgun-submit --coordinator
+ * here and steal grid points from a global queue that jobs share by
+ * priority; clients submit with `shotgun-submit --coordinator
  * HOST:PORT` exactly as they would to a single server, and get
  * byte-identical results.
  *

@@ -88,10 +88,9 @@ const char *kUsage =
     "misses heartbeats. Results stream back in grid order, so the\n"
     "output is byte-identical to --local.\n"
     "\n"
-    "  --priority N         job priority (default 1): a server\n"
-    "                       dispatches a priority-2 job twice as\n"
-    "                       often as a priority-1 job, a\n"
-    "                       coordinator strictly first\n"
+    "  --priority N         job priority (default 1): a server or\n"
+    "                       coordinator dispatches a priority-2 job\n"
+    "                       twice as often as a priority-1 job\n"
     "  --fleet-status       render the coordinator's fleet table:\n"
     "                       per-worker throughput, queue depth,\n"
     "                       heartbeat age and cache hit rate\n"
@@ -109,8 +108,7 @@ const char *kUsage =
     "                       restores the warm-up and re-simulates its\n"
     "                       prefix (the price of exact stitching), so\n"
     "                       this buys finer work units, not a shorter\n"
-    "                       critical path; the sampled-window API\n"
-    "                       (src/window/) is the latency lever\n"
+    "                       critical path\n"
     "\n"
     "Transport options:\n"
     "  --timeout SECONDS    fail when the server sends nothing for\n"
