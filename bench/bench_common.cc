@@ -1,13 +1,11 @@
 #include "bench_common.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 
 #include "common/parse.hh"
 #include "runner/thread_pool.hh"
@@ -61,8 +59,8 @@ const char *kUsage =
     "  --workload NAME     run a single workload; NAME may be a\n"
     "                      recorded trace: trace:<path>[:name]\n"
     "  --jobs N            concurrent simulations (default: all cores)\n"
-    "  --out BASE          write BASE.json/BASE.csv (default:\n"
-    "                      results/<experiment>)\n"
+    "  --out DIR           write DIR/<experiment>.json/.csv\n"
+    "                      (default: results)\n"
     "  --no-out            skip result files\n"
     "  --no-progress       suppress progress/ETA lines\n"
     "environment: SHOTGUN_BENCH_INSTRS, SHOTGUN_BENCH_WARMUP,\n"
@@ -71,19 +69,13 @@ const char *kUsage =
 } // namespace
 
 std::vector<WorkloadPreset>
-selectedPresets(const BenchOptions &opts)
-{
-    if (!opts.onlyWorkload.empty())
-        return {presetByName(opts.onlyWorkload)};
-    return allPresets();
-}
-
-std::vector<WorkloadPreset>
 selectedPresets(const BenchOptions &opts,
-                std::initializer_list<WorkloadId> defaults)
+                const std::vector<WorkloadId> &defaults)
 {
     if (!opts.onlyWorkload.empty())
         return {presetByName(opts.onlyWorkload)};
+    if (defaults.empty())
+        return allPresets();
     std::vector<WorkloadPreset> presets;
     for (WorkloadId id : defaults)
         presets.push_back(makePreset(id));
@@ -191,12 +183,12 @@ tryParseOptions(int argc, char **argv, BenchOptions &opts,
             }
             opts.onlyWorkload = name;
         } else if (std::strcmp(arg, "--out") == 0) {
-            const char *base = next();
-            if (base == nullptr || *base == '\0') {
-                error = "--out: expected a file base path";
+            const char *dir = next();
+            if (dir == nullptr || *dir == '\0') {
+                error = "--out: expected a directory";
                 return false;
             }
-            opts.outBase = base;
+            opts.outDir = dir;
         } else if (std::strcmp(arg, "--no-out") == 0) {
             opts.writeFiles = false;
         } else if (std::strcmp(arg, "--no-progress") == 0) {
@@ -235,7 +227,7 @@ configFor(const WorkloadPreset &preset, SchemeType type,
 unsigned
 analysisJobs(const BenchOptions &opts, std::size_t tasks)
 {
-    if (!opts.outBase.empty()) {
+    if (!opts.outDir.empty()) {
         std::fprintf(stderr,
                      "note: this bench is a trace analysis and writes "
                      "no JSON/CSV result files; --out ignored\n");
@@ -246,30 +238,6 @@ analysisJobs(const BenchOptions &opts, std::size_t tasks)
         return 1;
     return static_cast<unsigned>(
         std::min<std::size_t>(requested, tasks));
-}
-
-std::vector<SimResult>
-runGrid(const runner::ExperimentSet &set, const BenchOptions &opts,
-        const std::string &slug)
-{
-    runner::RunnerOptions runner_opts;
-    runner_opts.jobs = opts.jobs;
-    runner_opts.progress = opts.showProgress ? &std::cerr : nullptr;
-
-    runner::ExperimentRunner engine(runner_opts);
-    runner::ResultSink sink(slug);
-    auto results =
-        fatalOnTraceError([&]() { return engine.run(set, &sink); });
-
-    if (opts.writeFiles && !set.empty()) {
-        const std::string base =
-            opts.outBase.empty() ? "results/" + slug : opts.outBase;
-        if (sink.writeFiles(base)) {
-            std::fprintf(stderr, "results written to %s.json / %s.csv\n",
-                         base.c_str(), base.c_str());
-        }
-    }
-    return results;
 }
 
 } // namespace bench

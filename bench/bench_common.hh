@@ -1,21 +1,19 @@
 /**
  * @file
- * Shared plumbing for the paper-reproduction bench binaries: run
- * lengths (overridable with --quick / --instructions / environment
- * variables), workload filtering, parallelism (--jobs) and structured
- * result output, all routed through the src/runner/ experiment
- * orchestration subsystem.
+ * Shared plumbing for the paper-reproduction benches -- bench_figures
+ * (figures.hh) and the trace walks of Figs 3 and 4: run lengths
+ * (overridable with --quick / --instructions / environment
+ * variables), workload filtering, parallelism (--jobs) and the
+ * result-file directory (--out).
  */
 
 #ifndef SHOTGUN_BENCH_COMMON_HH
 #define SHOTGUN_BENCH_COMMON_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
-#include "runner/experiment.hh"
 #include "sim/simulator.hh"
 
 namespace shotgun
@@ -37,8 +35,8 @@ struct BenchOptions
     /** Concurrent simulations; 0 means one per hardware thread. */
     unsigned jobs = 0;
 
-    /** Result-file base path; empty means results/<experiment>. */
-    std::string outBase;
+    /** Result-file directory; empty means results. */
+    std::string outDir;
 
     /** --no-out: skip JSON/CSV result files. */
     bool writeFiles = true;
@@ -49,7 +47,7 @@ struct BenchOptions
 
 /**
  * Parse --quick, --instructions N, --warmup N, --workload NAME,
- * --jobs N, --out BASE, --no-out, --no-progress and the
+ * --jobs N, --out DIR, --no-out, --no-progress and the
  * SHOTGUN_BENCH_INSTRS / SHOTGUN_BENCH_WARMUP / SHOTGUN_BENCH_JOBS
  * environment variables into `opts`.
  *
@@ -65,22 +63,16 @@ bool tryParseOptions(int argc, char **argv, BenchOptions &opts,
 BenchOptions parseOptions(int argc, char **argv);
 
 /**
- * The workloads this bench run sweeps: all six presets, or -- when
- * --workload was given -- the single named preset, which may be a
- * recorded trace via `trace:<path>[:name]` (see trace/trace_io.hh).
- * Every bench iterates this instead of filtering allPresets() so
- * recorded traces flow through every experiment grid.
- */
-std::vector<WorkloadPreset> selectedPresets(const BenchOptions &opts);
-
-/**
- * Like selectedPresets(opts), but a bench that defaults to a curated
- * workload subset (e.g. the paper's two OLTP traces) sweeps
- * `defaults` when no --workload filter was given.
+ * The workloads a bench run sweeps: `defaults` (all six presets when
+ * empty), or -- when --workload was given -- the single named
+ * preset, which may be a recorded trace via `trace:<path>[:name]`
+ * (see trace/trace_io.hh). Every bench iterates this instead of
+ * filtering allPresets() so recorded traces flow through every
+ * experiment grid.
  */
 std::vector<WorkloadPreset>
 selectedPresets(const BenchOptions &opts,
-                std::initializer_list<WorkloadId> defaults);
+                const std::vector<WorkloadId> &defaults = {});
 
 /** Print the bench banner: what is being reproduced and how. */
 void printBanner(const BenchOptions &opts, const char *experiment,
@@ -100,16 +92,6 @@ SimConfig configFor(const WorkloadPreset &preset, SchemeType type,
  * requested, since analysis benches emit tables only, no JSON/CSV.
  */
 unsigned analysisJobs(const BenchOptions &opts, std::size_t tasks);
-
-/**
- * Execute the grid through the shared ExperimentRunner with the
- * bench's job count, stream progress to stderr, and (unless --no-out)
- * write results/<slug>.{json,csv} via a ResultSink. The returned
- * vector is index-aligned with the set and independent of --jobs.
- */
-std::vector<SimResult> runGrid(const runner::ExperimentSet &set,
-                               const BenchOptions &opts,
-                               const std::string &slug);
 
 } // namespace bench
 } // namespace shotgun

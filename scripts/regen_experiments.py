@@ -4,10 +4,11 @@
 EXPERIMENTS.md (referenced by src/trace/presets.hh) is the calibration
 report: the measured values behind the workload presets, regenerated
 from the same JSON files every bench emits with --out -- never
-hand-edited. The generator runs the two calibration sweeps
+hand-edited. The generator runs the two calibration figures in one
+`bench_figures` call, so their shared baselines simulate once,
 
-  bench_table1_btb_mpki   (Table 1: BTB/L1-I MPKI, no prefetch)
-  bench_fig7_speedup      (Fig 7: scheme speedups over baseline)
+  table1_btb_mpki   (Table 1: BTB/L1-I MPKI, no prefetch)
+  fig7_speedup      (Fig 7: scheme speedups over baseline)
 
 plus a probed six-scheme grid through `shotgun-submit
 --uarch-report` for the stall-attribution table, and formats their
@@ -73,20 +74,25 @@ def validate_rows(doc, source):
                 f"{', '.join(missing)}")
 
 
-def run_bench(build_dir, name, out_base, args, jobs):
-    binary = build_dir / name
+def run_figures(build_dir, figures, out_dir, args, jobs):
+    """One bench_figures run; returns each figure's JSON document."""
+    binary = build_dir / "bench_figures"
     if not binary.exists():
         sys.exit(f"{binary} not built (cmake --build {build_dir} first)")
-    cmd = [str(binary), "--no-progress", "--out", str(out_base)]
+    cmd = [str(binary), *figures, "--no-progress", "--out", str(out_dir)]
     if jobs:  # 0 = bench default (all cores); the flag rejects 0.
         cmd += ["--jobs", str(jobs)]
     cmd += args
     print("+", " ".join(cmd), file=sys.stderr)
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-    with open(f"{out_base}.json") as f:
-        doc = json.load(f)
-    validate_rows(doc, f"{out_base}.json")
-    return doc
+    docs = []
+    for figure in figures:
+        path = out_dir / f"{figure}.json"
+        with open(path) as f:
+            doc = json.load(f)
+        validate_rows(doc, str(path))
+        docs.append(doc)
+    return docs
 
 
 UARCH_SCHEMES = ["baseline", "fdip", "boomerang", "confluence",
@@ -164,12 +170,9 @@ def main():
     lengths = ["--quick"] if args.quick else []
     warmup, measure = (500000, 1000000) if args.quick \
         else (2000000, 5000000)
-    table1 = rows_by_workload(run_bench(
-        build_dir, "bench_table1_btb_mpki", work / "table1_btb_mpki",
-        lengths, args.jobs))
-    fig7 = rows_by_workload(run_bench(
-        build_dir, "bench_fig7_speedup", work / "fig7_speedup",
-        lengths, args.jobs))
+    table1, fig7 = map(rows_by_workload, run_figures(
+        build_dir, ["table1_btb_mpki", "fig7_speedup"], work, lengths,
+        args.jobs))
     uarch = run_uarch_report(build_dir, work, warmup, measure,
                              args.jobs)
 

@@ -68,8 +68,8 @@ rm -rf "$LINT_SCRATCH"
 
 echo "== bench smoke (fig7, --quick --jobs 2) =="
 OUT="$BUILD_DIR/smoke/fig7_speedup"
-"$BUILD_DIR/bench_fig7_speedup" --quick --jobs 2 --workload nutch \
-    --no-progress --out "$OUT"
+"$BUILD_DIR/bench_figures" fig7_speedup --quick --jobs 2 \
+    --workload nutch --no-progress --out "$BUILD_DIR/smoke"
 
 for ext in json csv; do
     test -s "$OUT.$ext" || {
@@ -89,11 +89,11 @@ TRACE="$BUILD_DIR/smoke/nutch.trace"
     --warmup 100000 --instructions 200000 --scheme shotgun
 
 # Sweep the recorded trace through a bench grid...
-TRACE_OUT="$BUILD_DIR/smoke/fig7_trace"
-"$BUILD_DIR/bench_fig7_speedup" --workload "trace:$TRACE" \
+TRACE_OUT="$BUILD_DIR/smoke/trace"
+"$BUILD_DIR/bench_figures" fig7_speedup --workload "trace:$TRACE" \
     --warmup 100000 --instructions 200000 --jobs 2 --no-progress \
     --out "$TRACE_OUT"
-grep -q '"workload": "nutch"' "$TRACE_OUT.json"
+grep -q '"workload": "nutch"' "$TRACE_OUT/fig7_speedup.json"
 
 # ...and verify replay is bit-identical to live generation
 # (trace_tools exits non-zero on divergence).

@@ -20,66 +20,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 namespace shotgun
 {
-
-template <typename Key, typename Value>
-class MemoCache
-{
-  public:
-    /**
-     * Return the cached value for `key`, running `compute` (signature
-     * `Value()`) at most once per key while it succeeds. The returned
-     * shared_ptr keeps the value alive independent of the cache.
-     */
-    template <typename Fn>
-    std::shared_ptr<const Value> get(const Key &key, Fn &&compute)
-    {
-        for (;;) {
-            std::shared_future<std::shared_ptr<const Value>> future;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                auto it = entries_.find(key);
-                if (it == entries_.end()) {
-                    std::promise<std::shared_ptr<const Value>> promise;
-                    entries_.emplace(key, promise.get_future().share());
-                    lock.unlock();
-                    std::shared_ptr<const Value> value;
-                    try {
-                        value = std::make_shared<const Value>(compute());
-                    } catch (...) {
-                        lock.lock();
-                        entries_.erase(key);
-                        lock.unlock();
-                        // Waiters get no exception object: they retry.
-                        promise.set_value(nullptr);
-                        throw;
-                    }
-                    promise.set_value(value);
-                    return value;
-                }
-                future = it->second;
-            }
-            // Null: the computing caller threw. Look again, so that a
-            // failure here is this caller's own.
-            if (auto value = future.get())
-                return value;
-        }
-    }
-
-    std::size_t size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_future<std::shared_ptr<const Value>>>
-        entries_;
-};
 
 /** Point-in-time counters of an LruMemoCache. */
 struct MemoCacheStats
@@ -97,13 +42,12 @@ struct MemoCacheStats
 };
 
 /**
- * MemoCache with a byte budget and least-recently-used eviction.
- * Same once-per-key contract while an entry lives: the first caller
- * computes outside the lock, concurrent duplicates wait on the same
- * future, a throwing compute removes the entry and rethrows, and its
- * waiters retry.
+ * Once-per-key memoization with an optional byte budget and
+ * least-recently-used eviction. While an entry lives, the first
+ * caller computes outside the lock, concurrent duplicates wait on the
+ * same future, and a throwing compute removes the entry and rethrows
+ * while its waiters retry.
  *
- * Differences from MemoCache:
  *  - Each completed entry is charged `bytesOf(key, value)` bytes
  *    (the constructor's sizing callback; a crude default otherwise).
  *    When the total exceeds the budget, least-recently-used
@@ -123,7 +67,8 @@ struct MemoCacheStats
  *    (the fleet coordinator: results arrive from remote workers, so
  *    there is no compute function to run in the caller).
  *
- * A budget of 0 disables eviction (unbounded, like MemoCache).
+ * A budget of 0 disables eviction: every value lives as long as the
+ * cache.
  */
 template <typename Key, typename Value>
 class LruMemoCache
@@ -208,12 +153,9 @@ class LruMemoCache
             }
             ++misses_;
         }
-        if (!backendLoad_)
+        auto value = loadBackend(key);
+        if (value == nullptr)
             return nullptr;
-        Value loaded;
-        if (!backendLoad_(key, loaded))
-            return nullptr;
-        auto value = std::make_shared<const Value>(std::move(loaded));
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++backendHits_;
@@ -265,7 +207,7 @@ class LruMemoCache
         return false;
     }
 
-    /** Completed + in-flight entries (MemoCache-compatible). */
+    /** Completed + in-flight entries. */
     std::size_t size() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -288,6 +230,23 @@ class LruMemoCache
 
   private:
     /**
+     * The backend's value of `key`, or nullptr. A value type with no
+     * default constructor cannot be loaded, so it has no backend.
+     */
+    std::shared_ptr<const Value> loadBackend(const Key &key)
+    {
+        if constexpr (std::is_default_constructible_v<Value>) {
+            if (backendLoad_) {
+                Value loaded;
+                if (backendLoad_(key, loaded))
+                    return std::make_shared<const Value>(
+                        std::move(loaded));
+            }
+        }
+        return nullptr;
+    }
+
+    /**
      * Compute the value of `key`, whose entry this caller registered
      * with `promise`'s future, and complete the entry.
      */
@@ -301,14 +260,8 @@ class LruMemoCache
         try {
             // A persistent-backend hit replaces compute (and is not
             // written back: the backend already has it).
-            if (backendLoad_) {
-                Value loaded;
-                if (backendLoad_(key, loaded)) {
-                    from_backend = true;
-                    value = std::make_shared<const Value>(
-                        std::move(loaded));
-                }
-            }
+            value = loadBackend(key);
+            from_backend = value != nullptr;
             if (value == nullptr)
                 value = std::make_shared<const Value>(compute());
         } catch (...) {

@@ -8,7 +8,7 @@
  * live, and prefetches it when the context recurs.
  *
  * The paper's criticisms, which this implementation lets you measure
- * (see bench_discussion_rdip):
+ * (see `bench_figures discussion_rdip`):
  *  - RDIP predicts the future from call/return context alone and
  *    ignores local control flow, limiting accuracy;
  *  - it prefetches only L1-I blocks and does not prefill any BTB, so

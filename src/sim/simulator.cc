@@ -61,13 +61,13 @@ programFor(const WorkloadPreset &preset)
 {
     // Key on the canonical encoding of every generation parameter:
     // presets sharing a name but differing in any knob get distinct
-    // images. MemoCache computes outside its lock, so two threads
+    // images. The cache computes outside its lock, so two threads
     // building *different* programs proceed in parallel while
     // duplicates wait.
-    static MemoCache<std::string, Program> cache;
-    // The cache retains every entry for the process lifetime, so the
-    // reference stays valid, and the sim.programs.* gauges (rendered
-    // by a daemon's status frame) only ever grow.
+    static LruMemoCache<std::string, Program> cache;
+    // With no budget the cache retains every entry for the process
+    // lifetime, so the reference stays valid, and the sim.programs.*
+    // gauges (rendered by a daemon's status frame) only ever grow.
     return *cache.get(canonicalText(preset.program), [&preset]() {
         Program program(preset.program);
         obs::Registry &registry = obs::metrics();

@@ -2,17 +2,19 @@
  * @file
  * Unit tests for the bench command-line layer: strict numeric
  * validation (malformed --instructions/--warmup/--jobs values must be
- * rejected, never silently defaulted) and the new parallelism/output
- * options.
+ * rejected, never silently defaulted) and the parallelism/output
+ * options; and for the figure driver's union grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "figures.hh"
 
 namespace shotgun
 {
@@ -95,7 +97,7 @@ TEST_F(BenchOptionsTest, OutputFlags)
 {
     ASSERT_TRUE(parse({"--out", "tmp/run", "--no-progress"}, opts,
                       error));
-    EXPECT_EQ(opts.outBase, "tmp/run");
+    EXPECT_EQ(opts.outDir, "tmp/run");
     EXPECT_FALSE(opts.showProgress);
 
     ASSERT_TRUE(parse({"--no-out"}, opts, error));
@@ -217,6 +219,36 @@ TEST_F(BenchOptionsTest, SelectedPresetsHonorsFilter)
     ASSERT_EQ(selected.size(), 1u);
     EXPECT_EQ(selected[0].name, "oracle");
     EXPECT_TRUE(selected[0].tracePath.empty());
+}
+
+TEST_F(BenchOptionsTest, RunningFiguresTogetherChangesNoFigure)
+{
+    // Each figure alone, then all of them as one union grid in which
+    // every distinct simulation runs once: no figure's table or
+    // result rows may change.
+    ASSERT_TRUE(parse({"--instructions", "40000", "--warmup", "20000",
+                       "--workload", "nutch", "--jobs", "2",
+                       "--no-progress"},
+                      opts, error));
+    const auto render = [this](const bench::FigureRun &run) {
+        std::ostringstream os;
+        bench::printFigure(run, opts, os);
+        runner::ResultSink sink(run.figure->slug);
+        runner::appendResultRows(run.set, run.results, sink);
+        sink.writeJson(os);
+        return os.str();
+    };
+    std::vector<const bench::Figure *> all;
+    std::vector<std::string> alone;
+    for (const bench::Figure &figure : bench::figures()) {
+        all.push_back(&figure);
+        alone.push_back(render(bench::runFigures({&figure}, opts).at(0)));
+    }
+    ASSERT_EQ(all.size(), 13u);
+    const auto together = bench::runFigures(all, opts);
+    ASSERT_EQ(together.size(), all.size());
+    for (std::size_t f = 0; f < all.size(); ++f)
+        EXPECT_EQ(render(together[f]), alone[f]) << all[f]->slug;
 }
 
 } // namespace

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -379,6 +381,260 @@ TEST(DispatcherTest, EmptyGridIsOverAtOnce)
     ASSERT_TRUE(d.finish(1, outcome));
     EXPECT_EQ(outcome.status, Status::Ok);
     EXPECT_EQ(outcome.completed, 0u);
+}
+
+/**
+ * A schedule fuzzer: seeded random jobs, slots and event orders,
+ * checked against a model of what each point went through. Each
+ * schedule admits up to four jobs over one to four slots and then,
+ * until nothing is left to do, draws one of: admit the next job,
+ * pick into a free slot, complete, fail or lose a busy slot's point,
+ * report a lost ticket late, cancel a job, or let the one emitter
+ * take its next run of a job's results.
+ */
+class ScheduleFuzz
+{
+  public:
+    explicit ScheduleFuzz(std::uint64_t seed) : rng_(seed) {}
+
+    void run()
+    {
+        const std::size_t jobs = draw(1, 4);
+        for (std::size_t j = 0; j < jobs; ++j)
+            jobs_.push_back(makeJob());
+        slots_.resize(draw(1, 4));
+        while (step()) {
+        }
+        // The events ran out: nothing may be left to dispatch, and
+        // every job ends once its emitter has taken the rest.
+        EXPECT_FALSE(d_.dispatchable());
+        EXPECT_EQ(d_.queued(), 0u);
+        for (Dispatcher::JobId id = 1; id <= jobs_.size(); ++id) {
+            while (!jobs_[id - 1].finished && emit(id)) {
+            }
+            EXPECT_TRUE(jobs_[id - 1].finished) << "job " << id;
+            Dispatcher::Outcome again;
+            EXPECT_FALSE(d_.finish(id, again)) << "job " << id
+                                               << " finished twice";
+        }
+    }
+
+  private:
+    enum class State
+    {
+        Queued,
+        InFlight,
+        Done,
+        Failed,
+    };
+
+    struct Job
+    {
+        std::vector<std::uint64_t> cost;
+        std::vector<std::size_t> predecessor; ///< Empty: ungated.
+        std::vector<bool> prefilled;
+        unsigned budget = 0;
+        std::uint64_t weight = 1;
+        std::vector<State> state;
+        unsigned inFlight = 0;
+        std::vector<std::size_t> emitted;
+        std::vector<std::size_t> failed;
+        bool submitted = false;
+        bool cancelled = false;
+        bool holding = false; ///< The emitter holds the job's token.
+        bool finished = false;
+    };
+
+    std::size_t draw(std::size_t lo, std::size_t hi)
+    {
+        return std::uniform_int_distribution<std::size_t>(lo, hi)(rng_);
+    }
+
+    Job makeJob()
+    {
+        Job job;
+        const std::size_t size = draw(0, 10);
+        const bool gated = draw(0, 1) == 1;
+        for (std::size_t i = 0; i < size; ++i) {
+            job.cost.push_back(draw(0, 4));
+            // A gate points at a lower index, so it is acyclic.
+            if (gated)
+                job.predecessor.push_back(i > 0 && draw(0, 2) == 0
+                                              ? draw(0, i - 1)
+                                              : kNone);
+            job.prefilled.push_back(draw(0, 5) == 0);
+        }
+        job.budget = static_cast<unsigned>(draw(0, 3));
+        job.weight = draw(1, 3);
+        job.state.assign(size, State::Queued);
+        return job;
+    }
+
+    void submit(Dispatcher::JobId id, Job &job)
+    {
+        Dispatcher::Gate gate;
+        if (!job.predecessor.empty()) {
+            gate = [&job](const std::vector<std::size_t> &) {
+                return job.predecessor;
+            };
+        }
+        d_.submit(id, Dispatcher::plan(job.cost, gate), job.budget,
+                  job.weight);
+        for (std::size_t i = 0; i < job.state.size(); ++i) {
+            if (job.prefilled[i]) {
+                d_.prefill(id, i);
+                job.state[i] = State::Done;
+            }
+        }
+        job.submitted = true;
+    }
+
+    void pick(Dispatcher::Dispatch &slot)
+    {
+        slot = d_.pick();
+        ASSERT_NE(slot.ticket, 0u);
+        Job &job = jobs_.at(slot.job - 1);
+        ASSERT_EQ(job.state.at(slot.index), State::Queued);
+        EXPECT_FALSE(job.cancelled);
+        EXPECT_TRUE(job.failed.empty());
+        if (!job.predecessor.empty()) {
+            const std::size_t p = job.predecessor[slot.index];
+            EXPECT_TRUE(p == kNone || job.state[p] == State::Done ||
+                        job.state[p] == State::Failed)
+                << "point " << slot.index << " passed its gate";
+        }
+        job.state[slot.index] = State::InFlight;
+        ++job.inFlight;
+        if (job.budget != 0) {
+            EXPECT_LE(job.inFlight, job.budget);
+        }
+    }
+
+    /** The slot's point completed, failed or was lost with it. */
+    void report(Dispatcher::Dispatch &slot, std::size_t what)
+    {
+        Job &job = jobs_.at(slot.job - 1);
+        --job.inFlight;
+        if (what == 0) {
+            EXPECT_TRUE(d_.complete(slot.ticket));
+            job.state[slot.index] = State::Done;
+        } else if (what == 1) {
+            EXPECT_TRUE(d_.fail(slot.ticket,
+                                std::make_exception_ptr(std::runtime_error(
+                                    std::to_string(slot.index)))));
+            job.state[slot.index] = State::Failed;
+            job.failed.push_back(slot.index);
+        } else {
+            d_.lose(slot.ticket);
+            job.state[slot.index] = State::Queued;
+            lost_.push_back(slot.ticket);
+        }
+        slot = {};
+    }
+
+    /** One emitter step for job `id`; false when it took nothing. */
+    bool emit(Dispatcher::JobId id)
+    {
+        Job &job = jobs_[id - 1];
+        if (job.holding) {
+            // Nobody else may emit while the token is held.
+            EXPECT_TRUE(d_.takeEmit(id, false).empty());
+        }
+        const Dispatcher::Run run = d_.takeEmit(id, job.holding);
+        for (std::size_t i = run.from; i < run.to; ++i) {
+            EXPECT_EQ(i, job.emitted.size()) << "gap or repeat";
+            EXPECT_EQ(job.state.at(i), State::Done);
+            job.emitted.push_back(i);
+        }
+        job.holding = !run.empty();
+        Dispatcher::Outcome outcome;
+        if (!job.holding && d_.finish(id, outcome)) {
+            job.finished = true;
+            checkOutcome(job, outcome);
+        }
+        return !run.empty();
+    }
+
+    void checkOutcome(const Job &job, const Dispatcher::Outcome &outcome)
+    {
+        EXPECT_EQ(outcome.completed, job.emitted.size());
+        if (!job.failed.empty()) {
+            const std::size_t lowest =
+                *std::min_element(job.failed.begin(), job.failed.end());
+            ASSERT_EQ(outcome.status, Status::Error);
+            EXPECT_EQ(errorMessage(outcome), std::to_string(lowest));
+            EXPECT_LE(job.emitted.size(), lowest);
+        } else if (job.emitted.size() == job.state.size()) {
+            EXPECT_EQ(outcome.status, Status::Ok);
+        } else {
+            EXPECT_EQ(outcome.status, Status::Cancelled);
+            EXPECT_TRUE(job.cancelled);
+        }
+    }
+
+    /** Draw and play one event; false when none is left. */
+    bool step()
+    {
+        std::vector<std::size_t> free, busy, open;
+        for (std::size_t s = 0; s < slots_.size(); ++s)
+            (slots_[s].ticket == 0 ? free : busy).push_back(s);
+        std::size_t admitted = 0;
+        for (std::size_t j = 0; j < jobs_.size(); ++j) {
+            admitted += jobs_[j].submitted;
+            if (jobs_[j].submitted && !jobs_[j].finished)
+                open.push_back(j + 1);
+        }
+        const bool can_pick = !free.empty() && d_.dispatchable();
+        if (admitted == jobs_.size() && !can_pick && busy.empty() &&
+            lost_.empty())
+            return false;
+
+        for (;;) {
+            const std::size_t event = draw(0, 19);
+            if (event == 0 && admitted < jobs_.size()) {
+                submit(admitted + 1, jobs_[admitted]);
+            } else if (event <= 6 && can_pick) {
+                pick(slots_[free[draw(0, free.size() - 1)]]);
+            } else if (event >= 7 && event <= 12 && !busy.empty()) {
+                // Mostly completions; a failure or a loss now and then.
+                const std::size_t r = draw(0, 9);
+                report(slots_[busy[draw(0, busy.size() - 1)]],
+                       r == 0 ? 1 : r == 1 ? 2 : 0);
+            } else if (event == 13 && !lost_.empty()) {
+                const std::size_t k = draw(0, lost_.size() - 1);
+                EXPECT_FALSE(draw(0, 1) == 0
+                                 ? d_.complete(lost_[k])
+                                 : d_.fail(lost_[k], nullptr))
+                    << "a stale ticket was accepted";
+                lost_.erase(lost_.begin() + static_cast<long>(k));
+            } else if (event == 14 && !open.empty() && draw(0, 4) == 0) {
+                const Dispatcher::JobId id = open[draw(0, open.size() - 1)];
+                d_.cancel(id);
+                jobs_[id - 1].cancelled = true;
+            } else if (event >= 15 && !open.empty()) {
+                emit(open[draw(0, open.size() - 1)]);
+            } else {
+                continue;
+            }
+            return true;
+        }
+    }
+
+    std::mt19937_64 rng_;
+    Dispatcher d_;
+    std::vector<Job> jobs_;
+    std::vector<Dispatcher::Dispatch> slots_;
+    std::vector<Dispatcher::Ticket> lost_;
+};
+
+TEST(DispatcherTest, RandomSchedulesKeepEveryInvariant)
+{
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        ScheduleFuzz(seed).run();
+        if (HasFailure())
+            return;
+    }
 }
 
 TEST(DispatcherDeathTest, CyclicGatePanics)

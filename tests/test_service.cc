@@ -789,74 +789,71 @@ TEST(ServiceTest, SubmitWithBadTraceFileIsRejected)
 
 TEST(ServiceTest, ConcurrentJobsInterleaveAndMatchInProcess)
 {
-    // Two different grids submitted concurrently to one daemon with
-    // a 2-thread pool: the scheduler must run them side by side (a
-    // status frame observes both `running` at once) and each must
-    // still return results bitwise-identical to its in-process run.
-    runner::ExperimentSet set_a = quickGrid(3);
-    runner::ExperimentSet set_b;
-    {
-        const std::uint64_t warmup = 20000, measure = 50000;
-        for (int w = 0; w < 2; ++w) {
+    // Two grids submitted to one daemon with a one-thread pool: the
+    // shorter grid B, submitted once the longer A is running, must
+    // finish before A's last result -- the scheduler shares the pool
+    // instead of running the older job to the end -- and each must
+    // return results bitwise-identical to its in-process run.
+    //
+    // The check reads the order of the two result streams, not the
+    // clock: A's longer measure keeps its remaining points far slower
+    // than B's submit, even where every warmup restores from the
+    // process-wide checkpoint store.
+    runner::ExperimentSet set_a, set_b;
+    const auto addGrid = [](runner::ExperimentSet &set,
+                            const std::string &tag, int workloads,
+                            std::uint64_t seed, std::uint64_t measure,
+                            std::initializer_list<SchemeType> schemes) {
+        const std::uint64_t warmup = 20000;
+        for (int w = 0; w < workloads; ++w) {
             const WorkloadPreset preset =
-                tinyPreset("svc-conc" + std::to_string(w),
-                           0x77a0 + static_cast<std::uint64_t>(w));
-            set_b.addBaseline(preset, warmup, measure);
-            SimConfig config =
-                SimConfig::make(preset, SchemeType::Shotgun);
-            config.warmupInstructions = warmup;
-            config.measureInstructions = measure;
-            set_b.add(preset, "shotgun", config);
+                tinyPreset("svc-conc-" + tag + std::to_string(w),
+                           seed + static_cast<std::uint64_t>(w));
+            set.addBaseline(preset, warmup, measure);
+            for (SchemeType type : schemes) {
+                SimConfig config = SimConfig::make(preset, type);
+                config.warmupInstructions = warmup;
+                config.measureInstructions = measure;
+                set.add(preset, schemeTypeName(type), config);
+            }
         }
-    }
-    const auto local_a = runner::ExperimentRunner().run(set_a);
-    const auto local_b = runner::ExperimentRunner().run(set_b);
+    };
+    addGrid(set_a, "a", 3, 0x77b0, 300000,
+            {SchemeType::Boomerang, SchemeType::Shotgun});
+    addGrid(set_b, "b", 2, 0x77a0, 50000, {SchemeType::Shotgun});
 
     ServerOptions options;
-    options.jobs = 2;
+    options.jobs = 1;
     TestServer server("concurrent", options);
 
-    std::atomic<bool> a_started{false};
+    // One sequence over both streams: each A result and B's end.
+    std::atomic<std::uint64_t> sequence{0};
+    std::atomic<std::uint64_t> a_last{0};
+    std::uint64_t b_done = 0;
     std::vector<SimResult> remote_a, remote_b;
 
     std::thread submit_a([&]() {
         ServiceClient client(server.endpoint());
-        remote_a = client.submit(
-            requestFor(set_a, "job-a"),
-            [&](const ResultEvent &) { a_started.store(true); });
+        remote_a = client.submit(requestFor(set_a, "job-a"),
+                                 [&](const ResultEvent &) {
+                                     a_last.store(++sequence);
+                                 });
     });
-    while (!a_started.load())
+    while (a_last.load() == 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    std::atomic<bool> done_b{false};
-    std::thread submit_b([&]() {
+    {
         ServiceClient client(server.endpoint());
         remote_b = client.submit(requestFor(set_b, "job-b"));
-        done_b.store(true);
-    });
-
-    // Poll status from a third connection until one frame reports
-    // both jobs running -- the "two grids make progress at once"
-    // observable (polling stops once job B finished, which can beat
-    // a poll on a fast machine).
-    bool both_running = false;
-    {
-        ServiceClient status_client(server.endpoint());
-        while (!both_running && !done_b.load()) {
-            const json::Value status = status_client.status();
-            std::size_t running = 0;
-            for (const json::Value &row : status.at("jobs").items())
-                running += decodeAs<JobStatus>(row, "job").state == "running";
-            both_running = running >= 2;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
+        b_done = ++sequence;
     }
     submit_a.join();
-    submit_b.join();
-    EXPECT_TRUE(both_running)
-        << "no status frame observed both jobs running";
+    EXPECT_LT(b_done, a_last.load())
+        << "job B ended after job A's last result: A held the pool";
 
+    // The references run after the daemon's grids, so the daemon's
+    // points did not restore warmups these runs stored.
+    const auto local_a = runner::ExperimentRunner().run(set_a);
+    const auto local_b = runner::ExperimentRunner().run(set_b);
     ASSERT_EQ(remote_a.size(), set_a.size());
     for (std::size_t i = 0; i < set_a.size(); ++i)
         EXPECT_TRUE(remote_a[i] == local_a[i]) << "A index " << i;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Regression tests for the thread-safety of the simulator's shared
- * memoization: the generic MemoCache and the programFor cache that
+ * memoization: the generic LruMemoCache and the programFor cache that
  * every concurrent experiment hammers. Before the runner subsystem
  * these were guarded per-call; the tests pin down the stronger
  * contract the parallel runner needs: compute-once per key, stable
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <set>
 #include <stdexcept>
@@ -25,104 +24,6 @@ namespace shotgun
 {
 namespace
 {
-
-TEST(MemoCacheTest, ComputesOncePerKey)
-{
-    MemoCache<int, int> cache;
-    std::atomic<int> computes{0};
-    for (int i = 0; i < 5; ++i) {
-        const auto value = cache.get(42, [&computes]() {
-            ++computes;
-            return 7;
-        });
-        EXPECT_EQ(*value, 7);
-    }
-    EXPECT_EQ(computes.load(), 1);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(MemoCacheTest, DistinctKeysComputeIndependently)
-{
-    MemoCache<int, int> cache;
-    for (int k = 0; k < 10; ++k)
-        EXPECT_EQ(*cache.get(k, [k]() { return k * 3; }), k * 3);
-    EXPECT_EQ(cache.size(), 10u);
-}
-
-TEST(MemoCacheTest, ConcurrentHammerComputesOnce)
-{
-    MemoCache<int, int> cache;
-    constexpr int kThreads = 8, kKeys = 4, kIters = 200;
-    std::atomic<int> computes{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&]() {
-            for (int i = 0; i < kIters; ++i) {
-                const int key = i % kKeys;
-                const auto value = cache.get(key, [&computes, key]() {
-                    ++computes;
-                    return key + 100;
-                });
-                ASSERT_EQ(*value, key + 100);
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    EXPECT_EQ(computes.load(), kKeys);
-}
-
-TEST(MemoCacheTest, ThrowingComputeAllowsRetry)
-{
-    MemoCache<int, int> cache;
-    int attempts = 0;
-    EXPECT_THROW(cache.get(1,
-                           [&attempts]() -> int {
-                               ++attempts;
-                               throw std::runtime_error("first try");
-                           }),
-                 std::runtime_error);
-    // The failed entry must not be cached.
-    EXPECT_EQ(*cache.get(1, [&attempts]() { return ++attempts; }), 2);
-}
-
-TEST(MemoCacheTest, WaitersOfAThrowingComputeEachGetTheirOwnError)
-{
-    // MemoCache keeps no hit counter, so the computing caller holds
-    // until every caller has started, plus a pause to let them reach
-    // the table; the same check as LruMemoCache's test below.
-    constexpr std::size_t kThreads = 6;
-    MemoCache<int, int> cache;
-    std::atomic<std::size_t> started{0};
-    std::vector<const void *> caught(kThreads, nullptr);
-    std::vector<std::exception_ptr> alive(kThreads);
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t]() {
-            ++started;
-            try {
-                cache.get(1, [&started]() -> int {
-                    while (started.load() < kThreads)
-                        std::this_thread::yield();
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(20));
-                    throw std::runtime_error("no value");
-                });
-            } catch (const std::runtime_error &e) {
-                caught[t] = &e;
-                alive[t] = std::current_exception();
-            }
-        });
-    }
-    for (auto &thread : threads)
-        thread.join();
-    const std::set<const void *> distinct(caught.begin(), caught.end());
-    EXPECT_EQ(distinct.count(nullptr), 0u);
-    EXPECT_EQ(distinct.size(), kThreads);
-    EXPECT_EQ(cache.size(), 0u);
-}
-
-// ----------------------------------------------------------- LruMemoCache
 
 /** Every entry costs 10 bytes: budgets become entry counts. */
 std::size_t
@@ -177,12 +78,47 @@ TEST(LruMemoCacheTest, EvictedKeyRecomputesSameValueNeverStale)
 
 TEST(LruMemoCacheTest, ZeroBudgetIsUnbounded)
 {
+    // Without a budget nothing is evicted: each key computes once,
+    // and distinct keys compute independently.
     LruMemoCache<int, int> cache(0, tenBytes);
-    for (int key = 0; key < 100; ++key)
-        cache.get(key, [key]() { return key; });
+    int computes = 0;
+    for (int round = 0; round < 2; ++round) {
+        for (int key = 0; key < 100; ++key) {
+            EXPECT_EQ(*cache.get(key,
+                                 [&computes, key]() {
+                                     ++computes;
+                                     return key * 3;
+                                 }),
+                      key * 3);
+        }
+    }
+    EXPECT_EQ(computes, 100);
     EXPECT_EQ(cache.size(), 100u);
     EXPECT_EQ(cache.stats().evictions, 0u);
     EXPECT_EQ(cache.stats().bytes, 1000u);
+}
+
+TEST(LruMemoCacheTest, UnboundedConcurrentHammerComputesOnce)
+{
+    LruMemoCache<int, int> cache;
+    constexpr int kThreads = 8, kKeys = 4, kIters = 200;
+    std::atomic<int> computes{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&]() {
+            for (int i = 0; i < kIters; ++i) {
+                const int key = i % kKeys;
+                const auto value = cache.get(key, [&computes, key]() {
+                    ++computes;
+                    return key + 100;
+                });
+                ASSERT_EQ(*value, key + 100);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(computes.load(), kKeys);
 }
 
 TEST(LruMemoCacheTest, CountsHitsAndMisses)
