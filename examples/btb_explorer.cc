@@ -12,8 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
@@ -29,8 +30,13 @@ int
 runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "oracle";
-    const std::uint64_t instructions =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000000;
+    std::uint64_t instructions = 2000000;
+    if (argc > 3 || (argc > 2 && (!parseU64(argv[2], instructions) ||
+                                  instructions == 0))) {
+        std::fputs("usage: btb_explorer [workload] [instructions]\n",
+                   stderr);
+        return cli::kUsageExitCode;
+    }
     const std::uint64_t warmup = instructions / 2;
 
     const WorkloadPreset preset = presetByName(workload);

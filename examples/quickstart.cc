@@ -13,8 +13,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.hh"
+#include "common/parse.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
@@ -27,8 +28,13 @@ int
 runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "db2";
-    const std::uint64_t instructions =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3000000;
+    std::uint64_t instructions = 3000000;
+    if (argc > 3 || (argc > 2 && (!parseU64(argv[2], instructions) ||
+                                  instructions == 0))) {
+        std::fputs("usage: quickstart [workload] [instructions]\n",
+                   stderr);
+        return cli::kUsageExitCode;
+    }
     const std::uint64_t warmup = instructions / 2;
 
     const WorkloadPreset preset = presetByName(workload);

@@ -14,10 +14,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 
+#include "common/cli.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
@@ -28,22 +29,14 @@ using namespace shotgun;
 namespace
 {
 
-/** Strict positive count for --jobs; exits with usage on bad input. */
-unsigned
-parseJobsArg(const char *text)
+[[noreturn]] void
+usageError(const std::string &message)
 {
-    char *end = nullptr;
-    const unsigned long value =
-        text ? std::strtoul(text, &end, 10) : 0;
-    if (text == nullptr || *text == '\0' || *end != '\0' ||
-        value == 0 ||
-        value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr,
-                     "--jobs: expected a positive count, got '%s'\n",
-                     text ? text : "");
-        std::exit(2);
-    }
-    return static_cast<unsigned>(value);
+    std::fprintf(stderr,
+                 "scheme_shootout: %s\nusage: scheme_shootout "
+                 "[workload] [instructions] [--jobs N]\n",
+                 message.c_str());
+    std::exit(cli::kUsageExitCode);
 }
 
 } // namespace
@@ -56,20 +49,25 @@ main(int argc, char **argv)
     unsigned jobs = 0; // all cores
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = parseJobsArg(i + 1 < argc ? argv[++i] : nullptr);
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            std::fprintf(stderr,
-                         "unknown option '%s'\nusage: scheme_shootout "
-                         "[workload] [instructions] [--jobs N]\n",
-                         argv[i]);
-            return 2;
+        const std::string arg = argv[i];
+        if (arg == "--jobs") {
+            std::uint64_t value = 0;
+            if (i + 1 >= argc || !parseU64(argv[++i], value) ||
+                value == 0 || value > std::numeric_limits<unsigned>::max())
+                usageError("--jobs: expected a positive count");
+            jobs = static_cast<unsigned>(value);
+        } else if (arg.rfind("--", 0) == 0) {
+            usageError("unknown option '" + arg + "'");
         } else if (positional == 0) {
-            workload = argv[i];
+            workload = arg;
             ++positional;
         } else if (positional == 1) {
-            instructions = std::strtoull(argv[i], nullptr, 10);
+            if (!parseU64(argv[i], instructions) || instructions == 0)
+                usageError("expected a nonzero instruction count, got '" +
+                           arg + "'");
             ++positional;
+        } else {
+            usageError("unexpected argument '" + arg + "'");
         }
     }
     const std::uint64_t warmup = instructions / 2;

@@ -11,8 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/cli.hh"
+#include "common/parse.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
@@ -25,8 +26,13 @@ int
 runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "apache";
-    const std::uint64_t num_bbs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500000;
+    std::uint64_t num_bbs = 500000;
+    if (argc > 4 ||
+        (argc > 2 && (!parseU64(argv[2], num_bbs) || num_bbs == 0))) {
+        std::fputs("usage: trace_tools [workload] [basic_blocks] [path]\n",
+                   stderr);
+        return cli::kUsageExitCode;
+    }
     const std::string path =
         argc > 3 ? argv[3] : "/tmp/shotgun_example_trace.bin";
 

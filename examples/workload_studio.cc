@@ -15,9 +15,10 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <limits>
 #include <unordered_map>
@@ -25,10 +26,13 @@
 
 #include "btb/conventional_btb.hh"
 #include "cache/cache.hh"
+#include "common/cli.hh"
+#include "common/parse.hh"
 #include "common/stats.hh"
 #include "obs/uarch.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
+#include "trace/preset_fields.hh"
 #include "trace/program.hh"
 #include "trace/trace_io.hh"
 
@@ -37,22 +41,39 @@ using namespace shotgun;
 namespace
 {
 
-/** Strict positive count for --jobs; exits with usage on bad input. */
-unsigned
-parseJobsArg(const char *text)
+[[noreturn]] void
+usageError(const std::string &message)
 {
+    std::fprintf(stderr,
+                 "workload_studio: %s\nusage: workload_studio "
+                 "[numFuncs|trace:<path>[:name]] [zipfAlpha] "
+                 "[instructions] [--jobs N]\n",
+                 message.c_str());
+    std::exit(cli::kUsageExitCode);
+}
+
+/** A nonzero count no larger than `max`, or a usage error. */
+std::uint64_t
+countArg(const std::string &what, const char *text, std::uint64_t max)
+{
+    std::uint64_t value = 0;
+    if (!parseU64(text, value) || value == 0 || value > max)
+        usageError("expected a nonzero " + what + ", got '" + text + "'");
+    return value;
+}
+
+/** A finite decimal spelled by the whole of `text`, or a usage error. */
+double
+alphaArg(const char *text)
+{
+    errno = 0;
     char *end = nullptr;
-    const unsigned long value =
-        text ? std::strtoul(text, &end, 10) : 0;
-    if (text == nullptr || *text == '\0' || *end != '\0' ||
-        value == 0 ||
-        value > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr,
-                     "--jobs: expected a positive count, got '%s'\n",
-                     text ? text : "");
-        std::exit(2);
-    }
-    return static_cast<unsigned>(value);
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value))
+        usageError(std::string("expected a zipfAlpha, got '") + text +
+                   "'");
+    return value;
 }
 
 int
@@ -67,33 +88,40 @@ runTool(int argc, char **argv)
     unsigned jobs = 0; // all cores
     int positional = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = parseJobsArg(i + 1 < argc ? argv[++i] : nullptr);
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            std::fprintf(stderr,
-                         "unknown option '%s'\nusage: workload_studio "
-                         "[numFuncs|trace:<path>[:name]] [zipfAlpha] "
-                         "[instructions] [--jobs N]\n",
-                         argv[i]);
-            return 2;
-        } else if (positional == 0 &&
-                   isTraceWorkloadSpec(argv[i])) {
-            trace_spec = argv[i];
+        const std::string arg = argv[i];
+        if (arg == "--jobs") {
+            if (i + 1 >= argc)
+                usageError("--jobs: missing value");
+            jobs = static_cast<unsigned>(countArg(
+                "--jobs count", argv[++i],
+                std::numeric_limits<unsigned>::max()));
+        } else if (arg.rfind("--", 0) == 0) {
+            usageError("unknown option '" + arg + "'");
+        } else if (positional == 0 && isTraceWorkloadSpec(arg)) {
+            trace_spec = arg;
             positional = 2; // only [instructions] may follow
         } else if (positional == 0) {
-            params.numFuncs =
-                static_cast<std::uint32_t>(std::atoi(argv[i]));
+            params.numFuncs = static_cast<std::uint32_t>(countArg(
+                "numFuncs", argv[i],
+                std::numeric_limits<std::uint32_t>::max()));
             ++positional;
         } else if (positional == 1) {
-            params.zipfAlpha = std::atof(argv[i]);
+            params.zipfAlpha = alphaArg(argv[i]);
             ++positional;
         } else if (positional == 2) {
-            instructions = std::strtoull(argv[i], nullptr, 10);
+            instructions = countArg("instruction count", argv[i],
+                                    UINT64_MAX);
             ++positional;
+        } else {
+            usageError("unexpected argument '" + arg + "'");
         }
     }
     params.numOsFuncs = params.numFuncs / 5;
     params.seed = 0x57d10;
+    // The knobs meet the rules a daemon admits a config by, the size
+    // cap included.
+    if (const char *rule = brokenRule(params))
+        usageError(rule);
 
     WorkloadPreset preset;
     if (trace_spec.empty()) {

@@ -120,6 +120,13 @@ done
 expect_usage_error shotgun-submit --server unix:a --coordinator unix:b
 expect_usage_error shotgun-submit --server unix:a --server unix:b
 expect_usage_error shotgun-submit --coordinator unix:a --local
+# The examples parse their counts strictly: a malformed count or an
+# extra argument is a usage error, never a run of some other length.
+expect_usage_error quickstart nutch 10x6
+expect_usage_error btb_explorer oracle 2000000 extra
+expect_usage_error trace_tools apache 0
+expect_usage_error scheme_shootout nutch abc
+expect_usage_error workload_studio 6000 0.9x
 
 echo "== service: serve -> submit -> verify bitwise vs in-process =="
 # Every spawned daemon registers its PID here; the EXIT trap kills
@@ -454,21 +461,6 @@ test "$(echo "$TRACE_IDS" | wc -l)" -eq 1 || {
     echo "expected one shared trace id, got: $TRACE_IDS" >&2
     exit 1
 }
-
-echo "== bench_sim_throughput emits machine-readable JSON =="
-"$BUILD_DIR/bench_sim_throughput" --instructions 200000 \
-    --warmup 50000 --repeats 1 \
-    --out "$BUILD_DIR/smoke/sim_throughput.json" 2> /dev/null
-grep -q '"instructions_per_second"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"cycles_per_second"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"batched-grid"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"shotgun+tracing"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"shotgun+uarch-probes"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
 
 echo "== one-pass grid: shared decode + warmed checkpoints, bitwise =="
 # A 6-scheme grid over one recorded trace must be byte-identical to

@@ -109,8 +109,8 @@ runSimulationDelta(const SimConfig &config)
 
     // Phase accounting: the per-phase PhaseTimers below always feed
     // the sim.phase.* registry counters (two steady-clock reads per
-    // phase -- well inside the bench budget); when the thread has a
-    // TraceContext they also fill its PointTiming slot, and the
+    // phase, negligible beside the phase itself); when the thread
+    // has a TraceContext they also fill its PointTiming slot, and the
     // Spans (inert otherwise) record the lifecycle tree. None of it
     // feeds back into simulation state, so the trajectory is
     // identical with tracing on or off.

@@ -44,8 +44,9 @@ class DecodedTrace
 {
   public:
     /**
-     * Decode every record of `path`: fatal() on a bad header, a
-     * TraceError (trace/trace_io.hh) on damaged records.
+     * Decode every record of `path`; throws TraceError
+     * (trace/trace_io.hh) on a file it cannot open, a bad header or
+     * damaged records.
      */
     explicit DecodedTrace(const std::string &path);
 

@@ -10,6 +10,8 @@
 #ifndef SHOTGUN_TRACE_PRESET_FIELDS_HH
 #define SHOTGUN_TRACE_PRESET_FIELDS_HH
 
+#include <algorithm>
+
 #include "common/wire.hh"
 #include "trace/instruction.hh"
 #include "trace/presets.hh"
@@ -63,10 +65,33 @@ fields(V &v, ProgramParams &p)
 }
 
 /**
+ * The bytes Program's build reserves for an image of `p`: a row per
+ * function, and room for every function to reach the largest
+ * basic-block count it can draw, in 20-byte records. In double, so no
+ * parameter values overflow it.
+ */
+inline double
+programImageBytes(const ProgramParams &p)
+{
+    const double funcs =
+        static_cast<double>(p.numTopLevel) + p.numFuncs + p.numOsFuncs;
+    const double bbs =
+        std::max({p.minBBsPerFunc, p.maxBBsPerFunc, p.largeFuncBBs});
+    return funcs * (bbs * sizeof(StaticBB) + sizeof(Function));
+}
+
+/**
+ * The admission cap on programImageBytes(): four times the largest
+ * preset's (oracle, 47 MiB). A daemon keeps every image it builds, so
+ * without it one submit could pin gigabytes.
+ */
+inline constexpr double kMaxProgramImageBytes = 192.0 * 1024 * 1024;
+
+/**
  * The first rule `p` breaks that the program builder or the trace
  * generator relies on, or nullptr. Each one is a crash or an abort
  * otherwise: a zero modulus (call depths), fatal() or panic() (the
- * rest).
+ * rest). The last is the size cap above.
  */
 inline const char *
 brokenRule(const ProgramParams &p)
@@ -89,6 +114,10 @@ brokenRule(const ProgramParams &p)
         return "min_loop_trip must not exceed max_loop_trip";
     if (p.condFrac > 0.0 && p.maxCondSkip == 0)
         return "max_cond_skip must be at least 1";
+    if (programImageBytes(p) > kMaxProgramImageBytes)
+        return "num_funcs, num_os_funcs, num_top_level and the "
+               "basic-block counts must keep the program image under "
+               "192 MiB";
     return nullptr;
 }
 

@@ -369,10 +369,22 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
         {"issue_efficiency", "1e-9"},
         // Undefined behaviour: a stall too large for a Cycle.
         {"mem_level_parallelism", "1e-300"},
+        // A program image over the admission cap (931 MiB reserved,
+        // about 195 MB kept for the life of a daemon).
+        {"num_funcs", "500000"},
     };
     for (const auto &[key, token] : unrunnable)
         EXPECT_THROW(decodeSimConfig(with_field(key, token)), CodecError)
             << key << " = " << token;
+
+    // The size cap's error names the field a client can shrink.
+    try {
+        decodeSimConfig(with_field("num_funcs", "500000"));
+    } catch (const CodecError &e) {
+        EXPECT_NE(std::string(e.what()).find("num_funcs"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // ---------------------------------------------------------- protocol

@@ -46,6 +46,12 @@ const char *kUsage =
     "dies or misses heartbeats, and streams each job's results to\n"
     "its client in grid order -- byte-identical to a local run.\n"
     "\n"
+    "Program sizes are capped at admission: a submit whose program\n"
+    "image would reserve more than 192 MiB (every function's row and\n"
+    "room for its largest basic-block count in 20-byte records; four\n"
+    "times the largest preset's) is refused with an error naming\n"
+    "num_funcs.\n"
+    "\n"
     "  --listen ENDPOINT   unix:<path> or <host>:<port> (TCP port 0\n"
     "                      asks the kernel for a free port; the\n"
     "                      resolved endpoint is printed on stdout)\n"
