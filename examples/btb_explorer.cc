@@ -26,15 +26,18 @@ using namespace shotgun;
 namespace
 {
 
+const char kUsage[] = "usage: btb_explorer [workload] [instructions]\n";
+
 int
 runTool(int argc, char **argv)
 {
+    if (cli::handleHelpFlag(argc, argv, kUsage))
+        return 0;
     const std::string workload = argc > 1 ? argv[1] : "oracle";
     std::uint64_t instructions = 2000000;
     if (argc > 3 || (argc > 2 && (!parseU64(argv[2], instructions) ||
                                   instructions == 0))) {
-        std::fputs("usage: btb_explorer [workload] [instructions]\n",
-                   stderr);
+        std::fputs(kUsage, stderr);
         return cli::kUsageExitCode;
     }
     const std::uint64_t warmup = instructions / 2;

@@ -24,15 +24,18 @@ using namespace shotgun;
 namespace
 {
 
+const char kUsage[] = "usage: quickstart [workload] [instructions]\n";
+
 int
 runTool(int argc, char **argv)
 {
+    if (cli::handleHelpFlag(argc, argv, kUsage))
+        return 0;
     const std::string workload = argc > 1 ? argv[1] : "db2";
     std::uint64_t instructions = 3000000;
     if (argc > 3 || (argc > 2 && (!parseU64(argv[2], instructions) ||
                                   instructions == 0))) {
-        std::fputs("usage: quickstart [workload] [instructions]\n",
-                   stderr);
+        std::fputs(kUsage, stderr);
         return cli::kUsageExitCode;
     }
     const std::uint64_t warmup = instructions / 2;

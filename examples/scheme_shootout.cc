@@ -29,13 +29,14 @@ using namespace shotgun;
 namespace
 {
 
+const char kUsage[] =
+    "usage: scheme_shootout [workload] [instructions] [--jobs N]\n";
+
 [[noreturn]] void
 usageError(const std::string &message)
 {
-    std::fprintf(stderr,
-                 "scheme_shootout: %s\nusage: scheme_shootout "
-                 "[workload] [instructions] [--jobs N]\n",
-                 message.c_str());
+    std::fprintf(stderr, "scheme_shootout: %s\n%s", message.c_str(),
+                 kUsage);
     std::exit(cli::kUsageExitCode);
 }
 
@@ -44,6 +45,8 @@ usageError(const std::string &message)
 int
 main(int argc, char **argv)
 {
+    if (cli::handleHelpFlag(argc, argv, kUsage))
+        return 0;
     std::string workload = "oracle";
     std::uint64_t instructions = 3000000;
     unsigned jobs = 0; // all cores

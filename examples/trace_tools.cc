@@ -22,15 +22,18 @@ using namespace shotgun;
 namespace
 {
 
+const char kUsage[] = "usage: trace_tools [workload] [basic_blocks] [path]\n";
+
 int
 runTool(int argc, char **argv)
 {
+    if (cli::handleHelpFlag(argc, argv, kUsage))
+        return 0;
     const std::string workload = argc > 1 ? argv[1] : "apache";
     std::uint64_t num_bbs = 500000;
     if (argc > 4 ||
         (argc > 2 && (!parseU64(argv[2], num_bbs) || num_bbs == 0))) {
-        std::fputs("usage: trace_tools [workload] [basic_blocks] [path]\n",
-                   stderr);
+        std::fputs(kUsage, stderr);
         return cli::kUsageExitCode;
     }
     const std::string path =

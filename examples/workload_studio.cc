@@ -41,14 +41,15 @@ using namespace shotgun;
 namespace
 {
 
+const char kUsage[] = "usage: workload_studio "
+                      "[numFuncs|trace:<path>[:name]] [zipfAlpha] "
+                      "[instructions] [--jobs N]\n";
+
 [[noreturn]] void
 usageError(const std::string &message)
 {
-    std::fprintf(stderr,
-                 "workload_studio: %s\nusage: workload_studio "
-                 "[numFuncs|trace:<path>[:name]] [zipfAlpha] "
-                 "[instructions] [--jobs N]\n",
-                 message.c_str());
+    std::fprintf(stderr, "workload_studio: %s\n%s", message.c_str(),
+                 kUsage);
     std::exit(cli::kUsageExitCode);
 }
 
@@ -79,6 +80,8 @@ alphaArg(const char *text)
 int
 runTool(int argc, char **argv)
 {
+    if (cli::handleHelpFlag(argc, argv, kUsage))
+        return 0;
     ProgramParams params;
     params.name = "studio";
     params.numFuncs = 6000;

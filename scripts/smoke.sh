@@ -120,6 +120,14 @@ done
 expect_usage_error shotgun-submit --server unix:a --coordinator unix:b
 expect_usage_error shotgun-submit --server unix:a --server unix:b
 expect_usage_error shotgun-submit --coordinator unix:a --local
+# The examples answer --help and -h with their usage line on stdout
+# and exit 0; they take no --version.
+for example in quickstart btb_explorer trace_tools scheme_shootout \
+        workload_studio; do
+    for flag in --help -h; do
+        "$BUILD_DIR/$example" "$flag" | grep -q "^usage: $example "
+    done
+done
 # The examples parse their counts strictly: a malformed count or an
 # extra argument is a usage error, never a run of some other length.
 expect_usage_error quickstart nutch 10x6

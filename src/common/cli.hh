@@ -81,6 +81,19 @@ handleStandardFlags(int argc, char **argv, const char *tool,
     return false;
 }
 
+/**
+ * --help/-h for a program that has no --version (the examples):
+ * prints `usage` to stdout. Returns true when main() should exit 0.
+ */
+inline bool
+handleHelpFlag(int argc, char **argv, const char *usage)
+{
+    if (checkStandardFlags(argc, argv) != StandardFlag::Help)
+        return false;
+    std::fputs(usage, stdout);
+    return true;
+}
+
 } // namespace cli
 } // namespace shotgun
 

@@ -1,6 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string_view>
@@ -50,6 +49,55 @@ byteSwap32(std::uint32_t v)
 {
     return ((v & 0x000000ffu) << 24) | ((v & 0x0000ff00u) << 8) |
            ((v & 0x00ff0000u) >> 8) | ((v & 0xff000000u) >> 24);
+}
+
+// The record codec's byte order, spelled out byte by byte so that the
+// compiler makes each a single load or store on a little-endian host.
+
+/** Store `v` as 8 little-endian bytes at `at`. */
+void
+storeLE64(unsigned char *at, std::uint64_t v)
+{
+    at[0] = static_cast<unsigned char>(v);
+    at[1] = static_cast<unsigned char>(v >> 8);
+    at[2] = static_cast<unsigned char>(v >> 16);
+    at[3] = static_cast<unsigned char>(v >> 24);
+    at[4] = static_cast<unsigned char>(v >> 32);
+    at[5] = static_cast<unsigned char>(v >> 40);
+    at[6] = static_cast<unsigned char>(v >> 48);
+    at[7] = static_cast<unsigned char>(v >> 56);
+}
+
+/** The 8 little-endian bytes at `at`. */
+std::uint64_t
+loadLE64(const unsigned char *at)
+{
+    return std::uint64_t{at[0]} | std::uint64_t{at[1]} << 8 |
+           std::uint64_t{at[2]} << 16 | std::uint64_t{at[3]} << 24 |
+           std::uint64_t{at[4]} << 32 | std::uint64_t{at[5]} << 40 |
+           std::uint64_t{at[6]} << 48 | std::uint64_t{at[7]} << 56;
+}
+
+/** Serialize `record` into the kTraceRecordBytes bytes at `at`. */
+void
+encodeRecord(const BBRecord &record, unsigned char *at)
+{
+    storeLE64(at, record.startAddr);
+    storeLE64(at + 8, record.target);
+    at[16] = record.numInstrs;
+    at[17] = static_cast<unsigned char>(record.type);
+    at[18] = record.taken ? 1 : 0;
+}
+
+/**
+ * Open `path` with no stream buffer, so a TraceBlockReader's block is
+ * the only buffer between the file and its records.
+ */
+void
+openUnbuffered(std::ifstream &in, const std::string &path)
+{
+    in.rdbuf()->pubsetbuf(nullptr, 0);
+    in.open(path, std::ios::binary);
 }
 
 /**
@@ -115,9 +163,6 @@ struct HeaderError
 {
     std::string message;
 };
-
-/** On-disk size of one trace record (see TraceFileSource::next). */
-constexpr std::uint64_t kTraceRecordBytes = 19;
 
 /** Reading side; any short read throws with the file name. */
 struct ReadArchive
@@ -246,7 +291,8 @@ parseHeader(std::ifstream &in, const std::string &path)
 TraceWriter::TraceWriter(const std::string &path,
                          const WorkloadPreset &preset,
                          std::uint64_t trace_seed)
-    : out_(path, std::ios::binary | std::ios::trunc), path_(path)
+    : out_(path, std::ios::binary | std::ios::trunc), path_(path),
+      block_(new unsigned char[kTraceBlockBytes])
 {
     fatal_if(!out_.is_open(), "cannot open trace file '%s' for writing",
              path.c_str());
@@ -270,13 +316,20 @@ void
 TraceWriter::append(const BBRecord &record)
 {
     panic_if(closed_, "append to closed TraceWriter");
-    putLE(out_, record.startAddr, 8);
-    putLE(out_, record.target, 8);
-    putLE(out_, record.numInstrs, 1);
-    putLE(out_, static_cast<std::uint8_t>(record.type), 1);
-    putLE(out_, record.taken ? 1 : 0, 1);
+    encodeRecord(record, block_.get() + fill_);
+    fill_ += kTraceRecordBytes;
+    if (fill_ == kTraceBlockBytes)
+        writeBlock();
     ++count_;
     instrs_ += record.numInstrs;
+}
+
+void
+TraceWriter::writeBlock()
+{
+    out_.write(reinterpret_cast<const char *>(block_.get()),
+               static_cast<std::streamsize>(fill_));
+    fill_ = 0;
 }
 
 void
@@ -285,6 +338,7 @@ TraceWriter::close()
     if (closed_)
         return;
     closed_ = true;
+    writeBlock();
     out_.seekp(kRecordCountOffset);
     putLE(out_, count_, 8);
     putLE(out_, instrs_, 8);
@@ -298,9 +352,26 @@ TraceWriter::close()
              path_.c_str());
 }
 
-TraceFileSource::TraceFileSource(const std::string &path)
-    : in_(path, std::ios::binary), path_(path)
+TraceBlockReader::TraceBlockReader()
+    : block_(new unsigned char[kTraceBlockBytes])
 {
+}
+
+bool
+TraceBlockReader::refill(std::istream &in)
+{
+    // Reads start at record boundaries and take whole records, so a
+    // partial record is left only where the stream ends.
+    in.read(reinterpret_cast<char *>(block_.get()),
+            static_cast<std::streamsize>(kTraceBlockBytes));
+    pos_ = 0;
+    end_ = static_cast<std::size_t>(in.gcount());
+    return end_ >= kTraceRecordBytes;
+}
+
+TraceFileSource::TraceFileSource(const std::string &path) : path_(path)
+{
+    openUnbuffered(in_, path);
     if (!in_.is_open())
         throw TraceError("cannot open trace file '" + path + "'");
     TraceInfo info;
@@ -321,20 +392,13 @@ TraceFileSource::next(BBRecord &out)
 {
     if (read_ >= total_)
         return false;
-    unsigned char buf[kTraceRecordBytes];
-    in_.read(reinterpret_cast<char *>(buf), sizeof(buf));
-    if (static_cast<std::size_t>(in_.gcount()) != sizeof(buf))
+    const unsigned char *buf = reader_.next(in_);
+    if (buf == nullptr)
         throw TraceError("'" + path_ + "': truncated trace file after " +
                          std::to_string(read_) + " of " +
                          std::to_string(total_) + " records");
-    auto le64 = [&buf](unsigned at) {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(buf[at + i]) << (8 * i);
-        return v;
-    };
-    out.startAddr = le64(0);
-    out.target = le64(8);
+    out.startAddr = loadLE64(buf);
+    out.target = loadLE64(buf + 8);
     out.numInstrs = buf[16];
     if (buf[17] >= static_cast<unsigned>(BranchType::NumTypes))
         throw TraceError("'" + path_ + "': corrupt record " +
@@ -397,6 +461,7 @@ TraceFileSource::skipInstructions(std::uint64_t instructions)
     if (best != nullptr) {
         in_.clear();
         in_.seekg(static_cast<std::streamoff>(best->byteOffset));
+        reader_.drop();
         if (!in_)
             throw TraceError("'" + path_ +
                              "': seek to window-index offset " +
@@ -417,8 +482,8 @@ TraceFileSource::skipInstructions(std::uint64_t instructions)
 std::size_t
 TraceFileSource::footprintBytes() const
 {
-    // The stream's read buffer is BUFSIZ bytes in libstdc++.
-    return sizeof(*this) + BUFSIZ + path_.capacity() +
+    // The stream is unbuffered: reader_'s block is the only buffer.
+    return sizeof(*this) + kTraceBlockBytes + path_.capacity() +
            preset_.name.capacity() + preset_.program.name.capacity() +
            preset_.tracePath.capacity() +
            index_.entries.capacity() * sizeof(TraceIndexEntry);
@@ -466,20 +531,37 @@ tryReadTraceInfo(const std::string &path, TraceInfo &out,
     return true;
 }
 
+namespace
+{
+
+/**
+ * Record from `source` into `path` while `more(writer)` holds and the
+ * source has records; returns the number of records written.
+ */
+template <typename More>
+std::uint64_t
+recordWhile(TraceSource &source, const WorkloadPreset &preset,
+            std::uint64_t trace_seed, const std::string &path, More more)
+{
+    TraceWriter writer(path, preset, trace_seed);
+    BBRecord record;
+    while (more(writer) && source.next(record))
+        writer.append(record);
+    writer.close();
+    return writer.recordsWritten();
+}
+
+} // namespace
+
 std::uint64_t
 recordTrace(TraceSource &source, const WorkloadPreset &preset,
             std::uint64_t trace_seed, const std::string &path,
             std::uint64_t count)
 {
-    TraceWriter writer(path, preset, trace_seed);
-    BBRecord record;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!source.next(record))
-            break;
-        writer.append(record);
-    }
-    writer.close();
-    return writer.recordsWritten();
+    return recordWhile(source, preset, trace_seed, path,
+                       [count](const TraceWriter &writer) {
+                           return writer.recordsWritten() < count;
+                       });
 }
 
 std::uint64_t
@@ -487,15 +569,11 @@ recordTraceInstructions(TraceSource &source, const WorkloadPreset &preset,
                         std::uint64_t trace_seed, const std::string &path,
                         std::uint64_t instructions)
 {
-    TraceWriter writer(path, preset, trace_seed);
-    BBRecord record;
-    while (writer.instructionsWritten() < instructions) {
-        if (!source.next(record))
-            break;
-        writer.append(record);
-    }
-    writer.close();
-    return writer.recordsWritten();
+    return recordWhile(source, preset, trace_seed, path,
+                       [instructions](const TraceWriter &writer) {
+                           return writer.instructionsWritten() <
+                                  instructions;
+                       });
 }
 
 std::string
@@ -510,10 +588,12 @@ buildTraceIndex(const std::string &trace_path,
 {
     fatal_if(every_records == 0,
              "trace index checkpoint interval must be nonzero");
-    std::ifstream in(trace_path, std::ios::binary);
+    std::ifstream in;
+    openUnbuffered(in, trace_path);
     fatal_if(!in.is_open(), "cannot open trace file '%s'",
              trace_path.c_str());
     const TraceInfo info = parseHeader(in, trace_path);
+    const auto payload_start = static_cast<std::uint64_t>(in.tellg());
 
     TraceIndex index;
     index.records = info.records;
@@ -521,21 +601,20 @@ buildTraceIndex(const std::string &trace_path,
     index.traceSeed = info.traceSeed;
     index.interval = every_records;
 
+    TraceBlockReader reader;
     std::uint64_t instructions = 0;
     for (std::uint64_t record = 0; record < info.records; ++record) {
         if (record % every_records == 0) {
             TraceIndexEntry entry;
             entry.record = record;
             entry.instructions = instructions;
-            entry.byteOffset =
-                static_cast<std::uint64_t>(in.tellg());
+            entry.byteOffset = payload_start + record * kTraceRecordBytes;
             index.entries.push_back(entry);
         }
         // Only the instruction count matters for the index; skip the
         // rest of the record.
-        unsigned char buf[kTraceRecordBytes];
-        in.read(reinterpret_cast<char *>(buf), sizeof(buf));
-        fatal_if(static_cast<std::size_t>(in.gcount()) != sizeof(buf),
+        const unsigned char *buf = reader.next(in);
+        fatal_if(buf == nullptr,
                  "'%s': truncated trace file after %llu of %llu "
                  "records",
                  trace_path.c_str(),

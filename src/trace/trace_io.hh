@@ -20,11 +20,20 @@
  *
  * Version 1 files were raw host-endian structs without the embedded
  * preset; they are rejected with a clear message (re-record them).
+ *
+ * Records move through one fixed, reused block of kTraceBlockRecords
+ * records in each direction: TraceWriter encodes them into its block
+ * and writes it whole when it is full, and TraceFileSource (and with
+ * it the shared decode, trace/decoded_trace.hh) and buildTraceIndex
+ * read them a block at a time through TraceBlockReader. The block is
+ * only how bytes move: the version-2 format above is unchanged, and
+ * no reader ever holds more than one block of a payload.
  */
 
 #ifndef SHOTGUN_TRACE_TRACE_IO_HH
 #define SHOTGUN_TRACE_TRACE_IO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -45,6 +54,16 @@ constexpr std::uint32_t kTraceMagic = 0x47544853; // "SHTG"
 
 /** Current trace format version. */
 constexpr std::uint32_t kTraceVersion = 2;
+
+/** On-disk size of one trace record. */
+constexpr std::size_t kTraceRecordBytes = 19;
+
+/** Records per block of the record codec. */
+constexpr std::size_t kTraceBlockRecords = 3449;
+
+/** Bytes per block: whole records, just under 64 KiB. */
+constexpr std::size_t kTraceBlockBytes =
+    kTraceBlockRecords * kTraceRecordBytes;
 
 /**
  * A trace a run cannot use: a missing file, a bad header, damaged
@@ -105,11 +124,60 @@ class TraceWriter
     std::uint64_t instructionsWritten() const { return instrs_; }
 
   private:
+    /** Write the records in the block and empty it. */
+    void writeBlock();
+
     std::ofstream out_;
     std::string path_;
+    /** Encoded records not yet written: kTraceBlockBytes bytes. */
+    std::unique_ptr<unsigned char[]> block_;
+    std::size_t fill_ = 0; ///< Bytes of block_ in use.
     std::uint64_t count_ = 0;
     std::uint64_t instrs_ = 0;
     bool closed_ = false;
+};
+
+/**
+ * The read side of the record codec: serialized records, read from a
+ * stream kTraceBlockRecords at a time into one block of
+ * kTraceBlockBytes that is reused. The stream must stand at a record
+ * boundary when a block is read, so a caller that moves it calls
+ * drop() to forget the old block.
+ */
+class TraceBlockReader
+{
+  public:
+    TraceBlockReader();
+
+    /**
+     * The next record's kTraceRecordBytes bytes from `in`, valid until
+     * the next call; nullptr when `in` ends before a whole record.
+     */
+    const unsigned char *
+    next(std::istream &in)
+    {
+        if (end_ - pos_ < kTraceRecordBytes && !refill(in))
+            return nullptr;
+        const unsigned char *record = block_.get() + pos_;
+        pos_ += kTraceRecordBytes;
+        return record;
+    }
+
+    /** Forget the buffered records: the stream was repositioned. */
+    void
+    drop()
+    {
+        pos_ = 0;
+        end_ = 0;
+    }
+
+  private:
+    /** Read the next block from `in`; false when no record is left. */
+    bool refill(std::istream &in);
+
+    std::unique_ptr<unsigned char[]> block_;
+    std::size_t pos_ = 0; ///< Offset of the next record in block_.
+    std::size_t end_ = 0; ///< Bytes block_ holds.
 };
 
 /** Header summary of a trace file (shotgun-trace info, trace: specs). */
@@ -212,7 +280,7 @@ class TraceFileSource : public TraceSource
      */
     std::uint64_t skipInstructions(std::uint64_t instructions) override;
 
-    /** The object, its read buffer, path, preset and window index. */
+    /** The object, its block, path, preset and window index. */
     std::size_t footprintBytes() const override;
 
     std::uint64_t totalRecords() const { return total_; }
@@ -232,7 +300,8 @@ class TraceFileSource : public TraceSource
     std::uint64_t traceSeed() const { return traceSeed_; }
 
   private:
-    std::ifstream in_;
+    std::ifstream in_; ///< Unbuffered: reader_ holds the only buffer.
+    TraceBlockReader reader_;
     std::string path_;
     WorkloadPreset preset_;
     std::uint64_t traceSeed_ = 1;

@@ -2,9 +2,9 @@
 """Tests for the throughput gate's decision (wired into ctest as
 `perf_gate_self`).
 
-Feeds scripts/perf_gate.py's verdict() canned perfbench result lines,
-the JSON object perfbench prints last, and pins which pairs run BASE
-first. Pure Python: nothing is built or run.
+Feeds scripts/perf_gate.py's verdict() and report() canned perfbench
+result lines, the JSON object perfbench prints last, and pins which
+pairs run BASE first. Pure Python: nothing is built or run.
 """
 
 import contextlib
@@ -21,11 +21,14 @@ gate = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(gate)
 
 
-def result(minstr_per_s, correct=True, failed=0):
+def result(minstr_per_s, correct=True, failed=0, setup_s=None):
     """One perfbench result line, as parsed JSON."""
-    return {"correct": correct, "attempted": 36, "failed": failed,
-            "metrics": {gate.METRIC: {"value": minstr_per_s,
-                                      "unit": "Minstr/s"}}}
+    r = {"correct": correct, "attempted": 36, "failed": failed,
+         "metrics": {gate.METRIC: {"value": minstr_per_s,
+                                   "unit": "Minstr/s"}}}
+    if setup_s is not None:
+        r["metrics"]["setup_s"] = {"value": setup_s, "unit": "s"}
+    return r
 
 
 # Five runs a side, spread the way real runs spread.
@@ -82,6 +85,49 @@ class TestCorrectness(unittest.TestCase):
     def test_run_that_printed_nothing_fails(self):
         self.check_fails_on_either_side(
             {"correct": False, "failed": "exit 1", "metrics": {}})
+
+
+class TestReport(unittest.TestCase):
+    # Five set-up times a side: median 0.12 s, quartiles 0.11 and 0.12.
+    SETUPS = [0.12, 0.11, 0.13, 0.10, 0.12]
+
+    def with_setup(self, change_setup_scale):
+        both = runs(1.0)
+        for w in both:
+            for side, scale in (("base", 1.0), ("change", change_setup_scale)):
+                both[w][side] = [
+                    result(v, setup_s=s * scale)
+                    for v, s in zip(BASE_RUNS, self.SETUPS)]
+        return both
+
+    def report_of(self, runs_):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            gate.report(runs_)
+        return out.getvalue()
+
+    def test_setup_s_median_and_iqr_beside_the_metric(self):
+        text = self.report_of(self.with_setup(0.5))
+        for workload in gate.WORKLOADS:
+            self.assertIn("%-13s base   setup_s median 0.12 IQR 0.01 "
+                          "(0.11-0.12)" % workload, text)
+            self.assertIn("%-13s change setup_s median 0.06 IQR 0.005 "
+                          "(0.055-0.06)" % workload, text)
+            self.assertIn("%s setup_s change/base 0.500" % workload, text)
+            self.assertIn("%-13s base   %s median 40 IQR 0.8 (39.6-40.4)"
+                          % (workload, gate.METRIC), text)
+            self.assertIn("%s %s change/base 1.000" % (workload, gate.METRIC),
+                          text)
+
+    def test_setup_s_is_not_gated(self):
+        self.assertEqual(gate.verdict(self.with_setup(3.0)), [])
+
+    def test_runs_without_setup_s_report_the_metric_alone(self):
+        text = self.report_of(runs(1.0))
+        self.assertNotIn("setup_s", text)
+        for workload in gate.WORKLOADS:
+            self.assertIn("%s %s change/base 1.000" % (workload, gate.METRIC),
+                          text)
 
 
 class TestOrder(unittest.TestCase):

@@ -13,10 +13,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/simulator.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
@@ -1027,6 +1029,169 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
     }
     EXPECT_EXIT(fatalOnTraceError([&]() { return source.next(rec); }),
                 ::testing::ExitedWithCode(1), "truncated trace file");
+    std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ the block codec
+//
+// Records move through one block of kTraceBlockRecords records in each
+// direction. The digests pin the bytes of a recording and of its index
+// as a writer of one field at a time produces them, so a codec change
+// that moves one byte fails here. Damage placed at block edges must
+// raise the message, and name the record, that a reader of one record
+// at a time raises.
+
+/** Records in the codec tests' recording: past three write blocks. */
+constexpr std::uint64_t kCodecRecords = 12000;
+static_assert(kCodecRecords > 3 * kTraceBlockRecords,
+              "the codec tests' recording must span three blocks");
+
+/** Record the codec tests' fixed stream into `path`. */
+void
+recordCodecTrace(const std::string &path)
+{
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    TraceGenerator gen(prog, 41);
+    ASSERT_EQ(recordTrace(gen, preset, 41, path, kCodecRecords),
+              kCodecRecords);
+}
+
+/** FNV-1a 64 of the bytes of the file at `path`. */
+std::uint64_t
+fileDigest(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    return json::fnv1a64(bytes);
+}
+
+/** Byte offset of record `record` in the codec tests' recording. */
+std::uint64_t
+codecRecordOffset(const std::string &path, std::uint64_t record)
+{
+    return std::filesystem::file_size(path) -
+           (kCodecRecords - record) * kTraceRecordBytes;
+}
+
+/** Streaming replay and the shared decode both throw `message`. */
+void
+expectBothReadersThrow(const std::string &path, const std::string &message)
+{
+    EXPECT_TRUE(throwsTraceError(
+        [&]() {
+            TraceFileSource source(path);
+            BBRecord rec;
+            while (source.next(rec)) {
+            }
+        },
+        message));
+    EXPECT_TRUE(
+        throwsTraceError([&]() { DecodedTrace trace(path); }, message));
+}
+
+TEST(TraceCodecTest, RecordingAndIndexBytesArePinned)
+{
+    const std::string path = "/tmp/shotgun_test_codec_bytes.bin";
+    recordCodecTrace(path);
+    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 700));
+    EXPECT_EQ(fileDigest(path), 0x4d6cef6bd28411b7ULL);
+    EXPECT_EQ(fileDigest(traceIndexPath(path)), 0xa3b78314f5bfe00dULL);
+    std::remove(traceIndexPath(path).c_str());
+    std::remove(path.c_str());
+}
+
+TEST(TraceCodecDeathTest, DamageAtBlockEdgesNamesTheSameRecord)
+{
+    const std::string path = "/tmp/shotgun_test_codec_damage.bin";
+    recordCodecTrace(path);
+    const std::string of = " of " + std::to_string(kCodecRecords) +
+                           " records";
+
+    // Cut exactly where the third block starts.
+    const std::string edge = "/tmp/shotgun_test_codec_edge.bin";
+    const std::uint64_t edge_records = 2 * kTraceBlockRecords;
+    std::filesystem::copy_file(
+        path, edge, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(edge, codecRecordOffset(edge, edge_records));
+    const std::string edge_error = "truncated trace file after " +
+                                   std::to_string(edge_records) + of;
+    expectBothReadersThrow(edge, "'" + edge + "': " + edge_error);
+
+    // Cut inside a record of the third block.
+    const std::string torn = "/tmp/shotgun_test_codec_torn.bin";
+    const std::uint64_t torn_records = 2 * kTraceBlockRecords + 500;
+    std::filesystem::copy_file(
+        path, torn, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(torn,
+                                 codecRecordOffset(torn, torn_records) + 7);
+    const std::string torn_error = "truncated trace file after " +
+                                   std::to_string(torn_records) + of;
+    expectBothReadersThrow(torn, "'" + torn + "': " + torn_error);
+
+    // The index build fails on both as it always has: fatal(), with
+    // the same text.
+    EXPECT_DEATH(buildTraceIndex(edge, 100), edge_error);
+    EXPECT_DEATH(buildTraceIndex(torn, 100), torn_error);
+
+    // A bad branch-type byte in the second block.
+    const std::uint64_t bad = kTraceBlockRecords + 100;
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(
+            static_cast<std::streamoff>(codecRecordOffset(path, bad) + 17));
+        f.put(static_cast<char>(238));
+    }
+    expectBothReadersThrow(path, "'" + path + "': corrupt record " +
+                                     std::to_string(bad) +
+                                     " (bad branch type 238)");
+
+    std::remove(edge.c_str());
+    std::remove(torn.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(TraceCodecTest, IndexedSkipInsideTheBufferedBlockMatchesLinear)
+{
+    const std::string path = "/tmp/shotgun_test_codec_skip.bin";
+    recordCodecTrace(path);
+    std::remove(traceIndexPath(path).c_str());
+    const TraceIndex index = buildTraceIndex(path, 100);
+    ASSERT_GT(index.entries.size(), 60u);
+    // Record 1000's checkpoint lies in the first block, which both
+    // sources hold once they have read 50 records; record 5000's lies
+    // in the second.
+    const std::uint64_t near_target = index.entries[10].instructions + 3;
+    const std::uint64_t far_target = index.entries[50].instructions + 3;
+
+    auto skipAround = [&](TraceFileSource &source) {
+        BBRecord rec;
+        for (int i = 0; i < 50; ++i)
+            EXPECT_TRUE(source.next(rec));
+        source.skipInstructions(near_target - source.instructionsRead());
+        EXPECT_LT(source.recordsRead(), kTraceBlockRecords);
+        for (int i = 0; i < 10; ++i)
+            EXPECT_TRUE(source.next(rec));
+        source.skipInstructions(far_target - source.instructionsRead());
+    };
+    TraceFileSource linear(path); // probes for the index: none yet
+    skipAround(linear);
+    writeTraceIndex(traceIndexPath(path), index);
+    TraceFileSource seeking(path);
+    skipAround(seeking);
+
+    EXPECT_EQ(seeking.recordsRead(), linear.recordsRead());
+    EXPECT_EQ(seeking.instructionsRead(), linear.instructionsRead());
+    BBRecord a, b;
+    while (linear.next(a)) {
+        ASSERT_TRUE(seeking.next(b));
+        ASSERT_TRUE(a == b) << "record " << linear.recordsRead() - 1;
+    }
+    EXPECT_FALSE(seeking.next(b));
+    EXPECT_EQ(seeking.recordsRead(), kCodecRecords);
+    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 
