@@ -62,9 +62,7 @@ const char *kUsage =
     "  --out DIR           write DIR/<experiment>.json/.csv\n"
     "                      (default: results)\n"
     "  --no-out            skip result files\n"
-    "  --no-progress       suppress progress/ETA lines\n"
-    "environment: SHOTGUN_BENCH_INSTRS, SHOTGUN_BENCH_WARMUP,\n"
-    "             SHOTGUN_BENCH_JOBS\n";
+    "  --no-progress       suppress progress/ETA lines\n";
 
 } // namespace
 
@@ -114,26 +112,6 @@ tryParseOptions(int argc, char **argv, BenchOptions &opts,
 {
     opts = BenchOptions{};
     std::uint64_t value = 0;
-
-    if (const char *env = std::getenv("SHOTGUN_BENCH_INSTRS")) {
-        if (!parseCount("SHOTGUN_BENCH_INSTRS", env, false, value,
-                        error)) {
-            return false;
-        }
-        opts.measureInstructions = value;
-    }
-    if (const char *env = std::getenv("SHOTGUN_BENCH_WARMUP")) {
-        if (!parseCount("SHOTGUN_BENCH_WARMUP", env, true, value,
-                        error)) {
-            return false;
-        }
-        opts.warmupInstructions = value;
-    }
-    if (const char *env = std::getenv("SHOTGUN_BENCH_JOBS")) {
-        if (!parseJobs("SHOTGUN_BENCH_JOBS", env, opts.jobs, error))
-            return false;
-    }
-
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         auto next = [&]() -> const char * {

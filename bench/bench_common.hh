@@ -47,9 +47,7 @@ struct BenchOptions
 
 /**
  * Parse --quick, --instructions N, --warmup N, --workload NAME,
- * --jobs N, --out DIR, --no-out, --no-progress and the
- * SHOTGUN_BENCH_INSTRS / SHOTGUN_BENCH_WARMUP / SHOTGUN_BENCH_JOBS
- * environment variables into `opts`.
+ * --jobs N, --out DIR, --no-out and --no-progress into `opts`.
  *
  * Numeric values are validated strictly: a malformed or out-of-range
  * value (e.g. "--instructions 10x6" or "--jobs 0") is an error, never

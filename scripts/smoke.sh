@@ -283,24 +283,13 @@ grep -q "cancelled" "$SUBMIT_X_ERR" || {
     exit 1
 }
 
-echo "== windowed simulation: record -> index -> one server =="
+echo "== windowed simulation: record -> one server =="
 # One workload split into 3 measurement windows and stitched back:
 # the CSVs (which carry every metric) must match the monolithic run
-# byte for byte, in-process and through one server. The index tool
-# is exercised first (build + inspect; full-coverage windows never
-# skip the stream -- they resume the core the window before them
-# parked, or re-simulate their prefix -- so the .idx serves the
-# sampled mode).
+# byte for byte, in-process and through one server.
 WTRACE="$BUILD_DIR/smoke/window.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
     --warmup 100000 --instructions 200000
-"$BUILD_DIR/shotgun-trace" index "$WTRACE" --every 4096
-"$BUILD_DIR/shotgun-trace" index "$WTRACE" --show \
-    | grep -q "checkpoints"
-test -s "$WTRACE.idx" || {
-    echo "missing trace window index $WTRACE.idx" >&2
-    exit 1
-}
 
 WGRID=(--workload "trace:$WTRACE" --schemes shotgun
        --warmup 100000 --instructions 200000 --no-progress)

@@ -11,13 +11,9 @@ Predecoder::Predecoder(const Program &program, unsigned decode_cycles)
 const std::vector<BTBEntry> &
 Predecoder::decodeBlock(Addr block_number)
 {
-    ++decoded_;
     result_.clear();
-    for (const std::uint32_t idx : program_.blockBBs(block_number)) {
+    for (const std::uint32_t idx : program_.blockBBs(block_number))
         result_.emplace_back(program_.staticInfo(idx));
-        if (isBranch(result_.back().type))
-            ++extracted_;
-    }
     return result_;
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "btb/btb_entry.hh"
-#include "common/stats.hh"
 #include "trace/program.hh"
 
 namespace shotgun
@@ -53,22 +52,11 @@ class Predecoder
     {
         return result_.capacity() * sizeof(BTBEntry);
     }
-    std::uint64_t blocksDecoded() const { return decoded_.value(); }
-    std::uint64_t branchesExtracted() const { return extracted_.value(); }
-
-    void
-    resetStats()
-    {
-        decoded_.reset();
-        extracted_.reset();
-    }
 
   private:
     const Program &program_;
     unsigned decodeCycles_;
     std::vector<BTBEntry> result_;
-    Counter decoded_;
-    Counter extracted_;
 };
 
 } // namespace shotgun

@@ -6,10 +6,9 @@
  *
  * Counters and gauges are single relaxed atomics -- an update is one
  * `fetch_add`/`store`, cheap enough to live on hot paths (the
- * simulator's per-phase timing counters tick on every grid point and
- * stay inside the CI bench budget). Histograms are a fixed vector of
- * atomic bucket counts chosen at registration; recording is a binary
- * search plus two relaxed adds.
+ * simulator's per-phase timing counters tick on every grid point).
+ * Histograms are a fixed vector of atomic bucket counts chosen at
+ * registration; recording is a binary search plus two relaxed adds.
  *
  * Instruments are owned by their Registry and live as long as it
  * does, so callers cache the returned pointers once (registration
@@ -176,9 +175,6 @@ class Registry
                          std::vector<std::uint64_t> bounds);
 
     std::vector<MetricSample> snapshot() const;
-
-    /** The snapshot as one JSON object, name -> value/summary. */
-    json::Value snapshotJson() const;
 
   private:
     struct Entry

@@ -29,9 +29,9 @@
  * spans from different processes land on one shared timeline;
  * `dur` is steady-clock so durations cannot jump with NTP. PhaseTimer
  * is the always-on sibling: a steady-clock interval fed into registry
- * counters (sim.phase.*) whether or not tracing is enabled, cheap
- * enough for the bench budget, powering `--fleet-status`'s per-phase
- * breakdown without any tracing machinery.
+ * counters (sim.phase.*) whether or not tracing is enabled,
+ * powering `--fleet-status`'s per-phase breakdown without any
+ * tracing machinery.
  */
 
 #ifndef SHOTGUN_OBS_TRACE_HH

@@ -26,13 +26,6 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-std::size_t
-ThreadPool::pending() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size() + inFlight_;
-}
-
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
@@ -56,13 +49,8 @@ ThreadPool::workerLoop()
                 return; // stopping_ and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-            ++inFlight_;
         }
         task(); // packaged_task: exceptions land in the future
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --inFlight_;
-        }
     }
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Fixed-size worker pool used by the experiment runner. Tasks are
- * submitted as callables and return futures; exceptions thrown inside
- * a task are captured and rethrown from the corresponding future's
- * get(), never lost in a worker thread.
+ * Fixed-size worker pool used by the Fig 3 and Fig 4 trace-analysis
+ * benches; hardwareJobs() is every runner's default job count. Tasks
+ * are submitted as callables and return futures; exceptions thrown
+ * inside a task are captured and rethrown from the corresponding
+ * future's get(), never lost in a worker thread.
  */
 
 #ifndef SHOTGUN_RUNNER_THREAD_POOL_HH
@@ -39,9 +40,6 @@ class ThreadPool
     /** Number of worker threads. */
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-    /** Tasks accepted but not yet finished. */
-    std::size_t pending() const;
-
     /**
      * Queue a callable; tasks start in FIFO submission order. The
      * returned future yields the callable's result or rethrows its
@@ -64,10 +62,9 @@ class ThreadPool
     void enqueue(std::function<void()> task);
     void workerLoop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::deque<std::function<void()>> queue_;
-    std::size_t inFlight_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };

@@ -254,10 +254,10 @@ runSimulationDelta(const SimConfig &config)
             "sim.phase.warmup_us",
             point_timing != nullptr ? &point_timing->warmupUs
                                     : nullptr);
-        // Sampled-window mode: drop the stream prefix a short warm-up
-        // stands in for. Whole basic blocks are skipped until the
-        // threshold is reached, identically with or without a trace
-        // window index (the index only accelerates the seek).
+        // A window that skips its stream prefix: whole basic blocks
+        // are dropped until the threshold is reached, landing on the
+        // same record from a generator, a decoded-trace cursor or a
+        // streaming TraceFileSource.
         if (window.skipInstructions > 0)
             source->skipInstructions(window.skipInstructions);
 

@@ -9,8 +9,9 @@
  *
  * Determinism contract: a DecodedTraceCursor produces byte-for-byte
  * the stream a TraceFileSource over the same file produces, including
- * skipInstructions() landing on the identical record (asserted in
- * tests/test_checkpoint.cc). The store is therefore transparent: any
+ * skipInstructions() landing on the identical record (asserted by
+ * TraceCodecTest.CursorAndFileSourceSkipToTheSameRecord in
+ * tests/test_trace.cc). The store is therefore transparent: any
  * consumer may be handed either source and the simulation trajectory
  * is unchanged. Cursors also expose seekToRecord(), which the warmup
  * checkpoint machinery (sim/checkpoint.hh) uses to reposition a
@@ -100,10 +101,10 @@ class DecodedTraceCursor : public TraceSource
     bool next(BBRecord &out) override;
 
     /**
-     * Same landing rule as the linear TraceSource default and
-     * TraceFileSource's indexed seek: stop at the first record
-     * boundary at or past the threshold -- here found by binary
-     * search over the prefix sums instead of reading records.
+     * Same landing rule as the linear TraceSource default, which
+     * TraceFileSource uses: stop at the first record boundary at or
+     * past the threshold -- here found by binary search over the
+     * prefix sums instead of reading records.
      */
     std::uint64_t skipInstructions(std::uint64_t instructions) override;
 

@@ -42,8 +42,8 @@ class TraceSource
      * boundary lands on the first record that reaches the threshold,
      * deterministically -- a window defined by a skip count starts at
      * the same record no matter how the skip is implemented (the
-     * default reads and discards; TraceFileSource seeks via its
-     * window index when one is present).
+     * default reads and discards; DecodedTraceCursor searches its
+     * prefix sums).
      * @return instructions actually skipped.
      */
     virtual std::uint64_t skipInstructions(std::uint64_t instructions);

@@ -90,17 +90,6 @@ encodeRecord(const BBRecord &record, unsigned char *at)
 }
 
 /**
- * Open `path` with no stream buffer, so a TraceBlockReader's block is
- * the only buffer between the file and its records.
- */
-void
-openUnbuffered(std::ifstream &in, const std::string &path)
-{
-    in.rdbuf()->pubsetbuf(nullptr, 0);
-    in.open(path, std::ios::binary);
-}
-
-/**
  * The trace header's side of the workload field lists
  * (trace/preset_fields.hh): the preset in list order, as fixed-width
  * little-endian integers, IEEE doubles, u16-length strings and the
@@ -154,10 +143,10 @@ struct WriteArchive
 
 /**
  * Header-parse failure carried as data so the caller chooses the
- * severity: readTraceInfo() and buildTraceIndex() stay fatal()
- * (right for the CLIs); tryReadTraceInfo() reports it and
- * TraceFileSource throws it as a TraceError (both reached by the
- * simulation service, where a bad file must never kill the daemon).
+ * severity: readTraceInfo() stays fatal() (right for the CLIs);
+ * tryReadTraceInfo() reports it and TraceFileSource throws it as a
+ * TraceError (both reached by the simulation service, where a bad
+ * file must never kill the daemon).
  */
 struct HeaderError
 {
@@ -371,7 +360,10 @@ TraceBlockReader::refill(std::istream &in)
 
 TraceFileSource::TraceFileSource(const std::string &path) : path_(path)
 {
-    openUnbuffered(in_, path);
+    // No stream buffer: reader_'s block is the only buffer between the
+    // file and its records.
+    in_.rdbuf()->pubsetbuf(nullptr, 0);
+    in_.open(path, std::ios::binary);
     if (!in_.is_open())
         throw TraceError("cannot open trace file '" + path + "'");
     TraceInfo info;
@@ -384,7 +376,6 @@ TraceFileSource::TraceFileSource(const std::string &path) : path_(path)
     traceSeed_ = info.traceSeed;
     total_ = info.records;
     totalInstrs_ = info.instructions;
-    payloadStart_ = static_cast<std::uint64_t>(in_.tellg());
 }
 
 bool
@@ -411,82 +402,13 @@ TraceFileSource::next(BBRecord &out)
     return true;
 }
 
-std::uint64_t
-TraceFileSource::skipInstructions(std::uint64_t instructions)
-{
-    const std::uint64_t before = instrsRead_;
-    const std::uint64_t target = instrsRead_ + instructions;
-
-    if (!indexProbed_) {
-        indexProbed_ = true;
-        TraceInfo info;
-        info.records = total_;
-        info.instructions = totalInstrs_;
-        info.traceSeed = traceSeed_;
-        std::string error;
-        if (!tryReadTraceIndex(traceIndexPath(path_), info, index_,
-                               error)) {
-            // Missing or stale: the linear skip below is always
-            // correct, just slower; `shotgun-trace index` rebuilds.
-            index_.entries.clear();
-        }
-        // Records are fixed-size, so every checkpoint's byte offset
-        // is derivable from its record number; an entry table whose
-        // offsets disagree (partial write, disk fault behind an
-        // intact header) must never steer a seek mid-record. Drop
-        // such an index rather than trust it.
-        for (const TraceIndexEntry &entry : index_.entries) {
-            if (entry.byteOffset !=
-                payloadStart_ + entry.record * kTraceRecordBytes) {
-                index_.entries.clear();
-                break;
-            }
-        }
-    }
-
-    // Seek to the last checkpoint at or before the target. The
-    // landing record depends only on the absolute instruction
-    // threshold (first record boundary >= target), so jumping and
-    // reading from the checkpoint lands exactly where a linear skip
-    // from the current position would.
-    const TraceIndexEntry *best = nullptr;
-    for (const TraceIndexEntry &entry : index_.entries) {
-        if (entry.instructions <= target &&
-            entry.instructions > instrsRead_ &&
-            (best == nullptr ||
-             entry.instructions > best->instructions)) {
-            best = &entry;
-        }
-    }
-    if (best != nullptr) {
-        in_.clear();
-        in_.seekg(static_cast<std::streamoff>(best->byteOffset));
-        reader_.drop();
-        if (!in_)
-            throw TraceError("'" + path_ +
-                             "': seek to window-index offset " +
-                             std::to_string(best->byteOffset) +
-                             " failed");
-        read_ = best->record;
-        instrsRead_ = best->instructions;
-    }
-
-    BBRecord scratch;
-    while (instrsRead_ < target) {
-        if (!next(scratch))
-            break;
-    }
-    return instrsRead_ - before;
-}
-
 std::size_t
 TraceFileSource::footprintBytes() const
 {
     // The stream is unbuffered: reader_'s block is the only buffer.
     return sizeof(*this) + kTraceBlockBytes + path_.capacity() +
            preset_.name.capacity() + preset_.program.name.capacity() +
-           preset_.tracePath.capacity() +
-           index_.entries.capacity() * sizeof(TraceIndexEntry);
+           preset_.tracePath.capacity();
 }
 
 TraceInfo
@@ -574,152 +496,6 @@ recordTraceInstructions(TraceSource &source, const WorkloadPreset &preset,
                            return writer.instructionsWritten() <
                                   instructions;
                        });
-}
-
-std::string
-traceIndexPath(const std::string &trace_path)
-{
-    return trace_path + ".idx";
-}
-
-TraceIndex
-buildTraceIndex(const std::string &trace_path,
-                std::uint64_t every_records)
-{
-    fatal_if(every_records == 0,
-             "trace index checkpoint interval must be nonzero");
-    std::ifstream in;
-    openUnbuffered(in, trace_path);
-    fatal_if(!in.is_open(), "cannot open trace file '%s'",
-             trace_path.c_str());
-    const TraceInfo info = parseHeader(in, trace_path);
-    const auto payload_start = static_cast<std::uint64_t>(in.tellg());
-
-    TraceIndex index;
-    index.records = info.records;
-    index.instructions = info.instructions;
-    index.traceSeed = info.traceSeed;
-    index.interval = every_records;
-
-    TraceBlockReader reader;
-    std::uint64_t instructions = 0;
-    for (std::uint64_t record = 0; record < info.records; ++record) {
-        if (record % every_records == 0) {
-            TraceIndexEntry entry;
-            entry.record = record;
-            entry.instructions = instructions;
-            entry.byteOffset = payload_start + record * kTraceRecordBytes;
-            index.entries.push_back(entry);
-        }
-        // Only the instruction count matters for the index; skip the
-        // rest of the record.
-        const unsigned char *buf = reader.next(in);
-        fatal_if(buf == nullptr,
-                 "'%s': truncated trace file after %llu of %llu "
-                 "records",
-                 trace_path.c_str(),
-                 static_cast<unsigned long long>(record),
-                 static_cast<unsigned long long>(info.records));
-        instructions += buf[16];
-    }
-    fatal_if(instructions != info.instructions,
-             "'%s': header claims %llu instructions but the records "
-             "hold %llu (corrupt trace?)",
-             trace_path.c_str(),
-             static_cast<unsigned long long>(info.instructions),
-             static_cast<unsigned long long>(instructions));
-    return index;
-}
-
-void
-writeTraceIndex(const std::string &idx_path, const TraceIndex &index)
-{
-    std::ofstream out(idx_path, std::ios::binary | std::ios::trunc);
-    fatal_if(!out.is_open(),
-             "cannot open trace index '%s' for writing",
-             idx_path.c_str());
-    putLE(out, kTraceIndexMagic, 4);
-    putLE(out, kTraceIndexVersion, 4);
-    putLE(out, index.records, 8);
-    putLE(out, index.instructions, 8);
-    putLE(out, index.traceSeed, 8);
-    putLE(out, index.interval, 8);
-    putLE(out, index.entries.size(), 8);
-    for (const TraceIndexEntry &entry : index.entries) {
-        putLE(out, entry.record, 8);
-        putLE(out, entry.instructions, 8);
-        putLE(out, entry.byteOffset, 8);
-    }
-    out.flush();
-    fatal_if(!out, "write error on trace index '%s' (disk full?)",
-             idx_path.c_str());
-}
-
-bool
-tryReadTraceIndex(const std::string &idx_path, const TraceInfo &info,
-                  TraceIndex &out, std::string &error)
-{
-    std::ifstream in(idx_path, std::ios::binary);
-    if (!in.is_open()) {
-        error = "cannot open trace index '" + idx_path + "'";
-        return false;
-    }
-    auto get = [&in](std::uint64_t &value, unsigned bytes) {
-        return getLE(in, value, bytes);
-    };
-    std::uint64_t value = 0;
-    if (!get(value, 4) ||
-        static_cast<std::uint32_t>(value) != kTraceIndexMagic) {
-        error = "'" + idx_path + "' is not a shotgun trace index";
-        return false;
-    }
-    if (!get(value, 4) ||
-        static_cast<std::uint32_t>(value) != kTraceIndexVersion) {
-        error = "'" + idx_path + "' has unsupported index version";
-        return false;
-    }
-    TraceIndex index;
-    std::uint64_t count = 0;
-    if (!get(index.records, 8) || !get(index.instructions, 8) ||
-        !get(index.traceSeed, 8) || !get(index.interval, 8) ||
-        !get(count, 8)) {
-        error = "'" + idx_path + "': truncated trace index header";
-        return false;
-    }
-    if (index.records != info.records ||
-        index.instructions != info.instructions ||
-        index.traceSeed != info.traceSeed) {
-        error = "'" + idx_path +
-                "' is stale: it indexes a different recording "
-                "(re-run `shotgun-trace index`)";
-        return false;
-    }
-    if (index.interval == 0 || count > index.records + 1) {
-        error = "'" + idx_path + "': corrupt trace index header";
-        return false;
-    }
-    index.entries.reserve(static_cast<std::size_t>(count));
-    std::uint64_t prev_record = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        TraceIndexEntry entry;
-        if (!get(entry.record, 8) || !get(entry.instructions, 8) ||
-            !get(entry.byteOffset, 8)) {
-            error = "'" + idx_path + "': truncated trace index";
-            return false;
-        }
-        // Monotone and in range, or a seek could jump anywhere.
-        if (entry.record >= info.records ||
-            entry.instructions >= std::max<std::uint64_t>(
-                                      info.instructions, 1) ||
-            (i > 0 && entry.record <= prev_record)) {
-            error = "'" + idx_path + "': corrupt trace index entry";
-            return false;
-        }
-        prev_record = entry.record;
-        index.entries.push_back(entry);
-    }
-    out = std::move(index);
-    return true;
 }
 
 std::unique_ptr<TraceSource>

@@ -24,10 +24,10 @@
  * Records move through one fixed, reused block of kTraceBlockRecords
  * records in each direction: TraceWriter encodes them into its block
  * and writes it whole when it is full, and TraceFileSource (and with
- * it the shared decode, trace/decoded_trace.hh) and buildTraceIndex
- * read them a block at a time through TraceBlockReader. The block is
- * only how bytes move: the version-2 format above is unchanged, and
- * no reader ever holds more than one block of a payload.
+ * it the shared decode, trace/decoded_trace.hh) reads them a block at
+ * a time through TraceBlockReader. The block is only how bytes move:
+ * the version-2 format above is unchanged, and no reader ever holds
+ * more than one block of a payload.
  */
 
 #ifndef SHOTGUN_TRACE_TRACE_IO_HH
@@ -39,7 +39,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "trace/generator.hh"
@@ -69,9 +68,9 @@ constexpr std::size_t kTraceBlockBytes =
  * A trace a run cannot use: a missing file, a bad header, damaged
  * records (a truncated file, a bad branch type, counts that disagree
  * with the header), or a recording that does not fit the run. The
- * readers a daemon reaches throw it -- TraceFileSource's constructor,
- * next() and window-index seek, the shared decode and its header
- * re-read (trace/decoded_trace.hh), and runSimulation()'s program and
+ * readers a daemon reaches throw it -- TraceFileSource's constructor
+ * and next(), the shared decode and its header re-read
+ * (trace/decoded_trace.hh), and runSimulation()'s program and
  * length checks -- so a bad file, or one deleted or rewritten after
  * the submit-time check, fails its point, never the process. The
  * message is the one the tools print.
@@ -141,8 +140,7 @@ class TraceWriter
  * The read side of the record codec: serialized records, read from a
  * stream kTraceBlockRecords at a time into one block of
  * kTraceBlockBytes that is reused. The stream must stand at a record
- * boundary when a block is read, so a caller that moves it calls
- * drop() to forget the old block.
+ * boundary when a block is read.
  */
 class TraceBlockReader
 {
@@ -163,14 +161,6 @@ class TraceBlockReader
         return record;
     }
 
-    /** Forget the buffered records: the stream was repositioned. */
-    void
-    drop()
-    {
-        pos_ = 0;
-        end_ = 0;
-    }
-
   private:
     /** Read the next block from `in`; false when no record is left. */
     bool refill(std::istream &in);
@@ -189,74 +179,6 @@ struct TraceInfo
     std::uint64_t instructions = 0;
 };
 
-// ----------------------------------------------------- window index
-//
-// Sidecar seek index (`<trace>.idx`) for windowed simulation: evenly
-// spaced checkpoints of (record number, cumulative instructions, byte
-// offset), so a worker assigned a window deep inside a long trace can
-// seek near its start instead of reading every prefix record. Purely
-// an accelerator: TraceFileSource::skipInstructions() lands on the
-// same record with or without it (asserted in tests/test_trace.cc); a
-// missing or stale index only costs time. Layout (all little-endian):
-//
-//   u32 magic "SHTX"      u32 version (1)
-//   u64 records, u64 instructions, u64 trace seed
-//       (copied from the trace header; a mismatch marks the index
-//        stale -- e.g. the trace was re-recorded -- and it is ignored)
-//   u64 checkpoint interval (records)   u64 checkpoint count
-//   per checkpoint: u64 record, u64 instructions before it,
-//                   u64 absolute byte offset
-
-/** Magic bytes at the start of a trace index file. */
-constexpr std::uint32_t kTraceIndexMagic = 0x58544853; // "SHTX"
-
-/** Current trace index format version. */
-constexpr std::uint32_t kTraceIndexVersion = 1;
-
-/** One seekable stream position. */
-struct TraceIndexEntry
-{
-    std::uint64_t record = 0;       ///< Records before this point.
-    std::uint64_t instructions = 0; ///< Instructions before it.
-    std::uint64_t byteOffset = 0;   ///< Absolute file offset.
-};
-
-struct TraceIndex
-{
-    /** Binding to the indexed trace (its header counters + seed). */
-    std::uint64_t records = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t traceSeed = 0;
-
-    std::uint64_t interval = 0; ///< Records between checkpoints.
-    std::vector<TraceIndexEntry> entries;
-};
-
-/** The sidecar path for a trace: `<trace_path>.idx`. */
-std::string traceIndexPath(const std::string &trace_path);
-
-/**
- * Scan `trace_path` and build an index with a checkpoint every
- * `every_records` records (the first is always record 0); fatal() on
- * a bad trace or every_records == 0.
- */
-TraceIndex buildTraceIndex(const std::string &trace_path,
-                           std::uint64_t every_records);
-
-/** Serialize `index` to `idx_path`; fatal() on I/O failure. */
-void writeTraceIndex(const std::string &idx_path,
-                     const TraceIndex &index);
-
-/**
- * Read and validate the index at `idx_path` for the trace described
- * by `info`. Non-fatal: returns false with a message in `error` on a
- * missing/corrupt file or one whose binding (record/instruction
- * counts, seed) does not match `info` (stale index).
- */
-bool tryReadTraceIndex(const std::string &idx_path,
-                       const TraceInfo &info, TraceIndex &out,
-                       std::string &error);
-
 /** Replays a binary trace file as a TraceSource. */
 class TraceFileSource : public TraceSource
 {
@@ -270,17 +192,7 @@ class TraceFileSource : public TraceSource
     /** The next record; throws TraceError on a damaged one. */
     bool next(BBRecord &out) override;
 
-    /**
-     * Skip whole records until `instructions` are skipped, seeking
-     * via the sidecar window index (`<path>.idx`) when a valid one
-     * exists -- the landing record is identical either way; the
-     * index only replaces linear reading with a seek. A missing or
-     * stale index silently falls back to the linear skip; a seek that
-     * fails throws TraceError.
-     */
-    std::uint64_t skipInstructions(std::uint64_t instructions) override;
-
-    /** The object, its block, path, preset and window index. */
+    /** The object, its block, path and preset. */
     std::size_t footprintBytes() const override;
 
     std::uint64_t totalRecords() const { return total_; }
@@ -309,11 +221,6 @@ class TraceFileSource : public TraceSource
     std::uint64_t totalInstrs_ = 0;
     std::uint64_t read_ = 0;
     std::uint64_t instrsRead_ = 0;
-    std::uint64_t payloadStart_ = 0; ///< First record's byte offset.
-
-    /** Lazily loaded window index; empty entries = none usable. */
-    bool indexProbed_ = false;
-    TraceIndex index_;
 };
 
 /** Read and validate just the header of `path`; fatal() on a bad file. */

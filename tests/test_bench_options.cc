@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,14 +54,6 @@ parse(std::vector<std::string> args, BenchOptions &opts,
 class BenchOptionsTest : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        // Tests must not inherit the caller's environment overrides.
-        unsetenv("SHOTGUN_BENCH_INSTRS");
-        unsetenv("SHOTGUN_BENCH_WARMUP");
-        unsetenv("SHOTGUN_BENCH_JOBS");
-    }
-
     BenchOptions opts;
     std::string error;
 };
@@ -143,30 +134,6 @@ TEST_F(BenchOptionsTest, RejectsUnknownOption)
 {
     EXPECT_FALSE(parse({"--frobnicate"}, opts, error));
     EXPECT_NE(error.find("--frobnicate"), std::string::npos);
-}
-
-TEST_F(BenchOptionsTest, EnvironmentOverridesAreValidated)
-{
-    setenv("SHOTGUN_BENCH_INSTRS", "250000", 1);
-    setenv("SHOTGUN_BENCH_JOBS", "2", 1);
-    ASSERT_TRUE(parse({}, opts, error));
-    EXPECT_EQ(opts.measureInstructions, 250000u);
-    EXPECT_EQ(opts.jobs, 2u);
-
-    setenv("SHOTGUN_BENCH_INSTRS", "zillion", 1);
-    EXPECT_FALSE(parse({}, opts, error));
-    EXPECT_NE(error.find("SHOTGUN_BENCH_INSTRS"), std::string::npos);
-
-    unsetenv("SHOTGUN_BENCH_INSTRS");
-    unsetenv("SHOTGUN_BENCH_JOBS");
-}
-
-TEST_F(BenchOptionsTest, FlagsOverrideEnvironment)
-{
-    setenv("SHOTGUN_BENCH_INSTRS", "250000", 1);
-    ASSERT_TRUE(parse({"--instructions", "750000"}, opts, error));
-    EXPECT_EQ(opts.measureInstructions, 750000u);
-    unsetenv("SHOTGUN_BENCH_INSTRS");
 }
 
 TEST_F(BenchOptionsTest, CuratedDefaultsRespectWorkloadFilter)

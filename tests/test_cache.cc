@@ -437,7 +437,6 @@ TEST(PredecoderTest, MatchesProgramOracle)
         }
     }
     EXPECT_TRUE(found);
-    EXPECT_GT(predecoder.blocksDecoded(), 0u);
 
     BTBEntry single;
     EXPECT_TRUE(predecoder.decodeBB(bb.startAddr(), single));

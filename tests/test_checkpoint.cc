@@ -570,8 +570,6 @@ TEST(CohortGridTest, TraceGridDecodesOnceAndMatches)
     TraceGenerator gen(prog, 47);
     recordTraceInstructions(gen, recorded, 47, path,
                             kWarmup + kMeasure + 20000);
-    writeTraceIndex(traceIndexPath(path),
-                    buildTraceIndex(path, 1024));
 
     const WorkloadPreset preset = presetByName("trace:" + path);
     std::vector<runner::Experiment> grid;
@@ -593,7 +591,6 @@ TEST(CohortGridTest, TraceGridDecodesOnceAndMatches)
         expectIdentical(batched[i], sequential[i]);
     EXPECT_EQ(decodedTraces().stats().decodes, decodes_before + 1);
 
-    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 

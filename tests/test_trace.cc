@@ -15,7 +15,9 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/json.hh"
@@ -763,153 +765,6 @@ TEST(TraceSourceTest, SkipInstructionsLandsOnThresholdRecord)
     EXPECT_TRUE(a == b);
 }
 
-TEST(TraceIndexTest, IndexedSkipMatchesLinearSkip)
-{
-    const WorkloadPreset preset = tinyPreset();
-    Program prog(preset.program);
-    const std::string path = "/tmp/shotgun_test_idx_skip.bin";
-    TraceGenerator gen(prog, 21);
-    recordTrace(gen, preset, 21, path, 20000);
-
-    // Several thresholds, including checkpoint-exact and
-    // past-last-checkpoint ones; the landing record must be
-    // identical with and without the index.
-    const TraceIndex index = buildTraceIndex(path, 512);
-    EXPECT_GE(index.entries.size(), 2u);
-    for (const std::uint64_t threshold :
-         {std::uint64_t(1), index.entries[1].instructions,
-          index.entries[1].instructions + 1, std::uint64_t(50000),
-          std::uint64_t(100000)}) {
-        TraceFileSource linear(path); // no .idx on disk yet
-        const std::uint64_t linear_skipped =
-            linear.skipInstructions(threshold);
-
-        writeTraceIndex(traceIndexPath(path), index);
-        TraceFileSource seeking(path);
-        const std::uint64_t seek_skipped =
-            seeking.skipInstructions(threshold);
-        std::remove(traceIndexPath(path).c_str());
-
-        EXPECT_EQ(seek_skipped, linear_skipped) << threshold;
-        EXPECT_EQ(seeking.recordsRead(), linear.recordsRead())
-            << threshold;
-        BBRecord a, b;
-        ASSERT_TRUE(linear.next(a));
-        ASSERT_TRUE(seeking.next(b));
-        EXPECT_TRUE(a == b) << threshold;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIndexTest, StaleOrCorruptIndexIsRejectedNotTrusted)
-{
-    const WorkloadPreset preset = tinyPreset();
-    Program prog(preset.program);
-    const std::string path = "/tmp/shotgun_test_idx_stale.bin";
-    TraceGenerator gen(prog, 3);
-    recordTrace(gen, preset, 3, path, 3000);
-
-    const TraceIndex index = buildTraceIndex(path, 100);
-    writeTraceIndex(traceIndexPath(path), index);
-
-    TraceIndex loaded;
-    std::string error;
-    const TraceInfo info = readTraceInfo(path);
-    EXPECT_TRUE(
-        tryReadTraceIndex(traceIndexPath(path), info, loaded, error))
-        << error;
-    EXPECT_EQ(loaded.entries.size(), index.entries.size());
-
-    // Re-record over the trace with a different seed: the sidecar
-    // must be detected as stale...
-    TraceGenerator regen(prog, 4);
-    recordTrace(regen, preset, 4, path, 3000);
-    EXPECT_FALSE(tryReadTraceIndex(traceIndexPath(path),
-                                   readTraceInfo(path), loaded,
-                                   error));
-    EXPECT_NE(error.find("stale"), std::string::npos);
-
-    // ...and replay must still work: a stale index falls back to
-    // the linear skip instead of seeking into the wrong recording.
-    TraceFileSource source(path);
-    EXPECT_GT(source.skipInstructions(1000), 0u);
-
-    // Garbage magic is rejected too.
-    {
-        std::ofstream out(traceIndexPath(path), std::ios::binary);
-        out << "not an index";
-    }
-    EXPECT_FALSE(tryReadTraceIndex(traceIndexPath(path),
-                                   readTraceInfo(path), loaded,
-                                   error));
-    EXPECT_NE(error.find("not a shotgun trace index"),
-              std::string::npos);
-
-    std::remove(traceIndexPath(path).c_str());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIndexTest, FailedIndexSeekThrowsTraceError)
-{
-    // A header whose counts outgrow its file (rewritten after a
-    // daemon checked it, say) with a window index that steers the
-    // skip past 2^63 bytes: the seek fails. A daemon's point must
-    // fail with a TraceError; the process must not die.
-    const WorkloadPreset preset = tinyPreset();
-    Program prog(preset.program);
-    const std::string path = "/tmp/shotgun_test_idx_bad_seek.bin";
-    TraceGenerator gen(prog, 3);
-    recordTrace(gen, preset, 3, path, 100);
-    const TraceIndex every = buildTraceIndex(path, 1);
-    ASSERT_GE(every.entries.size(), 2u);
-    const std::uint64_t payload = every.entries[0].byteOffset;
-    const std::uint64_t record_bytes =
-        every.entries[1].byteOffset - payload;
-
-    const std::uint64_t huge = std::uint64_t(1) << 60;
-    {
-        std::fstream f(path,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekp(8); // The record and instruction counts.
-        for (int field = 0; field < 2; ++field) {
-            for (int i = 0; i < 8; ++i)
-                f.put(static_cast<char>(huge >> (8 * i)));
-        }
-    }
-    TraceIndex index;
-    index.records = huge;
-    index.instructions = huge;
-    index.traceSeed = 3;
-    index.interval = 1;
-    const std::uint64_t far = huge / 2;
-    index.entries.push_back({far, 1000, payload + far * record_bytes});
-    writeTraceIndex(traceIndexPath(path), index);
-
-    TraceFileSource source(path);
-    try {
-        source.skipInstructions(2000);
-        ADD_FAILURE() << "a failed seek went unnoticed";
-    } catch (const TraceError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "seek to window-index offset"),
-                  std::string::npos)
-            << e.what();
-    }
-    std::remove(traceIndexPath(path).c_str());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIndexDeathTest, BuildRejectsZeroInterval)
-{
-    const WorkloadPreset preset = tinyPreset();
-    Program prog(preset.program);
-    const std::string path = "/tmp/shotgun_test_idx_zero.bin";
-    TraceGenerator gen(prog, 9);
-    recordTrace(gen, preset, 9, path, 100);
-    EXPECT_DEATH(buildTraceIndex(path, 0), "nonzero");
-    std::remove(path.c_str());
-}
-
 TEST(PresetsDeathTest, UnknownWorkloadListsEveryAlternative)
 {
     // The error is the documentation at point of failure: it must
@@ -1035,11 +890,11 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
 // ------------------------------------------------------ the block codec
 //
 // Records move through one block of kTraceBlockRecords records in each
-// direction. The digests pin the bytes of a recording and of its index
-// as a writer of one field at a time produces them, so a codec change
-// that moves one byte fails here. Damage placed at block edges must
-// raise the message, and name the record, that a reader of one record
-// at a time raises.
+// direction. The digest pins the bytes of a recording as a writer of
+// one field at a time produces them, so a codec change that moves one
+// byte fails here. Damage placed at block edges must raise the
+// message, and name the record, that a reader of one record at a time
+// raises.
 
 /** Records in the codec tests' recording: past three write blocks. */
 constexpr std::uint64_t kCodecRecords = 12000;
@@ -1091,18 +946,15 @@ expectBothReadersThrow(const std::string &path, const std::string &message)
         throwsTraceError([&]() { DecodedTrace trace(path); }, message));
 }
 
-TEST(TraceCodecTest, RecordingAndIndexBytesArePinned)
+TEST(TraceCodecTest, RecordingBytesArePinned)
 {
     const std::string path = "/tmp/shotgun_test_codec_bytes.bin";
     recordCodecTrace(path);
-    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 700));
     EXPECT_EQ(fileDigest(path), 0x4d6cef6bd28411b7ULL);
-    EXPECT_EQ(fileDigest(traceIndexPath(path)), 0xa3b78314f5bfe00dULL);
-    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 
-TEST(TraceCodecDeathTest, DamageAtBlockEdgesNamesTheSameRecord)
+TEST(TraceCodecTest, DamageAtBlockEdgesNamesTheSameRecord)
 {
     const std::string path = "/tmp/shotgun_test_codec_damage.bin";
     recordCodecTrace(path);
@@ -1130,11 +982,6 @@ TEST(TraceCodecDeathTest, DamageAtBlockEdgesNamesTheSameRecord)
                                    std::to_string(torn_records) + of;
     expectBothReadersThrow(torn, "'" + torn + "': " + torn_error);
 
-    // The index build fails on both as it always has: fatal(), with
-    // the same text.
-    EXPECT_DEATH(buildTraceIndex(edge, 100), edge_error);
-    EXPECT_DEATH(buildTraceIndex(torn, 100), torn_error);
-
     // A bad branch-type byte in the second block.
     const std::uint64_t bad = kTraceBlockRecords + 100;
     {
@@ -1153,45 +1000,81 @@ TEST(TraceCodecDeathTest, DamageAtBlockEdgesNamesTheSameRecord)
     std::remove(path.c_str());
 }
 
-TEST(TraceCodecTest, IndexedSkipInsideTheBufferedBlockMatchesLinear)
+TEST(TraceCodecTest, CursorAndFileSourceSkipToTheSameRecord)
 {
+    // A window that skips its stream prefix replays through a cursor
+    // over the shared decode, or through a TraceFileSource when the
+    // decode is over the store's budget. Both must land on the first
+    // record boundary at or past the threshold, wherever the skip
+    // starts and ends: inside the block the file source holds, across
+    // blocks, on a boundary, mid-record, or past the end.
     const std::string path = "/tmp/shotgun_test_codec_skip.bin";
     recordCodecTrace(path);
-    std::remove(traceIndexPath(path).c_str());
-    const TraceIndex index = buildTraceIndex(path, 100);
-    ASSERT_GT(index.entries.size(), 60u);
-    // Record 1000's checkpoint lies in the first block, which both
-    // sources hold once they have read 50 records; record 5000's lies
-    // in the second.
-    const std::uint64_t near_target = index.entries[10].instructions + 3;
-    const std::uint64_t far_target = index.entries[50].instructions + 3;
+    const auto decoded = std::make_shared<const DecodedTrace>(path);
 
-    auto skipAround = [&](TraceFileSource &source) {
+    // The reference: every record and the instructions before it,
+    // read one at a time.
+    std::vector<BBRecord> records;
+    std::vector<std::uint64_t> before{0};
+    {
+        TraceFileSource reader(path);
         BBRecord rec;
-        for (int i = 0; i < 50; ++i)
-            EXPECT_TRUE(source.next(rec));
-        source.skipInstructions(near_target - source.instructionsRead());
-        EXPECT_LT(source.recordsRead(), kTraceBlockRecords);
-        for (int i = 0; i < 10; ++i)
-            EXPECT_TRUE(source.next(rec));
-        source.skipInstructions(far_target - source.instructionsRead());
-    };
-    TraceFileSource linear(path); // probes for the index: none yet
-    skipAround(linear);
-    writeTraceIndex(traceIndexPath(path), index);
-    TraceFileSource seeking(path);
-    skipAround(seeking);
-
-    EXPECT_EQ(seeking.recordsRead(), linear.recordsRead());
-    EXPECT_EQ(seeking.instructionsRead(), linear.instructionsRead());
-    BBRecord a, b;
-    while (linear.next(a)) {
-        ASSERT_TRUE(seeking.next(b));
-        ASSERT_TRUE(a == b) << "record " << linear.recordsRead() - 1;
+        while (reader.next(rec)) {
+            records.push_back(rec);
+            before.push_back(before.back() + rec.numInstrs);
+        }
     }
-    EXPECT_FALSE(seeking.next(b));
-    EXPECT_EQ(seeking.recordsRead(), kCodecRecords);
-    std::remove(traceIndexPath(path).c_str());
+    ASSERT_EQ(records.size(), kCodecRecords);
+    auto landing = [&](std::uint64_t from, std::uint64_t skip) {
+        std::uint64_t record = from;
+        while (record < kCodecRecords &&
+               before[record] < before[from] + skip)
+            ++record;
+        return record;
+    };
+
+    for (const std::uint64_t first :
+         {std::uint64_t(0), std::uint64_t(1), std::uint64_t(50),
+          std::uint64_t(kTraceBlockRecords)}) {
+        // A threshold inside record `mid` (it holds two instructions
+        // or more), and one on the boundary 20 records on.
+        std::uint64_t mid = first + 10;
+        while (records[mid].numInstrs < 2)
+            ++mid;
+        const std::uint64_t rest = before[kCodecRecords] - before[first];
+        const std::uint64_t block =
+            before[first + kTraceBlockRecords] - before[first];
+        for (const std::uint64_t skip :
+             {std::uint64_t(0), std::uint64_t(1),
+              before[mid] + 1 - before[first],
+              before[first + 20] - before[first], block, rest,
+              rest + 1000}) {
+            SCOPED_TRACE("first " + std::to_string(first) + ", skip " +
+                         std::to_string(skip));
+            DecodedTraceCursor cursor(decoded);
+            TraceFileSource file(path);
+            BBRecord rec;
+            for (std::uint64_t i = 0; i < first; ++i) {
+                ASSERT_TRUE(cursor.next(rec));
+                ASSERT_TRUE(file.next(rec));
+            }
+            const std::uint64_t land = landing(first, skip);
+            const std::uint64_t skipped = before[land] - before[first];
+            EXPECT_EQ(cursor.skipInstructions(skip), skipped);
+            EXPECT_EQ(file.skipInstructions(skip), skipped);
+            EXPECT_EQ(cursor.recordsRead(), land);
+            EXPECT_EQ(file.recordsRead(), land);
+
+            BBRecord from_cursor, from_file;
+            const bool more = land < kCodecRecords;
+            ASSERT_EQ(cursor.next(from_cursor), more);
+            ASSERT_EQ(file.next(from_file), more);
+            if (more) {
+                EXPECT_TRUE(from_cursor == records[land]);
+                EXPECT_TRUE(from_file == records[land]);
+            }
+        }
+    }
     std::remove(path.c_str());
 }
 

@@ -233,16 +233,14 @@ TEST(WindowStitchTest, UnevenAndSingleWindowPlansMatchToo)
 
 TEST(WindowStitchTest, FullCoverageMatchesMonolithicForRecordedTrace)
 {
-    // Record a trace, index it, and window the replayed workload:
-    // the stitched result must equal the monolithic replay.
+    // Record a trace and window the replayed workload: the stitched
+    // result must equal the monolithic replay.
     const WorkloadPreset recorded = tinyPreset("win-trace", 6);
     const std::string path = "/tmp/shotgun_test_window.trace";
     Program prog(recorded.program);
     TraceGenerator gen(prog, 11);
     recordTraceInstructions(gen, recorded, 11, path,
                             kWarmup + kMeasure + 20000);
-    writeTraceIndex(traceIndexPath(path),
-                    buildTraceIndex(path, 1024));
 
     const WorkloadPreset preset = presetByName("trace:" + path);
     const runner::Experiment exp =
@@ -253,7 +251,6 @@ TEST(WindowStitchTest, FullCoverageMatchesMonolithicForRecordedTrace)
         exp, contiguousPlan(exp.config, 3), 3);
     expectIdentical(outcome.stitched, mono);
 
-    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 
@@ -340,17 +337,15 @@ TEST(WindowStitchTest, UarchBreakdownStitchesExactlyAcrossSchemes)
 
 TEST(WindowStitchTest, UarchBreakdownStitchesForRecordedTrace)
 {
-    // Same property on a recorded trace replay: record, index,
-    // replay probed, window it, and compare against the monolithic
-    // probed replay.
+    // Same property on a recorded trace replay: record, replay
+    // probed, window it, and compare against the monolithic probed
+    // replay.
     const WorkloadPreset recorded = tinyPreset("uarch-trace", 13);
     const std::string path = "/tmp/shotgun_test_uarch_window.trace";
     Program prog(recorded.program);
     TraceGenerator gen(prog, 17);
     recordTraceInstructions(gen, recorded, 17, path,
                             kWarmup + kMeasure + 20000);
-    writeTraceIndex(traceIndexPath(path),
-                    buildTraceIndex(path, 1024));
 
     const WorkloadPreset preset = presetByName("trace:" + path);
     runner::Experiment exp =
@@ -365,7 +360,6 @@ TEST(WindowStitchTest, UarchBreakdownStitchesForRecordedTrace)
     EXPECT_TRUE(outcome.stitched.uarch == mono.uarch);
     expectIdentical(outcome.stitched, mono);
 
-    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 
@@ -635,6 +629,18 @@ TEST(SkipWindowTest, PrefixSkippingWindowSimulatesDeterministically)
     // threshold (run() stops on whole cycles).
     EXPECT_GE(once.instructions, 5000u);
     EXPECT_LT(once.instructions, 5010u);
+
+    // The same window over a recording of the same stream: the skip
+    // runs on a cursor over the shared decode and must land where the
+    // generator's did.
+    const std::string path = "/tmp/shotgun_test_skip_window.trace";
+    TraceGenerator gen(programFor(preset), config.traceSeed);
+    recordTraceInstructions(gen, preset, config.traceSeed, path,
+                            kWarmup + kMeasure + 20000);
+    SimConfig replay = config;
+    replay.workload = presetByName("trace:" + path);
+    expectIdentical(runSimulation(replay), once);
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------- wire codec

@@ -1,4 +1,4 @@
-"""Tokenizer for shotgun-lint's internal C++ frontend.
+"""Tokenizer for shotgun-lint's C++ frontend.
 
 This is not a conforming C++ lexer; it is the narrow subset the lint
 checks need: identifiers, numbers, string/char literals (including raw

@@ -1,4 +1,4 @@
-"""Declaration-level C++ model for shotgun-lint's internal frontend.
+"""Declaration-level C++ model for shotgun-lint's C++ frontend.
 
 Built on cpp_lexer tokens, this extracts exactly what the checks need:
 

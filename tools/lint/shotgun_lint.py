@@ -26,7 +26,6 @@ import checks as checks_mod  # noqa: E402
 import cpp_lexer  # noqa: E402
 import cpp_model  # noqa: E402
 from checks import ALL_CHECKS, CHECK_NAMES, Finding  # noqa: E402
-from frontends import LibclangFrontend, load_libclang  # noqa: E402
 
 _SOURCE_EXTS = (".hh", ".cc", ".h", ".cpp", ".hpp")
 
@@ -129,7 +128,7 @@ class Analysis:
             prefixes.update(self.config.get(key, []))
         return sorted(prefixes)
 
-    def load(self, frontend=None):
+    def load(self):
         prefixes = self.scan_prefixes()
         paths = []
         for dirpath, dirnames, filenames in os.walk(self.root):
@@ -159,14 +158,7 @@ class Analysis:
                 cpp_model.unordered_container_names(tokens)
             self.includes_by_file[rel] = _INCLUDE_RE.findall(text)
 
-            classes, ctors = None, None
-            if frontend is not None:
-                try:
-                    classes, ctors = frontend.parse_file(full, rel)
-                except Exception:
-                    classes, ctors = None, None  # fall back per-file
-            if classes is None:
-                classes, ctors = cpp_model.parse_file(tokens, rel)
+            classes, ctors = cpp_model.parse_file(tokens, rel)
             self.classes.extend(classes)
             self._out_of_line.extend(ctors)
 
@@ -194,41 +186,6 @@ class Analysis:
         return names
 
 
-def load_compile_commands(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            db = json.load(f)
-    except (OSError, ValueError):
-        return None
-    args_by_file = {}
-    for entry in db:
-        file_path = os.path.normpath(
-            os.path.join(entry.get("directory", "."),
-                         entry.get("file", "")))
-        command = entry.get("arguments")
-        if command is None and "command" in entry:
-            command = entry["command"].split()
-        flags = [a for a in (command or [])[1:]
-                 if a.startswith(("-I", "-D", "-std", "-isystem"))]
-        args_by_file[file_path] = flags
-    return args_by_file
-
-
-def pick_frontend(kind, compile_commands):
-    if kind == "internal":
-        return None, "internal"
-    cindex = load_libclang()
-    if cindex is None:
-        if kind == "libclang":
-            sys.stderr.write(
-                "shotgun-lint: --frontend libclang requested but "
-                "clang.cindex is not importable (pip install "
-                "libclang)\n")
-            raise SystemExit(2)
-        return None, "internal"
-    return LibclangFrontend(cindex, compile_commands), "libclang"
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="shotgun-lint", description=__doc__,
@@ -239,16 +196,6 @@ def main(argv=None):
     parser.add_argument("--config", default=None,
                         help="policy file (default: "
                              "tools/lint/config.json under --root)")
-    parser.add_argument("--frontend",
-                        choices=("auto", "internal", "libclang"),
-                        default="internal",
-                        help="declaration-model frontend (default: "
-                             "internal; golden outputs are recorded "
-                             "against it)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the libclang "
-                             "frontend (default: "
-                             "<root>/build/compile_commands.json)")
     parser.add_argument("--check", action="append", default=None,
                         metavar="NAME",
                         help="run only this check (repeatable)")
@@ -281,14 +228,8 @@ def main(argv=None):
                              % name)
             return 2
 
-    cc_path = args.compile_commands or os.path.join(
-        root, "build", "compile_commands.json")
-    compile_commands = load_compile_commands(cc_path)
-    frontend, frontend_name = pick_frontend(args.frontend,
-                                            compile_commands)
-
     analysis = Analysis(root, config)
-    analysis.load(frontend)
+    analysis.load()
     if analysis.errors:
         for err in analysis.errors:
             sys.stderr.write("shotgun-lint: parse error: %s\n" % err)
@@ -321,9 +262,8 @@ def main(argv=None):
         print("%s:%d: [%s] %s" % (f.file, f.line, f.check, f.message))
 
     sys.stderr.write(
-        "shotgun-lint: %d file(s), frontend=%s, %d finding(s), "
-        "%d suppressed\n" % (len(analysis.files), frontend_name,
-                             len(unsuppressed), suppressed_count))
+        "shotgun-lint: %d file(s), %d finding(s), %d suppressed\n"
+        % (len(analysis.files), len(unsuppressed), suppressed_count))
     return 1 if unsuppressed else 0
 
 

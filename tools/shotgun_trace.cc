@@ -43,7 +43,6 @@ const char *kUsage =
     "  shotgun-trace info <file>\n"
     "  shotgun-trace replay <file> [--scheme NAME] [--instructions N]\n"
     "                [--warmup N] [--name NAME]\n"
-    "  shotgun-trace index <file> [--every N] [--show]\n"
     "\n"
     "record: capture a workload's dynamic basic-block stream. The\n"
     "  workload is a preset name (nutch, streaming, apache, zeus,\n"
@@ -55,11 +54,7 @@ const char *kUsage =
     "info: print a trace file's header.\n"
     "replay: run one scheme (default shotgun; baseline, fdip,\n"
     "  boomerang, confluence, rdip, ideal) over a recorded trace and\n"
-    "  print the resulting metrics.\n"
-    "index: build the sidecar window index <file>.idx (a seek\n"
-    "  checkpoint every N records, default 65536) that lets windowed\n"
-    "  simulation workers jump to their window instead of reading\n"
-    "  the whole prefix; --show inspects an existing index instead.\n";
+    "  print the resulting metrics.\n";
 
 [[noreturn]] void
 usageError(const char *message)
@@ -230,71 +225,6 @@ cmdReplay(int argc, char **argv)
     return 0;
 }
 
-int
-cmdIndex(int argc, char **argv)
-{
-    if (argc < 1)
-        usageError("index needs <file>");
-    const std::string path = argv[0];
-
-    std::uint64_t every = 65536;
-    bool show = false;
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&]() {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (std::strcmp(argv[i], "--every") == 0) {
-            every = parseU64Arg("--every", next());
-            if (every == 0)
-                usageError("--every: expected a nonzero interval");
-        } else if (std::strcmp(argv[i], "--show") == 0) {
-            show = true;
-        } else {
-            usageError((std::string("unknown index option '") +
-                        argv[i] + "'")
-                           .c_str());
-        }
-    }
-
-    const std::string idx_path = traceIndexPath(path);
-    if (show) {
-        const TraceInfo info = readTraceInfo(path);
-        TraceIndex index;
-        std::string error;
-        if (!tryReadTraceIndex(idx_path, info, index, error)) {
-            std::fprintf(stderr, "shotgun-trace: %s\n",
-                         error.c_str());
-            return 1;
-        }
-        std::printf("index file     : %s\n", idx_path.c_str());
-        std::printf("trace          : %s (%" PRIu64 " records, %"
-                    PRIu64 " instructions, seed %" PRIu64 ")\n",
-                    path.c_str(), index.records, index.instructions,
-                    index.traceSeed);
-        std::printf("checkpoints    : %zu (every %" PRIu64
-                    " records)\n",
-                    index.entries.size(), index.interval);
-        for (const TraceIndexEntry &entry : index.entries) {
-            std::printf("  record %-12" PRIu64 " instr %-14" PRIu64
-                        " offset %" PRIu64 "\n",
-                        entry.record, entry.instructions,
-                        entry.byteOffset);
-        }
-        return 0;
-    }
-
-    const TraceIndex index = buildTraceIndex(path, every);
-    writeTraceIndex(idx_path, index);
-    std::printf("indexed %" PRIu64 " records (%" PRIu64
-                " instructions) of %s: %zu checkpoints every %"
-                PRIu64 " records -> %s\n",
-                index.records, index.instructions, path.c_str(),
-                index.entries.size(), every, idx_path.c_str());
-    std::printf("windowed replays of this trace now seek instead of "
-                "reading the skipped prefix\n");
-    return 0;
-}
-
 } // namespace
 
 int
@@ -316,8 +246,6 @@ main(int argc, char **argv)
             return cmdInfo(argc - 2, argv + 2);
         if (command == "replay")
             return cmdReplay(argc - 2, argv + 2);
-        if (command == "index")
-            return cmdIndex(argc - 2, argv + 2);
         usageError((std::string("unknown subcommand '") + command + "'")
                        .c_str());
     });
