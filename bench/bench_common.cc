@@ -1,6 +1,5 @@
 #include "bench_common.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -8,7 +7,7 @@
 #include <cstring>
 
 #include "common/parse.hh"
-#include "runner/thread_pool.hh"
+#include "runner/grid_scheduler.hh"
 #include "trace/trace_io.hh"
 
 namespace shotgun
@@ -91,8 +90,7 @@ printBanner(const BenchOptions &opts, const char *experiment,
                 static_cast<unsigned long long>(opts.warmupInstructions),
                 static_cast<unsigned long long>(
                     opts.measureInstructions),
-                opts.jobs == 0 ? runner::ThreadPool::hardwareJobs()
-                               : opts.jobs);
+                opts.jobs == 0 ? runner::hardwareJobs() : opts.jobs);
 }
 
 double
@@ -200,22 +198,6 @@ configFor(const WorkloadPreset &preset, SchemeType type,
     config.warmupInstructions = opts.warmupInstructions;
     config.measureInstructions = opts.measureInstructions;
     return config;
-}
-
-unsigned
-analysisJobs(const BenchOptions &opts, std::size_t tasks)
-{
-    if (!opts.outDir.empty()) {
-        std::fprintf(stderr,
-                     "note: this bench is a trace analysis and writes "
-                     "no JSON/CSV result files; --out ignored\n");
-    }
-    const unsigned requested =
-        opts.jobs == 0 ? runner::ThreadPool::hardwareJobs() : opts.jobs;
-    if (tasks == 0)
-        return 1;
-    return static_cast<unsigned>(
-        std::min<std::size_t>(requested, tasks));
 }
 
 } // namespace bench

@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared plumbing for the paper-reproduction benches -- bench_figures
- * (figures.hh) and the trace walks of Figs 3 and 4: run lengths
- * (overridable with --quick / --instructions / environment
- * variables), workload filtering, parallelism (--jobs) and the
- * result-file directory (--out).
+ * The command line of bench_figures (figures.hh): run lengths
+ * (--quick / --instructions / --warmup), workload filtering,
+ * parallelism (--jobs) and the result-file directory (--out).
  */
 
 #ifndef SHOTGUN_BENCH_COMMON_HH
@@ -82,14 +80,6 @@ double geomean(const std::vector<double> &values);
 /** A SimConfig for (preset, scheme) using the bench run lengths. */
 SimConfig configFor(const WorkloadPreset &preset, SchemeType type,
                     const BenchOptions &opts);
-
-/**
- * Worker count for a trace-analysis bench that fans `tasks` jobs out
- * over a raw ThreadPool: the --jobs request (or hardware default)
- * clamped to the task count. Also warns once on stderr when --out was
- * requested, since analysis benches emit tables only, no JSON/CSV.
- */
-unsigned analysisJobs(const BenchOptions &opts, std::size_t tasks);
 
 } // namespace bench
 } // namespace shotgun

@@ -1,6 +1,6 @@
 /**
  * @file
- * One driver for the paper's timing results: Table 1, Figs 1 and
+ * One driver for the paper's results: Table 1, Figs 1, 3, 4 and
  * 6-13, and the colocation, RIB and RDIP discussions (figures.hh).
  *
  *   bench_figures [FIGURE...] [options]
@@ -9,7 +9,7 @@
  * given); the options are every bench's (bench_common.hh). The
  * figures' grids run as one, each distinct simulation once; then
  * each figure prints its banner and table on stdout and writes
- * <out>/<slug>.json and .csv.
+ * <out>/<slug>.json and .csv (a trace walk writes none).
  */
 
 #include <cstdio>

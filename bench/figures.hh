@@ -1,14 +1,16 @@
 /**
  * @file
- * The paper's timing results as one table of figures. Each figure
- * names the workloads it sweeps and its series -- a labelled scheme
- * plus a SimConfig patch -- and how its table prints. runFigures()
- * builds every selected figure's grid, runs their union once (one
- * simulation per distinct configFingerprint), and hands each figure
- * the results of its own grid, index-aligned, so a figure's table and
- * result files do not depend on which other figures ran beside it.
+ * The paper's results as one table of figures. Each figure names the
+ * workloads it sweeps and its series -- a labelled scheme plus a
+ * SimConfig patch -- and how its table prints. runFigures() builds
+ * every selected figure's grid, runs their union once (one simulation
+ * per distinct configFingerprint), and hands each figure the results
+ * of its own grid, index-aligned, so a figure's table and result files
+ * do not depend on which other figures ran beside it.
  *
- * Figs 3 and 4 are trace walks, not grids, and keep their own mains.
+ * Figs 3 and 4, the workload characterization, simulate nothing: they
+ * have no series and no baseline, and their print functions walk each
+ * workload's stream.
  */
 
 #ifndef SHOTGUN_BENCH_FIGURES_HH

@@ -3,8 +3,8 @@
 namespace shotgun
 {
 
-Predecoder::Predecoder(const Program &program, unsigned decode_cycles)
-    : program_(program), decodeCycles_(decode_cycles)
+Predecoder::Predecoder(const Program &program)
+    : program_(program)
 {
 }
 

@@ -27,9 +27,7 @@ namespace shotgun
 class Predecoder
 {
   public:
-    /** @param decode_cycles pipeline latency of predecoding a block. */
-    explicit Predecoder(const Program &program,
-                        unsigned decode_cycles = 1);
+    explicit Predecoder(const Program &program);
 
     /**
      * Extract all basic blocks starting inside `block_number`.
@@ -44,8 +42,6 @@ class Predecoder
      */
     bool decodeBB(Addr bb_start, BTBEntry &out) const;
 
-    unsigned decodeCycles() const { return decodeCycles_; }
-
     /** Heap bytes of the result buffer. */
     std::size_t
     footprintBytes() const
@@ -55,7 +51,6 @@ class Predecoder
 
   private:
     const Program &program_;
-    unsigned decodeCycles_;
     std::vector<BTBEntry> result_;
 };
 

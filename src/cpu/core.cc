@@ -10,7 +10,7 @@ CoreState::CoreState(const Program &program, const CoreParams &core_params,
                      std::shared_ptr<OutcomeLog> log)
     : program_(program), params_(core_params), mem_(hierarchy_params),
       outcomes_(std::move(log)), ras_(core_params.rasEntries),
-      predecoder_(program, core_params.predecodeCycles),
+      predecoder_(program),
       ftq_(core_params.ftqEntries)
 {
 }
@@ -186,10 +186,10 @@ Core::replayRetireCredit(Cycle cycles)
     retireCredit_ = credit;
 }
 
-Core::StatsSnapshot
+StatsDelta
 Core::snapshotStats() const
 {
-    StatsSnapshot snap;
+    StatsDelta snap;
     snap.instructions = retiredSinceReset_;
     snap.cycles = cyclesSinceReset_;
     snap.stalls = stalls_;
@@ -528,15 +528,6 @@ Core::attributeCycle(Cycle cycles)
     // was delivered: the BPU failed to keep the head entry fetchable
     // this cycle -- an instruction-supply gap like an empty FTQ.
     uarch_.stallFTQEmpty += cycles;
-}
-
-double
-Core::l1iMPKI() const
-{
-    return retiredSinceReset_ == 0
-               ? 0.0
-               : 1000.0 * static_cast<double>(mem_.demandMisses()) /
-                     static_cast<double>(retiredSinceReset_);
 }
 
 } // namespace shotgun

@@ -147,6 +147,41 @@ struct CoreState
     obs::SpaceSavingSketch l1iMissSketch_;
 };
 
+/**
+ * Every raw measurement counter a SimResult is derived from. A Core's
+ * snapshotStats() holds the counts since its last resetStats(); the
+ * difference of two snapshots of one run (deltaBetween,
+ * sim/stats_delta.hh) is the delta of the window between them. All
+ * fields are exact (integral counters, or double sums of integral
+ * samples well below 2^53), so deltas of adjacent windows add back to
+ * the monolithic totals bit for bit.
+ */
+struct StatsDelta
+{
+    std::uint64_t instructions = 0;
+    std::uint64_t cycles = 0;
+    CoreState::StallBreakdown stalls{};
+    std::uint64_t btbMisses = 0;
+    std::uint64_t mispredicts = 0;
+    std::uint64_t misfetches = 0;
+    std::uint64_t l1iDemandMisses = 0;
+    std::uint64_t prefetchesIssued = 0;
+    std::uint64_t usefulPrefetches = 0;
+    std::uint64_t lateUsefulPrefetches = 0;
+    double l1dFillSum = 0.0;
+    std::uint64_t l1dFillCount = 0;
+
+    /**
+     * Microarchitectural probe readout; all-zero (enabled false)
+     * unless CoreParams::uarchProbes is set. Stall and lifecycle
+     * fields are monotonic counters and subtract and merge like the
+     * rest; the miss-site tables cover the span since the last
+     * clearUarchSites() (see obs::uarchDelta) and merge by summing
+     * per-PC counts.
+     */
+    obs::UarchBreakdown uarch{};
+};
+
 class Core : private CoreState
 {
   public:
@@ -238,40 +273,10 @@ class Core : private CoreState
     const StallBreakdown &stalls() const { return stalls_; }
 
     /**
-     * Every raw measurement counter at one instant, as accumulated
-     * since the last resetStats(). All fields are exact (integral
-     * counters, or double sums of integral samples well below 2^53),
-     * so the difference of two snapshots is an exact per-window stats
-     * delta and deltas of adjacent windows add back to the monolithic
-     * totals bit for bit (see sim/stats_delta.hh).
+     * Every measurement counter since the last resetStats() (cheap;
+     * no side effects).
      */
-    struct StatsSnapshot
-    {
-        std::uint64_t instructions = 0;
-        std::uint64_t cycles = 0;
-        StallBreakdown stalls{};
-        std::uint64_t btbMisses = 0;
-        std::uint64_t mispredicts = 0;
-        std::uint64_t misfetches = 0;
-        std::uint64_t l1iDemandMisses = 0;
-        std::uint64_t prefetchesIssued = 0;
-        std::uint64_t usefulPrefetches = 0;
-        std::uint64_t lateUsefulPrefetches = 0;
-        double l1dFillSum = 0.0;
-        std::uint64_t l1dFillCount = 0;
-
-        /**
-         * Microarchitectural probe readout; all-zero (enabled false)
-         * unless CoreParams::uarchProbes is set. Stall/lifecycle
-         * fields are monotonic counters and subtract like the rest;
-         * the miss-site tables cover the span since the last
-         * clearUarchSites() (see uarchDelta()).
-         */
-        obs::UarchBreakdown uarch{};
-    };
-
-    /** Capture every measurement counter (cheap; no side effects). */
-    StatsSnapshot snapshotStats() const;
+    StatsDelta snapshotStats() const;
 
     /**
      * Reset the miss-site sketches so the tables cover exactly the
@@ -280,33 +285,6 @@ class Core : private CoreState
      * simulation state, so calling it never perturbs the trajectory.
      */
     void clearUarchSites();
-
-    std::uint64_t btbMisses() const { return btbMisses_; }
-    std::uint64_t mispredicts() const { return mispredicts_; }
-    std::uint64_t misfetches() const { return misfetches_; }
-
-    /** BTB misses per kilo-instruction (Table 1's metric). */
-    double
-    btbMPKI() const
-    {
-        return retiredSinceReset_ == 0
-                   ? 0.0
-                   : 1000.0 * static_cast<double>(btbMisses_) /
-                         static_cast<double>(retiredSinceReset_);
-    }
-
-    /** L1-I demand misses per kilo-instruction. */
-    double l1iMPKI() const;
-
-    /** Average cycles to fill an L1-D miss (Fig 11's metric). */
-    double avgL1DFillCycles() const { return l1dFill_.mean(); }
-
-    /** Prefetch accuracy (Fig 10's metric). */
-    double
-    prefetchAccuracy() const
-    {
-        return mem_.prefetchAccuracy();
-    }
 
     Scheme &scheme() { return *scheme_; }
     const Scheme &scheme() const { return *scheme_; }

@@ -632,14 +632,6 @@ FleetCoordinator::statusFrame()
             status.checkpoint = worker.stats.checkpoint;
             status.phase = worker.stats.phase;
             status.percentiles = worker.stats.percentiles;
-            // Heartbeat freshness per worker, published as registry
-            // gauges so liveness is inspectable from the same source
-            // the frame reads.
-            obs::metrics()
-                .gauge("fleet.worker." + worker.name +
-                       ".heartbeat_age_ms")
-                ->set(static_cast<std::int64_t>(
-                    status.heartbeatAgeMs));
             checkpoint_hits += status.checkpoint.hits;
             checkpoint_misses += status.checkpoint.misses;
             inflight += status.inflight;
@@ -650,14 +642,7 @@ FleetCoordinator::statusFrame()
         parked = parked_.size();
     }
 
-    // Registry-rendered (see obs/metrics.hh): publish the stats,
-    // then read the frame object back out of the gauges -- same
-    // bytes as the old hand-assembled object.
     const MemoCacheStats cache_stats = cache_.stats();
-    obs::publishCacheStats(obs::metrics(), "coord.cache",
-                           cache_stats);
-    Value cache =
-        obs::cacheStatsJson(obs::metrics(), "coord.cache", true);
 
     Value fleet = Value::object();
     fleet.set("workers", std::move(workers));
@@ -679,8 +664,9 @@ FleetCoordinator::statusFrame()
     server.set("role", Value::string("coordinator"));
     server.set("cache_entries",
                Value::number(std::uint64_t{cache_stats.entries}));
-    server.set("cache", std::move(cache));
-    server.set("submit_memo", submitMemoStatus("coord.submit_memo"));
+    server.set("cache", obs::cacheStatsJson(cache_stats, true));
+    server.set("submit_memo",
+               obs::cacheStatsJson(submitMemoStats(), false));
     server.set("max_jobs", Value::number(total_slots));
 
     Value v = makeFrame("status");

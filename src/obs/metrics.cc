@@ -130,40 +130,21 @@ metrics()
     return registry;
 }
 
-void
-publishCacheStats(Registry &registry, const std::string &prefix,
-                  const MemoCacheStats &stats)
-{
-    auto set = [&](const char *field, std::uint64_t value) {
-        registry.gauge(prefix + "." + field)
-            ->set(static_cast<std::int64_t>(value));
-    };
-    set("entries", stats.entries);
-    set("bytes", stats.bytes);
-    set("budget_bytes", stats.budgetBytes);
-    set("hits", stats.hits);
-    set("misses", stats.misses);
-    set("evictions", stats.evictions);
-    set("backend_hits", stats.backendHits);
-}
-
 json::Value
-cacheStatsJson(Registry &registry, const std::string &prefix,
-               bool include_backend)
+cacheStatsJson(const MemoCacheStats &stats, bool include_backend)
 {
-    auto get = [&](const char *field) {
-        return Value::number(static_cast<std::uint64_t>(
-            registry.gauge(prefix + "." + field)->value()));
+    auto number = [](std::size_t value) {
+        return Value::number(static_cast<std::uint64_t>(value));
     };
     Value out = Value::object();
-    out.set("entries", get("entries"));
-    out.set("bytes", get("bytes"));
-    out.set("budget_bytes", get("budget_bytes"));
-    out.set("hits", get("hits"));
-    out.set("misses", get("misses"));
-    out.set("evictions", get("evictions"));
+    out.set("entries", number(stats.entries));
+    out.set("bytes", number(stats.bytes));
+    out.set("budget_bytes", number(stats.budgetBytes));
+    out.set("hits", number(stats.hits));
+    out.set("misses", number(stats.misses));
+    out.set("evictions", number(stats.evictions));
     if (include_backend)
-        out.set("backend_hits", get("backend_hits"));
+        out.set("backend_hits", number(stats.backendHits));
     return out;
 }
 

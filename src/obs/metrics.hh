@@ -13,15 +13,11 @@
  * Instruments are owned by their Registry and live as long as it
  * does, so callers cache the returned pointers once (registration
  * takes a mutex; updates never do). Names are dotted paths
- * ("serve.cache.hits"); the snapshot is sorted by name so rendered
- * output is deterministic.
+ * ("sim.phase.measure_us"); the snapshot is sorted by name so
+ * rendered output is deterministic.
  *
- * The registry is also the single source for the cache-statistics
- * blocks in serve/coord status frames: owners publish their
- * MemoCacheStats into gauges (publishCacheStats) and the frames
- * render those gauges back out (cacheStatsJson) with the exact field
- * names and order the pre-registry hand-assembled frames used, so
- * wire bytes do not change.
+ * cacheStatsJson() renders a cache's MemoCacheStats as the
+ * serve/coord status frames' cache objects.
  */
 
 #ifndef SHOTGUN_OBS_METRICS_HH
@@ -192,24 +188,11 @@ class Registry
 Registry &metrics();
 
 /**
- * Publish a cache's MemoCacheStats into gauges under `prefix`
- * (`<prefix>.entries`, `.bytes`, `.budget_bytes`, `.hits`,
- * `.misses`, `.evictions`, `.backend_hits`). Status frames call this
- * and then render with cacheStatsJson(), so the registry is the one
- * source the frame reads.
+ * The status-frame cache object of `stats`: entries, bytes,
+ * budget_bytes, hits, misses, evictions, and (when
+ * `include_backend`) backend_hits, in that order.
  */
-void publishCacheStats(Registry &registry, const std::string &prefix,
-                       const MemoCacheStats &stats);
-
-/**
- * Render the gauges published under `prefix` back into the status-
- * frame cache object: entries, bytes, budget_bytes, hits, misses,
- * evictions, and (when `include_backend`) backend_hits -- the exact
- * field names and order the hand-assembled frames used, so the
- * migration is byte-invisible on the wire.
- */
-json::Value cacheStatsJson(Registry &registry,
-                           const std::string &prefix,
+json::Value cacheStatsJson(const MemoCacheStats &stats,
                            bool include_backend);
 
 } // namespace obs

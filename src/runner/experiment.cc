@@ -11,7 +11,6 @@
 
 #include "runner/grid_scheduler.hh"
 #include "runner/progress.hh"
-#include "runner/thread_pool.hh"
 
 namespace shotgun
 {
@@ -112,7 +111,7 @@ unsigned
 ExperimentRunner::effectiveJobs(std::size_t grid_size) const
 {
     const unsigned requested =
-        options_.jobs == 0 ? ThreadPool::hardwareJobs() : options_.jobs;
+        options_.jobs == 0 ? hardwareJobs() : options_.jobs;
     if (grid_size == 0)
         return 1;
     return static_cast<unsigned>(

@@ -5,53 +5,17 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.hh"
-#include "runner/thread_pool.hh"
-
 namespace shotgun
 {
 namespace runner
 {
 
-namespace
+unsigned
+hardwareJobs()
 {
-
-// Registry counters the scheduler always ticks (migrated from the
-// ad-hoc per-scheduler counts): resolved once, then updates are one
-// relaxed atomic add each.
-obs::Counter *
-jobsSubmittedCounter()
-{
-    static obs::Counter *c =
-        obs::metrics().counter("sched.jobs_submitted");
-    return c;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
 }
-
-obs::Counter *
-pointsSubmittedCounter()
-{
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_submitted");
-    return c;
-}
-
-obs::Counter *
-pointsDispatchedCounter()
-{
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_dispatched");
-    return c;
-}
-
-obs::Counter *
-pointsEmittedCounter()
-{
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_emitted");
-    return c;
-}
-
-} // namespace
 
 /**
  * What the shell keeps of a job beside its dispatcher state: the
@@ -79,8 +43,7 @@ struct GridScheduler::Job
 GridScheduler::GridScheduler(Options options)
 {
     const unsigned count = std::max(
-        1u, options.workers == 0 ? ThreadPool::hardwareJobs()
-                                 : options.workers);
+        1u, options.workers == 0 ? hardwareJobs() : options.workers);
     threads_.reserve(count);
     for (unsigned i = 0; i < count; ++i)
         threads_.emplace_back([this, i]() { workerLoop(i); });
@@ -133,8 +96,6 @@ GridScheduler::submit(std::vector<Experiment> grid, unsigned budget,
             job->observations.resize(job->grid.size());
         }
     }
-    jobsSubmittedCounter()->add(1);
-    pointsSubmittedCounter()->add(job->grid.size());
 
     // Cost and gate every point once up front, outside the mutex (the
     // hooks may be slow); the gate sees the final dispatch order.
@@ -271,7 +232,6 @@ GridScheduler::emit(std::unique_lock<std::mutex> &lock,
         } catch (...) {
             emit_error = std::current_exception();
         }
-        pointsEmittedCounter()->add(run.to - run.from);
         // One "emit" span per streamed batch closes the lifecycle
         // (queued -> dispatched -> sim phases -> emit) in the local
         // trace file.
@@ -304,7 +264,6 @@ GridScheduler::workerLoop(unsigned worker_index)
         const std::shared_ptr<Job> job = jobs_.at(point.job);
         const std::size_t index = point.index;
         lock.unlock();
-        pointsDispatchedCounter()->add(1);
 
         // Hook exceptions (onStart/simulate/onResult) fail the job,
         // never the worker thread: an exception escaping here would

@@ -50,6 +50,9 @@ namespace shotgun
 namespace runner
 {
 
+/** Default worker count: one per hardware thread (at least 1). */
+unsigned hardwareJobs();
+
 class GridScheduler
 {
   public:

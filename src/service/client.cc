@@ -1,9 +1,6 @@
 #include "service/client.hh"
 
-#include <iterator>
-
 #include "common/logging.hh"
-#include "window/window_plan.hh"
 #include "window/windowed_runner.hh"
 
 namespace shotgun
@@ -125,19 +122,10 @@ ServiceClient::submitWindowed(
     fatal_if(window_shards == 0,
              "window sharding needs at least 1 window");
 
-    // Experiment i becomes expanded points [i*n, (i+1)*n), in window
-    // order: contiguousPlan() returns exactly n windows or fatal()s.
+    const std::vector<window::WindowPlan> plans =
+        window::contiguousPlans(request_data.grid, window_shards);
     SubmitRequest expanded = request_data;
-    expanded.grid.clear();
-    for (const runner::Experiment &exp : request_data.grid) {
-        fatal_if(exp.config.window.enabled(),
-                 "experiment %s/%s already has a window; window "
-                 "sharding splits whole runs",
-                 exp.workload.c_str(), exp.label.c_str());
-        for (runner::Experiment &sub : window::expandExperiment(
-                 exp, window::contiguousPlan(exp.config, window_shards)))
-            expanded.grid.push_back(std::move(sub));
-    }
+    expanded.grid = window::expandGrid(request_data.grid, plans);
 
     std::vector<SimulationDelta> deltas(expanded.grid.size());
     std::vector<char> have(expanded.grid.size(), 0);
@@ -164,12 +152,9 @@ ServiceClient::submitWindowed(
 
     std::vector<SimResult> results;
     results.reserve(request_data.grid.size());
-    for (auto first = deltas.begin(); first != deltas.end();
-         first += window_shards)
-        results.push_back(window::stitchWindows(
-            std::vector<SimulationDelta>(
-                std::make_move_iterator(first),
-                std::make_move_iterator(first + window_shards))));
+    for (window::WindowedOutcome &outcome :
+         window::stitchGrid(std::move(deltas), plans))
+        results.push_back(std::move(outcome.stitched));
     return results;
 }
 

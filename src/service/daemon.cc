@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/cli.hh"
-#include "obs/metrics.hh"
 #include "trace/presets.hh"
 
 namespace shotgun
@@ -454,13 +453,6 @@ Daemon::jobStatusesLocked() const
     for (const auto &entry : jobs_)
         jobs.push(encodeTree(entry.second->status()));
     return jobs;
-}
-
-json::Value
-Daemon::submitMemoStatus(const std::string &prefix) const
-{
-    obs::publishCacheStats(obs::metrics(), prefix, submitMemo_.stats());
-    return obs::cacheStatsJson(obs::metrics(), prefix, false);
 }
 
 } // namespace service

@@ -301,12 +301,6 @@ class Daemon
     /** The `status` frame's jobs array. Lock held. */
     json::Value jobStatusesLocked() const;
 
-    /**
-     * The `status` frame's submit-memo object, published to the
-     * metrics registry under `prefix` and rendered from it.
-     */
-    json::Value submitMemoStatus(const std::string &prefix) const;
-
     /** The job and connection registries, and the daemon's state. */
     mutable std::mutex mutex_;
     std::map<std::uint64_t, std::shared_ptr<DaemonJob>> jobs_;

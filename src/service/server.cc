@@ -8,7 +8,6 @@
 #include "common/cli.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runner/thread_pool.hh"
 #include "sim/checkpoint.hh"
 #include "trace/decoded_trace.hh"
 
@@ -25,44 +24,18 @@ namespace
 unsigned
 poolWorkers(unsigned jobs_option)
 {
-    return jobs_option != 0 ? jobs_option
-                            : runner::ThreadPool::hardwareJobs();
+    return jobs_option != 0 ? jobs_option : runner::hardwareJobs();
 }
 
-/**
- * Decoded-trace-store counterpart of obs::publishCacheStats /
- * cacheStatsJson: publish into registry gauges under `prefix`, then
- * render the status frame's "traces" object (entries, bytes,
- * decodes, rejected -- same names and order as before the registry
- * existed) from those gauges.
- */
-void
-publishTraceStoreStats(obs::Registry &registry,
-                       const std::string &prefix,
-                       const DecodedTraceStoreStats &stats)
-{
-    registry.gauge(prefix + ".entries")
-        ->set(static_cast<std::int64_t>(stats.cache.entries));
-    registry.gauge(prefix + ".bytes")
-        ->set(static_cast<std::int64_t>(stats.cache.bytes));
-    registry.gauge(prefix + ".decodes")
-        ->set(static_cast<std::int64_t>(stats.decodes));
-    registry.gauge(prefix + ".rejected")
-        ->set(static_cast<std::int64_t>(stats.rejected));
-}
-
+/** The status frame's "traces" object. */
 json::Value
-traceStoreStatsJson(obs::Registry &registry, const std::string &prefix)
+traceStoreStatsJson(const DecodedTraceStoreStats &stats)
 {
-    auto gauge = [&](const char *field) {
-        return Value::number(static_cast<std::uint64_t>(
-            registry.gauge(prefix + "." + field)->value()));
-    };
     Value v = Value::object();
-    v.set("entries", gauge("entries"));
-    v.set("bytes", gauge("bytes"));
-    v.set("decodes", gauge("decodes"));
-    v.set("rejected", gauge("rejected"));
+    v.set("entries", Value::number(std::uint64_t{stats.cache.entries}));
+    v.set("bytes", Value::number(std::uint64_t{stats.cache.bytes}));
+    v.set("decodes", Value::number(std::uint64_t{stats.decodes}));
+    v.set("rejected", Value::number(std::uint64_t{stats.rejected}));
     return v;
 }
 
@@ -337,30 +310,10 @@ SimServer::statusFrame()
         std::lock_guard<std::mutex> lock(mutex_);
         jobs = jobStatusesLocked();
     }
-    // Publish every cache's stats into the process metrics registry,
-    // then render the frame objects *from the registry* -- the frame
-    // and any other consumer (tests, future exporters) read the same
-    // source, and the rendered field names/order match the old
-    // hand-assembled objects byte for byte.
-    obs::Registry &registry = obs::metrics();
     const MemoCacheStats cache_stats = cache_.stats();
-    obs::publishCacheStats(registry, "serve.cache", cache_stats);
-    Value cache =
-        obs::cacheStatsJson(registry, "serve.cache", true);
-
-    // Warmed-state checkpoint store and decoded-trace store stats,
-    // process-wide (shared by every job), beside the result cache:
-    // the three caches the one-pass grid pipeline rests on.
-    obs::publishCacheStats(registry, "serve.checkpoint",
-                           checkpointCache().stats());
-    Value checkpoint =
-        obs::cacheStatsJson(registry, "serve.checkpoint", false);
-
-    publishTraceStoreStats(registry, "serve.traces",
-                           decodedTraces().stats());
-    Value traces = traceStoreStatsJson(registry, "serve.traces");
 
     // Program images, which programFor publishes as it builds them.
+    obs::Registry &registry = obs::metrics();
     Value programs = Value::object();
     for (const char *field : {"count", "static_bbs", "bytes"}) {
         programs.set(field,
@@ -376,10 +329,15 @@ SimServer::statusFrame()
     server.set("endpoint", Value::string(endpoint()));
     server.set("cache_entries",
                Value::number(std::uint64_t{cache_stats.entries}));
-    server.set("cache", std::move(cache));
-    server.set("submit_memo", submitMemoStatus("serve.submit_memo"));
-    server.set("checkpoint", std::move(checkpoint));
-    server.set("traces", std::move(traces));
+    server.set("cache", obs::cacheStatsJson(cache_stats, true));
+    server.set("submit_memo",
+               obs::cacheStatsJson(submitMemoStats(), false));
+    // The warmed-state checkpoint store and the decoded-trace store,
+    // process-wide (shared by every job), beside the result cache:
+    // the three caches the one-pass grid pipeline rests on.
+    server.set("checkpoint",
+               obs::cacheStatsJson(checkpointCache().stats(), false));
+    server.set("traces", traceStoreStatsJson(decodedTraces().stats()));
     server.set("programs", std::move(programs));
     server.set("max_jobs",
                Value::number(std::uint64_t{scheduler_.workers()}));

@@ -6,8 +6,8 @@
  * cache keys on it --
  *
  *  - configFingerprint() (FNV-1a over the canonical bytes) keys the
- *    service's result cache, the fleet's disk cache and the client's
- *    dedup;
+ *    service's result cache and the fleet's disk cache, and merges
+ *    the figure driver's union grid (bench/figures.cc);
  *  - checkpointKey() (sim/checkpoint.hh) is the fingerprint of the
  *    config with its measurement bounds blanked;
  *  - outcomeKey() (sim/outcome_store.hh) hashes just what a stream

@@ -299,7 +299,7 @@ runSimulationDelta(const SimConfig &config)
     // end snapshot's tables cover exactly [measure_start, measure_end)
     // (uarchDelta takes the end tables verbatim). Observer-only.
     core->clearUarchSites();
-    const Core::StatsSnapshot begin = core->snapshotStats();
+    const StatsDelta begin = core->snapshotStats();
     core->runUntilRetired(measure_end);
     fatal_if(core->sourceExhausted() &&
                  core->instructionsRetired() < measure_end,
@@ -311,7 +311,7 @@ runSimulationDelta(const SimConfig &config)
              static_cast<unsigned long long>(
                  core->instructionsRetired()),
              static_cast<unsigned long long>(measure_end));
-    const Core::StatsSnapshot end = core->snapshotStats();
+    const StatsDelta end = core->snapshotStats();
     const std::uint64_t measure_us = measure_timer.stop();
     measure_span.end();
     obs::metrics().counter("sim.points")->add(1);

@@ -7,8 +7,7 @@ namespace shotgun
 {
 
 StatsDelta
-deltaBetween(const Core::StatsSnapshot &begin,
-             const Core::StatsSnapshot &end)
+deltaBetween(const StatsDelta &begin, const StatsDelta &end)
 {
     panic_if(end.instructions < begin.instructions ||
                  end.cycles < begin.cycles,

@@ -1,11 +1,12 @@
 /**
  * @file
  * Mergeable per-window statistics for windowed simulation. A
- * StatsDelta is the difference of two Core::StatsSnapshots -- every
- * raw counter a SimResult is derived from, over one measurement
- * window -- and merge() is associative and commutative, so the deltas
- * of a full-coverage window plan can be stitched back, in any order,
- * into exactly the monolithic run's totals.
+ * StatsDelta (cpu/core.hh) holds every raw counter a SimResult is
+ * derived from; deltaBetween() takes the difference of two
+ * Core::snapshotStats() readings, one window's delta, and merge() is
+ * associative and commutative, so the deltas of a full-coverage
+ * window plan can be stitched back, in any order, into exactly the
+ * monolithic run's totals.
  *
  * Exactness: every field is either a 64-bit counter or a double sum
  * of integral samples far below 2^53, so snapshot subtraction and
@@ -29,39 +30,12 @@ namespace shotgun
 
 struct SimResult;
 
-/** Raw measurement counters accumulated over one window. */
-struct StatsDelta
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    Core::StallBreakdown stalls{};
-    std::uint64_t btbMisses = 0;
-    std::uint64_t mispredicts = 0;
-    std::uint64_t misfetches = 0;
-    std::uint64_t l1iDemandMisses = 0;
-    std::uint64_t prefetchesIssued = 0;
-    std::uint64_t usefulPrefetches = 0;
-    std::uint64_t lateUsefulPrefetches = 0;
-    double l1dFillSum = 0.0;
-    std::uint64_t l1dFillCount = 0;
-
-    /**
-     * Microarchitectural probe payload (all-zero, enabled false,
-     * unless the window ran with CoreParams::uarchProbes). Stall and
-     * lifecycle counters subtract/merge exactly like the rest; the
-     * miss-site tables are per-window (see obs::uarchDelta) and merge
-     * by summing per-PC counts.
-     */
-    obs::UarchBreakdown uarch{};
-};
-
 /**
  * The delta between two snapshots of one run, `begin` taken no later
  * than `end`. panic() when `end` precedes `begin` (snapshots from
  * different runs or swapped arguments).
  */
-StatsDelta deltaBetween(const Core::StatsSnapshot &begin,
-                        const Core::StatsSnapshot &end);
+StatsDelta deltaBetween(const StatsDelta &begin, const StatsDelta &end);
 
 /** Accumulate `d` into `into`. Associative and commutative. */
 void merge(StatsDelta &into, const StatsDelta &d);

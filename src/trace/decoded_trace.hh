@@ -122,10 +122,6 @@ class DecodedTraceCursor : public TraceSource
         return trace_->instructions();
     }
     std::uint64_t recordsRead() const { return read_; }
-    std::uint64_t instructionsRead() const
-    {
-        return trace_->instructionsBefore(read_);
-    }
 
     const std::shared_ptr<const DecodedTrace> &trace() const
     {

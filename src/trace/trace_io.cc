@@ -398,7 +398,6 @@ TraceFileSource::next(BBRecord &out)
     out.type = static_cast<BranchType>(buf[17]);
     out.taken = buf[18] != 0;
     ++read_;
-    instrsRead_ += out.numInstrs;
     return true;
 }
 

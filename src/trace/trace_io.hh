@@ -199,9 +199,6 @@ class TraceFileSource : public TraceSource
     std::uint64_t totalInstructions() const { return totalInstrs_; }
     std::uint64_t recordsRead() const { return read_; }
 
-    /** Instructions contained in the records read so far. */
-    std::uint64_t instructionsRead() const { return instrsRead_; }
-
     /**
      * The workload the trace was recorded from, reconstructed from
      * the header (tracePath points back at this file).
@@ -220,7 +217,6 @@ class TraceFileSource : public TraceSource
     std::uint64_t total_ = 0;
     std::uint64_t totalInstrs_ = 0;
     std::uint64_t read_ = 0;
-    std::uint64_t instrsRead_ = 0;
 };
 
 /** Read and validate just the header of `path`; fatal() on a bad file. */

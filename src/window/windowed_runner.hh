@@ -1,27 +1,25 @@
 /**
  * @file
- * Windowed execution of one experiment: expand a WindowPlan into
- * per-window sub-points, schedule them on a runner::GridScheduler
- * (the same pool the experiment runner and the simulation service
- * multiplex their jobs over), emit per-window results strictly in
- * window order, and stitch the raw per-window deltas back into one
- * SimResult.
+ * Windowed execution of a grid: expand each experiment's WindowPlan
+ * into per-window sub-points, run every experiment's windows as one
+ * job on a runner::GridScheduler (the same pool the experiment runner
+ * and the simulation service multiplex their jobs over), and stitch
+ * each experiment's raw per-window deltas back into one SimResult.
  *
  * For a full-coverage plan the stitched result is numerically
  * identical to running the experiment monolithically -- the windows
  * measure disjoint adjacent slices of the exact cycle sequence the
  * monolithic run traverses (see src/window/README.md), and the raw
  * counters merge exactly. The service client's windowed submit
- * (service/client.hh ServiceClient::submitWindowed) stitches with
- * the same merge, so a window a fleet coordinator requeues after its
- * worker died and re-simulates elsewhere changes nothing in the
- * result.
+ * (service/client.hh ServiceClient::submitWindowed) expands and
+ * stitches with the same two steps, so a window a fleet coordinator
+ * requeues after its worker died and re-simulates elsewhere changes
+ * nothing in the result.
  */
 
 #ifndef SHOTGUN_WINDOW_WINDOWED_RUNNER_HH
 #define SHOTGUN_WINDOW_WINDOWED_RUNNER_HH
 
-#include <functional>
 #include <vector>
 
 #include "runner/grid_scheduler.hh"
@@ -44,8 +42,7 @@ struct WindowedOutcome
 /**
  * The window sub-points of `exp` under `plan`, as ordinary grid
  * points: per-window configs from expandPlan() and labels
- * "<label>#w<i>/<n>". Shared by the in-process runner below and the
- * service client's window sharding, so both expand identically.
+ * "<label>#w<i>/<n>".
  */
 std::vector<runner::Experiment>
 expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);
@@ -59,26 +56,47 @@ expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);
  */
 SimResult stitchWindows(const std::vector<SimulationDelta> &windows);
 
-/**
- * Run `exp` as `plan`'s windows on `scheduler` (worker budget
- * `budget`, 0 = whole pool) and stitch. Full-coverage plans are
- * validated first. `on_window` (optional) observes each window's
- * standalone result strictly in window order. Blocks until every
- * window completed; rethrows the first window's failure.
- */
-WindowedOutcome runWindowedExperiment(
-    const runner::Experiment &exp, const WindowPlan &plan,
-    runner::GridScheduler &scheduler, unsigned budget = 0,
-    const std::function<void(std::size_t window,
-                             const SimResult &result)> &on_window = {});
+/** Every experiment's contiguousPlan(config, num_windows). */
+std::vector<WindowPlan>
+contiguousPlans(const std::vector<runner::Experiment> &grid,
+                unsigned num_windows);
 
 /**
- * Convenience overload: a transient scheduler with `jobs` workers
- * (0 = one per hardware thread, clamped to the window count).
+ * The expand step: every experiment's window sub-points under its
+ * plan (`plans` is index-aligned with `grid`), experiment after
+ * experiment, each in window order. fatal() on an experiment that
+ * already has a window: windowing splits whole runs.
  */
+std::vector<runner::Experiment>
+expandGrid(const std::vector<runner::Experiment> &grid,
+           const std::vector<WindowPlan> &plans);
+
+/**
+ * The stitch step: cut an expanded grid's per-window deltas, in its
+ * order, back into each experiment's windows and stitch them, one
+ * outcome per experiment of `plans`.
+ */
+std::vector<WindowedOutcome>
+stitchGrid(std::vector<SimulationDelta> deltas,
+           const std::vector<WindowPlan> &plans);
+
+/**
+ * Run every experiment of `grid` as its plan's windows, all of them
+ * one job on `scheduler`, and stitch each experiment. Windows are
+ * gated on their checkpoint keys (runner::checkpointPredecessors):
+ * each window waits for the one before it and resumes the core that
+ * window parked. Full-coverage plans are validated first. Blocks
+ * until every window completed; rethrows the first window's failure.
+ */
+std::vector<WindowedOutcome>
+runWindowedGrid(const std::vector<runner::Experiment> &grid,
+                const std::vector<WindowPlan> &plans,
+                runner::GridScheduler &scheduler);
+
+/** runWindowedGrid() of the one experiment `exp`. */
 WindowedOutcome runWindowedExperiment(const runner::Experiment &exp,
                                       const WindowPlan &plan,
-                                      unsigned jobs);
+                                      runner::GridScheduler &scheduler);
 
 } // namespace window
 } // namespace shotgun

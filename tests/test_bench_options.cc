@@ -211,11 +211,51 @@ TEST_F(BenchOptionsTest, RunningFiguresTogetherChangesNoFigure)
         all.push_back(&figure);
         alone.push_back(render(bench::runFigures({&figure}, opts).at(0)));
     }
-    ASSERT_EQ(all.size(), 13u);
+    ASSERT_EQ(all.size(), 15u);
     const auto together = bench::runFigures(all, opts);
     ASSERT_EQ(together.size(), all.size());
     for (std::size_t f = 0; f < all.size(); ++f)
         EXPECT_EQ(render(together[f]), alone[f]) << all[f]->slug;
+}
+
+TEST_F(BenchOptionsTest, TraceWalkFiguresPrintTheirPinnedTables)
+{
+    // Figs 3 and 4 walk the stream and simulate nothing: no grid
+    // points, and the tables the stand-alone benches printed.
+    ASSERT_TRUE(parse({"--instructions", "200000", "--workload", "db2",
+                       "--no-progress"},
+                      opts, error));
+    const std::vector<bench::FigureRun> runs = bench::runFigures(
+        {bench::findFigure("fig3_spatial_locality"),
+         bench::findFigure("fig4_branch_coverage")},
+        opts);
+    ASSERT_EQ(runs.size(), 2u);
+    std::vector<std::string> tables;
+    for (const bench::FigureRun &run : runs) {
+        EXPECT_TRUE(run.set.empty()) << run.figure->slug;
+        std::ostringstream os;
+        bench::printFigure(run, opts, os);
+        tables.push_back(os.str());
+    }
+    EXPECT_EQ(tables[0],
+              "== Figure 3 (cumulative access probability by distance) "
+              "==\n"
+              "Workload  d=0    <=1    <=2    <=4    <=6    <=10   <=16"
+              "   >16\n"
+              "-----------------------------------------------------------"
+              "----\n"
+              "db2       23.3%  48.7%  62.6%  79.5%  86.7%  92.8%  96.9%"
+              "  3.1%\n");
+    EXPECT_EQ(tables[1],
+              "== Figure 4 (cumulative dynamic branch coverage) ==\n"
+              "Series               1K     2K     3K      4K      6K      "
+              "8K\n"
+              "-----------------------------------------------------------"
+              "------\n"
+              "db2 (all branches)   70.5%  85.2%  91.3%   93.9%   99.0%   "
+              "100.0%\n"
+              "db2 (unconditional)  89.4%  97.8%  100.0%  100.0%  100.0%  "
+              "100.0%\n");
 }
 
 } // namespace

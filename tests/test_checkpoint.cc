@@ -515,9 +515,9 @@ TEST(CoreCheckpointTest, WindowedRunSharesTheMonolithicCheckpoint)
     const MemoCacheStats before = checkpointCache().stats();
     const SimResult mono = runSimulation(exp.config);
 
-    const window::WindowedOutcome outcome =
-        window::runWindowedExperiment(
-            exp, window::contiguousPlan(exp.config, 3), 3);
+    runner::GridScheduler scheduler{runner::GridScheduler::Options(3)};
+    const window::WindowedOutcome outcome = window::runWindowedExperiment(
+        exp, window::contiguousPlan(exp.config, 3), scheduler);
     const MemoCacheStats after = checkpointCache().stats();
 
     expectIdentical(outcome.stitched, mono);

@@ -182,7 +182,6 @@ TEST(MetricsRegistryTest, SnapshotIsSortedByName)
 
 TEST(MetricsRegistryTest, CacheStatsJsonKeepsLegacyFieldOrder)
 {
-    obs::Registry registry;
     MemoCacheStats stats;
     stats.entries = 3;
     stats.bytes = 4096;
@@ -191,15 +190,14 @@ TEST(MetricsRegistryTest, CacheStatsJsonKeepsLegacyFieldOrder)
     stats.misses = 2;
     stats.evictions = 1;
     stats.backendHits = 4;
-    obs::publishCacheStats(registry, "x.cache", stats);
-    // The status frames render from these gauges; field names and
-    // order must match the pre-registry hand-assembled objects
-    // byte-for-byte (smoke.sh pins the rendered frames).
-    EXPECT_EQ(obs::cacheStatsJson(registry, "x.cache", true).dump(),
+    // The status frames' cache objects: field names and order must
+    // match the hand-assembled objects byte-for-byte (smoke.sh pins
+    // the rendered frames).
+    EXPECT_EQ(obs::cacheStatsJson(stats, true).dump(),
               "{\"entries\":3,\"bytes\":4096,\"budget_bytes\":8192,"
               "\"hits\":5,\"misses\":2,\"evictions\":1,"
               "\"backend_hits\":4}");
-    EXPECT_EQ(obs::cacheStatsJson(registry, "x.cache", false).dump(),
+    EXPECT_EQ(obs::cacheStatsJson(stats, false).dump(),
               "{\"entries\":3,\"bytes\":4096,\"budget_bytes\":8192,"
               "\"hits\":5,\"misses\":2,\"evictions\":1}");
 }

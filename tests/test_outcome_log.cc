@@ -101,7 +101,7 @@ privateLogRun(const SimConfig &config)
     Core core(program, source, core_params, hierarchy, config.scheme);
     core.run(config.warmupInstructions);
     core.resetStats();
-    const Core::StatsSnapshot begin = core.snapshotStats();
+    const StatsDelta begin = core.snapshotStats();
     core.runUntilRetired(config.measureInstructions);
     PrivateRun out;
     out.result = finalizeResult(config.workload.name, core.scheme().name(),
@@ -187,8 +187,9 @@ TEST(OutcomeLogTest, WindowsAndRestoredPointsReadTheMonolithicLog)
     exp.workload = config.workload.name;
     exp.label = "shotgun";
     exp.config = config;
+    runner::GridScheduler scheduler{runner::GridScheduler::Options(4)};
     const window::WindowedOutcome windowed = window::runWindowedExperiment(
-        exp, window::contiguousPlan(config, 4), 4);
+        exp, window::contiguousPlan(config, 4), scheduler);
     EXPECT_TRUE(windowed.stitched == mono);
     const OutcomeCounts after_windows = outcomeCounts();
     EXPECT_EQ(after_windows.produced, after_mono.produced);

@@ -5,17 +5,20 @@
  * full-coverage window plan -- contiguous windows, warm-up equal to
  * the preceding prefix -- stitches into a SimResult numerically
  * identical to the monolithic run, for synthetic presets and
- * recorded traces. Plus: merge permutation-invariance, strict
- * window-order emission, death tests for malformed plans, the
- * windowed wire codec, and the sampled (approximate) mode's
- * determinism. Windows through a fleet coordinator, with a worker
- * killed mid-plan, are tested in test_fleet.cc.
+ * recorded traces, one experiment or a whole grid as one job, and a
+ * trace too large to decode that streams from its file. Plus: merge
+ * permutation-invariance, resumed windows, death tests for malformed
+ * plans, the windowed wire codec, and skip windows' determinism.
+ * Windows through a fleet coordinator, with a worker killed mid-plan,
+ * are tested in test_fleet.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +34,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_delta.hh"
+#include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/program.hh"
 #include "trace/trace_io.hh"
@@ -84,6 +88,15 @@ experimentFor(const WorkloadPreset &preset, SchemeType type)
     exp.label = schemeTypeName(type);
     exp.config = quickConfig(preset, type);
     return exp;
+}
+
+/** runWindowedExperiment on a pool of its own with `workers` threads. */
+window::WindowedOutcome
+runOnPool(const runner::Experiment &exp, const WindowPlan &plan,
+          unsigned workers)
+{
+    runner::GridScheduler scheduler{runner::GridScheduler::Options(workers)};
+    return runWindowedExperiment(exp, plan, scheduler);
 }
 
 void
@@ -210,8 +223,7 @@ TEST(WindowStitchTest, FullCoverageMatchesMonolithicAcrossPresets)
         const SimResult mono = runSimulation(exp.config);
 
         const WindowPlan plan = contiguousPlan(exp.config, 4);
-        const window::WindowedOutcome outcome =
-            runWindowedExperiment(exp, plan, 2);
+        const window::WindowedOutcome outcome = runOnPool(exp, plan, 2);
         expectIdentical(outcome.stitched, mono);
     }
 }
@@ -225,8 +237,8 @@ TEST(WindowStitchTest, UnevenAndSingleWindowPlansMatchToo)
 
     // 7 does not divide 50000: earlier windows take the remainder.
     for (unsigned n : {1u, 7u}) {
-        const window::WindowedOutcome outcome = runWindowedExperiment(
-            exp, contiguousPlan(exp.config, n), 3);
+        const window::WindowedOutcome outcome =
+            runOnPool(exp, contiguousPlan(exp.config, n), 3);
         expectIdentical(outcome.stitched, mono);
     }
 }
@@ -247,8 +259,8 @@ TEST(WindowStitchTest, FullCoverageMatchesMonolithicForRecordedTrace)
         experimentFor(preset, SchemeType::Shotgun);
     const SimResult mono = runSimulation(exp.config);
 
-    const window::WindowedOutcome outcome = runWindowedExperiment(
-        exp, contiguousPlan(exp.config, 3), 3);
+    const window::WindowedOutcome outcome =
+        runOnPool(exp, contiguousPlan(exp.config, 3), 3);
     expectIdentical(outcome.stitched, mono);
 
     std::remove(path.c_str());
@@ -321,8 +333,8 @@ TEST(WindowStitchTest, UarchBreakdownStitchesExactlyAcrossSchemes)
         // the L1-I, so its hot-site table cannot be empty.
         EXPECT_FALSE(mono.uarch.l1iMissSites.empty()) << exp.label;
 
-        const window::WindowedOutcome outcome = runWindowedExperiment(
-            exp, contiguousPlan(exp.config, 4), 2);
+        const window::WindowedOutcome outcome =
+            runOnPool(exp, contiguousPlan(exp.config, 4), 2);
         EXPECT_TRUE(outcome.stitched.uarch == mono.uarch)
             << exp.label;
         expectIdentical(outcome.stitched, mono);
@@ -355,8 +367,8 @@ TEST(WindowStitchTest, UarchBreakdownStitchesForRecordedTrace)
     ASSERT_TRUE(mono.uarch.enabled);
     EXPECT_TRUE(mono.uarch.conserves(mono.cycles));
 
-    const window::WindowedOutcome outcome = runWindowedExperiment(
-        exp, contiguousPlan(exp.config, 3), 3);
+    const window::WindowedOutcome outcome =
+        runOnPool(exp, contiguousPlan(exp.config, 3), 3);
     EXPECT_TRUE(outcome.stitched.uarch == mono.uarch);
     expectIdentical(outcome.stitched, mono);
 
@@ -397,36 +409,6 @@ TEST(WindowStitchDeathTest, RejectsPiecesOfDifferentRuns)
     deltas[1].scheme = "boomerang"; // a piece of some other run
     EXPECT_DEATH(stitchWindows(deltas), "different run");
     EXPECT_DEATH(stitchWindows({}), "zero windows");
-}
-
-// ------------------------------------------------- scheduler plumbing
-
-TEST(WindowedRunnerTest, EmitsWindowsStrictlyInOrder)
-{
-    const WorkloadPreset preset = tinyPreset("order", 9);
-    const runner::Experiment exp =
-        experimentFor(preset, SchemeType::Baseline);
-    const WindowPlan plan = contiguousPlan(exp.config, 6);
-
-    runner::GridScheduler scheduler(
-        runner::GridScheduler::Options{4});
-    std::vector<std::size_t> emitted;
-    std::uint64_t instructions = 0;
-    const window::WindowedOutcome outcome = runWindowedExperiment(
-        exp, plan, scheduler, 0,
-        [&](std::size_t index, const SimResult &result) {
-            emitted.push_back(index);
-            instructions += result.instructions;
-        });
-
-    ASSERT_EQ(emitted.size(), 6u);
-    for (std::size_t i = 0; i < emitted.size(); ++i)
-        EXPECT_EQ(emitted[i], i);
-    // The windows partition the measured instructions.
-    EXPECT_EQ(instructions, outcome.stitched.instructions);
-    ASSERT_EQ(outcome.windows.size(), 6u);
-    for (const SimulationDelta &w : outcome.windows)
-        EXPECT_GT(w.stats.instructions, 0u);
 }
 
 // ----------------------------------------------------- resumed windows
@@ -501,7 +483,7 @@ handSteppedSlices(const SimConfig &config, const WindowPlan &plan)
     std::vector<StatsDelta> slices;
     for (const SimWindow &w : plan.windows) {
         core.clearUarchSites();
-        const Core::StatsSnapshot begin = core.snapshotStats();
+        const StatsDelta begin = core.snapshotStats();
         core.runUntilRetired(w.measureEnd);
         slices.push_back(deltaBetween(begin, core.snapshotStats()));
     }
@@ -528,8 +510,7 @@ TEST(ResumedWindowTest, EveryWindowIsItsHandSteppedSlice)
             handSteppedSlices(exp.config, plan);
 
         const std::uint64_t before = resumes();
-        const window::WindowedOutcome outcome =
-            runWindowedExperiment(exp, plan, 4);
+        const window::WindowedOutcome outcome = runOnPool(exp, plan, 4);
         EXPECT_EQ(resumes() - before, 3u); // Windows 1, 2 and 3.
 
         ASSERT_EQ(outcome.windows.size(), slices.size());
@@ -605,6 +586,137 @@ TEST(ResumedWindowTest, IdenticalPlansRacingAgree)
         expectIdentical(a.stitched, runSimulation(exp.config));
     }
     std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ windowed grid
+
+TEST(WindowedGridTest, EveryExperimentStitchesToItsMonolithicRun)
+{
+    // Two presets by two schemes, three windows each, as one job: each
+    // experiment warms once (a checkpoint miss) and its windows 1 and
+    // 2 resume the core the window before them parked (two hits).
+    std::vector<runner::Experiment> grid;
+    for (const std::uint64_t seed : {91u, 93u}) {
+        const WorkloadPreset preset =
+            tinyPreset("grid-" + std::to_string(seed), seed);
+        for (const SchemeType type :
+             {SchemeType::Baseline, SchemeType::Shotgun})
+            grid.push_back(experimentFor(preset, type));
+    }
+
+    runner::GridScheduler scheduler{runner::GridScheduler::Options(4)};
+    const MemoCacheStats before = checkpointCache().stats();
+    const std::vector<window::WindowedOutcome> outcomes =
+        window::runWindowedGrid(grid, window::contiguousPlans(grid, 3),
+                                scheduler);
+    const MemoCacheStats after = checkpointCache().stats();
+    EXPECT_EQ(after.misses - before.misses, 4u);
+    EXPECT_EQ(after.hits - before.hits, 8u);
+
+    ASSERT_EQ(outcomes.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE(grid[i].workload + "/" + grid[i].label);
+        EXPECT_EQ(outcomes[i].windows.size(), 3u);
+        expectIdentical(outcomes[i].stitched,
+                        runSimulation(grid[i].config));
+    }
+}
+
+// -------------------------------------------------- streaming fallback
+
+/**
+ * A copy of the recording `from` at `to` whose header claims more
+ * records than the decoded-trace store takes, so every replay of it
+ * streams through a TraceFileSource. The copy grows as a file hole,
+ * whose records read as zero-instruction None records: the header's
+ * instruction count stays true and the recorded prefix replays as
+ * before, without writing the hundreds of MB the hole stands for.
+ */
+void
+overBudgetCopy(const std::string &from, const std::string &to)
+{
+    namespace fs = std::filesystem;
+    const std::uint64_t records = readTraceInfo(from).records;
+    const std::uintmax_t header =
+        fs::file_size(from) - records * kTraceRecordBytes;
+    const std::uint64_t grown =
+        DecodedTraceStore::kDefaultBudgetBytes /
+            (sizeof(BBRecord) + sizeof(std::uint64_t)) +
+        1;
+    ASSERT_GT(DecodedTrace::estimateBytes(grown),
+              DecodedTraceStore::kDefaultBudgetBytes);
+    ASSERT_GT(grown, records);
+    fs::copy_file(from, to, fs::copy_options::overwrite_existing);
+    fs::resize_file(to, header + grown * kTraceRecordBytes);
+    std::fstream file(to, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(8); // The record count, little-endian.
+    for (int byte = 0; byte < 8; ++byte)
+        file.put(static_cast<char>((grown >> (8 * byte)) & 0xff));
+    ASSERT_TRUE(file.good());
+}
+
+TEST(StreamingFallbackTest, OverBudgetTraceReplaysAsTheDecodedOne)
+{
+    const std::string recorded = "/tmp/shotgun_test_fallback.trace";
+    const std::string grown = "/tmp/shotgun_test_fallback_grown.trace";
+    const std::string damaged = "/tmp/shotgun_test_fallback_damaged.trace";
+    const WorkloadPreset nutch = makePreset(WorkloadId::Nutch);
+    TraceGenerator gen(programFor(nutch), 1);
+    recordTraceInstructions(gen, nutch, 1, recorded,
+                            kWarmup + kMeasure + 20000);
+    ASSERT_NO_FATAL_FAILURE(overBudgetCopy(recorded, grown));
+
+    // Both replays carry one display name, so their results compare
+    // whole.
+    const runner::Experiment decoded = experimentFor(
+        presetByName("trace:" + recorded + ":fallback"),
+        SchemeType::Shotgun);
+    const runner::Experiment streamed = experimentFor(
+        presetByName("trace:" + grown + ":fallback"), SchemeType::Shotgun);
+    const SimResult reference = runSimulation(decoded.config);
+
+    const std::size_t rejected = decodedTraces().stats().rejected;
+    expectIdentical(runSimulation(streamed.config), reference);
+    EXPECT_GT(decodedTraces().stats().rejected, rejected);
+
+    // A streamed window parks its core for the next one, which resumes
+    // it: windows 1 and 2.
+    const std::uint64_t resumed = resumes();
+    expectIdentical(
+        runOnPool(streamed, contiguousPlan(streamed.config, 3), 3).stitched,
+        reference);
+    EXPECT_EQ(resumes() - resumed, 2u);
+
+    // A damaged record in the recorded prefix fails the run and names
+    // the record.
+    ASSERT_NO_FATAL_FAILURE(overBudgetCopy(recorded, damaged));
+    {
+        std::fstream file(damaged,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        const std::uintmax_t header =
+            std::filesystem::file_size(recorded) -
+            readTraceInfo(recorded).records * kTraceRecordBytes;
+        file.seekp(static_cast<std::streamoff>(header + 5 * kTraceRecordBytes +
+                                               17)); // Record 5's type.
+        file.put(static_cast<char>(0xff));
+        ASSERT_TRUE(file.good());
+    }
+    const SimConfig broken =
+        experimentFor(presetByName("trace:" + damaged + ":fallback"),
+                      SchemeType::Shotgun)
+            .config;
+    try {
+        runSimulation(broken);
+        ADD_FAILURE() << "a damaged record replayed";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "corrupt record 5 (bad branch type 255)"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    for (const std::string &path : {recorded, grown, damaged})
+        std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- skip windows

@@ -32,7 +32,7 @@
 #include "fleet/worker.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runner/thread_pool.hh"
+#include "runner/grid_scheduler.hh"
 #include "service/server.hh"
 
 using namespace shotgun;
@@ -235,10 +235,9 @@ main(int argc, char **argv)
         std::fflush(stdout);
         if (!fleet_options.coordinator.empty()) {
             if (fleet_options.slots <= 1)
-                fleet_options.slots =
-                    options.jobs != 0
-                        ? options.jobs
-                        : runner::ThreadPool::hardwareJobs();
+                fleet_options.slots = options.jobs != 0
+                                          ? options.jobs
+                                          : runner::hardwareJobs();
             if (options.log != nullptr)
                 fleet_options.log = options.log;
             fleet::FleetWorker worker(server, fleet_options);

@@ -33,9 +33,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
@@ -48,7 +46,6 @@
 #include "runner/grid_scheduler.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
-#include "window/window_plan.hh"
 #include "window/windowed_runner.hh"
 
 using namespace shotgun;
@@ -427,56 +424,16 @@ runSubmit(const Options &opts)
         }
         results = runner::ExperimentRunner(ropts).run(set);
     } else if (opts.local) {
-        // Windowed in-process: every experiment's plan is submitted
-        // at once to one pool, one submitting thread each, so while
-        // one plan's windows wait on each other the pool runs the
-        // other plans' windows.
-        runner::GridScheduler::Options sopts;
-        if (opts.jobs != 0)
-            sopts.workers = static_cast<unsigned>(opts.jobs);
-        runner::GridScheduler scheduler(sopts);
+        // Windowed in-process: every experiment's windows form one
+        // job, as on a server, so while one plan's windows wait on
+        // each other the pool runs the other plans' windows.
+        runner::GridScheduler scheduler{runner::GridScheduler::Options(
+            static_cast<unsigned>(opts.jobs))};
         const std::vector<runner::Experiment> &grid = set.experiments();
-        results.resize(grid.size());
-        std::vector<std::exception_ptr> errors(grid.size());
-        const obs::TraceContext *parent = obs::currentTraceContext();
-        std::mutex progress_mutex;
-        std::size_t stitched = 0;
-        std::vector<std::thread> submitters;
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            submitters.emplace_back([&, i]() {
-                // The plan's job is traced like the main thread's.
-                obs::TraceContext ctx;
-                if (parent != nullptr)
-                    ctx = *parent;
-                obs::ScopedTraceContext scope(parent != nullptr ? &ctx
-                                                                : nullptr);
-                try {
-                    results[i] = window::runWindowedExperiment(
-                                     grid[i],
-                                     window::contiguousPlan(
-                                         grid[i].config, window_shards),
-                                     scheduler)
-                                     .stitched;
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                    return;
-                }
-                if (opts.showProgress) {
-                    std::lock_guard<std::mutex> lock(progress_mutex);
-                    std::fprintf(stderr, "[%zu/%zu] %s/%s stitched from "
-                                 "%u windows\n",
-                                 ++stitched, grid.size(),
-                                 grid[i].workload.c_str(),
-                                 grid[i].label.c_str(), window_shards);
-                }
-            });
-        }
-        for (std::thread &t : submitters)
-            t.join();
-        for (const std::exception_ptr &error : errors) {
-            if (error != nullptr)
-                std::rethrow_exception(error);
-        }
+        for (window::WindowedOutcome &outcome : window::runWindowedGrid(
+                 grid, window::contiguousPlans(grid, window_shards),
+                 scheduler))
+            results.push_back(std::move(outcome.stitched));
     } else {
         service::ServiceClient client(
             opts.endpoint, static_cast<unsigned>(opts.timeoutSeconds));
