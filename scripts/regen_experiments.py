@@ -38,17 +38,13 @@ PAPER_TABLE1 = {
 }
 
 
-# Every field a runner/shotgun-submit result row may carry. "windows"
-# marks a result stitched from that many simulation windows
-# (--window-shards); stitched results are numerically identical to
-# monolithic ones, so the tables consume them like any other row.
+# Every field a runner/shotgun-submit result row may carry.
 KNOWN_ROW_FIELDS = {
     "workload", "label", "instructions", "cycles", "ipc",
     "btb_mpki", "l1i_mpki", "mispredicts_per_ki", "fe_stall_cycles",
     "stall_icache", "stall_btb_resolve", "stall_misfetch",
     "stall_mispredict", "prefetch_accuracy", "avg_l1d_fill_cycles",
     "prefetches_issued", "storage_bits", "speedup", "stall_coverage",
-    "windows",
 }
 
 # The subset the table generators below actually read.

@@ -283,44 +283,24 @@ grep -q "cancelled" "$SUBMIT_X_ERR" || {
     exit 1
 }
 
-echo "== windowed simulation: record -> one server =="
-# One workload split into 3 measurement windows and stitched back:
-# the CSVs (which carry every metric) must match the monolithic run
-# byte for byte, in-process and through one server.
-WTRACE="$BUILD_DIR/smoke/window.trace"
-"$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
-    --warmup 100000 --instructions 200000
-
-WGRID=(--workload "trace:$WTRACE" --schemes shotgun
-       --warmup 100000 --instructions 200000 --no-progress)
-"$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" \
-    --out "$BUILD_DIR/smoke/win_mono" > /dev/null
-"$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" --window-shards 3 \
-    --out "$BUILD_DIR/smoke/win_local" > /dev/null
-cmp "$BUILD_DIR/smoke/win_local.csv" "$BUILD_DIR/smoke/win_mono.csv"
-grep -q '"windows": 3' "$BUILD_DIR/smoke/win_local.json"
-
-# On one server the 6 windows (2 schemes x 3) form one job: each
-# scheme simulates its warmup once (2 checkpoint misses) and its
-# windows 1 and 2 resume the core the window before them parked
-# (4 hits).
-SOCK_W="$BUILD_DIR/smoke/serve_w.sock"
-start_serve "$SOCK_W"
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" "${WGRID[@]}" \
-    --window-shards 3 --out "$BUILD_DIR/smoke/win_server" > /dev/null
-cmp "$BUILD_DIR/smoke/win_server.csv" "$BUILD_DIR/smoke/win_mono.csv"
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --status \
-    | grep -q '"checkpoint":{"entries":2,[^}]*"hits":4,"misses":2'
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --shutdown
-
 echo "== fleet: coord + 3 workers, kill one, verify bitwise =="
-# The windowed grid through the coordinator fleet: three
+# A 6-point grid over a recorded trace (the baseline and five
+# schemes) through the coordinator fleet: three one-slot
 # shotgun-serve workers register with a shotgun-coord daemon and
-# steal points from its global queue; one worker is killed mid-run
-# and the coordinator must requeue its in-flight points on the
-# survivors, with the stitched CSV still matching the monolithic
-# local run byte for byte. The coordinator writes every result
-# through to an on-disk cache, exercised by the restart step below.
+# steal points from its global queue. One worker is killed once the
+# first point is in, while every worker holds a point, and the
+# coordinator must requeue its in-flight point on the survivors, with
+# the CSV still matching the local run byte for byte. The points run
+# 3M instructions each, so the kill lands mid-run. The coordinator
+# writes every result through to an on-disk cache, exercised by the
+# restart step below.
+FTRACE="$BUILD_DIR/smoke/fleet.trace"
+"$BUILD_DIR/shotgun-trace" record nutch "$FTRACE" \
+    --warmup 100000 --instructions 3000000 > /dev/null
+FGRID=(--workload "trace:$FTRACE" --schemes fdip,boomerang,confluence,shotgun,rdip
+       --warmup 100000 --instructions 3000000)
+"$BUILD_DIR/shotgun-submit" --local "${FGRID[@]}" --no-progress \
+    --out "$BUILD_DIR/smoke/fleet_local" > /dev/null
 COORD_SOCK="$BUILD_DIR/smoke/coord.sock"
 FLEET_CACHE="$BUILD_DIR/smoke/fleet_cache"
 rm -rf "$FLEET_CACHE"
@@ -347,14 +327,22 @@ done
 FLEET_VICTIM_PID="${DAEMON_PIDS[-1]}"
 await_parked "$COORD_SOCK" 3
 
+FLEET_PROGRESS="$BUILD_DIR/smoke/fleet_run.progress"
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
-    "${WGRID[@]}" --window-shards 3 \
-    --out "$BUILD_DIR/smoke/fleet_run" > /dev/null &
+    "${FGRID[@]}" --out "$BUILD_DIR/smoke/fleet_run" > /dev/null \
+    2> "$FLEET_PROGRESS" &
 SUBMIT_PID=$!
-sleep 0.3
+for _ in $(seq 500); do
+    grep -q "points complete" "$FLEET_PROGRESS" && break
+    sleep 0.01
+done
+grep -q "\[6/6\] points complete" "$FLEET_PROGRESS" && {
+    echo "the fleet grid finished before a worker was killed" >&2
+    exit 1
+}
 kill "$FLEET_VICTIM_PID" 2>/dev/null || true
 wait "$SUBMIT_PID"
-cmp "$BUILD_DIR/smoke/fleet_run.csv" "$BUILD_DIR/smoke/win_mono.csv"
+cmp "$BUILD_DIR/smoke/fleet_run.csv" "$BUILD_DIR/smoke/fleet_local.csv"
 
 # The metrics frame renders per-worker rows and fleet cache stats.
 FLEET_STATUS=$("$BUILD_DIR/shotgun-submit" \
@@ -364,12 +352,12 @@ echo "$FLEET_STATUS" | grep -q "coordinator cache:"
 echo "$FLEET_STATUS" | grep -q "smoke-w"
 
 # The same grid again: the coordinator's submit memo skips decoding
-# the identical frame, and the result cache answers every window.
+# the identical frame, and the result cache answers every point.
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
-    "${WGRID[@]}" --window-shards 3 \
+    "${FGRID[@]}" --no-progress \
     --out "$BUILD_DIR/smoke/fleet_resubmit" > /dev/null
 cmp "$BUILD_DIR/smoke/fleet_resubmit.csv" \
-    "$BUILD_DIR/smoke/win_mono.csv"
+    "$BUILD_DIR/smoke/fleet_local.csv"
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
     --status | grep -Eq '"submit_memo":\{[^}]*"hits":[1-9]'
 
@@ -391,9 +379,9 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
-    "${WGRID[@]}" --window-shards 3 \
+    "${FGRID[@]}" --no-progress \
     --out "$BUILD_DIR/smoke/fleet_cached" > /dev/null
-cmp "$BUILD_DIR/smoke/fleet_cached.csv" "$BUILD_DIR/smoke/win_mono.csv"
+cmp "$BUILD_DIR/smoke/fleet_cached.csv" "$BUILD_DIR/smoke/fleet_local.csv"
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
     --fleet-status | grep -q "(no workers registered)"
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" --shutdown
@@ -465,7 +453,7 @@ echo "== one-pass grid: shared decode + warmed checkpoints, bitwise =="
 # no cross-point reuse is possible): the gate/checkpoint machinery
 # is trajectory-invisible by contract (src/sim/README.md).
 ALL_SCHEMES=baseline,fdip,boomerang,confluence,shotgun,rdip
-CGRID=(--workload "trace:$WTRACE" --warmup 100000
+CGRID=(--workload "trace:$TRACE" --warmup 100000
        --instructions 200000 --no-progress)
 "$BUILD_DIR/shotgun-submit" --local "${CGRID[@]}" \
     --schemes "$ALL_SCHEMES" \
@@ -533,14 +521,15 @@ if per_bb >= 50:
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":6,"misses":6'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --shutdown
 
-# A bounded cache on a live daemon evicts instead of growing: after
-# a grid bigger than the budget, the status frame reports evictions.
+# A bounded cache on a live daemon evicts instead of growing: a
+# result is charged about 570 bytes, so a 600-byte budget keeps one
+# of the 3-point grid's results and evicts the other two.
 SOCK_C="$BUILD_DIR/smoke/serve_c.sock"
 start_serve "$SOCK_C" --cache-bytes 600
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" "${GRID[@]}" \
     > /dev/null
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --status \
-    | grep -q '"evictions":[1-9]'
+    | grep -q '"cache":{"entries":1,[^}]*"evictions":2'
 
 echo "== uarch probes: report conserves, outputs trajectory-invisible =="
 # Probed local run: --uarch-report must be valid JSON whose

@@ -105,23 +105,6 @@ class InstrHierarchy
         return l1i_.footprintBytes() + llc_.footprintBytes();
     }
 
-    /**
-     * Prefetch accuracy as Fig 10 defines it: issued prefetches whose
-     * block was demanded (either after arrival or while in flight)
-     * over all issued prefetches.
-     */
-    double
-    prefetchAccuracy() const
-    {
-        const double issued =
-            static_cast<double>(prefetches_.value());
-        if (issued == 0.0)
-            return 0.0;
-        const double useful = static_cast<double>(
-            l1i_.usefulPrefetches() + lateUseful_.value());
-        return useful / issued;
-    }
-
     std::uint64_t lateUsefulPrefetches() const
     {
         return lateUseful_.value();

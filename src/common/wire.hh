@@ -34,7 +34,7 @@
  *    `present` holds; a reader fills it when its key is there and
  *    otherwise leaves its default. `present` is either a test
  *    (`!m.empty()`, or `true` for a member always written that older
- *    peers may omit) or the struct's own presence flag (`hasDelta`),
+ *    peers may omit) or the struct's own presence flag (`hasTiming`),
  *    which a reader sets to whether the key was there;
  *  - `v.table(key, array, label, names)`: a fixed array of structs
  *    indexed by an enum; element i is an object whose first member,

@@ -16,7 +16,6 @@ namespace fleet
 {
 
 using json::Value;
-using service::CachedResult;
 using service::CodecError;
 using service::makeError;
 using service::makeFrame;
@@ -41,7 +40,7 @@ struct FleetCoordinator::Job : service::DaemonJob
     using DaemonJob::DaemonJob;
 
     std::uint64_t priority = 1;
-    std::vector<std::shared_ptr<const CachedResult>> outcomes;
+    std::vector<std::shared_ptr<const SimResult>> outcomes;
     std::vector<char> cachedFlag; ///< Served from a cache, per index.
     bool cancelled = false; ///< Cancelled before its points queued.
 
@@ -232,7 +231,7 @@ FleetCoordinator::handleSubmit(
         job->outcomes[i] = cache_.tryGet(job->submit->fingerprints[i]);
         job->cachedFlag[i] = job->outcomes[i] != nullptr;
         job->cachedCount += job->cachedFlag[i];
-        cost[i] = service::experimentCost(request.grid[i]);
+        cost[i] = request.grid[i].config.streamInstructions();
     }
     runner::Dispatcher::Plan plan = runner::Dispatcher::plan(cost);
 
@@ -331,11 +330,7 @@ FleetCoordinator::emitJob(const std::shared_ptr<Job> &job)
             event.workload = exp.workload;
             event.label = exp.label;
             event.fingerprint = job->submit->fingerprints[i];
-            event.result = job->outcomes[i]->result;
-            if (job->outcomes[i]->hasDelta) {
-                event.hasDelta = true;
-                event.delta = job->outcomes[i]->delta;
-            }
+            event.result = *job->outcomes[i];
             if (job->traceId != 0) {
                 event.spans = job->pointSpans[i];
                 if (job->pointHasTiming[i]) {
@@ -485,7 +480,7 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
 {
     auto wr = service::decodeFrame<service::WorkResult>(frame);
     std::shared_ptr<Job> job;
-    std::shared_ptr<const CachedResult> value;
+    std::shared_ptr<const SimResult> value;
     std::string cache_key;
     std::vector<obs::SpanRecord> tracer_spans;
     {
@@ -500,8 +495,8 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
             dispatcher_.fail(work.ticket, std::make_exception_ptr(
                                               std::runtime_error(wr.message)));
         } else {
-            value = std::make_shared<const CachedResult>(
-                CachedResult{std::move(wr.result), wr.hasDelta, wr.delta});
+            value = std::make_shared<const SimResult>(
+                std::move(wr.result));
             job->outcomes[work.index] = value;
             cache_key = job->submit->fingerprints[work.index];
             if (wr.cached) {

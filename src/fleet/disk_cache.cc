@@ -132,7 +132,7 @@ DiskResultCache::entryPath(const std::string &fingerprint) const
 
 bool
 DiskResultCache::load(const std::string &fingerprint,
-                      service::CachedResult &out) const
+                      SimResult &out) const
 {
     if (!safeFingerprint(fingerprint))
         return false;
@@ -147,13 +147,9 @@ DiskResultCache::load(const std::string &fingerprint,
         // renamed across keys: a mismatch is damage, hence a miss.
         if (v.at("fingerprint").asString() != fingerprint)
             return false;
-        service::CachedResult cached;
-        cached.result = service::decodeSimResult(v.at("result"));
-        if (const Value *delta = v.find("delta")) {
-            cached.hasDelta = true;
-            cached.delta = service::decodeStatsDelta(*delta);
-        }
-        out = std::move(cached);
+        // Other members are not read: an entry written with a window's
+        // raw "delta" beside its result still answers.
+        out = service::decodeSimResult(v.at("result"));
         return true;
     } catch (const json::JsonError &) {
         return false;
@@ -162,15 +158,13 @@ DiskResultCache::load(const std::string &fingerprint,
 
 void
 DiskResultCache::store(const std::string &fingerprint,
-                       const service::CachedResult &value) const
+                       const SimResult &value) const
 {
     if (!safeFingerprint(fingerprint))
         return;
     Value v = Value::object();
     v.set("fingerprint", Value::string(fingerprint));
-    v.set("result", service::encodeSimResult(value.result));
-    if (value.hasDelta)
-        v.set("delta", service::encodeStatsDelta(value.delta));
+    v.set("result", service::encodeSimResult(value));
 
     // Atomic publish: write a per-process tmp file in the same
     // directory, then rename over the final name. Readers see the
@@ -240,11 +234,10 @@ void
 DiskResultCache::attachTo(service::Daemon &daemon) const
 {
     daemon.setCacheBackend(
-        [this](const std::string &key, service::CachedResult &out) {
+        [this](const std::string &key, SimResult &out) {
             return load(key, out);
         },
-        [this](const std::string &key,
-               const service::CachedResult &value) {
+        [this](const std::string &key, const SimResult &value) {
             store(key, value);
         });
 }

@@ -1,13 +1,12 @@
 /**
  * @file
  * Persistent result cache: one JSON file per config fingerprint in a
- * flat directory, holding the canonical encoding of a
- * service::CachedResult (the derived result plus, for windowed
- * points, the raw stitchable counters). Plugged into an
- * LruMemoCache as its write-through backend (memo.hh setBackend), it
- * makes a daemon's fingerprint cache survive restarts: the in-memory
- * LRU keeps the hot set, the directory keeps everything, and a miss
- * after a restart is answered from disk instead of re-simulating.
+ * flat directory, holding the fingerprint and the canonical encoding
+ * of its SimResult. Plugged into an LruMemoCache as its
+ * write-through backend (memo.hh setBackend), it makes a daemon's
+ * fingerprint cache survive restarts: the in-memory LRU keeps the
+ * hot set, the directory keeps everything, and a miss after a
+ * restart is answered from disk instead of re-simulating.
  *
  * Writes are atomic (tmp file + rename in the same directory), so a
  * crash mid-store leaves at worst a stray .tmp file, never a
@@ -65,8 +64,7 @@ class DiskResultCache
      * Read one entry; false on absent/damaged/foreign files (a
      * damaged entry is a cache miss, never an error). Thread-safe.
      */
-    bool load(const std::string &fingerprint,
-              service::CachedResult &out) const;
+    bool load(const std::string &fingerprint, SimResult &out) const;
 
     /**
      * Write one entry atomically. Failures (disk full, permissions)
@@ -76,7 +74,7 @@ class DiskResultCache
      * winning is harmless.
      */
     void store(const std::string &fingerprint,
-               const service::CachedResult &value) const;
+               const SimResult &value) const;
 
     /** Completed entries on disk right now (for tests/status). */
     std::size_t entryCount() const;

@@ -336,10 +336,7 @@ FleetWorker::slotLoop(unsigned slot_index)
                             out.timing = timing;
                         }
                         out.cached = was_cached;
-                        out.result = value->result;
-                        out.hasDelta = value->hasDelta;
-                        if (value->hasDelta)
-                            out.delta = value->delta;
+                        out.result = *value;
                     } catch (const std::exception &e) {
                         out.ok = false;
                         out.message = e.what();

@@ -202,7 +202,7 @@ ExperimentRunner::run(const ExperimentSet &set, ResultSink *sink) const
 void
 appendResultRows(const ExperimentSet &set,
                  const std::vector<SimResult> &results,
-                 ResultSink &sink, std::uint64_t windows,
+                 ResultSink &sink,
                  const std::vector<obs::PointTiming> *timings)
 {
     const auto &grid = set.experiments();
@@ -223,7 +223,6 @@ appendResultRows(const ExperimentSet &set,
             row.speedup = speedup(results[i], results[base]);
             row.stallCoverage = stallCoverage(results[i], results[base]);
         }
-        row.windows = windows;
         if (timings != nullptr && i < timings->size() &&
             (*timings)[i].any()) {
             row.hasTiming = true;

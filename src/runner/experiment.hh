@@ -152,14 +152,13 @@ class ExperimentRunner
  * the grid has one. Shared by ExperimentRunner::run() and the
  * service client (shotgun-submit), so a grid executed remotely
  * serializes byte-identically to the same grid run in-process.
- * `windows` (when nonzero) marks every row as stitched from that
- * many simulation windows (JSON-only annotation). `timings` (when
- * non-null, index-aligned) attaches each point's phase breakdown to
- * its row (JSON-only as well); all-zero entries are skipped.
+ * `timings` (when non-null, index-aligned) attaches each point's
+ * phase breakdown to its row (JSON-only); all-zero entries are
+ * skipped.
  */
 void appendResultRows(const ExperimentSet &set,
                       const std::vector<SimResult> &results,
-                      ResultSink &sink, std::uint64_t windows = 0,
+                      ResultSink &sink,
                       const std::vector<obs::PointTiming> *timings =
                           nullptr);
 

@@ -79,8 +79,6 @@ writeRowJson(std::ostream &os, const ResultRow &row)
         num(os, row.speedup) << ", \"stall_coverage\": ";
         num(os, row.stallCoverage);
     }
-    if (row.windows > 0)
-        os << ",\n     \"windows\": " << row.windows;
     if (row.hasTiming) {
         os << ",\n     \"timing\": {\"decode_ms\": ";
         num(os, static_cast<double>(row.timing.decodeUs) / 1000.0)

@@ -39,14 +39,6 @@ struct ResultRow
     double stallCoverage = 0.0;
 
     /**
-     * Windows stitched into this row's result; 0 for a monolithic
-     * run. Emitted in the JSON only (the numeric CSV columns are
-     * unchanged, so a stitched run's CSV is byte-comparable to the
-     * monolithic run's -- which the smoke script exploits).
-     */
-    std::uint64_t windows = 0;
-
-    /**
      * Optional per-point phase timing from a traced run, rendered in
      * the JSON only (a "timing" object, milliseconds) and never in
      * the CSV -- wall-clock numbers are nondeterministic, and the

@@ -1,8 +1,5 @@
 #include "service/client.hh"
 
-#include "common/logging.hh"
-#include "window/windowed_runner.hh"
-
 namespace shotgun
 {
 namespace service
@@ -112,50 +109,6 @@ ServiceClient::submit(
         }
         // Ignore unrelated frame types (forward compatibility).
     }
-}
-
-std::vector<SimResult>
-ServiceClient::submitWindowed(
-    const SubmitRequest &request_data, unsigned window_shards,
-    const std::function<void(const ResultEvent &)> &on_result)
-{
-    fatal_if(window_shards == 0,
-             "window sharding needs at least 1 window");
-
-    const std::vector<window::WindowPlan> plans =
-        window::contiguousPlans(request_data.grid, window_shards);
-    SubmitRequest expanded = request_data;
-    expanded.grid = window::expandGrid(request_data.grid, plans);
-
-    std::vector<SimulationDelta> deltas(expanded.grid.size());
-    std::vector<char> have(expanded.grid.size(), 0);
-    submit(expanded, [&](const ResultEvent &event) {
-        if (event.hasDelta) {
-            SimulationDelta &delta = deltas[event.index];
-            delta.workload = event.result.workload;
-            delta.scheme = event.result.scheme;
-            delta.schemeStorageBits = event.result.schemeStorageBits;
-            delta.stats = event.delta;
-            have[event.index] = 1;
-        }
-        if (on_result)
-            on_result(event);
-    });
-    for (std::size_t i = 0; i < have.size(); ++i) {
-        if (have[i] == 0)
-            throw ServiceError(
-                endpoint_ + ": window " + expanded.grid[i].label +
-                " of \"" + expanded.grid[i].workload +
-                "\" came back without its raw delta (server too old "
-                "for windowed results?)");
-    }
-
-    std::vector<SimResult> results;
-    results.reserve(request_data.grid.size());
-    for (window::WindowedOutcome &outcome :
-         window::stitchGrid(std::move(deltas), plans))
-        results.push_back(std::move(outcome.stitched));
-    return results;
 }
 
 json::Value

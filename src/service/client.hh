@@ -75,23 +75,6 @@ class ServiceClient
            const std::function<void(const ResultEvent &)> &on_result =
                {});
 
-    /**
-     * Submit with every experiment split into `window_shards`
-     * contiguous full-coverage windows (window::contiguousPlan), all
-     * of them one job, and stitch each experiment's windows back
-     * into one result (window::stitchWindows). The returned vector is
-     * index-aligned with `request.grid` and numerically identical to
-     * running each experiment monolithically. `on_result` observes
-     * every *window* as it streams. Throws like submit(), and
-     * ServiceError when a window comes back without its raw delta;
-     * fatal() on window_shards == 0, an experiment that already has
-     * a window, or one too short to split.
-     */
-    std::vector<SimResult>
-    submitWindowed(const SubmitRequest &request, unsigned window_shards,
-                   const std::function<void(const ResultEvent &)>
-                       &on_result = {});
-
     /** The server's `status` frame (decoded JSON). */
     json::Value status();
 

@@ -71,12 +71,6 @@ decodeSimResult(const json::Value &v)
     return decodeAs<SimResult>(v, "result");
 }
 
-StatsDelta
-decodeStatsDelta(const json::Value &v)
-{
-    return decodeAs<StatsDelta>(v, "delta");
-}
-
 // ---------------------------------------------------- trace validation
 
 bool

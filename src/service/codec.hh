@@ -322,7 +322,6 @@ SimWindow decodeSimWindow(const json::Value &v);
 
 SimConfig decodeSimConfig(const json::Value &v);
 SimResult decodeSimResult(const json::Value &v);
-StatsDelta decodeStatsDelta(const json::Value &v);
 
 // ------------------------------------------------- trace validation
 

@@ -25,12 +25,10 @@ namespace
  * monotone in the real footprint, which is all a byte budget needs.
  */
 std::size_t
-resultCacheBytes(const std::string &fingerprint,
-                 const CachedResult &cached)
+resultCacheBytes(const std::string &fingerprint, const SimResult &result)
 {
-    return fingerprint.size() + sizeof(CachedResult) +
-           cached.result.workload.size() +
-           cached.result.scheme.size();
+    return fingerprint.size() + sizeof(SimResult) +
+           result.workload.size() + result.scheme.size();
 }
 
 /** The daemons keep this many finished jobs for `status`. */
@@ -84,15 +82,6 @@ readsTraceFiles(const Value &frame)
 }
 
 } // namespace
-
-std::uint64_t
-experimentCost(const runner::Experiment &exp)
-{
-    const SimWindow &window = exp.config.window;
-    return window.skipInstructions + exp.config.warmupInstructions +
-           (window.enabled() ? window.measureEnd
-                             : exp.config.measureInstructions);
-}
 
 bool
 Connection::sendLine(std::string line)

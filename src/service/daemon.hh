@@ -53,25 +53,12 @@ namespace shotgun
 namespace service
 {
 
-/**
- * A cached grid-point outcome: the derived result plus, for windowed
- * configs, the raw window counters -- a cache hit must replay the
- * same `delta` member the original `result` frame carried, or a
- * resubmitted window could no longer be stitched.
- */
-struct CachedResult
-{
-    SimResult result;
-    bool hasDelta = false;
-    StatsDelta delta;
-};
-
 /** Fingerprint-keyed result memo (common/memo.hh). */
-using ResultCache = LruMemoCache<std::string, CachedResult>;
+using ResultCache = LruMemoCache<std::string, SimResult>;
 
 /**
  * Default byte budget of a daemon's result cache (64 MiB, like the
- * checkpoint store): about 60,000 results at about 1.05 KB each.
+ * checkpoint store): about 117,000 results at about 0.57 KB each.
  */
 constexpr std::size_t kDefaultResultCacheBytes = 64ull * 1024 * 1024;
 
@@ -90,13 +77,6 @@ struct DecodedSubmit
  * never by hash alone). It holds requests, never results.
  */
 using SubmitMemo = LruMemoCache<std::string, DecodedSubmit>;
-
-/**
- * Relative simulated length of one grid point: the key both daemons'
- * longest-first dispatch orders by. Matches the instruction count the
- * trace validator requires, so "cost" and "work" agree.
- */
-std::uint64_t experimentCost(const runner::Experiment &exp);
 
 /**
  * One peer connection. Frames are written from several threads (its

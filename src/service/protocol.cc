@@ -47,13 +47,7 @@ validateExperimentTrace(const runner::Experiment &exp,
                               canonicalText(info.preset.program)))
                  .first;
     }
-    // A windowed config fast-forwards to window.measureEnd at most
-    // (plus any stream skip); the whole region otherwise.
-    const SimWindow &window = exp.config.window;
-    const std::uint64_t needed =
-        window.skipInstructions + exp.config.warmupInstructions +
-        (window.enabled() ? window.measureEnd
-                          : exp.config.measureInstructions);
+    const std::uint64_t needed = exp.config.streamInstructions();
     if (it->second.first < needed) {
         error = "experiment \"" + exp.workload + "/" + exp.label +
                 "\": trace '" + path + "' holds " +

@@ -14,8 +14,7 @@
  * Server -> client:
  *   {"type":"accepted","job":N,"total":N,"fingerprints":[...]}
  *   {"type":"result","job":N,"index":N,"cached":b,
- *    "workload":...,"label":...,"fingerprint":...,"result":{...}
- *    [,"delta":{...}]}
+ *    "workload":...,"label":...,"fingerprint":...,"result":{...}}
  *   {"type":"done","job":N,"status":"ok|cancelled|error",
  *    "completed":N,"cached":N[,"message":...]}
  *   {"type":"status","server":{...},"jobs":[...]}
@@ -23,10 +22,9 @@
  *
  * Protocol 2 (windowed simulation): every config carries a "window"
  * member ({"skip_instructions","measure_start","measure_end"}, all 0
- * when disabled), and the `result` frame of a windowed grid point
- * additionally carries "delta" -- the window's raw counters
- * (sim/stats_delta.hh) -- so clients stitch windows from exact
- * integers rather than derived doubles.
+ * when disabled). A windowed config is an ordinary grid point: its
+ * `result` is that window's own SimResult (runSimulation()), and
+ * windows are stitched in-process only (src/window/).
  *
  * Protocol 3 (fleet): `submit` gains an optional "priority" (a
  * server's fair-share weight for the job, a coordinator's strict
@@ -48,8 +46,8 @@
  *   {"type":"steal","worker":N}             -> (parked until work)
  *     <- {"type":"work","task":N,"experiment":{...}}
  *   {"type":"result","task":N,"ok":b,"cached":b,
- *    "fingerprint":...,"result":{...}[,"delta":{...}]
- *    [,"message":...]}                      -> (next steal)
+ *    "fingerprint":...,"result":{...}[,"message":...]}
+ *                                           -> (next steal)
  *
  * A coordinator answers the ordinary client `status` frame with an
  * additional "fleet" member: per-worker rows (WorkerStatus)
@@ -79,7 +77,7 @@
  * a malformed frame is an `error` reply, never a dead daemon. Each
  * frame's layout is written down once, in its list. Optional members
  * follow common/wire.hh's one rule: the written-when-set ones (trace,
- * delta, spans, timing, percentiles, message) and the always-written
+ * spans, timing, percentiles, message) and the always-written
  * ones older peers may omit (priority, budget, checkpoint, phase,
  * checkpoint_hits/misses) both decode to their defaults when absent.
  * Trivial frames (ping/pong/bye/attach/steal/ack/...) are built
@@ -252,14 +250,6 @@ struct ResultEvent
     SimResult result;
 
     /**
-     * Raw window counters, present exactly when the grid point's
-     * config had a window: what ServiceClient::submitWindowed()
-     * stitches.
-     */
-    bool hasDelta = false;
-    StatsDelta delta;
-
-    /**
      * Optional tracing payload ("spans"/"timing" members, absent
      * when the point was untraced): the spans recorded while this
      * point simulated and its per-phase timing breakdown.
@@ -280,7 +270,6 @@ fields(V &v, ResultEvent &e)
     v("label", e.label);
     v("fingerprint", e.fingerprint);
     v("result", e.result);
-    v.optional("delta", e.delta, e.hasDelta);
     v.optional("spans", e.spans, !e.spans.empty());
     v.optional("timing", e.timing, e.hasTiming);
 }
@@ -519,8 +508,6 @@ struct WorkResult
     bool cached = false; ///< Served from the worker's cache.
     std::string fingerprint;
     SimResult result;
-    bool hasDelta = false;
-    StatsDelta delta;
 
     /**
      * Optional tracing payload ("spans"/"timing", absent when the
@@ -546,7 +533,6 @@ fields(V &v, WorkResult &r)
     v("cached", r.cached);
     v("fingerprint", r.fingerprint);
     v("result", r.result);
-    v.optional("delta", r.delta, r.hasDelta);
     v.optional("spans", r.spans, !r.spans.empty());
     v.optional("timing", r.timing, r.hasTiming);
 }

@@ -76,26 +76,14 @@ SimServer::cacheSize() const
     return cache_.size();
 }
 
-std::shared_ptr<const CachedResult>
+std::shared_ptr<const SimResult>
 SimServer::computeCached(const std::string &fingerprint,
                          const runner::Experiment &exp, bool *cached)
 {
     bool computed = false;
     auto value = cache_.get(fingerprint, [&exp, &computed]() {
         computed = true;
-        const SimulationDelta delta = runSimulationDelta(exp.config);
-        CachedResult result;
-        result.result =
-            finalizeResult(delta.workload, delta.scheme,
-                           delta.schemeStorageBits, delta.stats);
-        // Windowed grid point: keep the raw counters so the result
-        // frame (and any later cache hit) carries the stitchable
-        // delta.
-        if (exp.config.window.enabled()) {
-            result.hasDelta = true;
-            result.delta = delta.stats;
-        }
-        return result;
+        return runSimulation(exp.config);
     });
     if (cached != nullptr)
         *cached = !computed;
@@ -162,8 +150,6 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
     // the index's ordered emission fires.
     auto cached_flags =
         std::make_shared<std::vector<char>>(job->total, 0);
-    auto outcomes = std::make_shared<
-        std::vector<std::shared_ptr<const CachedResult>>>(job->total);
 
     // For traced jobs the scheduler hands each point's observation
     // (phase timing + spans) to onObservation right before that
@@ -184,7 +170,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
             observation->value = point;
             observation->has = true;
         };
-    hooks.simulate = [this, job, cached_flags, outcomes](
+    hooks.simulate = [this, job, cached_flags](
                          std::size_t index,
                          const runner::Experiment &exp) {
         bool was_cached = false;
@@ -194,15 +180,14 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
             job->cachedCount.fetch_add(1);
             (*cached_flags)[index] = 1;
         }
-        (*outcomes)[index] = value;
-        return value->result;
+        return *value;
     };
     // Dispatch a job's own points longest-run-first (LPT): starting
-    // the heavy windows early shortens the straggler tail when the
+    // the heavy points early shortens the straggler tail when the
     // grid's points differ in simulated length. Emission order (and
     // thus every byte on the wire) is unaffected.
     hooks.costOf = [](std::size_t, const runner::Experiment &exp) {
-        return experimentCost(exp);
+        return exp.config.streamInstructions();
     };
     // Points sharing a warmed-state checkpoint key are gated: a
     // window waits for the window that parks its start and resumes
@@ -215,7 +200,7 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         job->running.store(true);
         log("job " + std::to_string(job->id) + " running");
     };
-    hooks.onResult = [this, job, cached_flags, outcomes,
+    hooks.onResult = [this, job, cached_flags,
                       observation](std::size_t index,
                                    const runner::Experiment &exp,
                                    const SimResult &result) {
@@ -233,12 +218,6 @@ SimServer::handleSubmit(const std::shared_ptr<Connection> &conn,
         event.label = exp.label;
         event.fingerprint = job->submit->fingerprints[index];
         event.result = result;
-        const std::shared_ptr<const CachedResult> &outcome =
-            (*outcomes)[index];
-        if (outcome != nullptr && outcome->hasDelta) {
-            event.hasDelta = true;
-            event.delta = outcome->delta;
-        }
         if (has_observation) {
             event.spans = std::move(observation->value.spans);
             if (observation->value.timing.any()) {

@@ -80,7 +80,7 @@ class SimServer : public Daemon
      * threads must validate the experiment first
      * (validateExperimentTrace) so a bad trace cannot fatal().
      */
-    std::shared_ptr<const CachedResult>
+    std::shared_ptr<const SimResult>
     computeCached(const std::string &fingerprint,
                   const runner::Experiment &exp,
                   bool *cached = nullptr);

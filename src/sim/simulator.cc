@@ -25,6 +25,13 @@ SimConfig::make(const WorkloadPreset &workload, SchemeType type)
     return config;
 }
 
+std::uint64_t
+SimConfig::streamInstructions() const
+{
+    return window.skipInstructions + warmupInstructions +
+           (window.enabled() ? window.measureEnd : measureInstructions);
+}
+
 bool
 operator==(const SimWindow &a, const SimWindow &b)
 {
@@ -166,9 +173,7 @@ runSimulationDelta(const SimConfig &config)
                              "', which does not match this workload's "
                              "program parameters");
         }
-        const std::uint64_t needed = window.skipInstructions +
-                                     config.warmupInstructions +
-                                     measure_end;
+        const std::uint64_t needed = config.streamInstructions();
         if (trace_info.instructions < needed) {
             throw TraceError(
                 "trace '" + trace_path + "' holds " +

@@ -89,6 +89,14 @@ struct SimConfig
     /** Build a config for (workload, scheme type) with defaults. */
     static SimConfig make(const WorkloadPreset &workload,
                           SchemeType type);
+
+    /**
+     * Instructions of the stream the run consumes: the skipped
+     * prefix, the warm-up and the measure region up to the window's
+     * end (the whole region without a window). A replayed trace must
+     * hold this many, and both daemons dispatch longest-first by it.
+     */
+    std::uint64_t streamInstructions() const;
 };
 
 /** Everything the paper's tables/figures are computed from. */

@@ -106,9 +106,8 @@ finalizeResult(const std::string &workload, const std::string &scheme,
                   static_cast<double>(delta.instructions);
     result.stalls = delta.stalls;
     result.frontEndStallCycles = delta.stalls.frontEnd();
-    // Fig 10's definition, as InstrHierarchy::prefetchAccuracy()
-    // computes it: issued prefetches whose block was demanded, over
-    // all issued prefetches.
+    // Fig 10's definition: issued prefetches whose block was demanded
+    // (after arrival or while in flight), over all issued prefetches.
     if (delta.prefetchesIssued == 0) {
         result.prefetchAccuracy = 0.0;
     } else {

@@ -1,7 +1,6 @@
 #include "window/windowed_runner.hh"
 
 #include <condition_variable>
-#include <iterator>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -52,81 +51,34 @@ stitchWindows(const std::vector<SimulationDelta> &windows)
                           first.schemeStorageBits, merged);
 }
 
-std::vector<WindowPlan>
-contiguousPlans(const std::vector<runner::Experiment> &grid,
-                unsigned num_windows)
+WindowedOutcome
+runWindowedExperiment(const runner::Experiment &exp,
+                      const WindowPlan &plan,
+                      runner::GridScheduler &scheduler)
 {
-    std::vector<WindowPlan> plans;
-    plans.reserve(grid.size());
-    for (const runner::Experiment &exp : grid)
-        plans.push_back(contiguousPlan(exp.config, num_windows));
-    return plans;
-}
-
-std::vector<runner::Experiment>
-expandGrid(const std::vector<runner::Experiment> &grid,
-           const std::vector<WindowPlan> &plans)
-{
-    panic_if(plans.size() != grid.size(),
-             "%zu window plans for a %zu-experiment grid", plans.size(),
-             grid.size());
-    std::vector<runner::Experiment> points;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-        fatal_if(grid[i].config.window.enabled(),
-                 "experiment %s/%s already has a window; window "
-                 "sharding splits whole runs",
-                 grid[i].workload.c_str(), grid[i].label.c_str());
-        for (runner::Experiment &sub : expandExperiment(grid[i], plans[i]))
-            points.push_back(std::move(sub));
-    }
-    return points;
-}
-
-std::vector<WindowedOutcome>
-stitchGrid(std::vector<SimulationDelta> deltas,
-           const std::vector<WindowPlan> &plans)
-{
-    std::size_t windows = 0;
-    for (const WindowPlan &plan : plans)
-        windows += plan.size();
-    panic_if(windows != deltas.size(),
-             "stitching %zu window deltas into plans of %zu windows",
-             deltas.size(), windows);
-    std::vector<WindowedOutcome> outcomes(plans.size());
-    auto next = deltas.begin();
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-        const auto end = next + static_cast<std::ptrdiff_t>(plans[i].size());
-        outcomes[i].windows.assign(std::make_move_iterator(next),
-                                   std::make_move_iterator(end));
-        outcomes[i].stitched = stitchWindows(outcomes[i].windows);
-        next = end;
-    }
-    return outcomes;
-}
-
-std::vector<WindowedOutcome>
-runWindowedGrid(const std::vector<runner::Experiment> &grid,
-                const std::vector<WindowPlan> &plans,
-                runner::GridScheduler &scheduler)
-{
-    std::vector<runner::Experiment> points = expandGrid(grid, plans);
+    fatal_if(exp.config.window.enabled(),
+             "experiment %s/%s already has a window; windowing splits "
+             "whole runs",
+             exp.workload.c_str(), exp.label.c_str());
+    std::vector<runner::Experiment> points = expandExperiment(exp, plan);
     const std::size_t count = points.size();
 
-    // Raw deltas land in per-point slots from worker threads; the
+    // Raw deltas land in per-window slots from worker threads; the
     // scheduler's completion accounting plus the hand-off mutex below
     // order those writes before our reads after `done`.
-    std::vector<SimulationDelta> deltas(count);
+    WindowedOutcome out;
+    out.windows.resize(count);
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
     runner::GridScheduler::Outcome outcome;
 
     runner::GridScheduler::JobHooks hooks;
-    hooks.simulate = [&deltas](std::size_t index,
-                               const runner::Experiment &sub) {
+    hooks.simulate = [&out](std::size_t index,
+                            const runner::Experiment &sub) {
         // The deltas are the job's output; nothing reads the
         // scheduler's per-point result.
-        deltas[index] = runSimulationDelta(sub.config);
+        out.windows[index] = runSimulationDelta(sub.config);
         return SimResult{};
     };
     hooks.onDone = [&](const runner::GridScheduler::Outcome &o) {
@@ -137,8 +89,8 @@ runWindowedGrid(const std::vector<runner::Experiment> &grid,
     };
     // Contiguous windows share warmup and skip, hence a checkpoint
     // key: each window waits for the one before it and resumes the
-    // core that window parked, so a plan simulates its measure region
-    // once, while the pool runs the other plans' windows.
+    // core that window parked, so the plan simulates its measure
+    // region once, while the pool runs other jobs' windows.
     hooks.predecessors = runner::checkpointPredecessors;
     scheduler.submit(std::move(points), 0, std::move(hooks));
 
@@ -149,18 +101,12 @@ runWindowedGrid(const std::vector<runner::Experiment> &grid,
     if (outcome.status == runner::GridScheduler::Outcome::Status::Error)
         std::rethrow_exception(outcome.error);
     fatal_if(outcome.status != runner::GridScheduler::Outcome::Status::Ok,
-             "windowed run of %zu experiments was cancelled after %zu "
-             "of %zu windows",
-             grid.size(), outcome.completed, count);
-    return stitchGrid(std::move(deltas), plans);
-}
-
-WindowedOutcome
-runWindowedExperiment(const runner::Experiment &exp,
-                      const WindowPlan &plan,
-                      runner::GridScheduler &scheduler)
-{
-    return std::move(runWindowedGrid({exp}, {plan}, scheduler).front());
+             "windowed run of %s/%s was cancelled after %zu of %zu "
+             "windows",
+             exp.workload.c_str(), exp.label.c_str(), outcome.completed,
+             count);
+    out.stitched = stitchWindows(out.windows);
+    return out;
 }
 
 } // namespace window

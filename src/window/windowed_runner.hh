@@ -1,20 +1,16 @@
 /**
  * @file
- * Windowed execution of a grid: expand each experiment's WindowPlan
- * into per-window sub-points, run every experiment's windows as one
- * job on a runner::GridScheduler (the same pool the experiment runner
- * and the simulation service multiplex their jobs over), and stitch
- * each experiment's raw per-window deltas back into one SimResult.
+ * Windowed execution of one experiment: expand its WindowPlan into
+ * per-window sub-points, run them as one job on a
+ * runner::GridScheduler (the pool the experiment runner and the
+ * simulation server multiplex their jobs over), and stitch the raw
+ * per-window deltas back into one SimResult.
  *
  * For a full-coverage plan the stitched result is numerically
  * identical to running the experiment monolithically -- the windows
  * measure disjoint adjacent slices of the exact cycle sequence the
  * monolithic run traverses (see src/window/README.md), and the raw
- * counters merge exactly. The service client's windowed submit
- * (service/client.hh ServiceClient::submitWindowed) expands and
- * stitches with the same two steps, so a window a fleet coordinator
- * requeues after its worker died and re-simulates elsewhere changes
- * nothing in the result.
+ * counters merge exactly.
  */
 
 #ifndef SHOTGUN_WINDOW_WINDOWED_RUNNER_HH
@@ -56,44 +52,17 @@ expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);
  */
 SimResult stitchWindows(const std::vector<SimulationDelta> &windows);
 
-/** Every experiment's contiguousPlan(config, num_windows). */
-std::vector<WindowPlan>
-contiguousPlans(const std::vector<runner::Experiment> &grid,
-                unsigned num_windows);
-
 /**
- * The expand step: every experiment's window sub-points under its
- * plan (`plans` is index-aligned with `grid`), experiment after
- * experiment, each in window order. fatal() on an experiment that
- * already has a window: windowing splits whole runs.
+ * Run `exp` as `plan`'s windows, one job on `scheduler`, and stitch
+ * them. Each window is gated on the one before it
+ * (runner::checkpointPredecessors) and resumes the core that window
+ * parked. The plan is validated for full coverage first, and an
+ * experiment that already has a window is fatal(): windowing splits
+ * whole runs. Blocks until every window completed; rethrows a failed
+ * window's exception and fatal()s when the job is cancelled.
+ * Thread-safe: concurrent calls on one scheduler run as separate
+ * jobs.
  */
-std::vector<runner::Experiment>
-expandGrid(const std::vector<runner::Experiment> &grid,
-           const std::vector<WindowPlan> &plans);
-
-/**
- * The stitch step: cut an expanded grid's per-window deltas, in its
- * order, back into each experiment's windows and stitch them, one
- * outcome per experiment of `plans`.
- */
-std::vector<WindowedOutcome>
-stitchGrid(std::vector<SimulationDelta> deltas,
-           const std::vector<WindowPlan> &plans);
-
-/**
- * Run every experiment of `grid` as its plan's windows, all of them
- * one job on `scheduler`, and stitch each experiment. Windows are
- * gated on their checkpoint keys (runner::checkpointPredecessors):
- * each window waits for the one before it and resumes the core that
- * window parked. Full-coverage plans are validated first. Blocks
- * until every window completed; rethrows the first window's failure.
- */
-std::vector<WindowedOutcome>
-runWindowedGrid(const std::vector<runner::Experiment> &grid,
-                const std::vector<WindowPlan> &plans,
-                runner::GridScheduler &scheduler);
-
-/** runWindowedGrid() of the one experiment `exp`. */
 WindowedOutcome runWindowedExperiment(const runner::Experiment &exp,
                                       const WindowPlan &plan,
                                       runner::GridScheduler &scheduler);

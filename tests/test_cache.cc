@@ -15,6 +15,7 @@
 #include "cache/mshr.hh"
 #include "cache/predecoder.hh"
 #include "common/random.hh"
+#include "sim/simulator.hh"
 #include "trace/program.hh"
 
 namespace shotgun
@@ -406,7 +407,20 @@ TEST(HierarchyTest, PrefetchAccuracyMath)
     mem.issuePrefetch(2, 0);
     mem.drainFills(100000);
     mem.demandFetch(1, 100001); // hit, uses prefetch 1
-    EXPECT_NEAR(mem.prefetchAccuracy(), 0.5, 1e-9);
+    EXPECT_EQ(mem.prefetchesIssued(), 2u);
+    EXPECT_EQ(mem.l1i().usefulPrefetches(), 1u);
+    EXPECT_EQ(mem.lateUsefulPrefetches(), 0u);
+
+    // Fig 10's accuracy is finalizeResult()'s: useful over issued.
+    StatsDelta delta;
+    delta.prefetchesIssued = mem.prefetchesIssued();
+    delta.usefulPrefetches = mem.l1i().usefulPrefetches();
+    delta.lateUsefulPrefetches = mem.lateUsefulPrefetches();
+    EXPECT_NEAR(finalizeResult("w", "s", 0, delta).prefetchAccuracy, 0.5,
+                1e-9);
+    // No prefetch issued: 0, not a division by zero.
+    EXPECT_EQ(finalizeResult("w", "s", 0, StatsDelta{}).prefetchAccuracy,
+              0.0);
 }
 
 // ---------------------------------------------------------------------

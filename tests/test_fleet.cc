@@ -5,11 +5,10 @@
  * SimServer+FleetWorker workers attached to it. The load-bearing
  * assertions are determinism and exactly-once delivery: a grid
  * submitted to the coordinator -- including one whose worker is
- * killed or stops heartbeating mid-grid, and a windowed one stitched
- * back from its windows -- returns results bitwise identical to the
- * same grid run in-process, and a persistent cache directory answers
- * a resubmitted grid across a coordinator restart without any worker
- * at all.
+ * killed or stops heartbeating mid-grid -- returns results bitwise
+ * identical to the same grid run in-process, and a persistent cache
+ * directory answers a resubmitted grid across a coordinator restart
+ * without any worker at all.
  */
 
 #include <gtest/gtest.h>
@@ -47,7 +46,6 @@ namespace fleet
 namespace
 {
 
-using service::CachedResult;
 using service::LineChannel;
 using service::ResultEvent;
 using service::ServiceClient;
@@ -223,30 +221,43 @@ TEST(FleetDiskCacheTest, RoundTripDamageAndForeignKeys)
     DiskResultCache cache(dir);
     EXPECT_EQ(cache.entryCount(), 0u);
 
-    CachedResult value;
-    value.result.workload = "w";
-    value.result.scheme = "shotgun";
-    value.result.instructions = 50000;
-    value.result.cycles = 123456;
-    value.result.ipc = 0.405;
-    value.hasDelta = true;
-    value.delta.instructions = 50000;
-    value.delta.cycles = 123456;
+    SimResult value;
+    value.workload = "w";
+    value.scheme = "shotgun";
+    value.instructions = 50000;
+    value.cycles = 123456;
+    value.ipc = 0.405;
     cache.store("ab12cd34", value);
     EXPECT_EQ(cache.entryCount(), 1u);
 
-    CachedResult loaded;
+    SimResult loaded;
     ASSERT_TRUE(cache.load("ab12cd34", loaded));
-    EXPECT_TRUE(loaded.result == value.result);
-    ASSERT_TRUE(loaded.hasDelta);
-    EXPECT_TRUE(loaded.delta == value.delta);
+    EXPECT_TRUE(loaded == value);
 
     // A second instance over the same directory sees the entry: this
     // is the restart-persistence contract.
     DiskResultCache reopened(dir);
-    CachedResult again;
+    SimResult again;
     ASSERT_TRUE(reopened.load("ab12cd34", again));
-    EXPECT_TRUE(again.result == value.result);
+    EXPECT_TRUE(again == value);
+
+    // An entry written with a window's raw "delta" beside its result
+    // (as earlier versions stored windowed points) still answers.
+    {
+        json::Value entry = json::Value::object();
+        entry.set("fingerprint", json::Value::string("cd34ab12"));
+        entry.set("result", service::encodeSimResult(value));
+        StatsDelta delta;
+        delta.instructions = 50000;
+        delta.cycles = 123456;
+        entry.set("delta", service::encodeStatsDelta(delta));
+        std::ofstream out(dir + "/cd34ab12.json", std::ios::trunc);
+        out << entry.dump() << '\n';
+    }
+    SimResult with_delta;
+    ASSERT_TRUE(cache.load("cd34ab12", with_delta));
+    EXPECT_TRUE(with_delta == value);
+    std::remove((dir + "/cd34ab12.json").c_str());
 
     // Unknown fingerprints and non-hex (path-traversal-shaped) keys
     // miss; store with such a key is swallowed, not written.
@@ -274,11 +285,11 @@ TEST(FleetDiskCacheTest, RoundTripDamageAndForeignKeys)
 TEST(FleetDiskCacheTest, ByteBoundTrimsOldestFirst)
 {
     const std::string dir = freshDir("trim");
-    CachedResult value;
-    value.result.workload = "w";
-    value.result.scheme = "shotgun";
-    value.result.instructions = 50000;
-    value.result.cycles = 123456;
+    SimResult value;
+    value.workload = "w";
+    value.scheme = "shotgun";
+    value.instructions = 50000;
+    value.cycles = 123456;
 
     // Measure one entry's on-disk size with an unbounded instance;
     // identical values under same-length fingerprints give every
@@ -308,7 +319,7 @@ TEST(FleetDiskCacheTest, ByteBoundTrimsOldestFirst)
 
     cache.store("cccccccccccccccc", value); // Over: trims oldest.
     EXPECT_EQ(cache.entryCount(), 2u);
-    CachedResult loaded;
+    SimResult loaded;
     EXPECT_FALSE(cache.load("aaaaaaaaaaaaaaaa", loaded));
     EXPECT_TRUE(cache.load("bbbbbbbbbbbbbbbb", loaded));
     EXPECT_TRUE(cache.load("cccccccccccccccc", loaded));
@@ -324,7 +335,14 @@ TEST(FleetDiskCacheTest, ByteBoundTrimsOldestFirst)
 
 TEST(FleetTest, CoordinatorMatchesInProcessBitwise)
 {
-    const runner::ExperimentSet set = quickGrid(2);
+    runner::ExperimentSet set = quickGrid(2);
+    // A windowed config a client builds by hand is an ordinary grid
+    // point: the fleet returns that window's own result.
+    SimConfig windowed = set.experiments().back().config;
+    windowed.window.measureStart = 10000;
+    windowed.window.measureEnd = 30000;
+    const std::size_t window_index =
+        set.add(windowed.workload, "shotgun#window", windowed);
     const auto local = runner::ExperimentRunner().run(set);
 
     TestCoordinator coord("bitwise");
@@ -343,11 +361,35 @@ TEST(FleetTest, CoordinatorMatchesInProcessBitwise)
     ASSERT_EQ(remote.size(), set.size());
     for (std::size_t i = 0; i < set.size(); ++i)
         EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
+    EXPECT_TRUE(remote[window_index] == runSimulation(windowed));
 
     // Streamed strictly in grid order, like a single server.
     ASSERT_EQ(events.size(), set.size());
     for (std::size_t i = 0; i < events.size(); ++i)
         EXPECT_EQ(events[i].index, i);
+
+    // On the wire, every result frame (the window's included) carries
+    // its result and no raw counters: resubmitted, the grid is
+    // answered from the coordinator's cache through the same frames.
+    LineChannel channel(
+        service::connectTo(service::Endpoint::parse(coord.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    ASSERT_TRUE(channel.sendLine(
+        service::encodeFrame(requestFor(set, "fleet-bitwise"))));
+    std::size_t result_frames = 0;
+    std::string line;
+    while (channel.recvLine(line)) {
+        const std::string type =
+            service::frameType(json::Value::parse(line));
+        EXPECT_NE(type, "error") << line;
+        if (type == "done" || type == "error")
+            break;
+        if (type == "result") {
+            ++result_frames;
+            EXPECT_EQ(line.find("\"delta\""), std::string::npos) << line;
+        }
+    }
+    EXPECT_EQ(result_frames, set.size());
 
     // The serialized artifacts are byte-identical too.
     runner::ResultSink local_sink("fleet-bitwise");
@@ -407,69 +449,6 @@ TEST(FleetTest, WorkerKilledMidGridLandsEveryPointExactlyOnce)
 
     EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
     EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
-    victim.reset();
-}
-
-TEST(FleetTest, WindowedGridSurvivesWorkerKilledMidPlan)
-{
-    // Two experiments, each split into three windows, through a
-    // coordinator with three workers; one worker is stopped on the
-    // first streamed window. Its in-flight windows are requeued on
-    // the survivors, and every stitched result still equals the
-    // monolithic in-process run bit for bit.
-    const WorkloadPreset preset = tinyPreset("fleet-win", 0xf1ee7);
-    SubmitRequest request;
-    request.experiment = "fleet-windowed";
-    request.jobs = 1;
-    std::vector<SimResult> mono;
-    for (const SchemeType type :
-         {SchemeType::Baseline, SchemeType::Shotgun}) {
-        runner::Experiment exp;
-        exp.workload = preset.name;
-        exp.label = schemeTypeName(type);
-        exp.config = SimConfig::make(preset, type);
-        exp.config.warmupInstructions = 20000;
-        exp.config.measureInstructions = 50000;
-        mono.push_back(runSimulation(exp.config));
-        request.grid.push_back(std::move(exp));
-    }
-
-    TestCoordinator coord("windowed");
-    TestWorker w1("win-1", coord.endpoint());
-    TestWorker w2("win-2", coord.endpoint());
-    auto victim =
-        std::make_unique<TestWorker>("win-3", coord.endpoint());
-    awaitWorkers(coord.coordinator(), 3);
-
-    ServiceClient client(coord.endpoint());
-    std::size_t events = 0;
-    std::size_t deltas = 0;
-    const std::vector<SimResult> stitched = client.submitWindowed(
-        request, 3, [&](const ResultEvent &event) {
-            deltas += event.hasDelta ? 1 : 0;
-            if (++events == 1)
-                victim->stop();
-        });
-
-    ASSERT_EQ(stitched.size(), mono.size());
-    for (std::size_t i = 0; i < mono.size(); ++i)
-        EXPECT_TRUE(stitched[i] == mono[i]) << "index " << i;
-    // 2 experiments x 3 windows, every window frame with its delta.
-    EXPECT_EQ(events, 6u);
-    EXPECT_EQ(deltas, 6u);
-    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
-    awaitWorkers(coord.coordinator(), 2);
-
-    // The resubmit is answered from the coordinator's cache, whose
-    // windowed entries keep their deltas, and stitches identically.
-    std::size_t cached = 0;
-    const std::vector<SimResult> again = client.submitWindowed(
-        request, 3,
-        [&](const ResultEvent &event) { cached += event.cached; });
-    EXPECT_EQ(cached, 6u);
-    ASSERT_EQ(again.size(), mono.size());
-    for (std::size_t i = 0; i < mono.size(); ++i)
-        EXPECT_TRUE(again[i] == mono[i]) << "index " << i;
     victim.reset();
 }
 

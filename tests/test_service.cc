@@ -199,7 +199,14 @@ withoutJobAndCached(const std::string &line)
 
 TEST(ServiceTest, SubmitMatchesInProcessBitwise)
 {
-    const runner::ExperimentSet set = quickGrid();
+    runner::ExperimentSet set = quickGrid();
+    // A windowed config a client builds by hand is an ordinary grid
+    // point: the server returns that window's own result.
+    SimConfig windowed = set.experiments().back().config;
+    windowed.window.measureStart = 10000;
+    windowed.window.measureEnd = 30000;
+    const std::size_t window_index =
+        set.add(windowed.workload, "shotgun#window", windowed);
     const auto local = runner::ExperimentRunner().run(set);
 
     TestServer server("submit");
@@ -214,6 +221,7 @@ TEST(ServiceTest, SubmitMatchesInProcessBitwise)
     ASSERT_EQ(remote.size(), set.size());
     for (std::size_t i = 0; i < set.size(); ++i)
         EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
+    EXPECT_TRUE(remote[window_index] == runSimulation(windowed));
 
     // Streamed events arrive in grid order with matching labels.
     ASSERT_EQ(events.size(), set.size());
@@ -222,6 +230,18 @@ TEST(ServiceTest, SubmitMatchesInProcessBitwise)
         EXPECT_EQ(events[i].label, set.experiments()[i].label);
         EXPECT_FALSE(events[i].cached);
     }
+
+    // On the wire, every result frame (the window's included) carries
+    // its result and no raw counters; resubmitted, the grid is
+    // answered from the cache through the same frames.
+    LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    const std::vector<std::string> frames =
+        submitLine(channel, encodeFrame(requestFor(set, "unit")));
+    ASSERT_EQ(frames.size(), set.size() + 2); // accepted ... done
+    EXPECT_EQ(frameType(json::Value::parse(frames.back())), "done");
+    for (const std::string &frame : frames)
+        EXPECT_EQ(frame.find("\"delta\""), std::string::npos) << frame;
 
     // The serialized artifacts are byte-identical too.
     runner::ResultSink local_sink("unit");
@@ -916,11 +936,26 @@ TEST(ServiceTest, CacheEvictionRespectsByteBudget)
 {
     const runner::ExperimentSet set = quickGrid(2); // 6 points.
 
+    // One result's charge, read from an unbounded cache holding one.
+    std::size_t charge = 0;
+    {
+        ServerOptions unbounded;
+        unbounded.cacheBytes = 0;
+        TestServer probe("evict-probe", unbounded);
+        SubmitRequest one = requestFor(set, "evict-probe");
+        one.grid.resize(1);
+        ServiceClient(probe.endpoint()).submit(one);
+        const MemoCacheStats stats = probe.server().cacheStats();
+        ASSERT_EQ(stats.entries, 1u);
+        charge = stats.bytes;
+    }
+    ASSERT_GT(charge, 0u);
+
+    // Room for two and a half results (scheme names differ by a byte
+    // or two), so the 6-point grid keeps two and evicts four.
     ServerOptions options;
     options.jobs = 2;
-    // Room for roughly one result (fingerprint + struct + strings),
-    // so a 6-point grid must evict while it runs.
-    options.cacheBytes = 400;
+    options.cacheBytes = charge * 5 / 2;
     TestServer server("evict", options);
 
     ServiceClient client(server.endpoint());
@@ -928,8 +963,8 @@ TEST(ServiceTest, CacheEvictionRespectsByteBudget)
 
     MemoCacheStats stats = server.server().cacheStats();
     EXPECT_LE(stats.bytes, options.cacheBytes);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LT(stats.entries, set.size());
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.evictions, 4u);
 
     // Resubmit: mostly recomputed (the cache was too small to hold
     // the grid), and the recomputed results are identical to the
@@ -944,6 +979,7 @@ TEST(ServiceTest, CacheEvictionRespectsByteBudget)
     }
     stats = server.server().cacheStats();
     EXPECT_LE(stats.bytes, options.cacheBytes);
+    EXPECT_EQ(stats.entries, 2u);
 }
 
 TEST(ServiceTest, ResultCachesDefaultToA64MiBBudget)

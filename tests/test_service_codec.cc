@@ -590,9 +590,6 @@ fullResult()
     e.result.scheme = "shotgun";
     e.result.instructions = 1000;
     e.result.ipc = 1.5;
-    e.hasDelta = true;
-    e.delta.instructions = 1000;
-    e.delta.l1dFillSum = 42;
     e.spans.push_back(goldenSpan());
     e.hasTiming = true;
     e.timing.decodeUs = 1;
@@ -665,8 +662,6 @@ fullWorkResult()
     r.fingerprint = "00ff00ff00ff00ff";
     r.result.workload = "nutch";
     r.result.ipc = 0.75;
-    r.hasDelta = true;
-    r.delta.cycles = 99;
     r.spans.push_back(goldenSpan());
     r.hasTiming = true;
     r.timing.measureUs = 8;
@@ -735,10 +730,6 @@ const std::string kSpan =
     R"({"trace":7,"id":11,"parent":9,"name":"measure","cat":"sim",)"
     R"("proc":"serve:w1","lane":"slot-0","ts":1700000000000000,)"
     R"("dur":1234})";
-const std::string kDeltaCounters =
-    R"("btb_misses":0,"mispredicts":0,"misfetches":0,)"
-    R"("l1i_demand_misses":0,"prefetches_issued":0,)"
-    R"("useful_prefetches":0,"late_useful_prefetches":0,)";
 
 std::string
 emptyResult(const std::string &head)
@@ -778,10 +769,7 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
         R"("fingerprint":"00ff00ff00ff00ff","result":{"workload":"nutch",)"
         R"("scheme":"shotgun","instructions":1000,"cycles":0,"ipc":1.5,)"
         R"("btb_mpki":0,"l1i_mpki":0,"mispredicts_per_ki":0,"stalls":)" +
-            kStalls + kResultTail +
-            R"(,"delta":{"instructions":1000,"cycles":0,"stalls":)" +
-            kStalls + "," + kDeltaCounters +
-            R"("l1d_fill_sum":42,"l1d_fill_count":0},"spans":[)" + kSpan +
+            kStalls + kResultTail + R"(,"spans":[)" + kSpan +
             R"(],"timing":{"decode_us":1,"warmup_us":2,"restore_us":3,)"
             R"("measure_us":4}})");
     expectGolden(ResultEvent{},
@@ -835,10 +823,7 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
         R"("fingerprint":"00ff00ff00ff00ff","result":{"workload":"nutch",)"
         R"("scheme":"","instructions":0,"cycles":0,"ipc":0.75,)"
         R"("btb_mpki":0,"l1i_mpki":0,"mispredicts_per_ki":0,"stalls":)" +
-            kStalls + kResultTail +
-            R"(,"delta":{"instructions":0,"cycles":99,"stalls":)" +
-            kStalls + "," + kDeltaCounters +
-            R"("l1d_fill_sum":0,"l1d_fill_count":0},"spans":[)" + kSpan +
+            kStalls + kResultTail + R"(,"spans":[)" + kSpan +
             R"(],"timing":{"decode_us":0,"warmup_us":0,"restore_us":0,)"
             R"("measure_us":8}})");
     expectGolden(WorkResult{},
@@ -912,12 +897,10 @@ TEST(FrameGoldenTest, OlderPeersDecodeToDefaults)
         R"("completed":2,"cached":1,"budget":0})");
 
     ResultEvent bare = fullResult();
-    bare.hasDelta = false;
     bare.spans.clear();
     bare.hasTiming = false;
     expectDefaults<ResultEvent>(encode(bare), encode(bare));
     const ResultEvent decoded = decode<ResultEvent>(encode(bare));
-    EXPECT_FALSE(decoded.hasDelta);
     EXPECT_TRUE(decoded.spans.empty());
     EXPECT_FALSE(decoded.hasTiming);
 }

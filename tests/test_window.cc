@@ -5,12 +5,12 @@
  * full-coverage window plan -- contiguous windows, warm-up equal to
  * the preceding prefix -- stitches into a SimResult numerically
  * identical to the monolithic run, for synthetic presets and
- * recorded traces, one experiment or a whole grid as one job, and a
- * trace too large to decode that streams from its file. Plus: merge
- * permutation-invariance, resumed windows, death tests for malformed
- * plans, the windowed wire codec, and skip windows' determinism.
- * Windows through a fleet coordinator, with a worker killed mid-plan,
- * are tested in test_fleet.cc.
+ * recorded traces, one experiment or several as concurrent jobs on
+ * one pool, and a trace too large to decode that streams from its
+ * file. Plus: merge permutation-invariance, resumed windows, death
+ * tests for malformed plans, the window's wire validation, and skip
+ * windows' determinism. A hand-built windowed config sent to a
+ * daemon is tested in test_service.cc and test_fleet.cc.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@
 #include "runner/experiment.hh"
 #include "runner/grid_scheduler.hh"
 #include "service/codec.hh"
-#include "service/protocol.hh"
 #include "sim/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_delta.hh"
@@ -592,9 +591,11 @@ TEST(ResumedWindowTest, IdenticalPlansRacingAgree)
 
 TEST(WindowedGridTest, EveryExperimentStitchesToItsMonolithicRun)
 {
-    // Two presets by two schemes, three windows each, as one job: each
-    // experiment warms once (a checkpoint miss) and its windows 1 and
-    // 2 resume the core the window before them parked (two hits).
+    // Two presets by two schemes, three windows each, run as four
+    // jobs from four threads on one scheduler (perfbench's shape):
+    // each experiment warms once (a checkpoint miss) and its windows
+    // 1 and 2 resume the core the window before them parked (two
+    // hits).
     std::vector<runner::Experiment> grid;
     for (const std::uint64_t seed : {91u, 93u}) {
         const WorkloadPreset preset =
@@ -606,14 +607,20 @@ TEST(WindowedGridTest, EveryExperimentStitchesToItsMonolithicRun)
 
     runner::GridScheduler scheduler{runner::GridScheduler::Options(4)};
     const MemoCacheStats before = checkpointCache().stats();
-    const std::vector<window::WindowedOutcome> outcomes =
-        window::runWindowedGrid(grid, window::contiguousPlans(grid, 3),
-                                scheduler);
+    std::vector<window::WindowedOutcome> outcomes(grid.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        threads.emplace_back([&, i]() {
+            outcomes[i] = runWindowedExperiment(
+                grid[i], contiguousPlan(grid[i].config, 3), scheduler);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
     const MemoCacheStats after = checkpointCache().stats();
     EXPECT_EQ(after.misses - before.misses, 4u);
     EXPECT_EQ(after.hits - before.hits, 8u);
 
-    ASSERT_EQ(outcomes.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE(grid[i].workload + "/" + grid[i].label);
         EXPECT_EQ(outcomes[i].windows.size(), 3u);
@@ -777,36 +784,6 @@ TEST(WindowShardingTest, DecodeRejectsDegenerateWindows)
         "{\"skip_instructions\":0,\"measure_start\":0,"
         "\"measure_end\":100}"));
     EXPECT_TRUE(ok.enabled());
-}
-
-TEST(WindowShardingTest, WindowedFramesRoundTripDeltas)
-{
-    // Codec-level: a windowed result frame round-trips its delta.
-    service::ResultEvent event;
-    event.job = 1;
-    event.index = 2;
-    event.workload = "w";
-    event.label = "l#w0/2";
-    event.fingerprint = "00ff00ff00ff00ff";
-    event.result.workload = "w";
-    event.result.scheme = "shotgun";
-    event.hasDelta = true;
-    event.delta.instructions = 1234;
-    event.delta.cycles = 5678;
-    event.delta.stalls.icache = 9;
-    event.delta.l1dFillSum = 4242.0;
-    event.delta.l1dFillCount = 21;
-
-    const auto rt = service::decodeFrame<service::ResultEvent>(
-        json::Value::parse(service::encodeFrame(event)));
-    EXPECT_TRUE(rt.hasDelta);
-    EXPECT_TRUE(rt.delta == event.delta);
-
-    // And a windowless frame stays windowless.
-    event.hasDelta = false;
-    const auto bare = service::decodeFrame<service::ResultEvent>(
-        json::Value::parse(service::encodeFrame(event)));
-    EXPECT_FALSE(bare.hasDelta);
 }
 
 } // namespace

@@ -122,10 +122,7 @@ TEST(WireFieldsTest, ResultAndDeltaWritersMatchTrees)
         config.window.measureStart = 10000;
         config.window.measureEnd = 40000;
         const StatsDelta delta = runSimulationDelta(config).stats;
-        const std::string delta_tree = encodeStatsDelta(delta).dump();
-        EXPECT_EQ(canonicalText(delta), delta_tree);
-        EXPECT_TRUE(service::decodeStatsDelta(Value::parse(delta_tree)) ==
-                    delta);
+        EXPECT_EQ(canonicalText(delta), encodeStatsDelta(delta).dump());
     }
 }
 

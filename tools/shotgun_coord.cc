@@ -57,7 +57,7 @@ const char *kUsage =
     "                      resolved endpoint is printed on stdout)\n"
     "  --cache-bytes N     byte budget for the in-memory result\n"
     "                      cache (suffix K/M/G; default 64M, about\n"
-    "                      60,000 results; 0: unbounded)\n"
+    "                      117,000 results; 0: unbounded)\n"
     "  --cache-dir DIR     persistent result cache directory; every\n"
     "                      result is written through to one JSON\n"
     "                      file per config fingerprint and served\n"

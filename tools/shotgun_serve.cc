@@ -81,7 +81,7 @@ const char *kUsage =
     "  --cache-bytes N     byte budget for the result cache;\n"
     "                      least-recently-used results are evicted\n"
     "                      beyond it (suffix K/M/G; default 64M,\n"
-    "                      about 60,000 results; 0: unbounded)\n"
+    "                      about 117,000 results; 0: unbounded)\n"
     "  --cache-dir DIR     persistent result cache directory: every\n"
     "                      result is written through to disk and\n"
     "                      served from there after a restart\n"

@@ -22,8 +22,7 @@
  * worker that dies, and streams results back in grid order, so the
  * output stays byte-identical. `--fleet-status` renders the
  * coordinator's per-worker table (throughput, queue depth, heartbeat
- * age, cache hit rate). `--window-shards N` works with every
- * endpoint: each experiment runs as N windows stitched back exactly.
+ * age, cache hit rate).
  */
 
 #include <algorithm>
@@ -43,10 +42,8 @@
 #include "obs/uarch.hh"
 #include "service/codec.hh"
 #include "runner/experiment.hh"
-#include "runner/grid_scheduler.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
-#include "window/windowed_runner.hh"
 
 using namespace shotgun;
 
@@ -91,21 +88,6 @@ const char *kUsage =
     "  --fleet-status       render the coordinator's fleet table:\n"
     "                       per-worker throughput, queue depth,\n"
     "                       heartbeat age and cache hit rate\n"
-    "\n"
-    "Windows:\n"
-    "  --window-shards N    split every experiment into N contiguous\n"
-    "                       measurement windows, submitted as one job,\n"
-    "                       and stitch them back into results\n"
-    "                       numerically identical to monolithic runs.\n"
-    "                       On one server (or --local) each window\n"
-    "                       resumes the core the window before it\n"
-    "                       parked; through --coordinator the windows\n"
-    "                       spread over the fleet, a window lost with\n"
-    "                       its worker is requeued, and each window\n"
-    "                       restores the warm-up and re-simulates its\n"
-    "                       prefix (the price of exact stitching), so\n"
-    "                       this buys finer work units, not a shorter\n"
-    "                       critical path\n"
     "\n"
     "Transport options:\n"
     "  --timeout SECONDS    fail when the server sends nothing for\n"
@@ -182,7 +164,6 @@ struct Options
     std::uint64_t seed = 1;
     std::uint64_t jobs = 0;
     std::uint64_t priority = 1;
-    std::uint64_t windowShards = 0; ///< 0 = monolithic experiments.
     std::uint64_t timeoutSeconds = service::kDefaultTimeoutSeconds;
 
     std::string outBase;
@@ -267,11 +248,6 @@ parseOptions(int argc, char **argv)
             if (opts.priority == 0 || opts.priority > 1000000)
                 usageError("--priority: expected a weight in "
                            "[1, 1000000]");
-        } else if (std::strcmp(arg, "--window-shards") == 0) {
-            opts.windowShards = nextU64("--window-shards");
-            if (opts.windowShards == 0 || opts.windowShards > 65536)
-                usageError("--window-shards: expected a window count "
-                           "in [1, 65536]");
         } else if (std::strcmp(arg, "--timeout") == 0) {
             opts.timeoutSeconds = nextU64("--timeout");
             if (opts.timeoutSeconds > 86400)
@@ -405,10 +381,8 @@ runSubmit(const Options &opts)
         request.parentSpan = root_span->id();
     }
 
-    const unsigned window_shards =
-        static_cast<unsigned>(opts.windowShards);
     std::vector<SimResult> results;
-    if (opts.local && window_shards == 0) {
+    if (opts.local) {
         runner::RunnerOptions ropts;
         ropts.jobs = static_cast<unsigned>(opts.jobs);
         ropts.progress = opts.showProgress ? &std::cerr : nullptr;
@@ -423,49 +397,32 @@ runSubmit(const Options &opts)
                 };
         }
         results = runner::ExperimentRunner(ropts).run(set);
-    } else if (opts.local) {
-        // Windowed in-process: every experiment's windows form one
-        // job, as on a server, so while one plan's windows wait on
-        // each other the pool runs the other plans' windows.
-        runner::GridScheduler scheduler{runner::GridScheduler::Options(
-            static_cast<unsigned>(opts.jobs))};
-        const std::vector<runner::Experiment> &grid = set.experiments();
-        for (window::WindowedOutcome &outcome : window::runWindowedGrid(
-                 grid, window::contiguousPlans(grid, window_shards),
-                 scheduler))
-            results.push_back(std::move(outcome.stitched));
     } else {
         service::ServiceClient client(
             opts.endpoint, static_cast<unsigned>(opts.timeoutSeconds));
-        const std::size_t points =
-            request.grid.size() * (window_shards == 0 ? 1 : window_shards);
         std::size_t delivered = 0;
         const auto on_result = [&](const service::ResultEvent &event) {
             // Remote spans arrive inside result frames; fold them
             // into the local tracer so one file holds the whole
             // cross-process timeline.
             if (tracing) {
-                if (window_shards == 0 && event.hasTiming)
+                if (event.hasTiming)
                     timings[event.index] = event.timing;
                 if (!event.spans.empty())
                     obs::tracer().record(event.spans);
             }
             if (opts.showProgress)
                 std::fprintf(stderr, "[%zu/%zu] points complete\n",
-                             ++delivered, points);
+                             ++delivered, request.grid.size());
         };
-        results = window_shards == 0
-                      ? client.submit(request, on_result)
-                      : client.submitWindowed(request, window_shards,
-                                              on_result);
+        results = client.submit(request, on_result);
     }
 
     // Rows, table and files go through the exact machinery
     // ExperimentRunner::run(set, sink) uses, so remote === local
-    // results imply byte-identical output artifacts. (Stitched rows
-    // carry a JSON-only "windows" marker; the CSV stays comparable.)
+    // results imply byte-identical output artifacts.
     runner::ResultSink sink(opts.experiment);
-    runner::appendResultRows(set, results, sink, opts.windowShards,
+    runner::appendResultRows(set, results, sink,
                              tracing ? &timings : nullptr);
     sink.printTable(std::cout);
     if (!opts.outBase.empty()) {
