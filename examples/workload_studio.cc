@@ -154,6 +154,7 @@ runTool(int argc, char **argv)
     BBRecord rec;
     std::uint64_t instrs = 0;
     std::uint64_t blocks = 0, branches = 0, conditionals = 0;
+    std::uint64_t btb_misses = 0;
     std::uint64_t region_blocks = 0;
     Addr region_anchor = 0;
     bool region_open = false;
@@ -172,6 +173,7 @@ runTool(int argc, char **argv)
         branches += isBranch(rec.type);
         conditionals += rec.type == BranchType::Conditional;
         if (!btb.lookup(rec.startAddr)) {
+            ++btb_misses;
             BTBEntry e;
             e.bbStart = rec.startAddr;
             e.target = rec.target;
@@ -208,7 +210,7 @@ runTool(int argc, char **argv)
                               : 100.0 * conditionals / branches,
                 static_cast<unsigned long long>(blocks));
     std::printf("pressure: BTB MPKI %.2f | L1-I MPKI %.2f\n",
-                1000.0 * btb.misses() / instrs,
+                1000.0 * btb_misses / instrs,
                 1000.0 * l1i.misses() / instrs);
     std::printf("regions: median forward extent %zu blocks, p90 %zu "
                 "blocks\n",

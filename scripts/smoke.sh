@@ -135,6 +135,21 @@ expect_usage_error btb_explorer oracle 2000000 extra
 expect_usage_error trace_tools apache 0
 expect_usage_error scheme_shootout nutch abc
 expect_usage_error workload_studio 6000 0.9x
+# Each example runs once at a short length: it must exit 0 and print
+# its table (workload_studio drives a conventional BTB table itself).
+run_example() { # run_example NAME PATTERN [args...]
+    local out="$BUILD_DIR/smoke/$1.out"
+    "$BUILD_DIR/$1" "${@:3}" > "$out" 2> /dev/null
+    grep -q "$2" "$out" || {
+        echo "$1 ${*:3}: no '$2' line in its output" >&2
+        exit 1
+    }
+}
+run_example quickstart '^speedup over baseline: ' nutch 400000
+run_example btb_explorer '^paper .*(U 1536, C 128, R 512)' oracle 200000
+run_example scheme_shootout '^shotgun ' nutch 200000
+run_example workload_studio '^pressure: BTB MPKI ' 6000 0.9 200000
+grep -q '^  shotgun ' "$BUILD_DIR/smoke/workload_studio.out"
 
 echo "== service: serve -> submit -> verify bitwise vs in-process =="
 # Every spawned daemon registers its PID here; the EXIT trap kills

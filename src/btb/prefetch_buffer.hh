@@ -40,6 +40,16 @@ class BTBPrefetchBuffer
     std::size_t capacity() const { return entries_.size(); }
     std::size_t occupancy() const;
 
+    /**
+     * Full BTB entries with full tags: 46-bit tag, 46-bit target,
+     * 5-bit size, 3-bit type, 2-bit direction.
+     */
+    std::uint64_t
+    storageBits() const
+    {
+        return capacity() * (46 + 46 + 5 + 3 + 2);
+    }
+
     /** Heap bytes of the slot array (checkpoint accounting). */
     std::size_t
     footprintBytes() const

@@ -129,16 +129,16 @@ Cache::fill(Addr block_number, bool prefetched)
 void
 Cache::resetStats()
 {
-    accesses_.reset();
-    hits_.reset();
-    fills_.reset();
-    useful_.reset();
-    useless_.reset();
-    prefetchFills_.reset();
+    accesses_ = 0;
+    hits_ = 0;
+    fills_ = 0;
+    useful_ = 0;
+    useless_ = 0;
+    prefetchFills_ = 0;
     // The victim table is trajectory state (it evolves with fills and
     // accesses, identically in monolithic and windowed runs), so only
     // the counter resets here.
-    polluting_.reset();
+    polluting_ = 0;
 }
 
 } // namespace shotgun

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace shotgun
@@ -75,19 +74,19 @@ class Cache
     }
     const std::string &name() const { return params_.name; }
 
-    std::uint64_t accesses() const { return accesses_.value(); }
-    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t accesses() const { return accesses_; }
+    std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return accesses() - hits(); }
-    std::uint64_t fills() const { return fills_.value(); }
+    std::uint64_t fills() const { return fills_; }
 
     /** Prefetched blocks later referenced by a demand access. */
-    std::uint64_t usefulPrefetches() const { return useful_.value(); }
+    std::uint64_t usefulPrefetches() const { return useful_; }
 
     /** Prefetched blocks evicted without ever being used. */
-    std::uint64_t uselessPrefetches() const { return useless_.value(); }
+    std::uint64_t uselessPrefetches() const { return useless_; }
 
     /** All prefetch fills (useful + useless + still resident). */
-    std::uint64_t prefetchFills() const { return prefetchFills_.value(); }
+    std::uint64_t prefetchFills() const { return prefetchFills_; }
 
     /**
      * Demand-resident blocks evicted by a prefetch fill that then
@@ -96,7 +95,7 @@ class Cache
      * (uarch probes); the tracker is a fixed-size victim table whose
      * bookkeeping never influences replacement decisions.
      */
-    std::uint64_t pollutingPrefetches() const { return polluting_.value(); }
+    std::uint64_t pollutingPrefetches() const { return polluting_; }
 
     /** Turn on the pollution victim table (observer-only). */
     void enablePollutionTracking();
@@ -142,13 +141,13 @@ class Cache
     std::vector<Set> sets_;
     std::vector<Line> lines_;
 
-    Counter accesses_;
-    Counter hits_;
-    Counter fills_;
-    Counter useful_;
-    Counter useless_;
-    Counter prefetchFills_;
-    Counter polluting_;
+    std::uint64_t accesses_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t fills_ = 0;
+    std::uint64_t useful_ = 0;
+    std::uint64_t useless_ = 0;
+    std::uint64_t prefetchFills_ = 0;
+    std::uint64_t polluting_ = 0;
 
     /**
      * Direct-mapped table of demand-resident blocks recently evicted

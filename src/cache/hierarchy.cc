@@ -52,10 +52,8 @@ InstrHierarchy::issuePrefetch(Addr block_number, Cycle now)
     if (l1i_.contains(block_number) || mshrs_.find(block_number)) {
         return false;
     }
-    if (mshrs_.full()) {
-        ++dropped_;
+    if (mshrs_.full())
         return false;
-    }
     const Cycle ready = now + fillLatency(block_number, now);
     mshrs_.allocate(block_number, ready, true);
     ++prefetches_;
@@ -80,13 +78,11 @@ InstrHierarchy::probeForFill(Addr block_number, Cycle now)
 void
 InstrHierarchy::resetStats()
 {
-    demandMisses_.reset();
-    prefetches_.reset();
-    dropped_.reset();
-    lateUseful_.reset();
+    demandMisses_ = 0;
+    prefetches_ = 0;
+    lateUseful_ = 0;
     l1i_.resetStats();
     llc_.resetStats();
-    mesh_.resetStats();
     memory_.resetStats();
 }
 

@@ -12,7 +12,6 @@
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
-#include "common/stats.hh"
 #include "memory/main_memory.hh"
 #include "noc/mesh.hh"
 
@@ -107,7 +106,7 @@ class InstrHierarchy
 
     std::uint64_t lateUsefulPrefetches() const
     {
-        return lateUseful_.value();
+        return lateUseful_;
     }
 
     bool l1Contains(Addr block_number) const
@@ -129,9 +128,8 @@ class InstrHierarchy
     MSHRFile &mshrs() { return mshrs_; }
     const HierarchyParams &params() const { return params_; }
 
-    std::uint64_t demandMisses() const { return demandMisses_.value(); }
-    std::uint64_t prefetchesIssued() const { return prefetches_.value(); }
-    std::uint64_t prefetchesDropped() const { return dropped_.value(); }
+    std::uint64_t demandMisses() const { return demandMisses_; }
+    std::uint64_t prefetchesIssued() const { return prefetches_; }
 
     void resetStats();
 
@@ -146,10 +144,9 @@ class InstrHierarchy
     MeshModel mesh_;
     MainMemory memory_;
 
-    Counter demandMisses_;
-    Counter prefetches_;
-    Counter dropped_;
-    Counter lateUseful_;
+    std::uint64_t demandMisses_ = 0;
+    std::uint64_t prefetches_ = 0;
+    std::uint64_t lateUseful_ = 0;
 };
 
 } // namespace shotgun

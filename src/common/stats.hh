@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics package: scalar counters, averages and
- * histograms that components own and report. Inspired by (a tiny
- * fraction of) the gem5 stats package.
+ * A fixed-bucket histogram (Fig 3's region distances and the
+ * workload studio's region extents). Components keep their event
+ * counts as plain integer fields.
  */
 
 #ifndef SHOTGUN_COMMON_STATS_HH
@@ -13,55 +13,6 @@
 
 namespace shotgun
 {
-
-/** A named 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void operator+=(std::uint64_t amount) { value_ += amount; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Running average (sum / count) with explicit sampling. */
-class Average
-{
-  public:
-    void
-    sample(double value)
-    {
-        sum_ += value;
-        ++count_;
-    }
-
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
 
 /**
  * Fixed-bucket histogram over [0, buckets); samples beyond the last

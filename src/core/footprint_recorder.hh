@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "core/shotgun_btb.hh"
 #include "trace/instruction.hh"
 
@@ -49,25 +48,17 @@ class FootprintRecorder
     /** Observe one retired basic block. */
     void retire(const BBRecord &record);
 
-    std::uint64_t regionsClosed() const { return regionsClosed_.value(); }
-    std::uint64_t footprintsStored() const { return stored_.value(); }
+    std::uint64_t regionsClosed() const { return regionsClosed_; }
+    std::uint64_t footprintsStored() const { return stored_; }
 
     /** Regions whose accesses all fit the bit-vector range. */
-    std::uint64_t regionsFullyCovered() const { return covered_.value(); }
+    std::uint64_t regionsFullyCovered() const { return covered_; }
 
     /** Heap bytes of the retire-side call stack. */
     std::size_t
     footprintBytes() const
     {
         return callStack_.capacity() * sizeof(callStack_[0]);
-    }
-
-    void
-    resetStats()
-    {
-        regionsClosed_.reset();
-        stored_.reset();
-        covered_.reset();
     }
 
   private:
@@ -89,9 +80,9 @@ class FootprintRecorder
     OpenRegion region_;
     std::vector<Addr> callStack_; ///< BB addresses of retired calls.
 
-    Counter regionsClosed_;
-    Counter stored_;
-    Counter covered_;
+    std::uint64_t regionsClosed_ = 0;
+    std::uint64_t stored_ = 0;
+    std::uint64_t covered_ = 0;
 };
 
 } // namespace shotgun

@@ -122,13 +122,7 @@ ShotgunScheme::prefillFromBlock(Addr block_number)
          ctx_.predecoder->decodeBlock(block_number)) {
         if (decoded.type == BranchType::Conditional ||
             decoded.type == BranchType::None) {
-            CBTBEntry entry;
-            entry.bbStart = decoded.bbStart;
-            entry.target = decoded.type == BranchType::Conditional
-                               ? decoded.target
-                               : decoded.fallThrough();
-            entry.numInstrs = decoded.numInstrs;
-            btbs_.cbtb().insertPrefill(entry);
+            btbs_.cbtb().insertPrefill(CBTBEntry(decoded));
         } else {
             buffer_.insert(decoded);
         }
@@ -152,13 +146,6 @@ ShotgunScheme::onRetire(const BBRecord &record)
     recorder_.retire(record);
 }
 
-std::uint64_t
-ShotgunScheme::storageBits() const
-{
-    return btbs_.storageBits() +
-           buffer_.capacity() * (46 + 46 + 5 + 3 + 2);
-}
-
 void
 ShotgunScheme::collectUarch(obs::UarchBreakdown &u) const
 {
@@ -168,11 +155,8 @@ ShotgunScheme::collectUarch(obs::UarchBreakdown &u) const
     buf.timely = buffer_.hits();
     buf.unusedEvicted = buffer_.evictions();
 
-    obs::PrefetchLifecycle &cbtb = u.at(obs::UarchStructure::CBTB);
-    cbtb.issued = btbs_.cbtb().prefills();
-    cbtb.timely = btbs_.cbtb().prefillUses();
-    cbtb.unusedEvicted = btbs_.cbtb().prefillEvictions();
-    cbtb.polluting = btbs_.cbtb().prefillPollution();
+    reportPrefills(btbs_.cbtb().prefillCounts(),
+                   u.at(obs::UarchStructure::CBTB));
 }
 
 } // namespace shotgun

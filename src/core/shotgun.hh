@@ -50,7 +50,11 @@ class ShotgunScheme : public Scheme
                 Cycle now) override;
     void onRetire(const BBRecord &record) override;
 
-    std::uint64_t storageBits() const override;
+    std::uint64_t
+    storageBits() const override
+    {
+        return btbs_.storageBits() + buffer_.storageBits();
+    }
 
     std::size_t footprintBytes() const override
     {
@@ -72,8 +76,8 @@ class ShotgunScheme : public Scheme
     FootprintRecorder &recorder() { return recorder_; }
     BTBPrefetchBuffer &prefetchBuffer() { return buffer_; }
 
-    std::uint64_t resolutions() const { return resolutions_.value(); }
-    std::uint64_t regionPrefetches() const { return regionPf_.value(); }
+    std::uint64_t resolutions() const { return resolutions_; }
+    std::uint64_t regionPrefetches() const { return regionPf_; }
 
   private:
     /**
@@ -100,8 +104,8 @@ class ShotgunScheme : public Scheme
     BTBPrefetchBuffer buffer_;
     FootprintRecorder recorder_;
 
-    Counter resolutions_;
-    Counter regionPf_;
+    std::uint64_t resolutions_ = 0;
+    std::uint64_t regionPf_ = 0;
 };
 
 } // namespace shotgun

@@ -5,6 +5,61 @@
 namespace shotgun
 {
 
+UBTBEntry &
+UBTB::insert(const UBTBEntry &entry, bool reset_footprints)
+{
+    UBTBEntry *existing = table_.find(btbKey(entry.bbStart));
+    if (existing) {
+        const SpatialFootprint call_fp = existing->callFootprint;
+        const SpatialFootprint ret_fp = existing->returnFootprint;
+        const std::uint8_t call_ext = existing->callExtent;
+        const std::uint8_t ret_ext = existing->returnExtent;
+        *existing = entry;
+        if (!reset_footprints) {
+            existing->callFootprint = call_fp;
+            existing->returnFootprint = ret_fp;
+            existing->callExtent = call_ext;
+            existing->returnExtent = ret_ext;
+        }
+        table_.touch(btbKey(entry.bbStart));
+        return *existing;
+    }
+    table_.insert(btbKey(entry.bbStart), entry);
+    return *table_.find(btbKey(entry.bbStart));
+}
+
+std::size_t
+UBTB::returnOccupancy() const
+{
+    std::size_t count = 0;
+    table_.forEach([&](std::uint64_t key, const UBTBEntry &entry) {
+        (void)key;
+        count += entry.isReturn;
+    });
+    return count;
+}
+
+unsigned
+UBTB::bitsPerEntry() const
+{
+    unsigned bits = BtbTable::bitsPerEntry();
+    switch (mode_) {
+      case FootprintMode::BitVector8:
+      case FootprintMode::BitVector32:
+        bits += 2 * format_.bits();
+        break;
+      case FootprintMode::EntireRegion:
+        // Entry + exit point per region: a 6-bit forward extent for
+        // each of the call and return regions.
+        bits += 2 * 6;
+        break;
+      case FootprintMode::NoBitVector:
+      case FootprintMode::FiveBlocks:
+        break;
+    }
+    return bits;
+}
+
 ShotgunBTBConfig
 ShotgunBTBConfig::forBudgetOf(std::size_t conventional_entries)
 {
@@ -145,25 +200,11 @@ ShotgunBTB::insertByType(const BTBEntry &entry)
         rib_.insert(r);
         break;
       }
-      case BranchType::Conditional: {
-        CBTBEntry c;
-        c.bbStart = entry.bbStart;
-        c.target = entry.target;
-        c.numInstrs = entry.numInstrs;
-        cbtb_.insert(c);
-        break;
-      }
+      case BranchType::Conditional:
       case BranchType::None:
         // Straight-line splits carry no branch; Shotgun tracks them
-        // in the C-BTB so the BPU can stride over them without a
-        // resolution stall (their "target" is the fall-through).
-        {
-            CBTBEntry c;
-            c.bbStart = entry.bbStart;
-            c.target = entry.fallThrough();
-            c.numInstrs = entry.numInstrs;
-            cbtb_.insert(c);
-        }
+        // in the C-BTB too, so the BPU can stride over them.
+        cbtb_.insert(CBTBEntry(entry));
         break;
       default:
         panic("insertByType: invalid branch type");

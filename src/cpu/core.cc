@@ -200,8 +200,8 @@ Core::snapshotStats() const
     snap.prefetchesIssued = mem_.prefetchesIssued();
     snap.usefulPrefetches = mem_.l1i().usefulPrefetches();
     snap.lateUsefulPrefetches = mem_.lateUsefulPrefetches();
-    snap.l1dFillSum = l1dFill_.sum();
-    snap.l1dFillCount = l1dFill_.count();
+    snap.l1dFillSum = l1dFillSum_;
+    snap.l1dFillCount = l1dFillCount_;
     if (params_.uarchProbes) {
         snap.uarch = uarch_;
         snap.uarch.enabled = true;
@@ -235,7 +235,8 @@ Core::resetStats()
     btbMisses_ = 0;
     mispredicts_ = 0;
     misfetches_ = 0;
-    l1dFill_.reset();
+    l1dFillSum_ = 0.0;
+    l1dFillCount_ = 0;
     mem_.resetStats();
     uarch_ = obs::UarchBreakdown{};
     clearUarchSites();
@@ -402,7 +403,8 @@ Core::backendStep()
             const Cycle latency = to_memory
                                       ? mem_.mesh().memoryLatency(now_)
                                       : mem_.mesh().llcLatency(now_);
-            l1dFill_.sample(static_cast<double>(latency));
+            l1dFillSum_ += static_cast<double>(latency);
+            ++l1dFillCount_;
             const Cycle stall = static_cast<Cycle>(
                 static_cast<double>(latency) /
                 params_.memLevelParallelism);

@@ -136,7 +136,8 @@ struct CoreState
     std::uint64_t btbMisses_ = 0;
     std::uint64_t mispredicts_ = 0;
     std::uint64_t misfetches_ = 0;
-    Average l1dFill_;
+    double l1dFillSum_ = 0.0;
+    std::uint64_t l1dFillCount_ = 0;
 
     // Microarchitectural probe state (params_.uarchProbes): the
     // cycle-attribution counters (stalls + activeCycles; lifecycle

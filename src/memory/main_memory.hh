@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace shotgun
@@ -33,22 +32,22 @@ class MainMemory
     /** Latency of one access issued at `now` (beyond LLC latency). */
     Cycle access(Cycle now);
 
-    std::uint64_t requests() const { return requests_.value(); }
-    std::uint64_t throttled() const { return throttled_.value(); }
+    std::uint64_t requests() const { return requests_; }
+    std::uint64_t throttled() const { return throttled_; }
 
     void
     resetStats()
     {
-        requests_.reset();
-        throttled_.reset();
+        requests_ = 0;
+        throttled_ = 0;
     }
 
   private:
     MainMemoryParams params_;
     Cycle curWindow_ = 0;
     unsigned curCount_ = 0;
-    Counter requests_;
-    Counter throttled_;
+    std::uint64_t requests_ = 0;
+    std::uint64_t throttled_ = 0;
 };
 
 } // namespace shotgun

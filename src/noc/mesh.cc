@@ -46,7 +46,6 @@ MeshModel::noteRequest(Cycle now)
 {
     advance(now);
     ++curCount_;
-    ++requests_;
 }
 
 double
@@ -70,10 +69,8 @@ MeshModel::queueCycles(Cycle now)
 {
     const double rho = utilization(now);
     const double delay = params_.queueFactor * rho / (1.0 - rho);
-    const Cycle clamped = static_cast<Cycle>(std::min<double>(
+    return static_cast<Cycle>(std::min<double>(
         delay, static_cast<double>(params_.maxQueueCycles)));
-    queueDelay_.sample(static_cast<double>(clamped));
-    return clamped;
 }
 
 Cycle

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace shotgun
@@ -80,16 +79,6 @@ class MeshModel
 
     const MeshParams &params() const { return params_; }
 
-    std::uint64_t requests() const { return requests_.value(); }
-    double avgQueueDelay() const { return queueDelay_.mean(); }
-
-    void
-    resetStats()
-    {
-        requests_.reset();
-        queueDelay_.reset();
-    }
-
   private:
     void advance(Cycle now);
     Cycle queueCycles(Cycle now);
@@ -100,9 +89,6 @@ class MeshModel
     Cycle curWindow_ = 0;
     std::uint64_t curCount_ = 0;
     double prevRate_ = 0.0;
-
-    Counter requests_;
-    Average queueDelay_;
 };
 
 } // namespace shotgun

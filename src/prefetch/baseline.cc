@@ -13,26 +13,7 @@ void
 BaselineScheme::processBB(const BBRecord &truth, Cycle now,
                           BPUResult &out)
 {
-    const BTBEntry *entry = btb_.lookup(truth.startAddr);
-    if (entry) {
-        out.mispredict = predictControl(truth);
-    } else {
-        out.btbMiss = true;
-        // Straight-line speculation. The branch is discovered when
-        // the block reaches decode; the direction predictor decides
-        // the redirect there, and a disagreement with the actual
-        // outcome surfaces at execute.
-        const bool would_mispredict = predictControl(truth);
-        if (would_mispredict)
-            out.mispredict = true;
-        else if (isBranch(truth.type) && truth.taken)
-            out.misfetch = true;
-        // Decode-time BTB fill from the fetched bytes.
-        BTBEntry fill;
-        if (ctx_.predecoder->decodeBB(truth.startAddr, fill))
-            btb_.insert(fill);
-    }
-
+    conventionalBTBStep(btb_, truth, out);
     if (prefetch_) {
         probeBBBlocks(truth, now);
         if (out.misfetch)

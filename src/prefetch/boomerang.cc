@@ -53,12 +53,4 @@ BoomerangScheme::processBB(const BBRecord &truth, Cycle now,
         wrongPathProbes(truth, false, now);
 }
 
-std::uint64_t
-BoomerangScheme::storageBits() const
-{
-    // The prefetch buffer holds full BTB entries with full tags.
-    return btb_.storageBits() +
-           buffer_.capacity() * (46 + 46 + 5 + 3 + 2);
-}
-
 } // namespace shotgun

@@ -34,7 +34,11 @@ class BoomerangScheme : public Scheme
     void processBB(const BBRecord &truth, Cycle now,
                    BPUResult &out) override;
 
-    std::uint64_t storageBits() const override;
+    std::uint64_t
+    storageBits() const override
+    {
+        return btb_.storageBits() + buffer_.storageBits();
+    }
 
     std::size_t footprintBytes() const override
     {
@@ -63,12 +67,12 @@ class BoomerangScheme : public Scheme
     BTBPrefetchBuffer &prefetchBuffer() { return buffer_; }
 
     /** BPU stall events spent resolving BTB misses. */
-    std::uint64_t resolutions() const { return resolutions_.value(); }
+    std::uint64_t resolutions() const { return resolutions_; }
 
   private:
     ConventionalBTB btb_;
     BTBPrefetchBuffer buffer_;
-    Counter resolutions_;
+    std::uint64_t resolutions_ = 0;
 };
 
 } // namespace shotgun

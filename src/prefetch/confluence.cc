@@ -16,22 +16,8 @@ ConfluenceScheme::processBB(const BBRecord &truth, Cycle now,
                             BPUResult &out)
 {
     (void)now;
-    const BTBEntry *entry = btb_.lookup(truth.startAddr);
-    if (entry) {
-        out.mispredict = predictControl(truth);
-        return;
-    }
-    // BTB miss: straight-line speculation (the 16K BTB plus stream
-    // prefill keeps this rare), decode-time fill.
-    out.btbMiss = true;
-    const bool would_mispredict = predictControl(truth);
-    if (would_mispredict)
-        out.mispredict = true;
-    else if (isBranch(truth.type) && truth.taken)
-        out.misfetch = true;
-    BTBEntry fill;
-    if (ctx_.predecoder->decodeBB(truth.startAddr, fill))
-        btb_.insert(fill);
+    // The 16K BTB plus stream prefill keeps misses rare.
+    conventionalBTBStep(btb_, truth, out);
 }
 
 void
@@ -155,11 +141,8 @@ ConfluenceScheme::onFill(Addr block_number, bool was_prefetch, Cycle now)
 void
 ConfluenceScheme::collectUarch(obs::UarchBreakdown &u) const
 {
-    obs::PrefetchLifecycle &conv = u.at(obs::UarchStructure::ConvBTB);
-    conv.issued = btb_.prefills();
-    conv.timely = btb_.prefillUses();
-    conv.unusedEvicted = btb_.prefillEvictions();
-    conv.polluting = btb_.prefillPollution();
+    reportPrefills(btb_.prefillCounts(),
+                   u.at(obs::UarchStructure::ConvBTB));
 }
 
 std::uint64_t

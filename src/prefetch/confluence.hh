@@ -84,8 +84,8 @@ class ConfluenceScheme : public Scheme
     }
 
     ConventionalBTB &btb() { return btb_; }
-    std::uint64_t streamsStarted() const { return streams_.value(); }
-    std::uint64_t divergences() const { return divergences_.value(); }
+    std::uint64_t streamsStarted() const { return streams_; }
+    std::uint64_t divergences() const { return divergences_; }
 
   private:
     void recordBlock(Addr block_number);
@@ -112,8 +112,8 @@ class ConfluenceScheme : public Scheme
     std::size_t issuePos_ = 0;   ///< Next history pos to prefetch.
     unsigned mismatches_ = 0;
 
-    Counter streams_;
-    Counter divergences_;
+    std::uint64_t streams_ = 0;
+    std::uint64_t divergences_ = 0;
 };
 
 } // namespace shotgun

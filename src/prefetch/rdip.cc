@@ -28,8 +28,6 @@ RdipScheme::signature(Addr transfer_target) const
 void
 RdipScheme::switchContext(std::uint64_t new_signature, Cycle now)
 {
-    ++switches_;
-
     // Train: attribute the misses collected in the departing context
     // to the signature `lookahead` switches back, so the prefetch
     // fires early enough when the sequence recurs.
@@ -60,7 +58,6 @@ RdipScheme::switchContext(std::uint64_t new_signature, Cycle now)
 
     // Replay the miss footprint recorded for the new context.
     if (const MissSet *entry = table_.touch(new_signature)) {
-        ++tableHits_;
         for (Addr block : entry->blocks)
             ctx_.mem->issuePrefetch(block, now);
     }
@@ -69,20 +66,7 @@ RdipScheme::switchContext(std::uint64_t new_signature, Cycle now)
 void
 RdipScheme::processBB(const BBRecord &truth, Cycle now, BPUResult &out)
 {
-    const BTBEntry *entry = btb_.lookup(truth.startAddr);
-    if (entry) {
-        out.mispredict = predictControl(truth);
-    } else {
-        out.btbMiss = true;
-        const bool would_mispredict = predictControl(truth);
-        if (would_mispredict)
-            out.mispredict = true;
-        else if (isBranch(truth.type) && truth.taken)
-            out.misfetch = true;
-        BTBEntry fill;
-        if (ctx_.predecoder->decodeBB(truth.startAddr, fill))
-            btb_.insert(fill);
-    }
+    conventionalBTBStep(btb_, truth, out);
 
     // Calls and returns change the RDIP context.
     if (isCallType(truth.type) || isReturnType(truth.type))

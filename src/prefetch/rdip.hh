@@ -61,9 +61,6 @@ class RdipScheme : public Scheme
         return copy;
     }
 
-    std::uint64_t contextSwitches() const { return switches_.value(); }
-    std::uint64_t tableHits() const { return tableHits_.value(); }
-
   private:
     struct MissSet
     {
@@ -85,9 +82,6 @@ class RdipScheme : public Scheme
     std::vector<std::uint64_t> sigHistory_;
     /** Misses observed in the current context, pending attribution. */
     std::vector<Addr> pendingMisses_;
-
-    Counter switches_;
-    Counter tableHits_;
 };
 
 } // namespace shotgun

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "branch/ras.hh"
+#include "btb/conventional_btb.hh"
 #include "cache/hierarchy.hh"
 #include "cache/predecoder.hh"
 #include "cpu/outcome_log.hh"
@@ -157,6 +158,43 @@ class Scheme
      */
     bool predictControl(const BBRecord &truth,
                         ReturnAddressStack::Entry *popped = nullptr);
+
+    /**
+     * The BPU step of a conventional BTB (baseline, FDIP, Confluence,
+     * RDIP). A hit predicts the known branch. A miss speculates
+     * straight-line: the branch is discovered when the block reaches
+     * decode, the direction predictor decides the redirect there, and
+     * a disagreement with the actual outcome surfaces at execute; the
+     * decoded block then fills the BTB.
+     */
+    void
+    conventionalBTBStep(ConventionalBTB &btb, const BBRecord &truth,
+                        BPUResult &out)
+    {
+        if (btb.lookup(truth.startAddr)) {
+            out.mispredict = predictControl(truth);
+            return;
+        }
+        out.btbMiss = true;
+        if (predictControl(truth))
+            out.mispredict = true;
+        else if (isBranch(truth.type) && truth.taken)
+            out.misfetch = true;
+        BTBEntry fill;
+        if (ctx_.predecoder->decodeBB(truth.startAddr, fill))
+            btb.insert(fill);
+    }
+
+    /** Deposit a prefilled BTB's lifecycle counts into its slot. */
+    static void
+    reportPrefills(const PrefillCounts &counts,
+                   obs::PrefetchLifecycle &slot)
+    {
+        slot.issued = counts.prefills;
+        slot.timely = counts.uses;
+        slot.unusedEvicted = counts.evictions;
+        slot.polluting = counts.pollution;
+    }
 
     /** FDIP probe: prefetch every block the basic block spans. */
     void probeBBBlocks(const BBRecord &record, Cycle now);

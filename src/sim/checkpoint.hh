@@ -4,13 +4,14 @@
  * captured once and reused by every later run that shares it, and the
  * live state a window parks for the window that continues it.
  *
- * A CoreCheckpoint is a deep clone of a warmed Core (caches, U-BTB/
- * C-BTB/RIB and every other scheme structure, RAS, FTQ/backend
- * queues, cycle and measurement counters, and the outcome cursor that
- * stands for TAGE and the data-side draws -- see Core's clone
- * constructor) plus the exact position of its stream
- * source: a GeneratorCheckpoint for synthetic workloads, a decoded-
- * trace record index for `trace:` workloads. Restoring builds a fresh
+ * A CoreCheckpoint is a deep clone of a warmed Core (caches, every
+ * BtbTable -- the conventional BTB, U-BTB, C-BTB and RIB -- and every
+ * other scheme structure, RAS, FTQ/backend queues, cycle and
+ * measurement counters, and the outcome cursor that stands for TAGE
+ * and the data-side draws -- see Core's clone constructor) plus the
+ * exact position of its stream source: a GeneratorCheckpoint for
+ * synthetic workloads, a decoded-trace record index for `trace:`
+ * workloads. Restoring builds a fresh
  * source, repositions it, and clones the stored Core onto it; the
  * restored run then traverses exactly the cycle sequence the original
  * would have -- the trajectory-invisibility argument is spelled out

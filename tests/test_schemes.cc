@@ -216,7 +216,7 @@ TEST(ShotgunSchemeTest, PrefetchedBlockPrefillsCBTB)
             continue;
         scheme.onFill(blockNumber(bb.startAddr()), true, 0);
         EXPECT_NE(scheme.btbs().cbtb().probe(bb.startAddr()), nullptr);
-        EXPECT_GT(scheme.btbs().cbtb().prefills(), 0u);
+        EXPECT_GT(scheme.btbs().cbtb().prefillCounts().prefills, 0u);
         return;
     }
     FAIL() << "no conditional in test program";
@@ -244,6 +244,71 @@ TEST(ShotgunSchemeTest, StorageBudgetMatchesBoomerang)
                          double(boomerang.storageBits());
     EXPECT_GT(ratio, 0.95);
     EXPECT_LT(ratio, 1.06);
+}
+
+// Exact storageBits() of each scheme's metadata (Sec 5.2's entry
+// formats); a change to any entry format's bit count moves one of
+// these.
+std::uint64_t
+schemeBits(SchemeType type, const ShotgunBTBConfig &shotgun = {})
+{
+    SchemeConfig config;
+    config.type = type;
+    config.shotgun = shotgun;
+    return makeScheme(config, SchemeContext{})->storageBits();
+}
+
+TEST(StorageBitsPinTest, EverySchemeAtItsDefaults)
+{
+    EXPECT_EQ(schemeBits(SchemeType::Baseline), 190464u);
+    EXPECT_EQ(schemeBits(SchemeType::FDIP), 190464u);
+    EXPECT_EQ(schemeBits(SchemeType::Boomerang), 193728u);
+    EXPECT_EQ(schemeBits(SchemeType::Confluence), 4710400u);
+    EXPECT_EQ(schemeBits(SchemeType::RDIP), 755712u);
+    EXPECT_EQ(schemeBits(SchemeType::Shotgun), 198080u);
+    EXPECT_EQ(schemeBits(SchemeType::Ideal), 0u);
+}
+
+TEST(StorageBitsPinTest, ShotgunAndConventionalAcrossTheBudgetSweep)
+{
+    const struct
+    {
+        std::size_t entries;
+        std::uint64_t shotgun;
+        std::uint64_t conventional;
+    } rows[] = {{512, 53056, 48640},
+                {1024, 101760, 96256},
+                {2048, 198080, 190464},
+                {4096, 388544, 376832},
+                {8192, 744640, 745472}};
+    for (const auto &row : rows) {
+        EXPECT_EQ(schemeBits(SchemeType::Shotgun,
+                             ShotgunBTBConfig::forBudgetOf(row.entries)),
+                  row.shotgun)
+            << row.entries;
+        EXPECT_EQ(ConventionalBTB(row.entries).storageBits(),
+                  row.conventional)
+            << row.entries;
+    }
+}
+
+TEST(StorageBitsPinTest, ShotgunAtEveryFootprintModeAndWithoutRIB)
+{
+    const std::pair<FootprintMode, std::uint64_t> modes[] = {
+        {FootprintMode::NoBitVector, 197804},
+        {FootprintMode::BitVector8, 198080},
+        {FootprintMode::BitVector32, 271808},
+        {FootprintMode::EntireRegion, 191936},
+        {FootprintMode::FiveBlocks, 173504}};
+    for (const auto &[mode, bits] : modes) {
+        EXPECT_EQ(schemeBits(SchemeType::Shotgun,
+                             ShotgunBTBConfig::forMode(mode)),
+                  bits)
+            << footprintModeName(mode);
+    }
+    EXPECT_EQ(schemeBits(SchemeType::Shotgun,
+                         ShotgunBTBConfig::withoutRIB()),
+              199046u);
 }
 
 TEST(ConfluenceSchemeTest, RecordsAndReplaysHistory)
