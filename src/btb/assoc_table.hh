@@ -140,14 +140,6 @@ class SetAssocTable
         return true;
     }
 
-    /** Invalidate everything. */
-    void
-    clear()
-    {
-        std::fill(valid_.begin(), valid_.end(), std::uint8_t{0});
-        clock_ = 0;
-    }
-
     /** Count of valid entries (O(capacity); for tests/stats only). */
     std::size_t
     occupancy() const

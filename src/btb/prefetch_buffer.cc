@@ -69,12 +69,4 @@ BTBPrefetchBuffer::occupancy() const
     return count;
 }
 
-void
-BTBPrefetchBuffer::clear()
-{
-    for (auto &slot : entries_)
-        slot.valid = false;
-    clock_ = 0;
-}
-
 } // namespace shotgun

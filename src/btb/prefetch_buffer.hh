@@ -62,8 +62,6 @@ class BTBPrefetchBuffer
     /** Valid entries overwritten before a front-end hit extracted them. */
     std::uint64_t evictions() const { return evictions_; }
 
-    void clear();
-
   private:
     struct Slot
     {

@@ -150,13 +150,23 @@ class Rng
     /**
      * Geometric-like draw: number of trials until first failure with
      * continue-probability p, clamped to [min_value, max_value]. Used
-     * for basic-block and function sizes (mean ~ min + p/(1-p)).
+     * for basic-block and function sizes (mean ~ min + p/(1-p)). Each
+     * trial is a draw(threshold(p)), so it consumes the same next()
+     * calls and returns the same value as a loop of chance(p).
      */
     std::uint64_t
     geometric(double p, std::uint64_t min_value, std::uint64_t max_value)
     {
+        return geometricDraw(threshold(p), min_value, max_value);
+    }
+
+    /** geometric(p, ...) against a threshold(p) computed once. */
+    std::uint64_t
+    geometricDraw(std::uint64_t threshold, std::uint64_t min_value,
+                  std::uint64_t max_value)
+    {
         std::uint64_t value = min_value;
-        while (value < max_value && chance(p))
+        while (value < max_value && draw(threshold))
             ++value;
         return value;
     }
@@ -172,10 +182,16 @@ class Rng
 };
 
 /**
- * Discrete Zipf(alpha) sampler over n items with O(1) draws after an
- * O(n) table build. Item 0 is the most popular. Used for call-graph
- * callee popularity, which is the main knob controlling a workload's
- * instruction working-set size.
+ * Discrete Zipf(alpha) sampler over n items, built in O(n). Item 0 is
+ * the most popular. Used for call-graph callee popularity, which is
+ * the main knob controlling a workload's instruction working-set size.
+ *
+ * A draw is the first item whose cumulative weight is >= u, for the
+ * uniform() value u of one next(). A guide table indexed by the top
+ * bits of u's 53-bit integer (a bucket per item, at most 4,096)
+ * narrows the binary search to the few items whose cumulative weights
+ * straddle that bucket, so a draw returns the item a search over all
+ * n would, from the same next().
  */
 class ZipfSampler
 {
@@ -200,17 +216,46 @@ class ZipfSampler
         }
         for (auto &c : cumulative_)
             c /= total;
+
+        // A bucket per item, rounded up to a power of two and capped
+        // at 2^kMaxGuideBits. Bucket b holds the draws whose top bits
+        // are b; guide_[b] is the first item whose cumulative weight
+        // reaches the bucket's lowest draw (capped at the last item).
+        unsigned bits = 0;
+        while (bits < kMaxGuideBits && (std::size_t{1} << bits) < n)
+            ++bits;
+        shift_ = kDrawBits - bits;
+        const std::size_t buckets = std::size_t{1} << bits;
+        guide_.resize(buckets + 1);
+        std::size_t item = 0;
+        for (std::size_t b = 0; b < buckets; ++b) {
+            const double lowest =
+                static_cast<double>(std::uint64_t{b} << shift_) * 0x1.0p-53;
+            while (item + 1 < n && cumulative_[item] < lowest)
+                ++item;
+            guide_[b] = static_cast<std::uint32_t>(item);
+        }
+        guide_[buckets] = static_cast<std::uint32_t>(n - 1);
     }
 
     std::size_t size() const { return cumulative_.size(); }
 
     /** Draw an item index in [0, n). */
+    std::size_t sample(Rng &rng) const { return itemFor(rng.next() >> 11); }
+
+    /**
+     * The item a 53-bit draw selects: the first whose cumulative
+     * weight is >= draw * 2^-53, or the last item if none is.
+     */
     std::size_t
-    sample(Rng &rng) const
+    itemFor(std::uint64_t draw) const
     {
-        const double u = rng.uniform();
-        // Binary search for the first cumulative weight >= u.
-        std::size_t lo = 0, hi = cumulative_.size() - 1;
+        const double u = static_cast<double>(draw) * 0x1.0p-53;
+        // The answer lies between the first item reaching the
+        // bucket's lowest draw and the first reaching the next
+        // bucket's, which is above u.
+        const std::uint64_t bucket = draw >> shift_;
+        std::size_t lo = guide_[bucket], hi = guide_[bucket + 1];
         while (lo < hi) {
             const std::size_t mid = (lo + hi) / 2;
             if (cumulative_[mid] < u)
@@ -230,8 +275,21 @@ class ZipfSampler
                       : cumulative_[i] - cumulative_[i - 1];
     }
 
+    /** Heap bytes of the cumulative weights and the guide table. */
+    std::size_t
+    footprintBytes() const
+    {
+        return cumulative_.capacity() * sizeof(double) +
+               guide_.capacity() * sizeof(std::uint32_t);
+    }
+
   private:
+    static constexpr unsigned kDrawBits = 53;
+    static constexpr unsigned kMaxGuideBits = 12; ///< 4,096 buckets.
+
     std::vector<double> cumulative_;
+    std::vector<std::uint32_t> guide_;
+    unsigned shift_ = kDrawBits;
 };
 
 } // namespace shotgun

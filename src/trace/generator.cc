@@ -187,7 +187,7 @@ TraceGenerator::footprintBytes() const
 {
     return sizeof(*this) + counters_.capacity() * sizeof(counters_[0]) +
            stack_.capacity() * sizeof(stack_[0]) +
-           topSampler_.size() * sizeof(double);
+           topSampler_.footprintBytes();
 }
 
 } // namespace shotgun

@@ -134,7 +134,7 @@ class TraceGenerator : public TraceSource
      */
     void restore(const GeneratorCheckpoint &state);
 
-    /** The object, its dense counter table, stack and Zipf table. */
+    /** The object, its dense counter table, stack and Zipf tables. */
     std::size_t footprintBytes() const override;
 
     const GeneratorStats &stats() const { return stats_; }

@@ -1,8 +1,11 @@
 #include "trace/program.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -22,33 +25,113 @@ probBits(double prob)
     return bits;
 }
 
-/** Point `bb`'s taken target at the start of `target`. */
-void
-setTarget(StaticBB &bb, const StaticBB &target)
+/** Instruction offset of `fn`'s entry from its code area's base. */
+std::uint32_t
+entryInstr(const Function &fn)
 {
-    bb.targetInstr = target.startInstr;
-    bb.flags |= StaticBB::kHasTarget;
-    if (target.flags & StaticBB::kStartOs)
-        bb.flags |= StaticBB::kTargetOs;
+    const Addr base = fn.isOs ? kOsCodeBase : kAppCodeBase;
+    return static_cast<std::uint32_t>((fn.entry - base) / kInstrBytes);
 }
+
+/**
+ * The Rng::threshold of every probability the build draws against,
+ * computed once per build: each draw compares 53-bit integers, with
+ * the same next() calls and outcomes as chance(p) or a uniform()
+ * draw compared with p.
+ */
+struct DrawThresholds
+{
+    std::uint64_t largeFunc, funcGrow, bbGrow;
+    std::uint64_t condCut, callCut, jumpCut;
+    std::uint64_t loop, patternCut, strongCut, mediumCut;
+    std::uint64_t takenBias, half, trap;
+
+    explicit DrawThresholds(const ProgramParams &p)
+        : largeFunc(Rng::threshold(p.largeFuncFrac)),
+          funcGrow(Rng::threshold(p.funcGrowProb)),
+          bbGrow(Rng::threshold(p.bbGrowProb)),
+          condCut(Rng::threshold(p.condFrac)),
+          callCut(Rng::threshold(p.condFrac + p.callFrac)),
+          jumpCut(Rng::threshold(p.condFrac + p.callFrac + p.jumpFrac)),
+          loop(Rng::threshold(p.loopFrac)),
+          patternCut(Rng::threshold(p.patternFrac)),
+          strongCut(Rng::threshold(p.patternFrac + p.strongFrac)),
+          mediumCut(Rng::threshold(p.patternFrac + p.strongFrac +
+                                   p.mediumFrac)),
+          takenBias(Rng::threshold(p.takenBiasFrac)),
+          half(Rng::threshold(0.5)), trap(Rng::threshold(p.trapFrac))
+    {
+    }
+};
 
 } // namespace
 
 /**
- * Per-level callee lists and Zipf samplers built once before basic
- * blocks are generated. A call site in a level-l function may only
+ * What buildFunction draws against, built once before basic blocks
+ * are generated: per-level callee lists and Zipf samplers, and the
+ * draws' thresholds. A call site in a level-l function may only
  * target functions of a strictly lower level, which makes the call
  * graph acyclic and bounds the dynamic stack depth; popularity within
  * a level follows the workload's Zipf skew.
  */
-struct Program::CallTargetTables
+struct Program::BuildTables
 {
     std::vector<std::vector<std::uint32_t>> appLevel;
     std::vector<ZipfSampler> appSampler;
     std::vector<std::vector<std::uint32_t>> osLevel;
     std::vector<ZipfSampler> osSampler;
     ZipfSampler handlerSampler;
+    DrawThresholds cut;
+
+    explicit BuildTables(const ProgramParams &p)
+        : appLevel(p.maxCallDepth), osLevel(p.maxOsCallDepth), cut(p)
+    {
+    }
 };
+
+Program::BBArray::~BBArray()
+{
+    std::free(data_);
+}
+
+void
+Program::BBArray::reserve(std::size_t capacity)
+{
+    panic_if(data_ != nullptr, "StaticBB array reserved twice");
+    if (capacity == 0)
+        return;
+    if (capacity > SIZE_MAX / sizeof(StaticBB))
+        throw std::bad_alloc();
+    data_ = static_cast<StaticBB *>(std::malloc(capacity * sizeof(StaticBB)));
+    if (data_ == nullptr)
+        throw std::bad_alloc();
+    capacity_ = capacity;
+}
+
+void
+Program::BBArray::trim()
+{
+    if (size_ == capacity_)
+        return;
+    if (size_ == 0) {
+        std::free(data_);
+        data_ = nullptr;
+    } else {
+        void *trimmed = std::realloc(data_, size_ * sizeof(StaticBB));
+        if (trimmed == nullptr)
+            throw std::bad_alloc();
+        data_ = static_cast<StaticBB *>(trimmed);
+    }
+    capacity_ = size_;
+}
+
+void
+Program::BBArray::outOfRange(std::size_t i) const
+{
+    throw std::out_of_range("Program::bb: index " + std::to_string(i) +
+                            " >= " + std::to_string(size_) +
+                            " static basic blocks");
+}
 
 Program::Program(const ProgramParams &params)
     : params_(params)
@@ -81,9 +164,7 @@ Program::build()
     // are popularity ranks: index numTopLevel is the hottest callable
     // function. Levels interleave across popularity so every level
     // contains both hot and cold functions.
-    CallTargetTables tables;
-    tables.appLevel.resize(params_.maxCallDepth);
-    tables.osLevel.resize(params_.maxOsCallDepth);
+    BuildTables tables(params_);
 
     for (std::uint32_t f = 0; f < num_total; ++f) {
         Function &fn = funcs_[f];
@@ -129,14 +210,14 @@ Program::build()
         tables.handlerSampler.build(trapHandlers_.size(), 0.8);
 
     // Pass 2: generate basic blocks for every function, into one
-    // reservation no function can outgrow; the exact-size copy then
-    // returns it (see the file comment in program.hh).
+    // reservation no function can outgrow, then trim it in place (see
+    // the file comment in program.hh).
     bbs_.reserve(std::size_t{num_total} *
                  std::max({params_.minBBsPerFunc, params_.maxBBsPerFunc,
                            params_.largeFuncBBs}));
     for (std::uint32_t f = 0; f < num_total; ++f)
         buildFunction(f, rng, tables);
-    bbs_.shrink_to_fit();
+    bbs_.trim();
 
     // Pass 3: lay functions out in the address space and resolve
     // branch targets to absolute addresses.
@@ -145,19 +226,20 @@ Program::build()
 
 void
 Program::buildFunction(std::uint32_t func_idx, Rng &rng,
-                       const CallTargetTables &tables)
+                       const BuildTables &tables)
 {
     Function &fn = funcs_[func_idx];
     fn.firstBB = static_cast<std::uint32_t>(bbs_.size());
+    const DrawThresholds &cut = tables.cut;
 
     std::uint32_t num_bbs;
-    if (rng.chance(params_.largeFuncFrac)) {
+    if (rng.draw(cut.largeFunc)) {
         num_bbs = static_cast<std::uint32_t>(
             rng.range(params_.maxBBsPerFunc, params_.largeFuncBBs));
     } else {
         num_bbs = static_cast<std::uint32_t>(
-            rng.geometric(params_.funcGrowProb, params_.minBBsPerFunc,
-                          params_.maxBBsPerFunc));
+            rng.geometricDraw(cut.funcGrow, params_.minBBsPerFunc,
+                              params_.maxBBsPerFunc));
     }
     fn.numBBs = num_bbs;
 
@@ -165,8 +247,8 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
     for (std::uint32_t i = 0; i < num_bbs; ++i) {
         StaticBB bb;
         bb.numInstrs = static_cast<std::uint8_t>(
-            rng.geometric(params_.bbGrowProb, params_.minBBInstrs,
-                          params_.maxBBInstrs));
+            rng.geometricDraw(cut.bbGrow, params_.minBBInstrs,
+                              params_.maxBBInstrs));
         // The offset from the function entry; pass 3 rebases it on
         // the code area.
         bb.startInstr = instr_offset;
@@ -180,16 +262,15 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
             break;
         }
 
-        const double r = rng.uniform();
+        // Terminator and behaviour cuts compare a uniform() draw's
+        // 53-bit integer with the cut's threshold (see DrawThresholds).
+        const std::uint64_t r = rng.next() >> 11;
         const bool can_skip_forward = (i + 2 <= num_bbs - 1);
-        const double cond_cut = params_.condFrac;
-        const double call_cut = cond_cut + params_.callFrac;
-        const double jump_cut = call_cut + params_.jumpFrac;
 
         bool make_call = false;
-        if (r < cond_cut) {
+        if (r < cut.condCut) {
             bb.type = BranchType::Conditional;
-            const bool loop = i > 0 && rng.chance(params_.loopFrac);
+            const bool loop = i > 0 && rng.draw(cut.loop);
             if (loop) {
                 bb.bias = BiasClass::Loop;
                 const std::uint32_t back = static_cast<std::uint32_t>(
@@ -203,24 +284,22 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                 bb.targetBB = fn.firstBB +
                     std::min(i + 1 + skip, num_bbs - 1);
                 // Behaviour class.
-                const double c = rng.uniform();
-                const bool toward_taken =
-                    rng.chance(params_.takenBiasFrac);
-                if (c < params_.patternFrac) {
+                const std::uint64_t c = rng.next() >> 11;
+                const bool toward_taken = rng.draw(cut.takenBias);
+                if (c < cut.patternCut) {
                     bb.bias = BiasClass::Pattern;
                     const auto len = static_cast<std::uint8_t>(
                         rng.range(2, 8));
                     const auto pattern = static_cast<std::uint32_t>(
                         rng.next() & ((1u << len) - 1));
                     bb.param = pattern | std::uint32_t{len} << 8;
-                } else if (c < params_.patternFrac + params_.strongFrac) {
+                } else if (c < cut.strongCut) {
                     bb.bias = toward_taken ? BiasClass::StrongTaken
                                            : BiasClass::StrongNotTaken;
                     bb.param = probBits(toward_taken
                                             ? params_.strongProb
                                             : 1.0 - params_.strongProb);
-                } else if (c < params_.patternFrac + params_.strongFrac +
-                               params_.mediumFrac) {
+                } else if (c < cut.mediumCut) {
                     bb.bias = toward_taken ? BiasClass::MediumTaken
                                            : BiasClass::MediumNotTaken;
                     bb.param = probBits(toward_taken
@@ -228,7 +307,7 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                                             : 1.0 - params_.mediumProb);
                 } else {
                     bb.bias = BiasClass::Weak;
-                    bb.param = probBits(rng.chance(0.5)
+                    bb.param = probBits(rng.draw(cut.half)
                                             ? params_.weakProb
                                             : 1.0 - params_.weakProb);
                 }
@@ -237,9 +316,9 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
                 // a call site (common for epilogue helper calls).
                 make_call = true;
             }
-        } else if (r < call_cut) {
+        } else if (r < cut.callCut) {
             make_call = true;
-        } else if (r < jump_cut) {
+        } else if (r < cut.jumpCut) {
             // Unconditional forward jump; the skipped blocks become
             // cold code (think error paths hoisted out of the way).
             if (can_skip_forward) {
@@ -261,7 +340,7 @@ Program::buildFunction(std::uint32_t func_idx, Rng &rng,
             // targetBB holds the callee's function index until pass 3
             // maps it to the callee's first basic block.
             const bool is_trap = !fn.isOs && !trapHandlers_.empty() &&
-                rng.chance(params_.trapFrac);
+                rng.draw(cut.trap);
             if (is_trap) {
                 bb.type = BranchType::Trap;
                 bb.targetBB = trapHandlers_[tables.handlerSampler
@@ -308,17 +387,33 @@ Program::finalizeAddresses(Rng &rng)
     // Each code area is laid out in increasing address order, and the
     // whole application area lies below the OS area, so the app
     // functions then the OS functions, each in layout order, are the
-    // functions sorted by entry address.
+    // functions sorted by entry address. The app functions are the
+    // first num_app indices and own the first app_bbs basic blocks,
+    // so each function's rank and first address-sorted position
+    // follow from the layout walk alone.
+    const std::size_t num_funcs = funcs_.size();
+    const std::size_t num_app = params_.numTopLevel + params_.numFuncs;
+    const std::size_t app_bbs =
+        num_app < num_funcs ? funcs_[num_app].firstBB : bbs_.size();
     constexpr Addr kFuncAlign = 32;
     Addr app_cursor = kAppCodeBase;
     Addr os_cursor = kOsCodeBase;
-    std::vector<std::uint32_t> os_by_entry;
-    funcByEntry_.reserve(funcs_.size());
+    std::size_t app_rank = 0, os_rank = num_app;
+    std::size_t app_pos = 0, os_pos = app_bbs;
+    std::vector<std::uint32_t> first_pos(num_funcs);
+    funcByEntry_.resize(num_funcs);
+    funcEntries_.resize(num_funcs);
     for (const std::uint32_t f : order) {
         Function &fn = funcs_[f];
         Addr &cursor = fn.isOs ? os_cursor : app_cursor;
-        (fn.isOs ? os_by_entry : funcByEntry_).push_back(f);
+        std::size_t &rank = fn.isOs ? os_rank : app_rank;
+        std::size_t &pos = fn.isOs ? os_pos : app_pos;
         fn.entry = cursor;
+        funcByEntry_[rank] = f;
+        funcEntries_[rank] = fn.entry;
+        ++rank;
+        first_pos[f] = static_cast<std::uint32_t>(pos);
+        pos += fn.numBBs;
         cursor += fn.sizeBytes;
         cursor = (cursor + kFuncAlign - 1) & ~(kFuncAlign - 1);
         codeBytes_ += fn.sizeBytes;
@@ -331,81 +426,104 @@ Program::finalizeAddresses(Rng &rng)
              "Program '%s': a code area above 2^32 instructions (16 GiB)",
              params_.name.c_str());
 
-    // Rebase basic-block starts on their code area, then resolve
-    // branch targets and the generator's sticky predicate.
-    for (const Function &fn : funcs_) {
-        const Addr base = fn.isOs ? kOsCodeBase : kAppCodeBase;
-        const auto entry_instr =
-            static_cast<std::uint32_t>((fn.entry - base) / kInstrBytes);
-        for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
-            StaticBB &bb = bbs_[fn.firstBB + i];
-            bb.startInstr += entry_instr;
-            if (fn.isOs)
-                bb.flags |= StaticBB::kStartOs;
-        }
-    }
+    // The predecoder oracle's indices start empty: every cache block's
+    // first position unset, and each area's end position in the slot
+    // past its last block.
+    auto start_index = [](BlockIndex &index, Addr base, Addr end,
+                          std::size_t end_pos) {
+        index.firstBlock = blockNumber(base);
+        const std::size_t blocks =
+            end > base ? blockNumber(end - 1) - index.firstBlock + 1 : 0;
+        index.firstBB.resize(blocks + 1, UINT32_MAX);
+        index.firstBB[blocks] = static_cast<std::uint32_t>(end_pos);
+    };
+    start_index(appIndex_, kAppCodeBase, app_cursor, app_bbs);
+    start_index(osIndex_, kOsCodeBase, os_cursor, bbs_.size());
+    bbsByAddr_.resize(bbs_.size());
+
+    // One walk over the basic blocks in index order, a function at a
+    // time: rebase each start on its code area, resolve branch targets
+    // (a callee's from its entry), set the generator's sticky
+    // predicate, and scatter each block's address-sorted position and
+    // the first position of its cache block.
     const std::uint64_t sticky_cut =
         params_.stickyFrac > 0.0
             ? static_cast<std::uint64_t>(params_.stickyFrac * 65536.0)
             : 0;
-    for (std::uint32_t idx = 0; idx < bbs_.size(); ++idx) {
-        StaticBB &bb = bbs_[idx];
-        switch (bb.type) {
-          case BranchType::Conditional:
-          case BranchType::Jump:
-            setTarget(bb, bbs_[bb.targetBB]);
-            break;
-          case BranchType::Call:
-          case BranchType::Trap:
-            bb.targetBB = funcs_[bb.targetBB].firstBB;
-            setTarget(bb, bbs_[bb.targetBB]);
-            break;
-          default:
-            break;
-        }
-        if ((mix64(idx) & 0xffff) < sticky_cut)
-            bb.flags |= StaticBB::kSticky;
-        if (isBranch(bb.type))
-            ++staticBranches_;
-    }
-
-    // Address-sorted indices for the predecoder oracle, in one walk
-    // over the functions in entry order: a function's basic blocks
-    // are contiguous and ascending, and functions do not overlap.
-    funcByEntry_.insert(funcByEntry_.end(), os_by_entry.begin(),
-                        os_by_entry.end());
-    funcEntries_.reserve(funcs_.size());
-    bbsByAddr_.reserve(bbs_.size());
-    std::size_t app_bbs = 0;
-    for (const std::uint32_t f : funcByEntry_) {
+    // Locals, not members: a byte store to a record's flags may alias
+    // any of them, which would reload them on every block.
+    StaticBB *const bbs = bbs_.data();
+    std::uint32_t *const sorted = bbsByAddr_.data();
+    std::uint64_t branches = 0;
+    for (std::size_t f = 0; f < num_funcs; ++f) {
         const Function &fn = funcs_[f];
-        funcEntries_.push_back(fn.entry);
-        for (std::uint32_t b = 0; b < fn.numBBs; ++b)
-            bbsByAddr_.push_back(fn.firstBB + b);
-        if (!fn.isOs)
-            app_bbs = bbsByAddr_.size();
-    }
-    buildBlockIndex(appIndex_, kAppCodeBase, app_cursor, 0, app_bbs);
-    buildBlockIndex(osIndex_, kOsCodeBase, os_cursor, app_bbs,
-                    bbsByAddr_.size());
-}
-
-void
-Program::buildBlockIndex(BlockIndex &index, Addr base, Addr end,
-                         std::size_t first_pos, std::size_t end_pos)
-{
-    index.firstBlock = blockNumber(base);
-    const std::size_t blocks =
-        end > base ? blockNumber(end - 1) - index.firstBlock + 1 : 0;
-    index.firstBB.resize(blocks + 1);
-    std::size_t pos = first_pos;
-    for (std::size_t b = 0; b <= blocks; ++b) {
-        while (pos < end_pos &&
-               blockNumber(bbs_[bbsByAddr_[pos]].startAddr()) <
-                   index.firstBlock + b) {
-            ++pos;
+        StaticBB *const first = bbs + fn.firstBB;
+        const std::uint32_t entry_instr = entryInstr(fn);
+        const std::uint8_t area = fn.isOs ? StaticBB::kStartOs : 0;
+        for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
+            first[i].startInstr += entry_instr;
+            first[i].flags |= area;
         }
-        index.firstBB[b] = static_cast<std::uint32_t>(pos);
+        BlockIndex &index = fn.isOs ? osIndex_ : appIndex_;
+        std::uint32_t *const slots = index.firstBB.data();
+        const Addr first_block = index.firstBlock;
+        const std::size_t last_slot = index.blocks();
+        for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
+            const std::uint32_t idx = fn.firstBB + i;
+            StaticBB &bb = first[i];
+            std::uint8_t flags = bb.flags;
+            switch (bb.type) {
+              case BranchType::Conditional:
+              case BranchType::Jump: {
+                // Inside this function, so already rebased.
+                const StaticBB &target = bbs[bb.targetBB];
+                bb.targetInstr = target.startInstr;
+                flags |= StaticBB::kHasTarget;
+                if (target.flags & StaticBB::kStartOs)
+                    flags |= StaticBB::kTargetOs;
+                break;
+              }
+              case BranchType::Call:
+              case BranchType::Trap: {
+                // The callee's first block starts at its entry. A
+                // callee without blocks shares that block index with
+                // the next function that has some.
+                std::size_t g = bb.targetBB;
+                bb.targetBB = funcs_[g].firstBB;
+                while (funcs_[g].numBBs == 0 && g + 1 < num_funcs)
+                    ++g;
+                bb.targetInstr = entryInstr(funcs_[g]);
+                flags |= StaticBB::kHasTarget;
+                if (funcs_[g].isOs)
+                    flags |= StaticBB::kTargetOs;
+                break;
+              }
+              default:
+                break;
+            }
+            if ((mix64(idx) & 0xffff) < sticky_cut)
+                flags |= StaticBB::kSticky;
+            bb.flags = flags;
+            branches += isBranch(bb.type);
+
+            const std::uint32_t pos = first_pos[f] + i;
+            sorted[pos] = idx;
+            // A start at or past the area's end (a zero-instruction
+            // block) bounds the last block's span, like the area's end.
+            const std::size_t slot = std::min<std::size_t>(
+                blockNumber(bb.startAddr()) - first_block, last_slot);
+            slots[slot] = std::min(slots[slot], pos);
+        }
+    }
+    staticBranches_ = branches;
+
+    // A cache block in which no basic block starts begins where the
+    // next one does.
+    for (BlockIndex *index : {&appIndex_, &osIndex_}) {
+        for (std::size_t b = index->blocks(); b-- > 0;) {
+            if (index->firstBB[b] == UINT32_MAX)
+                index->firstBB[b] = index->firstBB[b + 1];
+        }
     }
 }
 

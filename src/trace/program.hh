@@ -45,10 +45,11 @@
  * record, so a predecoded or generated branch reads one record.
  *
  * One allocation: the record array is reserved at a bound taken from
- * the parameters before the basic blocks are generated, then copied
- * once to its exact size. Reserved pages that are never touched never
- * become resident, and no chain of doubling buffers is left behind as
- * freed but resident heap.
+ * the parameters before the basic blocks are generated, then trimmed
+ * in place to its exact size (realloc, which glibc shrinks by mremap
+ * or a chunk split, without a copy). Reserved pages that are never
+ * touched never become resident, and no chain of doubling buffers is
+ * left behind as freed but resident heap.
  */
 
 #ifndef SHOTGUN_TRACE_PROGRAM_HH
@@ -57,8 +58,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "trace/instruction.hh"
@@ -372,16 +375,73 @@ class Program
     std::size_t footprintBytes() const;
 
   private:
-    struct CallTargetTables;
+    struct BuildTables;
+
+    /**
+     * The record array: one malloc'd reservation that the build fills
+     * and then trims in place (see "One allocation" in the file
+     * comment), so its capacity ends equal to its size. A Program moves
+     * into its memo by this move constructor; nothing copies or
+     * assigns one.
+     */
+    class BBArray
+    {
+      public:
+        BBArray() = default;
+        BBArray(BBArray &&other) noexcept
+            : data_(std::exchange(other.data_, nullptr)),
+              size_(std::exchange(other.size_, 0)),
+              capacity_(std::exchange(other.capacity_, 0))
+        {
+        }
+        ~BBArray();
+
+        /** Room for `capacity` records; std::bad_alloc on failure. */
+        void reserve(std::size_t capacity);
+
+        /** Append within the reservation (panic() past it). */
+        void
+        push_back(const StaticBB &bb)
+        {
+            panic_if(size_ == capacity_,
+                     "StaticBB record past the image's reservation");
+            data_[size_++] = bb;
+        }
+
+        /** Shrink the reservation to the size in place. */
+        void trim();
+
+        StaticBB *data() { return data_; }
+        const StaticBB &operator[](std::size_t i) const { return data_[i]; }
+
+        /** Bounds-checked read; std::out_of_range past the end. */
+        const StaticBB &
+        at(std::size_t i) const
+        {
+            if (i >= size_)
+                outOfRange(i);
+            return data_[i];
+        }
+
+        std::size_t size() const { return size_; }
+        std::size_t capacity() const { return capacity_; }
+
+      private:
+        [[noreturn]] void outOfRange(std::size_t i) const;
+
+        StaticBB *data_ = nullptr;
+        std::size_t size_ = 0;
+        std::size_t capacity_ = 0;
+    };
 
     void build();
     void buildFunction(std::uint32_t func_idx, Rng &rng,
-                       const CallTargetTables &tables);
+                       const BuildTables &tables);
     void finalizeAddresses(Rng &rng);
 
     ProgramParams params_;
     std::vector<Function> funcs_;
-    std::vector<StaticBB> bbs_;
+    BBArray bbs_;
     std::vector<std::uint32_t> trapHandlers_;
     std::vector<std::uint32_t> topLevel_;
 
@@ -407,9 +467,6 @@ class Program
             return firstBB.empty() ? 0 : firstBB.size() - 1;
         }
     };
-
-    void buildBlockIndex(BlockIndex &index, Addr base, Addr end,
-                         std::size_t first_pos, std::size_t end_pos);
 
     BlockIndex appIndex_;
     BlockIndex osIndex_;

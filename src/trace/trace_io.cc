@@ -55,7 +55,7 @@ byteSwap32(std::uint32_t v)
 // compiler makes each a single load or store on a little-endian host.
 
 /** Store `v` as 8 little-endian bytes at `at`. */
-void
+inline void
 storeLE64(unsigned char *at, std::uint64_t v)
 {
     at[0] = static_cast<unsigned char>(v);
@@ -69,13 +69,43 @@ storeLE64(unsigned char *at, std::uint64_t v)
 }
 
 /** The 8 little-endian bytes at `at`. */
-std::uint64_t
+inline std::uint64_t
 loadLE64(const unsigned char *at)
 {
     return std::uint64_t{at[0]} | std::uint64_t{at[1]} << 8 |
            std::uint64_t{at[2]} << 16 | std::uint64_t{at[3]} << 24 |
            std::uint64_t{at[4]} << 32 | std::uint64_t{at[5]} << 40 |
            std::uint64_t{at[6]} << 48 | std::uint64_t{at[7]} << 56;
+}
+
+// The record loops' error paths, out of line: building a message
+// inline would give every record the frame the message needs.
+
+/** TraceFileSource::next's error for a file that ends early. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+throwTruncated(const std::string &path, std::uint64_t read,
+               std::uint64_t total)
+{
+    throw TraceError("'" + path + "': truncated trace file after " +
+                     std::to_string(read) + " of " + std::to_string(total) +
+                     " records");
+}
+
+/** TraceWriter::append's error once the writer is closed. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+panicAppendAfterClose()
+{
+    panic("append to closed TraceWriter");
+}
+
+/** TraceFileSource::next's error for a record of no branch type. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+throwBadType(const std::string &path, std::uint64_t record,
+             unsigned type)
+{
+    throw TraceError("'" + path + "': corrupt record " +
+                     std::to_string(record) + " (bad branch type " +
+                     std::to_string(type) + ")");
 }
 
 /** Serialize `record` into the kTraceRecordBytes bytes at `at`. */
@@ -304,7 +334,8 @@ TraceWriter::~TraceWriter()
 void
 TraceWriter::append(const BBRecord &record)
 {
-    panic_if(closed_, "append to closed TraceWriter");
+    if (closed_)
+        panicAppendAfterClose();
     encodeRecord(record, block_.get() + fill_);
     fill_ += kTraceRecordBytes;
     if (fill_ == kTraceBlockBytes)
@@ -385,16 +416,12 @@ TraceFileSource::next(BBRecord &out)
         return false;
     const unsigned char *buf = reader_.next(in_);
     if (buf == nullptr)
-        throw TraceError("'" + path_ + "': truncated trace file after " +
-                         std::to_string(read_) + " of " +
-                         std::to_string(total_) + " records");
+        throwTruncated(path_, read_, total_);
     out.startAddr = loadLE64(buf);
     out.target = loadLE64(buf + 8);
     out.numInstrs = buf[16];
     if (buf[17] >= static_cast<unsigned>(BranchType::NumTypes))
-        throw TraceError("'" + path_ + "': corrupt record " +
-                         std::to_string(read_) + " (bad branch type " +
-                         std::to_string(buf[17]) + ")");
+        throwBadType(path_, read_, buf[17]);
     out.type = static_cast<BranchType>(buf[17]);
     out.taken = buf[18] != 0;
     ++read_;

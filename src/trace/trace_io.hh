@@ -123,8 +123,11 @@ class TraceWriter
     std::uint64_t instructionsWritten() const { return instrs_; }
 
   private:
-    /** Write the records in the block and empty it. */
-    void writeBlock();
+    /**
+     * Write the records in the block and empty it: once a block, so
+     * out of append()'s record path.
+     */
+    [[gnu::cold, gnu::noinline]] void writeBlock();
 
     std::ofstream out_;
     std::string path_;

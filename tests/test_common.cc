@@ -9,6 +9,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/parse.hh"
 #include "common/random.hh"
@@ -180,6 +182,31 @@ TEST(RngTest, GeometricBounds)
     }
 }
 
+TEST(RngTest, GeometricMatchesChanceLoop)
+{
+    // geometric() draws against threshold(p); the loop below is its
+    // definition as a chance(p) loop. Same values, same draws consumed.
+    const double probabilities[] = {
+        0.0, 1e-9, 0.5, 0.88, 1.0, 1.5,
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (const double p : probabilities) {
+        for (const auto &[lo, hi] :
+             {std::pair<std::uint64_t, std::uint64_t>{3, 16}, {2, 48},
+              {5, 5}, {7, 0}}) {
+            Rng a(31), b(31);
+            for (int i = 0; i < 5000; ++i) {
+                std::uint64_t want = lo;
+                while (want < hi && b.chance(p))
+                    ++want;
+                ASSERT_EQ(a.geometric(p, lo, hi), want)
+                    << "p=" << p << " [" << lo << "," << hi << "] i=" << i;
+            }
+            EXPECT_EQ(a.state(), b.state()) << "p=" << p;
+        }
+    }
+}
+
 TEST(RngTest, GeometricMean)
 {
     Rng rng(17);
@@ -229,6 +256,76 @@ TEST(ZipfTest, SkewConcentratesMass)
         skew_top += skewed.mass(i);
     }
     EXPECT_GT(skew_top, flat_top * 2);
+}
+
+/** The cumulative weights ZipfSampler(n, alpha) draws against. */
+std::vector<double>
+zipfCumulative(std::size_t n, double alpha)
+{
+    std::vector<double> cumulative(n);
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+        cumulative[i] = total;
+    }
+    for (auto &c : cumulative)
+        c /= total;
+    return cumulative;
+}
+
+/** The item a draw selects by binary search over all n weights. */
+std::size_t
+zipfReference(const std::vector<double> &cumulative, std::uint64_t draw)
+{
+    const double u = static_cast<double>(draw) * 0x1.0p-53;
+    std::size_t lo = 0, hi = cumulative.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (cumulative[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+TEST(ZipfTest, GuidedSampleMatchesBinarySearch)
+{
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+    for (const std::size_t n : {1, 2, 3, 64, 2625, 5000}) {
+        for (const double alpha : {0.0, 0.8125, 1.0984, 1.8125}) {
+            const ZipfSampler z(n, alpha);
+            const std::vector<double> cumulative = zipfCumulative(n, alpha);
+            // Every guide bucket's boundary (a sampler has at most
+            // 4,096 buckets, a power of two, so its boundaries are
+            // among these), and every item's: the first draw that
+            // selects it or an earlier item, and the one below.
+            std::vector<std::uint64_t> draws;
+            for (std::uint64_t k = 0; k <= 4096; ++k)
+                draws.push_back(k << 41);
+            for (const double c : cumulative)
+                draws.push_back(static_cast<std::uint64_t>(
+                    std::ceil(c * 0x1.0p53)));
+            for (const std::uint64_t draw : draws) {
+                for (const std::uint64_t d : {draw, draw - 1}) {
+                    if (draw == 0 && d != draw)
+                        continue;
+                    if (d >= kTop)
+                        continue;
+                    ASSERT_EQ(z.itemFor(d), zipfReference(cumulative, d))
+                        << "n=" << n << " alpha=" << alpha << " draw=" << d;
+                }
+            }
+            // Seeded draws through sample(): same items, same draws.
+            Rng a(n * 7 + 1), b(n * 7 + 1);
+            for (int i = 0; i < 100000; ++i) {
+                const std::uint64_t draw = b.next() >> 11;
+                ASSERT_EQ(z.sample(a), zipfReference(cumulative, draw))
+                    << "n=" << n << " alpha=" << alpha << " i=" << i;
+            }
+            EXPECT_EQ(a.state(), b.state());
+        }
+    }
 }
 
 TEST(SplitMixTest, MixIsStable)

@@ -278,7 +278,7 @@ TEST(ProgramTest, DifferentSeedsProduceDifferentLayouts)
     EXPECT_TRUE(differs);
 }
 
-/** FNV-1a over little-endian u64 words. */
+/** FNV-1a over little-endian u64 words, or over raw bytes. */
 struct WordDigest
 {
     std::uint64_t value = 0xcbf29ce484222325ULL;
@@ -288,6 +288,16 @@ struct WordDigest
     {
         for (unsigned i = 0; i < 8; ++i) {
             value ^= (word >> (8 * i)) & 0xff;
+            value *= 0x100000001b3ULL;
+        }
+    }
+
+    void
+    addBytes(const void *data, std::size_t size)
+    {
+        const auto *bytes = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            value ^= bytes[i];
             value *= 0x100000001b3ULL;
         }
     }
@@ -358,6 +368,85 @@ TEST(ProgramTest, PackedImageIsLossless)
         EXPECT_EQ(funcs.value, want.funcDigest) << preset.name;
         EXPECT_EQ(sticky_mismatches, 0u) << preset.name;
     }
+}
+
+/**
+ * Digest of everything a program image exposes: every StaticBB's 20
+ * bytes, the function table, the trap-handler and top-level lists,
+ * codeBytes(), numStaticBranches(), the function found at each entry,
+ * the predecoder oracle's span of every cache block of both code
+ * areas (one block past each end included) and footprintBytes().
+ */
+std::uint64_t
+imageDigest(const Program &prog)
+{
+    WordDigest digest;
+    for (std::uint32_t i = 0; i < prog.numBBs(); ++i)
+        digest.addBytes(&prog.bb(i), sizeof(StaticBB));
+    Addr app_end = kAppCodeBase, os_end = kOsCodeBase;
+    for (const Function &fn : prog.functions()) {
+        for (const std::uint64_t word :
+             {fn.entry, std::uint64_t{fn.firstBB}, std::uint64_t{fn.numBBs},
+              std::uint64_t{fn.sizeBytes}, std::uint64_t{fn.level},
+              std::uint64_t{fn.isOs}, std::uint64_t{fn.isHandler},
+              std::uint64_t{fn.isTopLevel}}) {
+            digest.add(word);
+        }
+        Addr &end = fn.isOs ? os_end : app_end;
+        end = std::max<Addr>(end, fn.entry + fn.sizeBytes);
+    }
+    for (const std::uint32_t f : prog.trapHandlers())
+        digest.add(f);
+    for (const std::uint32_t f : prog.topLevelFuncs())
+        digest.add(f);
+    digest.add(prog.codeBytes());
+    digest.add(prog.numStaticBranches());
+    for (const Function &fn : prog.functions())
+        digest.add(prog.functionIndexAt(fn.entry));
+    for (const auto &[base, end] :
+         {std::pair{kAppCodeBase, app_end}, std::pair{kOsCodeBase, os_end}}) {
+        for (Addr block = blockNumber(base) - 1;
+             block <= blockNumber(end) + 1; ++block) {
+            const Program::BBSpan span = prog.blockBBs(block);
+            digest.add(static_cast<std::uint64_t>(span.end() - span.begin()));
+            for (const std::uint32_t idx : span)
+                digest.add(idx);
+        }
+    }
+    digest.add(prog.footprintBytes());
+    return digest.value;
+}
+
+TEST(ProgramTest, PresetImagesArePinned)
+{
+    // Recorded from the image builder before its integer draws, guided
+    // Zipf search, in-place trim and one-walk finalize: a speed change
+    // to the build must leave every image bit for bit. Only a change
+    // that deliberately moves the images (a preset recalibration) may
+    // re-record them, from the table printed on a mismatch, and its
+    // description says why.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"nutch", 0xb8d1fe82a37c1960ULL},
+        {"streaming", 0x9075ddd52bcac9d4ULL},
+        {"apache", 0xbfcbdf79f7b78925ULL},
+        {"zeus", 0x077c751dacf71883ULL},
+        {"oracle", 0x71148c7545a347ecULL},
+        {"db2", 0xa3cea23966c53977ULL},
+    };
+    std::string table;
+    bool mismatch = false;
+    for (const WorkloadPreset &preset : allPresets()) {
+        const std::uint64_t got = imageDigest(programFor(preset));
+        char row[64];
+        std::snprintf(row, sizeof(row), "        {\"%s\", 0x%016llxULL},\n",
+                      preset.name.c_str(),
+                      static_cast<unsigned long long>(got));
+        table += row;
+        EXPECT_EQ(got, pinned.at(preset.name)) << preset.name;
+        mismatch |= got != pinned.at(preset.name);
+    }
+    if (mismatch)
+        std::printf("new image digests:\n%s", table.c_str());
 }
 
 // ---------------------------------------------------------------------
