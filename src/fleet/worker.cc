@@ -184,7 +184,6 @@ FleetWorker::controlLoop()
             while (!channel->socket().waitReadable(options_.heartbeatMs)) {
                 service::HeartbeatFrame hb;
                 hb.worker = workerId_.load();
-                hb.completed = completed_.load();
                 const MemoCacheStats stats = server_.cacheStats();
                 hb.cache = {stats.hits, stats.misses, stats.backendHits};
                 const MemoCacheStats cp = checkpointCache().stats();
@@ -297,8 +296,9 @@ FleetWorker::slotLoop(unsigned slot_index)
                     out.message = error;
                 } else {
                     try {
-                        out.fingerprint = service::configFingerprint(
-                            item.experiment.config);
+                        const std::string fingerprint =
+                            service::configFingerprint(
+                                item.experiment.config);
                         bool was_cached = false;
                         // A trace-carrying work item (or a worker
                         // running with --trace-out): record this
@@ -327,8 +327,7 @@ FleetWorker::slotLoop(unsigned slot_index)
                                     &trace_ctx));
                         }
                         auto value = server_.computeCached(
-                            out.fingerprint, item.experiment,
-                            &was_cached);
+                            fingerprint, item.experiment, &was_cached);
                         trace_scope.reset();
                         out.spans = collector.take();
                         if (timing.any()) {
@@ -344,8 +343,6 @@ FleetWorker::slotLoop(unsigned slot_index)
                 }
                 if (!channel->sendLine(service::encodeFrame(out)))
                     break;
-                if (out.ok)
-                    completed_.fetch_add(1);
             }
         } catch (const std::exception &e) {
             if (!stop_.load())

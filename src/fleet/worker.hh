@@ -96,9 +96,6 @@ class FleetWorker
     /** Tear every connection down and join the threads. Idempotent. */
     void stop();
 
-    /** Points computed and returned to the coordinator so far. */
-    std::uint64_t completed() const { return completed_.load(); }
-
   private:
     void controlLoop();
     void slotLoop(unsigned slot_index);
@@ -121,8 +118,6 @@ class FleetWorker
 
     /** Coordinator-assigned id; 0 until registered. */
     std::atomic<std::uint64_t> workerId_{0};
-
-    std::atomic<std::uint64_t> completed_{0};
 
     /**
      * Guards channels_. stop_ and a nonzero workerId_ are stored

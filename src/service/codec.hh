@@ -314,7 +314,7 @@ decodeAs(const json::Value &v, std::string_view name)
 
 /**
  * Strict decode plus semantic validation (an enabled window must be
- * a non-empty range; a stream skip needs a window): an invalid
+ * a non-empty range; a measure start needs a window): an invalid
  * window is a rejected frame, never a fatal() inside a simulation
  * worker thread of the daemon. Every decoder validates the same way.
  */

@@ -6,7 +6,7 @@
  * full grammar and an example session.
  *
  * Client -> server:
- *   {"type":"submit","protocol":3,"experiment":...,"jobs":N,
+ *   {"type":"submit","protocol":4,"experiment":...,"jobs":N,
  *    "grid":[{"workload":...,"label":...,"config":{...}},...]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
@@ -21,10 +21,10 @@
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
  * Protocol 2 (windowed simulation): every config carries a "window"
- * member ({"skip_instructions","measure_start","measure_end"}, all 0
- * when disabled). A windowed config is an ordinary grid point: its
- * `result` is that window's own SimResult (runSimulation()), and
- * windows are stitched in-process only (src/window/).
+ * member ({"measure_start","measure_end"}, both 0 when disabled). A
+ * windowed config is an ordinary grid point: its `result` is that
+ * window's own SimResult (runSimulation()), and windows are stitched
+ * in-process only (src/window/).
  *
  * Protocol 3 (fleet): `submit` gains an optional "priority" (a
  * server's fair-share weight for the job, a coordinator's strict
@@ -35,9 +35,9 @@
  * src/fleet/README.md for the full fleet protocol spec.
  *
  * Worker -> coordinator (control):
- *   {"type":"register","protocol":3,"name":...,"slots":N}
+ *   {"type":"register","protocol":4,"name":...,"slots":N}
  *     -> {"type":"ack","worker":N}
- *   {"type":"heartbeat","worker":N,"completed":N,
+ *   {"type":"heartbeat","worker":N,
  *    "cache":{"hits":N,"misses":N,"backend_hits":N}}
  *     -> {"type":"ack"}
  *
@@ -46,15 +46,20 @@
  *   {"type":"steal","worker":N}             -> (parked until work)
  *     <- {"type":"work","task":N,"experiment":{...}}
  *   {"type":"result","task":N,"ok":b,"cached":b,
- *    "fingerprint":...,"result":{...}[,"message":...]}
+ *    "result":{...}[,"message":...]}
  *                                           -> (next steal)
+ *
+ * Protocol 4: the window lost its stream-skip member (every
+ * config's canonical bytes, hence every fingerprint, changed), and
+ * the heartbeat's "completed" and the worker result's "fingerprint",
+ * which no peer read, went in the same bump.
  *
  * A coordinator answers the ordinary client `status` frame with an
  * additional "fleet" member: per-worker rows (WorkerStatus)
  * plus queue depths and cache counters.
  *
- * Tracing fields (all OPTIONAL -- the protocol version stays 3 and
- * peers without them interoperate unchanged): `submit` and `work`
+ * Tracing fields (all OPTIONAL -- they bumped no protocol version,
+ * and peers without them interoperate unchanged): `submit` and `work`
  * may carry {"trace":{"id":N,"parent":N}} propagating a run-wide
  * trace id and parent span id (submit -> coordinator -> worker);
  * `result` frames (both the worker->coordinator and server->client
@@ -150,7 +155,7 @@ namespace service
 {
 
 /** Bumped on any incompatible frame-layout change. */
-constexpr std::uint64_t kProtocolVersion = 3;
+constexpr std::uint64_t kProtocolVersion = 4;
 
 /**
  * The "protocol" member of submit and register frames: written as
@@ -446,7 +451,6 @@ struct HeartbeatFrame
     static constexpr const char *kType = "heartbeat";
 
     std::uint64_t worker = 0;
-    std::uint64_t completed = 0; ///< Points finished since register.
     CacheCounts cache;
     CheckpointCounts checkpoint;
     PhaseTotals phase;
@@ -458,7 +462,6 @@ void
 fields(V &v, HeartbeatFrame &h)
 {
     v("worker", h.worker);
-    v("completed", h.completed);
     v("cache", h.cache);
     v.optional("checkpoint", h.checkpoint, true);
     v.optional("phase", h.phase, true);
@@ -506,7 +509,6 @@ struct WorkResult
     bool ok = true;
     std::string message; ///< Failure detail when !ok.
     bool cached = false; ///< Served from the worker's cache.
-    std::string fingerprint;
     SimResult result;
 
     /**
@@ -531,7 +533,6 @@ fields(V &v, WorkResult &r)
         return;
     }
     v("cached", r.cached);
-    v("fingerprint", r.fingerprint);
     v("result", r.result);
     v.optional("spans", r.spans, !r.spans.empty());
     v.optional("timing", r.timing, r.hasTiming);

@@ -11,8 +11,8 @@
  *  - checkpointKey() (sim/checkpoint.hh) is the fingerprint of the
  *    config with its measurement bounds blanked;
  *  - outcomeKey() (sim/outcome_store.hh) hashes just what a stream
- *    and its data-side draws depend on: the workload, the seed (or
- *    the trace header) and the window skip;
+ *    and its data-side draws depend on: the workload and the seed
+ *    (or the trace header);
  *  - programFor() keys program images on the ProgramParams encoding.
  *
  * Two writers produce it, both runs of the same field lists: the

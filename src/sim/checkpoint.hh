@@ -27,13 +27,13 @@
  *
  * A key is the config fingerprint (sim/canonical.hh) of the config
  * with its measurement bounds blanked, so it covers everything that
- * shapes the warmup: workload, seed, warmup length, window skip, core
- * parameters and the full SchemeConfig. The scheme is part of the key
+ * shapes the warmup: workload, seed, warmup length, core parameters
+ * and the full SchemeConfig. The scheme is part of the key
  * because warmed state is scheme-visible: prefetches change cache
  * contents and timing, so sharing a checkpoint across schemes would
  * break the byte-identity contract. Grid points that differ only in
- * measurement window share a key -- the big win for windowed/sampled
- * plans and repeated service jobs -- and a multi-scheme grid warms
+ * measurement window share a key -- the big win for window plans
+ * and repeated service jobs -- and a multi-scheme grid warms
  * once per scheme while sharing one trace decode
  * (trace/decoded_trace.hh). A parked state is stored under its key
  * and the measured position it stopped at.

@@ -167,7 +167,6 @@ template <typename V>
 void
 fields(V &v, SimWindow &w)
 {
-    v("skip_instructions", w.skipInstructions);
     v("measure_start", w.measureStart);
     v("measure_end", w.measureEnd);
 }
@@ -179,9 +178,8 @@ brokenRule(const SimWindow &w)
     if (w.enabled() && w.measureStart >= w.measureEnd)
         return "empty measure range: measure_start must be below "
                "measure_end";
-    if (!w.enabled() && (w.skipInstructions != 0 || w.measureStart != 0))
-        return "skip_instructions/measure_start without a window (set "
-               "measure_end)";
+    if (!w.enabled() && w.measureStart != 0)
+        return "measure_start without a window (set measure_end)";
     return nullptr;
 }
 

@@ -25,8 +25,6 @@ outcomeKey(const SimConfig &config, const TraceInfo *trace)
     } else {
         hashing.key("trace_seed").number(config.traceSeed);
     }
-    hashing.key("skip_instructions")
-        .number(config.window.skipInstructions);
     hashing.endObject();
     return fingerprintHex(hashing.hash());
 }

@@ -7,10 +7,9 @@
  *
  * The key covers exactly what a log's contents depend on: the
  * workload's canonical encoding (its program, and the data-side rates
- * that, with the seed, set the draws), the trace seed -- for a trace
- * workload the trace header instead, whose seed also seeds the data
- * side -- and window.skipInstructions, because a core built after a
- * skip starts a fresh TAGE and data draw sequence there. It leaves out
+ * that, with the seed, set the draws) and the trace seed -- for a
+ * trace workload the trace header instead, whose seed also seeds the
+ * data side; every core reads its stream from the head. It leaves out
  * the scheme, the core parameters, the warmup and the measured region,
  * which is what lets the six schemes of a preset, and every window of
  * a plan, share one log. A key that missed a stream parameter cannot
@@ -35,8 +34,8 @@ namespace shotgun
 
 /**
  * The outcome-log key for `config`'s stream: a fingerprint of the
- * canonical encoding of its workload, its trace seed and its window
- * skip. `trace` must be the opened trace's header for `trace:`
+ * canonical encoding of its workload and its trace seed. `trace`
+ * must be the opened trace's header for `trace:`
  * workloads (it stands in for the seed) and nullptr for generator
  * workloads.
  */

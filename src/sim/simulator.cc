@@ -28,15 +28,14 @@ SimConfig::make(const WorkloadPreset &workload, SchemeType type)
 std::uint64_t
 SimConfig::streamInstructions() const
 {
-    return window.skipInstructions + warmupInstructions +
+    return warmupInstructions +
            (window.enabled() ? window.measureEnd : measureInstructions);
 }
 
 bool
 operator==(const SimWindow &a, const SimWindow &b)
 {
-    return a.skipInstructions == b.skipInstructions &&
-           a.measureStart == b.measureStart &&
+    return a.measureStart == b.measureStart &&
            a.measureEnd == b.measureEnd;
 }
 
@@ -99,9 +98,8 @@ runSimulationDelta(const SimConfig &config)
              static_cast<unsigned long long>(window.measureEnd),
              static_cast<unsigned long long>(
                  config.measureInstructions));
-    fatal_if(!window.enabled() && (window.skipInstructions != 0 ||
-                                   window.measureStart != 0),
-             "simulation window skip/measureStart without a window "
+    fatal_if(!window.enabled() && window.measureStart != 0,
+             "simulation window measureStart without a window "
              "(set measureEnd)");
 
     // [measure_start, measure_end) of the measure region; the whole
@@ -180,8 +178,6 @@ runSimulationDelta(const SimConfig &config)
                 std::to_string(trace_info.instructions) +
                 " instructions but the run needs " +
                 std::to_string(needed) + " (" +
-                std::to_string(window.skipInstructions) +
-                " skipped + " +
                 std::to_string(config.warmupInstructions) +
                 " warm-up + " + std::to_string(measure_end) +
                 " measured); record a longer trace");
@@ -213,7 +209,7 @@ runSimulationDelta(const SimConfig &config)
     // window's parked core and source and skips the warmup and the
     // fast-forward; otherwise a cached warmed clone is restored onto
     // a fresh source repositioned where the original's stood,
-    // skipping the skip+warmup simulation. A streaming
+    // skipping the warmup simulation. A streaming
     // TraceFileSource has no cheap exact reposition, so it parks but
     // never restores or captures; a zero-warmup run stores nothing.
     const bool capturable = generator != nullptr || cursor != nullptr;
@@ -259,13 +255,6 @@ runSimulationDelta(const SimConfig &config)
             "sim.phase.warmup_us",
             point_timing != nullptr ? &point_timing->warmupUs
                                     : nullptr);
-        // A window that skips its stream prefix: whole basic blocks
-        // are dropped until the threshold is reached, landing on the
-        // same record from a generator, a decoded-trace cursor or a
-        // streaming TraceFileSource.
-        if (window.skipInstructions > 0)
-            source->skipInstructions(window.skipInstructions);
-
         // Every core that replays this stream reads one outcome log
         // (sim/outcome_store.hh): TAGE and the data draws run once.
         core = std::make_unique<Core>(
@@ -339,25 +328,6 @@ runSimulationDelta(const SimConfig &config)
     out.scheme = core->scheme().name();
     out.schemeStorageBits = core->scheme().storageBits();
     out.stats = deltaBetween(begin, end);
-    if (out.stats.uarch.enabled) {
-        // Fleet-visible attribution totals, accumulated across every
-        // probed point this process runs.
-        obs::Registry &reg = obs::metrics();
-        const obs::UarchBreakdown &u = out.stats.uarch;
-        // Measured cycles alongside the causes, so process-lifetime
-        // totals can still assert the conservation invariant.
-        reg.counter("sim.uarch.cycles")->add(out.stats.cycles);
-        reg.counter("sim.uarch.active_cycles")->add(u.activeCycles);
-        reg.counter("sim.uarch.stall_icache_miss")
-            ->add(u.stallICacheMiss);
-        reg.counter("sim.uarch.stall_btb_miss")->add(u.stallBTBMiss);
-        reg.counter("sim.uarch.stall_redirect")->add(u.stallRedirect);
-        reg.counter("sim.uarch.stall_ftq_empty")->add(u.stallFTQEmpty);
-        reg.counter("sim.uarch.stall_backend_pressure")
-            ->add(u.stallBackendPressure);
-        reg.counter("sim.uarch.stall_prefetch_in_flight")
-            ->add(u.stallPrefetchInFlight);
-    }
     if (!key.empty() && window.enabled() &&
         measure_end < config.measureInstructions) {
         // Not the run's last window: park the live core for the window

@@ -25,24 +25,18 @@ namespace shotgun
  * a run measures the whole [0, measureInstructions) region exactly as
  * it always has.
  *
- * When enabled, the run still warms up for `warmupInstructions`, then
- * fast-forwards to the `measureStart`-th measured instruction with
- * structures training but the window's counters unaffected (snapshot
- * subtraction), and measures until the `measureEnd`-th: the window
- * covers [measureStart, measureEnd) of the measure region. Boundaries
- * are instruction-count thresholds relative to the post-warm-up
- * reset, so the windows of a contiguous plan partition the monolithic
- * run's cycles exactly (see src/window/README.md for the argument).
- *
- * `skipInstructions` additionally skips that many instructions of the
- * *stream* before simulation starts (whole basic blocks, until the
- * threshold is reached), so a short warm-up stands in for the full
- * prefix. Exact stitching requires skipInstructions == 0; a window
- * that skips is an approximation.
+ * When enabled, the run still starts at the head of its stream and
+ * warms up for `warmupInstructions`, then fast-forwards to the
+ * `measureStart`-th measured instruction with structures training but
+ * the window's counters unaffected (snapshot subtraction), and
+ * measures until the `measureEnd`-th: the window covers
+ * [measureStart, measureEnd) of the measure region. Boundaries are
+ * instruction-count thresholds relative to the post-warm-up reset, so
+ * the windows of a contiguous plan partition the monolithic run's
+ * cycles exactly (see src/window/README.md for the argument).
  */
 struct SimWindow
 {
-    std::uint64_t skipInstructions = 0;
     std::uint64_t measureStart = 0;
     std::uint64_t measureEnd = 0;
 
@@ -91,10 +85,10 @@ struct SimConfig
                           SchemeType type);
 
     /**
-     * Instructions of the stream the run consumes: the skipped
-     * prefix, the warm-up and the measure region up to the window's
-     * end (the whole region without a window). A replayed trace must
-     * hold this many, and both daemons dispatch longest-first by it.
+     * Instructions of the stream the run consumes: the warm-up and
+     * the measure region up to the window's end (the whole region
+     * without a window). A replayed trace must hold this many, and
+     * both daemons dispatch longest-first by it.
      */
     std::uint64_t streamInstructions() const;
 };

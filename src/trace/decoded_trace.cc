@@ -1,7 +1,5 @@
 #include "trace/decoded_trace.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace shotgun
@@ -16,14 +14,11 @@ DecodedTrace::DecodedTrace(const std::string &path)
     info_.instructions = source.totalInstructions();
 
     records_.reserve(static_cast<std::size_t>(info_.records));
-    prefix_.reserve(static_cast<std::size_t>(info_.records) + 1);
-    prefix_.push_back(0);
     BBRecord record;
     std::uint64_t instrs = 0;
     while (source.next(record)) {
         records_.push_back(record);
         instrs += record.numInstrs;
-        prefix_.push_back(instrs);
     }
     if (records_.size() != info_.records)
         throw TraceError("'" + path + "': header claims " +
@@ -37,33 +32,17 @@ DecodedTrace::DecodedTrace(const std::string &path)
                          std::to_string(instrs) + " (corrupt trace?)");
 }
 
-std::uint64_t
-DecodedTrace::recordAtInstruction(std::uint64_t target) const
-{
-    // First boundary >= target: identical to reading records until
-    // the cumulative count reaches the threshold.
-    const auto it =
-        std::lower_bound(prefix_.begin(), prefix_.end(), target);
-    if (it == prefix_.end())
-        return records();
-    return static_cast<std::uint64_t>(it - prefix_.begin());
-}
-
 std::size_t
 DecodedTrace::bytes() const
 {
-    return sizeof(DecodedTrace) +
-           records_.capacity() * sizeof(BBRecord) +
-           prefix_.capacity() * sizeof(std::uint64_t);
+    return sizeof(DecodedTrace) + records_.capacity() * sizeof(BBRecord);
 }
 
 std::size_t
 DecodedTrace::estimateBytes(std::uint64_t records)
 {
     return sizeof(DecodedTrace) +
-           static_cast<std::size_t>(records) * sizeof(BBRecord) +
-           (static_cast<std::size_t>(records) + 1) *
-               sizeof(std::uint64_t);
+           static_cast<std::size_t>(records) * sizeof(BBRecord);
 }
 
 bool
@@ -73,14 +52,6 @@ DecodedTraceCursor::next(BBRecord &out)
         return false;
     out = trace_->record(read_++);
     return true;
-}
-
-std::uint64_t
-DecodedTraceCursor::skipInstructions(std::uint64_t instructions)
-{
-    const std::uint64_t before = trace_->instructionsBefore(read_);
-    read_ = trace_->recordAtInstruction(before + instructions);
-    return trace_->instructionsBefore(read_) - before;
 }
 
 void

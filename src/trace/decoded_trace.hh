@@ -3,19 +3,19 @@
  * Process-wide shared trace decode. A grid sweeping N schemes over one
  * `trace:` workload used to open and decode the same file N times --
  * once per Core. DecodedTraceStore decodes a file once into an
- * immutable in-memory DecodedTrace (records + instruction prefix sums)
+ * immutable in-memory DecodedTrace (one BBRecord per trace record)
  * and hands out cheap DecodedTraceCursor views, so any number of
  * concurrent Cores replay one decode.
  *
  * Determinism contract: a DecodedTraceCursor produces byte-for-byte
- * the stream a TraceFileSource over the same file produces, including
- * skipInstructions() landing on the identical record (asserted by
- * TraceCodecTest.CursorAndFileSourceSkipToTheSameRecord in
- * tests/test_trace.cc). The store is therefore transparent: any
+ * the stream a TraceFileSource over the same file produces (asserted
+ * by DecodedTraceTest.CursorReplaysTheFileStreamExactly in
+ * tests/test_checkpoint.cc). The store is therefore transparent: any
  * consumer may be handed either source and the simulation trajectory
- * is unchanged. Cursors also expose seekToRecord(), which the warmup
- * checkpoint machinery (sim/checkpoint.hh) uses to reposition a
- * restored Core's stream exactly.
+ * is unchanged. Every run reads its stream from the first record;
+ * cursors also expose seekToRecord(), which the warmup checkpoint
+ * machinery (sim/checkpoint.hh) uses to reposition a restored Core's
+ * stream exactly.
  *
  * Entries are keyed by path *plus* the header counters/seed, so a
  * re-recorded file under the same path simply misses to a fresh
@@ -59,19 +59,6 @@ class DecodedTrace
 
     const BBRecord &record(std::uint64_t i) const { return records_[i]; }
 
-    /** Instructions contained in records [0, i). */
-    std::uint64_t instructionsBefore(std::uint64_t i) const
-    {
-        return prefix_[i];
-    }
-
-    /**
-     * The record index a linear skip landing rule reaches: the first
-     * boundary whose cumulative instruction count >= `target`
-     * (clamped to the end of the trace).
-     */
-    std::uint64_t recordAtInstruction(std::uint64_t target) const;
-
     /** Accounted in-memory footprint (for the store's LRU budget). */
     std::size_t bytes() const;
 
@@ -81,8 +68,6 @@ class DecodedTrace
   private:
     TraceInfo info_;
     std::vector<BBRecord> records_;
-    /** prefix_[i] = instructions in records [0, i); size records+1. */
-    std::vector<std::uint64_t> prefix_;
 };
 
 /**
@@ -99,14 +84,6 @@ class DecodedTraceCursor : public TraceSource
     }
 
     bool next(BBRecord &out) override;
-
-    /**
-     * Same landing rule as the linear TraceSource default, which
-     * TraceFileSource uses: stop at the first record boundary at or
-     * past the threshold -- here found by binary search over the
-     * prefix sums instead of reading records.
-     */
-    std::uint64_t skipInstructions(std::uint64_t instructions) override;
 
     /** Reposition to record `record` (checkpoint restore). */
     void seekToRecord(std::uint64_t record);

@@ -127,27 +127,6 @@ TraceGenerator::next(BBRecord &out)
     return true;
 }
 
-void
-TraceGenerator::skip(std::uint64_t count)
-{
-    BBRecord scratch;
-    for (std::uint64_t i = 0; i < count; ++i)
-        next(scratch);
-}
-
-std::uint64_t
-TraceSource::skipInstructions(std::uint64_t instructions)
-{
-    BBRecord scratch;
-    std::uint64_t skipped = 0;
-    while (skipped < instructions) {
-        if (!next(scratch))
-            break;
-        skipped += scratch.numInstrs;
-    }
-    return skipped;
-}
-
 GeneratorCheckpoint
 TraceGenerator::checkpoint() const
 {

@@ -37,18 +37,6 @@ class TraceSource
     virtual bool next(BBRecord &out) = 0;
 
     /**
-     * Discard whole basic blocks until at least `instructions`
-     * instructions have been skipped (or the stream ran dry). The
-     * boundary lands on the first record that reaches the threshold,
-     * deterministically -- a window defined by a skip count starts at
-     * the same record no matter how the skip is implemented (the
-     * default reads and discards; DecodedTraceCursor searches its
-     * prefix sums).
-     * @return instructions actually skipped.
-     */
-    virtual std::uint64_t skipInstructions(std::uint64_t instructions);
-
-    /**
      * Bytes this source pins: the object and the heap it owns, not
      * what it shares (a decoded trace is charged by its own store).
      * A parked window core is charged its source's footprint too.
@@ -119,9 +107,6 @@ class TraceGenerator : public TraceSource
     TraceGenerator(const Program &program, std::uint64_t seed);
 
     bool next(BBRecord &out) override;
-
-    /** Discard the next `count` basic blocks (cheap warm-up skip). */
-    void skip(std::uint64_t count);
 
     /** Capture the full dynamic state at the current stream point. */
     GeneratorCheckpoint checkpoint() const;

@@ -89,9 +89,11 @@ inline constexpr double kMaxProgramImageBytes = 192.0 * 1024 * 1024;
 
 /**
  * The first rule `p` breaks that the program builder or the trace
- * generator relies on, or nullptr. Each one is a crash or an abort
- * otherwise: a zero modulus (call depths), fatal() or panic() (the
- * rest). The last is the size cap above.
+ * generator relies on, or nullptr. Each one is a crash, an abort or a
+ * broken image otherwise: a zero modulus (call depths), a function
+ * with no basic blocks, on which a call lands in the next function
+ * (function sizes), fatal() or panic() (the rest). The last is the
+ * size cap above.
  */
 inline const char *
 brokenRule(const ProgramParams &p)
@@ -106,6 +108,8 @@ brokenRule(const ProgramParams &p)
         return "num_trap_handlers must not exceed num_os_funcs";
     if (p.minBBsPerFunc < 2)
         return "min_bbs_per_func must be at least 2";
+    if (p.maxBBsPerFunc < p.minBBsPerFunc)
+        return "max_bbs_per_func must be at least min_bbs_per_func";
     if (p.largeFuncFrac > 0.0 && p.maxBBsPerFunc > p.largeFuncBBs)
         return "large_func_bbs must be at least max_bbs_per_func";
     if (p.maxBBInstrs > kMaxBBInstrs)

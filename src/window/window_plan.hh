@@ -51,8 +51,8 @@ WindowPlan contiguousPlan(const SimConfig &base, unsigned num_windows);
 /**
  * fatal() unless `plan` covers `base`'s measure region exactly:
  * non-empty, first window at 0, no gaps, no overlaps, last window
- * ending at measureInstructions, no stream skips, and the base
- * run's warm-up. The preconditions of exact stitching.
+ * ending at measureInstructions, and the base run's warm-up. The
+ * preconditions of exact stitching.
  */
 void validateFullCoverage(const WindowPlan &plan,
                           const SimConfig &base);

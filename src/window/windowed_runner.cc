@@ -87,7 +87,7 @@ runWindowedExperiment(const runner::Experiment &exp,
         done = true;
         cv.notify_one();
     };
-    // Contiguous windows share warmup and skip, hence a checkpoint
+    // Contiguous windows share their warmup, hence a checkpoint
     // key: each window waits for the one before it and resumes the
     // core that window parked, so the plan simulates its measure
     // region once, while the pool runs other jobs' windows.

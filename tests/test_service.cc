@@ -344,6 +344,46 @@ TEST(ServiceTest, ViaBaselineCacheMemberCannotAliasResults)
     }
 }
 
+TEST(ServiceTest, Protocol3WindowIsAnErrorFrame)
+{
+    // Protocol 4 retired the window's "skip_instructions" member. A
+    // submit whose configs still carry it, as a protocol-3 client
+    // wrote them, gets an error naming the member, and the connection
+    // serves the clean submit after it.
+    const runner::ExperimentSet set = quickGrid(1, 0x3e31);
+    const std::string clean = encodeFrame(requestFor(set, "window-v3"));
+    std::string old = clean;
+    const std::string key = R"("window":)";
+    std::size_t windows = 0;
+    for (auto at = old.find(key); at != std::string::npos;
+         at = old.find(key, at + 1), ++windows) {
+        const auto start = at + key.size();
+        old.replace(start, old.find('}', start) + 1 - start,
+                    R"({"skip_instructions":0,"measure_start":0,)"
+                    R"("measure_end":0})");
+    }
+    ASSERT_EQ(windows, set.size());
+
+    TestServer server("window-v3");
+    LineChannel channel(connectTo(Endpoint::parse(server.endpoint())));
+    ASSERT_TRUE(channel.socket().setRecvTimeout(60000));
+    const std::vector<std::string> refused = submitLine(channel, old);
+    ASSERT_EQ(refused.size(), 1u);
+    const json::Value reply = json::Value::parse(refused[0]);
+    ASSERT_EQ(frameType(reply), "error") << refused[0];
+    EXPECT_NE(reply.at("message").asString().find(
+                  R"(window: unknown field "skip_instructions")"),
+              std::string::npos)
+        << refused[0];
+
+    const std::vector<std::string> served = submitLine(channel, clean);
+    ASSERT_EQ(served.size(), set.size() + 2);
+    EXPECT_EQ(frameType(json::Value::parse(served.front())), "accepted");
+    EXPECT_EQ(decodeFrame<DoneEvent>(json::Value::parse(served.back()))
+                  .status,
+              "ok");
+}
+
 TEST(ServiceTest, StatusReportsJobsAndCache)
 {
     const runner::ExperimentSet set = quickGrid(1);
@@ -464,7 +504,8 @@ TEST(ServiceTest, RejectedSubmitsAreNeverMemoized)
     runner::ExperimentSet unrunnable;
     unrunnable.add(preset, "confluence", config);
     const std::vector<std::string> lines = {
-        R"({"type":"submit","protocol":3,"experiment":"x"})",
+        R"({"type":"submit","protocol":)" +
+            std::to_string(kProtocolVersion) + R"(,"experiment":"x"})",
         encodeFrame(requestFor(unrunnable, "unrunnable")),
     };
 

@@ -12,7 +12,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "service/codec.hh"
 #include "service/protocol.hh"
@@ -239,9 +241,11 @@ TEST(ServiceCodecTest, FingerprintIsStableAndDiscriminates)
     // field) invalidates every cached fingerprint and must be a
     // conscious decision -- this golden value is the tripwire.
     // (Moved deliberately in protocol 2, which added the "window"
-    // member to every canonical config, and again when "uarch_probes"
-    // joined the canonical core parameters.)
-    EXPECT_EQ(configFingerprint(config), "8d5412b9b6d44732");
+    // member to every canonical config, again when "uarch_probes"
+    // joined the canonical core parameters, and in protocol 4, which
+    // dropped the window's "skip_instructions" member: the bytes are
+    // protocol 3's without `"skip_instructions":0,`.)
+    EXPECT_EQ(configFingerprint(config), "cd5a10658ae26b57");
 
     // Identical for an encode/decode round trip.
     const SimConfig decoded =
@@ -291,6 +295,28 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
         EXPECT_THROW(decodeSimConfig(v), CodecError);
     }
 
+    // A window as a protocol-3 client writes it: protocol 4 retired
+    // its stream skip, and the error names the member.
+    {
+        std::string v3 = bytes;
+        const std::string key = R"("window":)";
+        const auto at = v3.find(key);
+        ASSERT_NE(at, std::string::npos);
+        const auto start = at + key.size();
+        v3.replace(start, v3.find('}', start) + 1 - start,
+                   R"({"skip_instructions":0,"measure_start":0,)"
+                   R"("measure_end":0})");
+        try {
+            decodeSimConfig(Value::parse(v3));
+            ADD_FAILURE() << "decoded: " << v3;
+        } catch (const CodecError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          R"(window: unknown field "skip_instructions")"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     // Kind mismatch deep inside (core.ftq_entries as a string).
     {
         const Value v = Value::parse(bytes);
@@ -319,17 +345,25 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
                      CodecError);
     }
 
-    // The config with one member's value replaced by `token`.
+    // The config with each named member's value replaced by its token.
+    const auto with_fields =
+        [&](std::initializer_list<std::pair<std::string, std::string>>
+                edits) {
+            std::string mutated = bytes;
+            for (const auto &[key, token] : edits) {
+                const std::string field = "\"" + key + "\":";
+                const auto at = mutated.find(field);
+                EXPECT_NE(at, std::string::npos) << key;
+                const auto pos = at + field.size();
+                mutated.replace(pos,
+                                mutated.find_first_of(",}", pos) - pos,
+                                token);
+            }
+            return Value::parse(mutated);
+        };
     const auto with_field = [&](const std::string &key,
                                 const std::string &token) {
-        const std::string field = "\"" + key + "\":";
-        std::string mutated = bytes;
-        const auto at = mutated.find(field);
-        EXPECT_NE(at, std::string::npos) << key;
-        const auto pos = at + field.size();
-        mutated.replace(pos, mutated.find_first_of(",}", pos) - pos,
-                        token);
-        return Value::parse(mutated);
+        return with_fields({{key, token}});
     };
 
     // A double that overflows to inf must not decode: it would
@@ -376,6 +410,12 @@ TEST(ServiceCodecTest, RejectsMalformedConfigs)
     for (const auto &[key, token] : unrunnable)
         EXPECT_THROW(decodeSimConfig(with_field(key, token)), CodecError)
             << key << " = " << token;
+    // A function with no basic blocks, on which a call lands in the
+    // next function: a large function draws max_bbs_per_func to
+    // large_func_bbs blocks, none when both are 0.
+    EXPECT_THROW(decodeSimConfig(with_fields(
+                     {{"max_bbs_per_func", "0"}, {"large_func_bbs", "0"}})),
+                 CodecError);
 
     // The size cap's error names the field a client can shrink.
     try {
@@ -437,7 +477,7 @@ TEST(ServiceProtocolTest, SubmitRejectsBadFrames)
 
     // Empty grid.
     Value empty = Value::parse(
-        "{\"type\":\"submit\",\"protocol\":3,\"experiment\":\"x\","
+        "{\"type\":\"submit\",\"protocol\":4,\"experiment\":\"x\","
         "\"jobs\":0,\"grid\":[]}");
     EXPECT_THROW(decodeFrame<SubmitRequest>(empty), CodecError);
 
@@ -659,7 +699,6 @@ fullWorkResult()
     WorkResult r;
     r.task = 3;
     r.cached = true;
-    r.fingerprint = "00ff00ff00ff00ff";
     r.result.workload = "nutch";
     r.result.ipc = 0.75;
     r.spans.push_back(goldenSpan());
@@ -683,7 +722,6 @@ fullHeartbeat()
 {
     HeartbeatFrame h;
     h.worker = 2;
-    h.completed = 6;
     h.cache = {3, 4, 1};
     h.checkpoint = {5, 2};
     h.phase = {10, 20, 30, 40, 6};
@@ -715,7 +753,7 @@ std::string
 goldenConfig()
 {
     const SimConfig config = goldenPoint().config;
-    EXPECT_EQ(configFingerprint(config), "8d5412b9b6d44732");
+    EXPECT_EQ(configFingerprint(config), "cd5a10658ae26b57");
     return canonicalText(config);
 }
 
@@ -754,11 +792,11 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
         R"({"workload":"nutch","label":"shotgun","config":)" +
         goldenConfig() + "}";
     expectGolden(fullSubmit(),
-                 R"({"type":"submit","protocol":3,"experiment":"fig7",)"
+                 R"({"type":"submit","protocol":4,"experiment":"fig7",)"
                  R"("jobs":2,"priority":3,"grid":[)" +
                      point + R"(],"trace":{"id":7,"parent":9}})");
     expectGolden(minimalSubmit(),
-                 R"({"type":"submit","protocol":3,"experiment":"",)"
+                 R"({"type":"submit","protocol":4,"experiment":"",)"
                  R"("jobs":0,"priority":1,"grid":[)" +
                      point + "]}");
 
@@ -791,14 +829,14 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
                  R"({"id":0,"experiment":"","state":"","total":0,)"
                  R"("completed":0,"cached":0,"budget":0})");
 
-    expectGolden(fullRegister(), R"({"type":"register","protocol":3,)"
+    expectGolden(fullRegister(), R"({"type":"register","protocol":4,)"
                                  R"("name":"w1","slots":2})");
-    expectGolden(RegisterRequest{}, R"({"type":"register","protocol":3,)"
+    expectGolden(RegisterRequest{}, R"({"type":"register","protocol":4,)"
                                     R"("name":"","slots":1})");
 
     expectGolden(
         fullHeartbeat(),
-        R"({"type":"heartbeat","worker":2,"completed":6,)"
+        R"({"type":"heartbeat","worker":2,)"
         R"("cache":{"hits":3,"misses":4,"backend_hits":1},)"
         R"("checkpoint":{"hits":5,"misses":2},"phase":{"decode_us":10,)"
         R"("warmup_us":20,"restore_us":30,"measure_us":40,"points":6},)"
@@ -806,7 +844,7 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
         R"("measure_p99_us":300}})");
     expectGolden(
         HeartbeatFrame{},
-        R"({"type":"heartbeat","worker":0,"completed":0,)"
+        R"({"type":"heartbeat","worker":0,)"
         R"("cache":{"hits":0,"misses":0,"backend_hits":0},)"
         R"("checkpoint":{"hits":0,"misses":0},"phase":{"decode_us":0,)"
         R"("warmup_us":0,"restore_us":0,"measure_us":0,"points":0}})");
@@ -820,15 +858,14 @@ TEST(FrameGoldenTest, EveryFrameEncodesToItsCommittedBytes)
     expectGolden(
         fullWorkResult(),
         R"({"type":"result","task":3,"ok":true,"cached":true,)"
-        R"("fingerprint":"00ff00ff00ff00ff","result":{"workload":"nutch",)"
+        R"("result":{"workload":"nutch",)"
         R"("scheme":"","instructions":0,"cycles":0,"ipc":0.75,)"
         R"("btb_mpki":0,"l1i_mpki":0,"mispredicts_per_ki":0,"stalls":)" +
             kStalls + kResultTail + R"(,"spans":[)" + kSpan +
             R"(],"timing":{"decode_us":0,"warmup_us":0,"restore_us":0,)"
             R"("measure_us":8}})");
     expectGolden(WorkResult{},
-                 R"({"type":"result","task":0,"ok":true,"cached":false,)"
-                 R"("fingerprint":"",)" +
+                 R"({"type":"result","task":0,"ok":true,"cached":false,)" +
                      emptyResult(R"("result":{"workload":"","scheme":"",)") +
                      "}");
     expectGolden(failedWorkResult(), R"({"type":"result","task":3,)"
@@ -867,8 +904,8 @@ TEST(FrameGoldenTest, OlderPeersDecodeToDefaults)
     const std::string cache =
         R"("cache":{"hits":3,"misses":4,"backend_hits":1})";
     expectDefaults<HeartbeatFrame>(
-        R"({"type":"heartbeat","worker":2,"completed":6,)" + cache + "}",
-        R"({"type":"heartbeat","worker":2,"completed":6,)" + cache +
+        R"({"type":"heartbeat","worker":2,)" + cache + "}",
+        R"({"type":"heartbeat","worker":2,)" + cache +
             R"(,"checkpoint":{"hits":0,"misses":0},"phase":{)"
             R"("decode_us":0,"warmup_us":0,"restore_us":0,)"
             R"("measure_us":0,"points":0}})");
@@ -886,7 +923,7 @@ TEST(FrameGoldenTest, OlderPeersDecodeToDefaults)
         R"({"workload":"nutch","label":"shotgun","config":)" +
         goldenConfig() + "}";
     expectDefaults<SubmitRequest>(
-        R"({"type":"submit","protocol":3,"experiment":"","jobs":0,)"
+        R"({"type":"submit","protocol":4,"experiment":"","jobs":0,)"
         R"("grid":[)" + point + "]}",
         encode(minimalSubmit()));
 
@@ -975,15 +1012,15 @@ TEST(FrameGoldenTest, FramesDecodeStrictly)
 
     // The frames' rules, and the version check before anything else.
     expectRejected<SubmitRequest>(
-        R"({"type":"submit","protocol":3,"experiment":"","jobs":0,)"
+        R"({"type":"submit","protocol":4,"experiment":"","jobs":0,)"
         R"("grid":[]})",
         "submit: empty grid");
     expectRejected<RegisterRequest>(
-        R"({"type":"register","protocol":3,"name":"w1","slots":0})",
+        R"({"type":"register","protocol":4,"name":"w1","slots":0})",
         R"(register: "slots" must be >= 1)");
     expectRejected<RegisterRequest>(
-        R"({"type":"register","protocol":2,"zz":1})",
-        "unsupported protocol version 2 (this build: 3)");
+        R"({"type":"register","protocol":3,"zz":1})",
+        "unsupported protocol version 3 (this build: 4)");
 }
 
 } // namespace

@@ -46,6 +46,15 @@ smallParams(std::uint64_t seed = 7)
     return p;
 }
 
+/** Step `gen` through its next `count` basic blocks. */
+void
+advance(TraceGenerator &gen, std::uint64_t count)
+{
+    BBRecord scratch;
+    for (std::uint64_t i = 0; i < count; ++i)
+        gen.next(scratch);
+}
+
 TEST(ProgramTest, BuildsRequestedFunctionCounts)
 {
     const auto params = smallParams();
@@ -502,7 +511,7 @@ TEST(GeneratorTest, CallsAndReturnsBalance)
 {
     Program prog(smallParams());
     TraceGenerator gen(prog, 11);
-    gen.skip(500000);
+    advance(gen, 500000);
     const auto &s = gen.stats();
     EXPECT_GT(s.calls, 0u);
     EXPECT_GT(s.returns, 0u);
@@ -568,7 +577,7 @@ TEST(GeneratorTest, BranchDensityIsServerLike)
 {
     Program prog(smallParams());
     TraceGenerator gen(prog, 19);
-    gen.skip(1000000);
+    advance(gen, 1000000);
     const auto &s = gen.stats();
     const double branches_per_ki =
         1000.0 * static_cast<double>(s.branches) /
@@ -584,7 +593,7 @@ TEST(GeneratorTest, UnconditionalShareIsMinority)
     // stream; the unconditional working set is the small part.
     Program prog(smallParams());
     TraceGenerator gen(prog, 23);
-    gen.skip(1000000);
+    advance(gen, 1000000);
     const auto &s = gen.stats();
     const double cond_frac = static_cast<double>(s.conditionals) /
                              static_cast<double>(s.branches);
@@ -796,7 +805,7 @@ TEST(GeneratorTest, CheckpointRestoreContinuesIdentically)
     Program prog(preset.program);
 
     TraceGenerator original(prog, 77);
-    original.skip(4321);
+    advance(original, 4321);
     const GeneratorCheckpoint checkpoint = original.checkpoint();
     EXPECT_EQ(checkpoint.stats.basicBlocks, 4321u);
 
@@ -827,31 +836,6 @@ TEST(GeneratorDeathTest, CheckpointAcrossProgramsPanics)
     const GeneratorCheckpoint checkpoint = gen.checkpoint();
     TraceGenerator foreign(other, 1);
     EXPECT_DEATH(foreign.restore(checkpoint), "different programs");
-}
-
-TEST(TraceSourceTest, SkipInstructionsLandsOnThresholdRecord)
-{
-    const WorkloadPreset preset = tinyPreset();
-    Program prog(preset.program);
-
-    // Reference landing point: read records until the threshold.
-    TraceGenerator reference(prog, 5);
-    BBRecord scratch;
-    std::uint64_t consumed = 0;
-    std::uint64_t records = 0;
-    while (consumed < 33333) {
-        ASSERT_TRUE(reference.next(scratch));
-        consumed += scratch.numInstrs;
-        ++records;
-    }
-
-    TraceGenerator skipper(prog, 5);
-    EXPECT_EQ(skipper.skipInstructions(33333), consumed);
-    EXPECT_EQ(skipper.stats().basicBlocks, records);
-    BBRecord a, b;
-    ASSERT_TRUE(reference.next(a));
-    ASSERT_TRUE(skipper.next(b));
-    EXPECT_TRUE(a == b);
 }
 
 TEST(PresetsDeathTest, UnknownWorkloadListsEveryAlternative)
@@ -1086,84 +1070,6 @@ TEST(TraceCodecTest, DamageAtBlockEdgesNamesTheSameRecord)
 
     std::remove(edge.c_str());
     std::remove(torn.c_str());
-    std::remove(path.c_str());
-}
-
-TEST(TraceCodecTest, CursorAndFileSourceSkipToTheSameRecord)
-{
-    // A window that skips its stream prefix replays through a cursor
-    // over the shared decode, or through a TraceFileSource when the
-    // decode is over the store's budget. Both must land on the first
-    // record boundary at or past the threshold, wherever the skip
-    // starts and ends: inside the block the file source holds, across
-    // blocks, on a boundary, mid-record, or past the end.
-    const std::string path = "/tmp/shotgun_test_codec_skip.bin";
-    recordCodecTrace(path);
-    const auto decoded = std::make_shared<const DecodedTrace>(path);
-
-    // The reference: every record and the instructions before it,
-    // read one at a time.
-    std::vector<BBRecord> records;
-    std::vector<std::uint64_t> before{0};
-    {
-        TraceFileSource reader(path);
-        BBRecord rec;
-        while (reader.next(rec)) {
-            records.push_back(rec);
-            before.push_back(before.back() + rec.numInstrs);
-        }
-    }
-    ASSERT_EQ(records.size(), kCodecRecords);
-    auto landing = [&](std::uint64_t from, std::uint64_t skip) {
-        std::uint64_t record = from;
-        while (record < kCodecRecords &&
-               before[record] < before[from] + skip)
-            ++record;
-        return record;
-    };
-
-    for (const std::uint64_t first :
-         {std::uint64_t(0), std::uint64_t(1), std::uint64_t(50),
-          std::uint64_t(kTraceBlockRecords)}) {
-        // A threshold inside record `mid` (it holds two instructions
-        // or more), and one on the boundary 20 records on.
-        std::uint64_t mid = first + 10;
-        while (records[mid].numInstrs < 2)
-            ++mid;
-        const std::uint64_t rest = before[kCodecRecords] - before[first];
-        const std::uint64_t block =
-            before[first + kTraceBlockRecords] - before[first];
-        for (const std::uint64_t skip :
-             {std::uint64_t(0), std::uint64_t(1),
-              before[mid] + 1 - before[first],
-              before[first + 20] - before[first], block, rest,
-              rest + 1000}) {
-            SCOPED_TRACE("first " + std::to_string(first) + ", skip " +
-                         std::to_string(skip));
-            DecodedTraceCursor cursor(decoded);
-            TraceFileSource file(path);
-            BBRecord rec;
-            for (std::uint64_t i = 0; i < first; ++i) {
-                ASSERT_TRUE(cursor.next(rec));
-                ASSERT_TRUE(file.next(rec));
-            }
-            const std::uint64_t land = landing(first, skip);
-            const std::uint64_t skipped = before[land] - before[first];
-            EXPECT_EQ(cursor.skipInstructions(skip), skipped);
-            EXPECT_EQ(file.skipInstructions(skip), skipped);
-            EXPECT_EQ(cursor.recordsRead(), land);
-            EXPECT_EQ(file.recordsRead(), land);
-
-            BBRecord from_cursor, from_file;
-            const bool more = land < kCodecRecords;
-            ASSERT_EQ(cursor.next(from_cursor), more);
-            ASSERT_EQ(file.next(from_file), more);
-            if (more) {
-                EXPECT_TRUE(from_cursor == records[land]);
-                EXPECT_TRUE(from_file == records[land]);
-            }
-        }
-    }
     std::remove(path.c_str());
 }
 

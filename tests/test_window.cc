@@ -8,8 +8,8 @@
  * recorded traces, one experiment or several as concurrent jobs on
  * one pool, and a trace too large to decode that streams from its
  * file. Plus: merge permutation-invariance, resumed windows, death
- * tests for malformed plans, the window's wire validation, and skip
- * windows' determinism. A hand-built windowed config sent to a
+ * tests for malformed plans and the window's wire validation. A
+ * hand-built windowed config sent to a
  * daemon is tested in test_service.cc and test_fleet.cc.
  */
 
@@ -181,12 +181,6 @@ TEST(WindowPlanDeathTest, MalformedPlansDie)
     short_plan.windows[1].measureEnd -= 1;
     EXPECT_DEATH(validateFullCoverage(short_plan, config), "covers");
 
-    // Stream skips are the sampled mode, not full coverage.
-    WindowPlan skipping = contiguousPlan(config, 2);
-    skipping.windows[0].skipInstructions = 5;
-    EXPECT_DEATH(validateFullCoverage(skipping, config),
-                 "forbids skips");
-
     // A shorter warm-up cannot reproduce the monolithic prefix.
     WindowPlan cold = contiguousPlan(config, 2);
     cold.warmupInstructions /= 2;
@@ -201,10 +195,10 @@ TEST(WindowDeathTest, RunSimulationRejectsInvalidWindows)
     config.window.measureEnd = 10;
     EXPECT_DEATH(runSimulation(config), "invalid simulation window");
 
-    SimConfig skip_only =
+    SimConfig start_only =
         quickConfig(tinyPreset("bad-window", 4), SchemeType::Baseline);
-    skip_only.window.skipInstructions = 100;
-    EXPECT_DEATH(runSimulation(skip_only), "without a window");
+    start_only.window.measureStart = 100;
+    EXPECT_DEATH(runSimulation(start_only), "without a window");
 }
 
 // ----------------------------------------------------- exact stitching
@@ -647,9 +641,7 @@ overBudgetCopy(const std::string &from, const std::string &to)
     const std::uintmax_t header =
         fs::file_size(from) - records * kTraceRecordBytes;
     const std::uint64_t grown =
-        DecodedTraceStore::kDefaultBudgetBytes /
-            (sizeof(BBRecord) + sizeof(std::uint64_t)) +
-        1;
+        DecodedTraceStore::kDefaultBudgetBytes / sizeof(BBRecord) + 1;
     ASSERT_GT(DecodedTrace::estimateBytes(grown),
               DecodedTraceStore::kDefaultBudgetBytes);
     ASSERT_GT(grown, records);
@@ -726,63 +718,22 @@ TEST(StreamingFallbackTest, OverBudgetTraceReplaysAsTheDecodedOne)
         std::remove(path.c_str());
 }
 
-// ------------------------------------------------------- skip windows
-
-TEST(SkipWindowTest, PrefixSkippingWindowSimulatesDeterministically)
-{
-    // A window a client may send: skip the stream up to the second
-    // third of the measure region less a short warm-up, warm up for
-    // 5,000 instructions and measure the next 5,000.
-    const WorkloadPreset preset = tinyPreset("sampled", 10);
-    SimConfig config = quickConfig(preset, SchemeType::Shotgun);
-    config.window.skipInstructions = kWarmup + kMeasure / 3 - 5000;
-    config.window.measureStart = 0;
-    config.window.measureEnd = 5000;
-    config.warmupInstructions = 5000;
-    config.measureInstructions = 5000;
-
-    const SimResult once = runSimulation(config);
-    const SimResult twice = runSimulation(config);
-    expectIdentical(once, twice);
-    // The final cycle may retire a couple of instructions past the
-    // threshold (run() stops on whole cycles).
-    EXPECT_GE(once.instructions, 5000u);
-    EXPECT_LT(once.instructions, 5010u);
-
-    // The same window over a recording of the same stream: the skip
-    // runs on a cursor over the shared decode and must land where the
-    // generator's did.
-    const std::string path = "/tmp/shotgun_test_skip_window.trace";
-    TraceGenerator gen(programFor(preset), config.traceSeed);
-    recordTraceInstructions(gen, preset, config.traceSeed, path,
-                            kWarmup + kMeasure + 20000);
-    SimConfig replay = config;
-    replay.workload = presetByName("trace:" + path);
-    expectIdentical(runSimulation(replay), once);
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------- wire codec
 
 TEST(WindowShardingTest, DecodeRejectsDegenerateWindows)
 {
     using json::Value;
-    // A disabled window (measure_end 0) must not smuggle in a start
-    // or a skip; an enabled one must be a non-empty range.
+    // A disabled window (measure_end 0) must not smuggle in a start;
+    // an enabled one must be a non-empty range.
     for (const char *bad :
-         {"{\"skip_instructions\":0,\"measure_start\":40000,"
-          "\"measure_end\":0}",
-          "{\"skip_instructions\":7,\"measure_start\":0,"
-          "\"measure_end\":0}",
-          "{\"skip_instructions\":0,\"measure_start\":10,"
-          "\"measure_end\":10}"}) {
+         {"{\"measure_start\":40000,\"measure_end\":0}",
+          "{\"measure_start\":10,\"measure_end\":10}"}) {
         EXPECT_THROW(service::decodeSimWindow(Value::parse(bad)),
                      service::CodecError)
             << bad;
     }
-    const SimWindow ok = service::decodeSimWindow(Value::parse(
-        "{\"skip_instructions\":0,\"measure_start\":0,"
-        "\"measure_end\":100}"));
+    const SimWindow ok = service::decodeSimWindow(
+        Value::parse("{\"measure_start\":0,\"measure_end\":100}"));
     EXPECT_TRUE(ok.enabled());
 }
 

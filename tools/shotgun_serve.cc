@@ -18,19 +18,16 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include <unistd.h>
 
 #include "common/cli.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "fleet/disk_cache.hh"
 #include "fleet/worker.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runner/grid_scheduler.hh"
 #include "service/server.hh"
@@ -102,11 +99,6 @@ const char *kUsage =
     "                      span this daemon recorded (its own and\n"
     "                      trace-carrying jobs') when it shuts down;\n"
     "                      Perfetto-loadable\n"
-    "  --uarch-report FILE write the process-lifetime stall\n"
-    "                      attribution totals (the sim.uarch.*\n"
-    "                      counters accumulated over every probed\n"
-    "                      point this daemon simulated, with their\n"
-    "                      conservation check) as JSON at shutdown\n"
     "  --quiet             no connection/job log lines on stderr\n"
     "\n"
     "Stop it with: shotgun-submit --server ENDPOINT --shutdown\n";
@@ -153,7 +145,6 @@ main(int argc, char **argv)
     std::string listen;
     std::string cache_dir;
     std::string trace_out;
-    std::string uarch_report;
     std::uint64_t cache_max_bytes = 0;
     service::ServerOptions options;
     options.log = &std::cerr;
@@ -198,8 +189,6 @@ main(int argc, char **argv)
             fleet_options.heartbeatMs = static_cast<unsigned>(ms);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             trace_out = next("--trace-out");
-        } else if (std::strcmp(argv[i], "--uarch-report") == 0) {
-            uarch_report = next("--uarch-report");
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             options.log = nullptr;
         } else {
@@ -253,44 +242,6 @@ main(int argc, char **argv)
                 fatal("cannot write trace to '%s'",
                       trace_out.c_str());
             std::fprintf(stderr, "trace: %s\n", trace_out.c_str());
-        }
-        if (!uarch_report.empty()) {
-            // Process-lifetime attribution totals: the sim.uarch.*
-            // counters runSimulationDelta accumulates over every
-            // probed point (zero for a daemon that never ran one),
-            // plus their conservation check against measured cycles.
-            obs::Registry &reg = obs::metrics();
-            auto count = [&reg](const char *name) {
-                return reg.counter(std::string("sim.uarch.") + name)
-                    ->value();
-            };
-            const std::uint64_t cycles = count("cycles");
-            const std::uint64_t active = count("active_cycles");
-            const std::uint64_t stalls =
-                count("stall_icache_miss") + count("stall_btb_miss") +
-                count("stall_redirect") + count("stall_ftq_empty") +
-                count("stall_backend_pressure") +
-                count("stall_prefetch_in_flight");
-            json::Value doc = json::Value::object();
-            doc.set("worker",
-                    json::Value::string(fleet_options.name));
-            doc.set("cycles", json::Value::number(cycles));
-            doc.set("conserves",
-                    json::Value::boolean(active + stalls == cycles));
-            json::Value totals = json::Value::object();
-            for (const char *name :
-                 {"active_cycles", "stall_icache_miss",
-                  "stall_btb_miss", "stall_redirect",
-                  "stall_ftq_empty", "stall_backend_pressure",
-                  "stall_prefetch_in_flight"})
-                totals.set(name, json::Value::number(count(name)));
-            doc.set("totals", std::move(totals));
-            std::ofstream out(uarch_report);
-            if (!out || !(out << doc.dump() << "\n"))
-                fatal("cannot write uarch report to '%s'",
-                      uarch_report.c_str());
-            std::fprintf(stderr, "uarch report: %s\n",
-                         uarch_report.c_str());
         }
     } catch (const std::exception &e) {
         // SocketError (bad endpoint, bind failure) or anything else
